@@ -2,7 +2,7 @@
 """Concurrent-server sweep: wire throughput vs number of clients.
 
 A read-heavy sandboxed-UDF workload is issued over real TCP connections
-against one :class:`~repro.server.aserver.AsyncDatabaseServer` at 1, 2,
+against one :class:`~repro.server.server.DatabaseServer` at 1, 2,
 4, and 8 clients.  Reads pin MVCC snapshots and run concurrently on the
 worker pool, so on a multi-core host total throughput at 4+ clients
 should be at least 2x the single-client throughput.  The sweep also

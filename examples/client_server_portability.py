@@ -7,9 +7,9 @@
     identical protocol ... This allows UDF code to be run without
     change at either site."
 
-This script starts a real TCP server (one thread per client, as in
-PREDATOR), connects a client, compiles a UDF locally, verifies and unit-
-tests it in the client's own JaguarVM, then ships the *identical*
+This script starts a real TCP server, connects a client, compiles a UDF
+locally, verifies and unit-tests it in the client's own JaguarVM, then
+ships the *identical*
 classfile bytes to the server and uses it from SQL.  It also shows the
 server refusing what an untrusted web client must not do: register
 native code into the server process.

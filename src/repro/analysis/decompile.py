@@ -49,10 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..errors import ArithmeticFault
 from ..sql import ast_nodes as A
 from ..vm.classfile import ClassFile, FunctionDef, K_CALLBACK, K_FUNC, K_STR
 from ..vm.opcodes import Instr, Op
-from ..vm.values import INT_MAX, INT_MIN, VMType, default_value, wrap_int
+from ..vm.values import VMType, default_value, f2i, idiv, imod, wrap_int
 from .cfg import build_cfg
 
 #: Refusal reason codes (the full taxonomy; CLI and EXPLAIN print these).
@@ -393,13 +394,8 @@ def _binop(op: Op, a: A.Expr, b: A.Expr) -> A.Expr:
     folded = isinstance(a, A.Literal) and isinstance(b, A.Literal)
     if op is Op.IDIV or op is Op.IMOD:
         if folded and b.value != 0:
-            if op is Op.IDIV:
-                q = abs(a.value) // abs(b.value)
-                if (a.value >= 0) != (b.value >= 0):
-                    q = -q
-                return A.Literal(wrap_int(q))
-            return A.Literal(wrap_int(
-                a.value - _fold_idiv(a.value, b.value) * b.value))
+            fold = idiv if op is Op.IDIV else imod
+            return A.Literal(fold(a.value, b.value))
         # Division by a (possibly) zero value: emit the runtime-trapping
         # builtin rather than folding — plan time must never trap.
         name = "idiv" if op is Op.IDIV else "imod"
@@ -418,11 +414,6 @@ def _binop(op: Op, a: A.Expr, b: A.Expr) -> A.Expr:
     return A.BinaryOp(_SQL_BINOPS[op], a, b)
 
 
-def _fold_idiv(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
 def _unop(op: Op, operand: A.Expr) -> A.Expr:
     if isinstance(operand, A.Literal):
         value = operand.value
@@ -437,11 +428,10 @@ def _unop(op: Op, operand: A.Expr) -> A.Expr:
         if op is Op.SLEN:
             return A.Literal(len(value))
         if op is Op.F2I:
-            finite = value == value and value not in (
-                float("inf"), float("-inf"))
-            if finite and INT_MIN <= value <= INT_MAX:
-                return A.Literal(int(value))
-            return A.FuncCall("trunc", (operand,))  # traps at run time
+            try:
+                return A.Literal(f2i(value))
+            except ArithmeticFault:
+                return A.FuncCall("trunc", (operand,))  # traps at run time
     if op is Op.INEG or op is Op.FNEG:
         return A.UnaryOp("-", operand)
     if op is Op.NOT:

@@ -627,7 +627,7 @@ def run_server(
     A read-heavy UDF workload (one sandboxed arithmetic UDF over the
     first ``scan_limit`` rows of a ``cardinality``-row table) is issued
     over real TCP connections against one
-    :class:`~repro.server.aserver.AsyncDatabaseServer`.  For each client
+    :class:`~repro.server.server.DatabaseServer`.  For each client
     count, every client runs ``statements_per_client`` statements on its
     own thread and connection; the series record whole-sweep throughput
     (statements/second) and client-observed latency percentiles.
@@ -648,7 +648,7 @@ def run_server(
     from time import perf_counter
 
     from ..database import Database
-    from ..server.aserver import AsyncDatabaseServer
+    from ..server.server import DatabaseServer
     from ..server.client import Client
 
     result = ExperimentResult(
@@ -694,12 +694,12 @@ def run_server(
     for __ in range(25):
         db.plan_cache.clear()
         start = perf_counter()
-        db.execute_read(plan_sql)
+        db.execute(plan_sql)
         misses.append(perf_counter() - start)
-    db.execute_read(plan_sql)  # prime
+    db.execute(plan_sql)  # prime
     for __ in range(25):
         start = perf_counter()
-        db.execute_read(plan_sql)
+        db.execute(plan_sql)
         hits.append(perf_counter() - start)
     result.meta["plan_cache_latency"] = {
         "miss_median_s": median(misses),
@@ -708,7 +708,7 @@ def run_server(
     }
 
     try:
-        with AsyncDatabaseServer(db, concurrency=concurrency) as server:
+        with DatabaseServer(db, concurrency=concurrency) as server:
             for clients in client_counts:
                 latencies: list = []
                 errors: list = []

@@ -211,6 +211,11 @@ class UDFRegistry:
 
     def __init__(self, environment: "ServerEnvironment"):
         self.environment = environment
+        #: Bumped by every register/unregister; part of the plan-cache
+        #: fingerprint.  Optimized plans embed a UDF's folded constants,
+        #: inlined body and cost, so no plan cached before the change
+        #: may be served after it — persisted UDF or not.
+        self.epoch = 0
         self._definitions: Dict[str, UDFDefinition] = {}
         self._shared_executors: Dict[str, object] = {}
 
@@ -239,6 +244,7 @@ class UDFRegistry:
 
             definition.cost = derive_cost_hints(summary, certificate)
         self._definitions[key] = definition
+        self.epoch += 1
 
     def unregister(self, name: str) -> None:
         key = name.lower()
@@ -247,6 +253,7 @@ class UDFRegistry:
         if executor is not None:
             executor.close()
         self.environment.vm.unload_udf(key)
+        self.epoch += 1
 
     def get(self, name: str) -> UDFDefinition:
         try:
@@ -270,7 +277,7 @@ class UDFRegistry:
         ``private=True`` gives even in-process designs a fresh executor
         object: the shared ones carry per-query mutable state (context,
         owner thread, profile handle), so statements running
-        *concurrently* — the async server's snapshot reads — must not
+        *concurrently* — the server's snapshot reads — must not
         share them.  Construction is cheap (the VM's loaded program is
         reused), and releasing is just ``end_query`` — callers must NOT
         ``close()`` a private in-process executor, since sandbox close

@@ -37,7 +37,7 @@ from .core.udf import (
     UDFRegistry,
     UDFSignature,
 )
-from .errors import PlanError, RecordError, SimulatedCrash, WALError
+from .errors import RecordError, SimulatedCrash, WALError
 from .sql import ast_nodes as A
 from .sql.executor import QueryResult, StatementExecutor
 from .sql.parser import parse_script, parse_statement
@@ -68,7 +68,6 @@ class Database:
         page_size: int = 8192,
         buffer_capacity: int = 512,
         lob_threshold: int = DEFAULT_LOB_THRESHOLD,
-        use_jit: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
         parallelism: int = 1,
         metrics: bool = False,
@@ -76,7 +75,6 @@ class Database:
         inlining: bool = False,
         tiering: bool = False,
         tier1_threshold: Optional[int] = None,
-        wal: Optional[bool] = None,
         group_commit_window: float = 0.0,
         faults=None,
     ):
@@ -90,12 +88,10 @@ class Database:
             data_path = os.path.join(path, "data.pages")
             catalog_path = os.path.join(path, "catalog.json")
             wal_path = os.path.join(path, "wal.log")
-        #: Durability defaults to "on iff persistent": a path-backed
+        #: Durability is "on iff persistent": a path-backed
         #: database gets a write-ahead log (``path/wal.log``) and crash
         #: recovery on open; an in-memory one has nothing to recover.
-        use_wal = (path is not None) if wal is None else bool(wal)
-        if use_wal and path is None:
-            raise ValueError("WAL requires a path-backed database")
+        use_wal = path is not None
         self.disk = DiskManager(
             data_path, page_size=page_size, wal_mode=use_wal, faults=faults
         )
@@ -119,7 +115,7 @@ class Database:
         self.lob_threshold = lob_threshold
 
         self.broker = CallbackBroker()
-        self.vm = JaguarVM(self.broker.signatures(), use_jit=use_jit)
+        self.vm = JaguarVM(self.broker.signatures())
         from .vm.threadgroups import ThreadGroupRegistry
 
         self.thread_groups = ThreadGroupRegistry()
@@ -172,13 +168,12 @@ class Database:
         self._table_locks: dict = {}
         self._table_locks_guard = threading.Lock()
         #: MVCC-lite snapshot store (disabled by default — see
-        #: :mod:`repro.storage.mvcc`).  The concurrent server enables it
-        #: before accepting connections: ``db.snapshots.enable(db)``.
+        #: :mod:`repro.storage.mvcc`).  The server enables it before
+        #: accepting connections: ``db.snapshots.enable(db)``.
         self.snapshots = SnapshotManager()
-        #: Shared prepared-plan cache, consulted by
-        #: :meth:`execute_read`; keyed on SQL text +
-        #: :meth:`settings_fingerprint`, so DDL/UDF changes (which bump
-        #: the catalog epoch) invalidate structurally.
+        #: Shared plan cache, consulted by :meth:`execute`; DDL bumps
+        #: the catalog epoch and UDF changes the registry's, which
+        #: invalidates structurally.
         self.plan_cache = PlanCache()
         self._stats_sources: dict = {}
         if self.wal is not None:
@@ -261,25 +256,63 @@ class Database:
     )
 
     def execute(self, sql: str) -> QueryResult:
-        """Parse and run one SQL statement."""
-        return self.execute_statement(parse_statement(sql))
+        """Run one SQL statement: the one way in, embedded or over the wire.
 
-    def execute_statement(self, statement: "A.Statement") -> QueryResult:
-        """Run one parsed statement through the write pipeline if it
-        mutates.
-
-        Reads take no lock at all — with snapshots disabled (embedded
-        default) that is exactly the seed single-threaded behaviour;
-        with them enabled, concurrent readers go through
-        :meth:`execute_read` instead.
+        SELECT-shaped text is looked up in the shared :attr:`plan_cache`
+        first; a hit skips parse/plan/optimize.  Only SELECTs
+        participate (writes are never cached, and counting them as
+        misses would make the hit rate meaningless under mixed
+        workloads), and adaptive optimization re-plans per query by
+        design, so it bypasses the cache.  Everything else is parsed and
+        handed to :meth:`_execute`.
         """
-        if isinstance(statement, self._WRITE_STATEMENTS):
-            return self._run_write(
-                self._write_locks(statement),
-                lambda: self._executor.execute(statement),
-                lambda: self._install_after_write(statement),
+        if (
+            self.observability.adaptive is not None
+            or sql.lstrip()[:6].lower() != "select"
+        ):
+            return self._execute(parse_statement(sql))[0]
+        # Everything besides the text that decides the plan: anything
+        # that changes what plan_select/optimize produce belongs here.
+        fingerprint = (
+            self.catalog.epoch, self.registry.epoch,
+            self.parallelism, self.inlining,
+        )
+        plan = self.plan_cache.lookup(sql, fingerprint)
+        if plan is not None:
+            return self._execute(None, plan)[0]
+        result, plan = self._execute(parse_statement(sql))
+        self.plan_cache.store(sql, fingerprint, plan)
+        return result
+
+    def _execute(self, statement: "Optional[A.Statement]", plan=None):
+        """Run one parsed statement (or, on a plan-cache hit, its plan).
+
+        Returns ``(result, plan)``; ``plan`` is the optimized logical
+        plan of a SELECT and None for anything else.  Writes go through
+        :meth:`_run_write`.  A SELECT pins a snapshot iff
+        :attr:`snapshots` is enabled (the server enables it), so its
+        scans never touch live pages, and gets private UDF executors iff
+        a snapshot is pinned, since only then may statements overlap.
+        With snapshots disabled (the embedded default) a read takes no
+        lock at all.
+        """
+        if plan is None and not isinstance(statement, A.Select):
+            if isinstance(statement, self._WRITE_STATEMENTS):
+                return self._run_write(
+                    self._write_locks(statement),
+                    lambda: self._executor.execute(statement),
+                    lambda: self._install_after_write(statement),
+                ), None
+            return self._executor.execute(statement), None
+        snapshot = self.snapshots.pin() if self.snapshots.enabled else None
+        try:
+            return self._executor.select_with_plan(
+                statement, snapshot=snapshot, plan=plan,
+                private=snapshot is not None,
             )
-        return self._executor.execute(statement)
+        finally:
+            if snapshot is not None:
+                snapshot.release()
 
     # -- write pipeline -------------------------------------------------------
 
@@ -382,55 +415,6 @@ class Database:
         if tracker is not None:
             tracker.catalog_dirty = True
 
-    def execute_read(self, sql: str) -> QueryResult:
-        """Run one read-only statement, concurrency-safe.
-
-        The concurrent server's read path: the statement is looked up in
-        (or planned into) the shared :attr:`plan_cache`, executed against
-        a freshly pinned snapshot when :attr:`snapshots` is enabled (so
-        scans never touch live pages), and given private per-query UDF
-        executors.  Adaptive optimization re-plans per query by design,
-        so it bypasses the cache.  A statement that turns out to be a
-        write falls through to :meth:`execute_statement` (serialized).
-        """
-        fingerprint = self.settings_fingerprint()
-        # Only SELECT-shaped texts participate in the cache: writes are
-        # never cached, and counting them as misses would make the
-        # hit-rate statistic meaningless under mixed workloads.
-        use_cache = (
-            self.observability.adaptive is None
-            and sql.lstrip()[:6].lower() == "select"
-        )
-        entry = (
-            self.plan_cache.lookup(sql, fingerprint) if use_cache else None
-        )
-        if entry is not None:
-            statement, plan = entry
-        else:
-            statement, plan = parse_statement(sql), None
-        if not isinstance(statement, A.Select):
-            return self.execute_statement(statement)
-        snapshot = self.snapshots.pin() if self.snapshots.enabled else None
-        try:
-            result, plan = self._executor.select_with_plan(
-                statement, snapshot=snapshot, plan=plan,
-                private=snapshot is not None,
-            )
-        finally:
-            if snapshot is not None:
-                snapshot.release()
-        if use_cache and entry is None:
-            self.plan_cache.store(sql, fingerprint, statement, plan)
-        return result
-
-    def settings_fingerprint(self) -> tuple:
-        """Plan-affecting state: schema epoch + optimizer settings.
-
-        Part of every plan-cache key; anything that changes what
-        ``plan_select``/``optimize`` would produce must appear here.
-        """
-        return (self.catalog.epoch, self.parallelism, self.inlining)
-
     def _install_after_write(self, statement: "A.Statement") -> None:
         """Freeze the written table's new state for snapshot readers.
 
@@ -469,8 +453,7 @@ class Database:
     def execute_script(self, sql: str) -> List[QueryResult]:
         """Run a semicolon-separated script; returns one result each."""
         return [
-            self.execute_statement(statement)
-            for statement in parse_script(sql)
+            self._execute(statement)[0] for statement in parse_script(sql)
         ]
 
     def query(self, sql: str) -> List[tuple]:
@@ -601,7 +584,9 @@ class Database:
         Registration is a catalog mutation, so on a WAL-backed database
         a *direct* call (not via CREATE FUNCTION, which is already
         inside the write pipeline) runs through the pipeline itself —
-        otherwise the catalog change would never reach the log.
+        otherwise the catalog change would never reach the log.  Either
+        way it holds the DDL lock, so concurrent sessions' registrations
+        serialize.
         """
 
         def body():
@@ -626,7 +611,8 @@ class Database:
         ):
             self._run_write([self._write_lock], body, lambda: None)
         else:
-            body()
+            with self._write_lock:
+                body()
 
     def unregister_udf(self, name: str) -> None:
         def body():
@@ -637,7 +623,8 @@ class Database:
         if self.wal is not None and self.pool.current_tracker() is None:
             self._run_write([self._write_lock], body, lambda: None)
         else:
-            body()
+            with self._write_lock:
+                body()
 
     def kill_udf(self, name: str) -> None:
         """Revoke a (sandboxed) UDF's running invocations (Section 6.1).

@@ -1,16 +1,13 @@
-"""Client/server deployment: wire protocol, threaded and concurrent
-servers, client library, and the portable UDF development workflow
-(Section 6.4)."""
+"""Client/server deployment: wire protocol, the server, client library,
+and the portable UDF development workflow (Section 6.4)."""
 
 from .admission import AdmissionController
 from .adtstream import read_value, write_value
-from .aserver import AsyncDatabaseServer
 from .client import Client, LocalUDFHarness
 from .server import DatabaseServer
 
 __all__ = [
     "AdmissionController",
-    "AsyncDatabaseServer",
     "Client",
     "DatabaseServer",
     "LocalUDFHarness",

@@ -1,4 +1,4 @@
-"""Per-tenant admission control for the concurrent server.
+"""Per-tenant admission control for the server.
 
 One heavy UDF user must not starve everyone else.  The existing
 mechanism for that is :class:`~repro.vm.threadgroups.ThreadGroup`

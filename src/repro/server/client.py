@@ -15,15 +15,13 @@ Java UDFs, test them at the client, and migrate them to the server."
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.callbacks import standard_callback_signatures
-from ..errors import ClientError, ReproError
+from ..errors import ClientError
 from ..vm.classfile import ClassFile
 from ..vm.compiler import compile_source
-from ..vm.interpreter import ExecutionContext
-from ..vm.jit import invoke_jit
 from ..vm.machine import JaguarVM
 from ..vm.security import Permissions
 from . import protocol
@@ -55,7 +53,12 @@ class ClientResult:
 
 
 class Client:
-    """A connection to a :class:`~repro.server.server.DatabaseServer`."""
+    """A connection to a :class:`~repro.server.server.DatabaseServer`.
+
+    Connects (and says HELLO) on construction; use it as a context
+    manager or call :meth:`close`.  ``tenant`` names the admission-control
+    identity this session's statements queue under.
+    """
 
     def __init__(
         self,
@@ -72,9 +75,7 @@ class Client:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.tenant = tenant
-        # ``tenant`` declares an admission-control identity to the
-        # concurrent server; the classic empty HELLO makes this session
-        # its own tenant (and is what older servers expect).
+        # The empty HELLO makes this session its own tenant.
         hello = protocol.encode_values(tenant) if tenant is not None else b""
         protocol.send_frame(self._sock, protocol.OP_HELLO, hello)
         opcode, payload = self._recv()
@@ -171,13 +172,11 @@ class LocalUDFHarness:
     """
 
     def __init__(
-        self,
-        mock_callbacks: Optional[Dict[str, Callable]] = None,
-        use_jit: bool = True,
+        self, mock_callbacks: Optional[Dict[str, Callable]] = None
     ):
         self.signatures = standard_callback_signatures()
         self.mock_callbacks = mock_callbacks or {"cb_noop": lambda: 0}
-        self.vm = JaguarVM(self.signatures, use_jit=use_jit)
+        self.vm = JaguarVM(self.signatures)
         self._counter = 0
 
     def compile(self, source: str, class_name: str = "Main") -> ClassFile:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import io
 import socket
 import struct
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..errors import ProtocolError
 from . import adtstream
 
 _FRAME = struct.Struct("<IB")
+HEADER_SIZE = _FRAME.size
 MAX_FRAME = 512 * 1024 * 1024
 
 # Client -> server
@@ -46,20 +47,32 @@ OP_RESULT_PART = 21   # payload: one chunk of a large OP_RESULT payload
 RESULT_CHUNK_CAP = 1024 * 1024
 
 
-def send_frame(sock: socket.socket, opcode: int, payload: bytes = b"") -> None:
+def pack_frame(opcode: int, payload: bytes = b"") -> bytes:
+    """One wire frame, ready to write (blocking and asyncio senders)."""
     if len(payload) + 1 > MAX_FRAME:
         raise ProtocolError("frame too large")
-    header = _FRAME.pack(len(payload) + 1, opcode)
-    sock.sendall(header + payload)
+    return _FRAME.pack(len(payload) + 1, opcode) + payload
 
 
-def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
-    header = _recv_exact(sock, _FRAME.size)
+def parse_header(header: bytes) -> Tuple[int, int]:
+    """``(opcode, payload length)`` from :data:`HEADER_SIZE` header bytes.
+
+    The one place a peer-supplied length is validated, so neither reader
+    ever allocates for a frame outside ``[1, MAX_FRAME]``.
+    """
     length, opcode = _FRAME.unpack(header)
     if length < 1 or length > MAX_FRAME:
         raise ProtocolError(f"bad frame length {length}")
-    payload = _recv_exact(sock, length - 1)
-    return opcode, payload
+    return opcode, length - 1
+
+
+def send_frame(sock: socket.socket, opcode: int, payload: bytes = b"") -> None:
+    sock.sendall(pack_frame(opcode, payload))
+
+
+def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
+    opcode, size = parse_header(_recv_exact(sock, HEADER_SIZE))
+    return opcode, _recv_exact(sock, size)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -91,11 +104,13 @@ def decode_values(payload: bytes, count: int) -> tuple:
     return values
 
 
-def encode_result(columns, rows) -> bytes:
-    return encode_values(tuple(columns), len(rows)) + adtstream.dump_rows(rows)
+def encode_result(columns, rows, rowcount: int) -> bytes:
+    """``rowcount`` is the statement's own count (rows affected, for
+    DML), not necessarily the number of rows shipped."""
+    return encode_values(tuple(columns), rowcount) + adtstream.dump_rows(rows)
 
 
-def result_frames(columns, rows):
+def result_frames(columns, rows, rowcount: int):
     """``(opcode, payload)`` frames for one result, chunked if large.
 
     A result whose encoding fits :data:`RESULT_CHUNK_CAP` ships as the
@@ -106,7 +121,7 @@ def result_frames(columns, rows):
     ``decode_result(b"".join(payloads))`` sees exactly the one-frame
     encoding.
     """
-    payload = encode_result(columns, rows)
+    payload = encode_result(columns, rows, rowcount)
     if len(payload) <= RESULT_CHUNK_CAP:
         yield OP_RESULT, payload
         return

@@ -52,7 +52,7 @@ class Session:
     #: their HELLO; undeclared sessions each form a tenant of their own
     #: (``session-<id>``), so per-tenant budgets degrade to per-session.
     tenant: Optional[str] = None
-    #: Guards the counters above: the concurrent server touches one
+    #: Guards the counters above: the server touches one
     #: session from multiple worker threads.
     _counter_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False

@@ -252,8 +252,8 @@ class StatementExecutor:
     # -- dispatch ------------------------------------------------------------
 
     def execute(self, statement: A.Statement) -> QueryResult:
-        if isinstance(statement, A.Select):
-            return self.execute_select(statement)
+        """Everything but SELECT, which ``Database._execute`` hands to
+        :meth:`select_with_plan` with its snapshot and cached plan."""
         if isinstance(statement, A.Explain):
             return self.execute_explain(statement)
         if isinstance(statement, A.CreateTable):
@@ -276,19 +276,17 @@ class StatementExecutor:
 
     # -- SELECT ------------------------------------------------------------------
 
-    def execute_select(self, select: A.Select) -> QueryResult:
-        return self.select_with_plan(select)[0]
-
     def select_with_plan(
         self,
-        select: A.Select,
+        select: Optional[A.Select],
         snapshot=None,
         plan: Optional[LogicalPlan] = None,
         private: bool = False,
     ) -> Tuple[QueryResult, LogicalPlan]:
         """Run a SELECT, also returning its optimized logical plan.
 
-        ``plan`` short-circuits planning with a plan-cache hit (the
+        ``plan`` short-circuits planning with a plan-cache hit, in
+        which case ``select`` is not needed and may be None (the
         logical plan carries no execution state, so one cached object
         serves any number of concurrent statements); the returned plan
         is what a caller stores back into the cache on a miss.
@@ -588,6 +586,8 @@ class StatementExecutor:
         table.indexes.append(
             IndexInfo(statement.name, statement.column, tree.root_page)
         )
+        # Cached plans for this table chose their scans without it.
+        self.db.catalog.bump_epoch()
         self.db.catalog.save()
         return QueryResult()
 

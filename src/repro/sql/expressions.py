@@ -19,9 +19,9 @@ from __future__ import annotations
 import re
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ExecutionError, PlanError
+from ..errors import ArithmeticFault, ExecutionError, PlanError
 from ..storage.lob import LOBRef
-from ..vm.values import INT_MAX, INT_MIN, wrap_int
+from ..vm.values import f2i, idiv, imod
 from . import ast_nodes as A
 from .types import RowSchema, SQLType
 
@@ -666,36 +666,21 @@ def _length(value) -> int:
     return len(value)
 
 
-def _vm_idiv(a: int, b: int) -> int:
-    """JaguarVM IDIV: truncation toward zero, 64-bit wraparound.
+def _vm_builtin(primitive):
+    """A JaguarVM arithmetic primitive as a SQL builtin.
 
-    The decompiler emits ``idiv``/``imod`` (not SQL ``/``/``%``) for the
-    VM's integer division opcodes: SQL division floors while the VM
-    truncates toward zero, and the results differ on negative operands.
+    The decompiler emits ``idiv``/``imod``/``trunc`` (not SQL ``/``,
+    ``%``) for the VM's IDIV/IMOD/F2I opcodes: SQL division floors while
+    the VM truncates toward zero.  The semantics live in
+    :mod:`repro.vm.values`; only the trap is translated, since SQL
+    expressions fail with :class:`ExecutionError`.
     """
-    if b == 0:
-        raise ExecutionError("integer division by zero")
-    quotient = abs(a) // abs(b)
-    if (a >= 0) != (b >= 0):
-        quotient = -quotient
-    return wrap_int(quotient)
-
-
-def _vm_imod(a: int, b: int) -> int:
-    """JaguarVM IMOD: ``a - idiv(a, b) * b`` (sign follows the dividend)."""
-    if b == 0:
-        raise ExecutionError("integer modulo by zero")
-    return wrap_int(a - _vm_idiv(a, b) * b)
-
-
-def _vm_trunc(x: float) -> int:
-    """JaguarVM F2I: truncate toward zero; error on NaN/inf/overflow."""
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ExecutionError(f"cannot convert {x!r} to int")
-    value = int(x)
-    if value < INT_MIN or value > INT_MAX:
-        raise ExecutionError(f"float {x!r} out of int64 range")
-    return value
+    def call(*args):
+        try:
+            return primitive(*args)
+        except ArithmeticFault as exc:
+            raise ExecutionError(str(exc)) from None
+    return call
 
 
 _BUILTINS = {
@@ -711,10 +696,10 @@ _BUILTINS = {
     "patbytes": (2, _patbytes),
     # VM-semantics helpers emitted by the UDF decompiler; also usable
     # directly from SQL.
-    "idiv": (2, _vm_idiv),
-    "imod": (2, _vm_imod),
+    "idiv": (2, _vm_builtin(idiv)),
+    "imod": (2, _vm_builtin(imod)),
     "float": (1, float),
-    "trunc": (1, _vm_trunc),
+    "trunc": (1, _vm_builtin(f2i)),
 }
 
 

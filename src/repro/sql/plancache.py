@@ -1,77 +1,70 @@
-"""Shared prepared-plan cache for the concurrent server.
+"""Shared prepared-plan cache.
 
 Planning a statement is not free: parse, name resolution, optimization
 (predicate ordering, index selection, UDF inlining — re-walking the
-decompiler's templates every time).  Sessions issuing the same statement
+decompiler's templates every time).  Callers issuing the same statement
 repeatedly — the common case for the paper's "millions of users" load
 shape — should pay that once.  The cache maps
 
-    (SQL text, fingerprint) -> (parsed statement, optimized LogicalPlan)
+    SQL text -> (fingerprint, optimized LogicalPlan)
 
-where the *fingerprint* is ``Database.settings_fingerprint()``: the
-catalog's schema epoch plus every plan-affecting setting (parallelism,
-inlining).  DDL and CREATE/DROP FUNCTION bump the epoch, so stale plans
-can never hit again — invalidation is structural, not advisory; the
-superseded entries are dropped eagerly on the next store of the same
-text and counted as ``invalidations``.
+where the *fingerprint* is everything besides the text that decides what
+``plan_select``/``optimize`` produce: the catalog's schema epoch, the
+UDF registry's epoch, and the plan-affecting settings (parallelism,
+inlining) — ``Database.execute`` builds it.  A lookup under another
+fingerprint is a miss, and the store that follows overwrites the entry
+(counted as an ``invalidation``).  Table/index DDL bumps the first
+epoch and every UDF register/unregister the second, so a stale plan can
+never hit: invalidation is structural, not advisory.
 
-Cached logical plans are execution-state free (expression closures, UDF
-executors, and physical operators are built fresh per execution), so one
-entry may be *read* by any number of concurrent statements.  Adaptive
-optimization re-plans per query by design and bypasses this cache
-entirely (the caller's responsibility — see ``Database.execute_read``).
+Only the plan is kept (no AST: a hit never needs it, and it would cost
+more memory than the plan).  Cached logical plans are execution-state
+free (expression closures, UDF executors, and physical operators are
+built fresh per execution), so one entry may be *read* by any number of
+concurrent statements.  Adaptive optimization re-plans per query by
+design and bypasses this cache entirely (the caller's responsibility).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
 
 DEFAULT_PLAN_CACHE_CAPACITY = 256
 
 
 class PlanCache:
-    """Bounded, thread-safe LRU of prepared statements."""
+    """Bounded, thread-safe LRU of optimized plans, keyed by SQL text."""
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
-    def lookup(self, sql: str, fingerprint: tuple) -> Optional[Tuple]:
-        """The cached ``(statement, plan)`` pair, or None on a miss."""
-        key = (sql, fingerprint)
+    def lookup(self, sql: str, fingerprint: tuple):
+        """The plan cached for ``sql`` under ``fingerprint``, or None."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            entry = self._entries.get(sql)
+            if entry is None or entry[0] != fingerprint:
                 self.misses += 1
                 return None
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(sql)
             self.hits += 1
-            return entry
+            return entry[1]
 
-    def store(self, sql: str, fingerprint: tuple, statement, plan) -> None:
-        key = (sql, fingerprint)
+    def store(self, sql: str, fingerprint: tuple, plan) -> None:
         with self._lock:
-            # Entries for the same text under an older fingerprint
-            # (schema epoch bumped, settings changed) can never hit
-            # again — drop them now instead of waiting for LRU churn.
-            stale = [
-                other for other in self._entries
-                if other[0] == sql and other != key
-            ]
-            for other in stale:
-                del self._entries[other]
+            stale = self._entries.get(sql)
+            if stale is not None and stale[0] != fingerprint:
                 self.invalidations += 1
-            self._entries[key] = (statement, plan)
-            self._entries.move_to_end(key)
+            self._entries[sql] = (fingerprint, plan)
+            self._entries.move_to_end(sql)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1

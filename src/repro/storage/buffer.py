@@ -11,7 +11,7 @@ exactly these table-access costs.
 
 Concurrency: every public method takes the pool's reentrant lock, so
 frame bookkeeping (page table, pin counts, clock hand) stays consistent
-when the concurrent server's read statements and per-table writers share
+when the server's read statements and per-table writers share
 one pool.  The lock covers the *bookkeeping*, not the returned frame
 bytes — writers on the same table are serialized above this layer (the
 database's per-table write locks), writers on disjoint tables touch

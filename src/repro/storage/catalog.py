@@ -159,9 +159,10 @@ class Catalog:
         self.tables: Dict[str, TableInfo] = {}
         self.udfs: Dict[str, UDFInfo] = {}
         self._lock = threading.RLock()
-        #: Schema epoch: bumped on every DDL / UDF registration change.
-        #: The shared plan cache keys on it, so any statement planned
-        #: against an older schema misses instead of serving stale
+        #: Schema epoch: bumped on every table and index DDL (UDF
+        #: changes bump ``UDFRegistry.epoch``).  Plan-cache entries are
+        #: validated against both, so any statement planned against an
+        #: older schema misses instead of serving stale
         #: table/index/UDF resolutions.
         self.epoch = 0
         if path is not None and os.path.exists(path):
@@ -211,7 +212,6 @@ class Catalog:
             if key in self.udfs:
                 raise CatalogError(f"function {udf.name!r} already exists")
             self.udfs[key] = udf
-            self.epoch += 1
             self.save()
 
     def get_udf(self, name: str) -> UDFInfo:
@@ -225,7 +225,6 @@ class Catalog:
         with self._lock:
             if self.udfs.pop(name.lower(), None) is None:
                 raise CatalogError(f"unknown function {name!r}")
-            self.epoch += 1
             self.save()
 
     def has_udf(self, name: str) -> bool:

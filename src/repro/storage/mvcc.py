@@ -1,6 +1,6 @@
 """Versioned snapshot reads: per-table epochs and copy-on-write images.
 
-The concurrent server needs read-only SELECTs to run fully in parallel
+The server needs read-only SELECTs to run fully in parallel
 with each other *and* with the single serialized writer, while producing
 results bit-identical to a serial execution.  The mechanism here is a
 small multi-version store over the existing heap files:
@@ -30,9 +30,9 @@ re-installed after every write statement, and created on CREATE TABLE).
 Readers therefore *never* build images and never race the writer's page
 mutations.
 
-Nothing here runs unless the manager is enabled — the embedded serial
-engine and the threaded one-statement-at-a-time server read live pages
-exactly as before, which is what the parity suites pin.
+Nothing here runs unless the manager is enabled (the server enables it
+on start) — an embedded database reads live pages, and
+``tests/storage/test_mvcc.py`` pins that enabling changes no result.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ so the two modes are interchangeable behind
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,11 +37,11 @@ from .values import (
     coerce_argument,
     coerce_argument_readonly,
     default_value,
+    f2i,
+    idiv,
+    imod,
     wrap_int,
 )
-
-INT_MIN = -(2 ** 63)
-INT_MAX = 2 ** 63 - 1
 
 #: Every opcode the dispatch loop handles, in the order ``_execute``
 #: unpacks them into locals.  Testing ``op is op_load`` (a LOAD_FAST)
@@ -285,16 +284,10 @@ def _execute(
                 stack[-1] = wrap_int(stack[-1] * b)
             elif op is op_idiv:
                 b = stack.pop()
-                a = stack[-1]
-                if b == 0:
-                    raise ArithmeticFault("integer division by zero")
-                stack[-1] = wrap_int(_idiv(a, b))
+                stack[-1] = idiv(stack[-1], b)
             elif op is op_imod:
                 b = stack.pop()
-                a = stack[-1]
-                if b == 0:
-                    raise ArithmeticFault("integer modulo by zero")
-                stack[-1] = wrap_int(a - _idiv(a, b) * b)
+                stack[-1] = imod(stack[-1], b)
             elif op is op_ineg:
                 stack[-1] = wrap_int(-stack[-1])
             elif op is op_iand:
@@ -338,7 +331,7 @@ def _execute(
             elif op is op_i2f:
                 stack[-1] = float(stack[-1])
             elif op is op_f2i:
-                stack[-1] = _f2i(stack[-1])
+                stack[-1] = f2i(stack[-1])
             elif op is op_i2s:
                 s = str(stack[-1])
                 account.charge_memory(len(s))
@@ -470,17 +463,3 @@ def _execute(
                 raise VMRuntimeError(f"unknown opcode {op}")
     finally:
         account.exit_call()
-
-
-def _idiv(a: int, b: int) -> int:
-    """Java-style integer division: truncation toward zero."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _f2i(x: float) -> int:
-    if math.isnan(x):
-        raise ArithmeticFault("cannot convert NaN to int")
-    if math.isinf(x) or not (INT_MIN <= x <= INT_MAX):
-        raise ArithmeticFault(f"float {x!r} does not fit the int range")
-    return int(x)

@@ -35,10 +35,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ArithmeticFault, BoundsError, VerifyError
 from .classfile import ClassFile, FunctionDef, K_CALLBACK, K_FUNC, K_NATIVE, K_STR
-from .interpreter import ExecutionContext, _f2i, _idiv
+from .interpreter import ExecutionContext
 from .opcodes import BRANCH_OPS, FIXED_EFFECTS, Op, TERMINATOR_OPS
 from .stdlib import NATIVE_SIGNATURES
-from .values import VMType, coerce_argument, default_value, wrap_int
+from .values import (
+    VMType,
+    coerce_argument,
+    default_value,
+    f2i,
+    idiv,
+    imod,
+)
 
 _WRAP_K = 0x8000000000000000
 _WRAP_M = 0xFFFFFFFFFFFFFFFF
@@ -77,18 +84,6 @@ def _fdiv(a: float, b: float) -> float:
     if b == 0.0:
         raise ArithmeticFault("float division by zero")
     return a / b
-
-
-def _imod(a: int, b: int) -> int:
-    if b == 0:
-        raise ArithmeticFault("integer modulo by zero")
-    return wrap_int(a - _idiv(a, b) * b)
-
-
-def _idiv_checked(a: int, b: int) -> int:
-    if b == 0:
-        raise ArithmeticFault("integer division by zero")
-    return wrap_int(_idiv(a, b))
 
 
 def _newarr(acct, n: int) -> bytearray:
@@ -143,9 +138,9 @@ _RUNTIME = {
     "_oob": _oob,
     "_oob_slice": _oob_slice,
     "_fdiv": _fdiv,
-    "_imod": _imod,
-    "_idiv": _idiv_checked,
-    "_f2i": _f2i,
+    "_imod": imod,
+    "_idiv": idiv,
+    "_f2i": f2i,
     "_newarr": _newarr,
     "_newfarr": _newfarr,
     "_acopy": _acopy,

@@ -23,10 +23,11 @@ FARR      ``array('d')``               mutable float array
 from __future__ import annotations
 
 import enum
+import math
 from array import array
 from typing import Union
 
-from ..errors import VMRuntimeError
+from ..errors import ArithmeticFault, VMRuntimeError
 
 #: Inclusive bounds of the VM's 64-bit signed integer type.
 INT_MIN = -(2 ** 63)
@@ -98,6 +99,40 @@ def wrap_int(value: int) -> int:
     if value > INT_MAX:
         value -= _INT_MASK
     return value
+
+
+# -- integer semantics shared by every execution tier --------------------------
+#
+# The interpreter, the JIT runtime, the decompiler's constant folder and
+# the SQL ``idiv``/``imod``/``trunc`` builtins all call these, so IDIV,
+# IMOD and F2I have one definition (results and trap conditions).
+
+def _trunc_div(a: int, b: int) -> int:
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def idiv(a: int, b: int) -> int:
+    """IDIV: Java-style truncation toward zero, wrapped to 64 bits."""
+    if b == 0:
+        raise ArithmeticFault("integer division by zero")
+    return wrap_int(_trunc_div(a, b))
+
+
+def imod(a: int, b: int) -> int:
+    """IMOD: ``a - idiv(a, b) * b`` (the sign follows the dividend)."""
+    if b == 0:
+        raise ArithmeticFault("integer modulo by zero")
+    return wrap_int(a - _trunc_div(a, b) * b)
+
+
+def f2i(x: float) -> int:
+    """F2I: truncate toward zero; traps on NaN, inf and overflow."""
+    if math.isnan(x):
+        raise ArithmeticFault("cannot convert NaN to int")
+    if math.isinf(x) or not (INT_MIN <= x <= INT_MAX):
+        raise ArithmeticFault(f"float {x!r} does not fit the int range")
+    return int(x)
 
 
 def default_value(vm_type: VMType) -> VMValue:

@@ -1,11 +1,11 @@
-"""The concurrent multi-session server, end to end.
+"""The server under concurrency, end to end.
 
-Satellite suite for the asyncio front end: serial-replay equality under
-concurrent mixed workloads, snapshot-read isolation while a writer
-commits, shared plan-cache behaviour over the wire, per-tenant admission
-refusal, ``stop()`` drain semantics (both servers), and chunked result
-streaming.  Parity: with one client the async server's results are
-identical to the threaded server's across all six UDF designs.
+Serial-replay equality under concurrent mixed workloads, snapshot-read
+isolation while a writer commits, shared plan-cache behaviour over the
+wire, per-tenant admission refusal, ``stop()`` drain semantics, and
+chunked result streaming.  Parity: with one client the wire replies are
+identical to embedded ``execute`` on an identically loaded database,
+across all six UDF designs.
 
 The per-table write-lock gate (ROADMAP): concurrent writers on disjoint
 tables must (a) produce exactly the state a serial replay produces —
@@ -22,7 +22,6 @@ import pytest
 from repro.core.designs import Design
 from repro.database import Database
 from repro.server import protocol
-from repro.server.aserver import AsyncDatabaseServer
 from repro.server.client import Client, ServerReportedError
 from repro.server.server import DatabaseServer
 
@@ -43,7 +42,7 @@ def make_db():
 @pytest.fixture
 def adb():
     database = make_db()
-    with AsyncDatabaseServer(database, trust_all_clients=True) as server:
+    with DatabaseServer(database, trust_all_clients=True) as server:
         yield server
     database.close()
 
@@ -111,25 +110,25 @@ class TestSingleClientParity:
     @pytest.mark.parametrize(
         "design", list(DESIGN_SQL), ids=lambda d: d.value
     )
-    def test_async_matches_threaded(self, design):
+    def test_wire_matches_embedded(self, design):
         create = f"CREATE FUNCTION arith(int) RETURNS int {DESIGN_SQL[design]}"
-        results = {}
-        for kind, server_cls in (
-            ("threaded", DatabaseServer), ("async", AsyncDatabaseServer)
-        ):
-            database = make_db()
-            try:
-                with server_cls(
-                    database, trust_all_clients=True
-                ) as server:
-                    with Client(server.host, server.port) as client:
-                        client.execute(create)
-                        results[kind] = client.execute(PARITY_SQL)
-            finally:
-                database.close()
-        assert results["async"].columns == results["threaded"].columns
-        assert results["async"].rows == results["threaded"].rows
-        assert results["async"].rows == [
+        embedded = make_db()
+        try:
+            embedded.execute(create)
+            expected = embedded.execute(PARITY_SQL)
+        finally:
+            embedded.close()
+        database = make_db()
+        try:
+            with DatabaseServer(database, trust_all_clients=True) as server:
+                with Client(server.host, server.port) as client:
+                    client.execute(create)
+                    served = client.execute(PARITY_SQL)
+        finally:
+            database.close()
+        assert served.columns == expected.columns
+        assert served.rowcount == expected.rowcount
+        assert served.rows == expected.rows == [
             (1, 4), (2, 7), (3, 10), (4, 13)
         ]
 
@@ -251,7 +250,7 @@ class TestConcurrentMultiTableWriters:
         database = Database(path, group_commit_window=0.002)
         observed = {}
         try:
-            with AsyncDatabaseServer(
+            with DatabaseServer(
                 database, trust_all_clients=True
             ) as server:
                 errors = []
@@ -314,7 +313,7 @@ class TestConcurrentMultiTableWriters:
             database.execute("CREATE TABLE a (id INT, v INT)")
             database.execute("CREATE TABLE b (id INT, v INT)")
             database.execute("INSERT INTO a VALUES (1, 10)")
-            with AsyncDatabaseServer(
+            with DatabaseServer(
                 database, trust_all_clients=True
             ) as server:
                 with Client(server.host, server.port) as setup:
@@ -445,7 +444,7 @@ class TestAdmissionOverWire:
     def test_tenant_over_budget_is_refused(self, gate):
         database = make_db()
         try:
-            with AsyncDatabaseServer(
+            with DatabaseServer(
                 database,
                 trust_all_clients=True,
                 tenant_slots=1,
@@ -500,14 +499,9 @@ class TestAdmissionOverWire:
 # -- satellite (a): stop() drains in-flight statements ------------------------
 
 class TestStopDrains:
-    @pytest.mark.parametrize("server_cls", [
-        DatabaseServer, AsyncDatabaseServer,
-    ], ids=["threaded", "async"])
-    def test_stop_during_inflight_statement_delivers_result(
-        self, gate, server_cls
-    ):
+    def test_stop_during_inflight_statement_delivers_result(self, gate):
         database = make_db()
-        server = server_cls(database, trust_all_clients=True)
+        server = DatabaseServer(database, trust_all_clients=True)
         server.start()
         outcome = {}
         try:
@@ -547,7 +541,7 @@ class TestStopDrains:
 class TestChunkedStreaming:
     def test_result_frames_chunking_unit(self):
         rows = [(bytes(3 * protocol.RESULT_CHUNK_CAP // 2),)]
-        frames = list(protocol.result_frames(["data"], rows))
+        frames = list(protocol.result_frames(["data"], rows, 1))
         assert [op for op, __ in frames[:-1]] == [
             protocol.OP_RESULT_PART
         ]
@@ -563,14 +557,11 @@ class TestChunkedStreaming:
         assert decoded == rows
 
     def test_small_results_stay_single_frame(self):
-        frames = list(protocol.result_frames(["id"], [(1,), (2,)]))
+        frames = list(protocol.result_frames(["id"], [(1,), (2,)], 2))
         assert len(frames) == 1
         assert frames[0][0] == protocol.OP_RESULT
 
-    @pytest.mark.parametrize("server_cls", [
-        DatabaseServer, AsyncDatabaseServer,
-    ], ids=["threaded", "async"])
-    def test_large_lob_round_trips(self, server_cls):
+    def test_large_lob_round_trips(self):
         size = protocol.RESULT_CHUNK_CAP + 500_000
         database = Database()
         try:
@@ -578,7 +569,7 @@ class TestChunkedStreaming:
             database.execute(
                 f"INSERT INTO blobs VALUES (7, zerobytes({size}))"
             )
-            with server_cls(database) as server:
+            with DatabaseServer(database) as server:
                 with Client(server.host, server.port) as client:
                     result = client.execute(
                         "SELECT id, data FROM blobs"
@@ -593,33 +584,19 @@ class TestChunkedStreaming:
 # -- satellite (b): server counters surface through db.stats() ----------------
 
 class TestServerStats:
-    def test_async_server_counters_in_db_stats(self, adb):
+    def test_server_counters_in_db_stats(self, adb):
         with Client(adb.host, adb.port) as client:
             client.execute("SELECT count(*) FROM nums")
             client.execute("SELECT count(*) FROM nums")
-        stats = adb.database.stats()["server"]
-        assert stats["kind"] == "async"
-        assert stats["sessions_served"] >= 1
+            stats = adb.database.stats()["server"]
+            assert stats["open_connections"] == 1
+        assert stats["sessions_served"] == 1
+        assert stats["concurrency"] == adb.concurrency
         # ``completed`` ticks on the worker thread after the reply is
         # already released to the client, so assert on admissions.
         assert stats["admission"]["admitted"] >= 2
         assert stats["plan_cache"]["hits"] >= 1
         assert stats["snapshots"]["enabled"] is True
-
-    def test_threaded_server_counters(self):
-        database = make_db()
-        try:
-            with DatabaseServer(database) as server:
-                database.attach_stats_source(
-                    "server", server.stats_snapshot
-                )
-                with Client(server.host, server.port) as client:
-                    client.execute("SELECT count(*) FROM nums")
-                stats = database.stats()["server"]
-                assert stats["kind"] == "threaded"
-                assert stats["sessions_served"] == 1
-        finally:
-            database.close()
 
     def test_session_counters_thread_safe_increment(self, adb):
         with Client(adb.host, adb.port) as client:

@@ -45,6 +45,22 @@ class TestQueries:
         client.execute("INSERT INTO w VALUES (1, 'x'), (2, 'y')")
         assert client.execute("SELECT count(*) FROM w").scalar() == 2
 
+    def test_dml_rowcounts_match_embedded(self, client):
+        script = [
+            "CREATE TABLE w (a INT, b INT)",
+            "INSERT INTO w VALUES (1, 10), (2, 20), (3, 30)",
+            "UPDATE w SET b = b + 1 WHERE a >= 2",
+            "DELETE FROM w WHERE a = 1",
+            "SELECT a FROM w ORDER BY a",
+        ]
+        embedded = Database()
+        try:
+            expected = [embedded.execute(sql).rowcount for sql in script]
+        finally:
+            embedded.close()
+        assert expected == [0, 3, 2, 1, 2]
+        assert [client.execute(sql).rowcount for sql in script] == expected
+
     def test_errors_reported_not_fatal(self, client):
         with pytest.raises(ServerReportedError) as info:
             client.execute("SELECT * FROM no_such_table")

@@ -125,11 +125,19 @@ def validate_definition(
     if definition.design.is_sandboxed:
         from .sandbox import load_sandbox_payload
 
-        # Decoding + verification + static analysis happens here; a
-        # malformed or unsafe classfile never reaches the catalog, and a
-        # classfile whose inferred effects exceed its callback grant is
-        # rejected by the security manager's load-time pre-check.
-        return load_sandbox_payload(definition, env, probe_only=True)
+        # Compile + verify + static analysis (+ JIT) happen here, once;
+        # a malformed or unsafe classfile never reaches the catalog, and
+        # a classfile whose inferred effects exceed its callback grant is
+        # rejected by the security manager's load-time pre-check.  The
+        # program stays loaded: every query of this UDF runs it.
+        loaded = load_sandbox_payload(definition, env)
+        func = loaded.main_class.functions[definition.entry]
+        return (
+            getattr(func, "summary", None),
+            getattr(func, "certificate", None),
+            getattr(func, "inline", None),
+            getattr(func, "flows", None),
+        )
     else:
         func = resolve_native_payload(definition.payload)
         nparams = len(definition.signature.param_types)

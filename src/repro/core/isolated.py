@@ -30,10 +30,15 @@ reassembled in shard order, which is input order, so parallelism never
 reorders a batch.  ``parallelism=1`` degenerates to the exact serial
 protocol: one worker, one round trip per batch.
 
-Design 4 (the paper extrapolates it; we build it) runs a JaguarVM
-*inside* the worker, so the UDF gets both process isolation and the
-sandbox's verification/quotas; its callbacks pay the process-boundary
-price, which is what makes Design 4 ≈ Design 2 + Design 3 measurable.
+Design 4 (the paper extrapolates it; we build it) runs the sandboxed
+program *inside* the worker, so the UDF gets both process isolation and
+the sandbox's verification/quotas.  The program is loaded once, at
+CREATE FUNCTION, and each query's worker is handed that
+:class:`~repro.vm.machine.LoadedUDF` as a ``Process`` argument (plain
+inheritance under ``fork``, its pickled form under ``spawn``): per query
+Design 4 pays Design 2's process start plus Design 3's invocations, and
+its callbacks pay the process-boundary price — the paper's
+Design 4 ≈ Design 2 + Design 3, measurable.
 UDFs that declared callbacks keep a pool of one: callback dispatch is
 interactive and funnels through the query's single broker binding.
 
@@ -55,6 +60,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..errors import CallbackError, UDFCrashed, UDFInvocationError, VMError
 from .designs import Design
 from .factory import UDFExecutor
+from .sandbox import admission_claim, loaded_program
 from .udf import ServerEnvironment, UDFDefinition, resolve_native_payload
 
 _HEADER = struct.Struct("<BII")  # msg type, total length, chunk length
@@ -233,7 +239,7 @@ class _Worker:
     """One executor process plus its private shm buffer and channel."""
 
     def __init__(self, mp_ctx, definition: UDFDefinition,
-                 buffer_size: int, payload_blob: bytes, index: int):
+                 buffer_size: int, worker_payload: tuple, index: int):
         self.index = index
         self.array = mp_ctx.Array("B", buffer_size, lock=False)
         self.channel = _ShmChannel(
@@ -247,7 +253,7 @@ class _Worker:
                 self.array,
                 self.channel.s2w_ready, self.channel.s2w_ack,
                 self.channel.w2s_ready, self.channel.w2s_ack,
-                payload_blob,
+                worker_payload,
             ),
             daemon=True,
             name=f"udf-executor-{definition.name}-{index}",
@@ -306,9 +312,8 @@ class _Worker:
 class WorkerPool:
     """N worker processes for one UDF, each with its own channel.
 
-    All processes are forked first so their startup (imports, VM
-    construction, classfile verification for Design 4) overlaps; only
-    then does the server collect each worker's READY.  Idle workers sit
+    All processes are forked first so their startups overlap; only then
+    does the server collect each worker's READY.  Idle workers sit
     in a LIFO queue — the most recently used worker is the cache-warm
     one — and ``checkout``/``checkin`` make the pool safe to drive from
     several Exchange threads at once.
@@ -320,7 +325,7 @@ class WorkerPool:
         env: ServerEnvironment,
         size: int,
         buffer_size: int,
-        payload_blob: bytes,
+        worker_payload: tuple,
     ):
         self.definition = definition
         self.size = max(1, size)
@@ -330,7 +335,7 @@ class WorkerPool:
         try:
             for index in range(self.size):
                 self._workers.append(
-                    _Worker(mp_ctx, definition, buffer_size, payload_blob,
+                    _Worker(mp_ctx, definition, buffer_size, worker_payload,
                             index)
                 )
             for worker in self._workers:
@@ -484,19 +489,18 @@ class RemoteExecutor(UDFExecutor):
                 definition, getattr(env, "batch_size", 1)
             )
         if definition.design.is_sandboxed:
+            # The program the registration compiled, verified, analysed
+            # and JIT-compiled; a forked worker inherits it as is.
+            self._loaded = loaded_program(definition, env)
             worker_payload = (
                 "jaguar",
-                bytes(self._sandbox_classfile_bytes(definition, env)),
+                self._loaded,
                 definition.entry,
-                tuple(definition.callbacks),
-                definition.fuel,
-                definition.memory,
                 definition.design is not Design.SANDBOX_INTERP,
-                # Copy elision for flow-certified read-only parameters:
-                # the worker re-verifies and re-certifies the classfile
-                # itself, but the server-side gate (definition.flows)
-                # ships along so stripping the certificate restores the
-                # defensive-copy baseline end to end.
+                # Copy elision for flow-certified read-only parameters
+                # follows the server-side gate (definition.flows), so
+                # stripping the certificate restores the defensive-copy
+                # baseline end to end.
                 definition.flows is not None,
                 # Tiering rides the same gate: each worker promotes
                 # independently (its own call counts and kernel) and
@@ -515,27 +519,8 @@ class RemoteExecutor(UDFExecutor):
         #: per-index access never races.
         self._tier_reports: dict = {}
         self._pool = WorkerPool(
-            definition, env, parallelism, buffer_size, _dumps(worker_payload)
+            definition, env, parallelism, buffer_size, worker_payload
         )
-
-    @staticmethod
-    def _sandbox_classfile_bytes(
-        definition: UDFDefinition, env: ServerEnvironment
-    ) -> bytes:
-        from ..vm.classfile import MAGIC
-        from .sandbox import compile_udf_source
-
-        if definition.payload[:4] == MAGIC:
-            return definition.payload
-        source = definition.payload.decode("utf-8")
-        cls = compile_udf_source(source, f"udf_{definition.name}", env)
-        return cls.to_bytes()
-
-    @property
-    def _process(self):
-        """First worker's process (compat shim for pre-pool callers)."""
-        workers = self._pool.workers
-        return workers[0].process if workers else None
 
     @property
     def pool_size(self) -> int:
@@ -597,35 +582,6 @@ class RemoteExecutor(UDFExecutor):
 
     # -- admission ------------------------------------------------------------
 
-    def _worker_claims(self) -> tuple:
-        """Per-worker worst case to reserve against the UDF's group.
-
-        Each pool worker can run one invocation at a time, so N workers
-        mean N concurrent worst cases.  The certified constant bound is
-        the tight claim; otherwise the definition's declared quotas,
-        falling back to the server VM's default policy (which is what
-        the worker-side VM will enforce).
-        """
-        from ..analysis.bounds import constant_bound
-        from ..vm.resources import DEFAULT_FUEL, DEFAULT_MEMORY
-
-        policy = getattr(self.env.vm, "policy", None)
-        fuel_claim = self.definition.fuel or getattr(
-            policy, "fuel", DEFAULT_FUEL
-        )
-        mem_claim = self.definition.memory or getattr(
-            policy, "memory", DEFAULT_MEMORY
-        )
-        cert = self.definition.certificate
-        if cert is not None:
-            fuel_const = constant_bound(cert.fuel_bound)
-            if fuel_const is not None:
-                fuel_claim = min(fuel_claim, fuel_const)
-            mem_const = constant_bound(cert.mem_bound)
-            if mem_const is not None:
-                mem_claim = min(mem_claim, mem_const)
-        return fuel_claim, mem_claim
-
     def begin_query(self, binding=None) -> None:
         super().begin_query(binding)
         registry = self.env.thread_groups
@@ -640,7 +596,11 @@ class RemoteExecutor(UDFExecutor):
         # worker, so the group ledger shows which process holds what and
         # admission control sees the pool's true concurrent worst case.
         group = registry.group_for(self.definition.name.lower())
-        fuel_claim, mem_claim = self._worker_claims()
+        # Each pool worker runs one invocation at a time under the
+        # program's own policy, so N workers are N concurrent worst cases.
+        fuel_claim, mem_claim = admission_claim(
+            self._loaded, self.definition.entry
+        )
         held = []
         try:
             for worker in self._pool.workers:
@@ -916,15 +876,13 @@ class _WorkerNativeContext:
 
 
 def _worker_main(array, s2w_ready, s2w_ack, w2s_ready, w2s_ack,
-                 payload_blob: bytes) -> None:
+                 worker_payload: tuple) -> None:
     channel = _ShmChannel(
         memoryview(array).cast("B"), s2w_ready, s2w_ack, w2s_ready, w2s_ack
     )
     port = _RemoteCallbackPort(channel)
     try:
-        invoke, invoke_batch = _build_worker_invoker(
-            _loads(payload_blob), port
-        )
+        invoke, invoke_batch = _build_worker_invoker(worker_payload, port)
     except Exception as exc:
         channel.worker_send(MSG_ERROR, _dumps(_shippable(exc)))
         return
@@ -994,37 +952,23 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
         return (lambda args: func(*args)), None
 
     if kind == "jaguar":
-        (__, class_bytes, entry, callbacks, fuel, memory, use_jit,
-         elide_copies, tiering, tier1_threshold) = worker_payload
-        from ..vm.machine import JaguarVM
-        from ..vm.security import Permissions
-        from .callbacks import standard_callback_signatures
-
-        vm = JaguarVM(
-            callback_signatures=standard_callback_signatures(),
-            use_jit=use_jit,
-        )
-        handlers = {
+        (__, loaded, entry, use_jit, elide_copies, tiering,
+         tier1_threshold) = worker_payload
+        # ``loaded`` is the server's prepared program: inherited under
+        # ``fork``, reloaded from its pickled form under ``spawn``.  The
+        # worker only binds it to this process's callback port; quotas
+        # are the program's policy, the same one Design 3 enforces.
+        context = loaded.make_context(callbacks={
             name: _make_remote_handler(port, name)
-            for name in standard_callback_signatures()
-        }
-        # None quotas inherit the worker VM's default QuotaPolicy.
-        loaded = vm.load_udf(
-            name="remote",
-            classfiles=[class_bytes],
-            permissions=Permissions(callbacks=frozenset(callbacks)),
-            callbacks=handlers,
-            fuel=fuel or None,
-            memory=memory or None,
-        )
-        context = loaded.make_context()
-        # ``make_invoker`` hoists lookup/JIT out of the loop and, when
-        # the worker-side flow certificate proves parameters read-only,
-        # skips the defensive copy of byte arrays arriving from shared
-        # memory — they were already copied out of the ring buffer by
-        # unpickling, so the sandbox can use that buffer directly.
+            for name in loaded.security.permissions.callbacks
+        })
+        # When the flow certificate proves parameters read-only,
+        # ``make_invoker`` skips the defensive copy of byte arrays
+        # arriving from shared memory — they were already copied out of
+        # the ring buffer by unpickling, so the sandbox can use that
+        # buffer directly.
         invoke_one = loaded.make_invoker(
-            entry, context, elide_copies=elide_copies
+            entry, context, use_jit=use_jit, elide_copies=elide_copies
         )
         account = context.account
 

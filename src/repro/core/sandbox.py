@@ -35,6 +35,7 @@ from ..vm.compiler import compile_source
 from ..vm.machine import LoadedUDF
 from ..vm.security import Permissions
 from .callbacks import standard_sink_callbacks
+from .designs import Design
 from .factory import UDFExecutor
 from .udf import ServerEnvironment, UDFDefinition
 
@@ -49,21 +50,16 @@ def compile_udf_source(
 
 
 def load_sandbox_payload(
-    definition: UDFDefinition,
-    env: ServerEnvironment,
-    probe_only: bool = False,
-):
-    """Turn a sandbox payload into a loaded (verified) UDF.
+    definition: UDFDefinition, env: ServerEnvironment
+) -> LoadedUDF:
+    """Turn a sandbox payload into the registration's prepared program.
 
-    ``probe_only`` runs the full pipeline and then unloads — used at
-    registration time to reject bad payloads without keeping state.  In
-    that mode the return value is a ``(summary, certificate, inline,
-    flows)`` tuple: the entry function's static effect summary
-    (``FunctionSummary``), its resource certificate
-    (``ResourceCertificate``), its decompilation result
-    (``InlineTemplate`` or ``InlineRefusal``), and its flow certificate
-    (``FlowCertificate``), all of which the registry records on the
-    definition; otherwise the :class:`LoadedUDF` is returned.
+    All load-time work happens here and only here: compile (source
+    payloads), decode + verify + analyse + certify, the entry-signature
+    check, and JIT compilation of every function for the JIT designs.
+    The :class:`LoadedUDF` stays loaded in ``env.vm`` under the UDF's
+    name (the registry unloads it at DROP FUNCTION); a payload failing
+    any check leaves nothing loaded.
     """
     payload = definition.payload
     class_name = f"udf_{definition.name}"
@@ -81,8 +77,6 @@ def load_sandbox_payload(
 
     vm = env.vm
     load_name = definition.name.lower()
-    if probe_only:
-        load_name = f"__probe_{load_name}"
     # None quotas inherit the VM's QuotaPolicy; explicit registration
     # values derive a per-UDF policy without touching anything shared.
     loaded = vm.load_udf(
@@ -95,10 +89,20 @@ def load_sandbox_payload(
         fuel=definition.fuel,
         memory=definition.memory,
     )
+    try:
+        _check_entry(definition, loaded)
+        if definition.design is not Design.SANDBOX_INTERP:
+            loaded.jit_all()
+    except Exception:
+        vm.unload_udf(load_name)
+        raise
+    return loaded
+
+
+def _check_entry(definition: UDFDefinition, loaded: LoadedUDF) -> None:
     entry = definition.entry
     func = loaded.main_class.functions.get(entry)
     if func is None:
-        vm.unload_udf(load_name)
         raise UDFRegistrationError(
             f"UDF {definition.name!r}: payload defines no function "
             f"{entry!r}"
@@ -106,7 +110,6 @@ def load_sandbox_payload(
     want_params = definition.signature.vm_param_types()
     want_ret = definition.signature.vm_ret_type()
     if func.param_types != want_params or func.ret_type is not want_ret:
-        vm.unload_udf(load_name)
         raise UDFRegistrationError(
             f"UDF {definition.name!r}: entry signature "
             f"{[t.value for t in func.param_types]} -> "
@@ -114,15 +117,42 @@ def load_sandbox_payload(
             f"{list(definition.signature.param_types)} -> "
             f"{definition.signature.ret_type}"
         )
-    if probe_only:
-        vm.unload_udf(load_name)
-        return (
-            getattr(func, "summary", None),
-            getattr(func, "certificate", None),
-            getattr(func, "inline", None),
-            getattr(func, "flows", None),
-        )
-    return loaded
+
+
+def loaded_program(
+    definition: UDFDefinition, env: ServerEnvironment
+) -> LoadedUDF:
+    """The prepared program every executor of ``definition`` runs.
+
+    Registration loaded it; a definition that was never registered
+    (executors built straight from a definition) is loaded on first use.
+    """
+    loaded = env.vm.loaded_udfs.get(definition.name.lower())
+    return loaded if loaded is not None else load_sandbox_payload(
+        definition, env
+    )
+
+
+def admission_claim(loaded: LoadedUDF, entry: str) -> tuple:
+    """Per-invocation worst case to reserve against the group budget.
+
+    The certified constant bound is the tight claim; argument-dependent
+    or absent bounds fall back to the program's full quota (the runtime
+    meter's own cap in every design, so the claim is always sound).
+    """
+    from ..analysis.bounds import constant_bound
+
+    policy = loaded.policy
+    fuel_claim, mem_claim = policy.fuel, policy.memory
+    cert = getattr(loaded.main_class.functions.get(entry), "certificate", None)
+    if cert is not None:
+        fuel_const = constant_bound(cert.fuel_bound)
+        if fuel_const is not None:
+            fuel_claim = min(fuel_claim, fuel_const)
+        mem_const = constant_bound(cert.mem_bound)
+        if mem_const is not None:
+            mem_claim = min(mem_claim, mem_const)
+    return fuel_claim, mem_claim
 
 
 class SandboxExecutor(UDFExecutor):
@@ -135,9 +165,7 @@ class SandboxExecutor(UDFExecutor):
         use_jit: bool = True,
     ):
         super().__init__(definition, env)
-        vm = env.vm
-        existing = vm.loaded_udfs.get(definition.name.lower())
-        self._loaded = existing or load_sandbox_payload(definition, env)
+        self._loaded = loaded_program(definition, env)
         self._use_jit = use_jit
         self._context = None
         self._reservation = None
@@ -151,28 +179,6 @@ class SandboxExecutor(UDFExecutor):
         self._tls = threading.local()
         self._extra_contexts: list = []
         self._extra_lock = threading.Lock()
-
-    def _admission_claim(self) -> tuple:
-        """Per-invocation worst case to reserve against the group budget.
-
-        The certified constant bound is the tight claim; argument-
-        dependent or absent bounds fall back to the full account quota
-        (the runtime meter's own cap, so the claim is always sound).
-        """
-        from ..analysis.bounds import constant_bound
-
-        policy = self._loaded.policy
-        fuel_claim, mem_claim = policy.fuel, policy.memory
-        entry = self._loaded.main_class.functions.get(self.definition.entry)
-        cert = getattr(entry, "certificate", None)
-        if cert is not None:
-            fuel_const = constant_bound(cert.fuel_bound)
-            if fuel_const is not None:
-                fuel_claim = min(fuel_claim, fuel_const)
-            mem_const = constant_bound(cert.mem_bound)
-            if mem_const is not None:
-                mem_claim = min(mem_claim, mem_const)
-        return fuel_claim, mem_claim
 
     def begin_query(self, binding=None) -> None:
         super().begin_query(binding)
@@ -192,7 +198,9 @@ class SandboxExecutor(UDFExecutor):
             # Admission control: reserve the worst case this query's
             # invocations can consume; a claim that cannot fit the
             # group's remaining budget is refused before any tuple runs.
-            fuel_claim, mem_claim = self._admission_claim()
+            fuel_claim, mem_claim = admission_claim(
+                self._loaded, self.definition.entry
+            )
             group.reserve(fuel_claim, mem_claim)
             self._reservation = (group, fuel_claim, mem_claim)
         self._owner_thread = threading.current_thread()
@@ -222,7 +230,9 @@ class SandboxExecutor(UDFExecutor):
         if registry is not None:
             group = registry.group_for(self.definition.name.lower())
             group.adopt_account(context.account)
-            fuel_claim, mem_claim = self._admission_claim()
+            fuel_claim, mem_claim = admission_claim(
+                self._loaded, self.definition.entry
+            )
             holder = (
                 f"{self.definition.name.lower()}/"
                 f"{threading.current_thread().name}"
@@ -468,10 +478,6 @@ class SandboxExecutor(UDFExecutor):
             if reservation is not None:
                 group, fuel_claim, mem_claim, holder = reservation
                 group.release(fuel_claim, mem_claim, holder=holder)
-
-    def close(self) -> None:
-        super().close()
-        self.env.vm.unload_udf(self.definition.name.lower())
 
     @property
     def resource_snapshot(self) -> Optional[dict]:

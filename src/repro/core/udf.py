@@ -232,17 +232,23 @@ class UDFRegistry:
         from .factory import validate_definition
 
         probe = validate_definition(definition, self.environment)
-        summary, certificate, inline, flows = (
-            probe if probe is not None else (None, None, None, None)
-        )
-        definition.analysis = summary
-        definition.certificate = certificate
-        definition.inline = _admit_inline(definition, inline)
-        definition.flows = flows
-        if definition.cost is None and summary is not None:
-            from ..analysis.costs import derive_cost_hints
+        try:
+            summary, certificate, inline, flows = (
+                probe if probe is not None else (None, None, None, None)
+            )
+            definition.analysis = summary
+            definition.certificate = certificate
+            definition.inline = _admit_inline(definition, inline)
+            definition.flows = flows
+            if definition.cost is None and summary is not None:
+                from ..analysis.costs import derive_cost_hints
 
-            definition.cost = derive_cost_hints(summary, certificate)
+                definition.cost = derive_cost_hints(summary, certificate)
+        except Exception:
+            # Validation left the program loaded; a refused registration
+            # must leave nothing behind.
+            self.environment.vm.unload_udf(key)
+            raise
         self._definitions[key] = definition
         self.epoch += 1
 
@@ -278,10 +284,9 @@ class UDFRegistry:
         object: the shared ones carry per-query mutable state (context,
         owner thread, profile handle), so statements running
         *concurrently* — the server's snapshot reads — must not
-        share them.  Construction is cheap (the VM's loaded program is
-        reused), and releasing is just ``end_query`` — callers must NOT
-        ``close()`` a private in-process executor, since sandbox close
-        unloads the UDF from the shared VM.
+        share them.  Construction is cheap: every sandboxed executor,
+        shared, private or isolated, runs the one program the
+        registration loaded, and only ``unregister`` unloads it.
         """
         definition = self.get(name)
         from .factory import make_executor

@@ -639,7 +639,7 @@ class Database:
         self.thread_groups.kill(name.lower())
 
     def _reload_udfs(self) -> None:
-        """Re-register persisted UDFs on reopen (payloads re-verify)."""
+        """Re-register persisted UDFs on reopen (each payload loads once, here)."""
         for info in list(self.catalog.udfs.values()):
             definition = UDFDefinition(
                 name=info.name,

@@ -75,6 +75,10 @@ class ClassLoader:
         """True if *this* loader (not a parent) defines the class."""
         return class_name in self._classes
 
+    def defined_classes(self) -> list:
+        """This loader's own classes, in definition (dependency) order."""
+        return list(self._classes.values())
+
     # -- definition --------------------------------------------------------------
 
     def define_class(self, source: Union[bytes, ClassFile]) -> ClassFile:

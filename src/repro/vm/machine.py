@@ -49,6 +49,35 @@ class LoadedUDF:
         self._jit = JitCompiler(loader.resolve_class)
         self._kernels: Dict[str, Callable] = {}
 
+    def jit_all(self) -> None:
+        """JIT-compile every function of the main class now, at load.
+
+        Compilation reads only load-time state (resolved CALL targets,
+        signatures, natives), so a scratch context will do and the cached
+        closures serve every later context; intra-class CALL targets are
+        compiled too, so no invocation ever compiles.
+        """
+        context = self.make_context()
+        for func in self.main_class.functions.values():
+            self._jit.get(self.main_class, func, context)
+
+    def __reduce__(self):
+        """Pickled form (a ``spawn`` worker's hand-over): bytes, grant, quota.
+
+        Unpickling reloads: the receiving process verifies and analyses
+        the bytes under the same permissions and policy (and JIT-compiles
+        on first use).  ``fork`` workers inherit the object itself and
+        never come through here.
+        """
+        return _reload_udf, (
+            self.name,
+            [cls.to_bytes() for cls in self.loader.defined_classes()],
+            self.main_class.name,
+            self.security.permissions,
+            self.policy,
+            self.loader.callback_signatures,
+        )
+
     # Kept as properties: a lot of code (and tests) reads the quota off
     # the loaded UDF directly.
     @property
@@ -206,6 +235,13 @@ class LoadedUDF:
         )
         self._kernels[func_name] = kernel
         return kernel
+
+
+def _reload_udf(name, classfiles, main_class, permissions, policy,
+                callback_signatures) -> LoadedUDF:
+    return JaguarVM(callback_signatures, policy=policy).load_udf(
+        name, classfiles, main_class=main_class, permissions=permissions
+    )
 
 
 class JaguarVM:

@@ -103,7 +103,7 @@ class TestLifecycle:
     def test_end_query_terminates_process(self, env):
         definition = generic_definition(Design.NATIVE_ISOLATED, name="gone")
         executor = make_executor(env, definition)
-        process = executor._process
+        process = executor._pool.workers[0].process
         executor.end_query()
         assert process is not None
         process.join(timeout=5.0)

@@ -46,7 +46,6 @@ from .storage.buffer import BufferPool
 from .storage.mvcc import SnapshotManager
 from .storage.catalog import Catalog, TableInfo, UDFInfo
 from .storage.disk import DiskManager
-from .storage.heapfile import HeapFile
 from .storage.lob import LOBManager, LOBRef
 from .storage.wal import NO_FAULTS, WriteAheadLog
 from .sql.operators import DEFAULT_BATCH_SIZE
@@ -110,7 +109,8 @@ class Database:
             self.pool.attach_wal(self.wal)
         self.lobs = LOBManager(self.pool)
         self.catalog = Catalog(
-            catalog_path, deferred=use_wal, on_change=self._catalog_changed
+            catalog_path, deferred=use_wal, on_change=self._catalog_changed,
+            pool=self.pool,
         )
         self.lob_threshold = lob_threshold
 
@@ -542,8 +542,7 @@ class Database:
                 f"{len(values)} values for {len(table.columns)} columns"
             )
         record, prepared = self.prepare_row(table, values)
-        heap = HeapFile(self.pool, table.first_page)
-        rid = heap.insert(record)
+        rid = table.heap.insert(record)
         self._executor._index_add(table, rid, prepared)
 
     def encode_row(self, table: TableInfo, values: List[object]) -> bytes:

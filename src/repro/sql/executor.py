@@ -431,7 +431,7 @@ class StatementExecutor:
                     batch_size=batch_size, snapshot=snapshot,
                 )
             return SeqScan(
-                pool, plan.table_info, predicates, batch_size=batch_size,
+                plan.table_info, predicates, batch_size=batch_size,
                 snapshot=snapshot,
             )
         if isinstance(plan, LogicalJoin):
@@ -549,21 +549,21 @@ class StatementExecutor:
                 for c in statement.columns
             ],
             first_page=heap.first_page,
+            heap=heap,
         )
         self.db.catalog.add_table(table)
         return QueryResult()
 
     def _drop_table(self, statement: A.DropTable) -> QueryResult:
         table = self.db.catalog.get_table(statement.name)
-        heap = HeapFile(self.db.pool, table.first_page)
         types = table.column_types()
         from ..storage.record import deserialize_record
 
-        for __, record in heap.scan():
+        for __, record in table.heap.scan():
             for value in deserialize_record(record, types):
                 if isinstance(value, LOBRef):
                     self.db.lobs.free(value)
-        heap.drop()
+        table.heap.drop()
         self.db.catalog.drop_table(statement.name)
         return QueryResult()
 
@@ -575,11 +575,10 @@ class StatementExecutor:
         if any(i.name.lower() == statement.name.lower() for i in table.indexes):
             raise PlanError(f"index {statement.name!r} already exists")
         tree = BPlusTree.create(self.db.pool)
-        heap = HeapFile(self.db.pool, table.first_page)
         from ..storage.record import deserialize_record
 
         types = table.column_types()
-        for rid, record in heap.scan():
+        for rid, record in table.heap.scan():
             key = deserialize_record(record, types)[position]
             if key is not None:
                 tree.insert(key, rid)
@@ -677,7 +676,6 @@ class StatementExecutor:
     ) -> List[Tuple[object, List[object]]]:
         from ..storage.record import deserialize_record
 
-        heap = HeapFile(self.db.pool, table.first_page)
         types = table.column_types()
         binding = self.db.broker.bind()
         resolver = _QueryUDFResolver(self.db.registry, binding)
@@ -693,7 +691,7 @@ class StatementExecutor:
                     qualify(where, schema), schema, resolver, runtime
                 )
             matches = []
-            for rid, record in heap.scan():
+            for rid, record in table.heap.scan():
                 row = deserialize_record(record, types)
                 if predicate is None or predicate(row) is True:
                     matches.append((rid, row))
@@ -704,19 +702,17 @@ class StatementExecutor:
     def _delete(self, statement: A.Delete) -> QueryResult:
         table = self.db.catalog.get_table(statement.table)
         matches = self._collect_matches(table, statement.where)
-        heap = HeapFile(self.db.pool, table.first_page)
         for rid, row in matches:
             for value in row:
                 if isinstance(value, LOBRef):
                     self.db.lobs.free(value)
             self._index_remove(table, rid, row)
-            heap.delete(rid)
+            table.heap.delete(rid)
         return QueryResult(rowcount=len(matches))
 
     def _update(self, statement: A.Update) -> QueryResult:
         table = self.db.catalog.get_table(statement.table)
         matches = self._collect_matches(table, statement.where)
-        heap = HeapFile(self.db.pool, table.first_page)
         from .planner import qualify
         from .types import schema_for_table
 
@@ -742,7 +738,7 @@ class StatementExecutor:
                     new_row[position] = new_value
                 self._index_remove(table, rid, row)
                 record = self.db.encode_row(table, new_row)
-                new_rid = heap.update(rid, record)
+                new_rid = table.heap.update(rid, record)
                 self._index_add(table, new_rid, new_row)
         finally:
             resolver.finish()

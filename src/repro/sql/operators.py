@@ -28,7 +28,6 @@ from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..storage.btree import BPlusTree
-from ..storage.heapfile import HeapFile
 from ..storage.record import deserialize_record
 from .expressions import EvalFn, eval_batch
 
@@ -129,9 +128,8 @@ class SeqScan(PhysicalOp):
     snapshot readers cannot block on (or observe) the serialized writer.
     """
 
-    def __init__(self, pool, table_info, predicates: Sequence[EvalFn] = (),
+    def __init__(self, table_info, predicates: Sequence[EvalFn] = (),
                  batch_size: Optional[int] = None, snapshot=None):
-        self.pool = pool
         self.table_info = table_info
         self.predicates = list(predicates)
         self.snapshot = snapshot
@@ -144,8 +142,7 @@ class SeqScan(PhysicalOp):
             if image is not None:
                 yield from image.records()
                 return
-        heap = HeapFile(self.pool, self.table_info.first_page)
-        for __, record in heap.scan():
+        for __, record in self.table_info.heap.scan():
             yield record
 
     def batches(self) -> Iterator[Batch]:
@@ -220,7 +217,7 @@ class IndexScan(PhysicalOp):
                 yield from selected
                 return
         tree = BPlusTree(self.pool, self.index_info.root_page)
-        heap = HeapFile(self.pool, self.table_info.first_page)
+        heap = self.table_info.heap
         for __, rid in tree.range_scan(self.lo, self.hi):
             yield deserialize_record(heap.get(rid), self._types)
 

@@ -17,8 +17,9 @@ Four rewrites, each motivated by the paper's setting:
    expensive UDFs, which is exactly how the paper's benchmark queries
    use "restrictive (and inexpensive) predicates in the WHERE clause"
    to control how many tuples reach the UDF.
-4. **Index selection** — an equality or range conjunct over an indexed
-   integer column turns the scan into a B+-tree index scan.
+4. **Index selection** — equality and range conjuncts over an indexed
+   integer column turn the scan into one B+-tree range scan over the
+   intersection of their bounds.
 
 Cost and selectivity for UDFs come from their registration's
 :class:`~repro.core.udf.CostHints` — declared by the operator, or
@@ -654,18 +655,33 @@ def _select_indexes(plan: LogicalPlan) -> None:
 
 
 def _choose_index(scan: LogicalScan) -> None:
+    """Scan the index of the first indexable conjunct over the
+    intersection of every conjunct's range on that index.
+
+    The index enforces those conjuncts, so all of them leave the
+    residual; conjuncts on other columns stay.  ``lo > hi`` (e.g.
+    ``k > 9 AND k < 3``) is an empty range the B+-tree answers without
+    reading a page.
+    """
     indexed = {index.column.lower(): index for index in scan.table_info.indexes}
-    for position, predicate in enumerate(scan.predicates):
+    chosen = lo = hi = None
+    residual = []
+    for predicate in scan.predicates:
         bounds = _index_bounds(predicate, indexed, scan.alias)
-        if bounds is None:
+        if bounds is None or (chosen is not None and bounds[0] is not chosen):
+            residual.append(predicate)
             continue
-        index_info, lo, hi = bounds
-        scan.index = index_info
-        scan.index_lo = lo
-        scan.index_hi = hi
-        # The index enforces this conjunct; drop it from the residual.
-        del scan.predicates[position]
+        chosen, p_lo, p_hi = bounds
+        if p_lo is not None:
+            lo = p_lo if lo is None else max(lo, p_lo)
+        if p_hi is not None:
+            hi = p_hi if hi is None else min(hi, p_hi)
+    if chosen is None:
         return
+    scan.index = chosen
+    scan.index_lo = lo
+    scan.index_hi = hi
+    scan.predicates[:] = residual
 
 
 def _index_bounds(

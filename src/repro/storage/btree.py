@@ -150,6 +150,8 @@ class BPlusTree:
         self, lo: Optional[int] = None, hi: Optional[int] = None
     ) -> Iterator[Tuple[int, RID]]:
         """Yield (key, rid) with lo <= key <= hi, in key order."""
+        if lo is not None and hi is not None and lo > hi:
+            return
         if lo is None:
             page_id, node = self._leftmost_leaf()
         else:

@@ -117,6 +117,8 @@ class BufferPool:
             _Frame(i, disk.page_size) for i in range(capacity)
         ]
         self._table: Dict[int, int] = {}  # page_id -> frame index
+        #: Indices of frames holding no page, popped before any eviction.
+        self._free_frames: List[int] = list(range(capacity - 1, -1, -1))
         self._hand = 0
         self._lock = threading.RLock()
         #: page_id -> monotonic mutation counter (see module docstring).
@@ -368,6 +370,7 @@ class BufferPool:
                 frame.dirty = False
                 frame.referenced = False
                 frame.rec_lsn = None
+                self._free_frames.append(index)
             self._page_versions.pop(page_id, None)
 
     # -- replacement --------------------------------------------------------------
@@ -380,9 +383,8 @@ class BufferPool:
 
     def _grab_frame(self) -> _Frame:
         """Find a free frame or evict with the clock algorithm."""
-        for frame in self._frames:
-            if frame.page_id is None:
-                return frame
+        if self._free_frames:
+            return self._frames[self._free_frames.pop()]
         # Clock sweep: at most two full passes (first clears ref bits).
         for __ in range(2 * self.capacity):
             frame = self._frames[self._hand]

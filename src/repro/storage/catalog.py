@@ -6,6 +6,13 @@ definitions (language, design, payload).  It is persisted as a JSON
 sidecar next to the page file — the page file holds data, the catalog
 holds the directory to it.  (PREDATOR kept this in Shore root objects;
 JSON keeps the same information inspectable.)
+
+Each :class:`TableInfo` also owns the table's one
+:class:`~repro.storage.heapfile.HeapFile` handle.  The handle is
+runtime state, never persisted: it is built with the entry (CREATE
+TABLE, or catalog load on open, which runs after WAL recovery), so
+reopen, crash recovery and DROP + CREATE each start from a fresh
+handle with nothing to invalidate.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import CatalogError
+from .heapfile import HeapFile
 from .record import ColumnType
 
 
@@ -64,6 +72,11 @@ class TableInfo:
     columns: List[Column]
     first_page: int
     indexes: List[IndexInfo] = field(default_factory=list)
+    #: The table's heap handle (None only in a catalog opened without a
+    #: buffer pool, which plans but never executes).
+    heap: Optional[HeapFile] = field(
+        default=None, repr=False, compare=False
+    )
 
     def column_index(self, name: str) -> int:
         for index, column in enumerate(self.columns):
@@ -149,11 +162,15 @@ class Catalog:
     (``save(force=True)``).  Crash recovery restores it from the last
     committed CATALOG record, so an in-place sidecar write can never
     expose uncommitted DDL.
+
+    ``pool`` is the buffer pool the heap handles of loaded tables read
+    through.
     """
 
     def __init__(self, path: Optional[str] = None, deferred: bool = False,
-                 on_change=None):
+                 on_change=None, pool=None):
         self.path = path
+        self.pool = pool
         self.deferred = deferred
         self.on_change = on_change
         self.tables: Dict[str, TableInfo] = {}
@@ -261,6 +278,8 @@ class Catalog:
             blob = json.load(handle)
         for table_json in blob.get("tables", []):
             table = TableInfo.from_json(table_json)
+            if self.pool is not None:
+                table.heap = HeapFile(self.pool, table.first_page)
             self.tables[table.name.lower()] = table
         for udf_json in blob.get("udfs", []):
             udf = UDFInfo.from_json(udf_json)

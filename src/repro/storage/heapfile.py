@@ -2,15 +2,22 @@
 
 A heap file is a linked list of slotted pages.  Records are addressed by
 RID ``(page_id, slot)``; RIDs are stable across in-place updates and
-page compaction.  Inserts go to a cached "current" page and append a new
+page compaction.  Inserts go to a cached tail page and append a new
 page to the chain when full — the right trade-off for the append-heavy
 relations the paper's experiments build.
+
+A table has exactly one handle, owned by its catalog entry
+(:class:`~repro.storage.catalog.TableInfo`), so the tail is found at
+most once per table per process: opening a handle does no I/O, the
+first insert walks the chain once, and every insert after that keeps
+the cached tail current.  The tail is read and written only by
+``insert``, which callers run under the table's write lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ..errors import StorageError
 from .buffer import BufferPool
@@ -35,26 +42,25 @@ class HeapFile:
     def __init__(self, pool: BufferPool, first_page: int):
         self.pool = pool
         self.first_page = first_page
-        self._last_page = self._find_last_page()
+        #: Cached tail page; None until the first insert finds it.
+        self._last_page: Optional[int] = None
 
     @classmethod
     def create(cls, pool: BufferPool) -> "HeapFile":
         page_id, data = pool.new_page()
         SlottedPage.format(data)
         pool.unpin(page_id, dirty=True)
-        return cls(pool, page_id)
+        heap = cls(pool, page_id)
+        heap._last_page = page_id
+        return heap
 
     def max_record_size(self) -> int:
         return self.pool.disk.page_size - HEADER_SIZE - SLOT_SIZE
 
     def _find_last_page(self) -> int:
-        page_id = self.first_page
-        while True:
-            with self.pool.pinned(page_id) as data:
-                next_page = SlottedPage(data).next_page
-            if next_page == NO_PAGE:
-                return page_id
-            page_id = next_page
+        for page_id in self.pages():
+            pass
+        return page_id
 
     # -- mutation -------------------------------------------------------------
 
@@ -65,15 +71,23 @@ class HeapFile:
                 f"record of {len(record)} bytes exceeds page capacity "
                 f"({self.max_record_size()}); store large values as LOBs"
             )
+        if self._last_page is None:
+            self._last_page = self._find_last_page()
         data = self.pool.fetch(self._last_page)
         try:
             page = SlottedPage(data)
             slot = page.insert(record)
             if slot is not None:
                 return RID(self._last_page, slot)
+            if page.next_page != NO_PAGE:
+                # Chaining here would cut off the pages behind it.
+                raise StorageError(
+                    f"heap tail {self._last_page} is stale: another "
+                    f"handle extended the chain of page {self.first_page}"
+                )
         finally:
             self.pool.unpin(self._last_page, dirty=True)
-        # Current page full: chain a new one.
+        # Tail page full: chain a new one.
         new_id, new_data = self.pool.new_page()
         try:
             SlottedPage.format(new_data)
@@ -120,12 +134,16 @@ class HeapFile:
             page_id = next_page
 
     def scan(self) -> Iterator[Tuple[RID, bytes]]:
-        """Yield every live record in storage order."""
-        for page_id in self.pages():
+        """Yield every live record in storage order (one pin per page)."""
+        page_id = self.first_page
+        while page_id != NO_PAGE:
             with self.pool.pinned(page_id) as data:
-                records = list(SlottedPage(data).records())
+                page = SlottedPage(data)
+                next_page = page.next_page
+                records = list(page.records())
             for slot, record in records:
                 yield RID(page_id, slot), record
+            page_id = next_page
 
     def count(self) -> int:
         return sum(1 for __ in self.scan())

@@ -45,11 +45,9 @@ class TestWorkload:
         from repro.storage.lob import LOBRef
 
         table = workload.db.catalog.get_table("rel1000")
-        from repro.storage.heapfile import HeapFile
         from repro.storage.record import deserialize_record
 
-        heap = HeapFile(workload.db.pool, table.first_page)
-        __, record = next(heap.scan())
+        __, record = next(table.heap.scan())
         row = deserialize_record(record, table.column_types())
         assert not isinstance(row[1], LOBRef)
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.database import Database
-from repro.storage.heapfile import HeapFile
 from repro.storage.lob import LOBRef
 from repro.storage.record import deserialize_record
 
@@ -19,8 +18,7 @@ def small_threshold_db():
 
 def stored_value(db, table_name, row_id):
     table = db.catalog.get_table(table_name)
-    heap = HeapFile(db.pool, table.first_page)
-    for __, record in heap.scan():
+    for __, record in table.heap.scan():
         row = deserialize_record(record, table.column_types())
         if row[0] == row_id:
             return row[1]

@@ -134,6 +134,20 @@ class TestBufferPool:
         pool.flush_all()
         assert disk.read_page(page)[:2] == b"zz"
 
+    def test_dropped_frame_reused_before_eviction(self):
+        disk, pool = self.make(capacity=2)
+        first, __ = pool.new_page()
+        pool.unpin(first)
+        second, __ = pool.new_page()
+        pool.unpin(second)
+        pool.drop_page(first)
+        third, __ = pool.new_page()
+        pool.unpin(third)
+        assert pool.evictions == 0
+        assert bytes(pool.fetch(second)) == bytes(128)  # still resident
+        pool.unpin(second)
+        assert pool.misses == 0
+
     def test_drop_pinned_page_refused(self):
         disk, pool = self.make()
         page, __ = pool.new_page()

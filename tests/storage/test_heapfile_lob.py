@@ -63,6 +63,16 @@ class TestHeapFile:
         again = HeapFile(pool, heap.first_page)
         assert again.get(rid) == b"persisted"
 
+    def test_stale_tail_refuses_to_cut_the_chain(self, pool):
+        heap = HeapFile.create(pool)
+        other = HeapFile(pool, heap.first_page)
+        while len(list(heap.pages())) < 2:
+            other.insert(bytes(100))
+        with pytest.raises(StorageError, match="stale"):
+            while True:
+                heap.insert(bytes(100))
+        assert len(list(heap.pages())) == 2
+
     def test_drop_frees_pages(self, pool):
         heap = HeapFile.create(pool)
         for __ in range(50):

@@ -556,13 +556,11 @@ class StatementExecutor:
 
     def _drop_table(self, statement: A.DropTable) -> QueryResult:
         table = self.db.catalog.get_table(statement.name)
-        types = table.column_types()
-        from ..storage.record import deserialize_record
-
-        for __, record in table.heap.scan():
-            for value in deserialize_record(record, types):
-                if isinstance(value, LOBRef):
-                    self.db.lobs.free(value)
+        for rows in table.heap.scan_rows(table.codec.decode):
+            for row in rows:
+                for value in row:
+                    if isinstance(value, LOBRef):
+                        self.db.lobs.free(value)
         table.heap.drop()
         self.db.catalog.drop_table(statement.name)
         return QueryResult()
@@ -575,11 +573,8 @@ class StatementExecutor:
         if any(i.name.lower() == statement.name.lower() for i in table.indexes):
             raise PlanError(f"index {statement.name!r} already exists")
         tree = BPlusTree.create(self.db.pool)
-        from ..storage.record import deserialize_record
-
-        types = table.column_types()
-        for rid, record in table.heap.scan():
-            key = deserialize_record(record, types)[position]
+        for rid, row in table.heap.scan(table.codec.decode):
+            key = row[position]
             if key is not None:
                 tree.insert(key, rid)
         table.indexes.append(
@@ -674,9 +669,6 @@ class StatementExecutor:
     def _collect_matches(
         self, table: TableInfo, where: Optional[A.Expr]
     ) -> List[Tuple[object, List[object]]]:
-        from ..storage.record import deserialize_record
-
-        types = table.column_types()
         binding = self.db.broker.bind()
         resolver = _QueryUDFResolver(self.db.registry, binding)
         runtime = QueryRuntime(lobs=self.db.lobs, binding=binding)
@@ -691,8 +683,7 @@ class StatementExecutor:
                     qualify(where, schema), schema, resolver, runtime
                 )
             matches = []
-            for rid, record in table.heap.scan():
-                row = deserialize_record(record, types)
+            for rid, row in table.heap.scan(table.codec.decode):
                 if predicate is None or predicate(row) is True:
                     matches.append((rid, row))
             return matches

@@ -14,7 +14,7 @@ the base class derives the other (chunking or flattening respectively).
 database's setting through); size 1 degenerates to exact tuple-at-a-time
 behaviour.
 
-The scan deserializes records via the table's storage schema; large
+The scans decode records with the table's codec; large
 byte-array values surface as :class:`~repro.storage.lob.LOBRef` and stay
 lazy until an expression needs them (by value or by handle).
 """
@@ -28,7 +28,6 @@ from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..storage.btree import BPlusTree
-from ..storage.record import deserialize_record
 from .expressions import EvalFn, eval_batch
 
 Row = List[object]
@@ -119,13 +118,37 @@ def _set_batch_size(op: PhysicalOp, batch_size: Optional[int]) -> None:
         op.batch_size = batch_size
 
 
+def _filtered_batches(
+    predicates: Sequence[EvalFn], size: int, pages: Iterator[Batch]
+) -> Iterator[Batch]:
+    """Regroup rows arriving a page at a time into batches of ``size``
+    (the last may be short), each filtered through ``predicates``."""
+    pending: Batch = []
+    for rows in pages:
+        pending += rows
+        if len(pending) < size:
+            continue
+        cut = len(pending) - len(pending) % size
+        for start in range(0, cut, size):
+            batch = apply_predicates(predicates, pending[start:start + size])
+            if batch:
+                yield batch
+        pending = pending[cut:]
+    if pending:
+        batch = apply_predicates(predicates, pending)
+        if batch:
+            yield batch
+
+
 class SeqScan(PhysicalOp):
     """Full scan of a heap file with optional residual predicates.
 
-    Under a pinned :class:`~repro.storage.mvcc.Snapshot` the scan reads
-    the table's frozen page image instead of the live heap — same
-    records, same storage order, but never touching the buffer pool, so
-    snapshot readers cannot block on (or observe) the serialized writer.
+    Each page is decoded in place by the table's codec under one pin,
+    and its rows are handed on together; no RID is built.  Under a
+    pinned :class:`~repro.storage.mvcc.Snapshot` the scan reads the
+    table's frozen page image instead of the live heap — same records,
+    same storage order, but never touching the buffer pool, so snapshot
+    readers cannot block on (or observe) the serialized writer.
     """
 
     def __init__(self, table_info, predicates: Sequence[EvalFn] = (),
@@ -133,34 +156,18 @@ class SeqScan(PhysicalOp):
         self.table_info = table_info
         self.predicates = list(predicates)
         self.snapshot = snapshot
-        self._types = table_info.column_types()
         _set_batch_size(self, batch_size)
 
-    def _records(self) -> Iterator[bytes]:
+    def batches(self) -> Iterator[Batch]:
+        source = self.table_info.heap
         if self.snapshot is not None:
             image = self.snapshot.image_for(self.table_info.name)
             if image is not None:
-                yield from image.records()
-                return
-        for __, record in self.table_info.heap.scan():
-            yield record
-
-    def batches(self) -> Iterator[Batch]:
-        predicates = self.predicates
-        types = self._types
-        size = max(1, self.batch_size)
-        pending: Batch = []
-        for record in self._records():
-            pending.append(deserialize_record(record, types))
-            if len(pending) >= size:
-                batch = apply_predicates(predicates, pending)
-                pending = []
-                if batch:
-                    yield batch
-        if pending:
-            batch = apply_predicates(predicates, pending)
-            if batch:
-                yield batch
+                source = image
+        return _filtered_batches(
+            self.predicates, max(1, self.batch_size),
+            source.scan_rows(self.table_info.codec.decode),
+        )
 
 
 class IndexScan(PhysicalOp):
@@ -191,10 +198,10 @@ class IndexScan(PhysicalOp):
         self.hi = hi
         self.predicates = list(predicates)
         self.snapshot = snapshot
-        self._types = table_info.column_types()
         _set_batch_size(self, batch_size)
 
-    def _rows_in_key_order(self) -> Iterator[Row]:
+    def _rows_in_key_order(self) -> Iterator[Batch]:
+        decode = self.table_info.codec.decode
         if self.snapshot is not None:
             image = self.snapshot.image_for(self.table_info.name)
             if image is not None:
@@ -203,39 +210,29 @@ class IndexScan(PhysicalOp):
                 )
                 lo, hi = self.lo, self.hi
                 selected = []
-                for record in image.records():
-                    row = deserialize_record(record, self._types)
-                    key = row[position]
-                    if key is None:  # NULL keys are not indexed
-                        continue
-                    if lo is not None and key < lo:
-                        continue
-                    if hi is not None and key > hi:
-                        continue
-                    selected.append(row)
+                for rows in image.scan_rows(decode):
+                    for row in rows:
+                        key = row[position]
+                        if key is None:  # NULL keys are not indexed
+                            continue
+                        if lo is not None and key < lo:
+                            continue
+                        if hi is not None and key > hi:
+                            continue
+                        selected.append(row)
                 selected.sort(key=lambda row: row[position])
-                yield from selected
+                yield selected
                 return
         tree = BPlusTree(self.pool, self.index_info.root_page)
         heap = self.table_info.heap
         for __, rid in tree.range_scan(self.lo, self.hi):
-            yield deserialize_record(heap.get(rid), self._types)
+            yield [heap.get(rid, decode)]
 
     def batches(self) -> Iterator[Batch]:
-        predicates = self.predicates
-        size = max(1, self.batch_size)
-        pending: Batch = []
-        for row in self._rows_in_key_order():
-            pending.append(row)
-            if len(pending) >= size:
-                batch = apply_predicates(predicates, pending)
-                pending = []
-                if batch:
-                    yield batch
-        if pending:
-            batch = apply_predicates(predicates, pending)
-            if batch:
-                yield batch
+        return _filtered_batches(
+            self.predicates, max(1, self.batch_size),
+            self._rows_in_key_order(),
+        )
 
 
 class Filter(PhysicalOp):

@@ -21,6 +21,7 @@ simplicity, and is documented behaviour.
 from __future__ import annotations
 
 import bisect
+import functools
 import struct
 from typing import Iterator, List, Optional, Tuple
 
@@ -31,22 +32,38 @@ from .heapfile import RID
 
 _NODE_HEADER = struct.Struct("<BBHI")
 NODE_HEADER_SIZE = _NODE_HEADER.size
-_LEAF_ENTRY = struct.Struct("<qIH")
-LEAF_ENTRY_SIZE = _LEAF_ENTRY.size
-_KEY = struct.Struct("<q")
-_CHILD = struct.Struct("<I")
+LEAF_ENTRY_SIZE = struct.calcsize("<qIH")
+
+
+@functools.lru_cache(maxsize=8)
+def _leaf_entries(count: int) -> struct.Struct:
+    """All of a leaf's entries as one unpack.  Only a few leaf sizes are
+    hot at a time, and a full leaf's struct costs ~27 KB at 4 KiB pages,
+    so few are kept."""
+    return struct.Struct("<" + "qIH" * count)
+
+
+@functools.lru_cache(maxsize=64)
+def _internal_fields(count: int) -> struct.Struct:
+    return struct.Struct(f"<{count + 1}I{count}q")
 
 
 class _Node:
-    """Decoded node contents (encoded back after mutation)."""
+    """Decoded node contents (encoded back after mutation).
 
-    __slots__ = ("is_leaf", "next_leaf", "keys", "rids", "children")
+    A leaf keeps its entries as three parallel lists; a :class:`RID` is
+    built only for an entry a scan returns or a mutation compares.
+    """
+
+    __slots__ = ("is_leaf", "next_leaf", "keys", "pages", "slots",
+                 "children")
 
     def __init__(self, is_leaf: bool):
         self.is_leaf = is_leaf
         self.next_leaf = NO_PAGE
         self.keys: List[int] = []
-        self.rids: List[RID] = []       # leaves only
+        self.pages: List[int] = []      # leaves only: RID page ids
+        self.slots: List[int] = []      # leaves only: RID slots
         self.children: List[int] = []   # internal only
 
     @classmethod
@@ -54,39 +71,35 @@ class _Node:
         is_leaf, __, nkeys, next_ = _NODE_HEADER.unpack_from(data, 0)
         node = cls(is_leaf=bool(is_leaf))
         node.next_leaf = next_
-        pos = NODE_HEADER_SIZE
         if node.is_leaf:
-            for __ in range(nkeys):
-                key, page, slot = _LEAF_ENTRY.unpack_from(data, pos)
-                node.keys.append(key)
-                node.rids.append(RID(page, slot))
-                pos += LEAF_ENTRY_SIZE
+            entries = _leaf_entries(nkeys).unpack_from(data, NODE_HEADER_SIZE)
+            node.keys = list(entries[0::3])
+            node.pages = list(entries[1::3])
+            node.slots = list(entries[2::3])
         else:
-            for __ in range(nkeys + 1):
-                node.children.append(_CHILD.unpack_from(data, pos)[0])
-                pos += 4
-            for __ in range(nkeys):
-                node.keys.append(_KEY.unpack_from(data, pos)[0])
-                pos += 8
+            fields = _internal_fields(nkeys).unpack_from(
+                data, NODE_HEADER_SIZE
+            )
+            node.children = list(fields[:nkeys + 1])
+            node.keys = list(fields[nkeys + 1:])
         return node
 
     def encode(self, page_size: int) -> bytes:
         out = bytearray(page_size)
+        nkeys = len(self.keys)
         _NODE_HEADER.pack_into(
-            out, 0, int(self.is_leaf), 0, len(self.keys), self.next_leaf
+            out, 0, int(self.is_leaf), 0, nkeys, self.next_leaf
         )
-        pos = NODE_HEADER_SIZE
         if self.is_leaf:
-            for key, rid in zip(self.keys, self.rids):
-                _LEAF_ENTRY.pack_into(out, pos, key, rid.page_id, rid.slot)
-                pos += LEAF_ENTRY_SIZE
+            entries: List[int] = [0] * (3 * nkeys)
+            entries[0::3] = self.keys
+            entries[1::3] = self.pages
+            entries[2::3] = self.slots
+            _leaf_entries(nkeys).pack_into(out, NODE_HEADER_SIZE, *entries)
         else:
-            for child in self.children:
-                _CHILD.pack_into(out, pos, child)
-                pos += 4
-            for key in self.keys:
-                _KEY.pack_into(out, pos, key)
-                pos += 8
+            _internal_fields(nkeys).pack_into(
+                out, NODE_HEADER_SIZE, *self.children, *self.keys
+            )
         return bytes(out)
 
 
@@ -113,7 +126,7 @@ class BPlusTree:
 
     def _read(self, page_id: int) -> _Node:
         with self.pool.pinned(page_id) as data:
-            return _Node.decode(bytes(data))
+            return _Node.decode(data)
 
     def _write(self, page_id: int, node: _Node) -> None:
         with self.pool.pinned(page_id, dirty=True) as data:
@@ -156,13 +169,15 @@ class BPlusTree:
             page_id, node = self._leftmost_leaf()
         else:
             page_id, node = self._find_leaf(lo)
+        index = 0 if lo is None else bisect.bisect_left(node.keys, lo)
         while True:
-            for key, rid in zip(node.keys, node.rids):
-                if lo is not None and key < lo:
-                    continue
+            keys, pages, slots = node.keys, node.pages, node.slots
+            for index in range(index, len(keys)):
+                key = keys[index]
                 if hi is not None and key > hi:
                     return
-                yield key, rid
+                yield key, RID(pages[index], slots[index])
+            index = 0
             if node.next_leaf == NO_PAGE:
                 return
             page_id = node.next_leaf
@@ -197,7 +212,8 @@ class BPlusTree:
         if node.is_leaf:
             index = bisect.bisect_right(node.keys, key)
             node.keys.insert(index, key)
-            node.rids.insert(index, rid)
+            node.pages.insert(index, rid.page_id)
+            node.slots.insert(index, rid.slot)
             if len(node.keys) <= self.leaf_capacity:
                 self._write(page_id, node)
                 return None
@@ -218,10 +234,12 @@ class BPlusTree:
         mid = len(node.keys) // 2
         right = _Node(is_leaf=True)
         right.keys = node.keys[mid:]
-        right.rids = node.rids[mid:]
+        right.pages = node.pages[mid:]
+        right.slots = node.slots[mid:]
         right.next_leaf = node.next_leaf
         node.keys = node.keys[:mid]
-        node.rids = node.rids[:mid]
+        node.pages = node.pages[:mid]
+        node.slots = node.slots[:mid]
         right_page = self._new_node(right)
         node.next_leaf = right_page
         self._write(page_id, node)
@@ -248,17 +266,20 @@ class BPlusTree:
         workloads here and documented in the module docstring.
         """
         page_id, node = self._find_leaf(key)
+        index = bisect.bisect_left(node.keys, key)
         while True:
-            for index, (entry_key, entry_rid) in enumerate(
-                zip(node.keys, node.rids)
-            ):
-                if entry_key > key:
+            keys = node.keys
+            for index in range(index, len(keys)):
+                if keys[index] > key:
                     return False
-                if entry_key == key and entry_rid == rid:
-                    del node.keys[index]
-                    del node.rids[index]
+                if (node.pages[index] == rid.page_id
+                        and node.slots[index] == rid.slot):
+                    del keys[index]
+                    del node.pages[index]
+                    del node.slots[index]
                     self._write(page_id, node)
                     return True
+            index = 0
             if node.next_leaf == NO_PAGE:
                 return False
             page_id = node.next_leaf
@@ -289,7 +310,7 @@ class BPlusTree:
         if node.keys != sorted(node.keys):
             raise IndexError_(f"node {page_id} keys not sorted")
         if node.is_leaf:
-            if len(node.keys) != len(node.rids):
+            if not len(node.keys) == len(node.pages) == len(node.slots):
                 raise IndexError_(f"leaf {page_id} keys/rids mismatch")
             return
         if len(node.children) != len(node.keys) + 1:

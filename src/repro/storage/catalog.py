@@ -8,11 +8,12 @@ holds the directory to it.  (PREDATOR kept this in Shore root objects;
 JSON keeps the same information inspectable.)
 
 Each :class:`TableInfo` also owns the table's one
-:class:`~repro.storage.heapfile.HeapFile` handle.  The handle is
-runtime state, never persisted: it is built with the entry (CREATE
-TABLE, or catalog load on open, which runs after WAL recovery), so
-reopen, crash recovery and DROP + CREATE each start from a fresh
-handle with nothing to invalidate.
+:class:`~repro.storage.heapfile.HeapFile` handle and its one
+:class:`~repro.storage.record.RecordCodec`.  Both are runtime state,
+never persisted: they are built with the entry (CREATE TABLE, or
+catalog load on open, which runs after WAL recovery), so reopen, crash
+recovery and DROP + CREATE each start from fresh ones with nothing to
+invalidate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional
 
 from ..errors import CatalogError
 from .heapfile import HeapFile
-from .record import ColumnType
+from .record import ColumnType, RecordCodec
 
 
 @dataclass
@@ -77,6 +78,12 @@ class TableInfo:
     heap: Optional[HeapFile] = field(
         default=None, repr=False, compare=False
     )
+    #: Decodes this table's records; a table's column types never
+    #: change, so it is built once, here.
+    codec: RecordCodec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.codec = RecordCodec(self.column_types())
 
     def column_index(self, name: str) -> int:
         for index, column in enumerate(self.columns):

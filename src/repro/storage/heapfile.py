@@ -12,17 +12,31 @@ most once per table per process: opening a handle does no I/O, the
 first insert walks the chain once, and every insert after that keeps
 the cached tail current.  The tail is read and written only by
 ``insert``, which callers run under the table's write lock.
+
+Reads take a ``decode(page_bytes, start, end)`` callable (a table's
+:meth:`~repro.storage.record.RecordCodec.decode`) and run it on each
+record in place, under the page's pin: :meth:`HeapFile.scan_rows` hands
+back a page's rows at a time and builds no :class:`RID`;
+:meth:`HeapFile.scan` pairs each row with its RID for the statements
+that write back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..errors import StorageError
 from .buffer import BufferPool
 from .disk import NO_PAGE
-from .page import HEADER_SIZE, SLOT_SIZE, SlottedPage
+from .page import (
+    HEADER_SIZE,
+    SLOT_SIZE,
+    Decoder,
+    SlottedPage,
+    copy_record,
+    decode_records,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -100,9 +114,9 @@ class HeapFile:
         self._last_page = new_id
         return RID(new_id, slot)
 
-    def get(self, rid: RID) -> bytes:
+    def get(self, rid: RID, decode: Decoder = copy_record):
         with self.pool.pinned(rid.page_id) as data:
-            return SlottedPage(data).get(rid.slot)
+            return SlottedPage(data).get(rid.slot, decode)
 
     def delete(self, rid: RID) -> None:
         with self.pool.pinned(rid.page_id, dirty=True) as data:
@@ -133,17 +147,31 @@ class HeapFile:
             yield page_id
             page_id = next_page
 
-    def scan(self) -> Iterator[Tuple[RID, bytes]]:
-        """Yield every live record in storage order (one pin per page)."""
+    def _decoded_pages(
+        self, decode: Decoder
+    ) -> Iterator[Tuple[int, Tuple[int, ...], List[object]]]:
         page_id = self.first_page
         while page_id != NO_PAGE:
             with self.pool.pinned(page_id) as data:
-                page = SlottedPage(data)
-                next_page = page.next_page
-                records = list(page.records())
-            for slot, record in records:
-                yield RID(page_id, slot), record
+                next_page, offsets, rows = decode_records(data, decode)
+            yield page_id, offsets, rows
             page_id = next_page
+
+    def scan_rows(self, decode: Decoder) -> Iterator[List[object]]:
+        """Every live record, decoded in place, one page's rows at a
+        time in storage order (one pin per page, no RIDs)."""
+        for __, __, rows in self._decoded_pages(decode):
+            yield rows
+
+    def scan(
+        self, decode: Decoder = copy_record
+    ) -> Iterator[Tuple[RID, object]]:
+        """Yield ``(rid, decoded record)`` for every live record in
+        storage order (one pin per page)."""
+        for page_id, offsets, rows in self._decoded_pages(decode):
+            live = [slot for slot, offset in enumerate(offsets) if offset]
+            for slot, row in zip(live, rows):
+                yield RID(page_id, slot), row
 
     def count(self) -> int:
         return sum(1 for __ in self.scan())

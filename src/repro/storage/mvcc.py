@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import StorageError
 from .disk import NO_PAGE
-from .page import SlottedPage
+from .page import Decoder, SlottedPage, decode_records
 
 
 class TableImage:
@@ -67,11 +67,11 @@ class TableImage:
         #: retired (the *current* image is kept regardless of pins).
         self.pins = 0
 
-    def records(self) -> Iterator[bytes]:
-        """Every live record in storage order (what ``heap.scan`` yields)."""
+    def scan_rows(self, decode: Decoder) -> Iterator[List[object]]:
+        """Every live record, decoded in place, one page's rows at a
+        time in storage order (what ``HeapFile.scan_rows`` yields)."""
         for __, __, data in self.pages:
-            for __, record in SlottedPage(data).records():
-                yield record
+            yield decode_records(data, decode)[2]
 
     def page_count(self) -> int:
         return len(self.pages)

@@ -29,8 +29,9 @@ layout is preserved bit for bit.
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import Iterator, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import PageError
 from .disk import NO_PAGE
@@ -39,6 +40,42 @@ HEADER_SIZE = 8
 SLOT_SIZE = 4
 _HEADER = struct.Struct("<IHH")
 _SLOT = struct.Struct("<HH")
+
+#: ``decode(page_bytes, start, end)``: reads one record in place.
+Decoder = Callable[[bytearray, int, int], object]
+
+
+def copy_record(data: bytearray, start: int, end: int) -> bytes:
+    """The decoder that copies a record's bytes out of the page."""
+    return bytes(data[start:end])
+
+
+@functools.lru_cache(maxsize=256)
+def _directory(nslots: int) -> struct.Struct:
+    return struct.Struct(f"<{2 * nslots}H")
+
+
+def decode_records(
+    data: bytearray, decode: Decoder
+) -> Tuple[int, Tuple[int, ...], List[object]]:
+    """Decode every live record of a page, in slot order, in place.
+
+    One unpack reads the header and one the whole slot directory; each
+    live record is handed to ``decode`` as its extent in ``data``, so
+    nothing is copied unless ``decode`` copies.  Returns ``(next_page,
+    offsets, rows)``: ``offsets`` is the directory's offset per slot
+    (0 marks a tombstone), so ``rows`` lines up with its nonzero
+    entries.
+    """
+    next_page, nslots, __ = _HEADER.unpack_from(data, 0)
+    directory = _directory(nslots).unpack_from(data, HEADER_SIZE)
+    offsets = directory[0::2]
+    rows = [
+        decode(data, offset, offset + length)
+        for offset, length in zip(offsets, directory[1::2])
+        if offset
+    ]
+    return next_page, offsets, rows
 
 
 class SlottedPage:
@@ -138,11 +175,12 @@ class SlottedPage:
         self._set_slot(slot, offset, len(record))
         return slot
 
-    def get(self, slot: int) -> bytes:
+    def get(self, slot: int, decode: Decoder = copy_record):
+        """``decode`` of the record in ``slot`` (by default its bytes)."""
         offset, length = self._slot(slot)
         if offset == 0:
             raise PageError(f"slot {slot} is deleted")
-        return bytes(self.data[offset:offset + length])
+        return decode(self.data, offset, offset + length)
 
     def delete(self, slot: int) -> None:
         offset, __ = self._slot(slot)
@@ -177,13 +215,6 @@ class SlottedPage:
         self._set_free_end(new_offset)
         self._set_slot(slot, new_offset, len(record))
         return True
-
-    def records(self) -> Iterator[Tuple[int, bytes]]:
-        """Yield (slot, record) for every live record."""
-        for slot in range(self.num_slots):
-            offset, length = self._slot(slot)
-            if offset != 0:
-                yield slot, bytes(self.data[offset:offset + length])
 
     def compact(self) -> None:
         """Slide live records to the end of the page, squeezing out the

@@ -11,11 +11,16 @@ pages.  The format is self-delimiting per field:
   layer decides when to spill to a LOB, this layer just round-trips
   either representation;
 * FLOATARR is a u32 element count plus packed doubles.
+
+Decoding goes through a :class:`RecordCodec`, which depends only on the
+column types and so is prepared once per schema (each
+:class:`~repro.storage.catalog.TableInfo` owns its table's codec).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from array import array
 from typing import List, Optional, Sequence, Tuple, Union
@@ -63,28 +68,126 @@ def serialize_record(
     return bytes(bitmap) + bytes(out)
 
 
+_FIXED_FORMATS = {
+    ColumnType.INT: "q", ColumnType.FLOAT: "d", ColumnType.BOOL: "?",
+}
+_STRING, _BYTES, _FLOATARR = _VARIABLE = (
+    ColumnType.STRING, ColumnType.BYTES, ColumnType.FLOATARR,
+)
+
+#: One decoding step: ``(run, null_bit, variable)``.  One unpack of
+#: ``run`` reads fixed-width values; when ``variable`` is set, the run
+#: ends with that column's u32 length prefix and its payload follows.
+_Step = Tuple[struct.Struct, int, Optional[ColumnType]]
+
+
+def _layout(types: Sequence[ColumnType], grouped: bool) -> Tuple[_Step, ...]:
+    """Grouped, a step spans every fixed-width column up to and including
+    the next variable column's prefix (for records without NULLs, whose
+    body offsets are the same every time).  Ungrouped, a step is one
+    column, skipped when its ``null_bit`` is set in the record's bitmap."""
+    steps: List[_Step] = []
+    fmt = "<"
+    for index, col_type in enumerate(types):
+        bit = 0 if grouped else 1 << index
+        if col_type in _FIXED_FORMATS:
+            fmt += _FIXED_FORMATS[col_type]
+            if grouped:
+                continue
+            steps.append((struct.Struct(fmt), bit, None))
+        elif col_type in _VARIABLE:
+            steps.append((struct.Struct(fmt + "I"), bit, col_type))
+        else:
+            raise RecordError(f"unknown column type {col_type}")
+        fmt = "<"
+    if fmt != "<":
+        steps.append((struct.Struct(fmt), 0, None))
+    return tuple(steps)
+
+
+class RecordCodec:
+    """One schema's record layout, prepared once, decoding in place.
+
+    A record without NULLs costs one unpack per run of fixed-width
+    columns plus one slice per STRING/BYTES/FLOATARR payload; a record
+    with NULLs takes the same loop over one step per column.  Both step
+    lists are built here, so their size is bounded by the schema, never
+    by the records decoded.
+    """
+
+    __slots__ = ("_bitmap_size", "_runs", "_columns")
+
+    def __init__(self, types: Sequence[ColumnType]):
+        self._bitmap_size = (len(types) + 7) // 8
+        self._runs = _layout(types, grouped=True)
+        self._columns = _layout(types, grouped=False)
+
+    def decode(self, buf, start: int, end: int) -> List[FieldValue]:
+        """Decode the record at ``buf[start:end]`` without copying it.
+
+        ``buf`` may be a whole page, so every offset is checked against
+        ``end`` explicitly: ``unpack_from`` would happily read past the
+        record into its neighbours.
+        """
+        bitmap_size = self._bitmap_size
+        pos = start + bitmap_size
+        if not pos <= end <= len(buf):
+            raise RecordError(
+                "record shorter than its null bitmap or past its buffer"
+            )
+        if bitmap_size == 1:
+            nulls = buf[start]
+        else:
+            nulls = int.from_bytes(buf[start:pos], "little")
+        values: List[FieldValue] = []
+        try:
+            for run, bit, variable in self._columns if nulls else self._runs:
+                if nulls & bit:
+                    values.append(None)
+                    continue
+                stop = pos + run.size
+                if stop > end:
+                    raise RecordError("truncated record body")
+                fields = run.unpack_from(buf, pos)
+                pos = stop
+                if variable is None:
+                    values += fields
+                    continue
+                values += fields[:-1]
+                n = fields[-1]
+                if variable is _BYTES and n == _LOB_SENTINEL:
+                    stop = pos + _LOBREF.size
+                    if stop > end:
+                        raise RecordError("truncated LOB reference")
+                    values.append(LOBRef(*_LOBREF.unpack_from(buf, pos)))
+                else:
+                    stop = pos + (8 * n if variable is _FLOATARR else n)
+                    if stop > end:
+                        raise RecordError("truncated record body")
+                    if variable is _STRING:
+                        values.append(buf[pos:stop].decode("utf-8"))
+                    elif variable is _BYTES:
+                        values.append(bytes(buf[pos:stop]))
+                    else:
+                        values.append(array("d", buf[pos:stop]))
+                pos = stop
+        except UnicodeDecodeError as exc:
+            raise RecordError(f"STRING is not valid UTF-8: {exc}") from None
+        if pos != end:
+            raise RecordError(f"{end - pos} trailing bytes after record body")
+        return values
+
+
 def deserialize_record(
     data: bytes, types: Sequence[ColumnType]
 ) -> List[FieldValue]:
-    """Decode one tuple."""
-    ncols = len(types)
-    bitmap_size = (ncols + 7) // 8
-    if len(data) < bitmap_size:
-        raise RecordError("record shorter than its null bitmap")
-    bitmap = data[:bitmap_size]
-    pos = bitmap_size
-    values: List[FieldValue] = []
-    for index, col_type in enumerate(types):
-        if bitmap[index // 8] & (1 << (index % 8)):
-            values.append(None)
-            continue
-        value, pos = _decode_field(data, pos, col_type, index)
-        values.append(value)
-    if pos != len(data):
-        raise RecordError(
-            f"{len(data) - pos} trailing bytes after record body"
-        )
-    return values
+    """Decode one tuple held in a buffer of its own."""
+    return _codec_for(tuple(types)).decode(data, 0, len(data))
+
+
+@functools.lru_cache(maxsize=64)
+def _codec_for(types: Tuple[ColumnType, ...]) -> RecordCodec:
+    return RecordCodec(types)
 
 
 def _encode_field(value: FieldValue, col_type: ColumnType, index: int) -> bytes:
@@ -127,43 +230,3 @@ def _encode_field(value: FieldValue, col_type: ColumnType, index: int) -> bytes:
             )
         return _U32.pack(len(raw) // 8) + raw
     raise RecordError(f"unknown column type {col_type}")
-
-
-def _decode_field(
-    data: bytes, pos: int, col_type: ColumnType, index: int
-) -> Tuple[FieldValue, int]:
-    try:
-        if col_type is ColumnType.INT:
-            return _I64.unpack_from(data, pos)[0], pos + 8
-        if col_type is ColumnType.FLOAT:
-            return _F64.unpack_from(data, pos)[0], pos + 8
-        if col_type is ColumnType.BOOL:
-            return data[pos] != 0, pos + 1
-        if col_type is ColumnType.STRING:
-            (n,) = _U32.unpack_from(data, pos)
-            pos += 4
-            _need(data, pos, n)
-            return data[pos:pos + n].decode("utf-8"), pos + n
-        if col_type is ColumnType.BYTES:
-            (n,) = _U32.unpack_from(data, pos)
-            pos += 4
-            if n == _LOB_SENTINEL:
-                first_page, length = _LOBREF.unpack_from(data, pos)
-                return LOBRef(first_page, length), pos + _LOBREF.size
-            _need(data, pos, n)
-            return bytes(data[pos:pos + n]), pos + n
-        if col_type is ColumnType.FLOATARR:
-            (count,) = _U32.unpack_from(data, pos)
-            pos += 4
-            _need(data, pos, 8 * count)
-            values = array("d")
-            values.frombytes(data[pos:pos + 8 * count])
-            return values, pos + 8 * count
-    except struct.error as exc:
-        raise RecordError(f"column {index}: truncated record ({exc})") from None
-    raise RecordError(f"unknown column type {col_type}")
-
-
-def _need(data: bytes, pos: int, n: int) -> None:
-    if pos + n > len(data):
-        raise RecordError("truncated record body")

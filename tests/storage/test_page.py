@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageError
-from repro.storage.page import HEADER_SIZE, SLOT_SIZE, SlottedPage
+from repro.storage.page import (
+    HEADER_SIZE,
+    SLOT_SIZE,
+    SlottedPage,
+    copy_record,
+    decode_records,
+)
 
 
 def fresh(size=512):
@@ -148,4 +154,6 @@ def test_model_equivalence(operations):
             slot = live_slots[operation[1] % len(live_slots)]
             if page.update(slot, operation[2]):
                 model[slot] = operation[2]
-    assert dict(page.records()) == model
+    __, offsets, records = decode_records(page.data, copy_record)
+    live = [slot for slot, offset in enumerate(offsets) if offset]
+    assert dict(zip(live, records)) == model

@@ -1,5 +1,6 @@
 """Record serialization: round trips (incl. property-based) and errors."""
 
+import struct
 from array import array
 
 import pytest
@@ -92,6 +93,29 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(RecordError):
             deserialize_record(b"", [ColumnType.INT])
+
+    def test_truncated_inside_a_bool(self):
+        # Used to escape as a bare IndexError from ``data[pos]``.
+        types = [ColumnType.INT, ColumnType.BOOL]
+        data = serialize_record([1, True], types)
+        with pytest.raises(RecordError):
+            deserialize_record(data[:-1], types)
+
+    def test_invalid_utf8_string(self):
+        # Used to escape as UnicodeDecodeError.
+        data = b"\x00" + struct.pack("<I", 2) + b"\xff\xfe"
+        with pytest.raises(RecordError, match="UTF-8"):
+            deserialize_record(data, [ColumnType.STRING])
+
+    def test_truncated_lob_reference(self):
+        data = serialize_record([LOBRef(3, 10)], [ColumnType.BYTES])
+        with pytest.raises(RecordError):
+            deserialize_record(data[:-1], [ColumnType.BYTES])
+
+    def test_floatarr_count_past_the_end(self):
+        data = b"\x00" + struct.pack("<I", 3) + bytes(16)
+        with pytest.raises(RecordError):
+            deserialize_record(data, [ColumnType.FLOATARR])
 
 
 _value_strategies = {

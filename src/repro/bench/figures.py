@@ -636,7 +636,7 @@ def run_server(
                     "p99 latency s", clients, _percentile(latencies, 0.99)
                 )
             stats = server.stats_snapshot()
-            result.meta["plan_cache"] = stats["plan_cache"]
+            result.meta["plan_cache"] = db.plan_cache.stats()
             result.meta["snapshots"] = stats["snapshots"]
             result.meta["admission"] = stats["admission"]
     finally:

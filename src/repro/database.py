@@ -25,6 +25,7 @@ registered UDFs on reopen.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from typing import Callable, Iterable, List, Optional, Sequence
@@ -40,8 +41,14 @@ from .core.udf import (
 from .errors import RecordError, SimulatedCrash, WALError
 from .sql import ast_nodes as A
 from .sql.executor import QueryResult, StatementExecutor
-from .sql.parser import parse_script, parse_statement
-from .sql.plancache import PlanCache
+from .sql.lexer import shape
+from .sql.parser import parse_script, parse_statement, parse_tokens
+from .sql.plancache import (
+    DEFAULT_PLAN_CACHE_CAPACITY,
+    PlanCache,
+    PreparedStatement,
+)
+from .sql.planner import SlotValues
 from .storage.buffer import BufferPool
 from .storage.mvcc import SnapshotManager
 from .storage.catalog import Catalog, TableInfo, UDFInfo
@@ -56,6 +63,14 @@ from .vm.machine import JaguarVM
 #: ones are stored inline in the record.  The paper's Rel100 rows stay
 #: inline; Rel10000 rows become LOBs.
 DEFAULT_LOB_THRESHOLD = 1024
+
+
+@functools.lru_cache(maxsize=DEFAULT_PLAN_CACHE_CAPACITY)
+def _text_shape(sql: str) -> tuple:
+    """``(key, values)`` of a statement text, memoized: a text that
+    recurs verbatim, as most of a steady workload's do, is lexed once."""
+    key, values, __ = shape(sql)
+    return key, values
 
 
 class Database:
@@ -218,61 +233,93 @@ class Database:
         A.CreateFunction, A.DropFunction,
     )
 
+    #: First tokens of the statements that are prepared once per shape
+    #: and cached; DDL and EXPLAIN are parsed per execution.
+    _PREPARED_STATEMENTS = frozenset({"select", "insert", "update", "delete"})
+
     def execute(self, sql: str) -> QueryResult:
         """Run one SQL statement: the one way in, embedded or over the wire.
 
-        SELECT-shaped text is looked up in the shared :attr:`plan_cache`
-        first; a hit skips parse/plan/optimize.  Only SELECTs
-        participate (writes are never cached, and counting them as
-        misses would make the hit rate meaningless under mixed
-        workloads), and adaptive optimization re-plans per query by
-        design, so it bypasses the cache.  Everything else is parsed and
-        handed to :meth:`_execute`.
+        The text is lexed to its shape (:func:`~repro.sql.lexer.shape`,
+        memoized per text).  A SELECT, INSERT, UPDATE or DELETE looks
+        its shape up in the shared :attr:`plan_cache`: a miss parses the
+        shape's template (and plans a SELECT) once, a hit skips parse,
+        plan and optimize, and either way this text's literals bind to
+        the template's slots as it executes.  DDL and EXPLAIN are parsed
+        directly, and adaptive optimization re-plans per query by
+        design, so it bypasses the cache.  Everything then runs through
+        :meth:`_execute`.
         """
+        key, values = _text_shape(sql)
         if (
             self.observability.adaptive is not None
-            or sql.lstrip()[:6].lower() != "select"
+            or key.partition(" ")[0] not in self._PREPARED_STATEMENTS
         ):
-            return self._execute(parse_statement(sql))[0]
-        # Everything besides the text that decides the plan: anything
+            return self._execute(parse_statement(sql))
+        # Everything besides the shape that decides the plan: anything
         # that changes what plan_select/optimize produce belongs here.
         fingerprint = (
             self.catalog.epoch, self.registry.epoch,
             self.parallelism, self.inlining,
         )
-        plan = self.plan_cache.lookup(sql, fingerprint)
-        if plan is not None:
-            return self._execute(None, plan)[0]
-        result, plan = self._execute(parse_statement(sql))
-        self.plan_cache.store(sql, fingerprint, plan)
-        return result
+        cache = self.plan_cache
+        prepared = cache.lookup(key, fingerprint)
+        if prepared is None:
+            tokens = []
+            __, __, slots = shape(sql, tokens)
+            prepared = self._prepare(parse_tokens(tokens, slots), values)
+            cache.store(key, fingerprint, prepared)
+            if not prepared.generic:
+                cache.store((key, values), fingerprint, prepared)
+        elif not prepared.generic:
+            # The plan read literal values as it was built: other values
+            # get their own plan, under their own key.
+            exact = cache.lookup((key, values), fingerprint)
+            if exact is None:
+                exact = self._prepare(prepared.statement, values)
+                cache.store((key, values), fingerprint, exact)
+            prepared = exact
+        return self._execute(prepared.statement, prepared.plan, values)
 
-    def _execute(self, statement: "Optional[A.Statement]", plan=None):
-        """Run one parsed statement (or, on a plan-cache hit, its plan).
+    def _prepare(
+        self, statement: "A.Statement", values: tuple
+    ) -> PreparedStatement:
+        """A shape's template, planned with ``values`` if a SELECT."""
+        if not isinstance(statement, A.Select):
+            return PreparedStatement(statement)
+        slots = SlotValues(values)
+        plan = self._executor.plan(
+            statement, slots, private=self.snapshots.enabled
+        )
+        return PreparedStatement(statement, plan, slots.generic)
 
-        Returns ``(result, plan)``; ``plan`` is the optimized logical
-        plan of a SELECT and None for anything else.  Writes go through
-        :meth:`_run_write`.  A SELECT pins a snapshot iff
-        :attr:`snapshots` is enabled (the server enables it), so its
-        scans never touch live pages, and gets private UDF executors iff
-        a snapshot is pinned, since only then may statements overlap.
-        With snapshots disabled (the embedded default) a read takes no
-        lock at all.
+    def _execute(
+        self, statement: "A.Statement", plan=None, params: tuple = ()
+    ) -> QueryResult:
+        """Run one parsed statement (or template, with its ``params``).
+
+        ``plan`` is a SELECT's prepared plan; without one, the SELECT is
+        planned here.  Writes go through :meth:`_run_write`.  A SELECT
+        pins a snapshot iff :attr:`snapshots` is enabled (the server
+        enables it), so its scans never touch live pages, and gets
+        private UDF executors iff a snapshot is pinned, since only then
+        may statements overlap.  With snapshots disabled (the embedded
+        default) a read takes no lock at all.
         """
-        if plan is None and not isinstance(statement, A.Select):
+        if not isinstance(statement, A.Select):
             if isinstance(statement, self._WRITE_STATEMENTS):
                 return self._run_write(
                     self._write_locks(statement),
-                    lambda: self._executor.execute(statement),
+                    lambda: self._executor.execute(statement, params),
                     lambda: self._install_after_write(statement),
-                ), None
-            return self._executor.execute(statement), None
+                )
+            return self._executor.execute(statement)
         snapshot = self.snapshots.pin() if self.snapshots.enabled else None
         try:
             return self._executor.select_with_plan(
                 statement, snapshot=snapshot, plan=plan,
-                private=snapshot is not None,
-            )
+                private=snapshot is not None, params=params,
+            )[0]
         finally:
             if snapshot is not None:
                 snapshot.release()
@@ -415,9 +462,7 @@ class Database:
 
     def execute_script(self, sql: str) -> List[QueryResult]:
         """Run a semicolon-separated script; returns one result each."""
-        return [
-            self._execute(statement)[0] for statement in parse_script(sql)
-        ]
+        return [self._execute(statement) for statement in parse_script(sql)]
 
     def query(self, sql: str) -> List[tuple]:
         """Shorthand: execute and return the rows."""
@@ -428,9 +473,12 @@ class Database:
 
         ``metrics`` is the cumulative registry snapshot (None unless
         ``Database(metrics=True)``); ``adaptive`` is the feedback
-        store's state (None unless ``Database(adaptive=True)``).
+        store's state (None unless ``Database(adaptive=True)``);
+        ``plan_cache`` is :meth:`PlanCache.stats`.  A WAL-backed database
+        adds ``wal`` and a running server ``server``.
         """
         data = self.observability.stats()
+        data["plan_cache"] = self.plan_cache.stats()
         for name, source in self._stats_sources.items():
             data[name] = source()
         return data

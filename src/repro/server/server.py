@@ -15,10 +15,11 @@ multiplexes every connection on one event loop and dispatches statement
   lock, DDL and CREATE FUNCTION the database write lock; each installs
   fresh table images at commit, and readers admitted before the write
   keep their pinned versions.
-* **Plans are shared.**  Repeat statements across sessions hit the
-  database's plan cache (keyed on SQL text, validated against the
-  schema and UDF epochs and the optimizer settings) and skip
-  parse/plan/optimize entirely.
+* **Plans are shared.**  Statements of one shape across sessions, fresh
+  literals and DML included, hit the database's plan cache (keyed on
+  the literal-stripped token sequence, validated against the schema and
+  UDF epochs and the optimizer settings) and skip parse/plan/optimize
+  entirely.
 * **Tenants are isolated.**  Statements are admitted through
   :class:`~repro.server.admission.AdmissionController`: bounded
   per-tenant queues, round-robin dequeue, per-tenant thread-group
@@ -362,7 +363,6 @@ class DatabaseServer:
             }
         if self.admission is not None:
             data["admission"] = self.admission.stats()
-        data["plan_cache"] = self.database.plan_cache.stats()
         data["snapshots"] = self.database.snapshots.stats()
         if self.database.wal is not None:
             # Group-commit effectiveness next to the admission counters:

@@ -7,10 +7,11 @@ module can never be shadowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+import dataclasses
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
-from .types import ColumnDef
+from .types import ColumnDef, SQLType
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -26,6 +27,22 @@ class Expr:
 @dataclass(frozen=True)
 class Literal(Expr):
     value: object  # int | float | bool | str | None
+
+
+@dataclass(frozen=True)
+class Slot(Expr):
+    """A literal's place in a statement template.
+
+    The parser makes one per INT/FLOAT/STRING literal of a shape (see
+    :func:`~repro.sql.lexer.shape`); ``index`` numbers the literals in
+    text order and ``sql_type`` is the literal's type, which every text
+    of the shape shares.  Planning treats a slot as a literal of that
+    type whose value it does not know; the value is bound when the plan's
+    expressions compile for one execution.
+    """
+
+    index: int
+    sql_type: SQLType
 
 
 @dataclass(frozen=True)
@@ -129,6 +146,75 @@ class Inlined(Expr):
 
     name: str
     body: Expr
+
+
+#: The fields of each composite node that hold expressions (a tuple
+#: field holds several; ``Case.whens`` holds pairs).  Every other node
+#: is a leaf.
+_CHILDREN = {
+    BinaryOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    IsNull: ("operand",),
+    Between: ("operand", "low", "high"),
+    InList: ("operand", "items"),
+    FuncCall: ("args",),
+    Case: ("whens", "default"),
+    Inlined: ("body",),
+}
+
+
+def walk(expr: Expr) -> List[Expr]:
+    """Every node of ``expr``, each before its children, in field order."""
+    nodes: List[Expr] = []
+    _walk(expr, nodes)
+    return nodes
+
+
+def _walk(node, nodes: List[Expr]) -> None:
+    if isinstance(node, tuple):
+        for item in node:
+            _walk(item, nodes)
+        return
+    nodes.append(node)
+    for name in _CHILDREN.get(type(node), ()):
+        value = getattr(node, name)
+        if value is not None:
+            _walk(value, nodes)
+
+
+def transform(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` rebuilt bottom-up: a node's expression children are
+    transformed first, then ``fn`` maps the node (holding its new
+    children) to its replacement.  Unchanged subtrees are reused."""
+    changes = None
+    for name in _CHILDREN.get(type(expr), ()):
+        value = getattr(expr, name)
+        if isinstance(value, Expr):
+            new = transform(value, fn)
+        elif isinstance(value, tuple):
+            new = _transform_items(value, fn)
+        else:
+            continue
+        if new is not value:
+            if changes is None:
+                changes = {}
+            changes[name] = new
+    if changes is not None:
+        expr = dataclasses.replace(expr, **changes)
+    return fn(expr)
+
+
+def _transform_items(items: tuple, fn) -> tuple:
+    """A tuple of expressions (or of pairs of them), transformed; the
+    same tuple if nothing changed."""
+    new = tuple(
+        transform(item, fn) if isinstance(item, Expr)
+        else _transform_items(item, fn)
+        for item in items
+    )
+    if any(a is not b for a, b in zip(new, items)):
+        return new
+    return items
 
 
 # ---------------------------------------------------------------------------

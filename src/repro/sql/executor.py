@@ -54,7 +54,9 @@ from .planner import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
+    SlotValues,
     plan_select,
+    resolve_bound,
 )
 from .types import SQLType
 
@@ -259,9 +261,10 @@ class StatementExecutor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def execute(self, statement: A.Statement) -> QueryResult:
+    def execute(self, statement: A.Statement, params=()) -> QueryResult:
         """Everything but SELECT, which ``Database._execute`` hands to
-        :meth:`select_with_plan` with its snapshot and cached plan."""
+        :meth:`select_with_plan` with its snapshot and cached plan.
+        ``params`` are the values of a DML template's slots."""
         if isinstance(statement, A.Explain):
             return self.execute_explain(statement)
         if isinstance(statement, A.CreateTable):
@@ -271,11 +274,11 @@ class StatementExecutor:
         if isinstance(statement, A.CreateIndex):
             return self._create_index(statement)
         if isinstance(statement, A.Insert):
-            return self._insert(statement)
+            return self._insert(statement, params)
         if isinstance(statement, A.Update):
-            return self._update(statement)
+            return self._update(statement, params)
         if isinstance(statement, A.Delete):
-            return self._delete(statement)
+            return self._delete(statement, params)
         if isinstance(statement, A.CreateFunction):
             return self._create_function(statement)
         if isinstance(statement, A.DropFunction):
@@ -284,24 +287,53 @@ class StatementExecutor:
 
     # -- SELECT ------------------------------------------------------------------
 
+    def plan(
+        self,
+        select: A.Select,
+        slots: Optional[SlotValues] = None,
+        private: bool = False,
+        oracle: Optional[CostOracle] = None,
+    ) -> LogicalPlan:
+        """Plan and optimize a SELECT: one parsed with its literals, or a
+        template with one execution's ``slots``.
+
+        Planning spins up no UDF executor (types come from the
+        registry); only folding a pure UDF invokes one, ``private`` when
+        statements may overlap.
+        """
+        if oracle is None:
+            oracle = _RegistryOracle(
+                self.db.registry, self.db.observability.adaptive,
+                inlining=self.db.inlining, private=private,
+            )
+        plan = plan_select(
+            select, self.db.catalog,
+            _QueryUDFResolver(self.db.registry, None), slots,
+        )
+        return optimize(
+            plan, oracle, parallelism=self.db.parallelism,
+            inlining=self.db.inlining, slots=slots,
+        )
+
     def select_with_plan(
         self,
         select: Optional[A.Select],
         snapshot=None,
         plan: Optional[LogicalPlan] = None,
         private: bool = False,
+        params: tuple = (),
     ) -> Tuple[QueryResult, LogicalPlan]:
         """Run a SELECT, also returning its optimized logical plan.
 
         ``plan`` short-circuits planning with a plan-cache hit, in
         which case ``select`` is not needed and may be None (the
         logical plan carries no execution state, so one cached object
-        serves any number of concurrent statements); the returned plan
-        is what a caller stores back into the cache on a miss.
-        ``snapshot`` routes scans to the pinned frozen table images
-        instead of live heap pages, and ``private`` gives each UDF a
-        fresh (unshared) executor — both required when this statement
-        runs concurrently with others.
+        serves any number of concurrent statements); ``params`` are the
+        values its slots bind to in this execution.  ``snapshot``
+        routes scans to the pinned frozen table images instead of live
+        heap pages, and ``private`` gives each UDF a fresh (unshared)
+        executor — both required when this statement runs concurrently
+        with others.
         """
         obs = self.db.observability
         profile = obs.query_profile()
@@ -309,19 +341,12 @@ class StatementExecutor:
         resolver = _QueryUDFResolver(
             self.db.registry, binding, profile, private=private
         )
-        runtime = QueryRuntime(lobs=self.db.lobs, binding=binding)
+        runtime = QueryRuntime(
+            lobs=self.db.lobs, binding=binding, params=params
+        )
         try:
             if plan is None:
-                plan = plan_select(select, self.db.catalog, resolver)
-                plan = optimize(
-                    plan,
-                    _RegistryOracle(
-                        self.db.registry, obs.adaptive,
-                        inlining=self.db.inlining, private=private,
-                    ),
-                    parallelism=self.db.parallelism,
-                    inlining=self.db.inlining,
-                )
+                plan = self.plan(select, private=private)
             root = self._physical(
                 plan, resolver, runtime, profile, snapshot=snapshot
             )
@@ -357,11 +382,7 @@ class StatementExecutor:
             self.db.registry, obs.adaptive, inlining=self.db.inlining
         )
         try:
-            plan = plan_select(statement.select, self.db.catalog, resolver)
-            plan = optimize(
-                plan, oracle, parallelism=self.db.parallelism,
-                inlining=self.db.inlining,
-            )
+            plan = self.plan(statement.select, oracle=oracle)
             if statement.analyze:
                 root = self._physical(
                     plan, resolver, runtime, profile, snapshot=None
@@ -435,8 +456,9 @@ class StatementExecutor:
             if plan.index is not None:
                 return IndexScan(
                     pool, plan.table_info, plan.index,
-                    plan.index_lo, plan.index_hi, predicates,
-                    batch_size=batch_size, snapshot=snapshot,
+                    resolve_bound(plan.index_lo, runtime.params),
+                    resolve_bound(plan.index_hi, runtime.params),
+                    predicates, batch_size=batch_size, snapshot=snapshot,
                 )
             return SeqScan(
                 plan.table_info, predicates, batch_size=batch_size,
@@ -642,7 +664,7 @@ class StatementExecutor:
 
     # -- DML ---------------------------------------------------------------------------
 
-    def _insert(self, statement: A.Insert) -> QueryResult:
+    def _insert(self, statement: A.Insert, params) -> QueryResult:
         table = self.db.catalog.get_table(statement.table)
         if statement.columns:
             positions = [table.column_index(c) for c in statement.columns]
@@ -650,7 +672,7 @@ class StatementExecutor:
             positions = list(range(len(table.columns)))
         empty = _EMPTY_SCHEMA
         resolver = FunctionResolver()
-        runtime = QueryRuntime(lobs=self.db.lobs)
+        runtime = QueryRuntime(lobs=self.db.lobs, params=params)
         count = 0
         # All rows of one INSERT go in under one hold of the table's
         # write lock and *without* per-row snapshot installs: the
@@ -675,11 +697,13 @@ class StatementExecutor:
         return QueryResult(rowcount=count)
 
     def _collect_matches(
-        self, table: TableInfo, where: Optional[A.Expr]
+        self, table: TableInfo, where: Optional[A.Expr], params
     ) -> List[Tuple[object, List[object]]]:
         binding = self.db.broker.bind()
         resolver = _QueryUDFResolver(self.db.registry, binding)
-        runtime = QueryRuntime(lobs=self.db.lobs, binding=binding)
+        runtime = QueryRuntime(
+            lobs=self.db.lobs, binding=binding, params=params
+        )
         try:
             predicate = None
             if where is not None:
@@ -698,9 +722,9 @@ class StatementExecutor:
         finally:
             resolver.finish()
 
-    def _delete(self, statement: A.Delete) -> QueryResult:
+    def _delete(self, statement: A.Delete, params) -> QueryResult:
         table = self.db.catalog.get_table(statement.table)
-        matches = self._collect_matches(table, statement.where)
+        matches = self._collect_matches(table, statement.where, params)
         for rid, row in matches:
             for value in row:
                 if isinstance(value, LOBRef):
@@ -709,16 +733,18 @@ class StatementExecutor:
             table.heap.delete(rid)
         return QueryResult(rowcount=len(matches))
 
-    def _update(self, statement: A.Update) -> QueryResult:
+    def _update(self, statement: A.Update, params) -> QueryResult:
         table = self.db.catalog.get_table(statement.table)
-        matches = self._collect_matches(table, statement.where)
+        matches = self._collect_matches(table, statement.where, params)
         from .planner import qualify
         from .types import schema_for_table
 
         schema = schema_for_table(table)
         binding = self.db.broker.bind()
         resolver = _QueryUDFResolver(self.db.registry, binding)
-        runtime = QueryRuntime(lobs=self.db.lobs, binding=binding)
+        runtime = QueryRuntime(
+            lobs=self.db.lobs, binding=binding, params=params
+        )
         try:
             assignments = [
                 (

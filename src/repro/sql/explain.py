@@ -169,40 +169,7 @@ def _actual(plan: LogicalPlan, analysis: Optional[object]) -> str:
 
 def _inlined_names(expr: A.Expr) -> List[str]:
     """Names of UDFs the optimizer inlined within ``expr``, in order."""
-    names: List[str] = []
-
-    def walk(node: A.Expr) -> None:
-        if isinstance(node, A.Inlined):
-            names.append(node.name)
-            walk(node.body)
-            return
-        if isinstance(node, A.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, A.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, A.IsNull):
-            walk(node.operand)
-        elif isinstance(node, A.Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, A.InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, A.FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, A.Case):
-            for cond, value in node.whens:
-                walk(cond)
-                walk(value)
-            if node.default is not None:
-                walk(node.default)
-
-    walk(expr)
-    return names
+    return [node.name for node in A.walk(expr) if isinstance(node, A.Inlined)]
 
 
 def _inline_notes(exprs: List[A.Expr], oracle: Optional[object]) -> str:

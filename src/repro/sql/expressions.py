@@ -70,12 +70,15 @@ class QueryRuntime:
 
     * LOB materialization for by-value byte arguments;
     * handle registration for handle-mode UDF arguments;
-    * the UDF executors selected for this query.
+    * the UDF executors selected for this query;
+    * ``params``, the values a template's :class:`~repro.sql.ast_nodes.Slot`
+      leaves bind to in this execution.
     """
 
-    def __init__(self, lobs=None, binding=None):
+    def __init__(self, lobs=None, binding=None, params=()):
         self.lobs = lobs
         self.binding = binding
+        self.params = params
         self._next_handle = 1
         self.udf_executors = {}
 
@@ -309,6 +312,9 @@ def compile_expr(
 def _compile(expr, schema, resolver, runtime) -> EvalFn:
     if isinstance(expr, A.Literal):
         value = expr.value
+        return lambda row: value
+    if isinstance(expr, A.Slot):
+        value = runtime.params[expr.index]
         return lambda row: value
     if isinstance(expr, A.ColumnRef):
         index = schema.resolve(expr.name, expr.table)
@@ -763,6 +769,8 @@ def infer_type(
         if isinstance(value, str):
             return SQLType.STRING
         return SQLType.NULL
+    if isinstance(expr, A.Slot):
+        return expr.sql_type
     if isinstance(expr, A.ColumnRef):
         index = schema.resolve(expr.name, expr.table)
         return schema.columns[index].sql_type

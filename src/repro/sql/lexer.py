@@ -1,15 +1,22 @@
-"""SQL tokenizer.
+"""SQL tokenizer and statement shapes.
 
-Hand-rolled single-pass scanner.  Keywords and identifiers are
-case-insensitive (identifiers are lowered); string literals use single
-quotes with ``''`` as the escape, and ``--`` starts a line comment.
+One compiled master regex does all the scanning.  Keywords and
+identifiers are case-insensitive (identifiers are lowered); string
+literals use single quotes with ``''`` as the escape, and ``--`` starts
+a line comment.  Every token records the offset where it starts.
+
+The same scan yields a statement's *shape*, the plan cache's key: its
+token sequence with every INT/FLOAT/STRING literal replaced by a typed
+slot (``LIMIT``'s count stays in the shape), plus the literal values in
+slot order.  Texts with one shape parse to one template and differ only
+in the values bound at execution.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import LexError
 
@@ -34,13 +41,38 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-#: Multi-character operators first so the scanner is greedy.
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/",
-              "%", "(", ")", ",", ";", ".")
+#: One match per token; ``findall`` yields ``(word, op, number, string,
+#: stray)`` with exactly one field set, or all empty at the end of the
+#: text.  Whitespace and comments ride in front of the token they
+#: precede and are never backtracked into; ``.`` is an operator only
+#: when no digit follows.  The string body is possessive, so ``'a''``
+#: is one unterminated literal (a stray ``'`` where it starts), not
+#: ``'a'`` followed by a stray ``'``.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:\s+|--[^\n]*)*+
+    (?:
+      ([^\W\d]\w*)
+    | (<=|>=|<>|!=|[-=<>+*/%(),;]|\.(?!\d))
+    | ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | ('(?:[^']++|'')*+')
+    | (.)
+    | \Z
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+#: A slot's mark in a shape key: ``?`` starts no token, so a mark never
+#: collides with a keyword, identifier or operator.
+_SLOT_MARKS = {
+    TokenType.INT: "?int", TokenType.FLOAT: "?float",
+    TokenType.STRING: "?str",
+}
+
+
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -51,89 +83,89 @@ class Token:
         return value is None or self.value == value
 
 
+#: ``Token(...)`` without the generated ``__new__``'s Python frame.
+_new_token = tuple.__new__
+
+
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        char = text[pos]
-        if char.isspace():
-            pos += 1
-            continue
-        if char == "-" and text.startswith("--", pos):
-            newline = text.find("\n", pos)
-            pos = length if newline < 0 else newline + 1
-            continue
-        if char == "'":
-            value, pos = _scan_string(text, pos)
-            tokens.append(Token(TokenType.STRING, value, pos))
-            continue
-        if char.isdigit() or (
-            char == "." and pos + 1 < length and text[pos + 1].isdigit()
-        ):
-            token, pos = _scan_number(text, pos)
-            tokens.append(token)
-            continue
-        if char.isalpha() or char == "_":
-            start = pos
-            while pos < length and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            word = text[start:pos].lower()
-            token_type = (
-                TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-            )
-            tokens.append(Token(token_type, word, start))
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, pos):
-                tokens.append(Token(TokenType.OP, op, pos))
-                pos += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {char!r}", pos)
-    tokens.append(Token(TokenType.EOF, "", length))
+    shape(text, tokens)
     return tokens
 
 
-def _scan_string(text: str, pos: int) -> tuple:
-    start = pos
-    pos += 1
+def shape(
+    text: str, tokens: Optional[List[Token]] = None
+) -> Tuple[str, tuple, Dict[int, int]]:
+    """Scan ``text`` once: ``(key, values, slots)``.
+
+    ``key`` is the shape and ``values`` the literals in slot order, each
+    converted exactly as the parser converts it.  When a ``tokens`` list
+    is given, every token (EOF last) is appended to it and ``slots``
+    maps each slotted token's index to its slot number, as
+    :func:`~repro.sql.parser.parse_tokens` needs; otherwise ``slots`` is
+    empty.
+    """
     parts: List[str] = []
-    while pos < len(text):
-        char = text[pos]
-        if char == "'":
-            if text.startswith("''", pos):
-                parts.append("'")
-                pos += 2
-                continue
-            return "".join(parts), pos + 1
-        parts.append(char)
-        pos += 1
-    raise LexError("unterminated string literal", start)
-
-
-def _scan_number(text: str, pos: int) -> tuple:
-    start = pos
-    length = len(text)
-    seen_dot = False
-    seen_exp = False
-    while pos < length:
-        char = text[pos]
-        if char.isdigit():
-            pos += 1
-        elif char == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            pos += 1
-        elif char in "eE" and not seen_exp and pos + 1 < length and (
-            text[pos + 1].isdigit()
-            or (text[pos + 1] in "+-" and pos + 2 < length
-                and text[pos + 2].isdigit())
-        ):
-            seen_exp = True
-            pos += 2 if text[pos + 1] in "+-" else 1
+    values: list = []
+    slots: Dict[int, int] = {}
+    if tokens is None:
+        found = _TOKEN_RE.findall(text)
+    else:
+        matches = list(_TOKEN_RE.finditer(text))
+        found = map(re.Match.groups, matches)
+        starts = [match.start(match.lastindex or 0) for match in matches]
+    after_limit = False
+    for word, op, number, string, stray in found:
+        if word:
+            value = word.lower()
+            parts.append(value)
+            after_limit = value == "limit"
+            if tokens is not None:
+                tokens.append(_new_token(Token, (
+                    TokenType.KEYWORD if value in KEYWORDS
+                    else TokenType.IDENT,
+                    value, starts[len(tokens)],
+                )))
+            continue
+        slotted = False
+        if op:
+            token_type, value = TokenType.OP, op
+        elif number:
+            value = number
+            if not number.isdigit():
+                token_type, slotted = TokenType.FLOAT, True
+                values.append(float(number))
+            else:
+                # LIMIT's count is part of the plan, so of the shape.
+                token_type, slotted = TokenType.INT, not after_limit
+                if slotted:
+                    values.append(int(number))
+        elif string:
+            value = string[1:-1].replace("''", "'")
+            token_type, slotted = TokenType.STRING, True
+            values.append(value)
+        elif stray:
+            _raise_stray(text)
         else:
             break
-    literal = text[start:pos]
-    if seen_dot or seen_exp:
-        return Token(TokenType.FLOAT, literal, start), pos
-    return Token(TokenType.INT, literal, start), pos
+        parts.append(_SLOT_MARKS[token_type] if slotted else value)
+        after_limit = False
+        if tokens is not None:
+            if slotted:
+                slots[len(tokens)] = len(values) - 1
+            tokens.append(_new_token(
+                Token, (token_type, value, starts[len(tokens)])
+            ))
+    if tokens is not None:
+        tokens.append(Token(TokenType.EOF, "", len(text)))
+    return " ".join(parts), tuple(values), slots
+
+
+def _raise_stray(text: str) -> None:
+    """Raise the LexError for the first stray character in ``text``."""
+    for match in _TOKEN_RE.finditer(text):
+        stray = match.group(5)
+        if stray == "'":
+            raise LexError("unterminated string literal", match.start(5))
+        if stray:
+            raise LexError(f"unexpected character {stray!r}", match.start(5))

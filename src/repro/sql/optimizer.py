@@ -29,14 +29,13 @@ omitted them; built-in comparisons use standard textbook heuristics.
 
 from __future__ import annotations
 
-import dataclasses
-
 from typing import List, Optional, Set, Tuple
 
 from . import ast_nodes as A
 from .expressions import infer_type
 from .types import SQLType
 from .planner import (
+    IndexBound,
     LogicalAggregate,
     LogicalDistinct,
     LogicalExchange,
@@ -47,7 +46,12 @@ from .planner import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
+    SlotValues,
 )
+
+#: What the rewrites treat as a literal: a template's slot stands for
+#: one, of its type.
+_LITERALS = (A.Literal, A.Slot)
 
 #: Default heuristics for built-in predicate shapes.
 _EQ_SELECTIVITY = 0.1
@@ -173,6 +177,7 @@ def optimize(
     oracle: Optional[CostOracle] = None,
     parallelism: int = 1,
     inlining: bool = False,
+    slots: Optional[SlotValues] = None,
 ) -> LogicalPlan:
     """Apply all rewrites; returns the (mutated) plan.
 
@@ -182,12 +187,18 @@ def optimize(
     with an :class:`~repro.analysis.decompile.InlineTemplate` are
     replaced by the lifted expression *before* the other rewrites, so
     pushdown, folding, and rank ordering all see through the call.
+
+    A template's :class:`~repro.sql.ast_nodes.Slot` is a literal here:
+    every rewrite decides the same for it as for a literal of its type,
+    and index bounds keep it symbolic.  The rewrites that need a
+    literal's value (folding, float widening of an inlined argument)
+    read it from ``slots``, which makes the plan non-generic.
     """
     oracle = oracle or CostOracle()
     if inlining:
-        _inline_udfs(plan, oracle)
+        _inline_udfs(plan, oracle, slots)
     plan = _pushdown(plan)
-    _fold_constants(plan, oracle)
+    _fold_constants(plan, oracle, slots)
     _order_predicates(plan, oracle)
     _select_indexes(plan)
     if parallelism > 1:
@@ -214,7 +225,9 @@ _PARAM_ACCEPTS = {
 }
 
 
-def _inline_udfs(plan: LogicalPlan, oracle: CostOracle) -> None:
+def _inline_udfs(
+    plan: LogicalPlan, oracle: CostOracle, slots: Optional[SlotValues]
+) -> None:
     """Replace inlinable UDF call sites with their lifted expressions.
 
     Runs before every other rewrite, on the freshly planned tree, so
@@ -222,76 +235,49 @@ def _inline_udfs(plan: LogicalPlan, oracle: CostOracle) -> None:
     Exchange placement) treat the lifted expression like native SQL —
     which is the whole point.
     """
-    if isinstance(plan, LogicalScan):
+    if isinstance(plan, (LogicalScan, LogicalJoin)):
         plan.predicates = [
-            _inline_expr(p, oracle, plan.schema) for p in plan.predicates
-        ]
-    elif isinstance(plan, LogicalJoin):
-        plan.predicates = [
-            _inline_expr(p, oracle, plan.schema) for p in plan.predicates
+            _inline_expr(p, oracle, plan.schema, slots)
+            for p in plan.predicates
         ]
     elif isinstance(plan, LogicalFilter):
         plan.predicates = [
-            _inline_expr(p, oracle, plan.child.schema)
+            _inline_expr(p, oracle, plan.child.schema, slots)
             for p in plan.predicates
         ]
     if isinstance(plan, LogicalProject):
         plan.exprs = [
-            _inline_expr(e, oracle, plan.child.schema) for e in plan.exprs
+            _inline_expr(e, oracle, plan.child.schema, slots)
+            for e in plan.exprs
         ]
     if isinstance(plan, LogicalSort):
         plan.keys = [
-            _inline_expr(k, oracle, plan.child.schema) for k in plan.keys
+            _inline_expr(k, oracle, plan.child.schema, slots)
+            for k in plan.keys
         ]
     for attr in ("child", "left", "right"):
         child = getattr(plan, attr, None)
         if child is not None:
-            _inline_udfs(child, oracle)
+            _inline_udfs(child, oracle, slots)
 
 
-def _inline_expr(expr: A.Expr, oracle: CostOracle, schema) -> A.Expr:
+def _inline_expr(
+    expr: A.Expr, oracle: CostOracle, schema, slots: Optional[SlotValues]
+) -> A.Expr:
     """Bottom-up call-site replacement (nested inlinable calls work:
     the inner call becomes an :class:`~repro.sql.ast_nodes.Inlined`
     subtree, transparent to the outer call's argument checks)."""
-    if isinstance(expr, A.FuncCall):
-        args = tuple(_inline_expr(a, oracle, schema) for a in expr.args)
-        if args != expr.args:
-            expr = dataclasses.replace(expr, args=args)
-        return _try_inline_call(expr, oracle, schema)
-    if isinstance(expr, A.BinaryOp):
-        return dataclasses.replace(
-            expr,
-            left=_inline_expr(expr.left, oracle, schema),
-            right=_inline_expr(expr.right, oracle, schema),
-        )
-    if isinstance(expr, A.UnaryOp):
-        return dataclasses.replace(
-            expr, operand=_inline_expr(expr.operand, oracle, schema)
-        )
-    if isinstance(expr, A.IsNull):
-        return dataclasses.replace(
-            expr, operand=_inline_expr(expr.operand, oracle, schema)
-        )
-    if isinstance(expr, A.Between):
-        return dataclasses.replace(
-            expr,
-            operand=_inline_expr(expr.operand, oracle, schema),
-            low=_inline_expr(expr.low, oracle, schema),
-            high=_inline_expr(expr.high, oracle, schema),
-        )
-    if isinstance(expr, A.InList):
-        return dataclasses.replace(
-            expr,
-            operand=_inline_expr(expr.operand, oracle, schema),
-            items=tuple(
-                _inline_expr(item, oracle, schema) for item in expr.items
-            ),
-        )
-    return expr
+    def visit(node: A.Expr) -> A.Expr:
+        if isinstance(node, A.FuncCall):
+            return _try_inline_call(node, oracle, schema, slots)
+        return node
+
+    return A.transform(expr, visit)
 
 
 def _try_inline_call(
-    call: A.FuncCall, oracle: CostOracle, schema
+    call: A.FuncCall, oracle: CostOracle, schema,
+    slots: Optional[SlotValues],
 ) -> A.Expr:
     if call.star or call.distinct:
         return call
@@ -301,7 +287,7 @@ def _try_inline_call(
         return call
     if len(call.args) != len(template.param_kinds):
         return call
-    if all(isinstance(arg, A.Literal) for arg in call.args):
+    if all(isinstance(arg, _LITERALS) for arg in call.args):
         # All-literal call sites are better served by rewrite 2: one
         # plan-time VM invocation folds to a literal, which beats
         # evaluating even an inlined guard per row.
@@ -325,12 +311,14 @@ def _try_inline_call(
         if kind == "float" and inferred is not SQLType.FLOAT:
             # The call path widens int arguments at marshalling; the
             # lifted float arithmetic needs the same widening.
+            if isinstance(arg, A.Slot):
+                arg = A.Literal(slots.read(arg))
             if isinstance(arg, A.Literal) and isinstance(arg.value, int):
                 arg = A.Literal(float(arg.value))
             else:
                 arg = A.FuncCall("float", (arg,))
         substituted.append(arg)
-        if not isinstance(arg, A.Literal) and A.IsNull(arg) not in guards:
+        if not isinstance(arg, _LITERALS) and A.IsNull(arg) not in guards:
             # Dedup: f(x, x) needs one NULL test on x, not two.
             guards.append(A.IsNull(arg))
     body = _substitute_params(template.expr, substituted)
@@ -363,46 +351,12 @@ def _contains_udf_call(expr: A.Expr, oracle: CostOracle) -> bool:
 
 def _substitute_params(expr: A.Expr, args: List[A.Expr]) -> A.Expr:
     """Replace every :class:`ParamRef` leaf with its argument expression."""
-    if isinstance(expr, A.ParamRef):
-        return args[expr.index]
-    if isinstance(expr, A.Literal):
-        return expr
-    if isinstance(expr, A.BinaryOp):
-        return dataclasses.replace(
-            expr,
-            left=_substitute_params(expr.left, args),
-            right=_substitute_params(expr.right, args),
-        )
-    if isinstance(expr, A.UnaryOp):
-        return dataclasses.replace(
-            expr, operand=_substitute_params(expr.operand, args)
-        )
-    if isinstance(expr, A.FuncCall):
-        return dataclasses.replace(
-            expr,
-            args=tuple(_substitute_params(a, args) for a in expr.args),
-        )
-    if isinstance(expr, A.Case):
-        return dataclasses.replace(
-            expr,
-            whens=tuple(
-                (_substitute_params(c, args), _substitute_params(v, args))
-                for c, v in expr.whens
-            ),
-            default=(
-                _substitute_params(expr.default, args)
-                if expr.default is not None else None
-            ),
-        )
-    if isinstance(expr, A.IsNull):
-        return dataclasses.replace(
-            expr, operand=_substitute_params(expr.operand, args)
-        )
-    if isinstance(expr, A.Inlined):
-        return dataclasses.replace(
-            expr, body=_substitute_params(expr.body, args)
-        )
-    return expr
+    def visit(node: A.Expr) -> A.Expr:
+        if isinstance(node, A.ParamRef):
+            return args[node.index]
+        return node
+
+    return A.transform(expr, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -476,44 +430,11 @@ def _referenced_tables(expr: A.Expr) -> Set[str]:
     accepting empty sets only for single-scan plans).
     """
     tables: Set[str] = set()
-    unqualified = [False]
-
-    def walk(node: A.Expr) -> None:
+    for node in A.walk(expr):
         if isinstance(node, A.ColumnRef):
-            if node.table:
-                tables.add(node.table.lower())
-            else:
-                unqualified[0] = True
-        elif isinstance(node, A.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, A.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, A.IsNull):
-            walk(node.operand)
-        elif isinstance(node, A.Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, A.InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, A.FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, A.Case):
-            for cond, value in node.whens:
-                walk(cond)
-                walk(value)
-            if node.default is not None:
-                walk(node.default)
-        elif isinstance(node, A.Inlined):
-            walk(node.body)
-
-    walk(expr)
-    if unqualified[0]:
-        tables.add("*unqualified*")
+            tables.add(
+                node.table.lower() if node.table else "*unqualified*"
+            )
     return tables
 
 
@@ -537,75 +458,40 @@ def _plan_labels(plan: LogicalPlan) -> Set[str]:
 _FOLDABLE_TYPES = frozenset({"int", "float", "bool", "str"})
 
 
-def _fold_constants(plan: LogicalPlan, oracle: CostOracle) -> None:
+def _fold_constants(
+    plan: LogicalPlan, oracle: CostOracle, slots: Optional[SlotValues]
+) -> None:
     """Replace pure-UDF calls over literal args with their results."""
     if isinstance(plan, (LogicalScan, LogicalFilter, LogicalJoin)):
         plan.predicates = [
-            _fold_expr(predicate, oracle) for predicate in plan.predicates
+            _fold_expr(predicate, oracle, slots)
+            for predicate in plan.predicates
         ]
     if isinstance(plan, LogicalProject):
-        plan.exprs = [_fold_expr(expr, oracle) for expr in plan.exprs]
+        plan.exprs = [_fold_expr(expr, oracle, slots) for expr in plan.exprs]
     if isinstance(plan, LogicalSort):
-        plan.keys = [_fold_expr(key, oracle) for key in plan.keys]
+        plan.keys = [_fold_expr(key, oracle, slots) for key in plan.keys]
     for attr in ("child", "left", "right"):
         child = getattr(plan, attr, None)
         if child is not None:
-            _fold_constants(child, oracle)
+            _fold_constants(child, oracle, slots)
 
 
-def _fold_expr(expr: A.Expr, oracle: CostOracle) -> A.Expr:
-    """Bottom-up rewrite; expression nodes are frozen, so changed
-    subtrees are rebuilt with :func:`dataclasses.replace`."""
-    if isinstance(expr, A.FuncCall):
-        args = tuple(_fold_expr(arg, oracle) for arg in expr.args)
-        if args != expr.args:
-            expr = dataclasses.replace(expr, args=args)
-        return _try_fold_call(expr, oracle)
-    if isinstance(expr, A.BinaryOp):
-        return dataclasses.replace(
-            expr,
-            left=_fold_expr(expr.left, oracle),
-            right=_fold_expr(expr.right, oracle),
-        )
-    if isinstance(expr, A.UnaryOp):
-        return dataclasses.replace(
-            expr, operand=_fold_expr(expr.operand, oracle)
-        )
-    if isinstance(expr, A.IsNull):
-        return dataclasses.replace(
-            expr, operand=_fold_expr(expr.operand, oracle)
-        )
-    if isinstance(expr, A.Between):
-        return dataclasses.replace(
-            expr,
-            operand=_fold_expr(expr.operand, oracle),
-            low=_fold_expr(expr.low, oracle),
-            high=_fold_expr(expr.high, oracle),
-        )
-    if isinstance(expr, A.InList):
-        return dataclasses.replace(
-            expr,
-            operand=_fold_expr(expr.operand, oracle),
-            items=tuple(_fold_expr(item, oracle) for item in expr.items),
-        )
-    if isinstance(expr, A.Case):
-        return dataclasses.replace(
-            expr,
-            whens=tuple(
-                (_fold_expr(cond, oracle), _fold_expr(value, oracle))
-                for cond, value in expr.whens
-            ),
-            default=(
-                _fold_expr(expr.default, oracle)
-                if expr.default is not None else None
-            ),
-        )
-    if isinstance(expr, A.Inlined):
-        return dataclasses.replace(expr, body=_fold_expr(expr.body, oracle))
-    return expr
+def _fold_expr(
+    expr: A.Expr, oracle: CostOracle, slots: Optional[SlotValues]
+) -> A.Expr:
+    """Bottom-up: arguments fold before the call that takes them."""
+    def visit(node: A.Expr) -> A.Expr:
+        if isinstance(node, A.FuncCall):
+            return _try_fold_call(node, oracle, slots)
+        return node
+
+    return A.transform(expr, visit)
 
 
-def _try_fold_call(call: A.FuncCall, oracle: CostOracle) -> A.Expr:
+def _try_fold_call(
+    call: A.FuncCall, oracle: CostOracle, slots: Optional[SlotValues]
+) -> A.Expr:
     if call.star or call.distinct:
         return call
     definition = oracle.udf_definition(call.name.lower())
@@ -618,9 +504,12 @@ def _try_fold_call(call: A.FuncCall, oracle: CostOracle) -> A.Expr:
         return call
     if len(call.args) != len(signature.param_types):
         return call
-    if not all(isinstance(arg, A.Literal) for arg in call.args):
+    if not all(isinstance(arg, _LITERALS) for arg in call.args):
         return call
-    values = [arg.value for arg in call.args]
+    values = [
+        slots.read(arg) if isinstance(arg, A.Slot) else arg.value
+        for arg in call.args
+    ]
     if any(value is None for value in values):
         # Strict NULL semantics: no need to run the UDF at all.
         return A.Literal(None)
@@ -667,46 +556,47 @@ def _choose_index(scan: LogicalScan) -> None:
     The index enforces those conjuncts, so all of them leave the
     residual; conjuncts on other columns stay.  ``lo > hi`` (e.g.
     ``k > 9 AND k < 3``) is an empty range the B+-tree answers without
-    reading a page.
+    reading a page.  A template's slot stays symbolic in the bounds
+    (:class:`~repro.sql.planner.IndexBound`), resolved per execution.
     """
     indexed = {index.column.lower(): index for index in scan.table_info.indexes}
-    chosen = lo = hi = None
+    chosen = None
+    lows: List[Tuple[object, int]] = []
+    highs: List[Tuple[object, int]] = []
     residual = []
     for predicate in scan.predicates:
         bounds = _index_bounds(predicate, indexed, scan.alias)
         if bounds is None or (chosen is not None and bounds[0] is not chosen):
             residual.append(predicate)
             continue
-        chosen, p_lo, p_hi = bounds
-        if p_lo is not None:
-            lo = p_lo if lo is None else max(lo, p_lo)
-        if p_hi is not None:
-            hi = p_hi if hi is None else min(hi, p_hi)
+        chosen, low, high = bounds
+        if low is not None:
+            lows.append(low)
+        if high is not None:
+            highs.append(high)
     if chosen is None:
         return
     scan.index = chosen
-    scan.index_lo = lo
-    scan.index_hi = hi
+    scan.index_lo = IndexBound.of(lows, max)
+    scan.index_hi = IndexBound.of(highs, min)
     scan.predicates[:] = residual
 
 
-def _index_bounds(
-    predicate: A.Expr, indexed: dict, alias: str
-) -> Optional[Tuple[object, Optional[int], Optional[int]]]:
+def _index_bounds(predicate: A.Expr, indexed: dict, alias: str):
+    """``(index, low, high)`` for a conjunct the index can enforce, each
+    end an ``(operand, offset)`` term or None (unbounded); else None."""
     if isinstance(predicate, A.BinaryOp) and predicate.op in (
         "=", "<", "<=", ">", ">=",
     ):
-        column, literal, op = _column_and_literal(predicate, alias)
+        column, operand, op = _column_and_literal(predicate, alias)
         if column is None or column.lower() not in indexed:
             return None
         index_info = indexed[column.lower()]
         if op == "=":
-            return index_info, literal, literal
+            return index_info, (operand, 0), (operand, 0)
         if op in ("<", "<="):
-            hi = literal if op == "<=" else literal - 1
-            return index_info, None, hi
-        lo = literal if op == ">=" else literal + 1
-        return index_info, lo, None
+            return index_info, None, (operand, 0 if op == "<=" else -1)
+        return index_info, (operand, 0 if op == ">=" else 1), None
     if isinstance(predicate, A.Between) and not predicate.negated:
         if not isinstance(predicate.operand, A.ColumnRef):
             return None
@@ -715,31 +605,41 @@ def _index_bounds(
             return None
         if column.name.lower() not in indexed:
             return None
-        low = predicate.low
-        high = predicate.high
-        if (
-            isinstance(low, A.Literal) and isinstance(low.value, int)
-            and isinstance(high, A.Literal) and isinstance(high.value, int)
-        ):
-            return indexed[column.name.lower()], low.value, high.value
+        low = _int_operand(predicate.low, allow_bool=True)
+        high = _int_operand(predicate.high, allow_bool=True)
+        if low is not None and high is not None:
+            return indexed[column.name.lower()], (low, 0), (high, 0)
     return None
 
 
 def _column_and_literal(
     predicate: A.BinaryOp, alias: str
-) -> Tuple[Optional[str], Optional[int], Optional[str]]:
-    """Normalize ``col OP literal`` / ``literal OP col`` to (col, lit, op)."""
+) -> Tuple[Optional[str], object, Optional[str]]:
+    """Normalize ``col OP literal`` / ``literal OP col`` to (col, operand,
+    op), the operand an int or an INT slot."""
     flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
     left, right, op = predicate.left, predicate.right, predicate.op
-    if isinstance(right, A.ColumnRef) and isinstance(left, A.Literal):
+    if isinstance(right, A.ColumnRef) and isinstance(left, _LITERALS):
         left, right, op = right, left, flipped[op]
-    elif not (isinstance(left, A.ColumnRef) and isinstance(right, A.Literal)):
+    elif not (isinstance(left, A.ColumnRef) and isinstance(right, _LITERALS)):
         return None, None, None
     if left.table and left.table.lower() != alias.lower():
         return None, None, None
-    if isinstance(right.value, bool) or not isinstance(right.value, int):
+    operand = _int_operand(right, allow_bool=False)
+    if operand is None:
         return None, None, None
-    return left.name, right.value, op
+    return left.name, operand, op
+
+
+def _int_operand(expr: A.Expr, allow_bool: bool):
+    """An int literal's value or an INT slot, else None."""
+    if isinstance(expr, A.Slot):
+        return expr if expr.sql_type is SQLType.INT else None
+    if not isinstance(expr, A.Literal) or not isinstance(expr.value, int):
+        return None
+    if isinstance(expr.value, bool) and not allow_bool:
+        return None
+    return expr.value
 
 
 # ---------------------------------------------------------------------------
@@ -893,40 +793,11 @@ def _split_filter(
 
 
 def _function_calls(expr: A.Expr) -> List[A.FuncCall]:
-    calls: List[A.FuncCall] = []
+    """Every call in ``expr``, outer before inner.
 
-    def walk(node: A.Expr) -> None:
-        if isinstance(node, A.FuncCall):
-            calls.append(node)
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, A.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, A.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, A.IsNull):
-            walk(node.operand)
-        elif isinstance(node, A.Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, A.InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, A.Case):
-            for cond, value in node.whens:
-                walk(cond)
-                walk(value)
-            if node.default is not None:
-                walk(node.default)
-        elif isinstance(node, A.Inlined):
-            # The Inlined name is deliberately NOT reported as a call:
-            # the body is pure lifted SQL (built-ins only), so rank
-            # ordering and Exchange placement cost it like native
-            # expressions — the inlining dividend.
-            walk(node.body)
-
-    walk(expr)
-    return calls
+    An :class:`~repro.sql.ast_nodes.Inlined` site is deliberately not
+    reported as a call, only its body's calls: the body is pure lifted
+    SQL (built-ins only), so rank ordering and Exchange placement cost it
+    like native expressions — the inlining dividend.
+    """
+    return [node for node in A.walk(expr) if isinstance(node, A.FuncCall)]

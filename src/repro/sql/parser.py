@@ -18,14 +18,20 @@ JagScript source or a classfile migrated from the client).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ParseError
 from . import ast_nodes as A
 from .lexer import Token, TokenType, tokenize
-from .types import ColumnDef, sql_type_from_name
+from .types import ColumnDef, SQLType, sql_type_from_name
 
 _COMPARISONS = {"=", "!=", "<>", "<", "<=", ">", ">="}
+
+_SLOT_TYPES = {
+    TokenType.INT: SQLType.INT,
+    TokenType.FLOAT: SQLType.FLOAT,
+    TokenType.STRING: SQLType.STRING,
+}
 
 #: SQL design names -> repro.core.designs.Design values.
 DESIGN_NAMES = {
@@ -53,7 +59,20 @@ UDF_TYPE_NAMES = {
 
 def parse_statement(text: str) -> A.Statement:
     """Parse exactly one statement."""
-    parser = _Parser(tokenize(text))
+    return parse_tokens(tokenize(text))
+
+
+def parse_tokens(
+    tokens: List[Token], slots: Optional[Dict[int, int]] = None
+) -> A.Statement:
+    """Parse exactly one statement from its tokens.
+
+    ``slots`` (from :func:`~repro.sql.lexer.shape`) maps token indexes to
+    slot numbers; each such literal becomes an :class:`A.Slot`, which
+    makes the statement its shape's template.  Everything else parses as
+    it would without them, errors included.
+    """
+    parser = _Parser(tokens, slots or {})
     statement = parser.statement()
     parser.accept_op(";")
     parser.expect_eof()
@@ -62,7 +81,7 @@ def parse_statement(text: str) -> A.Statement:
 
 def parse_script(text: str) -> List[A.Statement]:
     """Parse a semicolon-separated script."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(tokenize(text), {})
     statements: List[A.Statement] = []
     while not parser.at_eof():
         statements.append(parser.statement())
@@ -73,8 +92,9 @@ def parse_script(text: str) -> List[A.Statement]:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: List[Token], slots: Dict[int, int]):
         self.tokens = tokens
+        self.slots = slots
         self.pos = 0
 
     # -- token plumbing ------------------------------------------------------
@@ -482,6 +502,10 @@ class _Parser:
 
     def primary(self) -> A.Expr:
         token = self.current
+        slot = self.slots.get(self.pos)
+        if slot is not None:
+            self.advance()
+            return A.Slot(slot, _SLOT_TYPES[token.type])
         if token.type is TokenType.INT:
             self.advance()
             return A.Literal(int(token.value))

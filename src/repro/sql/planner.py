@@ -11,7 +11,7 @@ lists, which :mod:`repro.sql.optimizer` reorders by predicate rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import PlanError
 from . import ast_nodes as A
@@ -35,10 +35,12 @@ class LogicalScan(LogicalPlan):
     alias: str
     table_info: object  # storage TableInfo
     predicates: List[A.Expr] = field(default_factory=list)
-    #: Filled by the optimizer when an index serves an equality/range.
+    #: Filled by the optimizer when an index serves an equality/range:
+    #: each end is an int, None (unbounded) or, in a template whose
+    #: slots decide it, an :class:`IndexBound`.
     index: Optional[object] = None
-    index_lo: Optional[int] = None
-    index_hi: Optional[int] = None
+    index_lo: Optional[object] = None
+    index_hi: Optional[object] = None
 
     def __post_init__(self) -> None:
         self.schema = schema_for_table(self.table_info, self.alias)
@@ -155,6 +157,84 @@ class LogicalLimit(LogicalPlan):
 
 
 # ---------------------------------------------------------------------------
+# Templates: slot values at plan time and in index bounds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class IndexBound:
+    """An index range end that a template's slot values decide.
+
+    ``terms`` are ``(operand, offset)`` pairs in conjunct order, each
+    operand a literal's value or an :class:`~repro.sql.ast_nodes.Slot`;
+    the end is the running ``pick`` (``max`` for the low end, ``min`` for
+    the high end) of ``operand + offset``, folded in the order a plan
+    built from literals folds it.
+    """
+
+    terms: Tuple[Tuple[object, int], ...]
+    pick: Callable
+
+    @staticmethod
+    def of(terms, pick):
+        """None without terms, the folded end without slots (so plans
+        built from literals carry plain ints), else an IndexBound."""
+        for operand, __ in terms:
+            if isinstance(operand, A.Slot):
+                return IndexBound(tuple(terms), pick)
+        return _fold_bound(terms, pick, ())
+
+    def resolve(self, params) -> object:
+        return _fold_bound(self.terms, self.pick, params)
+
+
+def _fold_bound(terms, pick, params):
+    value = None
+    for operand, offset in terms:
+        if isinstance(operand, A.Slot):
+            operand = params[operand.index]
+        if offset:
+            operand += offset
+        value = operand if value is None else pick(value, operand)
+    return value
+
+
+def resolve_bound(bound, params):
+    """An index range end for one execution's slot values."""
+    if isinstance(bound, IndexBound):
+        return bound.resolve(params)
+    return bound
+
+
+class SlotValues:
+    """One execution's slot values while its template is planned.
+
+    Planning treats a slot as a literal of known type and unknown value,
+    so the plan serves every value of its shape.  A rewrite that needs a
+    value (folding a pure UDF over literal arguments, say) reads it
+    through :meth:`read`, which makes the plan *non-generic*: it then
+    serves only these values, exactly as if it had been built from their
+    text.
+    """
+
+    def __init__(self, values: tuple):
+        self.values = values
+        self.generic = True
+
+    def read(self, slot: A.Slot) -> object:
+        self.generic = False
+        return self.values[slot.index]
+
+    def bind(self, expr: A.Expr) -> A.Expr:
+        """``expr`` with each slot replaced by its value as a literal."""
+        return A.transform(expr, self._bind_node)
+
+    def _bind_node(self, node: A.Expr) -> A.Expr:
+        if isinstance(node, A.Slot):
+            return A.Literal(self.read(node))
+        return node
+
+
+# ---------------------------------------------------------------------------
 # Plan construction
 # ---------------------------------------------------------------------------
 
@@ -162,8 +242,13 @@ def plan_select(
     select: A.Select,
     catalog,
     resolver: Optional[FunctionResolver] = None,
+    slots: Optional[SlotValues] = None,
 ) -> LogicalPlan:
-    """Build the (unoptimized) logical plan for a SELECT."""
+    """Build the (unoptimized) logical plan for a SELECT.
+
+    ``slots`` carries the values of a template's slots (None for a
+    statement parsed with its literals).
+    """
     if not select.tables:
         raise PlanError("SELECT requires a FROM clause")
     seen_labels = set()
@@ -228,7 +313,7 @@ def plan_select(
         )
 
     if is_aggregate:
-        plan = _plan_aggregate(select, items, plan, resolver)
+        plan = _plan_aggregate(select, items, plan, resolver, slots)
     else:
         exprs = [item.expr for item in items]
         names = [_output_name(item, index)
@@ -334,41 +419,20 @@ def _output_name(item: A.SelectItem, index: int) -> str:
 
 
 def _collect_aggregates(items: List[A.SelectItem]) -> List[A.FuncCall]:
-    found: List[A.FuncCall] = []
-    for item in items:
-        found.extend(_find_aggregates(item.expr))
+    found = [
+        node for item in items for node in A.walk(item.expr)
+        if _is_aggregate(node)
+    ]
+    for call in found:
+        if any(
+            _is_aggregate(node) for arg in call.args for node in A.walk(arg)
+        ):
+            raise PlanError("nested aggregates are not allowed")
     return found
 
 
-def _find_aggregates(expr: A.Expr) -> List[A.FuncCall]:
-    if isinstance(expr, A.FuncCall):
-        if expr.name.lower() in AGGREGATE_NAMES:
-            for arg in expr.args:
-                if _find_aggregates(arg):
-                    raise PlanError("nested aggregates are not allowed")
-            return [expr]
-        nested: List[A.FuncCall] = []
-        for arg in expr.args:
-            nested.extend(_find_aggregates(arg))
-        return nested
-    if isinstance(expr, A.BinaryOp):
-        return _find_aggregates(expr.left) + _find_aggregates(expr.right)
-    if isinstance(expr, A.UnaryOp):
-        return _find_aggregates(expr.operand)
-    if isinstance(expr, (A.IsNull,)):
-        return _find_aggregates(expr.operand)
-    if isinstance(expr, A.Between):
-        return (
-            _find_aggregates(expr.operand)
-            + _find_aggregates(expr.low)
-            + _find_aggregates(expr.high)
-        )
-    if isinstance(expr, A.InList):
-        found = _find_aggregates(expr.operand)
-        for item in expr.items:
-            found.extend(_find_aggregates(item))
-        return found
-    return []
+def _is_aggregate(node: A.Expr) -> bool:
+    return isinstance(node, A.FuncCall) and node.name.lower() in AGGREGATE_NAMES
 
 
 def _plan_aggregate(
@@ -376,6 +440,7 @@ def _plan_aggregate(
     items: List[A.SelectItem],
     child: LogicalPlan,
     resolver,
+    slots: Optional[SlotValues],
 ) -> LogicalPlan:
     """GROUP BY / aggregate planning.
 
@@ -418,7 +483,7 @@ def _plan_aggregate(
                 SQLType.INT if expr.name.lower() == "count" else SQLType.FLOAT
             )
             continue
-        position = _group_position(expr, group_exprs)
+        position = _group_position(expr, group_exprs, slots)
         if position is None:
             raise PlanError(
                 f"SELECT item {name!r} is neither an aggregate nor in "
@@ -440,8 +505,13 @@ def _plan_aggregate(
     )
 
 
-def _group_position(expr: A.Expr, group_exprs: List[A.Expr]) -> Optional[int]:
+def _group_position(
+    expr: A.Expr, group_exprs: List[A.Expr], slots: Optional[SlotValues]
+) -> Optional[int]:
     for index, group_expr in enumerate(group_exprs):
         if expr == group_expr:
+            return index
+        # Literals compare by value: so must slots, which reads them.
+        if slots is not None and slots.bind(expr) == slots.bind(group_expr):
             return index
     return None

@@ -11,6 +11,8 @@ def db():
     database = Database()
     database.execute("CREATE TABLE nums (id INT, v FLOAT)")
     database.execute("INSERT INTO nums VALUES (1, 1.5), (2, 2.5)")
+    # The set-up INSERT went through the cache too: count from empty.
+    database.plan_cache = PlanCache()
     yield database
     database.close()
 
@@ -127,12 +129,47 @@ class TestDatabaseIntegration:
         db.execute(self.SQL)  # same settings: now a hit
         assert db.plan_cache.stats()["hits"] == 1
 
-    def test_writes_and_explain_are_uncached(self, db):
+    def test_dml_is_cached_and_explain_is_not(self, db):
         db.execute("INSERT INTO nums VALUES (3, 3.5)")
+        db.execute("INSERT INTO nums VALUES (4, 4.5)")  # same shape
         db.execute("EXPLAIN " + self.SQL)
         stats = db.plan_cache.stats()
-        assert stats["entries"] == 0 and stats["misses"] == 0
-        assert db.execute("SELECT count(*) FROM nums").rows == [(3,)]
+        assert stats["entries"] == 1
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert db.execute("SELECT count(*) FROM nums").rows == [(4,)]
+
+    def test_commented_statements_route_by_first_token(self, db):
+        select = "-- note\nSELECT id FROM nums WHERE id = 1"
+        insert = "-- note\nINSERT INTO nums VALUES (9, 9.5)"
+        for sql in (select, insert):
+            db.execute(sql)
+            before = db.plan_cache.stats()
+            db.execute(sql)
+            after = db.plan_cache.stats()
+            assert after["hits"] == before["hits"] + 1, sql
+            assert after["misses"] == before["misses"], sql
+
+    def test_fresh_literals_share_one_entry(self, db):
+        for key in (1, 2, 3):
+            assert db.query(f"SELECT v FROM nums WHERE id = {key}") == (
+                [(key + 0.5,)] if key < 3 else []
+            )
+        stats = db.plan_cache.stats()
+        assert stats["entries"] == 1
+        assert (stats["hits"], stats["misses"]) == (2, 1)
+
+    def test_embedded_stats_have_a_plan_cache_section(self, db):
+        db.execute(self.SQL)
+        db.execute(self.SQL)
+        stats = db.stats()
+        assert set(stats) == {"metrics", "adaptive", "plan_cache"}
+        section = stats["plan_cache"]
+        assert set(section) == {
+            "entries", "capacity", "hits", "misses", "hit_rate",
+            "evictions", "invalidations",
+        }
+        assert (section["hits"], section["misses"]) == (1, 1)
+        assert section == db.plan_cache.stats()
 
     def test_script_statements_share_the_pipeline(self, db):
         results = db.execute_script(

@@ -296,6 +296,11 @@ class ResourceCertificate:
     min_fuel: int
     min_memory: int
     loops: Tuple[LoopBound, ...] = ()
+    #: IADD pcs of counted-loop increments proven never to wrap: the
+    #: loop variable passed ``var < stop`` (``>``, counting down) against
+    #: a loop-invariant int64 ``stop`` just before each step, so the JIT
+    #: and kernels may add without the 64-bit wrap there.
+    wrap_free_pcs: Tuple[int, ...] = ()
 
     @property
     def fully_bounded(self) -> bool:
@@ -482,6 +487,7 @@ class _FunctionCertifier:
 
     def certify(self) -> ResourceCertificate:
         self._fixpoint()
+        self.wrap_free: List[int] = []
         trips = {
             loop.header: self._loop_trip(loop) for loop in self.cfg.loops
         }
@@ -507,6 +513,7 @@ class _FunctionCertifier:
             min_fuel=min_fuel,
             min_memory=min_memory,
             loops=loop_bounds,
+            wrap_free_pcs=tuple(sorted(self.wrap_free)),
         )
 
     # -- abstract interpretation -------------------------------------------
@@ -786,6 +793,13 @@ class _FunctionCertifier:
         hi = self._trip_upper(init, stop, step, down, inclusive)
         lo = self._trip_lower(loop, inc_block, init, stop, step,
                               down, inclusive)
+        if hi is not None and not any(
+            other.body < loop.body and inc_block in other.body
+            for other in self.cfg.loops
+        ):
+            # Outside any inner loop the increment runs once per passed
+            # header test, so the proof of ``hi`` bounds its result too.
+            self.wrap_free.append(store_pc - 1)
         return (lo, hi)
 
     @staticmethod

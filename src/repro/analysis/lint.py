@@ -346,6 +346,7 @@ def _certificate_dict(cert) -> dict:
             }
             for loop in cert.loops
         ],
+        "wrap_free_pcs": list(cert.wrap_free_pcs),
     }
 
 

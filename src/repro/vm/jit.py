@@ -17,7 +17,8 @@ The translation keeps every safety property the interpreter enforces:
 * **memory quotas** — every allocating opcode routes through the
   resource account;
 * **64-bit wrapping arithmetic** — inline mask-and-shift, bit-identical
-  to the interpreter;
+  to the interpreter; only the counted-loop increments the bounds
+  certifier proved cannot wrap add plainly;
 * **security manager** — native permissions are checked once at compile
   time (the permission set of a loaded UDF is immutable); callbacks are
   checked on every invocation, as in the interpreter.
@@ -26,6 +27,14 @@ Because the input is *verified* bytecode, translation is straightforward:
 every instruction has a known stack depth and operand types, so the
 symbolic-stack translator below can map stack slots to Python expressions
 without any runtime type dispatch.
+
+Control flow is structured: the verifier only admits reducible CFGs, and
+:func:`repro.vm.structure.plan` lays each one out along its dominator
+tree, so a loop compiles to a ``while True:`` whose back edge is
+``continue`` and whose exit is ``break``, and a branch to an ``if``.
+Blocks run their instructions in place, with no program counter to
+dispatch on.  :func:`lower` is that one emitter; the tier-1 kernels of
+:mod:`repro.vm.kernels` are the same code with a different RET.
 """
 
 from __future__ import annotations
@@ -36,8 +45,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import ArithmeticFault, BoundsError, VerifyError
 from .classfile import ClassFile, FunctionDef, K_CALLBACK, K_FUNC, K_NATIVE, K_STR
 from .interpreter import ExecutionContext
-from .opcodes import BRANCH_OPS, FIXED_EFFECTS, Op, TERMINATOR_OPS
+from .opcodes import Op
 from .stdlib import NATIVE_SIGNATURES
+from . import structure
 from .values import (
     VMType,
     coerce_argument,
@@ -222,80 +232,15 @@ def compile_function(
 ) -> JittedFunction:
     """Translate one verified function to a Python closure."""
     source, namespace = _translate(cls, func, ctx, compiler)
-    code = compile(source, f"<jit {cls.name}.{func.name}>", "exec")
+    code = compile(source, source_name("jit", cls, func), "exec")
     exec(code, namespace)
     return namespace["__jag"]
 
 
-def _stack_depths(cls: ClassFile, func: FunctionDef,
-                  ctx: ExecutionContext) -> List[int]:
-    """Entry stack depth of every instruction (the code is verified, so
-    depths at joins agree)."""
-    code = func.code
-    depths: List[Optional[int]] = [None] * len(code)
-    depths[0] = 0
-    work = [0]
-    while work:
-        pc = work.pop()
-        depth = depths[pc]
-        ins = code[pc]
-        op = ins.op
-        fixed = FIXED_EFFECTS.get(op)
-        if fixed is not None:
-            after = depth - len(fixed[0]) + len(fixed[1])
-        elif op in (Op.ICONST, Op.FCONST, Op.BCONST, Op.SCONST, Op.LOAD, Op.DUP):
-            after = depth + 1
-        elif op in (Op.STORE, Op.POP):
-            after = depth - 1
-        elif op in (Op.SWAP, Op.JMP):
-            after = depth
-        elif op in (Op.RET, Op.RETV):
-            after = 0
-        elif op is Op.CALL:
-            class_name, func_name = cls.constant(ins.arg, K_FUNC)
-            __, callee = ctx.resolve_function(class_name, func_name)
-            after = depth - len(callee.param_types)
-            if callee.ret_type is not VMType.VOID:
-                after += 1
-        elif op in (Op.NATIVE, Op.CALLBACK):
-            if op is Op.NATIVE:
-                (name,) = cls.constant(ins.arg, K_NATIVE)
-                params, ret = NATIVE_SIGNATURES[name]
-            else:
-                (name,) = cls.constant(ins.arg, K_CALLBACK)
-                params, ret = ctx.callback_signatures[name]
-            after = depth - len(params)
-            if ret is not VMType.VOID:
-                after += 1
-        else:  # pragma: no cover
-            raise VerifyError(f"jit cannot size opcode {op}")
-        for succ in _successors(pc, ins):
-            if succ < len(code) and depths[succ] is None:
-                depths[succ] = after
-                work.append(succ)
-    return [d if d is not None else 0 for d in depths]
-
-
-def _successors(pc: int, ins) -> List[int]:
-    succ = []
-    if ins.op in BRANCH_OPS:
-        succ.append(ins.arg)
-    if ins.op not in TERMINATOR_OPS:
-        succ.append(pc + 1)
-    return succ
-
-
-def _leaders(func: FunctionDef) -> List[int]:
-    leaders = {0}
-    for pc, ins in enumerate(func.code):
-        if ins.op in BRANCH_OPS:
-            leaders.add(ins.arg)
-            if ins.op is not Op.JMP:
-                leaders.add(pc + 1)
-        elif ins.op in (Op.RET, Op.RETV):
-            if pc + 1 < len(func.code):
-                leaders.add(pc + 1)
-    return sorted(leaders)
+def source_name(kind: str, cls: ClassFile, func: FunctionDef) -> str:
+    """The generated code's filename (``compile`` refuses a NUL in it, and
+    a hostile classfile may put one in a name)."""
+    return f"<{kind} {cls.name}.{func.name}>".replace("\0", "\\0")
 
 
 class _BlockWriter:
@@ -359,24 +304,7 @@ def _translate(
     ctx: ExecutionContext,
     compiler: JitCompiler,
 ) -> Tuple[str, dict]:
-    code = func.code
-    depths = _stack_depths(cls, func, ctx)
-    leaders = _leaders(func)
-    leader_set = set(leaders)
-
-    namespace: dict = dict(_RUNTIME)
-    namespace["__compiler"] = compiler
-
-    # Natives: permission checked once, implementations bound directly.
-    native_names = set()
-    for ins in code:
-        if ins.op is Op.NATIVE:
-            (name,) = cls.constant(ins.arg, K_NATIVE)
-            ctx.security.check_native(name)
-            native_names.add(name)
-    for name in native_names:
-        namespace[f"__n_{name}"] = ctx.natives[name]
-
+    namespace = _namespace(cls, func, ctx, compiler)
     out: List[str] = []
     out.append("def __jag(__args, __ctx):")
     out.append("    __acct = __ctx.account")
@@ -405,44 +333,92 @@ def _translate(
         out.append("            __acct.fuel -= __b")
     else:
         out.append("    __meter = True")
-    out.append("    __pc = 0")
-    out.append("    while True:")
+    out.extend("    " + line for line in lower(cls, func, ctx, namespace))
+    return "\n".join(out) + "\n", namespace
 
-    first = True
-    for block_index, start in enumerate(leaders):
-        end = leaders[block_index + 1] if block_index + 1 < len(leaders) else len(code)
-        writer = _BlockWriter(depths[start])
-        closed = _emit_block(cls, func, ctx, writer, code, start, end, namespace)
-        if not closed:
-            # Fall through to the next leader.
-            writer.spill_to_entry_names()
-            writer.emit(f"__pc = {end}")
-            writer.emit("continue")
-        keyword = "if" if first else "elif"
-        first = False
-        out.append(f"        {keyword} __pc == {start}:")
-        fuel_units = end - start
-        out.append("            if __meter:")
-        out.append(f"                __acct.fuel -= {fuel_units}")
-        out.append("                if __acct.fuel < 0: __acct.out_of_fuel()")
-        for line in writer.lines:
-            out.append(f"            {line}")
-    source = "\n".join(out) + "\n"
-    return source, namespace
+
+def _namespace(cls: ClassFile, func: FunctionDef, ctx: ExecutionContext,
+               compiler: JitCompiler) -> dict:
+    """Runtime helpers plus the function's natives, bound once (their
+    permission checked here: a loaded UDF's permissions are immutable)."""
+    namespace: dict = dict(_RUNTIME)
+    namespace["__compiler"] = compiler
+    for ins in func.code:
+        if ins.op is Op.NATIVE:
+            (name,) = cls.constant(ins.arg, K_NATIVE)
+            ctx.security.check_native(name)
+            namespace[f"__n_{name}"] = ctx.natives[name]
+    return namespace
+
+
+def lower(
+    cls: ClassFile,
+    func: FunctionDef,
+    ctx: ExecutionContext,
+    namespace: dict,
+    ret: Optional[Callable[[str], List[str]]] = None,
+) -> List[str]:
+    """The function body as structured Python, relative to indent 0.
+
+    The one emitter for both back ends.  The JIT (``ret`` None) charges
+    each block's instruction count at block entry while ``__meter`` is
+    set and returns at RET.  A tier-1 kernel passes ``ret``, the lines
+    that hand one row's result back; its RET then ends the row (the
+    ``continue`` of its row loop) and nothing is metered, since the
+    kernel prepays the certified bound.
+
+    An IADD the bounds certifier proved cannot wrap (a counted loop's
+    increment, ``ResourceCertificate.wrap_free_pcs``) is a plain ``+``;
+    every other int64 result keeps the wrap.
+    """
+    plan = structure.plan(
+        func.code, f"{cls.name}.{func.name}", kernel=ret is not None
+    )
+    cert = getattr(func, "certificate", None)
+    wrap_free = frozenset(getattr(cert, "wrap_free_pcs", ()))
+    out: List[str] = ["__x = 0"] if plan.uses_exit_var else []
+    conds = {}
+    for indent, item in plan.lines:
+        pad = "    " * indent
+        if isinstance(item, str):
+            out.append(pad + item)
+        elif isinstance(item, tuple):
+            __, block, truthy = item
+            negation = "" if truthy else "not "
+            out.append(f"{pad}if {negation}{conds[block]}:")
+        else:
+            start, end = plan.starts[item]
+            if ret is None:
+                out.append(pad + "if __meter:")
+                out.append(f"{pad}    __acct.fuel -= {end - start}")
+                out.append(pad + "    if __acct.fuel < 0: __acct.out_of_fuel()")
+            writer = _BlockWriter(func.stack_in[start])
+            conds[item] = _emit_block(
+                cls, ctx, writer, func.code, start, end, namespace,
+                wrap_free, ret,
+            )
+            if ret is not None and not writer.lines:
+                writer.lines = ["pass"]   # a kernel's lone JMP, under an if
+            out.extend(pad + line for line in writer.lines)
+    return out
 
 
 def _emit_block(
     cls: ClassFile,
-    func: FunctionDef,
     ctx: ExecutionContext,
     w: _BlockWriter,
     code,
     start: int,
     end: int,
     namespace: dict,
-) -> bool:
-    """Emit instructions [start, end); True if the block ends in a
-    branch/return (i.e. control never falls through)."""
+    wrap_free: frozenset,
+    on_return: Optional[Callable[[str], List[str]]],
+) -> Optional[str]:
+    """Emit instructions [start, end) up to, not including, the jump.
+
+    The stack is left in the successors' entry names; a JZ/JNZ block
+    returns the condition its structured ``if`` tests, any other None.
+    """
     for pc in range(start, end):
         ins = code[pc]
         op = ins.op
@@ -479,7 +455,10 @@ def _emit_block(
 
         elif op is Op.IADD:
             b = w.pop(); a = w.pop()
-            w.push(_WRAP.format(x=f"({a}) + ({b})"))
+            if pc in wrap_free:
+                w.push(f"(({a}) + ({b}))")
+            else:
+                w.push(_WRAP.format(x=f"({a}) + ({b})"))
         elif op is Op.ISUB:
             b = w.pop(); a = w.pop()
             w.push(_WRAP.format(x=f"({a}) - ({b})"))
@@ -626,25 +605,24 @@ def _emit_block(
             w.push(f"len({a})")
 
         elif op is Op.JMP:
-            w.spill_to_entry_names()
-            w.emit(f"__pc = {ins.arg}")
-            w.emit("continue")
-            return True
+            break
         elif op is Op.JZ or op is Op.JNZ:
             cond = w.pop()
-            cond = w.atom(cond) if not _ATOM_RE.fullmatch(cond) else cond
+            # Entries under the condition were computed before it, and
+            # the spill below must not overwrite a name it reads.
+            w.flush_below(0)
+            if w.stack and (not _ATOM_RE.fullmatch(cond)
+                            or cond.startswith("s")):
+                cond = w.temp(cond)
             w.spill_to_entry_names()
-            negation = "not " if op is Op.JZ else ""
-            w.emit(f"if {negation}{cond}:")
-            w.emit(f"    __pc = {ins.arg}")
-            w.emit("    continue")
-        elif op is Op.RET:
-            value = w.pop()
-            w.emit(f"return {value}")
-            return True
-        elif op is Op.RETV:
-            w.emit("return None")
-            return True
+            return cond
+        elif op is Op.RET or op is Op.RETV:
+            value = w.pop() if op is Op.RET else "None"
+            if on_return is None:
+                w.emit(f"return {value}")
+            else:
+                w.lines.extend(on_return(value))
+            return None
 
         elif op is Op.CALL:
             class_name, func_name = cls.constant(ins.arg, K_FUNC)
@@ -689,4 +667,5 @@ def _emit_block(
                 w.push(w.temp(f"_coerce({call}, {ret_name})"))
         else:  # pragma: no cover - verified code contains only known ops
             raise VerifyError(f"jit cannot translate {op}")
-    return False
+    w.spill_to_entry_names()
+    return None

@@ -25,6 +25,10 @@ generated code:
   certified bounds, with the arena variant refunding non-escaping
   allocations after each row.
 
+The body is the JIT's own structured lowering (:func:`repro.vm.jit.lower`)
+with one difference: RET appends the row's result and ends the row (the
+``continue`` of the row loop), where the JIT returns.
+
 Eligibility is decided by :mod:`repro.vm.tier`; this module assumes the
 function passed those checks (constant bounds, no callbacks, traps only
 under a flow certificate, array parameters proven read-only) and raises
@@ -42,16 +46,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from .classfile import ClassFile, FunctionDef, K_NATIVE
+from .classfile import ClassFile, FunctionDef
 from .interpreter import ExecutionContext
-from .jit import (
-    _RUNTIME,
-    JitCompiler,
-    _BlockWriter,
-    _emit_block,
-    _leaders,
-    _stack_depths,
-)
+from .jit import JitCompiler, _namespace, lower, source_name
 from .opcodes import Op
 from .values import INT_MAX, INT_MIN, VMType, default_value
 
@@ -141,7 +138,7 @@ def compile_batch_kernel(
         fuel_need=fuel_need, mem_need=mem_need, local_need=local_need,
         arena=arena, readonly=readonly,
     )
-    code = compile(source, f"<kernel {cls.name}.{func.name}>", "exec")
+    code = compile(source, source_name("kernel", cls, func), "exec")
     exec(code, namespace)
     return namespace["__kernel"]
 
@@ -157,27 +154,12 @@ def _translate_kernel(
     arena: bool,
     readonly: frozenset,
 ):
-    code = func.code
-    depths = _stack_depths(cls, func, ctx)
-    leaders = _leaders(func)
-
-    namespace: dict = dict(_RUNTIME)
-    namespace["__compiler"] = compiler
+    if any(ins.op is Op.CALLBACK for ins in func.code):
+        raise KernelUnsupported(
+            f"{cls.name}.{func.name}: callback-bearing body"
+        )
+    namespace = _namespace(cls, func, ctx, compiler)
     namespace["__deopt"] = KernelDeopt(f"{cls.name}.{func.name}")
-
-    for ins in code:
-        if ins.op is Op.CALLBACK:
-            raise KernelUnsupported(
-                f"{cls.name}.{func.name}: callback-bearing body"
-            )
-    native_names = set()
-    for ins in code:
-        if ins.op is Op.NATIVE:
-            (name,) = cls.constant(ins.arg, K_NATIVE)
-            ctx.security.check_native(name)
-            native_names.add(name)
-    for name in native_names:
-        namespace[f"__n_{name}"] = ctx.natives[name]
 
     # -- per-row work, relative to the loop body (indent 0) --------------
     row_lines: List[str] = []
@@ -192,55 +174,15 @@ def _translate_kernel(
     for i, t in enumerate(func.local_types[nparams:], start=nparams):
         row_lines.append(f"L{i} = {default_value(t)!r}")
 
-    if len(leaders) == 1:
-        # Straight-line fast form: no pc dispatch at all.  The single
-        # block must close with RET/RETV (verified code), whose emitted
-        # ``return`` becomes the per-row result append.
-        writer = _BlockWriter(depths[0])
-        closed = _emit_block(
-            cls, func, ctx, writer, code, 0, len(code), namespace
-        )
-        if not closed:  # pragma: no cover - verified code always closes
-            raise KernelUnsupported(
-                f"{cls.name}.{func.name}: open straight-line block"
-            )
-        for line in writer.lines:
-            if line == "return None":
-                row_lines.append("__app(None)")
-            elif line.startswith("return "):
-                row_lines.append(f"__app({line[7:]})")
-            else:
-                row_lines.append(line)
-    else:
-        row_lines.append("__pc = 0")
-        row_lines.append("while True:")
-        first = True
-        for block_index, start in enumerate(leaders):
-            end = (
-                leaders[block_index + 1]
-                if block_index + 1 < len(leaders) else len(code)
-            )
-            writer = _BlockWriter(depths[start])
-            closed = _emit_block(
-                cls, func, ctx, writer, code, start, end, namespace
-            )
-            if not closed:
-                writer.spill_to_entry_names()
-                writer.emit(f"__pc = {end}")
-                writer.emit("continue")
-            keyword = "if" if first else "elif"
-            first = False
-            row_lines.append(f"    {keyword} __pc == {start}:")
-            for line in writer.lines:
-                if line == "return None":
-                    row_lines.append("        __ret = None")
-                    row_lines.append("        break")
-                elif line.startswith("return "):
-                    row_lines.append(f"        __ret = {line[7:]}")
-                    row_lines.append("        break")
-                else:
-                    row_lines.append(f"        {line}")
-        row_lines.append("__app(__ret)")
+    def ret(value: str) -> List[str]:
+        # Nothing this function allocates survives its return: an arena
+        # kernel refunds the row's heap charges, like the tier-0 arena
+        # path, before the row ends.
+        if arena:
+            return [f"__app({value})", "__acct.release_memory(__ml)"]
+        return [f"__app({value})"]
+
+    row_lines.extend(lower(cls, func, ctx, namespace, ret=ret))
 
     # -- per-row quota prologue (hoisted metering, per-row elision) ------
     prologue: List[str] = []
@@ -305,9 +247,5 @@ def _translate_kernel(
         out.append(f"        {line}")
     for line in row_lines:
         out.append(f"        {line}")
-    if arena:
-        # Nothing this function allocates survives its return: refund
-        # the row's heap charges, exactly like the tier-0 arena path.
-        out.append("        __acct.release_memory(__ml)")
 
     return "\n".join(out) + "\n", namespace

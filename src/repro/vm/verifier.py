@@ -12,6 +12,9 @@ per-instruction type checks, because the verifier has *proved*:
 * every branch lands on a real instruction, and no path falls off the
   end of the code;
 * every local variable is written before it is read;
+* control flow is reducible: every loop is entered through its header,
+  so the function has the structured form (:mod:`repro.vm.structure`)
+  the JIT and the tier-1 kernels emit;
 * every constant-pool reference is in range and of the right kind, and
   every CALL / NATIVE / CALLBACK resolves to a known signature (eager
   linking: unresolved references are rejected here, not at run time).
@@ -189,6 +192,12 @@ def _verify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver) -> N
     unreachable = [pc for pc, s in enumerate(states) if s is None]
     if unreachable:
         raise VerifyError(f"{where}: unreachable code at {unreachable[:5]}")
+    # Every loop is entered through its header (the CFG is reducible)
+    # and the structured form fits the host compiler, so the JIT and the
+    # kernels can emit the function as loops and ifs.
+    from .structure import plan
+
+    plan(code, where, kernel=True)
 
     # Locals init bitmask implicitly bounded by nlocals via LOAD/STORE checks.
     del nlocals

@@ -2,6 +2,7 @@
 (load gate, metering elision, admission control, optimizer, EXPLAIN),
 and the ``python -m repro.analysis bounds`` CLI."""
 
+import json
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.errors import (
 )
 from repro.vm.compiler import compile_source
 from repro.vm.machine import JaguarVM
+from repro.vm.opcodes import Op
 from repro.vm.resources import DEFAULT_POLICY, QuotaPolicy
 from repro.vm.security import Permissions, SecurityManager
 from repro.vm.threadgroups import ThreadGroup, ThreadGroupRegistry
@@ -239,6 +241,24 @@ class TestCertify:
     def test_describe_mentions_bounds(self):
         text = certified(DATA_LOOP).describe()
         assert "fuel≤" in text and "mem≤" in text and "min_fuel=" in text
+
+    def test_counted_increment_is_wrap_free_and_the_accumulator_is_not(self):
+        code = compiled(DATA_LOOP).functions["f"].code
+        # s is slot 1, i slot 2: only ``i = i + 1`` provably stays in int64.
+        adds = {code[pc + 1].arg: pc for pc, ins in enumerate(code)
+                if ins.op is Op.IADD}
+        assert certified(DATA_LOOP).wrap_free_pcs == (adds[2],)
+
+    def test_step_past_int_max_keeps_the_wrap(self):
+        source = (
+            "def f(x: int) -> int:\n"
+            "    s: int = 0\n"
+            "    for i in range(9223372036854775805, 9223372036854775807, 3):\n"
+            "        s = s + 1\n"
+            "    return s\n"
+        )
+        assert certified(source).wrap_free_pcs == ()
+        assert certified(SPIN).wrap_free_pcs == ()
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +584,14 @@ class TestBoundsCli:
         assert lint_main(["bounds", str(target)]) == 0
         out = capsys.readouterr().out
         assert "fuel≤" in out and "trips" in out
+
+    def test_json_lists_wrap_free_pcs(self, tmp_path, capsys):
+        target = tmp_path / "ok.jag"
+        target.write_text(DATA_LOOP)
+        assert lint_main(["bounds", str(target), "--json"]) == 0
+        (doc,) = json.loads(capsys.readouterr().out)["classes"]
+        listed = doc["functions"]["f"]["wrap_free_pcs"]
+        assert listed == list(certified(DATA_LOOP).wrap_free_pcs) != []
 
     def test_unbounded_function_reported_not_failed(self, tmp_path, capsys):
         target = tmp_path / "spin.jag"

@@ -7,19 +7,22 @@ is a :class:`~repro.errors.VMError` confined to the sandbox.  Nothing
 else (no host exceptions, no corruption) may escape.
 
 Hypothesis attacks the pipeline with mutated real classfiles; mutations
-that survive decode + verify are then *executed* under a small fuel
-budget.
+that survive decode + verify + load-time analysis are then *executed*
+under a small fuel budget, every function is JIT-compiled, and every
+function eligible for a tier-1 kernel is compiled to one and run.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ClassFormatError, VerifyError, VMError
+from repro.errors import ClassFormatError, LinkError, VerifyError, VMError
 from repro.vm import compile_source, run_function, single_class_context
-from repro.vm.classfile import ClassFile
-from repro.vm.jit import invoke_jit
+from repro.vm.classloader import SystemClassLoader
+from repro.vm.jit import JitCompiler, invoke_jit
+from repro.vm.kernels import KernelDeopt, KernelUnsupported, compile_batch_kernel
 from repro.vm.resources import ResourceAccount
-from repro.vm.verifier import verify_class
+from repro.vm.tier import kernel_eligibility
+from repro.vm.values import VMType
 
 SOURCE = '''
 def helper(a: int) -> int:
@@ -34,22 +37,33 @@ def entry(data: bytes, n: int) -> int:
     if s > 1000:
         return s % 1000
     return s
+
+def table(data: bytes) -> int:
+    s: int = 0
+    for i in range(4):
+        for j in range(3, 0, -1):
+            if i == j:
+                continue
+            if i + j == 5:
+                return s
+            s = s + i * j
+    return s
 '''
 
 _BASE = compile_source(SOURCE, "Victim").to_bytes()
 
 ARGS = (b"\x01\x02\x03", 5)
 
+#: A kernel argument per parameter type, for eligible functions.
+KERNEL_ARGS = {VMType.INT: 5, VMType.ARR: b"\x01\x02\x03"}
+
 
 def exercise(data: bytes) -> None:
-    """Decode -> verify -> execute; only sandbox errors may surface."""
+    """Decode -> verify -> analyse -> execute; only sandbox errors may
+    surface."""
     try:
-        cls = ClassFile.from_bytes(data)
-    except ClassFormatError:
-        return
-    try:
-        verify_class(cls)
-    except (VerifyError, ClassFormatError):
+        cls = SystemClassLoader().define_class(data)
+    except (ClassFormatError, LinkError, VerifyError):
         # ClassFormatError can surface from pool-kind checks at link time.
         return
     for runner in (run_function, invoke_jit):
@@ -62,6 +76,23 @@ def exercise(data: bytes) -> None:
             runner(cls, func, list(ARGS), ctx)
         except VMError:
             pass  # confined fault: allowed
+    for func in cls.functions.values():
+        ctx = single_class_context(cls)
+        ctx.account = ResourceAccount(fuel=50_000, memory=1 << 20)
+        compiler = JitCompiler(lambda name: cls)
+        compiler.get(cls, func, ctx)   # every function compiles
+        if kernel_eligibility(func) is not None:
+            continue
+        try:
+            kernel = compile_batch_kernel(cls, func, ctx, compiler)
+        except KernelUnsupported:
+            continue
+        if all(t in KERNEL_ARGS for t in func.param_types):
+            row = [KERNEL_ARGS[t] for t in func.param_types]
+            try:
+                kernel([row], ctx, [])
+            except (KernelDeopt, VMError):
+                pass  # the tier-0 rerun handles it
 
 
 @settings(max_examples=300, deadline=None)

@@ -223,6 +223,19 @@ class TestRejects:
                 Instr(Op.RET, None)]
         self.expect_reject(make_class(code), "underflow")
 
+    def test_two_entry_loop_is_irreducible(self):
+        # The entry jumps into the cycle A -> B -> A at both A and B, so
+        # neither heads it: no structured form, no JIT.
+        code = [
+            Instr(Op.LOAD, 0), Instr(Op.JZ, 5),        # entry: to A or B
+            Instr(Op.LOAD, 0), Instr(Op.JZ, 7),        # A: exit or ...
+            Instr(Op.JMP, 5),                          # ... on to B
+            Instr(Op.LOAD, 0), Instr(Op.JNZ, 2),       # B: back to A
+            Instr(Op.ICONST, 1), Instr(Op.RET, None),
+        ]
+        with pytest.raises(VerifyError, match=r"Evil\.f@\d+: irreducible"):
+            verify_class(make_class(code, params=(B,)))
+
     def test_infinite_empty_loop_is_legal_but_bounded_elsewhere(self):
         # A JMP-to-self is *verifiable* (fuel stops it at run time).
         code = [Instr(Op.JMP, 0)]

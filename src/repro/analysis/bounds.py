@@ -44,13 +44,35 @@ wrap before the comparison fails.  Upper bounds evaluating at or above
 ``MAX_BOUND`` are treated as ⊤ by consumers (the interpreter/JIT then
 keep dynamic metering, which remains the backstop for everything the
 prover declines to certify).
+
+Soundness notes (the JIT's certified clone):
+
+* **value bound** — an accumulator update ``x = x ± e`` is listed in
+  ``nowrap_pcs`` only if every update that can run before it has an
+  addend of finite interval in a block of finite run count.  Every
+  value ``x`` then holds satisfies ``|x| <= M + Σ |e|·runs`` over those
+  updates, ``M`` the largest magnitude ``x`` is otherwise stored (0 at
+  entry), and ``value_bound`` is that sum.  The run counts are the
+  fuel bound's, tightened to ``trip`` for a non-header block (a block
+  runs at most once per passed header test unless an inner loop, with
+  its own factor, repeats it).  ``Bound`` keeps integer coefficients
+  exact, so the JIT's guard ``value_bound < 2^63`` is decided without
+  rounding; when it holds, no listed add can leave int64 and a plain
+  ``+`` equals the wrapped one.
+* **in-bounds accesses** — the index is the counter of a counted loop
+  of step +1 and strict test, starting ``>= 0`` (it cannot wrap: it
+  only steps after passing ``counter < stop``), and the increment cannot
+  reach the access without the header, so ``0 <= index < stop`` there.
+  ``stop`` and the indexed sequence both carry the affine length
+  ``1·len{k}`` exactly, and lengths never change, so ``stop`` equals
+  the sequence's length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import LinkError
 from ..vm.classfile import (
@@ -61,7 +83,7 @@ from ..vm.classfile import (
     K_NATIVE,
     K_STR,
 )
-from ..vm.opcodes import Instr, Op
+from ..vm.opcodes import FIXED_EFFECTS, Instr, Op
 from ..vm.values import VMType
 from ..vm.verifier import Resolver, self_resolver
 from . import dataflow
@@ -266,15 +288,29 @@ def _lower(v: AbsVal) -> int:
 
 @dataclass(frozen=True)
 class LoopBound:
-    """Proven iteration bounds of one natural loop."""
+    """Proven iteration bounds of one natural loop.
+
+    A *counted* loop (header ``LOAD counter; LOAD stop; ICMPLT; JZ exit``,
+    ``ICMPGT`` counting down, one ``counter = counter + step`` per
+    iteration, ``stop`` never stored in the loop) also records its
+    ``counter`` and ``stop`` slots and its ``step``; any other loop has
+    them None.
+    """
 
     header_pc: int
     trip_min: int
     trip_bound: OptBound   # None = ⊤ (not a provably counted loop)
+    counter: Optional[int] = None
+    stop_slot: Optional[int] = None
+    step: Optional[int] = None
 
     def describe(self) -> str:
-        return (f"loop@{self.header_pc}: "
+        text = (f"loop@{self.header_pc}: "
                 f"{self.trip_min}..{describe_bound(self.trip_bound)} trips")
+        if self.counter is not None:
+            text += (f", counter L{self.counter} to L{self.stop_slot} "
+                     f"step {self.step}")
+        return text
 
 
 @dataclass(frozen=True)
@@ -301,6 +337,14 @@ class ResourceCertificate:
     #: a loop-invariant int64 ``stop`` just before each step, so the JIT
     #: and kernels may add without the 64-bit wrap there.
     wrap_free_pcs: Tuple[int, ...] = ()
+    #: IADD/ISUB pcs of accumulator updates ``x = x ± e`` whose result
+    #: stays within ``value_bound`` in magnitude: they may skip the wrap
+    #: whenever ``value_bound`` evaluates below 2^63 for the arguments.
+    nowrap_pcs: Tuple[int, ...] = ()
+    value_bound: OptBound = None
+    #: ALOAD/ASTORE/SINDEX/FALOAD/FASTORE pcs whose index is always in
+    #: range: the counter of a counted loop up to ``len`` of that array.
+    in_bounds_pcs: Tuple[int, ...] = ()
 
     @property
     def fully_bounded(self) -> bool:
@@ -452,6 +496,24 @@ class _AllocSite:
     lower: int         # bytes charged, lower bound
 
 
+class _Counted(NamedTuple):
+    """A counted loop's shape: ``var`` steps by ``step`` at ``store_pc``
+    and is compared against the loop-invariant ``stop_slot``."""
+
+    var: int
+    stop_slot: int
+    step: int
+    store_pc: int
+
+
+def _magnitude(interval: Interval) -> Optional[int]:
+    """Exact ``max |v|`` over a finite interval, else None."""
+    magnitude = max(abs(interval.lo), abs(interval.hi))
+    if isinstance(magnitude, float) and not magnitude < 2.0 ** 53:
+        return None   # infinite, or a float too large to be exact
+    return int(math.ceil(magnitude))
+
+
 @dataclass(frozen=True)
 class _CallSite:
     block: int
@@ -488,19 +550,24 @@ class _FunctionCertifier:
     def certify(self) -> ResourceCertificate:
         self._fixpoint()
         self.wrap_free: List[int] = []
+        self.counted: Dict[int, _Counted] = {}
         trips = {
             loop.header: self._loop_trip(loop) for loop in self.cfg.loops
         }
         mults = self._block_multipliers(trips)
+        self.replay = self._replay()
         allocs, calls = self._collect_sites()
         local_fuel, fuel, mem = self._upper_bounds(mults, allocs, calls)
         depth = self._depth_bound(calls)
         min_fuel, min_memory = self._minimums(trips, allocs, calls)
+        nowrap, value_bound = self._value_facts(
+            self._block_multipliers(trips, runs=True)
+        )
         loop_bounds = tuple(
             LoopBound(
-                header_pc=self.cfg.blocks[loop.header].start,
-                trip_min=trips[loop.header][0],
-                trip_bound=trips[loop.header][1],
+                self.cfg.blocks[loop.header].start, *trips[loop.header],
+                # counter, stop slot, step
+                *self.counted.get(loop.header, (None,) * 4)[:3],
             )
             for loop in self.cfg.loops
         )
@@ -514,6 +581,9 @@ class _FunctionCertifier:
             min_memory=min_memory,
             loops=loop_bounds,
             wrap_free_pcs=tuple(sorted(self.wrap_free)),
+            nowrap_pcs=nowrap,
+            value_bound=value_bound,
+            in_bounds_pcs=self._in_bounds(),
         )
 
     # -- abstract interpretation -------------------------------------------
@@ -786,6 +856,9 @@ class _FunctionCertifier:
             inc_block in dom[src] for src in back_sources
         ):
             return (0, None)   # increment must run every iteration
+        if not inclusive:
+            self.counted[loop.header] = _Counted(var, stop_slot, step,
+                                                 store_pc)
         entry = self._entry_locals(loop)
         if entry is None:
             return (0, None)
@@ -863,21 +936,166 @@ class _FunctionCertifier:
             return 0
         return max(0, math.ceil((far - near + incl) / magnitude))
 
+    # -- value and index facts ----------------------------------------------
+
+    def _value_facts(
+        self, runs: List[OptBound]
+    ) -> Tuple[Tuple[int, ...], OptBound]:
+        """``(nowrap_pcs, value_bound)``: accumulator updates that cannot
+        wrap while ``value_bound`` stays below 2^63.
+
+        An int local other than a parameter takes part when each of its
+        stores is an update ``x = x ± e`` or a value of finite interval.
+        An update is bounded when ``e`` has a finite interval and its
+        block a finite run count.  Every value ``x`` holds up to an update
+        is then at most the largest stored magnitude plus ``|e|·runs``
+        summed over the updates that can run before it, so an update that
+        no unbounded one reaches is listed, and the sum over the updates
+        reaching a listed one joins ``value_bound``.  Counter increments
+        (``wrap_free``) need no guard and are not listed.
+        """
+        nparams = len(self.func.param_types)
+        stores: Dict[int, List[int]] = {}
+        for pc in self.replay:
+            ins = self.code[pc]
+            if (ins.op is Op.STORE and ins.arg >= nparams
+                    and self.func.local_types[ins.arg] is VMType.INT):
+                stores.setdefault(ins.arg, []).append(pc)
+        nowrap: List[int] = []
+        value_bound: OptBound = None
+        for slot, pcs in stores.items():
+            largest = 0
+            updates: List[Tuple[int, OptBound]] = []
+            for pc in pcs:
+                update = self._update(pc, slot, runs)
+                if update is not None:
+                    updates.append(update)
+                    continue
+                magnitude = _magnitude(self.replay[pc][0][-1].interval)
+                if magnitude is None:
+                    break
+                largest = max(largest, magnitude)
+            else:
+                listed = [
+                    pc for pc, __ in updates
+                    if pc not in self.wrap_free and all(
+                        term is not None
+                        for other, term in updates if self._reaches(other, pc)
+                    )
+                ]
+                if not listed:
+                    continue
+                total = Bound.const(largest)
+                for other, term in updates:
+                    if any(self._reaches(other, pc) for pc in listed):
+                        total = total + term
+                value_bound = (total if value_bound is None
+                               else value_bound.join(total))
+                nowrap += listed
+        return tuple(sorted(nowrap)), value_bound
+
+    def _update(self, store_pc: int, slot: int,
+                runs: List[OptBound]) -> Optional[Tuple[int, OptBound]]:
+        """``(add pc, |e|·runs or None if unbounded)`` when ``store_pc``
+        ends ``x = x ± e`` for ``x`` in ``slot``, else None."""
+        add_pc = store_pc - 1
+        block = self.cfg.block_of[store_pc]
+        if (add_pc < 0 or self.code[add_pc].op not in (Op.IADD, Op.ISUB)
+                or self.cfg.block_of[add_pc] != block):
+            return None
+        (a, a_slot), (b, b_slot) = self._operands(add_pc, 2)
+        if a_slot == slot:
+            addend = b
+        elif b_slot == slot and self.code[add_pc].op is Op.IADD:
+            addend = a
+        else:
+            return None
+        magnitude = _magnitude(addend.interval)
+        if magnitude is None or runs[block] is None:
+            return (add_pc, None)
+        return (add_pc, runs[block].ceiled().scale(magnitude))
+
+    def _in_bounds(self) -> Tuple[int, ...]:
+        """Accesses whose index is a counted loop's counter running from
+        ``>= 0`` by +1 to ``len`` of the very sequence indexed."""
+        found = []
+        for pc in self.replay:
+            op = self.code[pc].op
+            if op in (Op.ALOAD, Op.FALOAD, Op.SINDEX):
+                operands = self._operands(pc, 2)
+            elif op in (Op.ASTORE, Op.FASTORE):
+                operands = self._operands(pc, 3)
+            else:
+                continue
+            (seq, seq_slot), (__, index_slot) = operands[:2]
+            if seq_slot is not None and any(
+                self._indexes_below_len(loop, pc, seq, seq_slot, index_slot)
+                for loop in self.cfg.loops
+            ):
+                found.append(pc)
+        return tuple(found)
+
+    def _indexes_below_len(self, loop: Loop, pc: int, seq: AbsVal,
+                           seq_slot: int, index_slot: Optional[int]) -> bool:
+        counted = self.counted.get(loop.header)
+        block = self.cfg.block_of[pc]
+        if (counted is None or counted.var != index_slot
+                or counted.step != 1 or block not in loop.body
+                or block == loop.header):
+            return False
+        entry = self._entry_locals(loop)
+        if entry is None or entry[counted.var].interval.lo < 0:
+            return False
+        # ``stop`` and the sequence both have length ``len{k}`` exactly.
+        stop = entry[counted.stop_slot]
+        if (seq.atom is None or not seq.atom.startswith("len")
+                or (seq.coeff, seq.offset) != (1, 0)
+                or (stop.atom, stop.coeff, stop.offset) != (seq.atom, 1, 0)):
+            return False
+        if any(self.code[p].op is Op.STORE and self.code[p].arg == seq_slot
+               for b in loop.body for p in self.cfg.blocks[b].pcs):
+            return False
+        # The counter passed ``counter < stop`` at the header and has not
+        # been stepped since.
+        return not self._reaches(counted.store_pc, pc, avoiding=loop.header)
+
+    def _reaches(self, src: int, dst: int,
+                 avoiding: Optional[int] = None) -> bool:
+        """Whether ``dst`` can run after ``src`` (or is ``src``), on a
+        path that does not pass block ``avoiding``."""
+        start, goal = self.cfg.block_of[src], self.cfg.block_of[dst]
+        if start == goal and src <= dst:
+            return True
+        seen = set()
+        todo = list(self.cfg.blocks[start].successors)
+        while todo:
+            b = todo.pop()
+            if b in seen or b == avoiding:
+                continue
+            seen.add(b)
+            todo += self.cfg.blocks[b].successors
+        return goal in seen
+
     # -- upper bounds -------------------------------------------------------
 
     def _block_multipliers(
-        self, trips: Dict[int, Tuple[int, OptBound]]
+        self, trips: Dict[int, Tuple[int, OptBound]], runs: bool = False
     ) -> List[OptBound]:
+        """Per block, how often it runs per call.  The fuel bound takes
+        ``trip + 1`` per enclosing loop; with ``runs`` only a loop's
+        header does (its final test), since another block of the loop
+        runs at most once per passed test (twice would close a cycle
+        around it, that is an inner loop, whose own factor counts it)."""
         mults: List[OptBound] = []
         for block in self.cfg.blocks:
             mult: OptBound = Bound.const(1)
             for loop in self.cfg.loops:
                 if block.index in loop.body:
                     trip = trips[loop.header][1]
-                    # header runs once more than the body (final check)
+                    extra = 0 if runs and block.index != loop.header else 1
                     mult = bmul(
                         mult,
-                        None if trip is None else trip + Bound.const(1),
+                        None if trip is None else trip + Bound.const(extra),
                     )
             mults.append(mult)
         return mults
@@ -887,20 +1105,58 @@ class _FunctionCertifier:
     ) -> Tuple[List[_AllocSite], List[_CallSite]]:
         allocs: List[_AllocSite] = []
         calls: List[_CallSite] = []
+        for pc, (stack, __) in self.replay.items():
+            block, ins = self.cfg.block_of[pc], self.code[pc]
+            alloc = self._alloc_at(block, ins, stack)
+            if alloc is not None:
+                allocs.append(alloc)
+            if ins.op is Op.CALL:
+                calls.append(self._call_at(block, ins, stack))
+        return allocs, calls
+
+    def _replay(self) -> Dict[int, Tuple[Tuple[AbsVal, ...],
+                                         Tuple[Optional[int], ...]]]:
+        """Per reachable pc, in order: the abstract operand stack before
+        it and, per entry, the local slot a LOAD in the same block pushed
+        it from (None for any other value)."""
+        out = {}
         for block in self.cfg.blocks:
             state = self.in_states[block.index]
             if state is None:
                 continue
             locals_, stack = list(state[0]), list(state[1])
+            loaded: List[Optional[int]] = [None] * len(stack)
             for pc in block.pcs:
                 ins = self.code[pc]
-                alloc = self._alloc_at(block.index, ins, stack)
-                if alloc is not None:
-                    allocs.append(alloc)
-                if ins.op is Op.CALL:
-                    calls.append(self._call_at(block.index, ins, stack))
+                out[pc] = (tuple(stack), tuple(loaded))
                 self._step(pc, ins, locals_, stack)
-        return allocs, calls
+                if ins.op is Op.DUP:
+                    loaded.append(loaded[-1])
+                elif ins.op is Op.SWAP:
+                    loaded[-1], loaded[-2] = loaded[-2], loaded[-1]
+                else:
+                    del loaded[len(stack) - self._pushes(ins):]
+                    slot = ins.arg if ins.op is Op.LOAD else None
+                    loaded += [slot] * (len(stack) - len(loaded))
+        return out
+
+    def _pushes(self, ins: Instr) -> int:
+        """How many values ``ins`` pushes (DUP aside: at most one)."""
+        op = ins.op
+        if op in FIXED_EFFECTS:
+            return len(FIXED_EFFECTS[op][1])
+        if op in (Op.CALL, Op.NATIVE, Op.CALLBACK):
+            signature = self._call_signature(ins)
+            return int(signature is not None
+                       and signature[1] is not VMType.VOID)
+        return int(op in (Op.ICONST, Op.FCONST, Op.BCONST, Op.SCONST,
+                          Op.LOAD))
+
+    def _operands(self, pc: int, count: int):
+        """The ``count`` operands ``pc`` pops, deepest first, as
+        ``(abstract value, LOAD slot or None)`` pairs."""
+        stack, loaded = self.replay[pc]
+        return list(zip(stack[-count:], loaded[-count:]))
 
     def _alloc_at(self, block: int, ins: Instr,
                   stack: List[AbsVal]) -> Optional[_AllocSite]:

@@ -146,7 +146,9 @@ class Bound:
 
     ``terms`` maps each monomial to its coefficient; the empty monomial
     ``()`` is the constant term.  Instances are immutable and always
-    normalized (no zero coefficients).
+    normalized (no zero coefficients).  Integer coefficients stay exact
+    ``int`` through ``+`` and ``*``, so a bound near 2^63 renders exactly
+    (the JIT's value guard compares one against 2^63).
     """
 
     terms: Tuple[Tuple[Monomial, float], ...]
@@ -155,17 +157,15 @@ class Bound:
 
     @staticmethod
     def const(value: float) -> "Bound":
-        if value < 0:
-            value = 0.0
-        if value == 0:
+        if value <= 0:
             return ZERO
-        return Bound(terms=(((), float(value)),))
+        return Bound(terms=(((), value),))
 
     @staticmethod
     def atom(name: str, coeff: float = 1.0) -> "Bound":
         if coeff <= 0:
             return ZERO
-        return Bound(terms=(((name,), float(coeff)),))
+        return Bound(terms=(((name,), coeff),))
 
     @staticmethod
     def _from_dict(mapping: Dict[Monomial, float]) -> "Bound":
@@ -182,7 +182,7 @@ class Bound:
     def __add__(self, other: "Bound") -> "Bound":
         out = self._as_dict()
         for monomial, coeff in other.terms:
-            out[monomial] = out.get(monomial, 0.0) + coeff
+            out[monomial] = out.get(monomial, 0) + coeff
         return Bound._from_dict(out)
 
     def __mul__(self, other: "Bound") -> "Bound":
@@ -190,7 +190,7 @@ class Bound:
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 monomial = tuple(sorted(m1 + m2))
-                out[monomial] = out.get(monomial, 0.0) + c1 * c2
+                out[monomial] = out.get(monomial, 0) + c1 * c2
         return Bound._from_dict(out)
 
     def scale(self, factor: float) -> "Bound":
@@ -198,6 +198,12 @@ class Bound:
             return ZERO
         return Bound._from_dict(
             {m: c * factor for m, c in self.terms}
+        )
+
+    def ceiled(self) -> "Bound":
+        """Every coefficient rounded up to an exact ``int``."""
+        return Bound._from_dict(
+            {m: int(math.ceil(c)) for m, c in self.terms}
         )
 
     def join(self, other: "Bound") -> "Bound":

@@ -343,10 +343,16 @@ def _certificate_dict(cert) -> dict:
                 "header_pc": loop.header_pc,
                 "trip_min": loop.trip_min,
                 "trip_bound": describe_bound(loop.trip_bound),
+                "counter": loop.counter,
+                "stop_slot": loop.stop_slot,
+                "step": loop.step,
             }
             for loop in cert.loops
         ],
         "wrap_free_pcs": list(cert.wrap_free_pcs),
+        "nowrap_pcs": list(cert.nowrap_pcs),
+        "value_bound": describe_bound(cert.value_bound),
+        "in_bounds_pcs": list(cert.in_bounds_pcs),
     }
 
 
@@ -384,13 +390,16 @@ def bounds_main(argv: Optional[List[str]] = None) -> int:
 
     Prints each function's :class:`ResourceCertificate` (worst-case fuel
     and heap as symbolic functions of the inputs, call depth, proven
-    minimums) plus its per-loop trip bounds.  Unbounded functions are
+    minimums), its per-loop trip bounds and counters, and the facts the
+    JIT's certified clone uses (``nowrap_pcs`` under ``value_bound``,
+    ``in_bounds_pcs``).  Unbounded functions are
     reported, not failed — an intentionally input-dependent UDF does not
     break CI.  A target that cannot be loaded or verified exits 2.
     """
     import json
 
     from .bounds import certify_class
+    from .intervals import describe_bound
 
     parser = _cli_parser(
         "python -m repro.analysis bounds",
@@ -419,6 +428,9 @@ def bounds_main(argv: Optional[List[str]] = None) -> int:
             print("  " + cert.describe())
             for loop in cert.loops:
                 print("    " + loop.describe())
+            print(f"    nowrap_pcs={list(cert.nowrap_pcs)} "
+                  f"value_bound={describe_bound(cert.value_bound)} "
+                  f"in_bounds_pcs={list(cert.in_bounds_pcs)}")
     if opts.json:
         print(json.dumps(
             {"classes": documents, "failures": failures}, indent=2

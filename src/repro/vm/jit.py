@@ -6,19 +6,29 @@ current trends in JIT compiler technology...").  JaguarVM's equivalent
 translates verified bytecode into Python source, compiles it with the
 host compiler, and caches the resulting closure.
 
-The translation keeps every safety property the interpreter enforces:
+A function with a certified local fuel bound compiles to two bodies
+from the one emitter, :func:`lower`: the *checked body*, and the
+*certified clone*, which runs when the prologue prepaid the bound (and,
+if it has no-wrap adds, the certified value bound is below 2^63).  Each
+keeps every safety property the interpreter enforces:
 
-* **array bounds** — each ALOAD/ASTORE/SINDEX emits an inline range
-  check (this is the "price paid for security" the paper measures in
-  Figure 7; the JIT pays it too, exactly like Java's JIT did);
-* **fuel** — each basic block charges its instruction count and checks
-  the quota, the instrument-at-back-edges strategy of the J-Kernel
-  project (Section 6.2), so runaway loops still die promptly;
+* **array bounds** — in the checked body each ALOAD/ASTORE/SINDEX emits
+  an inline range check (this is the "price paid for security" the
+  paper measures in Figure 7, which Java's JIT paid too); the clone
+  omits it where the certifier proved the index is a counted loop's
+  counter below ``len`` of that very array (``in_bounds_pcs``);
+* **fuel** — in the checked body each basic block charges its
+  instruction count and checks the quota, the instrument-at-back-edges
+  strategy of the J-Kernel project (Section 6.2), so runaway loops still
+  die promptly; the clone has no meter, its worst case being prepaid;
 * **memory quotas** — every allocating opcode routes through the
   resource account;
 * **64-bit wrapping arithmetic** — inline mask-and-shift, bit-identical
-  to the interpreter; only the counted-loop increments the bounds
-  certifier proved cannot wrap add plainly;
+  to the interpreter.  Both bodies add plainly at the counted-loop
+  increments the bounds certifier proved cannot wrap
+  (``wrap_free_pcs``); the clone also at the accumulator updates
+  ``nowrap_pcs``, which the entry guard on ``value_bound`` keeps in
+  range;
 * **security manager** — native permissions are checked once at compile
   time (the permission set of a loaded UDF is immutable); callbacks are
   checked on every invocation, as in the interpreter.
@@ -31,10 +41,11 @@ without any runtime type dispatch.
 Control flow is structured: the verifier only admits reducible CFGs, and
 :func:`repro.vm.structure.plan` lays each one out along its dominator
 tree, so a loop compiles to a ``while True:`` whose back edge is
-``continue`` and whose exit is ``break``, and a branch to an ``if``.
-Blocks run their instructions in place, with no program counter to
-dispatch on.  :func:`lower` is that one emitter; the tier-1 kernels of
-:mod:`repro.vm.kernels` are the same code with a different RET.
+``continue`` and whose exit is ``break`` (in the clone, a counted loop
+to a ``for``), and a branch to an ``if``.  Blocks run their
+instructions in place, with no program counter to dispatch on.
+:func:`lower` is that one emitter; the tier-1 kernels of
+:mod:`repro.vm.kernels` are the certified clone with a different RET.
 """
 
 from __future__ import annotations
@@ -317,9 +328,12 @@ def _translate(
         out.append(f"    L{i} = {default_value(t)!r}")
     # Certified-bound prologue: when the static certifier proved a fuel
     # bound for this method (callees excluded — they charge their own
-    # prologue), pay the whole worst case once and skip the per-block
-    # meter.  Falls back to dynamic metering when the bound does not fit
-    # the remaining quota or the account was revoked before entry.
+    # prologue), pay the whole worst case once and run the certified
+    # clone, which has no meter.  Its accumulator updates skip the wrap,
+    # so it runs only while the value bound guard holds; otherwise the
+    # prepaid checked body runs.  Falls back to dynamic metering when
+    # the bound does not fit the remaining quota or the account was
+    # revoked before entry.
     cert = getattr(func, "certificate", None)
     local_bound = getattr(cert, "local_fuel_bound", None)
     if local_bound is not None:
@@ -331,6 +345,14 @@ def _translate(
         out.append("        __meter = __b > __acct.fuel")
         out.append("        if not __meter:")
         out.append("            __acct.fuel -= __b")
+        pad = " " * 12
+        if cert.nowrap_pcs:
+            guard = cert.value_bound.as_python(_jit_atom_expr)
+            out.append(f"{pad}if {guard} < {_WRAP_K:#x}:")
+            pad += "    "
+        clone = lower(cls, func, ctx, namespace,
+                      nowrap=frozenset(cert.nowrap_pcs))
+        out.extend(pad + line for line in clone)
     else:
         out.append("    __meter = True")
     out.extend("    " + line for line in lower(cls, func, ctx, namespace))
@@ -357,25 +379,41 @@ def lower(
     ctx: ExecutionContext,
     namespace: dict,
     ret: Optional[Callable[[str], List[str]]] = None,
+    nowrap: Optional[frozenset] = None,
 ) -> List[str]:
     """The function body as structured Python, relative to indent 0.
 
-    The one emitter for both back ends.  The JIT (``ret`` None) charges
-    each block's instruction count at block entry while ``__meter`` is
-    set and returns at RET.  A tier-1 kernel passes ``ret``, the lines
-    that hand one row's result back; its RET then ends the row (the
-    ``continue`` of its row loop) and nothing is metered, since the
-    kernel prepays the certified bound.
+    The one emitter for both back ends.  The JIT (``ret`` None) returns
+    at RET.  A tier-1 kernel passes ``ret``, the lines that hand one
+    row's result back; its RET then ends the row (the ``continue`` of
+    its row loop).
 
-    An IADD the bounds certifier proved cannot wrap (a counted loop's
-    increment, ``ResourceCertificate.wrap_free_pcs``) is a plain ``+``;
-    every other int64 result keeps the wrap.
+    With ``nowrap`` None this is the JIT's *checked body*: it charges
+    each block's instruction count at block entry while ``__meter`` is
+    set, every access checks its index, and only an IADD the bounds
+    certifier proved cannot wrap (a counted loop's increment,
+    ``ResourceCertificate.wrap_free_pcs``) is a plain ``+``.  A set
+    emits the *certified clone*, for a caller that prepaid the certified
+    bound: nothing is metered, the adds at ``nowrap`` (accumulator
+    updates a value bound vouches for) are plain too, accesses at
+    ``in_bounds_pcs`` skip the range check, and counted loops of step ±1
+    are ``for`` loops.  Every other int64 result keeps the wrap.
     """
-    plan = structure.plan(
-        func.code, f"{cls.name}.{func.name}", kernel=ret is not None
-    )
     cert = getattr(func, "certificate", None)
     wrap_free = frozenset(getattr(cert, "wrap_free_pcs", ()))
+    counted, in_bounds = None, frozenset()
+    if nowrap is not None:   # the certified clone
+        counted = {
+            loop.header_pc: (loop.counter, loop.stop_slot, loop.step)
+            for loop in cert.loops if loop.counter is not None
+        }
+        wrap_free |= nowrap
+        in_bounds = frozenset(cert.in_bounds_pcs)
+    plan = structure.plan(
+        func.code, f"{cls.name}.{func.name}", kernel=ret is not None,
+        counted=counted,
+    )
+    metered = ret is None and nowrap is None
     out: List[str] = ["__x = 0"] if plan.uses_exit_var else []
     conds = {}
     for indent, item in plan.lines:
@@ -388,17 +426,17 @@ def lower(
             out.append(f"{pad}if {negation}{conds[block]}:")
         else:
             start, end = plan.starts[item]
-            if ret is None:
+            if metered:
                 out.append(pad + "if __meter:")
                 out.append(f"{pad}    __acct.fuel -= {end - start}")
                 out.append(pad + "    if __acct.fuel < 0: __acct.out_of_fuel()")
             writer = _BlockWriter(func.stack_in[start])
             conds[item] = _emit_block(
                 cls, ctx, writer, func.code, start, end, namespace,
-                wrap_free, ret,
+                wrap_free, in_bounds, ret,
             )
-            if ret is not None and not writer.lines:
-                writer.lines = ["pass"]   # a kernel's lone JMP, under an if
+            if not metered and not writer.lines and conds[item] is None:
+                writer.lines = ["pass"]   # a lone JMP, under an if
             out.extend(pad + line for line in writer.lines)
     return out
 
@@ -412,6 +450,7 @@ def _emit_block(
     end: int,
     namespace: dict,
     wrap_free: frozenset,
+    in_bounds: frozenset,
     on_return: Optional[Callable[[str], List[str]]],
 ) -> Optional[str]:
     """Emit instructions [start, end) up to, not including, the jump.
@@ -461,7 +500,10 @@ def _emit_block(
                 w.push(_WRAP.format(x=f"({a}) + ({b})"))
         elif op is Op.ISUB:
             b = w.pop(); a = w.pop()
-            w.push(_WRAP.format(x=f"({a}) - ({b})"))
+            if pc in wrap_free:
+                w.push(f"(({a}) - ({b}))")
+            else:
+                w.push(_WRAP.format(x=f"({a}) - ({b})"))
         elif op is Op.IMUL:
             b = w.pop(); a = w.pop()
             w.push(_WRAP.format(x=f"({a}) * ({b})"))
@@ -556,8 +598,11 @@ def _emit_block(
             w.push(f"len({a})")
         elif op is Op.SINDEX:
             i = w.atom(w.pop()); s = w.atom(w.pop())
-            w.push(f"(ord({s}[{i}]) if 0 <= {i} < len({s}) "
-                   f"else _oob({i}, len({s})))")
+            if pc in in_bounds:
+                w.push(f"ord({s}[{i}])")
+            else:
+                w.push(f"(ord({s}[{i}]) if 0 <= {i} < len({s}) "
+                       f"else _oob({i}, len({s})))")
         elif op is Op.SSUB:
             e = w.pop(); st = w.pop(); s = w.pop()
             w.push(f"_ssub(__acct, {s}, {st}, {e})")
@@ -566,18 +611,24 @@ def _emit_block(
             n = w.pop()
             w.flush_below(0)
             w.push(w.temp(f"_newarr(__acct, {n})"))
-        elif op is Op.ALOAD:
+        elif op is Op.ALOAD or op is Op.FALOAD:
             i = w.atom(w.pop()); a = w.atom(w.pop())
-            w.push(f"({a}[{i}] if 0 <= {i} < len({a}) "
-                   f"else _oob({i}, len({a})))")
-        elif op is Op.ASTORE:
+            if pc in in_bounds:
+                w.push(f"{a}[{i}]")
+            else:
+                w.push(f"({a}[{i}] if 0 <= {i} < len({a}) "
+                       f"else _oob({i}, len({a})))")
+        elif op is Op.ASTORE or op is Op.FASTORE:
             v = w.pop(); i = w.pop(); a = w.pop()
             w.flush_below(0)
             i = w.atom(i)
             a = w.atom(a)
-            w.emit(f"if not 0 <= {i} < len({a}): _oob({i}, len({a}))")
-            w.emit(f"{a}[{i}] = ({v}) & 255")
-        elif op is Op.ALEN:
+            if pc not in in_bounds:
+                w.emit(f"if not 0 <= {i} < len({a}): _oob({i}, len({a}))")
+            if op is Op.ASTORE:
+                v = f"({v}) & 255"
+            w.emit(f"{a}[{i}] = {v}")
+        elif op is Op.ALEN or op is Op.FALEN:
             a = w.pop()
             w.push(f"len({a})")
         elif op is Op.ACOPY:
@@ -589,20 +640,6 @@ def _emit_block(
             n = w.pop()
             w.flush_below(0)
             w.push(w.temp(f"_newfarr(__acct, {n})"))
-        elif op is Op.FALOAD:
-            i = w.atom(w.pop()); a = w.atom(w.pop())
-            w.push(f"({a}[{i}] if 0 <= {i} < len({a}) "
-                   f"else _oob({i}, len({a})))")
-        elif op is Op.FASTORE:
-            v = w.pop(); i = w.pop(); a = w.pop()
-            w.flush_below(0)
-            i = w.atom(i)
-            a = w.atom(a)
-            w.emit(f"if not 0 <= {i} < len({a}): _oob({i}, len({a}))")
-            w.emit(f"{a}[{i}] = {v}")
-        elif op is Op.FALEN:
-            a = w.pop()
-            w.push(f"len({a})")
 
         elif op is Op.JMP:
             break

@@ -25,9 +25,12 @@ generated code:
   certified bounds, with the arena variant refunding non-escaping
   allocations after each row.
 
-The body is the JIT's own structured lowering (:func:`repro.vm.jit.lower`)
-with one difference: RET appends the row's result and ends the row (the
-``continue`` of the row loop), where the JIT returns.
+The body is the JIT's certified clone (:func:`repro.vm.jit.lower`) with
+two differences: RET appends the row's result and ends the row (the
+``continue`` of the row loop), where the JIT returns; and an accumulator
+update skips the wrap only when the certified value bound is a constant
+below 2^63, since a kernel has no per-call entry guard.  Accesses the
+certifier proved in bounds and counted ``for`` loops hold for any row.
 
 Eligibility is decided by :mod:`repro.vm.tier`; this module assumes the
 function passed those checks (constant bounds, no callbacks, traps only
@@ -182,7 +185,17 @@ def _translate_kernel(
             return [f"__app({value})", "__acct.release_memory(__ml)"]
         return [f"__app({value})"]
 
-    row_lines.extend(lower(cls, func, ctx, namespace, ret=ret))
+    # The certified clone, minus any accumulator update whose value bound
+    # would need an entry guard: a kernel takes only facts that hold for
+    # every row.
+    cert = func.certificate
+    value_bound = cert.value_bound
+    unconditional = (value_bound is not None and value_bound.is_constant
+                     and value_bound.constant_value < 2 ** 63)
+    nowrap = frozenset(cert.nowrap_pcs if unconditional else ())
+    row_lines.extend(
+        lower(cls, func, ctx, namespace, ret=ret, nowrap=nowrap)
+    )
 
     # -- per-row quota prologue (hoisted metering, per-row elision) ------
     prologue: List[str] = []

@@ -5,8 +5,9 @@ The JIT and the tier-1 kernels emit Python, which has ``while``, ``if``,
 function's CFG to that vocabulary along its dominator tree, in the
 manner of Ramsey, "Beyond Relooper" (ICFP 2022):
 
-* a loop header becomes ``while True:``, and the blocks its loop exits to
-  are placed after the ``while`` statement;
+* a loop header becomes ``while True:`` (a certified counted loop may
+  become a ``for``, see :func:`plan`), and the blocks its loop exits to
+  are placed after the loop statement;
 * a block with one forward in-edge is emitted inline, at that edge;
 * a block with several forward in-edges (a *merge*) is placed after the
   code of its immediate dominator, so the edges into it fall through;
@@ -27,7 +28,7 @@ compiler's nesting limits.  The JagScript compiler emits neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import VerifyError
 from .opcodes import Instr, Op
@@ -53,7 +54,7 @@ class Plan:
     """
 
     lines: List[Tuple[int, object]]
-    starts: Tuple[Tuple[int, int], ...]   # block -> (start pc, end pc)
+    starts: Tuple[Tuple[int, int], ...]   # block -> pcs [start, end) to emit
     uses_exit_var: bool
 
 
@@ -69,21 +70,32 @@ class _Frame:
 
 
 def plan(code: Sequence[Instr], where: str = "<code>",
-         kernel: bool = False) -> Plan:
+         kernel: bool = False,
+         counted: Optional[Mapping[int, Tuple[int, int, int]]] = None,
+         ) -> Plan:
     """Structure verified ``code``; raise :class:`VerifyError` if it has
     no structured form.
 
     With ``kernel`` set, RET is an edge to :data:`EXIT` inside a row loop
     (the kernel's "append the result and end the row"); otherwise it
     returns.
+
+    ``counted`` maps a loop's header pc to its proven ``(counter, stop
+    slot, step)``.  Such a loop of step ±1 whose header is only its test
+    and whose one back edge ends a block in the increment becomes ``for
+    Lc in range(Lc, Lstop[, -1]):``.  Its test and increment are not
+    emitted, an edge to a block that is only the increment is
+    ``continue``, and the ``for``'s ``else:`` gives the counter the value
+    the test would have left, ``max`` (``min`` counting down) of its
+    start and ``stop``, before the test's exit edge.
     """
     from ..analysis.cfg import build_cfg
 
-    return _Planner(code, build_cfg(code), where, kernel).run()
+    return _Planner(code, build_cfg(code), where, kernel, counted).run()
 
 
 class _Planner:
-    def __init__(self, code, cfg, where: str, kernel: bool):
+    def __init__(self, code, cfg, where: str, kernel: bool, counted):
         self.code = code
         self.blocks = cfg.blocks
         self.dom = cfg.dominators
@@ -91,10 +103,42 @@ class _Planner:
         self.kernel = kernel
         self.loops = {loop.header: loop.body for loop in cfg.loops}
         self.starts = tuple((b.start, b.end) for b in cfg.blocks)
+        self.fors = self._for_loops(counted or {})
+        #: increment block -> header, for a block that is only the step
+        self.increments = {
+            tail: h for h, (__, __, __, tail) in self.fors.items()
+            if self.starts[tail][0] == self.starts[tail][1]
+        }
         self.rpo = self._reverse_postorder()
         self.after = self._placements()
         self.placed = {p for ps in self.after.values() for p in ps}
         self.wrapped: set = set()
+
+    def _for_loops(self, counted) -> dict:
+        """Header -> ``(counter, stop, step, tail)`` of each loop that
+        becomes a ``for``, where block ``tail`` ends in the increment and
+        the back edge; ``starts`` then leaves both out of its code."""
+        fors = {}
+        starts = list(self.starts)
+        for h, body in self.loops.items():
+            start, end = self.starts[h]
+            shape = counted.get(start)
+            back = [p for p in self.blocks[h].predecessors if p in body]
+            if (shape is None or shape[2] not in (1, -1)
+                    or end - start != 4 or len(back) != 1):
+                continue
+            counter, __, step = shape
+            tail_start, tail_end = self.starts[back[0]]
+            step_code = [(ins.op, ins.arg)
+                         for ins in self.code[tail_end - 5:tail_end]]
+            if tail_end - tail_start >= 5 and step_code == [
+                (Op.LOAD, counter), (Op.ICONST, step), (Op.IADD, None),
+                (Op.STORE, counter), (Op.JMP, start),
+            ]:
+                fors[h] = shape + (back[0],)
+                starts[back[0]] = (tail_start, tail_end - 5)
+        self.starts = tuple(starts)
+        return fors
 
     def _reverse_postorder(self) -> List[int]:
         """RPO index per block; a retreating edge whose target does not
@@ -148,6 +192,8 @@ class _Planner:
 
         after: dict = {}
         for b in range(1, len(blocks)):
+            if b in self.increments:
+                continue   # a ``for`` statement steps its counter
             merge = sum(b not in dom[p] for p in blocks[b].predecessors) > 1
             leaves = exited(b)
             # Where an exit goes decides how edges reach it.  One whose code
@@ -249,8 +295,23 @@ class _Planner:
 
     def _loop(self, h: int, follow: int, frames: list, indent: int) -> bool:
         frame = _Frame(h, follow)
-        self._emit(indent, "while True:")
+        form = self.fors.get(h)
+        if form is None:
+            self._emit(indent, "while True:")
+        else:
+            counter, stop, step, __ = form
+            down = "" if step == 1 else ", -1"
+            self._emit(indent, f"for L{counter} in "
+                               f"range(L{counter}, L{stop}{down}):")
         self._unit(h, h, self._push(frames, frame), indent + 1, in_loop=True)
+        if form is not None:
+            # Normal exit: the code after the loop, from the test's exit.
+            self._emit(indent, "else:")
+            post = "max" if step == 1 else "min"
+            self._emit(indent + 1,
+                       f"L{counter} = {post}(L{counter}, L{stop})")
+            self._edge(h, self.blocks[h].successors[0], follow, frames,
+                       indent + 1, False)
         self._dispatch(frame, follow, frames, indent)
         return False
 
@@ -259,6 +320,9 @@ class _Planner:
         """Emit ``x`` and its outgoing edges: ``(moved, tail)`` where
         ``tail`` is a block to emit next at the same indent, or None."""
         block = self.blocks[x]
+        if x in self.fors:   # the for statement tested the counter
+            return self._edge(x, block.successors[1], follow, frames, indent,
+                              tail_ok)
         self._emit(indent, x)
         last = self.code[block.end - 1]
         if last.op in (Op.RET, Op.RETV):
@@ -306,6 +370,9 @@ class _Planner:
         return lines, moved
 
     def _edge(self, src, dst, follow, frames, indent, tail_ok):
+        # The for statement steps the counter: the step's own block is
+        # the next iteration.
+        dst = self.increments.get(dst, dst)
         if dst in self.dom[src] or dst in self.placed:
             return self._goto(dst, follow, frames, indent), None
         if tail_ok:

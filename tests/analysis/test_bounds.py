@@ -2,6 +2,7 @@
 (load gate, metering elision, admission control, optimizer, EXPLAIN),
 and the ``python -m repro.analysis bounds`` CLI."""
 
+import dataclasses
 import json
 import threading
 
@@ -261,6 +262,117 @@ class TestCertify:
         assert certified(SPIN).wrap_free_pcs == ()
 
 
+GENERIC = (
+    "def generic(data: bytes, num_indep: int, num_dep: int,\n"
+    "            num_callbacks: int) -> int:\n"
+    "    s: int = 0\n"
+    "    for j in range(num_indep):\n"
+    "        s = s + 1\n"
+    "    for p in range(num_dep):\n"
+    "        for i in range(len(data)):\n"
+    "            s = s + data[i]\n"
+    "    for c in range(num_callbacks):\n"
+    "        s = s + cb_noop()\n"
+    "    return s\n"
+)
+
+
+def _pcs(code, op):
+    return [pc for pc, ins in enumerate(code) if ins.op is op]
+
+
+class TestCertifiedCloneFacts:
+    """The facts the JIT's certified clone is emitted from."""
+
+    def test_generic_value_bound_nowrap_and_in_bounds(self):
+        cls = compiled(GENERIC)
+        cert = certify_class(cls).functions["generic"]
+        code = cls.functions["generic"].code
+        assert cert.value_bound == (Bound.atom("pos1")
+                                    + Bound.atom("len0", 255)
+                                    * Bound.atom("pos2"))
+        assert describe_bound(cert.value_bound) == "255*len0*pos2 + pos1"
+        # The accumulator's adds, in order: the constant, the byte, the
+        # callback result (after the two data loops, so it keeps the wrap).
+        s_adds = [pc - 1 for pc in _pcs(code, Op.STORE)
+                  if code[pc].arg == 4 and code[pc - 1].op is Op.IADD]
+        assert len(s_adds) == 3
+        assert cert.nowrap_pcs == tuple(s_adds[:2])
+        assert cert.in_bounds_pcs == tuple(_pcs(code, Op.ALOAD))
+        assert [(loop.counter, loop.stop_slot, loop.step)
+                for loop in cert.loops] == [(5, 6, 1), (7, 8, 1),
+                                            (9, 10, 1), (11, 12, 1)]
+
+    def test_counted_loops_record_a_down_step(self):
+        (loop,) = certified(
+            "def f(n: int) -> int:\n"
+            "    s: int = 0\n"
+            "    for i in range(n, 0, -1):\n"
+            "        s = s + 2\n"
+            "    return s\n"
+        ).loops
+        assert (loop.counter, loop.step) == (2, -1)
+        assert certified(SPIN).loops[0].counter is None
+
+    def test_array_stored_in_the_loop_is_not_in_bounds(self):
+        cert = certified(
+            "def f(data: bytes) -> int:\n"
+            "    s: int = 0\n"
+            "    for i in range(len(data)):\n"
+            "        s = s + data[i]\n"
+            "        data = bytearray(len(data))\n"
+            "    return s\n"
+        )
+        assert cert.in_bounds_pcs == ()
+
+    def test_stop_stored_in_the_loop_is_not_in_bounds(self):
+        cert = certified(
+            "def f(data: bytes) -> int:\n"
+            "    s: int = 0\n"
+            "    i: int = 0\n"
+            "    n: int = len(data)\n"
+            "    while i < n:\n"
+            "        s = s + data[i]\n"
+            "        n = n - 1\n"
+            "        i = i + 1\n"
+            "    return s\n"
+        )
+        assert cert.in_bounds_pcs == ()
+        assert all(loop.counter is None for loop in cert.loops)
+
+    def test_down_counting_index_is_not_in_bounds(self):
+        cert = certified(
+            "def f(data: bytes) -> int:\n"
+            "    s: int = 0\n"
+            "    for i in range(len(data) - 1, -1, -1):\n"
+            "        s = s + data[i]\n"
+            "    return s\n"
+        )
+        assert cert.in_bounds_pcs == ()
+
+    def test_data_loop_read_is_in_bounds(self):
+        cls = compiled(DATA_LOOP)
+        cert = certify_class(cls).functions["f"]
+        assert cert.in_bounds_pcs == tuple(
+            _pcs(cls.functions["f"].code, Op.ALOAD))
+        assert describe_bound(cert.value_bound) == "255*len0"
+
+    def test_parameter_addend_keeps_the_wrap(self):
+        cert = certified(CONST_LOOP)   # s = s + x, ten times
+        assert cert.nowrap_pcs == () and cert.value_bound is None
+
+    def test_constant_value_bound_is_exact_near_int_max(self):
+        cert = certified(
+            "def f(x: int) -> int:\n"
+            "    s: int = 9223372036854775000\n"
+            "    for i in range(800):\n"
+            "        s = s + 1\n"
+            "    return s\n"
+        )
+        assert cert.value_bound.constant_value == 9223372036854775800
+        assert len(cert.nowrap_pcs) == 1
+
+
 # ---------------------------------------------------------------------------
 # QuotaPolicy (satellite: no more mutated globals)
 # ---------------------------------------------------------------------------
@@ -438,6 +550,80 @@ class TestJitElision:
             udf.invoke("f", [1], context=ctx)
 
 
+PROBE = (
+    "def probe(data: bytes, num_callbacks: int) -> int:\n"
+    "    s: int = len(data) + data[0]\n"
+    "    for c in range(num_callbacks):\n"
+    "        s = s + cb_noop()\n"
+    "    return s\n"
+)
+
+
+class TestSameGasInBothBodies:
+    """Same code and inputs, same gas, whichever JIT body runs: the
+    certified clone, the prepaid checked body, or the metered one."""
+
+    POLICY = QuotaPolicy(fuel=30_000, memory=1 << 12, max_depth=5)
+    CASES = [
+        ("generic", GENERIC, [bytes(range(40)), 150, 3, 2]),
+        ("probe", PROBE, [b"\x05abc", 12]),
+    ]
+
+    def _udf(self, name, source, variant):
+        vm = JaguarVM(use_jit=True, policy=self.POLICY)
+        udf = vm.load_udf(
+            name, [compiled(source, name.title())],
+            permissions=Permissions.with_callbacks("cb_noop"),
+        )
+        func = udf.main_class.functions[name]
+        if variant == "checked":
+            # A value guard that never holds (pc -1 adds nothing): the
+            # prologue prepays, then the checked body runs unmetered.
+            func.certificate = dataclasses.replace(
+                func.certificate,
+                nowrap_pcs=func.certificate.nowrap_pcs or (-1,),
+                value_bound=Bound.const(2 ** 63),
+            )
+        elif variant == "stripped":
+            func.certificate = None
+        return udf
+
+    def _call(self, udf, name, args, policy):
+        account = policy.account()
+        ctx = udf.make_context(account=account,
+                               callbacks={"cb_noop": lambda: 0})
+        try:
+            outcome = udf.invoke(name, args, context=ctx)
+        except FuelExhausted as exc:
+            outcome = (type(exc), str(exc))
+        return outcome, account.fuel
+
+    @pytest.mark.parametrize("name, source, args", CASES)
+    def test_clone_and_prepaid_checked_body_charge_alike(self, name,
+                                                         source, args):
+        clone = self._udf(name, source, "clone")
+        checked = self._udf(name, source, "checked")
+        got = self._call(clone, name, args, self.POLICY)
+        assert got == self._call(checked, name, args, self.POLICY)
+        charge = clone.main_class.functions[name].certificate \
+            .local_fuel_charge(args)
+        assert got[1] == self.POLICY.fuel - charge
+
+    @pytest.mark.parametrize("name, source, args", CASES)
+    def test_below_the_bound_every_body_meters_alike(self, name, source,
+                                                     args):
+        clone = self._udf(name, source, "clone")
+        charge = clone.main_class.functions[name].certificate \
+            .local_fuel_charge(args)
+        tight = self.POLICY.with_overrides(fuel=charge // 2)
+        got = self._call(clone, name, args, tight)
+        assert got[0] == (FuelExhausted,
+                          f"instruction quota of {charge // 2} exhausted")
+        for variant in ("checked", "stripped"):
+            udf = self._udf(name, source, variant)
+            assert self._call(udf, name, args, tight) == got
+
+
 # ---------------------------------------------------------------------------
 # Layer 3: thread-group admission control
 # ---------------------------------------------------------------------------
@@ -592,6 +778,22 @@ class TestBoundsCli:
         (doc,) = json.loads(capsys.readouterr().out)["classes"]
         listed = doc["functions"]["f"]["wrap_free_pcs"]
         assert listed == list(certified(DATA_LOOP).wrap_free_pcs) != []
+
+    def test_lists_the_certified_clone_facts(self, tmp_path, capsys):
+        target = tmp_path / "ok.jag"
+        target.write_text(DATA_LOOP)
+        cert = certified(DATA_LOOP)
+        assert lint_main(["bounds", str(target), "--json"]) == 0
+        (doc,) = json.loads(capsys.readouterr().out)["classes"]
+        facts = doc["functions"]["f"]
+        assert facts["nowrap_pcs"] == list(cert.nowrap_pcs) != []
+        assert facts["value_bound"] == "255*len0"
+        assert facts["in_bounds_pcs"] == list(cert.in_bounds_pcs) != []
+        (loop,) = facts["loops"]
+        assert (loop["counter"], loop["stop_slot"], loop["step"]) == (2, 3, 1)
+        assert lint_main(["bounds", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "value_bound=255*len0" in out and "counter L2 to L3" in out
 
     def test_unbounded_function_reported_not_failed(self, tmp_path, capsys):
         target = tmp_path / "spin.jag"

@@ -2,27 +2,33 @@
 JagScript.
 
 A hypothesis grammar writes small programs with nested ``for`` loops
-(steps +-1 and +-3, ``range(n, m, -1)``, counters near ``INT_MAX``),
-``while`` loops (``while True`` with ``break`` too), ``break``/``continue``
-in nested loops, ``return`` inside loops, ``and``/``or``/if-expressions in
-loop conditions, byte-array reads and arithmetic near ``INT_MAX``.  Every
-program runs under the interpreter, the JIT and, when
+(steps +-1 and +-3, ``range(n, m, -1)``, counters near ``INT_MAX``, read
+after their loop), ``while`` loops (``while True`` with ``break`` too),
+``break``/``continue`` in nested loops, ``return`` inside loops,
+``and``/``or``/if-expressions in loop conditions, byte-array reads,
+``len(data)``-bounded byte loops, arithmetic near ``INT_MAX``, and an
+accumulator ``s`` (initialised near ``INT_MAX`` too) fed by bytes,
+constants, counters, an int parameter or a product.  Every program runs
+under the interpreter and, at the same quota, the JIT's certified clone
+(a quota covering its prepay), the JIT's checked body (a quota one below
+the prepay), the JIT with the certificate stripped and, when
 ``kernel_eligibility`` accepts it, the batch kernel: the value or
-``VMError`` class must agree, and with certificates stripped (dynamic
-metering everywhere) a successful run charges the same fuel in the
-interpreter and the JIT.
+``VMError`` class must agree, and a successful run charges the same fuel
+in the interpreter and the JIT.
 
-The file also pins the structured form itself: ``generic`` compiles to
-loops with no ``__pc``, its four counter increments carry no 64-bit wrap
-while its accumulator does, and without a certificate every IADD wraps.
+The file also pins the two bodies of ``generic``, the value guard's
+boundary, and that the differential catches a seeded no-wrap bug.
 """
 
+import dataclasses
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.intervals import Bound
 from repro.core.callbacks import standard_callback_signatures
 from repro.errors import FuelExhausted, VMError
 from repro.vm import compile_source, run_function, structure
@@ -59,7 +65,7 @@ class _Writer:
             kinds += ["bin", "bin", "ifexp", "byte", "len"]
         kind = self.pick(kinds)
         if kind == "var":
-            return self.pick(["a", "b", "c", "n", "m"] + self.loop_vars)
+            return self.pick(["a", "b", "c", "s", "n", "m"] + self.loop_vars)
         if kind == "const":
             return self.pick(["0", "1", "2", "3", "7", "(-5)", str(INT_MAX),
                               str(INT_MAX - 2), INT_MIN_EXPR])
@@ -106,16 +112,20 @@ class _Writer:
 
     def stmt(self, indent, in_loop, depth, last):
         pad = "    " * indent
-        kinds = ["assign", "assign"]
+        kinds = ["assign", "assign", "acc", "acc"]
         self.budget -= 1
         if depth < 3 and self.budget > 0:
-            kinds += ["if", "for", "for", "while"]
+            kinds += ["if", "for", "for", "while", "scan"]
         if last:
             kinds += ["return"] + (["break", "continue"] if in_loop else [])
         kind = self.pick(kinds)
         if kind == "assign":
             target = self.pick(["a", "b", "c"])
             return [f"{pad}{target} = {self.expr()}"], False
+        if kind == "acc":
+            return [f"{pad}{self.accumulate()}"], False
+        if kind == "scan":
+            return self.scan(pad, indent, depth), False
         if kind in ("break", "continue"):
             return [f"{pad}{kind}"], True
         if kind == "return":
@@ -160,7 +170,36 @@ class _Writer:
         self.loop_vars.append(var)
         body, __ = self.block(indent + 1, True, depth + 1)
         self.loop_vars.pop()
-        return [f"{pad}for {var} in range({spec}):"] + body
+        after = [f"{pad}c = c + {var}"] if self.draw(st.booleans()) else []
+        return [f"{pad}for {var} in range({spec}):"] + body + after
+
+    def accumulate(self):
+        """``s = s ± e``: bounded addends skip the wrap in the certified
+        clone; a parameter or a product keeps it."""
+        addend = self.pick(
+            ["1", "3", "255", "n", "(a * b)", "data[0]"]
+            + [f"data[{v}]" for v in self.loop_vars] + self.loop_vars
+        )
+        return f"s = s {self.pick(['+', '-'])} {addend}"
+
+    def scan(self, pad, indent, depth):
+        """A byte loop up to ``len(data)``, with an early ``break`` or
+        ``continue``; its reads are in bounds from a start >= 0."""
+        var = f"i{self.fresh}"
+        self.fresh += 1
+        start = self.pick(["", "1, ", "(-1), "])
+        lines = [f"{pad}for {var} in range({start}len(data)):"]
+        if self.draw(st.booleans()):
+            exit_ = self.pick(["break", "continue"])
+            lines += [f"{pad}    if data[{var}] > {self.pick(['7', '100'])}:",
+                      f"{pad}        {exit_}"]
+        lines.append(f"{pad}    s = s + data[{var}]")
+        if self.draw(st.booleans()):
+            self.loop_vars.append(var)
+            body, __ = self.block(indent + 1, True, depth + 1)
+            self.loop_vars.pop()
+            lines += body
+        return lines
 
     def while_(self, pad, indent, depth):
         if self.draw(st.booleans()):
@@ -173,14 +212,16 @@ class _Writer:
         return head + [f"{pad}    c = c + 1"] + body
 
     def function(self):
+        init = self.pick(["0", "7", str(INT_MAX - 300), "(-5)"])
         lines = ["def f(n: int, m: int, data: bytes) -> int:",
                  "    a: int = n",
                  "    b: int = m",
-                 "    c: int = 0"]
+                 "    c: int = 0",
+                 f"    s: int = {init}"]
         body, done = self.block(1, False, 0)
         lines += body
         if not done:
-            lines.append("    return (a + b) + c")
+            lines.append("    return ((a + b) + c) + s")
         return "\n".join(lines) + "\n"
 
 
@@ -218,12 +259,12 @@ def _load(source):
     return udf, udf.main_class.functions["f"]
 
 
-def _context(udf):
-    return udf.make_context(account=ResourceAccount(fuel=FUEL, memory=1 << 16))
+def _context(udf, fuel=FUEL):
+    return udf.make_context(account=ResourceAccount(fuel=fuel, memory=1 << 16))
 
 
-def _run(udf, func, args, runner):
-    ctx = _context(udf)
+def _run(udf, func, args, runner, fuel=FUEL):
+    ctx = _context(udf, fuel)
     outcome = _outcome(lambda: runner(udf.main_class, func, list(args), ctx))
     return outcome, ctx.account.fuel_used
 
@@ -248,25 +289,121 @@ def _kernel(udf, func, args):
     return ("ok", out[0])
 
 
+def _agree_at(udf, func, args, fuel, source):
+    """The interpreter and the JIT under the same quota; on success both
+    charge the same fuel (the certified prepay, or the instructions run
+    when metered, the JIT a block at a time)."""
+    expected, interp_fuel = _run(udf, func, args, run_function, fuel)
+    jit, jit_fuel = _run(udf, func, args, invoke_jit, fuel)
+    assert _agrees(expected, jit), source
+    if expected[0] == "ok":
+        assert jit_fuel == interp_fuel, source
+    return expected
+
+
+def _differential(udf, func, args, source):
+    charge = func.certificate.local_fuel_charge(list(args))
+    # A quota covering the prepay runs the certified clone (or, when its
+    # value guard fails, the prepaid checked body).
+    expected = _agree_at(udf, func, args, FUEL, source)
+    if charge is not None and 1 < charge <= FUEL:
+        # One below the prepay: the metered checked body.
+        _agree_at(udf, func, args, charge - 1, source)
+    if kernel_eligibility(func) is None:
+        kernel = _kernel(udf, func, args)
+        assert kernel is None or kernel == expected, source
+    # The certificate stripped: today's single checked body, metered.
+    func.certificate = None
+    _agree_at(udf, func, args, FUEL, source)
+
+
 @settings(max_examples=250, deadline=None)
 @given(source=programs(), args=ARGS)
 def test_generated_programs_agree_in_every_tier(source, args):
     udf, func = _load(source)
-    expected, __ = _run(udf, func, args, run_function)
-    jit, __ = _run(udf, func, args, invoke_jit)
-    assert _agrees(expected, jit), source
-    if kernel_eligibility(func) is None:
-        kernel = _kernel(udf, func, args)
-        assert kernel is None or kernel == expected, source
+    _differential(udf, func, args, source)
 
-    # Dynamic metering: with the certificate gone both tiers charge per
-    # instruction executed, the JIT a block at a time.
-    func.certificate = None
-    expected, interp_fuel = _run(udf, func, args, run_function)
-    jit, jit_fuel = _run(udf, func, args, invoke_jit)
-    assert _agrees(expected, jit), source
-    if expected[0] == "ok":
-        assert jit_fuel == interp_fuel, source
+
+def test_a_seeded_nowrap_on_a_parameter_add_is_caught():
+    source = (
+        "def f(n: int, m: int, data: bytes) -> int:\n"
+        "    s: int = 0\n"
+        "    for i in range(3):\n"
+        "        s = s + n\n"
+        "    return s\n"
+    )
+    udf, func = _load(source)
+    cert = func.certificate
+    assert cert.nowrap_pcs == () and cert.value_bound is None
+    (add,) = [pc for pc, ins in enumerate(func.code)
+              if ins.op is Op.IADD and pc not in cert.wrap_free_pcs]
+    func.certificate = dataclasses.replace(
+        cert, nowrap_pcs=(add,), value_bound=Bound.const(0)
+    )
+    _differential(udf, func, (5, 0, b""), source)   # no wrap: no harm
+    func.certificate = dataclasses.replace(
+        cert, nowrap_pcs=(add,), value_bound=Bound.const(0)
+    )
+    with pytest.raises(AssertionError):
+        _differential(udf, func, (INT_MAX - 1, 0, b""), source)
+
+
+# -- the value guard's boundary -------------------------------------------------
+
+NEAR_MAX = (
+    "def f(n: int, m: int, data: bytes) -> int:\n"
+    "    s: int = 9223372036854775000\n"
+    "    for i in range(n):\n"
+    "        s = s + 1\n"
+    "    return s\n"
+)
+
+
+def _traced(udf, func, args):
+    """The JIT's outcome and the text of each source line it ran."""
+    source, namespace = _translate(
+        udf.main_class, func, udf.make_context(), udf._jit
+    )
+    filename = "<traced jit>"
+    exec(compile(source, filename, "exec"), namespace)
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != filename:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+
+    ctx = _context(udf)
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        outcome = _outcome(lambda: namespace["__jag"](list(args), ctx))
+    finally:
+        sys.settrace(previous)
+    lines = source.splitlines()
+    return outcome, {lines[n - 1].strip() for n in ran}
+
+
+@pytest.mark.parametrize("n, body, value", [
+    (807, "clone", INT_MAX),
+    (808, "checked", -INT_MAX - 1),
+])
+def test_the_value_guard_picks_the_body_at_int_max(n, body, value):
+    udf, func = _load(NEAR_MAX)
+    cert = func.certificate
+    assert cert.value_bound == Bound.const(9223372036854775000) + Bound.atom(
+        "pos0")
+    args = (n, 0, b"")
+    outcome, ran = _traced(udf, func, args)
+    assert outcome == ("ok", value)
+    assert _run(udf, func, args, run_function)[0] == outcome
+    plain = "L3 = ((L3) + (1))"
+    wrapped = ("L3 = ((((L3) + (1)) + 0x8000000000000000 & "
+               "0xFFFFFFFFFFFFFFFF) - 0x8000000000000000)")
+    assert (plain in ran, wrapped in ran) == (body == "clone",
+                                              body == "checked")
 
 
 def test_return_inside_nested_loops_ends_the_kernel_row():
@@ -347,20 +484,48 @@ def _generic(strip=False):
     return udf, func, source
 
 
+def _bodies(source):
+    """A JIT source's certified clone and its checked body."""
+    head, checked = source.split("\n    if __meter:\n", 1)
+    clone = head.split("            __acct.fuel -= __b\n", 1)[1]
+    return clone.splitlines(), ("    if __meter:\n" + checked).splitlines()
+
+
 def test_generic_counters_skip_the_wrap_and_the_accumulator_keeps_it():
     __, func, source = _generic()
     assert "__pc" not in source
-    assert source.count("while True:") == 4
-    lines = source.splitlines()
-    plain = [m.group(1) for line in lines if (m := _PLAIN.match(line))]
-    masked = [m.group(1) for line in lines if (m := _MASKED.match(line))]
+    clone, checked = _bodies(source)
+
+    # The checked body: counters add plainly, the accumulator wraps, the
+    # byte read checks its index, every block is metered.
+    assert sum("while True:" in line for line in checked) == 4
+    plain = [m.group(1) for line in checked if (m := _PLAIN.match(line))]
+    masked = [m.group(1) for line in checked if (m := _MASKED.match(line))]
     assert sorted(plain) == ["L11", "L5", "L7", "L9"]   # j, p, i, c
-    assert set(masked) == {"L4"}                         # s
+    assert masked == ["L4", "L4", "L4"]                  # s
+    assert any("0 <= L9 < len(L0)" in line for line in checked)
     code = func.code
     counter_adds = [pc - 1 for pc, ins in enumerate(code)
                     if ins.op is Op.STORE and ins.arg in (5, 7, 9, 11)
                     and code[pc - 1].op is Op.IADD]
     assert list(func.certificate.wrap_free_pcs) == counter_adds
+
+    # The certified clone, behind the value guard: no meter, counted
+    # ``for`` loops, the two data-loop adds and the byte read plain, and
+    # only the callback add wrapped.
+    guard = clone[0].strip()
+    assert guard == ("if 255*len(L0)*(L2 if L2 > 0 else 0) + "
+                     "1*(L1 if L1 > 0 else 0) < 0x8000000000000000:")
+    body = "\n".join(clone[1:])
+    assert "__meter" not in body and "while True" not in body
+    assert body.count(" in range(") == 4
+    stripped = [line.strip() for line in clone]
+    assert "L4 = ((L4) + (1))" in stripped
+    assert "L4 = ((L4) + (L0[L9]))" in stripped
+    masked = [m.group(1) for line in clone if (m := _MASKED.match(line))]
+    assert masked == ["L4"]
+    assert "(L4) + (t0)" in next(line for line in clone if _MASKED.match(line))
+    assert "0 <= L9" not in body and "_oob" not in body
 
 
 def test_without_a_certificate_every_iadd_wraps():
@@ -369,6 +534,20 @@ def test_without_a_certificate_every_iadd_wraps():
     adds = sum(ins.op is Op.IADD for ins in func.code)
     assert sum(bool(_MASKED.match(line)) for line in lines) == adds
     assert not any(_PLAIN.match(line) for line in lines)
+
+
+def test_stripping_the_certificate_emits_only_the_checked_body():
+    __, __, certified = _generic()
+    __, __, stripped = _generic(strip=True)
+    __, checked = _bodies(certified)
+    __, body = stripped.split("\n    __meter = True\n", 1)
+    assert "__b" not in stripped and " in range(" not in stripped
+    # Line for line the checked body, but the counter increments wrap.
+    body = body.splitlines()
+    assert len(body) == len(checked)
+    differ = [(a, b) for a, b in zip(body, checked) if a != b]
+    assert [(_MASKED.match(a).group(1), _PLAIN.match(b).group(1))
+            for a, b in differ] == [(v, v) for v in ("L5", "L9", "L7", "L11")]
 
 
 @pytest.mark.parametrize("args", [

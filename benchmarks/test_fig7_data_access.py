@@ -6,6 +6,11 @@ paid ... this is the price paid for security" — but compared with a
 *bounds-checked* native UDF (the fair baseline) "JNI performs only 20%
 worse".  We sweep NumDataDepComps over the 10,000-byte relation with
 the C++/bounds variant included.
+
+Here the penalty is gone: the bounds certifier proves every access of
+the generic UDF's byte loop in bounds, and the JIT's certified clone
+emits those accesses unchecked, so JNI runs at raw C++ speed and below
+the bounds-checked native variant.
 """
 
 import pytest
@@ -51,15 +56,14 @@ def test_fig7_shape(benchmark, workload, timer):
     # Data access dominates as passes grow.
     assert jni[top] > 3 * max(jni[SWEEP[1]], 1e-6)
 
-    # The sandbox pays a real penalty vs raw native access...
-    assert jni[top] > cpp[top]
-
-    # ...and the bounds-checked native variant pays a comparable tax:
-    # instrumented access explains the gap, not interpretation.  The
-    # paper saw JNI within ~1.2x of bounds-checked C++; we accept a
-    # generous band around parity.
-    ratio = jni[top] / max(bounds[top], 1e-9)
-    assert 0.2 < ratio < 5.0, f"JNI / C++-bounds = {ratio:.2f}"
-
-    # Bounds-checked native is itself slower than raw native.
+    # Bounds-checked native is itself slower than raw native...
     assert bounds[top] > cpp[top]
+
+    # ...and the sandbox, whose proven accesses carry no check, is no
+    # slower than it (the paper saw JNI within ~1.2x of it).
+    assert jni[top] <= bounds[top], (jni[top], bounds[top])
+
+    # JNI runs at raw C++ speed: about 1.0x, within a 0.5x-2x band so
+    # timing noise on a shared host cannot flip the check.
+    ratio = jni[top] / max(cpp[top], 1e-9)
+    assert 0.5 < ratio < 2.0, f"JNI / C++ = {ratio:.2f}"

@@ -2,8 +2,9 @@
 
 Run everything (prints paper-style series)::
 
-    python -m repro.bench            # scaled-down default workload
-    python -m repro.bench --scale 5  # closer to the paper's 10,000 rows
+    python -m repro.bench                      # scaled-down default workload
+    python -m repro.bench --cardinality 10000  # the paper's relation size
+    python -m repro.bench --figures table1,7   # a subset
 """
 
 from .figures import (
@@ -12,7 +13,6 @@ from .figures import (
     run_fig6,
     run_fig7,
     run_fig8,
-    run_inlining,
     run_table1,
 )
 from .harness import ExperimentResult, Timer
@@ -27,6 +27,5 @@ __all__ = [
     "run_fig6",
     "run_fig7",
     "run_fig8",
-    "run_inlining",
     "run_table1",
 ]

@@ -10,44 +10,13 @@ import argparse
 import sys
 
 from ..core.designs import Design
-from .figures import (
-    measure_pool_channel_stats,
-    run_batching,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_inlining,
-    run_parallelism,
-    run_server,
-    run_table1,
-)
+from .figures import run_fig4, run_fig5, run_fig6, run_fig7, run_fig8, run_table1
 from .harness import Timer
 from .report import render
 from .workload import BenchmarkWorkload
 
-
-def _observability_stats(parallelism: int) -> dict:
-    """A small metrics-enabled run's ``db.stats()`` dump.
-
-    Registers one sandboxed UDF over a tiny table and runs a single
-    SELECT, so ``--stats`` shows the shape of the per-UDF and
-    per-operator metrics alongside the raw channel counters.
-    """
-    from ..database import Database
-
-    with Database(metrics=True, parallelism=parallelism) as db:
-        db.execute("CREATE TABLE obs_demo (id INT, v INT)")
-        for value in range(32):
-            db.execute(f"INSERT INTO obs_demo VALUES ({value}, {value})")
-        db.execute(
-            "CREATE FUNCTION obs_triple(int) RETURNS int LANGUAGE JAGUAR "
-            "DESIGN SANDBOX AS "
-            "'def obs_triple(x: int) -> int: return 3 * x'"
-        )
-        db.query("SELECT obs_triple(v) FROM obs_demo WHERE id <= 15")
-        return db.stats()
+#: The names ``--figures`` accepts, in the order they print.
+FIGURES = ("table1", "4", "5", "6", "7", "8")
 
 
 def main(argv=None) -> int:
@@ -67,118 +36,48 @@ def main(argv=None) -> int:
         "--repeat", type=int, default=3, help="timing repetitions"
     )
     parser.add_argument(
-        "--figures", type=str, default="table1,4,5,6,7,8",
-        help="comma-separated subset, e.g. '5,8', 'batching', 'inlining', "
-        "or 'server'",
-    )
-    parser.add_argument(
-        "--batch-size", type=int, default=None,
-        help="executor batch size (rows per operator batch; default 64, "
-        "1 is tuple-at-a-time)",
-    )
-    parser.add_argument(
-        "--parallelism", type=int, default=None,
-        help="worker fan-out for UDF execution (pool width for isolated "
-        "designs, Exchange width for in-process ones; default 1 is "
-        "serial)",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print the isolated design's per-worker channel counters "
-        "for one pooled batch plus a metrics-enabled run's db.stats() "
-        "dump, then exit",
+        "--figures", type=str, default=",".join(FIGURES),
+        help=f"comma-separated subset of {','.join(FIGURES)}, e.g. '5,8'",
     )
     args = parser.parse_args(argv)
     wanted = {piece.strip() for piece in args.figures.split(",")}
+    unknown = sorted(wanted - set(FIGURES))
+    if unknown:
+        parser.error(
+            f"unknown figure(s): {', '.join(unknown)} "
+            f"(choose from {', '.join(FIGURES)})"
+        )
     timer = Timer(repeat=args.repeat)
-
-    if args.stats:
-        # Per-worker shared-memory channel counters for one pooled
-        # batch: the quickest way to see how a batch was sharded.
-        import json
-
-        level = args.parallelism or 1
-        with BenchmarkWorkload(
-            cardinality=64, sizes=(100,),
-            designs=(Design.NATIVE_ISOLATED,), use_generic=False,
-        ) as workload:
-            stats = measure_pool_channel_stats(workload, 100, level)
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        print(json.dumps(_observability_stats(level), indent=2,
-                         sort_keys=True))
-        return 0
 
     if "table1" in wanted:
         print(render(run_table1()))
         print()
 
-    if "server" in wanted:
-        # The concurrent-server sweep builds its own database and TCP
-        # server rather than using the per-design workload below.
-        result = run_server(cardinality=args.cardinality)
-        print(render(result))
-        print()
-
-    numeric = wanted & {
-        "4", "5", "6", "7", "8", "batching", "parallelism", "inlining",
-    }
-    if not numeric:
+    if not wanted - {"table1"}:
         return 0
 
     print(
         f"building workload: cardinality={args.cardinality}, "
-        f"sizes=(1, 100, 10000)"
-        + (
-            f", batch_size={args.batch_size}"
-            if args.batch_size is not None else ""
-        )
-        + (
-            f", parallelism={args.parallelism}"
-            if args.parallelism is not None else ""
-        )
-        + " ...",
+        "sizes=(1, 100, 10000) ...",
         flush=True,
     )
-    with BenchmarkWorkload(
-        cardinality=args.cardinality, batch_size=args.batch_size,
-        parallelism=args.parallelism,
-    ) as workload:
+    with BenchmarkWorkload(cardinality=args.cardinality) as workload:
         kwargs = {}
         if args.invocations:
             kwargs["invocations"] = args.invocations
         if "4" in wanted:
             print(render(run_fig4(workload, timer=timer)))
             print()
-        if "5" in wanted:
-            result = run_fig5(workload, timer=timer, **kwargs)
+        for name, run in (
+            ("5", run_fig5), ("6", run_fig6), ("7", run_fig7), ("8", run_fig8),
+        ):
+            if name not in wanted:
+                continue
+            result = run(workload, timer=timer, **kwargs)
             print(render(result))
-            print()
-        if "6" in wanted:
-            result = run_fig6(workload, timer=timer, **kwargs)
-            print(render(result))
-            print(render(result.relative_to(Design.NATIVE_INTEGRATED.paper_label)))
-            print()
-        if "7" in wanted:
-            result = run_fig7(workload, timer=timer, **kwargs)
-            print(render(result))
-            print(render(result.relative_to(Design.NATIVE_INTEGRATED.paper_label)))
-            print()
-        if "8" in wanted:
-            result = run_fig8(workload, timer=timer, **kwargs)
-            print(render(result))
-            print(render(result.relative_to(Design.NATIVE_INTEGRATED.paper_label)))
-            print()
-        if "batching" in wanted:
-            result = run_batching(workload, timer=timer, **kwargs)
-            print(render(result))
-            print()
-        if "parallelism" in wanted:
-            result = run_parallelism(workload, timer=timer, **kwargs)
-            print(render(result))
-            print()
-        if "inlining" in wanted:
-            result = run_inlining(workload, timer=timer, **kwargs)
-            print(render(result))
+            if name != "5":
+                native = Design.NATIVE_INTEGRATED.paper_label
+                print(render(result.relative_to(native)))
             print()
     return 0
 

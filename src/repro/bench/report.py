@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from .harness import ExperimentResult
 
@@ -53,10 +53,6 @@ def render(result: ExperimentResult) -> str:
             cells.append(f"{value:12.4f}" if value is not None else " " * 12)
         lines.append(" ".join(cells))
     return "\n".join(lines)
-
-
-def render_all(results: Iterable[ExperimentResult]) -> str:
-    return "\n\n".join(render(result) for result in results)
 
 
 def _fmt_x(x: float) -> str:

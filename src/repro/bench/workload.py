@@ -19,14 +19,10 @@ calibration subtracts, exactly as in Figure 4.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..core.designs import Design
-from ..core.generic_udf import (
-    arith_definition,
-    generic_definition,
-    noop_definition,
-)
+from ..core.generic_udf import generic_definition, noop_definition
 from ..database import Database
 
 DEFAULT_CARDINALITY = 2000
@@ -38,8 +34,6 @@ PAPER_DESIGNS = (
     Design.NATIVE_ISOLATED,     # "IC++"
     Design.SANDBOX_JIT,         # "JNI"
 )
-
-ALL_DESIGNS = tuple(Design)
 
 
 def pattern_bytes(size: int, seed: int) -> bytes:
@@ -59,30 +53,21 @@ class BenchmarkWorkload:
         self,
         cardinality: int = DEFAULT_CARDINALITY,
         sizes: Sequence[int] = DEFAULT_SIZES,
-        designs: Sequence[Design] = ALL_DESIGNS,
-        use_generic: bool = True,
         path: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        parallelism: Optional[int] = None,
     ):
         self.cardinality = cardinality
         self.sizes = tuple(sizes)
-        self.designs = tuple(designs)
         # 16 KiB pages keep even the 10,000-byte arrays inline (see
         # module docstring); the buffer pool is sized to hold the
         # largest relation so repeated sweeps measure CPU, not I/O.
-        db_kwargs = {} if batch_size is None else {"batch_size": batch_size}
-        if parallelism is not None:
-            db_kwargs["parallelism"] = parallelism
         self.db = Database(
             path=path,
             page_size=16384,
             buffer_capacity=4096,
             lob_threshold=12000,
-            **db_kwargs,
         )
         self._populate()
-        self._register_udfs(use_generic)
+        self._register_udfs()
 
     # -- setup -------------------------------------------------------------
 
@@ -103,21 +88,16 @@ class BenchmarkWorkload:
                 ),
             )
 
-    def _register_udfs(self, use_generic: bool) -> None:
+    def _register_udfs(self) -> None:
         self.noop_names: Dict[Design, str] = {}
         self.generic_names: Dict[Design, str] = {}
-        self.arith_names: Dict[Design, str] = {}
-        for design in self.designs:
+        for design in Design:
             noop = noop_definition(design)
             self.db.register_udf(noop, persist=False)
             self.noop_names[design] = noop.name
-            arith = arith_definition(design)
-            self.db.register_udf(arith, persist=False)
-            self.arith_names[design] = arith.name
-            if use_generic:
-                generic = generic_definition(design)
-                self.db.register_udf(generic, persist=False)
-                self.generic_names[design] = generic.name
+            generic = generic_definition(design)
+            self.db.register_udf(generic, persist=False)
+            self.generic_names[design] = generic.name
 
     # -- queries (Section 5.1's benchmark query template) ----------------------
 
@@ -145,22 +125,6 @@ class BenchmarkWorkload:
         """Same scan and qualification, no UDF: the Figure 4 baseline."""
         table = self.table_name(size)
         return f"SELECT r.id FROM {table} r WHERE r.id < {invocations}"
-
-    def arith_query(self, size: int, udf_name: str, invocations: int) -> str:
-        """The inlining experiment's query: an int UDF over ``id``."""
-        table = self.table_name(size)
-        return (
-            f"SELECT {udf_name}(r.id) FROM {table} r "
-            f"WHERE r.id < {invocations}"
-        )
-
-    def arith_expr_query(self, size: int, invocations: int) -> str:
-        """Native SQL expression equivalent of the ``arith`` UDF."""
-        table = self.table_name(size)
-        return (
-            f"SELECT r.id * 3 + 1 FROM {table} r "
-            f"WHERE r.id < {invocations}"
-        )
 
     def expected_generic_result(
         self, row_id: int, size: int, num_indep: int, num_dep: int,

@@ -116,42 +116,3 @@ def noop_definition(design: Design, name: Optional[str] = None) -> UDFDefinition
         cost=CostHints(cost_per_call=10.0, selectivity=1.0),
     )
 
-
-ARITH_SIGNATURE = UDFSignature(param_types=("int",), ret_type="int")
-
-
-def arith_native(x):
-    """Host version of the inlinable arithmetic UDF."""
-    return x * 3 + 1
-
-
-ARITH_JAGSCRIPT = """
-def arith(x: int) -> int:
-    return x * 3 + 1
-"""
-
-
-def arith_definition(design: Design, name: Optional[str] = None) -> UDFDefinition:
-    """A pure, loop-free arithmetic UDF for the inlining experiments.
-
-    Under sandboxed designs the decompiler lifts it into
-    ``(x * 3 + 1)``; native designs carry opaque host code and refuse,
-    so with ``inlining=True`` only the sandboxed curves collapse onto
-    the equivalent SQL expression.
-    """
-    udf_name = name or f"arith_{design.value}"
-    if design.is_sandboxed:
-        payload = ARITH_JAGSCRIPT.encode("utf-8")
-        entry = "arith"
-    else:
-        payload = b"repro.core.generic_udf:arith_native"
-        entry = "arith_native"
-    return UDFDefinition(
-        name=udf_name,
-        signature=ARITH_SIGNATURE,
-        design=design,
-        payload=payload,
-        entry=entry,
-        callbacks=(),
-        cost=CostHints(cost_per_call=10.0, selectivity=1.0),
-    )

@@ -143,10 +143,9 @@ class Database:
         #: Froid-style UDF inlining: when True the optimizer replaces
         #: call sites of decompilable pure UDFs with their lifted SQL
         #: expression (no VM entry at all).  Mutable at runtime
-        #: (``db.inlining = True``) — the next query plans with it,
-        #: which is how the benchmark sweeps inlined vs opaque execution
-        #: over one populated database.  Off by default: seed plans and
-        #: EXPLAIN output are reproduced exactly.
+        #: (``db.inlining = True``) — the next query plans with it.
+        #: Off by default: seed plans and EXPLAIN output are reproduced
+        #: exactly.
         self.inlining = bool(inlining)
         from .obs import Observability
 
@@ -195,8 +194,7 @@ class Database:
         """Rows per executor batch; 1 is exact tuple-at-a-time.
 
         Mutable at runtime (``db.batch_size = 256``) — the next query
-        picks it up, which is how the benchmark sweeps batch sizes over
-        one populated database.
+        picks it up.
         """
         return self.environment.batch_size
 
@@ -673,9 +671,8 @@ class Database:
         """Seconds the group-commit leader waits for followers.
 
         Mutable at runtime (``db.group_commit_window = 0.002``) — the
-        next commit fsync picks it up, which is how the benchmark
-        sweeps windows over one populated database.  0.0 syncs every
-        statement individually (still correct, just more fsyncs).
+        next commit fsync picks it up.  0.0 syncs every statement
+        individually (still correct, just more fsyncs).
 
         A nonzero window widens the visible-before-durable gap for
         *other* sessions: a commit becomes readable (MVCC install) as

@@ -5,7 +5,7 @@ Three consumers sit on top of this package:
 * ``EXPLAIN ANALYZE`` — executes the query under a forced
   :class:`~repro.obs.profile.QueryProfile` and renders actual rows,
   time, and per-UDF profiles next to the optimizer's estimates;
-* ``db.stats()`` / ``python -m repro.bench --stats`` — the cumulative
+* ``db.stats()`` — the cumulative
   :class:`~repro.obs.metrics.MetricsRegistry` snapshot;
 * the adaptive cost pass — observed per-call UDF cost and predicate
   selectivity (:class:`~repro.obs.adaptive.AdaptiveFeedback`) override

@@ -135,7 +135,7 @@ class MetricsRegistry:
 
     One registry per database (cumulative ``db.stats()``) plus one per
     ``EXPLAIN ANALYZE`` run (so the rendered numbers are that query's
-    own).  ``snapshot()`` is the JSON dump the bench harness prints.
+    own).  ``snapshot()`` is ``db.stats()["metrics"]``.
     """
 
     def __init__(self):

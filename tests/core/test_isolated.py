@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.callbacks import CallbackBroker
 from repro.core.designs import Design
-from repro.core.generic_udf import SIGNATURE, generic_definition
+from repro.core.generic_udf import (
+    SIGNATURE,
+    generic_definition,
+    noop_definition,
+)
 from repro.core.isolated import (
     DEFAULT_BUFFER,
     MAX_BUFFER,
@@ -59,6 +63,23 @@ class TestTransport:
         try:
             data = bytes(10000)
             assert executor.invoke([data]) == data
+        finally:
+            executor.close()
+
+    def test_small_batch_crosses_in_one_chunk_each_way(self, env):
+        """The buffer is pre-sized from the batch hint (64), so a 64-row
+        1-byte no-op batch moves whole: one request out, the worker's
+        READY plus one batch result back, one chunk per message."""
+        definition = noop_definition(Design.NATIVE_ISOLATED)
+        executor = make_executor(env, definition)
+        try:
+            batch = [(bytes([row]), 0, 0, 0) for row in range(64)]
+            assert executor.invoke_batch(batch) == [0] * 64
+            stats = executor.channel_stats()
+            assert (stats["messages_sent"], stats["chunks_sent"]) == (1, 1)
+            assert (stats["messages_received"], stats["chunks_received"]) == (
+                2, 2
+            )
         finally:
             executor.close()
 

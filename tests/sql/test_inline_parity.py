@@ -118,6 +118,20 @@ class TestInlineParityMatrix:
                     )
 
 
+class TestRegistrationVerdict:
+    @pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda d: d.value)
+    def test_sandboxed_bodies_lift_native_code_refuses_impure(self, design):
+        from repro.analysis.decompile import InlineRefusal, InlineTemplate
+
+        with _fresh_db(design) as db:
+            inline = db.registry.get("plus1").inline
+            if design.is_sandboxed:
+                assert isinstance(inline, InlineTemplate)
+            else:
+                assert isinstance(inline, InlineRefusal)
+                assert inline.reason == "impure"
+
+
 class TestZeroVMEntries:
     @pytest.mark.parametrize(
         "design", (Design.SANDBOX_JIT, Design.SANDBOX_INTERP)

@@ -65,6 +65,18 @@ def test_bench_cli_runs_table1():
     assert "Design space" in completed.stdout
 
 
+@pytest.mark.parametrize("figures", ["batchng", "inlining", "table1,server"])
+def test_bench_cli_rejects_unknown_figures(figures, capsys):
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--figures", figures])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unknown figure(s): {figures.split(',')[-1]}" in err
+    assert "choose from table1, 4, 5, 6, 7, 8" in err
+
+
 def test_bench_cli_runs_tiny_figure():
     completed = subprocess.run(
         [

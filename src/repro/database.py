@@ -301,8 +301,10 @@ class Database:
         pins a snapshot iff :attr:`snapshots` is enabled (the server
         enables it), so its scans never touch live pages, and gets
         private UDF executors iff a snapshot is pinned, since only then
-        may statements overlap.  With snapshots disabled (the embedded
-        default) a read takes no lock at all.
+        may statements overlap.  The pin comes after the plan is fixed,
+        so an index the plan names is one whose tree the pinned image
+        holds (see :meth:`_publish_index`).  With snapshots disabled (the
+        embedded default) a read takes no lock at all.
         """
         if not isinstance(statement, A.Select):
             if isinstance(statement, self._WRITE_STATEMENTS):
@@ -312,6 +314,10 @@ class Database:
                     lambda: self._install_after_write(statement),
                 )
             return self._executor.execute(statement)
+        if plan is None:
+            plan = self._executor.plan(
+                statement, private=self.snapshots.enabled
+            )
         snapshot = self.snapshots.pin() if self.snapshots.enabled else None
         try:
             return self._executor.select_with_plan(
@@ -451,12 +457,31 @@ class Database:
         elif isinstance(statement, A.CreateTable):
             table_name = statement.name
         else:
-            return  # indexes / functions don't change heap contents
+            # CREATE INDEX installed as it published (_publish_index);
+            # functions change no table pages.
+            return
         if self.catalog.has_table(table_name):
-            table = self.catalog.get_table(table_name)
             self.snapshots.install(
-                self.pool, table.name, table.first_page
+                self.pool, self.catalog.get_table(table_name)
             )
+
+    def _publish_index(self, table: TableInfo, index) -> None:
+        """Make a built index visible, in this order, under the commit
+        lock: the snapshot image of its table takes the index's tree,
+        then the catalog names the index and the schema epoch moves.
+
+        A SELECT fixes its plan before it pins a snapshot
+        (:meth:`_execute`), so a plan that names the index pins an image
+        installed no earlier than this one, which holds the tree; every
+        later install of the table captures it too, since the catalog
+        names it by then.
+        """
+        with self._commit_lock:
+            self.snapshots.install(self.pool, table, table.indexes + [index])
+            table.indexes.append(index)
+            # Cached plans for this table chose their scans without it.
+            self.catalog.bump_epoch()
+            self.catalog.save()
 
     def execute_script(self, sql: str) -> List[QueryResult]:
         """Run a semicolon-separated script; returns one result each."""
@@ -528,9 +553,7 @@ class Database:
             self._run_write(
                 [self.table_write_lock(table.name)],
                 body,
-                lambda: self.snapshots.install(
-                    self.pool, table.name, table.first_page
-                ),
+                lambda: self.snapshots.install(self.pool, table),
             )
         return count
 
@@ -538,9 +561,7 @@ class Database:
         self._run_write(
             [self.table_write_lock(table.name)],
             lambda: self._insert_row_locked(table, values),
-            lambda: self.snapshots.install(
-                self.pool, table.name, table.first_page
-            ),
+            lambda: self.snapshots.install(self.pool, table),
         )
 
     def _insert_row_locked(

@@ -591,6 +591,8 @@ class StatementExecutor:
                 for value in row:
                     if isinstance(value, LOBRef):
                         self.db.lobs.free(value)
+        for index in table.indexes:
+            BPlusTree(self.db.pool, index.root_page).drop()
         table.heap.drop()
         self.db.catalog.drop_table(statement.name)
         return QueryResult()
@@ -607,12 +609,9 @@ class StatementExecutor:
             key = row[position]
             if key is not None:
                 tree.insert(key, rid)
-        table.indexes.append(
-            IndexInfo(statement.name, statement.column, tree.root_page)
+        self.db._publish_index(
+            table, IndexInfo(statement.name, statement.column, tree.root_page)
         )
-        # Cached plans for this table chose their scans without it.
-        self.db.catalog.bump_epoch()
-        self.db.catalog.save()
         return QueryResult()
 
     def _create_function(self, statement: A.CreateFunction) -> QueryResult:

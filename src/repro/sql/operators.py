@@ -140,15 +140,24 @@ def _filtered_batches(
             yield batch
 
 
+def _pinned_image(snapshot, table_info):
+    """The snapshot's frozen image of the table, or None to read live
+    pages (no snapshot, or a table created after the pin)."""
+    if snapshot is None:
+        return None
+    return snapshot.image_for(table_info.name)
+
+
 class SeqScan(PhysicalOp):
     """Full scan of a heap file with optional residual predicates.
 
     Each page is decoded in place by the table's codec under one pin,
     and its rows are handed on together; no RID is built.  Under a
     pinned :class:`~repro.storage.mvcc.Snapshot` the scan reads the
-    table's frozen page image instead of the live heap — same records,
-    same storage order, but never touching the buffer pool, so snapshot
-    readers cannot block on (or observe) the serialized writer.
+    heap handle over the table's frozen image instead of the live one —
+    same records, same storage order, but never touching the buffer
+    pool, so snapshot readers cannot block on (or observe) the
+    serialized writer.
     """
 
     def __init__(self, table_info, predicates: Sequence[EvalFn] = (),
@@ -159,25 +168,22 @@ class SeqScan(PhysicalOp):
         _set_batch_size(self, batch_size)
 
     def batches(self) -> Iterator[Batch]:
-        source = self.table_info.heap
-        if self.snapshot is not None:
-            image = self.snapshot.image_for(self.table_info.name)
-            if image is not None:
-                source = image
+        image = _pinned_image(self.snapshot, self.table_info)
+        heap = self.table_info.heap if image is None else image.heap
         return _filtered_batches(
             self.predicates, max(1, self.batch_size),
-            source.scan_rows(self.table_info.codec.decode),
+            heap.scan_rows(self.table_info.codec.decode),
         )
 
 
 class IndexScan(PhysicalOp):
     """B+-tree range scan feeding record fetches.
 
-    Under a pinned snapshot the B+-tree (whose pages version with the
-    live heap, not with any image) cannot be walked; instead the frozen
-    table image is scanned and key order is recovered with a stable sort
-    on the indexed column — identical output for the append-ordered,
-    unique-rid trees this engine builds, without touching live pages.
+    The source is picked once: the live pool and heap, or, under a
+    pinned snapshot, the table's frozen image, which carries every
+    index's tree pages and root as of its install.  Either way the same
+    descent and leaf walk run, and only the records the range returns
+    are fetched and decoded.
     """
 
     def __init__(
@@ -201,32 +207,16 @@ class IndexScan(PhysicalOp):
         _set_batch_size(self, batch_size)
 
     def _rows_in_key_order(self) -> Iterator[Batch]:
-        decode = self.table_info.codec.decode
-        if self.snapshot is not None:
-            image = self.snapshot.image_for(self.table_info.name)
-            if image is not None:
-                position = self.table_info.column_index(
-                    self.index_info.column
-                )
-                lo, hi = self.lo, self.hi
-                selected = []
-                for rows in image.scan_rows(decode):
-                    for row in rows:
-                        key = row[position]
-                        if key is None:  # NULL keys are not indexed
-                            continue
-                        if lo is not None and key < lo:
-                            continue
-                        if hi is not None and key > hi:
-                            continue
-                        selected.append(row)
-                selected.sort(key=lambda row: row[position])
-                yield selected
-                return
-        tree = BPlusTree(self.pool, self.index_info.root_page)
-        heap = self.table_info.heap
-        for __, rid in tree.range_scan(self.lo, self.hi):
-            yield [heap.get(rid, decode)]
+        image = _pinned_image(self.snapshot, self.table_info)
+        if image is None:
+            source, heap = self.pool, self.table_info.heap
+            root = self.index_info.root_page
+        else:
+            source, heap = image, image.heap
+            root = image.root_of(self.index_info)
+        get, decode = heap.get, self.table_info.codec.decode
+        for __, rid in BPlusTree(source, root).range_scan(self.lo, self.hi):
+            yield [get(rid, decode)]
 
     def batches(self) -> Iterator[Batch]:
         return _filtered_batches(

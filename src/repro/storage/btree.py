@@ -16,6 +16,11 @@ Internal node semantics: ``child[i]`` holds keys < ``key[i]``;
 Deletion is by tombstone-free removal from the leaf without rebalancing
 (underflow is tolerated); this trades some space for a lot of
 simplicity, and is documented behaviour.
+
+A tree reads its nodes through ``pool.pinned(page_id)`` and nothing
+else, so the same search code runs over the live buffer pool or over a
+snapshot's frozen :class:`~repro.storage.mvcc.TableImage`, which refuses
+the dirty pins a mutation takes.
 """
 
 from __future__ import annotations
@@ -46,6 +51,15 @@ def _leaf_entries(count: int) -> struct.Struct:
 @functools.lru_cache(maxsize=64)
 def _internal_fields(count: int) -> struct.Struct:
     return struct.Struct(f"<{count + 1}I{count}q")
+
+
+def _children(data: bytes) -> Tuple[int, ...]:
+    """An encoded node's child page ids (none for a leaf)."""
+    is_leaf, __, nkeys, __ = _NODE_HEADER.unpack_from(data, 0)
+    if is_leaf:
+        return ()
+    fields = _internal_fields(nkeys).unpack_from(data, NODE_HEADER_SIZE)
+    return fields[:nkeys + 1]
 
 
 class _Node:
@@ -109,7 +123,7 @@ class BPlusTree:
     def __init__(self, pool: BufferPool, root_page: int):
         self.pool = pool
         self.root_page = root_page
-        page_size = pool.disk.page_size
+        page_size = pool.page_size
         self.leaf_capacity = (page_size - NODE_HEADER_SIZE) // LEAF_ENTRY_SIZE
         self.internal_capacity = (page_size - NODE_HEADER_SIZE - 4) // 12
         if self.leaf_capacity < 3 or self.internal_capacity < 3:
@@ -118,7 +132,7 @@ class BPlusTree:
     @classmethod
     def create(cls, pool: BufferPool) -> "BPlusTree":
         page_id, data = pool.new_page()
-        data[:] = _Node(is_leaf=True).encode(pool.disk.page_size)
+        data[:] = _Node(is_leaf=True).encode(pool.page_size)
         pool.unpin(page_id, dirty=True)
         return cls(pool, page_id)
 
@@ -130,13 +144,29 @@ class BPlusTree:
 
     def _write(self, page_id: int, node: _Node) -> None:
         with self.pool.pinned(page_id, dirty=True) as data:
-            data[:] = node.encode(self.pool.disk.page_size)
+            data[:] = node.encode(self.pool.page_size)
 
     def _new_node(self, node: _Node) -> int:
         page_id, data = self.pool.new_page()
-        data[:] = node.encode(self.pool.disk.page_size)
+        data[:] = node.encode(self.pool.page_size)
         self.pool.unpin(page_id, dirty=True)
         return page_id
+
+    # -- whole-tree walks ------------------------------------------------------
+
+    def pages(self) -> Iterator[int]:
+        """Every node's page id, each parent before its children."""
+        stack = [self.root_page]
+        while stack:
+            page_id = stack.pop()
+            with self.pool.pinned(page_id) as data:
+                stack.extend(_children(data))
+            yield page_id
+
+    def drop(self) -> None:
+        """Free every node of the tree."""
+        for page_id in list(self.pages()):
+            self.pool.free_page(page_id)
 
     # -- search ------------------------------------------------------------------
 

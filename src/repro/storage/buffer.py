@@ -18,10 +18,11 @@ database's per-table write locks), writers on disjoint tables touch
 disjoint frames, and snapshot readers never touch live frames at all
 (they read frozen page images, see :mod:`repro.storage.mvcc`).
 
-``page_version(page_id)`` exposes a monotonic per-page mutation counter
-(bumped on every dirty unpin and page allocation).  The MVCC installer
-diffs against it to copy only the pages a write statement actually
-touched into the next frozen table image.
+``page_version(page_id)`` exposes a per-page mutation stamp, restamped
+on every dirty unpin and page allocation from one pool-wide counter, so
+a freed and reallocated page never repeats a stamp it carried before.
+The MVCC installer diffs against it to copy only the pages a write
+statement actually touched into the next frozen table image.
 
 **Write-ahead logging** (``attach_wal``): each frame carries the LSN of
 the last WAL record describing its contents, and the pool enforces the
@@ -112,6 +113,7 @@ class BufferPool:
         if capacity < 1:
             raise BufferPoolError("buffer pool needs at least one frame")
         self.disk = disk
+        self.page_size = disk.page_size
         self.capacity = capacity
         self._frames: List[_Frame] = [
             _Frame(i, disk.page_size) for i in range(capacity)
@@ -121,8 +123,9 @@ class BufferPool:
         self._free_frames: List[int] = list(range(capacity - 1, -1, -1))
         self._hand = 0
         self._lock = threading.RLock()
-        #: page_id -> monotonic mutation counter (see module docstring).
+        #: page_id -> mutation stamp (see module docstring).
         self._page_versions: Dict[int, int] = {}
+        self._version_clock = 0
         self.wal = None
         #: thread ident -> that thread's active DirtyTracker.
         self._trackers: Dict[int, DirtyTracker] = {}
@@ -262,12 +265,11 @@ class BufferPool:
                 self._note_dirty(frame)
 
     def _bump_version(self, page_id: int) -> None:
-        self._page_versions[page_id] = (
-            self._page_versions.get(page_id, 0) + 1
-        )
+        self._version_clock += 1
+        self._page_versions[page_id] = self._version_clock
 
     def page_version(self, page_id: int) -> int:
-        """Mutation counter for a page (0 = never dirtied via this pool)."""
+        """Mutation stamp for a page (0 = never dirtied via this pool)."""
         with self._lock:
             return self._page_versions.get(page_id, 0)
 

@@ -18,7 +18,9 @@ Reads take a ``decode(page_bytes, start, end)`` callable (a table's
 record in place, under the page's pin: :meth:`HeapFile.scan_rows` hands
 back a page's rows at a time and builds no :class:`RID`;
 :meth:`HeapFile.scan` pairs each row with its RID for the statements
-that write back.
+that write back.  Reads touch the pool only through ``pool.pinned``, so
+a snapshot's frozen :class:`~repro.storage.mvcc.TableImage` serves as
+the pool of a read-only handle (``TableImage.heap``).
 """
 
 from __future__ import annotations

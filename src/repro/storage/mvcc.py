@@ -3,32 +3,39 @@
 The server needs read-only SELECTs to run fully in parallel
 with each other *and* with the single serialized writer, while producing
 results bit-identical to a serial execution.  The mechanism here is a
-small multi-version store over the existing heap files:
+small multi-version store over the existing heap files and B+-trees:
 
 * Every table carries a **version** (epoch counter).  A write statement
-  mutates the live heap pages under its table's write lock and then
-  *installs* a new frozen image of the table — copying only the pages
-  whose :meth:`~repro.storage.buffer.BufferPool.page_version` mutation
-  counter changed, i.e. copy-on-write at page granularity — and bumps
-  the version.  Installs run under the database commit lock (one
-  publisher at a time, even with per-table writers), and the writer
-  still holds its table lock, so an image is always a statement-
-  consistent cut of that table.
+  mutates the live heap and index pages under its table's write lock
+  and then *installs* a new frozen image of the table — its heap chain
+  plus every node of every index on it, copying only the pages whose
+  :meth:`~repro.storage.buffer.BufferPool.page_version` mutation stamp
+  changed, i.e. copy-on-write at page granularity — and bumps the
+  version.  Installs run under the database commit lock (one publisher
+  at a time, even with per-table writers), and the writer still holds
+  its table lock, so an image is always a statement-consistent cut of
+  that table.
 * A read statement **pins a snapshot**: an immutable map of table →
-  (version, frozen image) taken atomically under the manager lock.
-  Scans under a snapshot iterate the frozen page bytes directly and
-  never touch the buffer pool, so readers cannot block on the writer
-  (nor on each other) and always observe one consistent version per
-  table — the one current when the statement was admitted.
+  (version, frozen image) taken atomically under the manager lock.  An
+  image is a read-only page source (``pinned(page_id)``), so the
+  unchanged :class:`~repro.storage.heapfile.HeapFile` and
+  :class:`~repro.storage.btree.BPlusTree` read code walks it directly:
+  a snapshot ``IndexScan`` descends the frozen tree and fetches only
+  the records it returns.  Scans under a snapshot never touch the
+  buffer pool, so readers cannot block on the writer (nor on each
+  other) and always observe one consistent version per table — the one
+  current when the statement was admitted.
 * Old images are **retained** while any live snapshot pins them and
   garbage-collected on release; the current image doubles as the shared
   read cache for all snapshot readers.
 
 Invariant: while the manager is enabled, ``image[current_version]``
 exists for every table (built eagerly at :meth:`SnapshotManager.enable`,
-re-installed after every write statement, and created on CREATE TABLE).
-Readers therefore *never* build images and never race the writer's page
-mutations.
+re-installed after every write statement, and created on CREATE TABLE)
+and holds the tree of every index the catalog names (CREATE INDEX
+installs the new tree *before* the catalog names the index, and a
+reader fixes its plan before it pins).  Readers therefore *never* build
+images and never race the writer's page mutations.
 
 Nothing here runs unless the manager is enabled (the server enables it
 on start) — an embedded database reads live pages, and
@@ -38,71 +45,100 @@ on start) — an embedded database reads live pages, and
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import StorageError
-from .disk import NO_PAGE
-from .page import Decoder, SlottedPage, decode_records
+from .btree import BPlusTree
+from .heapfile import HeapFile
+
+#: ``page_id -> (mutation stamp, nullcontext(frozen bytes))``: the
+#: context is what ``pinned`` hands out, built once per frozen page.
+Pages = Dict[int, Tuple[int, nullcontext]]
 
 
 class TableImage:
-    """A frozen, immutable copy of one table's heap pages at a version.
+    """A frozen, immutable copy of one table at a version: its heap
+    chain and every node of every index on it.
 
-    ``pages`` is the page chain in storage order; each entry is
-    ``(page_id, mutation_counter, buffer)`` where the buffer is a
-    private ``bytearray`` copy (:class:`SlottedPage` reads require
-    one) that is never mutated again.  The mutation counter lets
-    the next install reuse unchanged pages by reference instead of
-    copying them again.
+    The image is a read-only page source: :meth:`pinned` hands out a
+    frozen page (a private ``bytearray`` copy — :class:`SlottedPage`
+    reads require one — that is never mutated again) and refuses a
+    dirty pin, so ``heap`` (a :class:`HeapFile` over the image) and
+    :meth:`root_of` (for a :class:`BPlusTree` over it) read the table
+    as of the install with the live read code.  Each page keeps its
+    mutation stamp, which lets the next install reuse unchanged pages
+    by reference instead of copying them again.
     """
 
-    __slots__ = ("version", "pages", "pins")
+    __slots__ = ("version", "page_size", "pages", "roots", "heap", "pins")
 
-    def __init__(
-        self, version: int, pages: List[Tuple[int, int, bytearray]]
-    ):
+    def __init__(self, version: int, page_size: int, first_page: int,
+                 pages: Pages, roots: Dict[str, int]):
         self.version = version
+        self.page_size = page_size
         self.pages = pages
+        #: index name (lower-cased) -> its root page as of the install.
+        self.roots = roots
+        self.heap = HeapFile(self, first_page)
         #: Number of live snapshots pinning this image while it is
         #: retired (the *current* image is kept regardless of pins).
         self.pins = 0
 
-    def scan_rows(self, decode: Decoder) -> Iterator[List[object]]:
-        """Every live record, decoded in place, one page's rows at a
-        time in storage order (what ``HeapFile.scan_rows`` yields)."""
-        for __, __, data in self.pages:
-            yield decode_records(data, decode)[2]
+    def pinned(self, page_id: int, dirty: bool = False) -> nullcontext:
+        if dirty:
+            raise StorageError(
+                f"page {page_id} of a snapshot image is read-only"
+            )
+        try:
+            return self.pages[page_id][1]
+        except KeyError:
+            raise StorageError(
+                f"page {page_id} is not in the snapshot image"
+            ) from None
+
+    def root_of(self, index) -> int:
+        """The frozen root of ``index`` (an ``IndexInfo``)."""
+        try:
+            return self.roots[index.name.lower()]
+        except KeyError:
+            raise StorageError(
+                f"snapshot image has no tree for index {index.name!r}"
+            ) from None
 
     def page_count(self) -> int:
         return len(self.pages)
 
 
-def _capture_chain(
-    pool, first_page: int, previous: Optional[TableImage]
-) -> List[Tuple[int, int, bytearray]]:
-    """Copy a heap-file page chain, reusing unchanged pages.
+class _Capture:
+    """The page source an install walks the live table through.
 
-    Runs under the writing statement's table lock + the commit lock
-    (install) or before any concurrency exists (enable), so the chain
-    cannot move underneath it.
+    Every page read through it is frozen into the new image: shared
+    with the previous image when its mutation stamp has not moved,
+    copied out of the pool otherwise.  Runs under the writing
+    statement's table lock + the commit lock (install) or before any
+    concurrency exists (enable), so the table cannot move underneath it.
     """
-    reusable: Dict[int, Tuple[int, int, bytearray]] = {}
-    if previous is not None:
-        reusable = {entry[0]: entry for entry in previous.pages}
-    pages: List[Tuple[int, int, bytearray]] = []
-    page_id = first_page
-    while page_id != NO_PAGE:
-        mutation = pool.page_version(page_id)
-        prior = reusable.get(page_id)
-        if prior is not None and prior[1] == mutation:
-            data = prior[2]
-        else:
-            with pool.pinned(page_id) as live:
-                data = bytearray(live)
-        next_page = SlottedPage(data).next_page
-        pages.append((page_id, mutation, data))
-        page_id = next_page
-    return pages
+
+    def __init__(self, pool, previous: Optional[TableImage]):
+        self.pool = pool
+        self.page_size = pool.page_size
+        self.reusable: Pages = previous.pages if previous is not None else {}
+        self.pages: Pages = {}
+        self.reused = 0
+
+    def pinned(self, page_id: int) -> nullcontext:
+        entry = self.pages.get(page_id)
+        if entry is None:
+            mutation = self.pool.page_version(page_id)
+            entry = self.reusable.get(page_id)
+            if entry is not None and entry[0] == mutation:
+                self.reused += 1
+            else:
+                with self.pool.pinned(page_id) as live:
+                    entry = (mutation, nullcontext(bytearray(live)))
+            self.pages[page_id] = entry
+        return entry[1]
 
 
 class Snapshot:
@@ -170,42 +206,48 @@ class SnapshotManager:
                 return
             self.enabled = True
         for table in list(database.catalog.tables.values()):
-            self._install_table(database.pool, table.name,
-                                table.first_page)
+            self._install_table(database.pool, table, table.indexes)
 
     # -- writer side -------------------------------------------------------
 
-    def install(self, pool, table_name: str, first_page: int) -> None:
+    def install(self, pool, table, indexes: Optional[Sequence] = None
+                ) -> None:
         """Freeze the table's post-write state as the new current image.
 
-        Called by the writer at the end of a write statement, still
-        under its table write lock and the commit lock (inside the
-        write pipeline's publish step).  Copies only pages whose
-        mutation counters moved; unchanged pages are shared with the
-        previous image by reference.
+        ``table`` is the ``TableInfo``; the image holds its heap chain
+        and the tree of each of ``indexes`` (default: the table's
+        indexes — CREATE INDEX passes the list with its new index
+        before the catalog names it).  Called by the writer at the end
+        of a write statement, still under its table write lock and the
+        commit lock (inside the write pipeline's publish step).  Copies
+        only pages whose mutation stamps moved; unchanged pages are
+        shared with the previous image by reference.
         """
         if not self.enabled:
             return
-        self._install_table(pool, table_name, first_page)
+        self._install_table(
+            pool, table, table.indexes if indexes is None else indexes
+        )
 
-    def _install_table(self, pool, table_name: str,
-                       first_page: int) -> None:
-        key = table_name.lower()
+    def _install_table(self, pool, table, indexes: Sequence) -> None:
+        key = table.name.lower()
         previous = self._current.get(key)
-        pages = _capture_chain(pool, first_page, previous)
-        if previous is not None:
-            reused = {id(entry[2]) for entry in previous.pages}
-            shared = sum(
-                1 for entry in pages if id(entry[2]) in reused
-            )
-        else:
-            shared = 0
+        capture = _Capture(pool, previous)
+        for __ in HeapFile(capture, table.first_page).pages():
+            pass
+        roots = {}
+        for index in indexes:
+            for __ in BPlusTree(capture, index.root_page).pages():
+                pass
+            roots[index.name.lower()] = index.root_page
         version = previous.version + 1 if previous is not None else 1
-        image = TableImage(version, pages)
+        image = TableImage(
+            version, pool.page_size, table.first_page, capture.pages, roots
+        )
         with self._lock:
             self.installs += 1
-            self.pages_copied += len(pages) - shared
-            self.pages_reused += shared
+            self.pages_copied += len(capture.pages) - capture.reused
+            self.pages_reused += capture.reused
             if previous is not None and previous.pins > 0:
                 self._retained[(key, previous.version)] = previous
             self._current[key] = image

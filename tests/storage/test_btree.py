@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.database import Database
 from repro.storage.btree import BPlusTree
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heapfile import RID
+from tests.storage.faults import check_free_list
 
 
 def make_tree(page_size=256):
@@ -105,6 +107,56 @@ class TestBasics:
             tree.insert(key, rid_for(key))
         reopened = BPlusTree(tree.pool, tree.root_page)
         assert reopened.search(400) == [rid_for(400)]
+
+
+class TestWholeTree:
+    def test_pages_visits_every_node_once(self):
+        tree = make_tree()
+        for key in range(3000):
+            tree.insert(key, rid_for(key))
+        pages = list(tree.pages())
+        assert pages[0] == tree.root_page
+        npages, __ = tree.pool.disk.geometry()
+        # Every page the tree allocated, and nothing else.
+        assert sorted(pages) == list(range(1, npages))
+
+    def test_drop_returns_every_node_for_reuse(self):
+        tree = make_tree()
+        for key in range(3000):
+            tree.insert(key, rid_for(key))
+        npages, __ = tree.pool.disk.geometry()
+        tree.drop()
+        again = BPlusTree.create(tree.pool)
+        for key in range(3000):
+            again.insert(key, rid_for(key))
+        assert tree.pool.disk.geometry()[0] == npages
+        again.check_invariants()
+
+
+class TestDropTable:
+    @staticmethod
+    def cycle(db):
+        db.execute("CREATE TABLE t (id INT, v INT)")
+        db.insert_rows("t", [(i, i) for i in range(2000)])
+        db.execute("CREATE INDEX t_id ON t (id)")
+        db.execute("DROP TABLE t")
+        db.checkpoint()
+        return db.disk.geometry()[0]
+
+    def test_file_stays_flat_across_cycles_and_reopen(self, tmp_path):
+        """DROP TABLE frees its index pages as well as its heap (through
+        the WAL's buffered frees), so each CREATE/load/index/DROP cycle
+        reuses the last one's pages, before and after a reopen."""
+        path = str(tmp_path / "db")
+        db = Database(path, page_size=4096)
+        sizes = [self.cycle(db) for __ in range(3)]
+        db.close()
+        db = Database(path, page_size=4096)
+        assert db.disk.geometry()[0] == sizes[0]
+        sizes += [self.cycle(db) for __ in range(2)]
+        assert len(check_free_list(db)) == sizes[0] - 1
+        db.close()
+        assert sizes == [sizes[0]] * 5
 
 
 @settings(max_examples=40, deadline=None)

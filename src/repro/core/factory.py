@@ -24,12 +24,16 @@ class UDFExecutor(abc.ABC):
 
         executor = registry.executor_for_query(name)
         executor.begin_query(binding)
-        for tuple in ...:
-            executor.invoke(args)
+        for batch in ...:
+            executor.invoke_batch(batch)
         executor.end_query()      # isolated designs tear down here
 
-    ``close`` releases everything (shared executors are closed when the
-    registry shuts down).
+    ``invoke_batch`` is every design's one entry: what a call crosses
+    (guard setup, VM entry, shm round trip) is written once per design,
+    there.  ``invoke`` is a one-row batch, so a per-row caller (sort
+    keys, UPDATE SET, INSERT VALUES, plan-time folding) runs exactly the
+    batch routine.  ``close`` releases everything (shared executors are
+    closed when the registry shuts down).
     """
 
     #: Per-query :class:`~repro.obs.profile.UDFProfile`, attached by the
@@ -51,20 +55,20 @@ class UDFExecutor(abc.ABC):
     def begin_query(self, binding: Optional[CallbackBinding] = None) -> None:
         self.binding = binding if binding is not None else self.env.broker.bind()
 
-    @abc.abstractmethod
     def invoke(self, args: Sequence[object]) -> object:
-        """Run the UDF once.  ``args`` are SQL values."""
+        """Run the UDF once: a one-row batch.  ``args`` are SQL values."""
+        return self.invoke_batch([args])[0]
 
+    @abc.abstractmethod
     def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         """Run the UDF once per argument tuple, in order.
 
         The batch boundary is where each design amortizes its fixed
-        per-invocation costs (guard setup, VM entry, shm round-trips);
-        this default is the semantic contract the overrides must match —
-        one result per argument tuple, same order, first failure
-        propagates.
+        per-invocation costs (guard setup, VM entry, shm round trips).
+        The contract: one result per argument tuple, same order, and the
+        first failing row's exception propagates with no result returned;
+        a serial executor runs no row after it.
         """
-        return [self.invoke(args) for args in args_list]
 
     def end_query(self) -> None:
         self.binding = None

@@ -57,35 +57,17 @@ class NativeIntegratedExecutor(UDFExecutor):
         super().begin_query(binding)
         self._ctx = NativeUDFContext(self.binding)
 
-    def _raw_invoke(self, args: Sequence[object]) -> object:
-        """The unrecorded call path (SFI re-enters here with guards on)."""
-        if self._takes_ctx:
-            return self._func(self._ctx, *args)
-        return self._func(*args)
-
     def _raw_invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
-        # Hoist the binding check and ctx dispatch out of the loop; the
-        # remaining per-call cost is the bare host-callable invocation.
+        """The unrecorded call path (SFI re-enters here with guards on).
+
+        The binding check and ctx dispatch are hoisted out of the loop;
+        the remaining per-call cost is the bare host-callable invocation.
+        """
         func = self._func
         if self._takes_ctx:
             ctx = self._ctx
             return [func(ctx, *args) for args in args_list]
         return [func(*args) for args in args_list]
-
-    def invoke(self, args: Sequence[object]) -> object:
-        if self.binding is None:
-            self.begin_query()
-        prof = self.profile
-        if prof is None:
-            return self._raw_invoke(args)
-        started = perf_counter_ns()
-        try:
-            result = self._raw_invoke(args)
-        except BaseException as exc:
-            prof.record_error(exc)
-            raise
-        prof.record_invocations(1, perf_counter_ns() - started)
-        return result
 
     def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         if self.binding is None:

@@ -28,7 +28,9 @@ before the first result is awaited, so worker k+1 starts computing while
 the server is still feeding (or later draining) worker k.  Results are
 reassembled in shard order, which is input order, so parallelism never
 reorders a batch.  ``parallelism=1`` degenerates to the exact serial
-protocol: one worker, one round trip per batch.
+protocol: one worker, one round trip per batch.  A worker answers one
+request type, ``MSG_INVOKE_BATCH``: a one-row ``invoke`` is a one-row
+batch, so there is no per-row message pair.
 
 Design 4 (the paper extrapolates it; we build it) runs the sandboxed
 program *inside* the worker, so the UDF gets both process isolation and
@@ -57,7 +59,7 @@ import struct
 from time import perf_counter_ns
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import CallbackError, UDFCrashed, UDFInvocationError, VMError
+from ..errors import CallbackError, UDFCrashed, UDFInvocationError
 from .designs import Design
 from .factory import UDFExecutor
 from .sandbox import admission_claim, loaded_program, run_batch
@@ -80,8 +82,6 @@ _STARTUP_TIMEOUT = 30.0
 _MIN_SHARD_ROWS = 8
 
 MSG_READY = 1
-MSG_INVOKE = 2
-MSG_RESULT = 3
 MSG_CALLBACK = 4
 MSG_CB_REPLY = 5
 MSG_ERROR = 6
@@ -547,8 +547,8 @@ class RemoteExecutor(UDFExecutor):
 
     # -- invocation ------------------------------------------------------------
 
-    def _collect(self, worker: _Worker, expected: int):
-        """Drive one worker's channel until its result (or error) lands.
+    def _collect(self, worker: _Worker) -> list:
+        """Drive one worker's channel until its results (or error) land.
 
         Callback requests are serviced inline — each one is a shared
         memory round trip through the query's broker binding, the per
@@ -556,11 +556,8 @@ class RemoteExecutor(UDFExecutor):
         """
         while True:
             msg_type, payload = worker.recv()
-            if msg_type == expected:
-                result = _loads(payload)
-                return (
-                    list(result) if expected == MSG_RESULT_BATCH else result
-                )
+            if msg_type == MSG_RESULT_BATCH:
+                return list(_loads(payload))
             if msg_type == MSG_CALLBACK:
                 name, cb_args = _loads(payload)
                 try:
@@ -575,53 +572,24 @@ class RemoteExecutor(UDFExecutor):
                     f"unexpected message type {msg_type} from executor"
                 )
 
-    def invoke(self, args: Sequence[object]) -> object:
-        if self._pool.closed:
-            raise UDFInvocationError("remote executor is closed")
-        if self.binding is None:
-            self.begin_query()
-        prof = self.profile
-        if prof is None:
-            worker = self._pool.checkout()
-            try:
-                worker.send(MSG_INVOKE, _dumps(tuple(args)))
-                return self._collect(worker, MSG_RESULT)
-            finally:
-                self._pool.checkin(worker)
-        started = perf_counter_ns()
-        worker = self._pool.checkout()
-        dispatched = perf_counter_ns()
-        prof.queue_wait_ns.observe(dispatched - started)
-        try:
-            worker.send(MSG_INVOKE, _dumps(tuple(args)))
-            result = self._collect(worker, MSG_RESULT)
-        except BaseException as exc:
-            prof.record_error(exc)
-            raise
-        finally:
-            self._pool.checkin(worker)
-        ended = perf_counter_ns()
-        prof.round_trip_ns.observe(ended - dispatched)
-        prof.record_invocations(1, ended - started)
-        return result
-
     def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         """Shard one batch across idle workers, pipelined, order kept.
 
-        With one worker (or a batch too small to shard) this is the
-        serial protocol: N argument tuples cross together and N results
-        come back together — two hand-offs per *batch* instead of per
-        tuple.  With more workers the batch splits into contiguous
-        shards; every shard is sent before any result is awaited, so all
-        workers compute while the server marshals, and results are
-        collected in shard order — concatenation restores input order
-        regardless of which worker finished first.
+        With one worker (or a batch too small to shard) the batch is one
+        shard: N argument tuples cross together and N results come back
+        together — two hand-offs per *batch* instead of per tuple, and a
+        one-row call is just a one-row shard.  With more workers the
+        batch splits into contiguous shards; every shard is sent before
+        any result is awaited, so all workers compute while the server
+        marshals, and results are collected in shard order —
+        concatenation restores input order regardless of which worker
+        finished first.
 
         The first failing invocation aborts the batch with its original
-        exception, exactly as the per-tuple loop would have raised it:
-        shards are contiguous, so the lowest-shard error is the earliest
-        input row's error.  Remaining workers are still drained so their
-        channels stay request/response aligned for the next batch.
+        exception: shards are contiguous, so the lowest-shard error is
+        the earliest input row's error.  Remaining workers are still
+        drained so their channels stay request/response aligned for the
+        next batch.
         """
         if not args_list:
             return []
@@ -634,27 +602,7 @@ class RemoteExecutor(UDFExecutor):
         tuples = tuple(tuple(args) for args in args_list)
         want = min(pool.size, max(1, len(tuples) // _MIN_SHARD_ROWS))
         started = perf_counter_ns() if prof is not None else 0
-        worker = pool.checkout()
-        if want == 1:
-            dispatched = perf_counter_ns() if prof is not None else 0
-            if prof is not None:
-                prof.queue_wait_ns.observe(dispatched - started)
-            try:
-                worker.send(MSG_INVOKE_BATCH, _dumps(tuples))
-                results = self._collect(worker, MSG_RESULT_BATCH)
-            except BaseException as exc:
-                _stamp_shard(exc, 0, len(tuples))
-                if prof is not None:
-                    prof.record_error(exc)
-                raise
-            finally:
-                pool.checkin(worker)
-            if prof is not None:
-                ended = perf_counter_ns()
-                prof.round_trip_ns.observe(ended - dispatched)
-                prof.record_invocations(len(tuples), ended - started)
-            return results
-        workers = [worker]
+        workers = [pool.checkout()]
         while len(workers) < want:
             extra = pool.checkout_nowait()
             if extra is None:
@@ -691,7 +639,7 @@ class RemoteExecutor(UDFExecutor):
             # request/response boundary before re-entering the pool.
             for index, shard_worker in enumerate(sent):
                 try:
-                    part = self._collect(shard_worker, MSG_RESULT_BATCH)
+                    part = self._collect(shard_worker)
                 except Exception as exc:
                     _stamp_shard(exc, offsets[index], offsets[index + 1])
                     errors.append((index, exc))
@@ -798,7 +746,7 @@ def _worker_main(array, s2w_ready, s2w_ack, w2s_ready, w2s_ack,
     )
     port = _RemoteCallbackPort(channel)
     try:
-        invoke, invoke_batch = _build_worker_invoker(worker_payload, port)
+        invoke_batch = _build_worker_invoker(worker_payload, port)
     except Exception as exc:
         channel.worker_send(MSG_ERROR, _dumps(_shippable(exc)))
         return
@@ -807,39 +755,21 @@ def _worker_main(array, s2w_ready, s2w_ack, w2s_ready, w2s_ack,
         msg_type, payload = channel.worker_recv()
         if msg_type == MSG_SHUTDOWN:
             return
-        if msg_type == MSG_INVOKE_BATCH:
-            # Batched request: one unmarshal, N invocations, one reply.
-            # A failure anywhere aborts the batch with that exception —
-            # the same exception the per-tuple loop would have raised
-            # first, so error semantics do not drift.
-            try:
-                results = invoke_batch(_loads(payload))
-            except Exception as exc:
-                channel.worker_send(MSG_ERROR, _dumps(_shippable(exc)))
-                continue
-            channel.worker_send(MSG_RESULT_BATCH, _dumps(results))
-            continue
-        if msg_type != MSG_INVOKE:
-            channel.worker_send(
-                MSG_ERROR,
-                _dumps(UDFInvocationError(f"unexpected message {msg_type}")),
-            )
-            continue
+        # One request type: one unmarshal, N invocations, one reply.  A
+        # failure anywhere aborts the batch with that row's exception.
         try:
-            args = _loads(payload)
-            result = invoke(args)
+            if msg_type != MSG_INVOKE_BATCH:
+                raise UDFInvocationError(f"unexpected message {msg_type}")
+            results = invoke_batch(_loads(payload))
         except Exception as exc:
             channel.worker_send(MSG_ERROR, _dumps(_shippable(exc)))
             continue
-        channel.worker_send(MSG_RESULT, _dumps(result))
+        channel.worker_send(MSG_RESULT_BATCH, _dumps(results))
 
 
 def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
-    """Build ``(invoke, invoke_batch)`` for this worker's payload.
-
-    ``invoke`` runs one invocation; ``invoke_batch`` runs a list of
-    argument tuples and returns their results in order.
-    """
+    """Build this worker's batch callable: a list of argument tuples in,
+    their results out, in order."""
     kind = worker_payload[0]
     if kind == "native":
         func = resolve_native_payload(worker_payload[1])
@@ -849,14 +779,10 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
             and code.co_argcount > 0
             and code.co_varnames[0] == "ctx"
         )
-        ctx = _WorkerNativeContext(port)
         if takes_ctx:
-            def invoke(args):
-                return func(ctx, *args)
-        else:
-            def invoke(args):
-                return func(*args)
-        return invoke, (lambda rows: [invoke(args) for args in rows])
+            ctx = _WorkerNativeContext(port)
+            return lambda rows: [func(ctx, *args) for args in rows]
+        return lambda rows: [func(*args) for args in rows]
 
     if kind == "jaguar":
         __, loaded, entry, use_jit, use_flows = worker_payload
@@ -876,11 +802,6 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
         invoke_one = loaded.make_invoker(
             entry, context, use_jit=use_jit, elide_copies=use_flows
         )
-        account = context.account
-
-        def invoke(args):
-            account.reset()
-            return invoke_one(args)
 
         def invoke_batch(rows):
             # The in-process executor's batch routine: the kernel the
@@ -889,7 +810,7 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
             return run_batch(loaded, entry, context, invoke_one, rows,
                              use_flows)
 
-        return invoke, invoke_batch
+        return invoke_batch
 
     raise UDFInvocationError(f"unknown worker payload kind {kind!r}")
 

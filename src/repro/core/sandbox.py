@@ -328,41 +328,6 @@ class SandboxExecutor(UDFExecutor):
         self._tls.context = context
         return context
 
-    def invoke(self, args: Sequence[object]) -> object:
-        if self._context is None:
-            self.begin_query()
-        account = self._context.account
-        account.reset()  # the quota is per invocation
-        loaded = self._loaded
-        saved = loaded.use_jit
-        loaded.use_jit = self._use_jit
-        prof = self.profile
-        if prof is None:
-            try:
-                return loaded.invoke(
-                    self.definition.entry, args, context=self._context
-                )
-            finally:
-                loaded.use_jit = saved
-        started = perf_counter_ns()
-        try:
-            result = loaded.invoke(
-                self.definition.entry, args, context=self._context
-            )
-        except BaseException as exc:
-            prof.record_error(exc)
-            raise
-        finally:
-            loaded.use_jit = saved
-        prof.record_invocations(1, perf_counter_ns() - started)
-        # The account was reset at call entry, so the delta from its
-        # limits is exactly this invocation's consumption.
-        prof.record_resources(
-            account.fuel_limit - account.fuel,
-            account.memory_limit - account.memory,
-        )
-        return result
-
     def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         """One VM entry per batch instead of per tuple.
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import SFIViolation
-from .factory import UDFExecutor
 from .integrated import NativeIntegratedExecutor
 
 
@@ -76,19 +75,11 @@ class GuardedBytes:
 class SFIExecutor(NativeIntegratedExecutor):
     """Native in-process execution with guarded byte-array arguments.
 
-    Overrides the *raw* call paths so the inherited instrumentation (see
-    ``NativeIntegratedExecutor.invoke``) measures the full SFI span —
-    guard wrapping included, since that per-access tax is exactly the
-    overhead the design exists to pay.
+    Overrides the *raw* call path so the inherited instrumentation (see
+    ``NativeIntegratedExecutor.invoke_batch``) measures the full SFI
+    span — guard wrapping included, since that per-access tax is exactly
+    the overhead the design exists to pay.
     """
-
-    def _raw_invoke(self, args: Sequence[object]) -> object:
-        guarded = [
-            GuardedBytes(a) if isinstance(a, (bytes, bytearray, memoryview))
-            else a
-            for a in args
-        ]
-        return super()._raw_invoke(guarded)
 
     def _raw_invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         # Wrapping stays per-value (each call gets its own guarded

@@ -11,6 +11,7 @@ and tears everything down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError, PlanError
@@ -663,6 +664,15 @@ class StatementExecutor:
 
     # -- DML ---------------------------------------------------------------------------
 
+    def _dml_udfs(self, params):
+        """One DML statement's UDF resolver and runtime, sharing one
+        callback binding; the caller runs ``resolver.finish()``."""
+        binding = self.db.broker.bind()
+        return (
+            _QueryUDFResolver(self.db.registry, binding),
+            QueryRuntime(lobs=self.db.lobs, binding=binding, params=params),
+        )
+
     def _insert(self, statement: A.Insert, params) -> QueryResult:
         table = self.db.catalog.get_table(statement.table)
         if statement.columns:
@@ -670,39 +680,40 @@ class StatementExecutor:
         else:
             positions = list(range(len(table.columns)))
         empty = _EMPTY_SCHEMA
-        resolver = FunctionResolver()
-        runtime = QueryRuntime(lobs=self.db.lobs, params=params)
+        resolver, runtime = self._dml_udfs(params)
         count = 0
         # All rows of one INSERT go in under one hold of the table's
         # write lock and *without* per-row snapshot installs: the
         # statement-level install happens once when the statement
         # finishes, so snapshot readers see a multi-row INSERT
         # atomically.  (Reentrant: the write pipeline already holds it.)
-        with self.db.table_write_lock(table.name):
-            for value_exprs in statement.rows:
-                if len(value_exprs) != len(positions):
-                    raise PlanError(
-                        f"INSERT supplies {len(value_exprs)} values for "
-                        f"{len(positions)} columns"
-                    )
-                values: List[object] = [None] * len(table.columns)
-                provided = [False] * len(table.columns)
-                for position, expr in zip(positions, value_exprs):
-                    fn = compile_expr(expr, empty, resolver, runtime)
-                    values[position] = fn([])
-                    provided[position] = True
-                self.db._insert_row_locked(table, values)
-                count += 1
+        try:
+            with self.db.table_write_lock(table.name):
+                for value_exprs in statement.rows:
+                    if len(value_exprs) != len(positions):
+                        raise PlanError(
+                            f"INSERT supplies {len(value_exprs)} values for "
+                            f"{len(positions)} columns"
+                        )
+                    values: List[object] = [None] * len(table.columns)
+                    for position, expr in zip(positions, value_exprs):
+                        fn = compile_expr(expr, empty, resolver, runtime)
+                        values[position] = fn([])
+                    self.db._insert_row_locked(table, values)
+                    count += 1
+        finally:
+            resolver.finish()
         return QueryResult(rowcount=count)
 
     def _collect_matches(
         self, table: TableInfo, where: Optional[A.Expr], params
     ) -> List[Tuple[object, List[object]]]:
-        binding = self.db.broker.bind()
-        resolver = _QueryUDFResolver(self.db.registry, binding)
-        runtime = QueryRuntime(
-            lobs=self.db.lobs, binding=binding, params=params
-        )
+        """Every ``(rid, row)`` WHERE accepts, all found before any write.
+
+        The predicate runs a batch of ``db.batch_size`` rows at a time,
+        as a scan's does, so a UDF in it crosses once per batch.
+        """
+        resolver, runtime = self._dml_udfs(params)
         try:
             predicate = None
             if where is not None:
@@ -713,11 +724,20 @@ class StatementExecutor:
                 predicate = compile_expr(
                     qualify(where, schema), schema, resolver, runtime
                 )
+            scan = table.heap.scan(table.codec.decode)
+            if predicate is None:
+                return list(scan)
+            size = self.db.batch_size
             matches = []
-            for rid, row in table.heap.scan(table.codec.decode):
-                if predicate is None or predicate(row) is True:
-                    matches.append((rid, row))
-            return matches
+            while True:
+                pairs = list(islice(scan, size))
+                if not pairs:
+                    return matches
+                verdicts = eval_batch(predicate, [row for __, row in pairs])
+                matches += [
+                    pair for pair, verdict in zip(pairs, verdicts)
+                    if verdict is True
+                ]
         finally:
             resolver.finish()
 
@@ -739,11 +759,7 @@ class StatementExecutor:
         from .types import schema_for_table
 
         schema = schema_for_table(table)
-        binding = self.db.broker.bind()
-        resolver = _QueryUDFResolver(self.db.registry, binding)
-        runtime = QueryRuntime(
-            lobs=self.db.lobs, binding=binding, params=params
-        )
+        resolver, runtime = self._dml_udfs(params)
         try:
             assignments = [
                 (

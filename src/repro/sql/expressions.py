@@ -151,30 +151,8 @@ class UDFCallSite:
         )
 
     def __call__(self, row: Sequence[object]) -> object:
-        args = []
-        for fn, param_type in zip(self.arg_fns, self.param_types):
-            value = fn(row)
-            if value is None:
-                return None  # strict NULL semantics for UDFs
-            if param_type == "bytes":
-                value = self.runtime.materialize(value)
-            elif param_type == "handle":
-                value = self.runtime.make_handle(value)
-            elif param_type == "float" and isinstance(value, int):
-                value = float(value)
-            args.append(value)
-        memo = self._memo
-        if memo is None:
-            return self.executor.invoke(args)
-        try:
-            key = tuple(args)
-            if key in memo:
-                return memo[key]
-        except TypeError:  # unhashable argument (e.g. bytearray)
-            return self.executor.invoke(args)
-        result = self.executor.invoke(args)
-        memo[key] = result
-        return result
+        """One row (sort keys, UPDATE SET, INSERT VALUES): a one-row batch."""
+        return self.eval_batch([row])[0]
 
     def _coerce_args(self, raw: Sequence[object]) -> List[object]:
         """Materialize/handle/widen one row's argument values, in order."""

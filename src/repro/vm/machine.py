@@ -20,7 +20,7 @@ from ..errors import LinkError, VerifyError, VMError, VMRuntimeError
 from .classfile import ClassFile
 from .classloader import SystemClassLoader, UDFClassLoader
 from .interpreter import ExecutionContext, run_function
-from .jit import JitCompiler, invoke_jit
+from .jit import JitCompiler
 from .resources import DEFAULT_POLICY, QuotaPolicy, ResourceAccount
 from .security import Permissions, SecurityManager, Signature
 from .values import coerce_argument, coerce_argument_readonly
@@ -150,23 +150,19 @@ class LoadedUDF:
         callbacks: Optional[Dict[str, Callable]] = None,
         context: Optional[ExecutionContext] = None,
     ) -> object:
-        """Run ``main_class.func_name(*args)`` inside the sandbox.
+        """Run ``main_class.func_name(*args)`` inside the sandbox, once.
 
-        ``context`` lets callers reuse one context (and one resource
-        account) across many invocations — the per-tuple fast path the
-        UDF executors use; otherwise a fresh account is created.
+        The tier-0 entry of the client harness and the tests: never the
+        batch kernel, and a fresh account unless ``context`` (or
+        ``account``) is given.  Byte arrays are always copied in.  The
+        call goes through :meth:`make_invoker`, so arity, argument
+        coercion, the verified-class check and call-depth accounting are
+        the executors' own.
         """
-        func = self.main_class.functions.get(func_name)
-        if func is None:
-            raise LinkError(
-                f"UDF {self.name!r} has no function {func_name!r}"
-            )
         ctx = context if context is not None else self.make_context(
             account=account, callbacks=callbacks
         )
-        if self.use_jit:
-            return invoke_jit(self.main_class, func, args, ctx, self._jit)
-        return run_function(self.main_class, func, args, ctx)
+        return self.make_invoker(func_name, ctx, elide_copies=False)(args)
 
     def make_invoker(
         self,
@@ -179,8 +175,9 @@ class LoadedUDF:
 
         One VM "entry" (function lookup, verified check, JIT compile) is
         paid here; the returned callable only marshals arguments and
-        runs.  This is the batch fast path: the executor enters the VM
-        once per batch and calls the closure once per tuple.
+        runs.  Every sandboxed call goes through one: the executor
+        enters the VM once per batch and calls the closure once per
+        tuple, and :meth:`invoke` builds one for its single call.
 
         When ``elide_copies`` is true and the function carries a flow
         certificate, byte-array arguments for parameters proven

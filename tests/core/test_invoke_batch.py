@@ -1,9 +1,9 @@
-"""``invoke_batch`` contract: every design, same results as ``invoke``.
+"""``invoke_batch`` contract: every design, checked against a Python model.
 
-The batch entry point is the executor-level amortization boundary; its
-contract is one result per argument tuple, in order, first failure
-propagating.  Each design's override must be indistinguishable from the
-per-tuple loop except for speed.
+The batch entry point is every design's only way in; its contract is one
+result per argument tuple, in order, first failure propagating with no
+later row run.  ``invoke`` is a one-row batch, so it is checked against
+the same model rather than used as a reference.
 """
 
 import pytest
@@ -53,14 +53,31 @@ def test_matches_per_tuple_results(db, design):
         executor.close()
 
 
-@pytest.mark.parametrize("design", IN_PROCESS)
+@pytest.mark.parametrize("design", ALL_DESIGNS)
 def test_batch_equals_loop_of_invokes(db, design):
+    # Both sides against the model: ``invoke`` runs the batch routine
+    # (the tier-1 kernel included), so it is no independent reference.
     executor = _executor(db, design)
     try:
         executor.begin_query()
         args_list = _args(7)
-        loop = [executor.invoke(args) for args in args_list]
-        assert executor.invoke_batch(args_list) == loop
+        assert [executor.invoke(args) for args in args_list] == (
+            _expected(args_list)
+        )
+        assert executor.invoke_batch(args_list) == _expected(args_list)
+    finally:
+        executor.end_query()
+        executor.close()
+
+
+@pytest.mark.parametrize("design", ALL_DESIGNS)
+def test_one_row_batch(db, design):
+    executor = _executor(db, design)
+    try:
+        executor.begin_query()
+        args_list = [(b"\x03\x04", 5, 2, 0)]
+        assert executor.invoke_batch(args_list) == [19]
+        assert executor.invoke(args_list[0]) == 19
     finally:
         executor.end_query()
         executor.close()
@@ -103,21 +120,22 @@ def test_isolated_batch_with_callbacks(db, design):
         executor.close()
 
 
-def test_default_fallback_loops_over_invoke(db):
-    """An executor that only implements ``invoke`` still batches."""
+def test_invoke_is_a_one_row_batch(db):
+    """An executor implements only ``invoke_batch``; ``invoke`` rides it."""
     from repro.core.factory import UDFExecutor
 
     calls = []
 
     class Minimal(UDFExecutor):
-        def invoke(self, args):
-            calls.append(tuple(args))
-            return sum(args)
+        def invoke_batch(self, args_list):
+            calls.append([tuple(args) for args in args_list])
+            return [sum(args) for args in args_list]
 
     definition = generic_definition(Design.NATIVE_INTEGRATED)
     executor = Minimal(definition, db.environment)
-    assert executor.invoke_batch([(1, 2), (3, 4)]) == [3, 7]
-    assert calls == [(1, 2), (3, 4)]
+    assert executor.invoke((1, 2)) == 3
+    assert executor.invoke_batch([(3, 4)]) == [7]
+    assert calls == [[(1, 2)], [(3, 4)]]
 
 
 @pytest.mark.parametrize("design", IN_PROCESS)
@@ -129,6 +147,35 @@ def test_first_failure_propagates(db, design):
         # error types, but the batch must raise rather than return.
         with pytest.raises(Exception):
             executor.invoke_batch([(b"", 0, 0, 0), (b"",)])
+    finally:
+        executor.end_query()
+        executor.close()
+
+
+@pytest.mark.parametrize("design", ALL_DESIGNS)
+def test_first_failure_stops_the_batch(db, design):
+    """The failing row's own error class; no row after it runs.
+
+    Every good row makes one ``cb_noop`` callback, and the query's
+    binding counts them server-side (an isolated worker's callbacks
+    cross back to it), so the count says which rows ran.
+    """
+    executor = _executor(db, design)
+    try:
+        binding = db.broker.bind()
+        executor.begin_query(binding)
+        good = (b"", 0, 0, 1)
+        bad = (b"",)  # arity violation
+        with pytest.raises(Exception) as alone:
+            executor.invoke(bad)
+        assert binding.invocations.get("cb_noop", 0) == 0
+        with pytest.raises(Exception) as in_batch:
+            executor.invoke_batch([good, good, bad, good, good])
+        assert type(in_batch.value) is type(alone.value)
+        assert binding.invocations["cb_noop"] == 2
+        # The executor survives the failure: the next batch runs whole.
+        assert executor.invoke_batch([good]) == [0]
+        assert binding.invocations["cb_noop"] == 3
     finally:
         executor.end_query()
         executor.close()

@@ -55,8 +55,8 @@ class TestCrashContext:
             exc = excinfo.value
             assert isinstance(exc.worker_index, int)
             assert 0 <= exc.worker_index < 2
-            # A one-row invoke has no shard slice to report.
-            assert exc.shard is None
+            # A one-row invoke is a one-row batch: its shard is that row.
+            assert exc.shard == (0, 1)
         finally:
             executor.close()
 

@@ -1,0 +1,128 @@
+"""Every SQL consumer of a UDF enters the design through ``invoke_batch``.
+
+SELECT scans and filters hand a UDF whole batches; sort keys, UPDATE
+SET, INSERT VALUES and plan-time folding evaluate one row at a time, and
+UPDATE/DELETE WHERE a batch at a time.  Each design implements only
+``invoke_batch`` (``invoke`` is a one-row batch), so patching a design's
+executor class to count its ``invoke_batch`` calls sees every invocation
+any statement makes.
+"""
+
+import pytest
+
+from repro.core.designs import Design
+from repro.core.integrated import NativeIntegratedExecutor
+from repro.core.isolated import RemoteExecutor
+from repro.core.sandbox import SandboxExecutor
+from repro.core.sfi import SFIExecutor
+from repro.database import Database
+from tests.sql.test_batch_parity import UDF_BY_DESIGN, triple
+
+#: The class each design's executor is, to count its ``invoke_batch``.
+EXECUTOR_CLASS = {
+    Design.NATIVE_INTEGRATED: NativeIntegratedExecutor,
+    Design.NATIVE_SFI: SFIExecutor,
+    Design.NATIVE_ISOLATED: RemoteExecutor,
+    Design.SANDBOX_JIT: SandboxExecutor,
+    Design.SANDBOX_INTERP: SandboxExecutor,
+    Design.SANDBOX_ISOLATED: RemoteExecutor,
+}
+
+ROWS = 12
+
+
+def _database(design, rows=ROWS):
+    db = Database()
+    db.execute("CREATE TABLE t (id INT, x INT, c INT)")
+    db.execute(
+        "INSERT INTO t VALUES "
+        + ", ".join(f"({i}, {(i * 7) % rows}, 0)" for i in range(rows))
+    )
+    db.execute(UDF_BY_DESIGN[design])  # t1(x) = triple(x) in every design
+    return db
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Patch one executor class; return the batch sizes it was given."""
+    def patch(cls):
+        sizes = []
+        inner = cls.invoke_batch
+
+        def counting(self, args_list):
+            sizes.append(len(args_list))
+            return inner(self, args_list)
+
+        monkeypatch.setattr(cls, "invoke_batch", counting)
+        return sizes
+
+    return patch
+
+
+@pytest.mark.parametrize("design", tuple(Design))
+def test_every_consumer_enters_through_invoke_batch(design, batches):
+    with _database(design) as db:
+        sizes = batches(EXECUTOR_CLASS[design])
+        table = {i: (i * 7) % ROWS for i in range(ROWS)}  # id -> x
+
+        # Sort key: one row at a time.
+        rows = db.query("SELECT id FROM t ORDER BY t1(x) DESC, id")
+        assert [r[0] for r in rows] == sorted(
+            table, key=lambda i: (-triple(table[i]), i)
+        )
+        assert sizes == [1] * ROWS
+
+        # UPDATE SET: one row at a time, over the 4 matches.
+        sizes.clear()
+        assert db.execute("UPDATE t SET c = t1(x) WHERE id < 4").rowcount == 4
+        assert db.query("SELECT id, c FROM t WHERE id < 4 ORDER BY id") == [
+            (i, triple(table[i])) for i in range(4)
+        ]
+        assert sizes == [1] * 4
+
+        # DELETE WHERE: a batch at a time, every row once.
+        sizes.clear()
+        doomed = [i for i in table if triple(table[i]) > 24]
+        assert doomed
+        assert db.execute(
+            "DELETE FROM t WHERE t1(x) > 24"
+        ).rowcount == len(doomed)
+        assert sum(sizes) == ROWS
+        for i in doomed:
+            del table[i]
+        assert sorted(r[0] for r in db.query("SELECT id FROM t")) == sorted(
+            table
+        )
+
+        # INSERT VALUES: one call for the one value.
+        sizes.clear()
+        db.execute("INSERT INTO t VALUES (100, 5, t1(3))")
+        assert db.query("SELECT c FROM t WHERE id = 100") == [(9,)]
+        assert sizes == [1]
+
+        # A pure (sandboxed) UDF over literals folds at plan time through
+        # ``invoke``; a native one runs on the one selected row.  One
+        # invocation either way.
+        sizes.clear()
+        assert db.query("SELECT id, t1(4) FROM t WHERE id = 100") == [
+            (100, 12)
+        ]
+        assert sizes == [1]
+        assert db.registry.get("t1").is_pure == design.is_sandboxed
+
+
+@pytest.mark.parametrize("batch_size, crossings", [(64, 2), (1, 100)])
+def test_dml_where_crosses_once_per_batch(batch_size, crossings, batches):
+    """An isolated UDF in UPDATE/DELETE WHERE over 100 rows crosses once
+    per batch of ``db.batch_size`` rows, not once per row."""
+    with _database(Design.NATIVE_ISOLATED, rows=100) as db:
+        db.batch_size = batch_size
+        sizes = batches(RemoteExecutor)
+        assert db.execute(
+            "UPDATE t SET c = 1 WHERE t1(x) >= 150"
+        ).rowcount == 50
+        assert len(sizes) == crossings and sum(sizes) == 100
+        sizes.clear()
+        assert db.execute("DELETE FROM t WHERE t1(x) < 150").rowcount == 50
+        assert len(sizes) == crossings and sum(sizes) == 100
+        assert db.query("SELECT count(*), min(c) FROM t") == [(50, 1)]

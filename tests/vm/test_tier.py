@@ -133,8 +133,14 @@ def _sandbox_executor(db, source, name, signature="int", fuel=None,
 
 
 def _tier0(executor, batch):
-    """The baseline: one tier-0 ``invoke`` (fresh quota) per row."""
-    return [executor.invoke(args) for args in batch]
+    """The baseline: one tier-0 ``LoadedUDF.invoke`` (fresh quota) per row.
+
+    Not ``executor.invoke``: that is a one-row batch, which runs the
+    kernel (and would count its own deopts).
+    """
+    loaded = executor.env.vm.get_udf(executor.definition.name.lower())
+    entry = executor.definition.entry
+    return [loaded.invoke(entry, args) for args in batch]
 
 
 class TestKernelExecution:

@@ -48,7 +48,7 @@ RESULT_CHUNK_CAP = 1024 * 1024
 
 
 def pack_frame(opcode: int, payload: bytes = b"") -> bytes:
-    """One wire frame, ready to write (blocking and asyncio senders)."""
+    """One wire frame, ready to write."""
     if len(payload) + 1 > MAX_FRAME:
         raise ProtocolError("frame too large")
     return _FRAME.pack(len(payload) + 1, opcode) + payload
@@ -57,8 +57,8 @@ def pack_frame(opcode: int, payload: bytes = b"") -> bytes:
 def parse_header(header: bytes) -> Tuple[int, int]:
     """``(opcode, payload length)`` from :data:`HEADER_SIZE` header bytes.
 
-    The one place a peer-supplied length is validated, so neither reader
-    ever allocates for a frame outside ``[1, MAX_FRAME]``.
+    The one place a peer-supplied length is validated, so no reader ever
+    allocates for a frame outside ``[1, MAX_FRAME]``.
     """
     length, opcode = _FRAME.unpack(header)
     if length < 1 or length > MAX_FRAME:

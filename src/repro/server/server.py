@@ -1,10 +1,12 @@
-"""The database server: one asyncio front end over one :class:`Database`.
+"""The database server: one thread per connection over one :class:`Database`.
 
 "The server is a single multi-threaded process" (Section 4) that every
 client's statement reaches the same way.  :class:`DatabaseServer`
-multiplexes every connection on one event loop and dispatches statement
-*execution* to a bounded worker pool, where each statement goes through
-``Database.execute`` like an embedded caller's would:
+accepts on one thread and hands each connection to a thread of its own.
+That thread reads a frame with the blocking :func:`protocol.recv_frame`,
+runs the statement itself through ``Database.execute`` like an embedded
+caller would, and writes the reply with one ``sendall``.  No statement
+changes threads between its request and its reply:
 
 * **Reads run concurrently.**  On start the server enables the
   database's :class:`~repro.storage.mvcc.SnapshotManager`; each SELECT
@@ -20,25 +22,25 @@ multiplexes every connection on one event loop and dispatches statement
   the literal-stripped token sequence, validated against the schema and
   UDF epochs and the optimizer settings) and skip parse/plan/optimize
   entirely.
-* **Tenants are isolated.**  Statements are admitted through
-  :class:`~repro.server.admission.AdmissionController`: bounded
-  per-tenant queues, round-robin dequeue, per-tenant thread-group
-  budgets, :class:`~repro.errors.AdmissionRefused` over the cap.
+* **Tenants are isolated.**  A connection thread runs its statement only
+  once :class:`~repro.server.admission.AdmissionController` grants it a
+  slot: ``concurrency`` slots in all, bounded per-tenant queues,
+  round-robin grants, per-tenant thread-group budgets,
+  :class:`~repro.errors.AdmissionRefused` over the cap.
 
-The event loop runs on a background thread so ``start()``/``stop()`` are
-synchronous.  Per connection, frames are handled strictly in order (a
-session's statements never overlap each other); concurrency comes from
-having many connections.  ``stop()`` drains: it waits (bounded) for
-in-flight statements to send their result or error frame before closing
-the remaining connections.
+Per connection, frames are handled strictly in order (a session's
+statements never overlap each other); concurrency comes from having
+many connections.  ``start()``/``stop()`` are synchronous.  ``stop()``
+drains: it stops accepting, waits (bounded) for in-flight statements to
+send their reply, then shuts the remaining connections down and joins
+every thread the server started.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Set
+from typing import Dict, Optional
 
 from ..core.designs import Design
 from ..core.udf import UDFDefinition, UDFSignature
@@ -46,13 +48,12 @@ from ..database import Database
 from ..errors import ProtocolError
 from . import protocol
 from .admission import (
+    DEFAULT_SLOTS,
     DEFAULT_TENANT_QUEUE_CAP,
     DEFAULT_TENANT_SLOTS,
     AdmissionController,
 )
 from .session import Session
-
-DEFAULT_CONCURRENCY = 8
 
 
 def materialize_rows(database: Database, rows):
@@ -103,7 +104,7 @@ def build_udf_definition(session: Session, payload: bytes) -> UDFDefinition:
 
 
 class DatabaseServer:
-    """Concurrent TCP front end over one embedded :class:`Database`."""
+    """Thread-per-connection TCP front end over one embedded :class:`Database`."""
 
     def __init__(
         self,
@@ -111,7 +112,7 @@ class DatabaseServer:
         host: str = "127.0.0.1",
         port: int = 0,
         trust_all_clients: bool = False,
-        concurrency: int = DEFAULT_CONCURRENCY,
+        concurrency: int = DEFAULT_SLOTS,
         tenant_slots: int = DEFAULT_TENANT_SLOTS,
         tenant_queue_cap: int = DEFAULT_TENANT_QUEUE_CAP,
     ):
@@ -126,97 +127,67 @@ class DatabaseServer:
         self._requested_port = port
         self.host: Optional[str] = None
         self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
         self.admission: Optional[AdmissionController] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._busy = 0        # statements in flight; loop-thread only
+        # _connections, _busy, _draining and sessions_served are guarded
+        # by _state_lock; _idle is signalled when _busy drops to 0.
+        #: Open connection socket -> the thread that owns (and closes) it.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._busy = 0        # statements between frame read and reply
         self._draining = False
         self._state_lock = threading.Lock()
+        self._idle = threading.Condition(self._state_lock)
         self.sessions_served = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         self.database.snapshots.enable(self.database)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.concurrency, thread_name_prefix="stmt-worker"
-        )
         self.admission = AdmissionController(
-            self._executor,
             self.database.thread_groups,
+            slots=self.concurrency,
             tenant_slots=self.tenant_slots,
             queue_cap=self.tenant_queue_cap,
         )
         self.database.attach_stats_source("server", self.stats_snapshot)
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, args=(started,),
-            name="server-loop", daemon=True,
+        self._draining = False
+        self._listener = socket.create_server(
+            (self._requested_host, self._requested_port), backlog=100
         )
-        self._loop_thread.start()
-        started.wait(timeout=10.0)
-        future = asyncio.run_coroutine_threadsafe(
-            self._start_listener(), self._loop
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="server-accept", daemon=True
         )
-        future.result(timeout=10.0)
-
-    def _run_loop(self, started: threading.Event) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.call_soon(started.set)
-        self._loop.run_forever()
-
-    async def _start_listener(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection,
-            self._requested_host,
-            self._requested_port,
-        )
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
+        self._accept_thread.start()
 
     def stop(self, timeout: float = 5.0) -> None:
         """Drain and shut down.
 
         Stops accepting, waits up to ``timeout`` seconds for in-flight
-        statements to deliver their result or error frame, then closes
-        the remaining connections and tears the loop down.  Idempotent.
+        statements to send their reply, then shuts the remaining
+        connections down and joins their threads (a statement still
+        running past ``timeout`` finishes first; its reply is dropped).
+        Idempotent.
         """
-        if self._loop is None:
+        if self._listener is None:
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self._shutdown(timeout), self._loop
-        )
-        try:
-            future.result(timeout=timeout + 10.0)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._loop_thread.join(timeout=5.0)
-            self._loop.close()
-            self._loop = None
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-
-    async def _shutdown(self, deadline: float) -> None:
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        loop = asyncio.get_event_loop()
-        end = loop.time() + deadline
-        while self._busy and loop.time() < end:
-            await asyncio.sleep(0.005)
-        for writer in list(self._writers):
-            writer.close()
-        tasks = list(self._conn_tasks)
-        if tasks:
-            await asyncio.wait(tasks, timeout=1.0)
-        for task in list(self._conn_tasks):
-            task.cancel()
+        with self._state_lock:
+            self._draining = True
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._accept_thread.join()
+        self._listener.close()
+        self._listener = None
+        with self._state_lock:
+            self._idle.wait_for(lambda: not self._busy, timeout)
+            connections = list(self._connections.items())
+        for sock, __ in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes recv() with EOF
+            except OSError:
+                pass
+        for __, thread in connections:
+            thread.join()
 
     def __enter__(self) -> "DatabaseServer":
         self.start()
@@ -227,56 +198,59 @@ class DatabaseServer:
 
     # -- connection handling -----------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._writers.add(writer)
-        with self._state_lock:
-            self.sessions_served += 1
-        peername = writer.get_extra_info("peername") or ("?", 0)
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, peer = self._listener.accept()
+            except OSError:
+                if self._draining:
+                    return  # stop() shut the listener down
+                continue  # this one peer's connect failed
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve_connection, args=(sock, peer),
+                name=f"conn-{peer[0]}:{peer[1]}", daemon=True,
+            )
+            with self._state_lock:
+                if self._draining:
+                    sock.close()
+                    return
+                self._connections[sock] = thread
+                self.sessions_served += 1
+            thread.start()
+
+    def _serve_connection(self, sock: socket.socket, peer) -> None:
         session = Session(
-            peer=f"{peername[0]}:{peername[1]}",
-            trusted=self.trust_all_clients,
+            peer=f"{peer[0]}:{peer[1]}", trusted=self.trust_all_clients
         )
         try:
-            while not self._draining:
+            while True:
                 try:
-                    opcode, payload = await self._recv_frame(reader)
-                except (ProtocolError, asyncio.IncompleteReadError,
-                        ConnectionError):
+                    opcode, payload = protocol.recv_frame(sock)
+                except (ProtocolError, OSError):
                     return
                 if opcode == protocol.OP_CLOSE:
                     return
-                self._busy += 1
+                with self._state_lock:
+                    if self._draining:
+                        return
+                    self._busy += 1
                 try:
-                    await self._handle(writer, session, opcode, payload)
-                except (ConnectionError, asyncio.CancelledError):
-                    return
+                    sock.sendall(self._reply(session, opcode, payload))
+                except OSError:
+                    return  # the peer hung up before its reply
                 finally:
-                    self._busy -= 1
+                    with self._state_lock:
+                        self._busy -= 1
+                        if not self._busy:
+                            self._idle.notify_all()
         finally:
-            self._writers.discard(writer)
-            self._conn_tasks.discard(task)
-            writer.close()
+            with self._state_lock:
+                del self._connections[sock]
+            sock.close()
 
-    async def _recv_frame(self, reader: asyncio.StreamReader):
-        opcode, size = protocol.parse_header(
-            await reader.readexactly(protocol.HEADER_SIZE)
-        )
-        return opcode, await reader.readexactly(size)
-
-    async def _send_frame(
-        self, writer: asyncio.StreamWriter, opcode: int,
-        payload: bytes = b"",
-    ) -> None:
-        writer.write(protocol.pack_frame(opcode, payload))
-        await writer.drain()
-
-    async def _handle(
-        self, writer, session: Session, opcode: int, payload: bytes
-    ) -> None:
+    def _reply(self, session: Session, opcode: int, payload: bytes) -> bytes:
+        """The packed reply frames to one request frame."""
         try:
             if opcode == protocol.OP_HELLO:
                 # Optional payload: (tenant name,).  Absent (the classic
@@ -284,58 +258,40 @@ class DatabaseServer:
                 if payload:
                     (tenant,) = protocol.decode_values(payload, 1)
                     session.tenant = str(tenant)
-                await self._send_frame(
-                    writer,
+                frames = [(
                     protocol.OP_WELCOME,
                     protocol.encode_values(
                         session.session_id, session.trusted
                     ),
-                )
+                )]
             elif opcode == protocol.OP_PING:
-                await self._send_frame(writer, protocol.OP_PONG)
+                frames = [(protocol.OP_PONG, b"")]
             elif opcode == protocol.OP_EXECUTE:
                 (sql,) = protocol.decode_values(payload, 1)
                 session.note_statement()
-                frames = await self._run_admitted(
-                    session, self._execute_sql, sql
+                frames = self.admission.run(
+                    session.tenant_name, self._execute_sql, sql
                 )
-                for frame_opcode, frame_payload in frames:
-                    await self._send_frame(
-                        writer, frame_opcode, frame_payload
-                    )
             elif opcode == protocol.OP_REGISTER_UDF:
-                await self._run_admitted(
-                    session, self._register_udf, session, payload
+                self.admission.run(
+                    session.tenant_name, self._register_udf, session,
+                    payload,
                 )
                 session.note_udf_registered()
-                await self._send_frame(writer, protocol.OP_OK)
+                frames = [(protocol.OP_OK, b"")]
             else:
                 raise ProtocolError(f"unknown opcode {opcode}")
-        except (ConnectionError, asyncio.CancelledError):
-            raise
+            return b"".join(protocol.pack_frame(*frame) for frame in frames)
         except Exception as exc:  # every failure becomes an ERROR frame
-            await self._send_frame(
-                writer,
+            return protocol.pack_frame(
                 protocol.OP_ERROR,
                 protocol.encode_values(type(exc).__name__, str(exc)),
             )
 
-    async def _run_admitted(self, session: Session, fn, *args):
-        """Run ``fn`` on the worker pool under tenant admission."""
-        future = self.admission.submit(
-            session.tenant_name, lambda: fn(*args)
-        )
-        return await asyncio.wrap_future(future)
-
-    # -- statement execution (worker threads) ------------------------------
+    # -- statement execution (connection threads, under admission) ---------
 
     def _execute_sql(self, sql: str):
-        """Execute and pre-encode one statement's reply frames.
-
-        Runs on a worker thread.  Encoding (including LOB
-        materialization) happens here too, keeping the event loop free
-        for multiplexing.
-        """
+        """Execute one statement and encode its reply frames."""
         result = self.database.execute(sql)
         rows = materialize_rows(self.database, result.rows)
         return list(
@@ -358,7 +314,7 @@ class DatabaseServer:
             data = {
                 "concurrency": self.concurrency,
                 "sessions_served": self.sessions_served,
-                "open_connections": len(self._writers),
+                "open_connections": len(self._connections),
                 "busy_statements": self._busy,
             }
         if self.admission is not None:

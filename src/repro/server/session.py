@@ -13,7 +13,6 @@ vendor path of Section 2.2).
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
@@ -52,25 +51,19 @@ class Session:
     #: their HELLO; undeclared sessions each form a tenant of their own
     #: (``session-<id>``), so per-tenant budgets degrade to per-session.
     tenant: Optional[str] = None
-    #: Guards the counters above: the server touches one
-    #: session from multiple worker threads.
-    _counter_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @property
     def tenant_name(self) -> str:
         return self.tenant or f"session-{self.session_id}"
 
+    # Only the session's own connection thread moves its counters.
     def note_statement(self) -> int:
-        with self._counter_lock:
-            self.statements += 1
-            return self.statements
+        self.statements += 1
+        return self.statements
 
     def note_udf_registered(self) -> int:
-        with self._counter_lock:
-            self.udfs_registered += 1
-            return self.udfs_registered
+        self.udfs_registered += 1
+        return self.udfs_registered
 
     def check_design_allowed(self, design: Design) -> None:
         if self.trusted or design in UNTRUSTED_DESIGNS:

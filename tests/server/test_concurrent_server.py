@@ -14,6 +14,8 @@ including after a durable close/reopen of the WAL-backed database — and
 a writer on table B.
 """
 
+import gc
+import os
 import threading
 import time
 
@@ -78,6 +80,38 @@ GATED_UDF = (
     "DESIGN INTEGRATED AS "
     "'tests.server.test_concurrent_server:gated_native'"
 )
+
+
+class Census:
+    """How many ``counted_native`` calls are parked on ``GATE``."""
+
+    lock = threading.Lock()
+    now = 0
+    peak = 0
+
+
+def counted_native(x):
+    with Census.lock:
+        Census.now += 1
+        Census.peak = max(Census.peak, Census.now)
+    GATE.wait(10)
+    with Census.lock:
+        Census.now -= 1
+    return x
+
+
+COUNTED_UDF = (
+    "CREATE FUNCTION counted(int) RETURNS int LANGUAGE NATIVE "
+    "DESIGN INTEGRATED AS "
+    "'tests.server.test_concurrent_server:counted_native'"
+)
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 # -- parity: one client, all six designs -------------------------------------
@@ -540,6 +574,150 @@ class TestStopDrains:
             database.close()
 
 
+# -- the concurrency bound lives in admission --------------------------------
+
+class TestConcurrencyBound:
+    def test_concurrency_bounds_running_statements(self, gate):
+        """``concurrency=2``: of four gated statements on four sessions
+        (four tenants), exactly two run until the gate opens."""
+        database = make_db()
+        Census.now = Census.peak = 0
+        try:
+            with DatabaseServer(
+                database, trust_all_clients=True, concurrency=2
+            ) as server:
+                with Client(server.host, server.port) as setup:
+                    setup.execute(COUNTED_UDF)
+                clients = [
+                    Client(server.host, server.port) for __ in range(4)
+                ]
+                rows = {}
+
+                def run(i):
+                    rows[i] = clients[i].execute(
+                        f"SELECT counted(id) FROM nums WHERE id = {i + 1}"
+                    ).rows
+
+                threads = [
+                    threading.Thread(target=run, args=(i,))
+                    for i in range(4)
+                ]
+                try:
+                    for t in threads:
+                        t.start()
+                    wait_until(lambda: sum(
+                        server.admission.stats()["queued"].values()
+                    ) == 2 and Census.now == 2)
+                    time.sleep(0.2)  # nobody else gets in meanwhile
+                    assert Census.now == 2
+                    GATE.set()
+                    for t in threads:
+                        t.join(timeout=10)
+                finally:
+                    GATE.set()
+                    for client in clients:
+                        client.close()
+            assert Census.peak == 2
+            assert rows == {i: [(i + 1,)] for i in range(4)}
+        finally:
+            database.close()
+
+
+# -- every thread and socket the server starts has an owner ------------------
+
+class TestResourceOwnership:
+    CYCLES = 20
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_start_stop_cycles_leave_no_thread_or_fd(self, gate):
+        """Each cycle stops a server holding one idle and one busy
+        connection; afterwards threads and fds are back at baseline."""
+        database = make_db()
+        database.execute(GATED_UDF)
+        gc.collect()
+        threads_before = set(threading.enumerate())
+        fds_before = len(os.listdir("/proc/self/fd"))
+        try:
+            for cycle in range(self.CYCLES):
+                GATE.clear()
+                STARTED.clear()
+                server = DatabaseServer(database, trust_all_clients=True)
+                server.start()
+                idle = Client(server.host, server.port)
+                busy = Client(server.host, server.port)
+                outcome = {}
+                worker = threading.Thread(target=lambda: outcome.update(
+                    rows=busy.execute(
+                        f"SELECT gated(id) FROM nums WHERE id = "
+                        f"{cycle % 5 + 1}"
+                    ).rows
+                ))
+                worker.start()
+                assert STARTED.wait(5)
+                stopper = threading.Thread(target=server.stop)
+                stopper.start()
+                time.sleep(0.01)  # let stop() begin draining
+                GATE.set()
+                stopper.join(timeout=10)
+                worker.join(timeout=10)
+                assert not stopper.is_alive() and not worker.is_alive()
+                # The busy client got its result, then EOF; the idle
+                # one got EOF.
+                assert outcome["rows"] == [(cycle % 5 + 1,)]
+                assert busy._sock.recv(1) == b""
+                assert idle._sock.recv(1) == b""
+                idle.close()
+                busy.close()
+            gc.collect()
+            assert set(threading.enumerate()) <= threads_before
+            assert threading.active_count() <= len(threads_before)
+            assert len(os.listdir("/proc/self/fd")) == fds_before
+        finally:
+            GATE.set()
+            database.close()
+
+
+# -- a client that vanishes mid-statement -------------------------------------
+
+class TestClientVanishes:
+    def test_disconnect_mid_statement_releases_everything(self, gate):
+        database = make_db()
+        try:
+            with DatabaseServer(
+                database, trust_all_clients=True
+            ) as server:
+                with Client(server.host, server.port) as setup:
+                    setup.execute(GATED_UDF)
+                client = Client(server.host, server.port, tenant="acme")
+                client._send(protocol.OP_EXECUTE, protocol.encode_values(
+                    "SELECT gated(id) FROM nums WHERE id = 1"
+                ))
+                assert STARTED.wait(5)
+                client._sock.close()  # gone, without OP_CLOSE
+                GATE.set()
+                wait_until(lambda: not any(
+                    server.stats_snapshot()[key]
+                    for key in ("busy_statements", "open_connections")
+                ))
+                stats = server.stats_snapshot()
+                assert stats["busy_statements"] == 0
+                assert stats["admission"]["in_flight"] == {}
+                group = database.thread_groups.group_for("tenant:acme")
+                assert group.reserved == {"fuel": 0, "memory": 0}
+                assert group.reservations_by_holder == {}
+                with Client(
+                    server.host, server.port, tenant="acme"
+                ) as again:
+                    assert again.execute(
+                        "SELECT count(*) FROM nums"
+                    ).scalar() == 5
+        finally:
+            GATE.set()
+            database.close()
+
+
 # -- satellite (c): chunked result streaming ----------------------------------
 
 class TestChunkedStreaming:
@@ -596,11 +774,53 @@ class TestServerStats:
             assert stats["open_connections"] == 1
         assert stats["sessions_served"] == 1
         assert stats["concurrency"] == adb.concurrency
-        # ``completed`` ticks on the worker thread after the reply is
-        # already released to the client, so assert on admissions.
+        # Admissions are counted before a statement runs, so they are
+        # settled by the time its reply arrives.
         assert stats["admission"]["admitted"] >= 2
         assert adb.database.stats()["plan_cache"]["hits"] >= 1
         assert stats["snapshots"]["enabled"] is True
+
+    ADMISSION_KEYS = {
+        "tenant_slots", "queue_cap", "admitted", "refused", "completed",
+        "queued", "in_flight",
+    }
+
+    @pytest.mark.parametrize("wal", [False, True], ids=["memory", "wal"])
+    def test_server_section_shape(self, tmp_path, wal):
+        """The keys and value types of ``db.stats()["server"]``."""
+        database = Database(str(tmp_path / "db")) if wal else make_db()
+        try:
+            with DatabaseServer(database) as server:
+                with Client(server.host, server.port) as client:
+                    client.execute("CREATE TABLE shape (id INT)")
+                    client.execute("INSERT INTO shape VALUES (1)")
+                    client.execute("SELECT id FROM shape")
+                    stats = database.stats()["server"]
+                    probe = server.admission.stats()
+        finally:
+            database.close()
+        assert set(stats) == {
+            "concurrency", "sessions_served", "open_connections",
+            "busy_statements", "admission", "snapshots",
+        } | ({"wal"} if wal else set())
+        for key in (
+            "concurrency", "sessions_served", "open_connections",
+            "busy_statements",
+        ):
+            assert type(stats[key]) is int, key
+        admission = stats["admission"]
+        assert set(admission) == set(probe) == self.ADMISSION_KEYS
+        for key in self.ADMISSION_KEYS - {"queued", "in_flight"}:
+            assert type(admission[key]) is int, key
+        for key in ("queued", "in_flight"):
+            assert type(admission[key]) is dict, key
+            assert all(
+                type(tenant) is str and type(count) is int
+                for tenant, count in admission[key].items()
+            )
+        assert type(stats["snapshots"]) is dict
+        if wal:
+            assert type(stats["wal"]) is dict
 
     def test_session_counters_thread_safe_increment(self, adb):
         with Client(adb.host, adb.port) as client:

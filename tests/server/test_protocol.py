@@ -175,9 +175,9 @@ class TestWireRobustness:
             conn.close()
         with Client(server.host, server.port) as client:
             assert client.execute("SELECT a FROM t").rows == [(7,)]
-        # Nothing is stuck in a worker and the hostile connection was
-        # reaped.  (The counters move on the loop thread just after the
-        # last frame is written, hence the bounded wait.)
+        # Nothing is stuck in a statement and the hostile connection was
+        # reaped.  (The counters move on the connection thread just after
+        # the last frame is written, hence the bounded wait.)
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
             stats = server.stats_snapshot()

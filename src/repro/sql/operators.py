@@ -183,7 +183,8 @@ class IndexScan(PhysicalOp):
     pinned snapshot, the table's frozen image, which carries every
     index's tree pages and root as of its install.  Either way the same
     descent and leaf walk run, and only the records the range returns
-    are fetched and decoded.
+    are decoded: one heap-page pin per run of them on the same page,
+    handed on as one list, in key order.
     """
 
     def __init__(
@@ -214,9 +215,10 @@ class IndexScan(PhysicalOp):
         else:
             source, heap = image, image.heap
             root = image.root_of(self.index_info)
-        get, decode = heap.get, self.table_info.codec.decode
-        for __, rid in BPlusTree(source, root).range_scan(self.lo, self.hi):
-            yield [get(rid, decode)]
+        entries = BPlusTree(source, root).range_scan(self.lo, self.hi)
+        return heap.read_runs(
+            (rid for __, rid in entries), self.table_info.codec.decode
+        )
 
     def batches(self) -> Iterator[Batch]:
         return _filtered_batches(

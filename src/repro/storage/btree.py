@@ -17,10 +17,12 @@ Deletion is by tombstone-free removal from the leaf without rebalancing
 (underflow is tolerated); this trades some space for a lot of
 simplicity, and is documented behaviour.
 
-A tree reads its nodes through ``pool.pinned(page_id)`` and nothing
-else, so the same search code runs over the live buffer pool or over a
-snapshot's frozen :class:`~repro.storage.mvcc.TableImage`, which refuses
-the dirty pins a mutation takes.
+A tree touches its nodes through ``pool.fetch`` and ``pool.unpin`` and
+nothing else (in ``try``/``finally``, never holding a pin across a
+``yield``), so the same search code runs over the live buffer pool or
+over a snapshot's frozen :class:`~repro.storage.mvcc.TableImage`, whose
+pages are immutable and which refuses the dirty unpin a mutation ends
+with.
 """
 
 from __future__ import annotations
@@ -139,12 +141,20 @@ class BPlusTree:
     # -- node I/O ------------------------------------------------------------
 
     def _read(self, page_id: int) -> _Node:
-        with self.pool.pinned(page_id) as data:
+        pool = self.pool
+        data = pool.fetch(page_id)
+        try:
             return _Node.decode(data)
+        finally:
+            pool.unpin(page_id)
 
     def _write(self, page_id: int, node: _Node) -> None:
-        with self.pool.pinned(page_id, dirty=True) as data:
-            data[:] = node.encode(self.pool.page_size)
+        encoded = node.encode(self.pool.page_size)
+        data = self.pool.fetch(page_id)
+        try:
+            data[:] = encoded
+        finally:
+            self.pool.unpin(page_id, dirty=True)
 
     def _new_node(self, node: _Node) -> int:
         page_id, data = self.pool.new_page()
@@ -156,11 +166,15 @@ class BPlusTree:
 
     def pages(self) -> Iterator[int]:
         """Every node's page id, each parent before its children."""
+        pool = self.pool
         stack = [self.root_page]
         while stack:
             page_id = stack.pop()
-            with self.pool.pinned(page_id) as data:
+            data = pool.fetch(page_id)
+            try:
                 stack.extend(_children(data))
+            finally:
+                pool.unpin(page_id)
             yield page_id
 
     def drop(self) -> None:

@@ -215,10 +215,14 @@ class BufferPool:
             else:
                 self.misses += 1
                 frame = self._grab_frame()
+                try:
+                    self.disk.read_into(page_id, frame.data)
+                except BaseException:
+                    # The frame holds no page yet: hand it back rather
+                    # than leave it unmapped and owned by nobody.
+                    self._free_frames.append(frame.index)
+                    raise
                 frame.page_id = page_id
-                frame.data[:] = self.disk.read_page(page_id)
-                frame.dirty = False
-                frame.rec_lsn = None
                 self._table[page_id] = frame.index
             frame.pin_count += 1
             frame.referenced = True
@@ -255,7 +259,10 @@ class BufferPool:
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
         with self._lock:
-            frame = self._frame_of(page_id)
+            index = self._table.get(page_id)
+            if index is None:
+                raise BufferPoolError(f"page {page_id} is not resident")
+            frame = self._frames[index]
             if frame.pin_count <= 0:
                 raise BufferPoolError(f"page {page_id} is not pinned")
             frame.pin_count -= 1
@@ -377,14 +384,9 @@ class BufferPool:
 
     # -- replacement --------------------------------------------------------------
 
-    def _frame_of(self, page_id: int) -> _Frame:
-        index = self._table.get(page_id)
-        if index is None:
-            raise BufferPoolError(f"page {page_id} is not resident")
-        return self._frames[index]
-
     def _grab_frame(self) -> _Frame:
-        """Find a free frame or evict with the clock algorithm."""
+        """Find a free frame or evict with the clock algorithm; either
+        way the frame returned holds no page and is clean."""
         if self._free_frames:
             return self._frames[self._free_frames.pop()]
         # Clock sweep: at most two full passes (first clears ref bits).

@@ -124,7 +124,8 @@ class DiskManager:
 
     def _read_exact(self, size: int) -> bytes:
         """Read exactly ``size`` bytes from the current position (raw
-        unbuffered files may return short reads)."""
+        unbuffered files may return short reads); the header only —
+        pages are read with :meth:`read_into`."""
         chunks = []
         remaining = size
         while remaining:
@@ -276,17 +277,25 @@ class DiskManager:
             return previous
 
     def read_page(self, page_id: int) -> bytes:
+        data = bytearray(self.page_size)
+        self.read_into(page_id, data)
+        return bytes(data)
+
+    def read_into(self, page_id: int, buf: bytearray) -> None:
+        """Fill ``buf`` (one page long, e.g. a buffer-pool frame) with
+        the page's bytes: one positional read straight into it, no seek
+        and no intermediate ``bytes``."""
         with self._lock:
             self._check(page_id)
             if self._mem is not None:
-                return self._mem[page_id]
+                buf[:] = self._mem[page_id]
+                return
             if self._dead:
                 raise SimulatedCrash("disk manager is dead (injected fault)")
-            self._file.seek(page_id * self.page_size)
-            data = self._read_exact(self.page_size)
-            if len(data) != self.page_size:
+            got = os.preadv(self._file.fileno(), [buf],
+                            page_id * self.page_size)
+            if got != self.page_size:
                 raise DiskError(f"short read of page {page_id}")
-            return data
 
     def write_page(self, page_id: int, data: bytes) -> None:
         with self._lock:

@@ -18,15 +18,19 @@ Reads take a ``decode(page_bytes, start, end)`` callable (a table's
 record in place, under the page's pin: :meth:`HeapFile.scan_rows` hands
 back a page's rows at a time and builds no :class:`RID`;
 :meth:`HeapFile.scan` pairs each row with its RID for the statements
-that write back.  Reads touch the pool only through ``pool.pinned``, so
-a snapshot's frozen :class:`~repro.storage.mvcc.TableImage` serves as
-the pool of a read-only handle (``TableImage.heap``).
+that write back; :meth:`HeapFile.read_runs` decodes the records of RIDs
+in key order, one pin per run of RIDs on the same page (an index
+range).  Reads touch the pool only through ``pool.fetch`` and
+``pool.unpin``, called in ``try``/``finally`` and never holding a pin
+across a ``yield``, so a snapshot's frozen
+:class:`~repro.storage.mvcc.TableImage` serves as the pool of a
+read-only handle (``TableImage.heap``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import StorageError
 from .buffer import BufferPool
@@ -38,6 +42,8 @@ from .page import (
     SlottedPage,
     copy_record,
     decode_records,
+    decode_slots,
+    next_page_of,
 )
 
 
@@ -117,8 +123,17 @@ class HeapFile:
         return RID(new_id, slot)
 
     def get(self, rid: RID, decode: Decoder = copy_record):
-        with self.pool.pinned(rid.page_id) as data:
-            return SlottedPage(data).get(rid.slot, decode)
+        return self._read_slots(rid.page_id, [rid.slot], decode)[0]
+
+    def _read_slots(
+        self, page_id: int, slots: List[int], decode: Decoder
+    ) -> List[object]:
+        pool = self.pool
+        data = pool.fetch(page_id)
+        try:
+            return decode_slots(data, slots, decode)
+        finally:
+            pool.unpin(page_id)
 
     def delete(self, rid: RID) -> None:
         with self.pool.pinned(rid.page_id, dirty=True) as data:
@@ -142,20 +157,28 @@ class HeapFile:
     # -- scanning ----------------------------------------------------------------
 
     def pages(self) -> Iterator[int]:
+        pool = self.pool
         page_id = self.first_page
         while page_id != NO_PAGE:
-            with self.pool.pinned(page_id) as data:
-                next_page = SlottedPage(data).next_page
+            data = pool.fetch(page_id)
+            try:
+                next_page = next_page_of(data)
+            finally:
+                pool.unpin(page_id)
             yield page_id
             page_id = next_page
 
     def _decoded_pages(
         self, decode: Decoder
     ) -> Iterator[Tuple[int, Tuple[int, ...], List[object]]]:
+        pool = self.pool
         page_id = self.first_page
         while page_id != NO_PAGE:
-            with self.pool.pinned(page_id) as data:
+            data = pool.fetch(page_id)
+            try:
                 next_page, offsets, rows = decode_records(data, decode)
+            finally:
+                pool.unpin(page_id)
             yield page_id, offsets, rows
             page_id = next_page
 
@@ -174,6 +197,23 @@ class HeapFile:
             live = [slot for slot, offset in enumerate(offsets) if offset]
             for slot, row in zip(live, rows):
                 yield RID(page_id, slot), row
+
+    def read_runs(
+        self, rids: Iterable[RID], decode: Decoder = copy_record
+    ) -> Iterator[List[object]]:
+        """Decode the records of ``rids`` in the order given, one list of
+        rows per run of consecutive RIDs on the same page: each run is
+        one pin and one slot-directory unpack.  A page that recurs later
+        in ``rids`` starts a new run, so the order is kept."""
+        run_page, slots = NO_PAGE, []
+        for rid in rids:
+            if rid.page_id != run_page:
+                if slots:
+                    yield self._read_slots(run_page, slots, decode)
+                run_page, slots = rid.page_id, []
+            slots.append(rid.slot)
+        if slots:
+            yield self._read_slots(run_page, slots, decode)
 
     def count(self) -> int:
         return sum(1 for __ in self.scan())

@@ -79,12 +79,16 @@ class LOBManager:
 
     def _chunks(self, ref: LOBRef) -> Iterator[Tuple[int, bytes]]:
         """Yield (object_offset, chunk bytes) for each page of the chain."""
+        pool = self.pool
         page_id = ref.first_page
         offset = 0
         while page_id != NO_PAGE:
-            with self.pool.pinned(page_id) as page:
+            page = pool.fetch(page_id)
+            try:
                 next_page, used = _LOB_HEADER.unpack_from(page, 0)
                 chunk = bytes(page[LOB_HEADER_SIZE:LOB_HEADER_SIZE + used])
+            finally:
+                pool.unpin(page_id)
             yield offset, chunk
             offset += len(chunk)
             page_id = next_page

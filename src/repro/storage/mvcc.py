@@ -17,14 +17,15 @@ small multi-version store over the existing heap files and B+-trees:
   that table.
 * A read statement **pins a snapshot**: an immutable map of table →
   (version, frozen image) taken atomically under the manager lock.  An
-  image is a read-only page source (``pinned(page_id)``), so the
+  image is a read-only page source with the buffer pool's
+  ``fetch(page_id)`` / ``unpin(page_id, dirty=False)`` protocol, so the
   unchanged :class:`~repro.storage.heapfile.HeapFile` and
   :class:`~repro.storage.btree.BPlusTree` read code walks it directly:
-  a snapshot ``IndexScan`` descends the frozen tree and fetches only
-  the records it returns.  Scans under a snapshot never touch the
-  buffer pool, so readers cannot block on the writer (nor on each
-  other) and always observe one consistent version per table — the one
-  current when the statement was admitted.
+  a snapshot ``IndexScan`` descends the frozen tree and reads only the
+  records it returns, one fetch per run of them on a heap page.  Scans
+  under a snapshot never touch the buffer pool, so readers cannot block
+  on the writer (nor on each other) and always observe one consistent
+  version per table — the one current when the statement was admitted.
 * Old images are **retained** while any live snapshot pins them and
   garbage-collected on release; the current image doubles as the shared
   read cache for all snapshot readers.
@@ -45,30 +46,28 @@ on start) — an embedded database reads live pages, and
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import StorageError
 from .btree import BPlusTree
 from .heapfile import HeapFile
 
-#: ``page_id -> (mutation stamp, nullcontext(frozen bytes))``: the
-#: context is what ``pinned`` hands out, built once per frozen page.
-Pages = Dict[int, Tuple[int, nullcontext]]
+#: ``page_id -> (mutation stamp, frozen page bytes)``.
+Pages = Dict[int, Tuple[int, bytes]]
 
 
 class TableImage:
     """A frozen, immutable copy of one table at a version: its heap
     chain and every node of every index on it.
 
-    The image is a read-only page source: :meth:`pinned` hands out a
-    frozen page (a private ``bytearray`` copy — :class:`SlottedPage`
-    reads require one — that is never mutated again) and refuses a
-    dirty pin, so ``heap`` (a :class:`HeapFile` over the image) and
-    :meth:`root_of` (for a :class:`BPlusTree` over it) read the table
-    as of the install with the live read code.  Each page keeps its
-    mutation stamp, which lets the next install reuse unchanged pages
-    by reference instead of copying them again.
+    The image is a read-only page source: :meth:`fetch` hands out a
+    frozen page (a private ``bytes`` copy, so nothing can write to it)
+    and :meth:`unpin` refuses a dirty unpin, so ``heap`` (a
+    :class:`HeapFile` over the image) and :meth:`root_of` (for a
+    :class:`BPlusTree` over it) read the table as of the install with
+    the live read code, and a mutation through it fails.  Each page
+    keeps its mutation stamp, which lets the next install reuse
+    unchanged pages by reference instead of copying them again.
     """
 
     __slots__ = ("version", "page_size", "pages", "roots", "heap", "pins")
@@ -85,17 +84,19 @@ class TableImage:
         #: retired (the *current* image is kept regardless of pins).
         self.pins = 0
 
-    def pinned(self, page_id: int, dirty: bool = False) -> nullcontext:
-        if dirty:
-            raise StorageError(
-                f"page {page_id} of a snapshot image is read-only"
-            )
+    def fetch(self, page_id: int) -> bytes:
         try:
             return self.pages[page_id][1]
         except KeyError:
             raise StorageError(
                 f"page {page_id} is not in the snapshot image"
             ) from None
+
+    def unpin(self, page_id: int, dirty: bool = False) -> None:
+        if dirty:
+            raise StorageError(
+                f"page {page_id} of a snapshot image is read-only"
+            )
 
     def root_of(self, index) -> int:
         """The frozen root of ``index`` (an ``IndexInfo``)."""
@@ -127,7 +128,7 @@ class _Capture:
         self.pages: Pages = {}
         self.reused = 0
 
-    def pinned(self, page_id: int) -> nullcontext:
+    def fetch(self, page_id: int) -> bytes:
         entry = self.pages.get(page_id)
         if entry is None:
             mutation = self.pool.page_version(page_id)
@@ -135,10 +136,16 @@ class _Capture:
             if entry is not None and entry[0] == mutation:
                 self.reused += 1
             else:
-                with self.pool.pinned(page_id) as live:
-                    entry = (mutation, nullcontext(bytearray(live)))
+                live = self.pool.fetch(page_id)
+                try:
+                    entry = (mutation, bytes(live))
+                finally:
+                    self.pool.unpin(page_id)
             self.pages[page_id] = entry
         return entry[1]
+
+    def unpin(self, page_id: int, dirty: bool = False) -> None:
+        """Nothing is held: :meth:`fetch` handed out a frozen copy."""
 
 
 class Snapshot:

@@ -40,6 +40,7 @@ HEADER_SIZE = 8
 SLOT_SIZE = 4
 _HEADER = struct.Struct("<IHH")
 _SLOT = struct.Struct("<HH")
+_NEXT = struct.Struct("<I")
 
 #: ``decode(page_bytes, start, end)``: reads one record in place.
 Decoder = Callable[[bytearray, int, int], object]
@@ -76,6 +77,29 @@ def decode_records(
         if offset
     ]
     return next_page, offsets, rows
+
+
+def decode_slots(
+    data: bytearray, slots: List[int], decode: Decoder
+) -> List[object]:
+    """Decode the records in ``slots`` of one page, in the order given,
+    in place, from one unpack of the slot directory."""
+    __, nslots, __ = _HEADER.unpack_from(data, 0)
+    directory = _directory(nslots).unpack_from(data, HEADER_SIZE)
+    rows = []
+    for slot in slots:
+        if not 0 <= slot < nslots:
+            raise PageError(f"slot {slot} out of range [0, {nslots})")
+        offset = directory[2 * slot]
+        if offset == 0:
+            raise PageError(f"slot {slot} is deleted")
+        rows.append(decode(data, offset, offset + directory[2 * slot + 1]))
+    return rows
+
+
+def next_page_of(data: bytearray) -> int:
+    """The chain pointer in a page's header."""
+    return _NEXT.unpack_from(data, 0)[0]
 
 
 class SlottedPage:
@@ -177,10 +201,7 @@ class SlottedPage:
 
     def get(self, slot: int, decode: Decoder = copy_record):
         """``decode`` of the record in ``slot`` (by default its bytes)."""
-        offset, length = self._slot(slot)
-        if offset == 0:
-            raise PageError(f"slot {slot} is deleted")
-        return decode(self.data, offset, offset + length)
+        return decode_slots(self.data, [slot], decode)[0]
 
     def delete(self, slot: int) -> None:
         offset, __ = self._slot(slot)

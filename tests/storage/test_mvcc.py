@@ -236,10 +236,12 @@ class TestSnapshotIndexScan:
             assert tree.search(2) == BPlusTree(
                 db.pool, index.root_page
             ).search(2)
+            frozen = dict(image.pages)
             with pytest.raises(StorageError):
                 tree.insert(7, tree.search(2)[0])
+            assert image.pages == frozen
             with pytest.raises(StorageError):
-                image.pinned(10_000)
+                image.fetch(10_000)
 
 
 class TestCopyOnWriteTreePages:

@@ -49,6 +49,7 @@ from .sql.plancache import (
     PreparedStatement,
 )
 from .sql.planner import SlotValues
+from .storage.btree import BPlusTree
 from .storage.buffer import BufferPool
 from .storage.mvcc import SnapshotManager
 from .storage.catalog import Catalog, TableInfo, UDFInfo
@@ -240,10 +241,10 @@ class Database:
 
         The text is lexed to its shape (:func:`~repro.sql.lexer.shape`,
         memoized per text).  A SELECT, INSERT, UPDATE or DELETE looks
-        its shape up in the shared :attr:`plan_cache`: a miss parses the
-        shape's template (and plans a SELECT) once, a hit skips parse,
-        plan and optimize, and either way this text's literals bind to
-        the template's slots as it executes.  DDL and EXPLAIN are parsed
+        its shape up in the shared :attr:`plan_cache`: a miss parses and
+        plans the shape's template once, a hit skips parse, plan and
+        optimize, and either way this text's literals bind to the
+        template's slots as it executes.  DDL and EXPLAIN are parsed
         directly, and adaptive optimization re-plans per query by
         design, so it bypasses the cache.  Everything then runs through
         :meth:`_execute`.
@@ -282,9 +283,7 @@ class Database:
     def _prepare(
         self, statement: "A.Statement", values: tuple
     ) -> PreparedStatement:
-        """A shape's template, planned with ``values`` if a SELECT."""
-        if not isinstance(statement, A.Select):
-            return PreparedStatement(statement)
+        """A shape's template, planned with ``values``."""
         slots = SlotValues(values)
         plan = self._executor.plan(
             statement, slots, private=self.snapshots.enabled
@@ -296,8 +295,9 @@ class Database:
     ) -> QueryResult:
         """Run one parsed statement (or template, with its ``params``).
 
-        ``plan`` is a SELECT's prepared plan; without one, the SELECT is
-        planned here.  Writes go through :meth:`_run_write`.  A SELECT
+        ``plan`` is the statement's prepared plan; without one, a SELECT
+        is planned here and an INSERT, UPDATE or DELETE under its table's
+        write lock.  Writes go through :meth:`_run_write`.  A SELECT
         pins a snapshot iff :attr:`snapshots` is enabled (the server
         enables it), so its scans never touch live pages, and gets
         private UDF executors iff a snapshot is pinned, since only then
@@ -310,7 +310,7 @@ class Database:
             if isinstance(statement, self._WRITE_STATEMENTS):
                 return self._run_write(
                     self._write_locks(statement),
-                    lambda: self._executor.execute(statement, params),
+                    lambda: self._executor.execute(statement, params, plan),
                     lambda: self._install_after_write(statement),
                 )
             return self._executor.execute(statement)
@@ -369,12 +369,12 @@ class Database:
         the commit fsync (group commit happens outside all locks, so a
         sleeping leader never blocks other tables' writers).
 
-        A statement that fails *logically* (constraint violation,
-        unknown column) still commits its partial page effects — the
-        engine is statement-deterministic, so replaying the same
-        statement fails identically, and recovery reproduces the exact
-        crashed state.  A statement killed by an injected crash commits
-        nothing.
+        A statement that fails in its write phase (a NOT NULL
+        violation, an oversize record) still commits its partial page
+        effects — the engine is statement-deterministic, so replaying
+        the same statement fails identically, and recovery reproduces
+        the exact crashed state.  A statement killed by an injected
+        crash commits nothing.
         """
         for lock in locks:
             lock.acquire()
@@ -538,16 +538,12 @@ class Database:
         def body():
             nonlocal count, exhausted
             tracker = self.pool.current_tracker()
-            while True:
-                try:
-                    row = next(iterator)
-                except StopIteration:
-                    exhausted = True
-                    return
-                self._insert_row_locked(table, list(row))
+            for row in iterator:
+                self._write_row_locked(table, values=list(row))
                 count += 1
                 if tracker is not None and len(tracker.pages) >= budget:
                     return  # commit this unit; continue in the next
+            exhausted = True
 
         while not exhausted:
             self._run_write(
@@ -558,29 +554,49 @@ class Database:
         return count
 
     def insert_row(self, table: TableInfo, values: List[object]) -> None:
-        self._run_write(
-            [self.table_write_lock(table.name)],
-            lambda: self._insert_row_locked(table, values),
-            lambda: self.snapshots.install(self.pool, table),
-        )
+        self.insert_rows(table.name, [values])
 
-    def _insert_row_locked(
-        self, table: TableInfo, values: List[object]
+    def _write_row_locked(
+        self, table: TableInfo, rid=None, row=None, values=None
     ) -> None:
+        """Write one row of ``table`` and keep its indexes in step: insert
+        ``values`` (no ``rid``), rewrite ``row`` at ``rid`` as ``values``,
+        or delete it (no ``values``; its LOBs are freed).
+
+        An index entry is rewritten only when its key or the row's RID
+        changed.
+        """
+        new_rid = None
+        if values is None:
+            for value in row:
+                if isinstance(value, LOBRef):
+                    self.lobs.free(value)
+            table.heap.delete(rid)
+        else:
+            record, values = self.prepare_row(table, values)
+            new_rid = (table.heap.insert(record) if rid is None
+                       else table.heap.update(rid, record))
+        for info in table.indexes:
+            old = None if row is None else row[info.position]
+            new = None if values is None else values[info.position]
+            if old == new and (old is None or rid == new_rid):
+                continue
+            tree = BPlusTree(self.pool, info.root_page)
+            if old is not None:
+                tree.delete(old, rid)
+            if new is not None:
+                tree.insert(new, new_rid)
+                if tree.root_page != info.root_page:
+                    info.root_page = tree.root_page
+                    self.catalog.save()
+
+    def prepare_row(self, table: TableInfo, values: List[object]):
+        """Validate, spill large byte arrays to LOBs, and serialize:
+        ``(record, prepared values)``."""
         if len(values) != len(table.columns):
             raise RecordError(
                 f"{len(values)} values for {len(table.columns)} columns"
             )
-        record, prepared = self.prepare_row(table, values)
-        rid = table.heap.insert(record)
-        self._executor._index_add(table, rid, prepared)
-
-    def encode_row(self, table: TableInfo, values: List[object]) -> bytes:
-        """Validate, spill large byte arrays to LOBs, and serialize."""
-        return self.prepare_row(table, values)[0]
-
-    def prepare_row(self, table: TableInfo, values: List[object]):
-        """As :meth:`encode_row`, also returning the prepared values."""
         prepared: List[object] = []
         for value, column in zip(values, table.columns):
             if value is None:
@@ -634,14 +650,7 @@ class Database:
                     )
                 )
 
-        if (
-            self.wal is not None and persist
-            and self.pool.current_tracker() is None
-        ):
-            self._run_write([self._write_lock], body, lambda: None)
-        else:
-            with self._write_lock:
-                body()
+        self._registry_write(body, logged=persist)
 
     def unregister_udf(self, name: str) -> None:
         def body():
@@ -649,7 +658,15 @@ class Database:
             if self.catalog.has_udf(name):
                 self.catalog.drop_udf(name)
 
-        if self.wal is not None and self.pool.current_tracker() is None:
+        self._registry_write(body)
+
+    def _registry_write(self, body, logged: bool = True) -> None:
+        """Run ``body`` under the DDL lock: through the write pipeline
+        when it is ``logged`` on a WAL-backed database and not already
+        inside a statement there."""
+        if logged and self.wal is not None and (
+            self.pool.current_tracker() is None
+        ):
             self._run_write([self._write_lock], body, lambda: None)
         else:
             with self._write_lock:

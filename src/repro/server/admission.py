@@ -149,6 +149,11 @@ class AdmissionController:
             else:
                 del self._queues[tenant]
 
+    def forget(self, tenant: str) -> None:
+        """Drop ``tenant``'s group unless it holds a reservation."""
+        if self.thread_groups is not None:
+            self.thread_groups.discard(f"tenant:{tenant}")
+
     def _tenant_group(self, tenant: str):
         """The tenant's thread group, budgeted to its in-flight slots."""
         if self.thread_groups is None:

@@ -245,6 +245,8 @@ class DatabaseServer:
                         if not self._busy:
                             self._idle.notify_all()
         finally:
+            if session.tenant is None:
+                self.admission.forget(session.tenant_name)
             with self._state_lock:
                 del self._connections[sock]
             sock.close()

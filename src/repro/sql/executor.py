@@ -5,14 +5,16 @@ One :class:`StatementExecutor` serves one database instance.  For each
 SELECT it builds the logical plan, optimizes it, compiles expressions to
 closures, sets up per-query UDF executors (Design 2/4 executors are
 *processes created per query*, per the paper), runs the Volcano tree,
-and tears everything down.
+and tears everything down.  An UPDATE or DELETE finds its rows through
+the same planner, optimizer and scans, and writes only once it has them
+all.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError, PlanError
 from ..storage.btree import BPlusTree
@@ -20,7 +22,7 @@ from ..storage.catalog import Column as CatColumn
 from ..storage.catalog import IndexInfo, TableInfo
 from ..storage.heapfile import HeapFile
 from ..storage.lob import LOBRef
-from ..storage.record import ColumnType, serialize_record
+from ..storage.record import ColumnType
 from . import ast_nodes as A
 from .expressions import (
     FunctionResolver,
@@ -41,6 +43,7 @@ from .operators import (
     SeqScan,
     Sort,
     apply_predicates,
+    eval_column,
     instrument_operator,
 )
 from .optimizer import CostOracle, optimize
@@ -56,10 +59,12 @@ from .planner import (
     LogicalScan,
     LogicalSort,
     SlotValues,
+    WritePlan,
     plan_select,
+    plan_write,
     resolve_bound,
 )
-from .types import SQLType
+from .types import RowSchema
 
 
 @dataclass
@@ -169,32 +174,23 @@ class _RegistryOracle(CostOracle):
         self.inlining = inlining
         self.private = private
 
+    def _inline(self, name: str):
+        """What the decompiler made of the UDF's body, when inlining is
+        enabled (so seed EXPLAIN output stays byte-identical with
+        inlining off); else None."""
+        if not self.inlining:
+            return None
+        return getattr(self.udf_definition(name), "inline", None)
+
     def inline_template(self, name: str):
         """The UDF's :class:`~repro.analysis.decompile.InlineTemplate`,
-        when inlining is enabled and the decompiler lifted the body."""
-        if not self.inlining:
-            return None
-        definition = self.udf_definition(name)
-        if definition is None:
-            return None
-        inline = getattr(definition, "inline", None)
-        if inline is not None and hasattr(inline, "expr"):
-            return inline
-        return None
+        when the decompiler lifted the body."""
+        inline = self._inline(name)
+        return inline if hasattr(inline, "expr") else None
 
     def inline_refusal(self, name: str):
-        """The refusal reason code for a non-inlinable UDF, when
-        inlining is enabled (so seed EXPLAIN output stays byte-identical
-        with inlining off)."""
-        if not self.inlining:
-            return None
-        definition = self.udf_definition(name)
-        if definition is None:
-            return None
-        inline = getattr(definition, "inline", None)
-        if inline is not None and hasattr(inline, "reason"):
-            return inline.reason
-        return None
+        """The refusal reason code for a non-inlinable UDF."""
+        return getattr(self._inline(name), "reason", None)
 
     def udf_tier(self, name: str):
         definition = self.udf_definition(name)
@@ -215,9 +211,8 @@ class _RegistryOracle(CostOracle):
         return self.adaptive.observed_selectivity(key)
 
     def udf_hints(self, name: str):
-        if self.registry is not None and self.registry.has(name):
-            return self.registry.get(name).cost_hints
-        return None
+        definition = self.udf_definition(name)
+        return None if definition is None else definition.cost_hints
 
     def udf_definition(self, name: str):
         if self.registry is not None and self.registry.has(name):
@@ -262,10 +257,14 @@ class StatementExecutor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def execute(self, statement: A.Statement, params=()) -> QueryResult:
+    def execute(
+        self, statement: A.Statement, params=(),
+        plan: Optional[WritePlan] = None,
+    ) -> QueryResult:
         """Everything but SELECT, which ``Database._execute`` hands to
         :meth:`select_with_plan` with its snapshot and cached plan.
-        ``params`` are the values of a DML template's slots."""
+        ``plan`` is an INSERT's, UPDATE's or DELETE's cached plan, and
+        ``params`` are the values of its template's slots."""
         if isinstance(statement, A.Explain):
             return self.execute_explain(statement)
         if isinstance(statement, A.CreateTable):
@@ -274,12 +273,8 @@ class StatementExecutor:
             return self._drop_table(statement)
         if isinstance(statement, A.CreateIndex):
             return self._create_index(statement)
-        if isinstance(statement, A.Insert):
-            return self._insert(statement, params)
-        if isinstance(statement, A.Update):
-            return self._update(statement, params)
-        if isinstance(statement, A.Delete):
-            return self._delete(statement, params)
+        if isinstance(statement, (A.Insert, A.Update, A.Delete)):
+            return self._write(statement, plan, params)
         if isinstance(statement, A.CreateFunction):
             return self._create_function(statement)
         if isinstance(statement, A.DropFunction):
@@ -290,13 +285,15 @@ class StatementExecutor:
 
     def plan(
         self,
-        select: A.Select,
+        statement: A.Statement,
         slots: Optional[SlotValues] = None,
         private: bool = False,
         oracle: Optional[CostOracle] = None,
-    ) -> LogicalPlan:
-        """Plan and optimize a SELECT: one parsed with its literals, or a
-        template with one execution's ``slots``.
+    ):
+        """Plan and optimize a SELECT, INSERT, UPDATE or DELETE: one
+        parsed with its literals, or a template with one execution's
+        ``slots``.  A SELECT gives a :class:`LogicalPlan`, the others a
+        :class:`WritePlan` whose scan is optimized as a SELECT's is.
 
         Planning spins up no UDF executor (types come from the
         registry); only folding a pure UDF invokes one, ``private`` when
@@ -307,14 +304,22 @@ class StatementExecutor:
                 self.db.registry, self.db.observability.adaptive,
                 inlining=self.db.inlining, private=private,
             )
-        plan = plan_select(
-            select, self.db.catalog,
-            _QueryUDFResolver(self.db.registry, None), slots,
-        )
-        return optimize(
-            plan, oracle, parallelism=self.db.parallelism,
-            inlining=self.db.inlining, slots=slots,
-        )
+        if isinstance(statement, A.Select):
+            return optimize(
+                plan_select(
+                    statement, self.db.catalog,
+                    _QueryUDFResolver(self.db.registry, None), slots,
+                ),
+                oracle, parallelism=self.db.parallelism,
+                inlining=self.db.inlining, slots=slots,
+            )
+        plan = plan_write(statement, self.db.catalog)
+        if plan.scan is not None:
+            plan.scan = optimize(
+                plan.scan, oracle, parallelism=self.db.parallelism,
+                inlining=self.db.inlining, slots=slots,
+            )
+        return plan
 
     def select_with_plan(
         self,
@@ -336,16 +341,8 @@ class StatementExecutor:
         executor — both required when this statement runs concurrently
         with others.
         """
-        obs = self.db.observability
-        profile = obs.query_profile()
-        binding = self.db.broker.bind()
-        resolver = _QueryUDFResolver(
-            self.db.registry, binding, profile, private=private
-        )
-        runtime = QueryRuntime(
-            lobs=self.db.lobs, binding=binding, params=params
-        )
-        try:
+        profile = self.db.observability.query_profile()
+        with self._udfs(params, profile, private) as (resolver, runtime):
             if plan is None:
                 plan = self.plan(select, private=private)
             root = self._physical(
@@ -356,6 +353,20 @@ class StatementExecutor:
                 columns=plan.schema.names(), rows=rows, rowcount=len(rows)
             )
             return result, plan
+
+    @contextmanager
+    def _udfs(self, params=(), profile=None, private=False):
+        """One statement's UDF resolver and runtime, sharing one callback
+        binding; on exit its executors end their query and ``profile``
+        finishes."""
+        binding = self.db.broker.bind()
+        resolver = _QueryUDFResolver(
+            self.db.registry, binding, profile, private=private
+        )
+        try:
+            yield resolver, QueryRuntime(
+                lobs=self.db.lobs, binding=binding, params=params
+            )
         finally:
             resolver.finish()
             if profile is not None:
@@ -376,13 +387,10 @@ class StatementExecutor:
         profile = (
             obs.query_profile(force=True) if statement.analyze else None
         )
-        binding = self.db.broker.bind()
-        resolver = _QueryUDFResolver(self.db.registry, binding, profile)
-        runtime = QueryRuntime(lobs=self.db.lobs, binding=binding)
         oracle = _RegistryOracle(
             self.db.registry, obs.adaptive, inlining=self.db.inlining
         )
-        try:
+        with self._udfs(profile=profile) as (resolver, runtime):
             plan = self.plan(statement.select, oracle=oracle)
             if statement.analyze:
                 root = self._physical(
@@ -399,10 +407,6 @@ class StatementExecutor:
                 if profiled:
                     lines.append("-- UDF profiles --")
                     lines.extend(profiled)
-        finally:
-            resolver.finish()
-            if profile is not None:
-                profile.finish()
         return QueryResult(
             columns=["plan"],
             rows=[(line,) for line in lines],
@@ -436,6 +440,9 @@ class StatementExecutor:
         pool = self.db.pool
         batch_size = self.db.batch_size
 
+        def build(child: LogicalPlan) -> PhysicalOp:
+            return self._physical(child, resolver, runtime, profile, snapshot)
+
         def compile_all(exprs, schema):
             return [compile_expr(e, schema, resolver, runtime) for e in exprs]
 
@@ -460,27 +467,27 @@ class StatementExecutor:
                     resolve_bound(plan.index_lo, runtime.params),
                     resolve_bound(plan.index_hi, runtime.params),
                     predicates, batch_size=batch_size, snapshot=snapshot,
+                    with_rids=plan.with_rids,
                 )
             return SeqScan(
                 plan.table_info, predicates, batch_size=batch_size,
-                snapshot=snapshot,
+                snapshot=snapshot, with_rids=plan.with_rids,
             )
         if isinstance(plan, LogicalJoin):
-            left = self._physical(plan.left, resolver, runtime, profile,
-                                      snapshot=snapshot)
-            right = self._physical(plan.right, resolver, runtime, profile,
-                                      snapshot=snapshot)
-            predicates = compile_predicates(plan.predicates, plan.schema)
             return NestedLoopJoin(
-                left, right, predicates, batch_size=batch_size
+                build(plan.left), build(plan.right),
+                compile_predicates(plan.predicates, plan.schema),
+                batch_size=batch_size,
             )
         if isinstance(plan, LogicalExchange):
             inner = plan.child
-            if isinstance(inner, LogicalFilter):
-                child = self._physical(
-                    inner.child, resolver, runtime, profile,
-                    snapshot=snapshot,
+            if not isinstance(inner, (LogicalFilter, LogicalProject)):
+                # Unknown region shape: run it serially rather than fail.
+                return self._build_physical(
+                    inner, resolver, runtime, profile, snapshot
                 )
+            child = build(inner.child)
+            if isinstance(inner, LogicalFilter):
                 predicates = compile_predicates(
                     inner.predicates, inner.child.schema
                 )
@@ -488,11 +495,7 @@ class StatementExecutor:
                 def stage(batch, predicates=predicates):
                     return apply_predicates(predicates, batch)
 
-            elif isinstance(inner, LogicalProject):
-                child = self._physical(
-                    inner.child, resolver, runtime, profile,
-                    snapshot=snapshot,
-                )
+            else:
                 exprs = compile_all(inner.exprs, inner.child.schema)
 
                 def stage(batch, exprs=exprs):
@@ -502,42 +505,29 @@ class StatementExecutor:
                         for index in range(len(batch))
                     ]
 
-            else:
-                # Unknown region shape: run it serially rather than fail.
-                return self._build_physical(inner, resolver, runtime, profile,
-                                      snapshot=snapshot)
             return Exchange(
                 child, stage, parallelism=plan.parallelism,
                 batch_size=batch_size,
             )
         if isinstance(plan, LogicalFilter):
-            child = self._physical(plan.child, resolver, runtime, profile,
-                                      snapshot=snapshot)
             return Filter(
-                child, compile_predicates(plan.predicates, plan.child.schema),
+                build(plan.child),
+                compile_predicates(plan.predicates, plan.child.schema),
                 batch_size=batch_size,
             )
         if isinstance(plan, LogicalProject):
-            child = self._physical(plan.child, resolver, runtime, profile,
-                                      snapshot=snapshot)
             return Project(
-                child, compile_all(plan.exprs, plan.child.schema),
+                build(plan.child), compile_all(plan.exprs, plan.child.schema),
                 batch_size=batch_size,
             )
         if isinstance(plan, LogicalAggregate):
-            child = self._physical(plan.child, resolver, runtime, profile,
-                                      snapshot=snapshot)
-            group_fns = compile_all(plan.group_exprs, plan.child.schema)
+            child, schema = build(plan.child), plan.child.schema
+            group_fns = compile_all(plan.group_exprs, schema)
             agg_specs = [
                 (
                     spec.func,
-                    (
-                        compile_expr(
-                            spec.arg, plan.child.schema, resolver, runtime
-                        )
-                        if spec.arg is not None
-                        else None
-                    ),
+                    None if spec.arg is None
+                    else compile_expr(spec.arg, schema, resolver, runtime),
                     spec.distinct,
                 )
                 for spec in plan.aggregates
@@ -546,25 +536,14 @@ class StatementExecutor:
                 child, group_fns, agg_specs, batch_size=batch_size
             )
         if isinstance(plan, LogicalDistinct):
-            return Distinct(
-                self._physical(plan.child, resolver, runtime, profile,
-                               snapshot=snapshot),
-                batch_size=batch_size,
-            )
+            return Distinct(build(plan.child), batch_size=batch_size)
         if isinstance(plan, LogicalSort):
-            child = self._physical(plan.child, resolver, runtime, profile,
-                                      snapshot=snapshot)
-            key_fns = compile_all(plan.keys, plan.child.schema)
             return Sort(
-                child, key_fns, plan.descending, batch_size=batch_size
+                build(plan.child), compile_all(plan.keys, plan.child.schema),
+                plan.descending, batch_size=batch_size,
             )
         if isinstance(plan, LogicalLimit):
-            return Limit(
-                self._physical(plan.child, resolver, runtime, profile,
-                               snapshot=snapshot),
-                plan.limit,
-                batch_size=batch_size,
-            )
+            return Limit(build(plan.child), plan.limit, batch_size=batch_size)
         raise ExecutionError(f"no physical operator for {type(plan).__name__}")
 
     # -- DDL ------------------------------------------------------------------------
@@ -610,9 +589,9 @@ class StatementExecutor:
             key = row[position]
             if key is not None:
                 tree.insert(key, rid)
-        self.db._publish_index(
-            table, IndexInfo(statement.name, statement.column, tree.root_page)
-        )
+        self.db._publish_index(table, IndexInfo(
+            statement.name, statement.column, tree.root_page, position
+        ))
         return QueryResult()
 
     def _create_function(self, statement: A.CreateFunction) -> QueryResult:
@@ -664,147 +643,66 @@ class StatementExecutor:
 
     # -- DML ---------------------------------------------------------------------------
 
-    def _dml_udfs(self, params):
-        """One DML statement's UDF resolver and runtime, sharing one
-        callback binding; the caller runs ``resolver.finish()``."""
-        binding = self.db.broker.bind()
-        return (
-            _QueryUDFResolver(self.db.registry, binding),
-            QueryRuntime(lobs=self.db.lobs, binding=binding, params=params),
-        )
+    def _write(
+        self, statement: A.Statement, plan: Optional[WritePlan], params
+    ) -> QueryResult:
+        """Run an INSERT, UPDATE or DELETE under its table's write lock.
 
-    def _insert(self, statement: A.Insert, params) -> QueryResult:
-        table = self.db.catalog.get_table(statement.table)
-        if statement.columns:
-            positions = [table.column_index(c) for c in statement.columns]
-        else:
-            positions = list(range(len(table.columns)))
-        empty = _EMPTY_SCHEMA
-        resolver, runtime = self._dml_udfs(params)
-        count = 0
-        # All rows of one INSERT go in under one hold of the table's
-        # write lock and *without* per-row snapshot installs: the
-        # statement-level install happens once when the statement
-        # finishes, so snapshot readers see a multi-row INSERT
-        # atomically.  (Reentrant: the write pipeline already holds it.)
-        try:
-            with self.db.table_write_lock(table.name):
-                for value_exprs in statement.rows:
-                    if len(value_exprs) != len(positions):
-                        raise PlanError(
-                            f"INSERT supplies {len(value_exprs)} values for "
-                            f"{len(positions)} columns"
-                        )
-                    values: List[object] = [None] * len(table.columns)
-                    for position, expr in zip(positions, value_exprs):
-                        fn = compile_expr(expr, empty, resolver, runtime)
-                        values[position] = fn([])
-                    self.db._insert_row_locked(table, values)
-                    count += 1
-        finally:
-            resolver.finish()
-        return QueryResult(rowcount=count)
-
-    def _collect_matches(
-        self, table: TableInfo, where: Optional[A.Expr], params
-    ) -> List[Tuple[object, List[object]]]:
-        """Every ``(rid, row)`` WHERE accepts, all found before any write.
-
-        The predicate runs a batch of ``db.batch_size`` rows at a time,
-        as a scan's does, so a UDF in it crosses once per batch.
+        Every value is computed before the first write, so a failing
+        expression writes nothing: the scan (of live pages, snapshots or
+        not) finds every match first, which is Halloween protection too,
+        then SET runs over them ``db.batch_size`` rows at a time; an
+        INSERT evaluates every VALUES row.  One UDF resolver serves all.
         """
-        resolver, runtime = self._dml_udfs(params)
-        try:
-            predicate = None
-            if where is not None:
-                from .planner import qualify
-                from .types import schema_for_table
-
-                schema = schema_for_table(table)
-                predicate = compile_expr(
-                    qualify(where, schema), schema, resolver, runtime
-                )
-            scan = table.heap.scan(table.codec.decode)
-            if predicate is None:
-                return list(scan)
-            size = self.db.batch_size
-            matches = []
-            while True:
-                pairs = list(islice(scan, size))
-                if not pairs:
-                    return matches
-                verdicts = eval_batch(predicate, [row for __, row in pairs])
-                matches += [
-                    pair for pair, verdict in zip(pairs, verdicts)
-                    if verdict is True
+        table = self.db.catalog.get_table(statement.table)
+        if plan is None or plan.table_info is not table:
+            # Planned per execution (a script, adaptive optimization),
+            # or the cached plan's table was dropped and re-created.
+            plan = self.plan(statement, SlotValues(params),
+                             private=self.db.snapshots.enabled)
+        with self._udfs(params) as (resolver, runtime):
+            if isinstance(statement, A.Insert):
+                rows = [
+                    self._values(plan, exprs, resolver, runtime)
+                    for exprs in statement.rows
                 ]
-        finally:
-            resolver.finish()
-
-    def _delete(self, statement: A.Delete, params) -> QueryResult:
-        table = self.db.catalog.get_table(statement.table)
-        matches = self._collect_matches(table, statement.where, params)
-        for rid, row in matches:
-            for value in row:
-                if isinstance(value, LOBRef):
-                    self.db.lobs.free(value)
-            self._index_remove(table, rid, row)
-            table.heap.delete(rid)
-        return QueryResult(rowcount=len(matches))
-
-    def _update(self, statement: A.Update, params) -> QueryResult:
-        table = self.db.catalog.get_table(statement.table)
-        matches = self._collect_matches(table, statement.where, params)
-        from .planner import qualify
-        from .types import schema_for_table
-
-        schema = schema_for_table(table)
-        resolver, runtime = self._dml_udfs(params)
-        try:
-            assignments = [
-                (
-                    table.column_index(name),
-                    compile_expr(qualify(expr, schema), schema, resolver, runtime),
-                )
-                for name, expr in statement.assignments
+                for values in rows:
+                    self.db._write_row_locked(table, values=values)
+                return QueryResult(rowcount=len(rows))
+            matches = list(self._physical(plan.scan, resolver, runtime).rows())
+            columns = [
+                (position, eval_column(
+                    compile_expr(expr, plan.scan.schema, resolver, runtime),
+                    matches, self.db.batch_size,
+                ))
+                for position, expr in plan.assignments
             ]
-            for rid, row in matches:
-                new_row = list(row)
-                for position, fn in assignments:
-                    old = new_row[position]
-                    new_value = fn(row)
-                    if isinstance(old, LOBRef):
-                        self.db.lobs.free(old)
-                    new_row[position] = new_value
-                self._index_remove(table, rid, row)
-                record = self.db.encode_row(table, new_row)
-                new_rid = table.heap.update(rid, record)
-                self._index_add(table, new_rid, new_row)
-        finally:
-            resolver.finish()
+        for index, row in enumerate(matches):
+            rid = row.pop()
+            values = None
+            if isinstance(statement, A.Update):
+                values = list(row)
+                for position, column in columns:
+                    if isinstance(values[position], LOBRef):
+                        self.db.lobs.free(values[position])
+                    values[position] = column[index]
+            self.db._write_row_locked(table, rid, row, values)
         return QueryResult(rowcount=len(matches))
 
-    # -- index maintenance -----------------------------------------------------------------
+    @staticmethod
+    def _values(plan: WritePlan, exprs, resolver, runtime) -> List[object]:
+        """One VALUES row of an INSERT, a value per table column."""
+        if len(exprs) != len(plan.positions):
+            raise PlanError(
+                f"INSERT supplies {len(exprs)} values for "
+                f"{len(plan.positions)} columns"
+            )
+        values: List[object] = [None] * len(plan.table_info.columns)
+        for position, expr in zip(plan.positions, exprs):
+            values[position] = compile_expr(
+                expr, _EMPTY_SCHEMA, resolver, runtime
+            )([])
+        return values
 
-    def _index_add(self, table: TableInfo, rid, row: Sequence[object]) -> None:
-        for info in table.indexes:
-            key = row[table.column_index(info.column)]
-            if key is None:
-                continue
-            tree = BPlusTree(self.db.pool, info.root_page)
-            tree.insert(key, rid)
-            if tree.root_page != info.root_page:
-                info.root_page = tree.root_page
-                self.db.catalog.save()
-
-    def _index_remove(self, table: TableInfo, rid, row: Sequence[object]) -> None:
-        for info in table.indexes:
-            key = row[table.column_index(info.column)]
-            if key is None:
-                continue
-            BPlusTree(self.db.pool, info.root_page).delete(key, rid)
-
-
-from .types import RowSchema
 
 _EMPTY_SCHEMA = RowSchema([])

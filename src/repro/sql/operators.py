@@ -57,6 +57,17 @@ def apply_predicates(
     return rows
 
 
+def eval_column(fn: EvalFn, rows: Batch, size: int) -> List[object]:
+    """``fn`` over materialized ``rows`` (a sort's input, an UPDATE's
+    matches), ``size`` rows per batch when it has a batch entry."""
+    if getattr(fn, "eval_batch", None) is None:
+        return [fn(row) for row in rows]
+    return [
+        value for start in range(0, len(rows), size)
+        for value in fn.eval_batch(rows[start:start + size])
+    ]
+
+
 class PhysicalOp:
     batch_size: int = DEFAULT_BATCH_SIZE
 
@@ -152,7 +163,8 @@ class SeqScan(PhysicalOp):
     """Full scan of a heap file with optional residual predicates.
 
     Each page is decoded in place by the table's codec under one pin,
-    and its rows are handed on together; no RID is built.  Under a
+    and its rows are handed on together; no RID is built unless
+    ``with_rids`` ends each row with its own (UPDATE, DELETE).  Under a
     pinned :class:`~repro.storage.mvcc.Snapshot` the scan reads the
     heap handle over the table's frozen image instead of the live one —
     same records, same storage order, but never touching the buffer
@@ -161,10 +173,12 @@ class SeqScan(PhysicalOp):
     """
 
     def __init__(self, table_info, predicates: Sequence[EvalFn] = (),
-                 batch_size: Optional[int] = None, snapshot=None):
+                 batch_size: Optional[int] = None, snapshot=None,
+                 with_rids: bool = False):
         self.table_info = table_info
         self.predicates = list(predicates)
         self.snapshot = snapshot
+        self.with_rids = with_rids
         _set_batch_size(self, batch_size)
 
     def batches(self) -> Iterator[Batch]:
@@ -172,7 +186,7 @@ class SeqScan(PhysicalOp):
         heap = self.table_info.heap if image is None else image.heap
         return _filtered_batches(
             self.predicates, max(1, self.batch_size),
-            heap.scan_rows(self.table_info.codec.decode),
+            heap.scan_rows(self.table_info.codec.decode, self.with_rids),
         )
 
 
@@ -184,7 +198,8 @@ class IndexScan(PhysicalOp):
     index's tree pages and root as of its install.  Either way the same
     descent and leaf walk run, and only the records the range returns
     are decoded: one heap-page pin per run of them on the same page,
-    handed on as one list, in key order.
+    handed on as one list, in key order.  ``with_rids`` is as for
+    :class:`SeqScan`.
     """
 
     def __init__(
@@ -197,6 +212,7 @@ class IndexScan(PhysicalOp):
         predicates: Sequence[EvalFn] = (),
         batch_size: Optional[int] = None,
         snapshot=None,
+        with_rids: bool = False,
     ):
         self.pool = pool
         self.table_info = table_info
@@ -205,6 +221,7 @@ class IndexScan(PhysicalOp):
         self.hi = hi
         self.predicates = list(predicates)
         self.snapshot = snapshot
+        self.with_rids = with_rids
         _set_batch_size(self, batch_size)
 
     def _rows_in_key_order(self) -> Iterator[Batch]:
@@ -217,7 +234,8 @@ class IndexScan(PhysicalOp):
             root = image.root_of(self.index_info)
         entries = BPlusTree(source, root).range_scan(self.lo, self.hi)
         return heap.read_runs(
-            (rid for __, rid in entries), self.table_info.codec.decode
+            (rid for __, rid in entries), self.table_info.codec.decode,
+            self.with_rids,
         )
 
     def batches(self) -> Iterator[Batch]:
@@ -402,10 +420,12 @@ class _AggState:
 
 
 class Sort(PhysicalOp):
-    """Materializing sort.
+    """Materializing, stable multi-key sort.
 
-    Key evaluation stays row-at-a-time (the ORDER-sensitive path keeps
-    the seed semantics exactly); only the *output* is re-batched.
+    Keys apply right to left, each over the order the previous one
+    left.  A key column is computed batch-wise over the materialized
+    rows before its sort, so a UDF in ORDER BY crosses once per batch
+    and sees the rows in the order a per-row key function would.
     """
 
     def __init__(
@@ -422,12 +442,14 @@ class Sort(PhysicalOp):
 
     def batches(self) -> Iterator[Batch]:
         materialized = list(self.child.rows())
-        # Stable multi-key sort: apply keys right-to-left.
-        for key_fn, desc in reversed(list(zip(self.key_fns, self.descending))):
-            materialized.sort(
-                key=lambda row: _null_last(key_fn(row)), reverse=desc
-            )
         size = max(1, self.batch_size)
+        for key_fn, desc in reversed(list(zip(self.key_fns, self.descending))):
+            keys = eval_column(key_fn, materialized, size)
+            if None in keys:
+                keys = [_null_last(key) for key in keys]
+            order = sorted(range(len(keys)), key=keys.__getitem__,
+                           reverse=desc)
+            materialized = [materialized[index] for index in order]
         for start in range(0, len(materialized), size):
             yield materialized[start:start + size]
 

@@ -19,18 +19,19 @@ register/unregister the second, so a stale plan can never hit:
 invalidation is structural, not advisory.
 
 A :class:`PreparedStatement` is the shape's template (the parsed
-statement, slots for literals) and, for a SELECT, its optimized logical
-plan; INSERT/UPDATE/DELETE keep the template only and still run through
-the write pipeline.  An execution binds its literal values to the slots
-as its expressions compile.  A plan that read a literal's value while it
-was built (folding a pure UDF over literals, say) is not *generic*: it
-is also stored under ``(shape, values)`` and serves only those values,
-so a hit always reuses the plan a cold parse of the same text would
-build.  Cached plans are execution-state free (expression closures, UDF
-executors, and physical operators are built per execution), so one
-entry may be read by any number of concurrent statements.  Adaptive
-optimization re-plans per query by design and bypasses this cache
-entirely (the caller's responsibility).
+statement, slots for literals) and its plan: a SELECT's optimized
+logical plan, or a write's :class:`~repro.sql.planner.WritePlan`, whose
+scan is optimized as a SELECT's is and whose SET is already qualified.
+An execution binds its literal values to the slots as its expressions
+compile.  A plan that read a literal's value while it was built (folding
+a pure UDF over literals, say) is not *generic*: it is also stored under
+``(shape, values)`` and serves only those values, so a hit always reuses
+the plan a cold parse of the same text would build.  Cached plans are
+execution-state free (expression closures, UDF executors, and physical
+operators are built per execution), so one entry may be read by any
+number of concurrent statements.  Adaptive optimization re-plans per
+query by design and bypasses this cache entirely (the caller's
+responsibility).
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ DEFAULT_PLAN_CACHE_CAPACITY = 256
 
 @dataclass(frozen=True)
 class PreparedStatement:
-    """One shape, parsed (and for a SELECT, planned) once."""
+    """One shape, parsed and planned once."""
 
     #: The template: the statement with a Slot for each literal.
     statement: object
-    #: The optimized LogicalPlan of a SELECT; None for DML.
-    plan: object = None
+    #: A SELECT's optimized LogicalPlan, or a write's WritePlan.
+    plan: object
     #: False when the plan read its slots' values while it was built,
     #: so it serves only those values.
     generic: bool = True

@@ -1,4 +1,5 @@
-"""Logical planning: SELECT ASTs -> logical operator trees.
+"""Logical planning: SELECT, UPDATE and DELETE ASTs -> logical
+operator trees.
 
 The logical plan is deliberately simple — scans, filters (kept as
 *conjunct lists* so the optimizer can reorder them), cross joins,
@@ -10,7 +11,7 @@ lists, which :mod:`repro.sql.optimizer` reorders by predicate rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import PlanError
@@ -41,6 +42,9 @@ class LogicalScan(LogicalPlan):
     index: Optional[object] = None
     index_lo: Optional[object] = None
     index_hi: Optional[object] = None
+    #: Each row ends with its RID: the scan finds an UPDATE's or a
+    #: DELETE's rows.
+    with_rids: bool = False
 
     def __post_init__(self) -> None:
         self.schema = schema_for_table(self.table_info, self.alias)
@@ -154,6 +158,21 @@ class LogicalLimit(LogicalPlan):
 
     def __post_init__(self) -> None:
         self.schema = self.child.schema
+
+
+@dataclass
+class WritePlan:
+    """An INSERT, UPDATE or DELETE, planned against its target table:
+    ``scan`` finds an UPDATE's or DELETE's rows (a plan over one
+    ``with_rids`` :class:`LogicalScan`, optimized as a SELECT's is),
+    ``assignments`` are an UPDATE's ``(column position, SET expression)``
+    pairs qualified against it, and ``positions`` are the columns an
+    INSERT's VALUES fill."""
+
+    table_info: object
+    scan: Optional[LogicalPlan] = None
+    assignments: List[Tuple[int, A.Expr]] = field(default_factory=list)
+    positions: List[int] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +296,9 @@ def plan_select(
         for item in select.items
     ]
     if select.group_by:
-        select = A.Select(
-            items=select.items,
-            tables=select.tables,
-            where=select.where,
-            group_by=tuple(
-                qualify(expr, from_schema) for expr in select.group_by
-            ),
-            order_by=select.order_by,
-            limit=select.limit,
-            distinct=select.distinct,
-        )
+        select = replace(select, group_by=tuple(
+            qualify(expr, from_schema) for expr in select.group_by
+        ))
     items = _expand_stars(tuple(items), plan.schema)
     aggregates = _collect_aggregates(items)
     is_aggregate = bool(aggregates or select.group_by)
@@ -332,6 +343,26 @@ def plan_select(
     if select.limit is not None:
         plan = LogicalLimit(plan, limit=select.limit)
     return plan
+
+
+def plan_write(statement: A.Statement, catalog) -> WritePlan:
+    """Build the (unoptimized) plan of an INSERT, UPDATE or DELETE:
+    the WHERE becomes a filter over a scan of the target table."""
+    table = catalog.get_table(statement.table)
+    if isinstance(statement, A.Insert):
+        return WritePlan(table, positions=[
+            table.column_index(name) for name in statement.columns
+        ] or list(range(len(table.columns))))
+    scan = LogicalScan(table.name, table.name, table, with_rids=True)
+    plan: LogicalPlan = scan
+    if statement.where is not None:
+        where = qualify(statement.where, scan.schema)
+        plan = LogicalFilter(scan, predicates=split_conjuncts(where))
+    assignments = [
+        (table.column_index(name), qualify(expr, scan.schema))
+        for name, expr in getattr(statement, "assignments", ())
+    ]
+    return WritePlan(table, scan=plan, assignments=assignments)
 
 
 def qualify(expr: A.Expr, schema: RowSchema) -> A.Expr:

@@ -8,12 +8,12 @@ holds the directory to it.  (PREDATOR kept this in Shore root objects;
 JSON keeps the same information inspectable.)
 
 Each :class:`TableInfo` also owns the table's one
-:class:`~repro.storage.heapfile.HeapFile` handle and its one
-:class:`~repro.storage.record.RecordCodec`.  Both are runtime state,
-never persisted: they are built with the entry (CREATE TABLE, or
-catalog load on open, which runs after WAL recovery), so reopen, crash
-recovery and DROP + CREATE each start from fresh ones with nothing to
-invalidate.
+:class:`~repro.storage.heapfile.HeapFile` handle, its one
+:class:`~repro.storage.record.RecordCodec` and its indexes' column
+positions: runtime state, never persisted, built with the entry (CREATE
+TABLE, or catalog load on open, which runs after WAL recovery), so
+reopen, crash recovery and DROP + CREATE each start from fresh ones
+with nothing to invalidate.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ class IndexInfo:
     name: str
     column: str
     root_page: int
+    #: The indexed column's position, resolved once by its TableInfo.
+    position: Optional[int] = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"name": self.name, "column": self.column,
@@ -84,6 +86,8 @@ class TableInfo:
 
     def __post_init__(self) -> None:
         self.codec = RecordCodec(self.column_types())
+        for index in self.indexes:
+            index.position = self.column_index(index.column)
 
     def column_index(self, name: str) -> int:
         for index, column in enumerate(self.columns):

@@ -16,11 +16,11 @@ the cached tail current.  The tail is read and written only by
 Reads take a ``decode(page_bytes, start, end)`` callable (a table's
 :meth:`~repro.storage.record.RecordCodec.decode`) and run it on each
 record in place, under the page's pin: :meth:`HeapFile.scan_rows` hands
-back a page's rows at a time and builds no :class:`RID`;
-:meth:`HeapFile.scan` pairs each row with its RID for the statements
-that write back; :meth:`HeapFile.read_runs` decodes the records of RIDs
-in key order, one pin per run of RIDs on the same page (an index
-range).  Reads touch the pool only through ``pool.fetch`` and
+back a page's rows at a time and builds no :class:`RID` unless asked to
+end each row with one (``with_rids``, for UPDATE and DELETE);
+:meth:`HeapFile.scan` pairs each row with its RID;
+:meth:`HeapFile.read_runs` decodes the records of RIDs in key order,
+one pin per run of RIDs on the same page (an index range).  Reads touch the pool only through ``pool.fetch`` and
 ``pool.unpin``, called in ``try``/``finally`` and never holding a pin
 across a ``yield``, so a snapshot's frozen
 :class:`~repro.storage.mvcc.TableImage` serves as the pool of a
@@ -126,14 +126,19 @@ class HeapFile:
         return self._read_slots(rid.page_id, [rid.slot], decode)[0]
 
     def _read_slots(
-        self, page_id: int, slots: List[int], decode: Decoder
+        self, page_id: int, slots: List[int], decode: Decoder,
+        with_rids: bool = False,
     ) -> List[object]:
         pool = self.pool
         data = pool.fetch(page_id)
         try:
-            return decode_slots(data, slots, decode)
+            rows = decode_slots(data, slots, decode)
         finally:
             pool.unpin(page_id)
+        if with_rids:
+            for row, slot in zip(rows, slots):
+                row.append(RID(page_id, slot))
+        return rows
 
     def delete(self, rid: RID) -> None:
         with self.pool.pinned(rid.page_id, dirty=True) as data:
@@ -182,10 +187,17 @@ class HeapFile:
             yield page_id, offsets, rows
             page_id = next_page
 
-    def scan_rows(self, decode: Decoder) -> Iterator[List[object]]:
+    def scan_rows(
+        self, decode: Decoder, with_rids: bool = False
+    ) -> Iterator[List[object]]:
         """Every live record, decoded in place, one page's rows at a
-        time in storage order (one pin per page, no RIDs)."""
-        for __, __, rows in self._decoded_pages(decode):
+        time in storage order (one pin per page); ``with_rids`` ends
+        each row (a list) with its RID, else no RID is built."""
+        for page_id, offsets, rows in self._decoded_pages(decode):
+            if with_rids:
+                live = (slot for slot, offset in enumerate(offsets) if offset)
+                for row, slot in zip(rows, live):
+                    row.append(RID(page_id, slot))
             yield rows
 
     def scan(
@@ -199,21 +211,23 @@ class HeapFile:
                 yield RID(page_id, slot), row
 
     def read_runs(
-        self, rids: Iterable[RID], decode: Decoder = copy_record
+        self, rids: Iterable[RID], decode: Decoder = copy_record,
+        with_rids: bool = False,
     ) -> Iterator[List[object]]:
         """Decode the records of ``rids`` in the order given, one list of
         rows per run of consecutive RIDs on the same page: each run is
         one pin and one slot-directory unpack.  A page that recurs later
-        in ``rids`` starts a new run, so the order is kept."""
+        in ``rids`` starts a new run, so the order is kept.
+        ``with_rids`` is as for :meth:`scan_rows`."""
         run_page, slots = NO_PAGE, []
         for rid in rids:
             if rid.page_id != run_page:
                 if slots:
-                    yield self._read_slots(run_page, slots, decode)
+                    yield self._read_slots(run_page, slots, decode, with_rids)
                 run_page, slots = rid.page_id, []
             slots.append(rid.slot)
         if slots:
-            yield self._read_slots(run_page, slots, decode)
+            yield self._read_slots(run_page, slots, decode, with_rids)
 
     def count(self) -> int:
         return sum(1 for __ in self.scan())

@@ -226,11 +226,6 @@ class ThreadGroup:
     def killed(self) -> bool:
         return self._killed
 
-    @property
-    def live_threads(self) -> List[threading.Thread]:
-        with self._lock:
-            return [t for t in self._threads if t.is_alive()]
-
 
 class ThreadGroupRegistry:
     """Server-wide map of UDF name -> thread group."""
@@ -266,3 +261,14 @@ class ThreadGroupRegistry:
             group = self._groups.pop(udf_name, None)
         if group is not None:
             group.kill()
+
+    def discard(self, name: str) -> None:
+        """Drop a group that holds no reservation; a busy one stays."""
+        with self._lock:
+            group = self._groups.get(name)
+            if group is not None and not any(group.reserved.values()):
+                del self._groups[name]
+
+    def names(self) -> List[str]:
+        with self._lock:
+            return sorted(self._groups)

@@ -678,6 +678,22 @@ class TestResourceOwnership:
             GATE.set()
             database.close()
 
+    def test_anonymous_sessions_leave_no_tenant_group(self, adb):
+        """Each anonymous session is its own tenant; its group goes when
+        the session closes.  A named tenant keeps its group."""
+        groups = adb.database.thread_groups
+        with Client(adb.host, adb.port, tenant="acme") as named:
+            named.execute("SELECT id FROM nums WHERE id = 1")
+        baseline = groups.names()
+        assert "tenant:acme" in baseline
+        for __ in range(30):
+            with Client(adb.host, adb.port) as client:
+                assert client.execute(
+                    "SELECT id FROM nums WHERE id = 2"
+                ).rows == [(2,)]
+        wait_until(lambda: not adb.stats_snapshot()["open_connections"])
+        assert groups.names() == baseline
+
 
 # -- a client that vanishes mid-statement -------------------------------------
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CatalogError, PlanError, RecordError
+from repro.errors import CatalogError, ExecutionError, PlanError, RecordError
 
 
 @pytest.fixture
@@ -193,6 +193,34 @@ class TestDML:
     def test_insert_arity_mismatch(self, people):
         with pytest.raises(PlanError):
             people.execute("INSERT INTO people (id, name) VALUES (1)")
+
+    @pytest.mark.parametrize("storage", ["memory", "wal", "reopen"])
+    @pytest.mark.parametrize("sql", [
+        "UPDATE t SET v = 10 / (id - 3)",
+        "INSERT INTO t VALUES (6, 1), (7, 1 / 0), (8, 1)",
+    ])
+    def test_failing_expression_writes_nothing(self, db_path, storage, sql):
+        """Every SET and VALUES expression runs before the first write,
+        so one that raises leaves the table as it was."""
+        from repro.database import Database
+
+        path = None if storage == "memory" else db_path
+        db = Database(path)
+        try:
+            db.execute("CREATE TABLE t (id INT, v INT)")
+            db.execute(
+                "INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)"
+            )
+            with pytest.raises(ExecutionError, match="division by zero"):
+                db.execute(sql)
+            if storage == "reopen":
+                db.close()
+                db = Database(path)
+            assert db.query("SELECT id, v FROM t ORDER BY id") == [
+                (i, i) for i in range(1, 6)
+            ]
+        finally:
+            db.close()
 
 
 class TestDDL:

@@ -1,8 +1,8 @@
 """Every SQL consumer of a UDF enters the design through ``invoke_batch``.
 
-SELECT scans and filters hand a UDF whole batches; sort keys, UPDATE
-SET, INSERT VALUES and plan-time folding evaluate one row at a time, and
-UPDATE/DELETE WHERE a batch at a time.  Each design implements only
+SELECT scans and filters, sort keys, UPDATE/DELETE WHERE and UPDATE SET
+hand a UDF whole batches; INSERT VALUES and plan-time folding evaluate
+one row at a time.  Each design implements only
 ``invoke_batch`` (``invoke`` is a one-row batch), so patching a design's
 executor class to count its ``invoke_batch`` calls sees every invocation
 any statement makes.
@@ -10,6 +10,7 @@ any statement makes.
 
 import pytest
 
+from repro.core import isolated
 from repro.core.designs import Design
 from repro.core.integrated import NativeIntegratedExecutor
 from repro.core.isolated import RemoteExecutor
@@ -65,20 +66,20 @@ def test_every_consumer_enters_through_invoke_batch(design, batches):
         sizes = batches(EXECUTOR_CLASS[design])
         table = {i: (i * 7) % ROWS for i in range(ROWS)}  # id -> x
 
-        # Sort key: one row at a time.
+        # Sort key: one batch over the materialized rows.
         rows = db.query("SELECT id FROM t ORDER BY t1(x) DESC, id")
         assert [r[0] for r in rows] == sorted(
             table, key=lambda i: (-triple(table[i]), i)
         )
-        assert sizes == [1] * ROWS
+        assert sizes == [ROWS]
 
-        # UPDATE SET: one row at a time, over the 4 matches.
+        # UPDATE SET: one batch over the 4 matches.
         sizes.clear()
         assert db.execute("UPDATE t SET c = t1(x) WHERE id < 4").rowcount == 4
         assert db.query("SELECT id, c FROM t WHERE id < 4 ORDER BY id") == [
             (i, triple(table[i])) for i in range(4)
         ]
-        assert sizes == [1] * 4
+        assert sizes == [4]
 
         # DELETE WHERE: a batch at a time, every row once.
         sizes.clear()
@@ -109,6 +110,40 @@ def test_every_consumer_enters_through_invoke_batch(design, batches):
         ]
         assert sizes == [1]
         assert db.registry.get("t1").is_pure == design.is_sandboxed
+
+
+def test_one_worker_per_isolated_udf_per_statement(monkeypatch):
+    """An isolated UDF in both WHERE and SET of one UPDATE starts one
+    worker process, as the same UDF in a SELECT's WHERE and list does."""
+    started = []
+    inner = isolated._Worker.__init__
+
+    def counting(self, *args, **kwargs):
+        started.append(self)
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(isolated._Worker, "__init__", counting)
+    with Database() as db:
+        db.execute("CREATE TABLE t (id INT, v INT)")
+        db.execute(
+            "INSERT INTO t VALUES "
+            + ", ".join(f"({i}, {i * 2})" for i in range(20))
+        )
+        db.execute(
+            "CREATE FUNCTION p1(int) RETURNS int LANGUAGE JAGUAR "
+            "DESIGN SANDBOX_ISOLATED AS "
+            "'def p1(x: int) -> int: return x + 1'"
+        )
+        assert len(db.query("SELECT p1(v) FROM t WHERE p1(id) > 10")) == 10
+        assert len(started) == 1
+        started.clear()
+        assert db.execute(
+            "UPDATE t SET v = p1(v) WHERE p1(id) > 10"
+        ).rowcount == 10
+        assert len(started) == 1
+        assert db.query("SELECT id, v FROM t WHERE id >= 9 ORDER BY id") == [
+            (i, i * 2 + (i >= 10)) for i in range(9, 20)
+        ]
 
 
 @pytest.mark.parametrize("batch_size, crossings", [(64, 2), (1, 100)])

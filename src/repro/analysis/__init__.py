@@ -2,7 +2,11 @@
 
 The verifier proves type and stack safety; this package answers the
 *semantic* questions the rest of the system wants answered before a UDF
-ever runs:
+ever runs.  Per-opcode facts (stack types, allocation, trap kind, cost
+weight, the Python template and the SQL lowering) come from the opcode
+table :data:`repro.vm.opcodes.OPS`, and the stack-only opcodes step
+through :func:`repro.vm.opcodes.step_stack`; the interval transfer
+stays in ``bounds`` and the label transfer in ``flows``.
 
 * :mod:`~repro.analysis.cfg` — basic blocks, dominators, natural loops;
 * :mod:`~repro.analysis.effects` — purity/effect summaries (natives,
@@ -15,21 +19,26 @@ ever runs:
   (:class:`ResourceCertificate`), consumed by the load gate, the
   metering-elision fast paths, admission control, and the optimizer;
 * :mod:`~repro.analysis.costs` — static per-invocation cost estimation
-  and :func:`~repro.analysis.costs.derive_cost_hints` for UDFs
-  registered without declared ``CostHints``;
+  (the table's ``weight`` column times assumed trip counts) and
+  :func:`~repro.analysis.costs.derive_cost_hints` for UDFs registered
+  without declared ``CostHints``;
 * :mod:`~repro.analysis.decompile` — Froid-style decompilation of
   pure, loop-free (or unrollable) bodies into SQL expression templates
   (:class:`InlineTemplate`) or structured refusals
   (:class:`InlineRefusal`), consumed by the optimizer's inlining
   rewrite behind ``Database(inlining=True)``;
+* :mod:`~repro.analysis.flows` — taint, escape and trap-safety
+  certificates (:class:`~repro.analysis.flows.FlowCertificate`) on the
+  shared worklist engine of :mod:`~repro.analysis.dataflow`;
 * :mod:`~repro.analysis.lint` — the ``python -m repro.analysis`` CLI
-  (plus the ``bounds`` and ``inline`` subcommands).
+  (plus the ``bounds``, ``inline``, ``flows``, ``tier`` and ``report``
+  subcommands).
 
 The class loader invokes :func:`analyze_class`, :func:`certify_class`,
-and :func:`decompile_class` right after verification, so every loaded
-``FunctionDef`` carries a ``summary``, a ``certificate``, and an
-``inline`` result, and every ``ClassFile`` an ``analysis`` and a
-``certificates`` rollup.  Consumers:
+``analyze_flows`` and :func:`decompile_class` right after verification,
+so every loaded ``FunctionDef`` carries a ``summary``, a
+``certificate``, ``flows`` and an ``inline`` result, and every
+``ClassFile`` an ``analysis`` and a ``certificates`` rollup.  Consumers:
 the security manager (static pre-checks at load, including the
 minimum-consumption bounds gate), the interpreter/JIT (per-instruction
 metering elision), thread-group admission control, the optimizer
@@ -48,7 +57,6 @@ from .cfg import CFG, BasicBlock, Loop, build_cfg
 from .costs import (
     ASSUMED_TRIP_COUNT,
     DERIVED_SELECTIVITY,
-    OPCODE_WEIGHTS,
     derive_cost_hints,
 )
 from .decompile import (
@@ -76,7 +84,6 @@ __all__ = [
     "Interval",
     "Loop",
     "LoopBound",
-    "OPCODE_WEIGHTS",
     "ResourceCertificate",
     "analyze_class",
     "build_cfg",

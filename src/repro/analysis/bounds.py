@@ -83,7 +83,7 @@ from ..vm.classfile import (
     K_NATIVE,
     K_STR,
 )
-from ..vm.opcodes import FIXED_EFFECTS, Instr, Op
+from ..vm.opcodes import OPS, Instr, Op, step_stack
 from ..vm.values import VMType
 from ..vm.verifier import Resolver, self_resolver
 from . import dataflow
@@ -647,103 +647,24 @@ class _FunctionCertifier:
     def _step(self, pc: int, ins: Instr,
               locals_: List[AbsVal], stack: List[AbsVal]) -> None:
         op = ins.op
-        push = stack.append
-        if op is Op.ICONST:
-            push(_mk(K_INT, Interval.const(ins.arg)))
-        elif op is Op.FCONST:
-            push(_OTHER)
-        elif op is Op.BCONST:
-            push(_mk(K_INT, Interval.const(ins.arg)))
+        info = OPS[op]
+        if step_stack(ins, locals_, stack):
+            return
+        if op is Op.ICONST or op is Op.BCONST:
+            stack.append(_mk(K_INT, Interval.const(ins.arg)))
         elif op is Op.SCONST:
             (text,) = self.cls.constant(ins.arg, K_STR)
-            push(_mk(K_SEQ, Interval.const(len(text))))
-        elif op is Op.LOAD:
-            push(locals_[ins.arg])
-        elif op is Op.STORE:
-            locals_[ins.arg] = stack.pop()
-        elif op is Op.POP:
-            stack.pop()
-        elif op is Op.DUP:
-            push(stack[-1])
-        elif op is Op.SWAP:
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-        elif op is Op.IADD:
-            b, a = stack.pop(), stack.pop()
-            push(_aff_add(a, b))
-        elif op is Op.ISUB:
-            b, a = stack.pop(), stack.pop()
-            push(_aff_sub(a, b))
-        elif op is Op.IMUL:
-            b, a = stack.pop(), stack.pop()
-            push(_aff_mul(a, b))
-        elif op is Op.INEG:
-            push(_aff_neg(stack.pop()))
-        elif op in (Op.IDIV, Op.IMOD, Op.IAND, Op.IOR, Op.IXOR,
-                    Op.ISHL, Op.ISHR):
-            stack.pop(); stack.pop()
-            push(_INT_TOP)
-        elif op in (Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV):
-            stack.pop(); stack.pop()
-            push(_OTHER)
-        elif op is Op.FNEG:
-            stack.pop()
-            push(_OTHER)
-        elif op is Op.I2F:
-            stack.pop()
-            push(_OTHER)
-        elif op is Op.F2I:
-            stack.pop()
-            push(_INT_TOP)
-        elif op is Op.I2S:
-            stack.pop()
-            push(_mk(K_SEQ, Interval(1, _I2S_MAX)))
-        elif op is Op.F2S:
-            stack.pop()
-            push(_mk(K_SEQ, Interval(1, _F2S_MAX)))
-        elif op in (Op.ICMPLT, Op.ICMPLE, Op.ICMPGT, Op.ICMPGE,
-                    Op.ICMPEQ, Op.ICMPNE, Op.FCMPLT, Op.FCMPLE,
-                    Op.FCMPGT, Op.FCMPGE, Op.FCMPEQ, Op.FCMPNE, Op.SEQ,
-                    Op.BAND, Op.BOR):
-            stack.pop(); stack.pop()
-            push(_BOOL)
-        elif op is Op.NOT:
-            stack.pop()
-            push(_BOOL)
-        elif op is Op.SCONCAT:
-            b, a = stack.pop(), stack.pop()
-            push(_clamp_len(_aff_add(a, b)))
-        elif op in (Op.SLEN, Op.ALEN, Op.FALEN):
-            v = stack.pop()
-            push(_clamp_int_len(v))
-        elif op is Op.SINDEX:
-            stack.pop(); stack.pop()
-            push(_mk(K_INT, Interval(0, 0x10FFFF)))
-        elif op is Op.SSUB:
-            end, start, seq = stack.pop(), stack.pop(), stack.pop()
-            push(_ssub_result(seq, start, end))
-        elif op in (Op.NEWARR, Op.NEWFARR):
-            push(_clamp_len(stack.pop()))
-        elif op is Op.ALOAD:
-            stack.pop(); stack.pop()
-            push(_mk(K_INT, Interval(0, 255)))
-        elif op is Op.FALOAD:
-            stack.pop(); stack.pop()
-            push(_OTHER)
-        elif op in (Op.ASTORE, Op.FASTORE):
-            stack.pop(); stack.pop(); stack.pop()
-        elif op is Op.ACOPY:
-            push(stack.pop())
-        elif op is Op.JMP:
-            pass
-        elif op in (Op.JZ, Op.JNZ):
-            stack.pop()
-        elif op is Op.RET:
-            stack.pop()
-        elif op is Op.RETV:
-            pass
-        elif op in (Op.CALL, Op.NATIVE, Op.CALLBACK):
+            stack.append(_mk(K_SEQ, Interval.const(len(text))))
+        elif info.pops is None:   # CALL, NATIVE, CALLBACK
             self._step_call(pc, ins, stack)
-        # every opcode is handled above; verified code has no others
+        else:
+            args = stack[len(stack) - len(info.pops):]
+            del stack[len(stack) - len(info.pops):]
+            transfer = _TRANSFERS.get(op)
+            if transfer is not None:
+                stack.append(transfer(*args))
+            else:
+                stack.extend(_of_type(t) for t in info.pushes)
 
     def _step_call(self, pc: int, ins: Instr, stack: List[AbsVal]) -> None:
         signature = self._call_signature(ins)
@@ -1020,13 +941,10 @@ class _FunctionCertifier:
         ``>= 0`` by +1 to ``len`` of the very sequence indexed."""
         found = []
         for pc in self.replay:
-            op = self.code[pc].op
-            if op in (Op.ALOAD, Op.FALOAD, Op.SINDEX):
-                operands = self._operands(pc, 2)
-            elif op in (Op.ASTORE, Op.FASTORE):
-                operands = self._operands(pc, 3)
-            else:
+            info = OPS[self.code[pc].op]
+            if info.trap != "index":
                 continue
+            operands = self._operands(pc, len(info.pops))
             (seq, seq_slot), (__, index_slot) = operands[:2]
             if seq_slot is not None and any(
                 self._indexes_below_len(loop, pc, seq, seq_slot, index_slot)
@@ -1142,15 +1060,14 @@ class _FunctionCertifier:
 
     def _pushes(self, ins: Instr) -> int:
         """How many values ``ins`` pushes (DUP aside: at most one)."""
-        op = ins.op
-        if op in FIXED_EFFECTS:
-            return len(FIXED_EFFECTS[op][1])
-        if op in (Op.CALL, Op.NATIVE, Op.CALLBACK):
+        pushes = OPS[ins.op].pushes
+        if pushes is not None:
+            return len(pushes)
+        if ins.op in (Op.CALL, Op.NATIVE, Op.CALLBACK):
             signature = self._call_signature(ins)
             return int(signature is not None
                        and signature[1] is not VMType.VOID)
-        return int(op in (Op.ICONST, Op.FCONST, Op.BCONST, Op.SCONST,
-                          Op.LOAD))
+        return int(ins.op is Op.LOAD)
 
     def _operands(self, pc: int, count: int):
         """The ``count`` operands ``pc`` pops, deepest first, as
@@ -1377,3 +1294,26 @@ def _ssub_result(seq: AbsVal, start: AbsVal, end: AbsVal) -> AbsVal:
         hi = 0.0
     lo = min(max(0.0, diff.interval.lo), hi)
     return _mk(K_SEQ, Interval(lo, hi), diff.atom, diff.coeff, diff.offset)
+
+
+#: Interval transfers of the opcodes whose result says more than the
+#: top value of its type (every other opcode pops its operands and
+#: pushes ``_of_type`` of each result type).  Operands deepest first.
+_TRANSFERS = {
+    Op.IADD: _aff_add,
+    Op.ISUB: _aff_sub,
+    Op.IMUL: _aff_mul,
+    Op.INEG: _aff_neg,
+    Op.I2S: lambda x: _mk(K_SEQ, Interval(1, _I2S_MAX)),
+    Op.F2S: lambda x: _mk(K_SEQ, Interval(1, _F2S_MAX)),
+    Op.SCONCAT: lambda a, b: _clamp_len(_aff_add(a, b)),
+    Op.SLEN: _clamp_int_len,
+    Op.ALEN: _clamp_int_len,
+    Op.FALEN: _clamp_int_len,
+    Op.SINDEX: lambda s, i: _mk(K_INT, Interval(0, 0x10FFFF)),
+    Op.SSUB: _ssub_result,
+    Op.NEWARR: _clamp_len,
+    Op.NEWFARR: _clamp_len,
+    Op.ALOAD: lambda a, i: _mk(K_INT, Interval(0, 255)),
+    Op.ACOPY: lambda a: a,
+}

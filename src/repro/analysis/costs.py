@@ -1,4 +1,4 @@
-"""Static cost estimation: per-opcode weights and CostHints derivation.
+"""Static cost estimation: CostHints derivation from opcode weights.
 
 The dynamic model in ``core/cost_model.py`` *fits* coefficients from
 calibration runs; this module is its static counterpart in the GRACEFUL
@@ -7,10 +7,11 @@ the UDF has ever run, so a UDF registered without explicit ``CostHints``
 still participates sensibly in expensive-predicate ordering.
 
 The unit convention matches ``CostHints.cost_per_call``: one cheap
-built-in comparison ~ 1 unit.  Weights mirror the dynamic model's
-structure — an interpreted opcode is a handful of units, a NATIVE call
-is a trusted in-process stdlib call, and a CALLBACK crosses the
-sandbox/server boundary (argument marshalling, security check, broker
+built-in comparison ~ 1 unit.  The per-opcode weights are the
+``weight`` column of :data:`repro.vm.opcodes.OPS`, summed by the effect
+analysis.  They mirror the dynamic model's structure — an interpreted
+opcode is a handful of units, a NATIVE call is a trusted in-process
+stdlib call, and a CALLBACK crosses the sandbox/server boundary (argument marshalling, security check, broker
 dispatch), the dominant term by two orders of magnitude, exactly the
 ``c_callback * NumCallbacks`` term of Section 5.6.
 
@@ -23,9 +24,7 @@ predicates right, and callbacks-vs-arithmetic dominates that.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
-
-from ..vm.opcodes import Op
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.udf import CostHints
@@ -42,35 +41,6 @@ RECURSION_FACTOR = ASSUMED_TRIP_COUNT
 #: consult, a coin flip is the least-wrong prior (same default the
 #: declared-hints path uses).
 DERIVED_SELECTIVITY = 0.5
-
-#: Cost of an opcode the table has no entry for.
-DEFAULT_WEIGHT = 1.0
-
-#: Per-opcode cost units.  Only the expensive classes are listed; plain
-#: stack/ALU traffic takes the default.
-OPCODE_WEIGHTS: Dict[Op, float] = {
-    # Boundary crossings — the terms that matter.
-    Op.CALLBACK: 200.0,   # sandbox -> server round trip
-    Op.NATIVE: 5.0,       # trusted stdlib, in-process
-    Op.CALL: 2.0,         # frame push/pop (callee body added separately)
-    # Allocation-accounted opcodes: heap work + quota bookkeeping.
-    Op.NEWARR: 16.0,
-    Op.NEWFARR: 16.0,
-    Op.ACOPY: 16.0,
-    Op.SCONCAT: 8.0,
-    Op.SSUB: 8.0,
-    Op.I2S: 4.0,
-    Op.F2S: 4.0,
-    # String traffic is length-dependent; charge a middling constant.
-    Op.SEQ: 4.0,
-    Op.SLEN: 2.0,
-    Op.SINDEX: 2.0,
-}
-
-
-def cost_of_instruction(op: Op) -> float:
-    """Static cost units for one execution of ``op``."""
-    return OPCODE_WEIGHTS.get(op, DEFAULT_WEIGHT)
 
 
 def derive_cost_hints(

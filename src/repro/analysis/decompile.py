@@ -52,8 +52,16 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..errors import ArithmeticFault
 from ..sql import ast_nodes as A
 from ..vm.classfile import ClassFile, FunctionDef, K_CALLBACK, K_FUNC, K_STR
-from ..vm.opcodes import Instr, Op
-from ..vm.values import VMType, default_value, f2i, idiv, imod, wrap_int
+from ..vm.opcodes import (
+    OPS,
+    TEMPLATE_GLOBALS,
+    Instr,
+    Op,
+    python_expr,
+    step_stack,
+)
+from ..vm.resources import unmetered_account
+from ..vm.values import VMType, default_value
 from .cfg import build_cfg
 
 #: Refusal reason codes (the full taxonomy; CLI and EXPLAIN print these).
@@ -247,26 +255,6 @@ def _exec(
             (text,) = cls.constant(ins.arg, K_STR)
             stack.append(A.Literal(text))
 
-        # -- locals / stack ----------------------------------------------
-        elif op is Op.LOAD:
-            stack.append(locals_[ins.arg])
-        elif op is Op.STORE:
-            locals_[ins.arg] = stack.pop()
-        elif op is Op.POP:
-            stack.pop()
-        elif op is Op.DUP:
-            stack.append(stack[-1])
-        elif op is Op.SWAP:
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-
-        # -- arithmetic / comparisons / logic ------------------------------
-        elif op in _BINOPS:
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(_binop(op, a, b))
-        elif op in _UNOPS:
-            stack.append(_unop(op, stack.pop()))
-
         # -- control flow --------------------------------------------------
         elif op is Op.JMP:
             pc = ins.arg
@@ -299,6 +287,13 @@ def _exec(
             return stack.pop()
         elif op is Op.RETV:
             return None
+        elif step_stack(ins, locals_, stack):
+            pass
+        elif op in _LOWERED:
+            info = OPS[op]
+            args = stack[len(stack) - len(info.pops):]
+            del stack[len(stack) - len(info.pops):]
+            stack.append(_lower(op, args))
 
         # -- calls ---------------------------------------------------------
         elif op is Op.CALL:
@@ -341,108 +336,51 @@ def _exec(
 # Opcode -> expression lowering (with VM-exact constant folding)
 # ---------------------------------------------------------------------------
 
-#: Binary opcodes lowered directly to SQL operators.  IDIV/IMOD are
-#: absent: SQL ``/`` floors where the VM truncates, so they lower to the
-#: VM-faithful ``idiv``/``imod`` builtins instead.
-_SQL_BINOPS = {
-    Op.IADD: "+", Op.ISUB: "-", Op.IMUL: "*",
-    Op.FADD: "+", Op.FSUB: "-", Op.FMUL: "*", Op.FDIV: "/",
-    Op.ICMPLT: "<", Op.ICMPLE: "<=", Op.ICMPGT: ">", Op.ICMPGE: ">=",
-    Op.ICMPEQ: "=", Op.ICMPNE: "!=",
-    Op.FCMPLT: "<", Op.FCMPLE: "<=", Op.FCMPGT: ">", Op.FCMPGE: ">=",
-    Op.FCMPEQ: "=", Op.FCMPNE: "!=",
-    Op.BAND: "and", Op.BOR: "or",
-    Op.SCONCAT: "+", Op.SEQ: "=",
-}
+_SCALARS = frozenset({VMType.INT, VMType.FLOAT, VMType.BOOL})
 
-#: Fold-only binary opcodes: no SQL lowering exists, but constant
-#: operands (loop counters, literal masks) still fold VM-exactly, so
-#: counted loops over bitwise arithmetic unroll rather than refuse.
-_FOLD_ONLY_BINOPS = {Op.IAND, Op.IOR, Op.IXOR, Op.ISHL, Op.ISHR}
-
-_BINOPS = (set(_SQL_BINOPS) | _FOLD_ONLY_BINOPS
-           | {Op.IDIV, Op.IMOD})
-
-_UNOPS = {Op.INEG, Op.FNEG, Op.NOT, Op.I2F, Op.F2I, Op.SLEN}
-
-#: VM-exact evaluation of each foldable binary opcode over Python values.
-_FOLD_BIN = {
-    Op.IADD: lambda a, b: wrap_int(a + b),
-    Op.ISUB: lambda a, b: wrap_int(a - b),
-    Op.IMUL: lambda a, b: wrap_int(a * b),
-    Op.FADD: lambda a, b: a + b,
-    Op.FSUB: lambda a, b: a - b,
-    Op.FMUL: lambda a, b: a * b,
-    Op.FDIV: lambda a, b: a / b,  # b == 0.0 is diverted before folding
-    Op.IAND: lambda a, b: wrap_int(a & b),
-    Op.IOR: lambda a, b: wrap_int(a | b),
-    Op.IXOR: lambda a, b: wrap_int(a ^ b),
-    Op.ISHL: lambda a, b: wrap_int(a << (b & 63)),
-    Op.ISHR: lambda a, b: wrap_int(a >> (b & 63)),
-    Op.ICMPLT: lambda a, b: a < b, Op.ICMPLE: lambda a, b: a <= b,
-    Op.ICMPGT: lambda a, b: a > b, Op.ICMPGE: lambda a, b: a >= b,
-    Op.ICMPEQ: lambda a, b: a == b, Op.ICMPNE: lambda a, b: a != b,
-    Op.FCMPLT: lambda a, b: a < b, Op.FCMPLE: lambda a, b: a <= b,
-    Op.FCMPGT: lambda a, b: a > b, Op.FCMPGE: lambda a, b: a >= b,
-    Op.FCMPEQ: lambda a, b: a == b, Op.FCMPNE: lambda a, b: a != b,
-    Op.BAND: lambda a, b: a and b, Op.BOR: lambda a, b: a or b,
-    Op.SCONCAT: lambda a, b: a + b, Op.SEQ: lambda a, b: a == b,
-}
+#: Opcodes the decompiler lowers: those with a SQL form, plus the
+#: numeric ones without (the bitwise operators), whose constant operands
+#: still fold, so counted loops over masks unroll rather than refuse.
+_LOWERED = frozenset(
+    op for op, info in OPS.items()
+    if info.py is not None and (
+        info.sql is not None
+        or _SCALARS.issuperset(info.pops + info.pushes)
+    )
+)
 
 
-def _binop(op: Op, a: A.Expr, b: A.Expr) -> A.Expr:
-    folded = isinstance(a, A.Literal) and isinstance(b, A.Literal)
-    if op is Op.IDIV or op is Op.IMOD:
-        if folded and b.value != 0:
-            fold = idiv if op is Op.IDIV else imod
-            return A.Literal(fold(a.value, b.value))
-        # Division by a (possibly) zero value: emit the runtime-trapping
-        # builtin rather than folding — plan time must never trap.
-        name = "idiv" if op is Op.IDIV else "imod"
-        return A.FuncCall(name, (a, b))
-    if op is Op.FDIV and folded and b.value == 0.0:
-        # Constant float division by zero traps in the VM; keep the SQL
-        # division node so it raises at execution, not at CREATE time.
-        return A.BinaryOp("/", a, b)
-    if folded:
-        return A.Literal(_FOLD_BIN[op](a.value, b.value))
-    if op in _FOLD_ONLY_BINOPS:
-        raise _Refuse(
-            REASON_UNSUPPORTED,
-            f"{op.name} with non-constant operands",
-        )
-    return A.BinaryOp(_SQL_BINOPS[op], a, b)
+def _fold_function(op: Op):
+    """``op``'s ``py`` template, wrap included, as a function of the
+    account and the operand values: the VM-exact fold."""
+    names = [f"v{i}" for i in range(len(OPS[op].pops))]
+    return eval(f"lambda __acct, {', '.join(names)}: "
+                f"{python_expr(op, names)}", dict(TEMPLATE_GLOBALS))
 
 
-def _unop(op: Op, operand: A.Expr) -> A.Expr:
-    if isinstance(operand, A.Literal):
-        value = operand.value
-        if op is Op.INEG:
-            return A.Literal(wrap_int(-value))
-        if op is Op.FNEG:
-            return A.Literal(-value)
-        if op is Op.NOT:
-            return A.Literal(not value)
-        if op is Op.I2F:
-            return A.Literal(float(value))
-        if op is Op.SLEN:
-            return A.Literal(len(value))
-        if op is Op.F2I:
-            try:
-                return A.Literal(f2i(value))
-            except ArithmeticFault:
-                return A.FuncCall("trunc", (operand,))  # traps at run time
-    if op is Op.INEG or op is Op.FNEG:
-        return A.UnaryOp("-", operand)
-    if op is Op.NOT:
-        return A.UnaryOp("not", operand)
-    if op is Op.I2F:
-        return A.FuncCall("float", (operand,))
-    if op is Op.F2I:
-        return A.FuncCall("trunc", (operand,))
-    if op is Op.SLEN:
-        return A.FuncCall("length", (operand,))
-    raise _Refuse(REASON_UNSUPPORTED, op.name)
+_FOLD = {op: _fold_function(op) for op in _LOWERED}
+
+
+def _lower(op: Op, args: List[A.Expr]) -> A.Expr:
+    if all(isinstance(arg, A.Literal) for arg in args):
+        try:
+            return A.Literal(_FOLD[op](unmetered_account(),
+                                       *(arg.value for arg in args)))
+        except ArithmeticFault:
+            pass   # a trapping fold stays in the plan and raises there
+    info = OPS[op]
+    if info.sql is None:
+        raise _Refuse(REASON_UNSUPPORTED,
+                      f"{op.name} with non-constant operands")
+    if info.sql.endswith("()"):
+        expr = A.FuncCall(info.sql[:-2], tuple(args))
+    elif len(args) == 2:
+        expr = A.BinaryOp(info.sql, *args)
+    else:
+        expr = A.UnaryOp(info.sql, args[0])
+    if info.wraps:
+        expr = A.FuncCall("wrap64", (expr,))
+    return expr
 
 
 def _tree_size(expr: A.Expr) -> int:

@@ -33,19 +33,13 @@ from ..vm.classfile import (
     K_FUNC,
     K_NATIVE,
 )
-from ..vm.opcodes import Instr, Op
+from ..vm.opcodes import OPS, Instr, Op
 from .cfg import CFG, build_cfg
-from .costs import RECURSION_FACTOR, cost_of_instruction
+from .costs import RECURSION_FACTOR
 
 #: Ceiling on cost units so recursive cycles cannot overflow to silly
 #: magnitudes; anything near this is "assume the worst" territory.
 MAX_COST_UNITS = 1e12
-
-#: Opcodes that allocate heap memory (charged against the memory quota
-#: at run time; statically they mark the function as an allocator).
-ALLOC_OPS = frozenset({
-    Op.NEWARR, Op.NEWFARR, Op.ACOPY, Op.SCONCAT, Op.SSUB, Op.I2S, Op.F2S,
-})
 
 #: A foreign call whose summary cannot be found is assumed to do
 #: anything: not pure, may not terminate, expensive.
@@ -211,9 +205,9 @@ def _direct_facts(cls: ClassFile, func: FunctionDef) -> _Direct:
             else:
                 key = (class_name, func_name)
                 foreign_calls[key] = foreign_calls.get(key, 0.0) + multiplier
-        if ins.op in ALLOC_OPS:
-            allocates = True
-        local_cost += cost_of_instruction(ins.op) * multiplier
+        info = OPS[ins.op]
+        allocates = allocates or info.allocates
+        local_cost += info.weight * multiplier
     return _Direct(
         cfg=cfg,
         natives=natives,

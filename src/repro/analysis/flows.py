@@ -38,15 +38,11 @@ Intra-class calls are closed over the call graph in SCC order exactly
 like ``effects.py`` / ``bounds.py``; recursive components fall back to
 a sound conservative certificate (everything flows everywhere, nothing
 is read-only, nothing is trap-free).
-
-Every function additionally gets a :class:`StaticFeatureVector` — the
-flat numeric summary (loop bounds, flow widths, escape counts) intended
-as the feature substrate for a future learned cost model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import LinkError
@@ -57,28 +53,20 @@ from ..vm.classfile import (
     K_FUNC,
     K_NATIVE,
 )
-from ..vm.opcodes import FIXED_EFFECTS, Instr, Op
+from ..vm.opcodes import OPS, Instr, Op, step_stack
 from ..vm.values import VMType
 from ..vm.verifier import Resolver, self_resolver
 from . import dataflow
 from .bounds import _FunctionCertifier
-from .cfg import CFG, build_cfg
+from .cfg import build_cfg
 from .effects import _sccs
 
 __all__ = [
-    "ALLOC_OPS",
     "CallbackFlow",
     "FlowCertificate",
-    "StaticFeatureVector",
     "ClassFlows",
     "analyze_flows",
 ]
-
-#: Opcodes that allocate a fresh heap object (mirror of the VM's
-#: allocation-accounted instructions).
-ALLOC_OPS = frozenset({
-    Op.NEWARR, Op.NEWFARR, Op.ACOPY, Op.SCONCAT, Op.SSUB, Op.I2S, Op.F2S,
-})
 
 #: Seq-typed VM types: values with identity/aliasing that matter to the
 #: escape pass (INT/FLOAT/BOOL are copied by value).
@@ -109,44 +97,6 @@ class CallbackFlow:
 
 
 @dataclass(frozen=True)
-class StaticFeatureVector:
-    """Flat per-UDF numeric features exported for cost modelling."""
-
-    function: str
-    instructions: int
-    blocks: int
-    loops: int
-    max_loop_depth: int
-    bounded_loops: int
-    param_count: int
-    return_width: int
-    callback_sites: int
-    callback_arg_width: int
-    escaping_allocs: int
-    local_allocs: int
-    readonly_params: int
-    trap_sites: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "function": self.function,
-            "instructions": self.instructions,
-            "blocks": self.blocks,
-            "loops": self.loops,
-            "max_loop_depth": self.max_loop_depth,
-            "bounded_loops": self.bounded_loops,
-            "param_count": self.param_count,
-            "return_width": self.return_width,
-            "callback_sites": self.callback_sites,
-            "callback_arg_width": self.callback_arg_width,
-            "escaping_allocs": self.escaping_allocs,
-            "local_allocs": self.local_allocs,
-            "readonly_params": self.readonly_params,
-            "trap_sites": self.trap_sites,
-        }
-
-
-@dataclass(frozen=True)
 class FlowCertificate:
     """Load-time information-flow facts for one function."""
 
@@ -164,7 +114,6 @@ class FlowCertificate:
     local_allocs: Tuple[int, ...]
     #: pcs of instructions that may raise a VM trap; empty = trap-free.
     trap_pcs: Tuple[int, ...]
-    features: Optional[StaticFeatureVector] = field(default=None, compare=False)
 
     @property
     def trap_free(self) -> bool:
@@ -210,9 +159,6 @@ class FlowCertificate:
             "local_allocs": list(self.local_allocs),
             "trap_pcs": list(self.trap_pcs),
             "trap_free": self.trap_free,
-            "features": (
-                self.features.as_dict() if self.features is not None else None
-            ),
         }
 
 
@@ -346,45 +292,25 @@ class _LabelPass:
               locals_: List[FrozenSet[str]],
               stack: List[FrozenSet[str]]) -> None:
         op = ins.op
-        if op in (Op.ICONST, Op.FCONST, Op.BCONST, Op.SCONST):
-            if op is Op.SCONST:
-                stack.append(self.alloc_result(pc, []))
-            else:
-                stack.append(_EMPTY)
-        elif op is Op.LOAD:
-            stack.append(locals_[ins.arg])
-        elif op is Op.STORE:
-            locals_[ins.arg] = stack.pop()
-        elif op is Op.POP:
-            stack.pop()
-        elif op is Op.DUP:
-            stack.append(stack[-1])
-        elif op is Op.SWAP:
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-        elif op is Op.JMP:
-            pass
-        elif op in (Op.JZ, Op.JNZ):
-            stack.pop()
-        elif op is Op.RET:
-            stack.pop()
-        elif op is Op.RETV:
-            pass
+        if step_stack(ins, locals_, stack):
+            return
+        if op is Op.SCONST:
+            stack.append(self.alloc_result(pc, []))
         elif op in (Op.CALL, Op.NATIVE, Op.CALLBACK):
             argc, pushes = self._arg_count(ins)
             args = stack[len(stack) - argc:] if argc else []
             del stack[len(stack) - argc:]
             if pushes:
                 stack.append(self.call_result(pc, ins, args))
-        elif op in FIXED_EFFECTS:
-            pops, pushes = FIXED_EFFECTS[op]
-            args = stack[len(stack) - len(pops):] if pops else []
-            del stack[len(stack) - len(pops):]
-            if pushes:
-                if op in ALLOC_OPS:
+        else:
+            info = OPS[op]
+            args = stack[len(stack) - len(info.pops):]
+            del stack[len(stack) - len(info.pops):]
+            if info.pushes:
+                if info.allocates:
                     stack.append(self.alloc_result(pc, args))
                 else:
                     stack.append(self.elementwise_result(pc, ins, args))
-        # every opcode is handled above; verified code has no others
 
 
 # ---------------------------------------------------------------------------
@@ -582,35 +508,33 @@ def _within(idx, seq) -> bool:
 
 def _may_trap(cls: ClassFile, ins: Instr, stack,
               known: Dict[str, FlowCertificate]) -> bool:
-    op = ins.op
-    if op in (Op.IDIV, Op.IMOD):
-        return not _nonzero(stack[-1])
-    if op is Op.FDIV:
-        return True            # float divisor: intervals don't track it
-    if op is Op.F2I:
-        return True            # NaN / out-of-range conversion
-    if op in (Op.SINDEX, Op.ALOAD, Op.FALOAD):
-        return not _within(stack[-1], stack[-2])
-    if op in (Op.ASTORE, Op.FASTORE):
-        return not _within(stack[-2], stack[-3])
-    if op is Op.SSUB:
+    """Whether the intervals fail to rule out the op's trap (table kind)."""
+    info = OPS[ins.op]
+    trap = info.trap
+    if trap is None:
+        return False
+    if trap == "zero-divisor":
+        return not _nonzero(stack[-1])   # a float divisor is never tracked
+    if trap == "index":
+        # The sequence and the index are the two deepest operands.
+        depth = len(info.pops)
+        return not _within(stack[1 - depth], stack[-depth])
+    if trap == "slice":
         end, start, seq = stack[-1], stack[-2], stack[-3]
         return not (
             start.interval.lo >= 0
             and start.interval.hi <= end.interval.lo
             and end.interval.hi <= seq.interval.lo
         )
-    if op in (Op.NEWARR, Op.NEWFARR):
+    if trap == "negative-size":
         return stack[-1].interval.lo < 0
-    if op is Op.CALL:
+    if trap == "callee":
         class_name, func_name = cls.constant(ins.arg, K_FUNC)
         if class_name != cls.name:
             return True
         callee = known.get(func_name)
         return callee is None or not callee.trap_free
-    if op in (Op.NATIVE, Op.CALLBACK):
-        return True            # domain errors / CallbackError
-    return False
+    return True   # conversion (NaN / out of range), host code
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +562,7 @@ def _conservative_certificate(cls: ClassFile, func: FunctionDef,
                 arg_sources=tuple(all_labels for _ in params),
             ))
     allocs = tuple(sorted(
-        pc for pc, ins in enumerate(func.code) if ins.op in ALLOC_OPS
+        pc for pc, ins in enumerate(func.code) if OPS[ins.op].allocates
     ))
     return FlowCertificate(
         function=f"{cls.name}.{func.name}",
@@ -648,36 +572,6 @@ def _conservative_certificate(cls: ClassFile, func: FunctionDef,
         escaping_allocs=allocs,
         local_allocs=(),
         trap_pcs=tuple(range(len(func.code))),
-    )
-
-
-def _features(cls: ClassFile, func: FunctionDef, cert: FlowCertificate,
-              cfg: CFG) -> StaticFeatureVector:
-    certificate = getattr(func, "certificate", None)
-    bounded = 0
-    if certificate is not None:
-        bounded = sum(
-            1 for loop in certificate.loops if loop.trip_bound is not None
-        )
-    widths = [
-        sum(len(sources) for sources in flow.arg_sources)
-        for flow in cert.callback_flows
-    ]
-    return StaticFeatureVector(
-        function=f"{cls.name}.{func.name}",
-        instructions=len(func.code),
-        blocks=len(cfg.blocks),
-        loops=len(cfg.loops),
-        max_loop_depth=cfg.max_loop_depth,
-        bounded_loops=bounded,
-        param_count=len(func.param_types),
-        return_width=len(cert.return_sources),
-        callback_sites=len(cert.callback_flows),
-        callback_arg_width=max(widths, default=0),
-        escaping_allocs=len(cert.escaping_allocs),
-        local_allocs=len(cert.local_allocs),
-        readonly_params=len(cert.readonly_params),
-        trap_sites=len(cert.trap_pcs),
     )
 
 
@@ -722,7 +616,7 @@ def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
         )
     )
 
-    cert = FlowCertificate(
+    return FlowCertificate(
         function=f"{cls.name}.{func.name}",
         return_sources=tuple(sorted(taint.return_sources)),
         callback_flows=flows,
@@ -730,16 +624,6 @@ def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
         escaping_allocs=escaping,
         local_allocs=local,
         trap_pcs=tuple(_trap_pcs(cls, func, resolver, known)),
-    )
-    return FlowCertificate(
-        function=cert.function,
-        return_sources=cert.return_sources,
-        callback_flows=cert.callback_flows,
-        readonly_params=cert.readonly_params,
-        escaping_allocs=cert.escaping_allocs,
-        local_allocs=cert.local_allocs,
-        trap_pcs=cert.trap_pcs,
-        features=_features(cls, func, cert, taint.cfg),
     )
 
 

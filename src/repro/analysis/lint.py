@@ -34,10 +34,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..errors import ClassFormatError, CompileError, LinkError, VerifyError
 from ..vm.classfile import MAGIC, ClassFile, K_CALLBACK
 from ..vm.compiler import compile_source
-from ..vm.opcodes import Op
+from ..vm.opcodes import OPS, Op
 from ..vm.verifier import self_resolver, verify_class
 from .cfg import build_cfg
-from .effects import ALLOC_OPS, ClassSummary, analyze_class
+from .effects import ClassSummary, analyze_class
 
 ERROR = "error"
 WARNING = "warning"
@@ -90,7 +90,7 @@ def lint_class(cls: ClassFile) -> List[Finding]:
                         f"callback {cb_name!r} inside a depth-{depth} loop: "
                         "one sandbox/server crossing per iteration",
                     ))
-            elif ins.op in ALLOC_OPS and depth > 0:
+            elif OPS[ins.op].allocates and depth > 0:
                 stack_depth = (
                     func.stack_in[pc] if func.stack_in is not None else "?"
                 )

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ArithmeticFault, ExecutionError, PlanError
 from ..storage.lob import LOBRef
-from ..vm.values import f2i, idiv, imod
+from ..vm.values import f2i, idiv, imod, wrap_int
 from . import ast_nodes as A
 from .types import RowSchema, SQLType
 
@@ -655,7 +655,8 @@ def _vm_builtin(primitive):
 
     The decompiler emits ``idiv``/``imod``/``trunc`` (not SQL ``/``,
     ``%``) for the VM's IDIV/IMOD/F2I opcodes: SQL division floors while
-    the VM truncates toward zero.  The semantics live in
+    the VM truncates toward zero.  It wraps IADD/ISUB/IMUL/INEG results
+    in ``wrap64``, the VM's 64-bit two's-complement reduction.  The semantics live in
     :mod:`repro.vm.values`; only the trap is translated, since SQL
     expressions fail with :class:`ExecutionError`.
     """
@@ -684,6 +685,7 @@ _BUILTINS = {
     "imod": (2, _vm_builtin(imod)),
     "float": (1, float),
     "trunc": (1, _vm_builtin(f2i)),
+    "wrap64": (1, wrap_int),
 }
 
 
@@ -808,6 +810,7 @@ _BUILTIN_RESULT_TYPES = {
     "imod": SQLType.INT,
     "float": SQLType.FLOAT,
     "trunc": SQLType.INT,
+    "wrap64": SQLType.INT,
 }
 
 

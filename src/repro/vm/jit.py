@@ -51,28 +51,18 @@ instructions in place, with no program counter to dispatch on.
 from __future__ import annotations
 
 import re
+from array import array as _host_array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ArithmeticFault, BoundsError, VerifyError
+from ..errors import VerifyError
 from .classfile import ClassFile, FunctionDef, K_CALLBACK, K_FUNC, K_NATIVE, K_STR
 from .interpreter import ExecutionContext
-from .opcodes import Op
+from .opcodes import OPS, TEMPLATE_GLOBALS, Op, python_expr
 from .stdlib import NATIVE_SIGNATURES
 from . import structure
-from .values import (
-    VMType,
-    coerce_argument,
-    default_value,
-    f2i,
-    idiv,
-    imod,
-)
+from .values import VMType, coerce_argument, default_value
 
 _WRAP_K = 0x8000000000000000
-_WRAP_M = 0xFFFFFFFFFFFFFFFF
-
-#: ``wrap(x)`` inlined as a format string.
-_WRAP = "((({x}) + 0x8000000000000000 & 0xFFFFFFFFFFFFFFFF) - 0x8000000000000000)"
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|-?\d+")
 
@@ -87,90 +77,9 @@ def _jit_atom_expr(atom: str) -> str:
     raise ValueError(f"unknown certificate atom {atom!r}")
 
 
-def _oob(index: int, length: int):
-    raise BoundsError(f"array index {index} out of range [0, {length})")
-
-
-def _oob_slice(start: int, end: int, length: int):
-    raise BoundsError(
-        f"substring [{start}:{end}] out of range for length {length}"
-    )
-
-
-def _div0():
-    raise ArithmeticFault("integer division by zero")
-
-
-def _fdiv(a: float, b: float) -> float:
-    if b == 0.0:
-        raise ArithmeticFault("float division by zero")
-    return a / b
-
-
-def _newarr(acct, n: int) -> bytearray:
-    if n < 0:
-        raise BoundsError(f"negative array size {n}")
-    acct.charge_memory(n)
-    return bytearray(n)
-
-
-def _newfarr(acct, n: int):
-    from array import array
-
-    if n < 0:
-        raise BoundsError(f"negative array size {n}")
-    acct.charge_memory(8 * n)
-    return array("d", bytes(8 * n))
-
-
-def _acopy(acct, a: bytearray) -> bytearray:
-    acct.charge_memory(len(a))
-    return bytearray(a)
-
-
-def _sconcat(acct, a: str, b: str) -> str:
-    acct.charge_memory(len(a) + len(b))
-    return a + b
-
-
-def _ssub(acct, s: str, start: int, end: int) -> str:
-    if not (0 <= start <= end <= len(s)):
-        _oob_slice(start, end, len(s))
-    acct.charge_memory(end - start)
-    return s[start:end]
-
-
-def _i2s(acct, x: int) -> str:
-    s = str(x)
-    acct.charge_memory(len(s))
-    return s
-
-
-def _f2s(acct, x: float) -> str:
-    s = repr(x)
-    acct.charge_memory(len(s))
-    return s
-
-
-from array import array as _host_array
-
-_RUNTIME = {
-    "array": _host_array,
-    "_oob": _oob,
-    "_oob_slice": _oob_slice,
-    "_fdiv": _fdiv,
-    "_imod": imod,
-    "_idiv": idiv,
-    "_f2i": f2i,
-    "_newarr": _newarr,
-    "_newfarr": _newfarr,
-    "_acopy": _acopy,
-    "_sconcat": _sconcat,
-    "_ssub": _ssub,
-    "_i2s": _i2s,
-    "_f2s": _f2s,
-    "_coerce": coerce_argument,
-}
+_RUNTIME = dict(
+    TEMPLATE_GLOBALS, array=_host_array, _coerce=coerce_argument,
+)
 
 JittedFunction = Callable[[Sequence[object], ExecutionContext], object]
 
@@ -492,132 +401,24 @@ def _emit_block(
             w.push(b)
             w.push(a)
 
-        elif op is Op.IADD:
-            b = w.pop(); a = w.pop()
-            if pc in wrap_free:
-                w.push(f"(({a}) + ({b}))")
-            else:
-                w.push(_WRAP.format(x=f"({a}) + ({b})"))
-        elif op is Op.ISUB:
-            b = w.pop(); a = w.pop()
-            if pc in wrap_free:
-                w.push(f"(({a}) - ({b}))")
-            else:
-                w.push(_WRAP.format(x=f"({a}) - ({b})"))
-        elif op is Op.IMUL:
-            b = w.pop(); a = w.pop()
-            w.push(_WRAP.format(x=f"({a}) * ({b})"))
-        elif op is Op.IDIV:
-            b = w.pop(); a = w.pop()
-            w.push(f"_idiv({a}, {b})")
-        elif op is Op.IMOD:
-            b = w.pop(); a = w.pop()
-            w.push(f"_imod({a}, {b})")
-        elif op is Op.INEG:
-            a = w.pop()
-            w.push(_WRAP.format(x=f"-({a})"))
-        elif op is Op.IAND:
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) & ({b}))")
-        elif op is Op.IOR:
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) | ({b}))")
-        elif op is Op.IXOR:
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) ^ ({b}))")
-        elif op is Op.ISHL:
-            b = w.pop(); a = w.pop()
-            w.push(_WRAP.format(x=f"({a}) << (({b}) & 63)"))
-        elif op is Op.ISHR:
-            b = w.pop(); a = w.pop()
-            w.push(_WRAP.format(x=f"({a}) >> (({b}) & 63)"))
-
-        elif op is Op.FADD:
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) + ({b}))")
-        elif op is Op.FSUB:
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) - ({b}))")
-        elif op is Op.FMUL:
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) * ({b}))")
-        elif op is Op.FDIV:
-            b = w.pop(); a = w.pop()
-            w.push(f"_fdiv({a}, {b})")
-        elif op is Op.FNEG:
-            a = w.pop()
-            w.push(f"(-({a}))")
-
-        elif op is Op.I2F:
-            a = w.pop()
-            w.push(f"float({a})")
-        elif op is Op.F2I:
-            a = w.pop()
-            w.push(f"_f2i({a})")
-        elif op is Op.I2S:
-            a = w.pop()
-            w.push(f"_i2s(__acct, {a})")
-        elif op is Op.F2S:
-            a = w.pop()
-            w.push(f"_f2s(__acct, {a})")
-
-        elif op in (Op.ICMPLT, Op.FCMPLT):
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) < ({b}))")
-        elif op in (Op.ICMPLE, Op.FCMPLE):
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) <= ({b}))")
-        elif op in (Op.ICMPGT, Op.FCMPGT):
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) > ({b}))")
-        elif op in (Op.ICMPGE, Op.FCMPGE):
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) >= ({b}))")
-        elif op in (Op.ICMPEQ, Op.FCMPEQ, Op.SEQ):
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) == ({b}))")
-        elif op in (Op.ICMPNE, Op.FCMPNE):
-            b = w.pop(); a = w.pop()
-            w.push(f"(({a}) != ({b}))")
-
-        elif op is Op.NOT:
-            a = w.pop()
-            w.push(f"(not ({a}))")
-        elif op is Op.BAND:
-            b = w.atom(w.pop()); a = w.atom(w.pop())
-            w.push(f"({a} and {b})")
-        elif op is Op.BOR:
-            b = w.atom(w.pop()); a = w.atom(w.pop())
-            w.push(f"({a} or {b})")
-
-        elif op is Op.SCONCAT:
-            b = w.pop(); a = w.pop()
-            w.push(f"_sconcat(__acct, {a}, {b})")
-        elif op is Op.SLEN:
-            a = w.pop()
-            w.push(f"len({a})")
-        elif op is Op.SINDEX:
-            i = w.atom(w.pop()); s = w.atom(w.pop())
-            if pc in in_bounds:
-                w.push(f"ord({s}[{i}])")
-            else:
-                w.push(f"(ord({s}[{i}]) if 0 <= {i} < len({s}) "
-                       f"else _oob({i}, len({s})))")
-        elif op is Op.SSUB:
-            e = w.pop(); st = w.pop(); s = w.pop()
-            w.push(f"_ssub(__acct, {s}, {st}, {e})")
-
-        elif op is Op.NEWARR:
-            n = w.pop()
-            w.flush_below(0)
-            w.push(w.temp(f"_newarr(__acct, {n})"))
-        elif op is Op.ALOAD or op is Op.FALOAD:
-            i = w.atom(w.pop()); a = w.atom(w.pop())
-            if pc in in_bounds:
-                w.push(f"{a}[{i}]")
-            else:
-                w.push(f"({a}[{i}] if 0 <= {i} < len({a}) "
-                       f"else _oob({i}, len({a})))")
+        elif OPS[op].py is not None:
+            info = OPS[op]
+            # Operands the template reads twice (an index guard) or
+            # conditionally (and/or) are materialized first, top first.
+            once = info.trap == "index" or " and " in info.py \
+                or " or " in info.py
+            args = [w.atom(w.pop()) if once else w.pop()
+                    for __ in info.pops][::-1]
+            expr = python_expr(op, args, wrap=pc not in wrap_free)
+            if info.trap == "index" and pc not in in_bounds:
+                seq, index = args[0], args[1]
+                expr = (f"({expr} if 0 <= {index} < len({seq}) "
+                        f"else _oob({index}, len({seq})))")
+            if info.pushes[0] in (VMType.ARR, VMType.FARR):
+                # A new array has identity: create it in program order.
+                w.flush_below(0)
+                expr = w.temp(expr)
+            w.push(expr)
         elif op is Op.ASTORE or op is Op.FASTORE:
             v = w.pop(); i = w.pop(); a = w.pop()
             w.flush_below(0)
@@ -628,18 +429,6 @@ def _emit_block(
             if op is Op.ASTORE:
                 v = f"({v}) & 255"
             w.emit(f"{a}[{i}] = {v}")
-        elif op is Op.ALEN or op is Op.FALEN:
-            a = w.pop()
-            w.push(f"len({a})")
-        elif op is Op.ACOPY:
-            a = w.pop()
-            w.flush_below(0)
-            w.push(w.temp(f"_acopy(__acct, {a})"))
-
-        elif op is Op.NEWFARR:
-            n = w.pop()
-            w.flush_below(0)
-            w.push(w.temp(f"_newfarr(__acct, {n})"))
 
         elif op is Op.JMP:
             break

@@ -16,10 +16,12 @@ integer in ``range(len(code))`` is a valid alignment).
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .values import VMType
+from ..errors import ArithmeticFault, BoundsError
+from .values import VMType, f2i, idiv, imod
 
 I = VMType.INT
 F = VMType.FLOAT
@@ -149,67 +151,243 @@ def instr(op: Op, arg: object = None) -> Instr:
 
 
 # ---------------------------------------------------------------------------
-# Static stack effects
+# The opcode table
 # ---------------------------------------------------------------------------
-# Maps each opcode with a *fixed* stack effect to (pops, pushes), where both
-# are tuples of VMType; pops are listed bottom-to-top (the deepest operand
-# first).  Opcodes whose effect depends on the instruction argument
-# (LOAD/STORE, DUP/SWAP/POP, calls, returns) are absent and handled
-# explicitly by the verifier.
 
-FIXED_EFFECTS: dict[Op, Tuple[Tuple[VMType, ...], Tuple[VMType, ...]]] = {
-    Op.IADD: ((I, I), (I,)),
-    Op.ISUB: ((I, I), (I,)),
-    Op.IMUL: ((I, I), (I,)),
-    Op.IDIV: ((I, I), (I,)),
-    Op.IMOD: ((I, I), (I,)),
-    Op.INEG: ((I,), (I,)),
-    Op.IAND: ((I, I), (I,)),
-    Op.IOR: ((I, I), (I,)),
-    Op.IXOR: ((I, I), (I,)),
-    Op.ISHL: ((I, I), (I,)),
-    Op.ISHR: ((I, I), (I,)),
-    Op.FADD: ((F, F), (F,)),
-    Op.FSUB: ((F, F), (F,)),
-    Op.FMUL: ((F, F), (F,)),
-    Op.FDIV: ((F, F), (F,)),
-    Op.FNEG: ((F,), (F,)),
-    Op.I2F: ((I,), (F,)),
-    Op.F2I: ((F,), (I,)),
-    Op.I2S: ((I,), (S,)),
-    Op.F2S: ((F,), (S,)),
-    Op.ICMPLT: ((I, I), (B,)),
-    Op.ICMPLE: ((I, I), (B,)),
-    Op.ICMPGT: ((I, I), (B,)),
-    Op.ICMPGE: ((I, I), (B,)),
-    Op.ICMPEQ: ((I, I), (B,)),
-    Op.ICMPNE: ((I, I), (B,)),
-    Op.FCMPLT: ((F, F), (B,)),
-    Op.FCMPLE: ((F, F), (B,)),
-    Op.FCMPGT: ((F, F), (B,)),
-    Op.FCMPGE: ((F, F), (B,)),
-    Op.FCMPEQ: ((F, F), (B,)),
-    Op.FCMPNE: ((F, F), (B,)),
-    Op.NOT: ((B,), (B,)),
-    Op.BAND: ((B, B), (B,)),
-    Op.BOR: ((B, B), (B,)),
-    Op.SCONCAT: ((S, S), (S,)),
-    Op.SLEN: ((S,), (I,)),
-    Op.SEQ: ((S, S), (B,)),
-    Op.SINDEX: ((S, I), (I,)),
-    Op.SSUB: ((S, I, I), (S,)),
-    Op.NEWARR: ((I,), (A,)),
-    Op.ALOAD: ((A, I), (I,)),
-    Op.ASTORE: ((A, I, I), ()),
-    Op.ALEN: ((A,), (I,)),
-    Op.ACOPY: ((A,), (A,)),
-    Op.NEWFARR: ((I,), (FA,)),
-    Op.FALOAD: ((FA, I), (F,)),
-    Op.FASTORE: ((FA, I, F), ()),
-    Op.FALEN: ((FA,), (I,)),
-    Op.JZ: ((B,), ()),
-    Op.JNZ: ((B,), ()),
+@dataclass(frozen=True)
+class OpInfo:
+    """Everything the VM's consumers know about one opcode.
+
+    The interpreter is the hand-written reference; every other consumer
+    (the verifier, the JIT and its kernels, the decompiler, and the
+    load-time analyses) reads these columns instead of keeping a copy.
+    A column that does not apply to an opcode is ``None``.
+    """
+
+    #: Operand types popped, deepest first, and result types pushed;
+    #: ``None`` when the effect depends on the argument or the frame
+    #: (locals, stack shuffles, returns, calls).
+    pops: Optional[Tuple[VMType, ...]]
+    pushes: Optional[Tuple[VMType, ...]]
+    #: The result as a Python expression over the operands ``{0}``,
+    #: ``{1}``, ... (deepest first), evaluated with
+    #: :data:`TEMPLATE_GLOBALS` and the resource account ``__acct`` in
+    #: scope.  Index-trapping templates assume the index is in range.
+    py: Optional[str]
+    #: The int result is reduced to 64-bit two's complement (the JIT
+    #: wraps ``py``, the decompiler wraps its fold and its SQL).
+    wraps: bool
+    #: The SQL the decompiler lowers symbolic operands to: an operator,
+    #: or a builtin written ``name()``.
+    sql: Optional[str]
+    #: What can make the instruction raise a VM trap:
+    #: ``zero-divisor``, ``conversion`` (F2I of NaN or out of range),
+    #: ``index``, ``slice``, ``negative-size``, ``callee`` (the called
+    #: function traps), ``host`` (native or server code raises).
+    trap: Optional[str]
+    #: Charges a fresh heap object against the memory quota.
+    allocates: bool
+    #: Static cost units per execution (one cheap comparison ~ 1).
+    weight: float
+
+
+# The run-time helpers the ``py`` templates call.
+
+def _oob(index: int, length: int):
+    raise BoundsError(f"array index {index} out of range [0, {length})")
+
+
+def _fdiv(a: float, b: float) -> float:
+    if b == 0.0:
+        raise ArithmeticFault("float division by zero")
+    return a / b
+
+
+def _newarr(acct, n: int) -> bytearray:
+    if n < 0:
+        raise BoundsError(f"negative array size {n}")
+    acct.charge_memory(n)
+    return bytearray(n)
+
+
+def _newfarr(acct, n: int) -> array:
+    if n < 0:
+        raise BoundsError(f"negative array size {n}")
+    acct.charge_memory(8 * n)
+    return array("d", bytes(8 * n))
+
+
+def _acopy(acct, a: bytearray) -> bytearray:
+    acct.charge_memory(len(a))
+    return bytearray(a)
+
+
+def _sconcat(acct, a: str, b: str) -> str:
+    acct.charge_memory(len(a) + len(b))
+    return a + b
+
+
+def _ssub(acct, s: str, start: int, end: int) -> str:
+    if not (0 <= start <= end <= len(s)):
+        raise BoundsError(
+            f"substring [{start}:{end}] out of range for length {len(s)}"
+        )
+    acct.charge_memory(end - start)
+    return s[start:end]
+
+
+def _i2s(acct, x: int) -> str:
+    s = str(x)
+    acct.charge_memory(len(s))
+    return s
+
+
+def _f2s(acct, x: float) -> str:
+    s = repr(x)
+    acct.charge_memory(len(s))
+    return s
+
+
+#: Names the ``py`` templates may use besides builtins and ``__acct``.
+TEMPLATE_GLOBALS = {
+    "_oob": _oob,
+    "_fdiv": _fdiv,
+    "_idiv": idiv,
+    "_imod": imod,
+    "_f2i": f2i,
+    "_newarr": _newarr,
+    "_newfarr": _newfarr,
+    "_acopy": _acopy,
+    "_sconcat": _sconcat,
+    "_ssub": _ssub,
+    "_i2s": _i2s,
+    "_f2s": _f2s,
 }
+
+_ = None   # a column that does not apply, kept short in the rows
+#: One row per opcode, in OpInfo's column order:
+#:   pops, pushes, py, wraps, sql, trap, allocates, weight
+OPS: Dict[Op, OpInfo] = {op: OpInfo(*row) for op, row in {
+    Op.ICONST: ((), (I,), _, False, _, _, False, 1.0),
+    Op.FCONST: ((), (F,), _, False, _, _, False, 1.0),
+    Op.BCONST: ((), (B,), _, False, _, _, False, 1.0),
+    Op.SCONST: ((), (S,), _, False, _, _, False, 1.0),
+    Op.LOAD: (_, _, _, False, _, _, False, 1.0),
+    Op.STORE: (_, _, _, False, _, _, False, 1.0),
+    Op.POP: (_, _, _, False, _, _, False, 1.0),
+    Op.DUP: (_, _, _, False, _, _, False, 1.0),
+    Op.SWAP: (_, _, _, False, _, _, False, 1.0),
+    Op.IADD: ((I, I), (I,), "(({0}) + ({1}))", True, "+", _, False, 1.0),
+    Op.ISUB: ((I, I), (I,), "(({0}) - ({1}))", True, "-", _, False, 1.0),
+    Op.IMUL: ((I, I), (I,), "(({0}) * ({1}))", True, "*", _, False, 1.0),
+    Op.IDIV: ((I, I), (I,), "_idiv({0}, {1})", False, "idiv()",
+              "zero-divisor", False, 1.0),
+    Op.IMOD: ((I, I), (I,), "_imod({0}, {1})", False, "imod()",
+              "zero-divisor", False, 1.0),
+    Op.INEG: ((I,), (I,), "(-({0}))", True, "-", _, False, 1.0),
+    Op.IAND: ((I, I), (I,), "(({0}) & ({1}))", False, _, _, False, 1.0),
+    Op.IOR: ((I, I), (I,), "(({0}) | ({1}))", False, _, _, False, 1.0),
+    Op.IXOR: ((I, I), (I,), "(({0}) ^ ({1}))", False, _, _, False, 1.0),
+    Op.ISHL: ((I, I), (I,), "(({0}) << (({1}) & 63))", True, _, _,
+              False, 1.0),
+    Op.ISHR: ((I, I), (I,), "(({0}) >> (({1}) & 63))", True, _, _,
+              False, 1.0),
+    Op.FADD: ((F, F), (F,), "(({0}) + ({1}))", False, "+", _, False, 1.0),
+    Op.FSUB: ((F, F), (F,), "(({0}) - ({1}))", False, "-", _, False, 1.0),
+    Op.FMUL: ((F, F), (F,), "(({0}) * ({1}))", False, "*", _, False, 1.0),
+    Op.FDIV: ((F, F), (F,), "_fdiv({0}, {1})", False, "/",
+              "zero-divisor", False, 1.0),
+    Op.FNEG: ((F,), (F,), "(-({0}))", False, "-", _, False, 1.0),
+    Op.I2F: ((I,), (F,), "float({0})", False, "float()", _, False, 1.0),
+    Op.F2I: ((F,), (I,), "_f2i({0})", False, "trunc()", "conversion",
+             False, 1.0),
+    Op.I2S: ((I,), (S,), "_i2s(__acct, {0})", False, _, _, True, 4.0),
+    Op.F2S: ((F,), (S,), "_f2s(__acct, {0})", False, _, _, True, 4.0),
+    Op.ICMPLT: ((I, I), (B,), "(({0}) < ({1}))", False, "<", _, False, 1.0),
+    Op.ICMPLE: ((I, I), (B,), "(({0}) <= ({1}))", False, "<=", _, False, 1.0),
+    Op.ICMPGT: ((I, I), (B,), "(({0}) > ({1}))", False, ">", _, False, 1.0),
+    Op.ICMPGE: ((I, I), (B,), "(({0}) >= ({1}))", False, ">=", _, False, 1.0),
+    Op.ICMPEQ: ((I, I), (B,), "(({0}) == ({1}))", False, "=", _, False, 1.0),
+    Op.ICMPNE: ((I, I), (B,), "(({0}) != ({1}))", False, "!=", _, False, 1.0),
+    Op.FCMPLT: ((F, F), (B,), "(({0}) < ({1}))", False, "<", _, False, 1.0),
+    Op.FCMPLE: ((F, F), (B,), "(({0}) <= ({1}))", False, "<=", _, False, 1.0),
+    Op.FCMPGT: ((F, F), (B,), "(({0}) > ({1}))", False, ">", _, False, 1.0),
+    Op.FCMPGE: ((F, F), (B,), "(({0}) >= ({1}))", False, ">=", _, False, 1.0),
+    Op.FCMPEQ: ((F, F), (B,), "(({0}) == ({1}))", False, "=", _, False, 1.0),
+    Op.FCMPNE: ((F, F), (B,), "(({0}) != ({1}))", False, "!=", _, False, 1.0),
+    Op.NOT: ((B,), (B,), "(not ({0}))", False, "not", _, False, 1.0),
+    # Both operands are evaluated (the JIT materializes them first), so
+    # SQL's short-circuit AND/OR is no lowering.
+    Op.BAND: ((B, B), (B,), "({0} and {1})", False, _, _, False, 1.0),
+    Op.BOR: ((B, B), (B,), "({0} or {1})", False, _, _, False, 1.0),
+    Op.SCONCAT: ((S, S), (S,), "_sconcat(__acct, {0}, {1})", False, "+", _,
+                 True, 8.0),
+    Op.SLEN: ((S,), (I,), "len({0})", False, "length()", _, False, 2.0),
+    Op.SEQ: ((S, S), (B,), "(({0}) == ({1}))", False, "=", _, False, 4.0),
+    Op.SINDEX: ((S, I), (I,), "ord({0}[{1}])", False, _, "index",
+                False, 2.0),
+    Op.SSUB: ((S, I, I), (S,), "_ssub(__acct, {0}, {1}, {2})", False, _,
+              "slice", True, 8.0),
+    Op.NEWARR: ((I,), (A,), "_newarr(__acct, {0})", False, _,
+                "negative-size", True, 16.0),
+    Op.ALOAD: ((A, I), (I,), "{0}[{1}]", False, _, "index", False, 1.0),
+    Op.ASTORE: ((A, I, I), (), _, False, _, "index", False, 1.0),
+    Op.ALEN: ((A,), (I,), "len({0})", False, _, _, False, 1.0),
+    Op.ACOPY: ((A,), (A,), "_acopy(__acct, {0})", False, _, _, True, 16.0),
+    Op.NEWFARR: ((I,), (FA,), "_newfarr(__acct, {0})", False, _,
+                 "negative-size", True, 16.0),
+    Op.FALOAD: ((FA, I), (F,), "{0}[{1}]", False, _, "index", False, 1.0),
+    Op.FASTORE: ((FA, I, F), (), _, False, _, "index", False, 1.0),
+    Op.FALEN: ((FA,), (I,), "len({0})", False, _, _, False, 1.0),
+    Op.JMP: (_, _, _, False, _, _, False, 1.0),
+    Op.JZ: ((B,), (), _, False, _, _, False, 1.0),
+    Op.JNZ: ((B,), (), _, False, _, _, False, 1.0),
+    Op.RET: (_, _, _, False, _, _, False, 1.0),
+    Op.RETV: (_, _, _, False, _, _, False, 1.0),
+    # Boundary crossings: a frame push, a trusted in-process stdlib
+    # call, and the sandbox -> server round trip.
+    Op.CALL: (_, _, _, False, _, "callee", False, 2.0),
+    Op.NATIVE: (_, _, _, False, _, "host", False, 5.0),
+    Op.CALLBACK: (_, _, _, False, _, "host", False, 200.0),
+}.items()}
+del _
+
+
+def python_expr(op: Op, operands: Sequence[str], wrap: bool = True) -> str:
+    """``op``'s ``py`` template over operand expressions, wrapped to
+    int64 when the op wraps and ``wrap`` is set (a caller that proved
+    the result in range passes False)."""
+    info = OPS[op]
+    expr = info.py.format(*operands)
+    if info.wraps and wrap:
+        expr = (f"(({expr} + 0x8000000000000000 & 0xFFFFFFFFFFFFFFFF)"
+                " - 0x8000000000000000)")
+    return expr
+
+
+def step_stack(ins: Instr, locals_: list, stack: list) -> bool:
+    """Apply a stack-only instruction to an abstract frame.
+
+    LOAD, STORE, POP, DUP, SWAP, JMP, JZ, JNZ, RET and RETV only move
+    values between locals and the operand stack (a branch or return
+    pops its operand), so their effect is the same over any value
+    domain.  Returns False, touching nothing, for any other opcode.
+    """
+    op = ins.op
+    if op is Op.LOAD:
+        stack.append(locals_[ins.arg])
+    elif op is Op.STORE:
+        locals_[ins.arg] = stack.pop()
+    elif op is Op.POP or op is Op.JZ or op is Op.JNZ or op is Op.RET:
+        stack.pop()
+    elif op is Op.DUP:
+        stack.append(stack[-1])
+    elif op is Op.SWAP:
+        stack[-1], stack[-2] = stack[-2], stack[-1]
+    elif op is not Op.JMP and op is not Op.RETV:
+        return False
+    return True
+
 
 #: Opcodes that transfer control (the verifier treats their arg as a target).
 BRANCH_OPS = frozenset({Op.JMP, Op.JZ, Op.JNZ})

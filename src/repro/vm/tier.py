@@ -48,7 +48,7 @@ from typing import Optional
 from ..errors import VMError
 from .classfile import FunctionDef
 from .kernels import KernelDeopt
-from .opcodes import Op
+from .opcodes import OPS
 from .values import VMType
 
 #: Deopts tolerated before a UDF's kernel is demoted back to tier 0.
@@ -64,16 +64,6 @@ REFUSE_MUTABLE_ARRAY = "mutable-array-param"
 #: Not an eligibility verdict: the kernel was built, then dropped after
 #: :data:`DEMOTION_DEOPTS` deopts.
 REFUSE_DEMOTED = "demoted"
-
-#: Opcodes that can fault at run time (the paper's "price paid for
-#: security": bounds checks, checked division, float-to-int).  Without a
-#: flow certificate naming the trap sites, their presence refuses tier 1.
-_TRAP_OPS = frozenset((
-    Op.IDIV, Op.IMOD, Op.FDIV, Op.F2I,
-    Op.ALOAD, Op.ASTORE, Op.FALOAD, Op.FASTORE,
-    Op.SINDEX, Op.SSUB, Op.NEWARR, Op.NEWFARR,
-))
-
 
 def kernel_eligibility(
     func: Optional[FunctionDef], use_flows: bool = True
@@ -103,7 +93,7 @@ def kernel_eligibility(
             or constant_bound(cert.local_fuel_bound) is None):
         return REFUSE_UNBOUNDED
     flows = getattr(func, "flows", None) if use_flows else None
-    if flows is None and any(ins.op in _TRAP_OPS for ins in func.code):
+    if flows is None and any(OPS[ins.op].trap for ins in func.code):
         return REFUSE_TRAP
     readonly = frozenset(flows.readonly_params) if flows is not None else ()
     for index, vm_type in enumerate(func.param_types):

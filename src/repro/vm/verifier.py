@@ -44,7 +44,7 @@ from .classfile import (
     K_NATIVE,
     K_STR,
 )
-from .opcodes import BRANCH_OPS, FIXED_EFFECTS, Instr, Op, TERMINATOR_OPS
+from .opcodes import BRANCH_OPS, OPS, Instr, Op, TERMINATOR_OPS, step_stack
 from .values import VMType
 
 #: Hard cap on operand-stack depth; deeper code is rejected.
@@ -149,7 +149,7 @@ def _verify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver) -> N
     if len(func.param_types) > len(func.local_types):
         raise VerifyError(f"{where}: parameters exceed local slots")
 
-    nlocals = len(func.local_types)
+    locals_ = list(func.local_types)
     entry_init = (1 << len(func.param_types)) - 1
     states: List[Optional[_State]] = [None] * len(code)
     states[0] = _State(stack=(), init=entry_init)
@@ -161,7 +161,8 @@ def _verify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver) -> N
         state = states[pc]
         assert state is not None
         ins = code[pc]
-        stack, init = _step(cls, func, resolver, pc, ins, state, where)
+        stack, init = _step(cls, func, locals_, resolver, pc, ins, state,
+                            where)
         max_stack = max(max_stack, len(state.stack), len(stack))
         if max_stack > MAX_STACK_LIMIT:
             raise VerifyError(f"{where}: operand stack exceeds {MAX_STACK_LIMIT}")
@@ -199,8 +200,6 @@ def _verify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver) -> N
 
     plan(code, where, kernel=True)
 
-    # Locals init bitmask implicitly bounded by nlocals via LOAD/STORE checks.
-    del nlocals
     func.max_stack = max_stack
     # Export the proven per-instruction entry depths for the load-time
     # analyzer (repro.analysis): facts, not guesses — every pc has one.
@@ -219,13 +218,18 @@ def _merge(old: _State, new: _State, where: str, pc: int) -> _State:
 def _step(
     cls: ClassFile,
     func: FunctionDef,
+    locals_: List[VMType],
     resolver: Resolver,
     pc: int,
     ins: Instr,
     state: _State,
     where: str,
 ) -> Tuple[Tuple[VMType, ...], int]:
-    """Abstractly execute one instruction; return the post state."""
+    """Abstractly execute one instruction; return the post state.
+
+    ``locals_`` is the function's local types; a STORE writes back the
+    type it checked, so it stays equal to ``func.local_types``.
+    """
     stack = list(state.stack)
     init = state.init
     op = ins.op
@@ -241,59 +245,16 @@ def _step(
             raise fail(f"expected {expected.value} on stack, found {top.value}")
         return top
 
-    fixed = FIXED_EFFECTS.get(op)
-    if fixed is not None:
-        pops, pushes = fixed
-        for want in reversed(pops):
+    info = OPS[op]
+    if info.pops is not None:
+        if op is Op.SCONST:
+            _pool_entry(cls, ins.arg, K_STR, fail)
+        for want in reversed(info.pops):
             pop(want)
-        stack.extend(pushes)
+        stack.extend(info.pushes)
         return tuple(stack), init
 
-    if op is Op.ICONST:
-        stack.append(VMType.INT)
-    elif op is Op.FCONST:
-        stack.append(VMType.FLOAT)
-    elif op is Op.BCONST:
-        stack.append(VMType.BOOL)
-    elif op is Op.SCONST:
-        _pool_entry(cls, ins.arg, K_STR, fail)
-        stack.append(VMType.STR)
-    elif op is Op.LOAD:
-        slot = ins.arg
-        if slot >= len(func.local_types):
-            raise fail(f"local slot {slot} out of range")
-        if not (init >> slot) & 1:
-            raise fail(f"local slot {slot} read before write")
-        stack.append(func.local_types[slot])
-    elif op is Op.STORE:
-        slot = ins.arg
-        if slot >= len(func.local_types):
-            raise fail(f"local slot {slot} out of range")
-        pop(func.local_types[slot])
-        init |= 1 << slot
-    elif op is Op.POP:
-        pop()
-    elif op is Op.DUP:
-        top = pop()
-        stack.extend((top, top))
-    elif op is Op.SWAP:
-        a = pop()
-        b = pop()
-        stack.extend((a, b))
-    elif op is Op.JMP:
-        pass
-    elif op is Op.RET:
-        if func.ret_type is VMType.VOID:
-            raise fail("RET in a void function (use RETV)")
-        pop(func.ret_type)
-        if stack:
-            raise fail("stack not empty under return value")
-    elif op is Op.RETV:
-        if func.ret_type is not VMType.VOID:
-            raise fail("RETV in a non-void function")
-        if stack:
-            raise fail("stack not empty at void return")
-    elif op is Op.CALL:
+    if op is Op.CALL:
         class_name, func_name = _pool_entry(cls, ins.arg, K_FUNC, fail)
         try:
             params, ret = resolver.function_signature(class_name, func_name)
@@ -314,8 +275,38 @@ def _step(
         except LinkError as exc:
             raise fail(str(exc)) from None
         _apply_call(stack, params, ret, pop)
-    else:  # pragma: no cover - every opcode is handled above
-        raise fail(f"verifier does not know opcode {op.name}")
+    else:
+        # A stack-only op: check what it needs, then apply it.
+        def expect_top(want: VMType) -> None:
+            if stack and stack[-1] is not want:
+                raise fail(
+                    f"expected {want.value} on stack, found {stack[-1].value}"
+                )
+
+        if op is Op.LOAD or op is Op.STORE:
+            if ins.arg >= len(locals_):
+                raise fail(f"local slot {ins.arg} out of range")
+        if op is Op.LOAD:
+            if not (init >> ins.arg) & 1:
+                raise fail(f"local slot {ins.arg} read before write")
+        elif op is Op.STORE:
+            expect_top(locals_[ins.arg])
+            init |= 1 << ins.arg
+        elif op is Op.RET:
+            if func.ret_type is VMType.VOID:
+                raise fail("RET in a void function (use RETV)")
+            expect_top(func.ret_type)
+            if len(stack) > 1:
+                raise fail("stack not empty under return value")
+        elif op is Op.RETV:
+            if func.ret_type is not VMType.VOID:
+                raise fail("RETV in a non-void function")
+            if stack:
+                raise fail("stack not empty at void return")
+        try:
+            step_stack(ins, locals_, stack)
+        except IndexError:
+            raise fail("stack underflow") from None
 
     return tuple(stack), init
 

@@ -96,7 +96,10 @@ class TestStraightLine:
         template = _template(
             "def plus1(x: int) -> int:\n    return x + 1", "plus1"
         )
-        assert template.expr == A.BinaryOp("+", A.ParamRef(0), A.Literal(1))
+        # The add wraps to int64 like IADD.
+        assert template.expr == A.FuncCall(
+            "wrap64", (A.BinaryOp("+", A.ParamRef(0), A.Literal(1)),)
+        )
         assert template.param_kinds == ("int",)
         assert template.ret_kind == "int"
 

@@ -303,7 +303,6 @@ class TestFlowsCli:
         assert entry["leaks"]
         cert = entry["functions"]["leak"]
         assert cert["callback_flows"][0]["callback"] == "cb_log"
-        assert cert["features"]["callback_sites"] == 1
         assert doc["failures"] == []
 
     def test_unloadable_target_exits_two(self, tmp_path, capsys):

@@ -275,6 +275,35 @@ class TestInliningSemantics:
             db.inlining = True
             assert db.query("SELECT half(x) FROM n") == reference == [(-3,)]
 
+    @pytest.mark.parametrize("name, body", [
+        ("inc", "x + 1"),
+        ("dbl", "x * 2"),
+        ("neg", "-x"),
+    ])
+    def test_int_arithmetic_wraps_like_the_vm(self, name, body):
+        # SQL integers are unbounded; the lifted IADD/IMUL/INEG must
+        # wrap to int64 exactly as the VM does.
+        int_max = 2 ** 63 - 1
+        with Database(inlining=True) as db:
+            db.execute("CREATE TABLE n (x INT)")
+            db.insert_rows("n", [(v,) for v in (
+                -int_max - 1, -int_max, -1, 0, 1, int_max - 1, int_max,
+            )])
+            db.execute(
+                f"CREATE FUNCTION {name}(int) RETURNS int LANGUAGE JAGUAR "
+                f"DESIGN SANDBOX AS 'def {name}(x: int) -> int:\n"
+                f"    return {body}'"
+            )
+            sql = f"SELECT x, {name}(x) FROM n ORDER BY x"
+            assert "inlined" in "\n".join(
+                row[0] for row in db.query("EXPLAIN " + sql)
+            )
+            db.inlining = False
+            reference = db.query(sql)
+            db.inlining = True
+            assert db.query(sql) == reference
+            assert all(-int_max - 1 <= v <= int_max for __, v in reference)
+
     def test_runtime_trap_still_raises_inlined(self):
         from repro.errors import ExecutionError, UDFCrashed
 

@@ -25,20 +25,26 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.decompile import InlineTemplate
 from repro.analysis.intervals import Bound
 from repro.core.callbacks import standard_callback_signatures
-from repro.errors import FuelExhausted, VMError
+from repro.errors import ExecutionError, FuelExhausted, VMError
+from repro.sql import ast_nodes as A
+from repro.sql.expressions import compile_expr
+from repro.sql.types import RowSchema
 from repro.vm import compile_source, run_function, structure
+from repro.vm.classfile import ClassFile, FunctionDef
 from repro.vm.jit import JitCompiler, _translate, invoke_jit
 from repro.vm.kernels import KernelDeopt, compile_batch_kernel
 from repro.vm.machine import JaguarVM
-from repro.vm.opcodes import Op
+from repro.vm.opcodes import OPS, Instr, Op
 from repro.vm.resources import ResourceAccount
 from repro.vm.security import Permissions
 from repro.vm.tier import kernel_eligibility
+from repro.vm.values import VMType
 
 INT_MAX = 2 ** 63 - 1
 INT_MIN_EXPR = "(-9223372036854775807 - 1)"
@@ -559,3 +565,121 @@ def test_generic_jit_matches_interpreter(args):
     udf, func, __ = _generic()
     expected, __ = _run(udf, func, args, run_function)
     assert _run(udf, func, args, invoke_jit)[0] == expected
+
+
+# -- table-driven straight-line programs ----------------------------------------
+#
+# Every opcode with a ``py`` template over int/float/bool operands, drawn
+# from the opcode table itself, so a new row is covered without a new
+# test.  Beside the tiers above, the decompiled SQL template evaluated
+# through ``compile_expr`` must agree too (a decompiler refusal skips it).
+
+_SCALAR = (VMType.INT, VMType.FLOAT, VMType.BOOL)
+_TABLE_OPS = sorted(
+    (op for op, info in OPS.items()
+     if info.py is not None
+     and all(t in _SCALAR for t in info.pops + info.pushes)),
+    key=lambda op: op.name,
+)
+#: Parameter slot and constant pool per type: the int64 edges, zero and
+#: small values.
+_SLOT = {VMType.INT: (0, 1), VMType.FLOAT: (2,), VMType.BOOL: (3,)}
+_INTS = [-INT_MAX - 1, -INT_MAX, -2, -1, 0, 1, 2, 3, 63, 64,
+         INT_MAX - 1, INT_MAX]
+_FLOATS = [0.0, -0.0, 0.5, -3.0, 7.25, 9.2e18, -9.3e18]
+_CONST = {VMType.INT: Op.ICONST, VMType.FLOAT: Op.FCONST,
+          VMType.BOOL: Op.BCONST}
+_VALUES = {VMType.INT: _INTS, VMType.FLOAT: _FLOATS, VMType.BOOL: [0, 1]}
+
+
+@st.composite
+def straight_line(draw):
+    """``(code, return type)``: one table op over drawn operand trees."""
+    def tree(vm_type, depth, op=None):
+        if op is None and depth < 3 and draw(st.booleans()):
+            op = draw(st.sampled_from(
+                [o for o in _TABLE_OPS if OPS[o].pushes == (vm_type,)]))
+        if op is None:
+            if draw(st.booleans()):
+                return [Instr(Op.LOAD, draw(st.sampled_from(_SLOT[vm_type])))]
+            value = draw(st.sampled_from(_VALUES[vm_type]))
+            return [Instr(_CONST[vm_type], value)]
+        code = []
+        for operand in OPS[op].pops:
+            code += tree(operand, depth + 1)
+        return code + [Instr(op, None)]
+
+    root = draw(st.sampled_from(_TABLE_OPS))
+    (ret,) = OPS[root].pushes
+    return tree(ret, 0, root) + [Instr(Op.RET, None)], ret
+
+
+TABLE_ARGS = st.tuples(
+    st.sampled_from(_INTS), st.sampled_from(_INTS),
+    st.sampled_from(_FLOATS), st.booleans(),
+)
+
+
+def _table_function(code, ret):
+    params = (VMType.INT, VMType.INT, VMType.FLOAT, VMType.BOOL)
+    cls = ClassFile(name="Table")
+    cls.add_function(FunctionDef(name="f", param_types=params, ret_type=ret,
+                                 local_types=params, code=tuple(code)))
+    udf = JaguarVM().load_udf("table", [cls])
+    return udf, udf.main_class.functions["f"]
+
+
+def _sql_outcome(template, args):
+    def bind(node):
+        if isinstance(node, A.ParamRef):
+            return A.Literal(args[node.index])
+        return node
+
+    expr = A.transform(template.expr, bind)
+    try:
+        return ("ok", compile_expr(expr, RowSchema([]))([]))
+    except ExecutionError:
+        return ("err",)
+
+
+def _typed(outcome):
+    """Values compared with their type and sign of zero."""
+    if outcome[0] == "ok":
+        return ("ok", type(outcome[1]), repr(outcome[1]))
+    return outcome
+
+
+def _table_differential(udf, func, args, code):
+    expected = _typed(_run(udf, func, args, run_function)[0])
+    # The certified clone (its prepay fits the quota) ...
+    assert _typed(_run(udf, func, args, invoke_jit)[0]) == expected, code
+    if kernel_eligibility(func) is None:
+        kernel = _kernel(udf, func, args)
+        assert kernel is None or _typed(kernel) == expected, code
+    if isinstance(func.inline, InlineTemplate):
+        sql = _sql_outcome(func.inline, args)
+        if sql == ("err",):
+            assert expected[0] == "err", code
+        else:
+            assert _typed(sql) == expected, code
+    # ... and the metered checked body.
+    func.certificate = None
+    assert _typed(_run(udf, func, args, invoke_jit)[0]) == expected, code
+
+
+@settings(max_examples=400, deadline=None)
+@given(program=straight_line(), args=TABLE_ARGS)
+# INEG at INT_MIN wraps; BAND evaluates a trapping right operand.
+@example(program=([Instr(Op.LOAD, 0), Instr(Op.INEG, None),
+                   Instr(Op.RET, None)], VMType.INT),
+         args=(-INT_MAX - 1, 0, 0.0, True))
+@example(program=([Instr(Op.BCONST, 0), Instr(Op.LOAD, 0),
+                   Instr(Op.ICONST, 0), Instr(Op.IDIV, None),
+                   Instr(Op.ICONST, 1), Instr(Op.ICMPEQ, None),
+                   Instr(Op.BAND, None), Instr(Op.RET, None)], VMType.BOOL),
+         args=(5, 0, 0.0, True))
+def test_table_ops_agree_in_every_executor(program, args):
+    code, ret = program
+    udf, func = _table_function(code, ret)
+    _table_differential(udf, func, args, code)
+

@@ -26,7 +26,10 @@ def workload():
 
 @pytest.fixture(scope="session")
 def timer():
-    return Timer(repeat=1, warmup=1)
+    # Best of 5: the shape tests compare single points that can differ
+    # by a few tenths of a millisecond (Figure 4's Rel10000 at 3 vs 300
+    # calls), which one timed run cannot resolve on a busy host.
+    return Timer(repeat=5, warmup=1)
 
 
 def once(benchmark, fn):

@@ -30,10 +30,10 @@ class UDFExecutor(abc.ABC):
 
     ``invoke_batch`` is every design's one entry: what a call crosses
     (guard setup, VM entry, shm round trip) is written once per design,
-    there.  ``invoke`` is a one-row batch, so a per-row caller (sort
-    keys, UPDATE SET, INSERT VALUES, plan-time folding) runs exactly the
-    batch routine.  ``close`` releases everything (shared executors are
-    closed when the registry shuts down).
+    there.  ``invoke`` is a one-row batch, so a one-value caller
+    (plan-time folding) runs exactly the batch routine.  ``close``
+    releases everything (shared executors are closed when the registry
+    shuts down).
     """
 
     #: Per-query :class:`~repro.obs.profile.UDFProfile`, attached by the

@@ -120,11 +120,9 @@ class OperatorStats:
 class PredicateProbe:
     """Wraps one compiled conjunct, counting rows in and rows passing.
 
-    Transparent to evaluation: the scalar path delegates to the inner
-    closure; the batch path goes through
-    :func:`~repro.sql.expressions.eval_batch` on the inner closure, so
-    UDF call-site batching, memoization, and NULL semantics are exactly
-    what they were without the probe.
+    Transparent to evaluation: a batch goes to the inner batch -> column
+    function unchanged, so UDF call-site batching, memoization, and NULL
+    semantics are exactly what they were without the probe.
     """
 
     __slots__ = ("fn", "entry")
@@ -133,18 +131,8 @@ class PredicateProbe:
         self.fn = fn
         self.entry = entry
 
-    def __call__(self, row):
-        value = self.fn(row)
-        entry = self.entry
-        entry.rows_in += 1
-        if value is True:
-            entry.rows_true += 1
-        return value
-
-    def eval_batch(self, rows: Sequence[Sequence[object]]) -> List[object]:
-        from ..sql.expressions import eval_batch
-
-        values = eval_batch(self.fn, rows)
+    def __call__(self, rows: Sequence[Sequence[object]]) -> List[object]:
+        values = self.fn(rows)
         passed = 0
         for value in values:
             if value is True:

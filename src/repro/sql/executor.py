@@ -3,17 +3,18 @@ and the UDF subsystem together.
 
 One :class:`StatementExecutor` serves one database instance.  For each
 SELECT it builds the logical plan, optimizes it, compiles expressions to
-closures, sets up per-query UDF executors (Design 2/4 executors are
-*processes created per query*, per the paper), runs the Volcano tree,
-and tears everything down.  An UPDATE or DELETE finds its rows through
-the same planner, optimizer and scans, and writes only once it has them
-all.
+batch -> column functions, sets up per-query UDF executors (Design 2/4
+executors are *processes created per query*, per the paper), runs the
+Volcano tree, and tears everything down.  An UPDATE or DELETE finds its
+rows through the same planner, optimizer and scans, and writes only once
+it has them all.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError, PlanError
@@ -28,7 +29,6 @@ from .expressions import (
     FunctionResolver,
     QueryRuntime,
     compile_expr,
-    eval_batch,
 )
 from .operators import (
     Aggregate,
@@ -45,6 +45,7 @@ from .operators import (
     apply_predicates,
     eval_column,
     instrument_operator,
+    project,
 )
 from .optimizer import CostOracle, optimize
 from .planner import (
@@ -488,23 +489,13 @@ class StatementExecutor:
                 )
             child = build(inner.child)
             if isinstance(inner, LogicalFilter):
-                predicates = compile_predicates(
+                stage = partial(apply_predicates, compile_predicates(
                     inner.predicates, inner.child.schema
-                )
-
-                def stage(batch, predicates=predicates):
-                    return apply_predicates(predicates, batch)
-
+                ))
             else:
-                exprs = compile_all(inner.exprs, inner.child.schema)
-
-                def stage(batch, exprs=exprs):
-                    columns = [eval_batch(fn, batch) for fn in exprs]
-                    return [
-                        [column[index] for column in columns]
-                        for index in range(len(batch))
-                    ]
-
+                stage = partial(project, compile_all(
+                    inner.exprs, inner.child.schema
+                ))
             return Exchange(
                 child, stage, parallelism=plan.parallelism,
                 batch_size=batch_size,
@@ -691,7 +682,8 @@ class StatementExecutor:
 
     @staticmethod
     def _values(plan: WritePlan, exprs, resolver, runtime) -> List[object]:
-        """One VALUES row of an INSERT, a value per table column."""
+        """One VALUES row of an INSERT, a value per table column, each
+        evaluated over a one-row batch."""
         if len(exprs) != len(plan.positions):
             raise PlanError(
                 f"INSERT supplies {len(exprs)} values for "
@@ -701,7 +693,7 @@ class StatementExecutor:
         for position, expr in zip(plan.positions, exprs):
             values[position] = compile_expr(
                 expr, _EMPTY_SCHEMA, resolver, runtime
-            )([])
+            )([[]])[0]
         return values
 
 

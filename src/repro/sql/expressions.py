@@ -1,13 +1,20 @@
 """Expression compilation and evaluation.
 
-SQL expressions compile to Python closures over the row (a plain list of
-values), once per query — not interpreted per tuple.  Three-valued NULL
-logic follows SQL: NULL propagates through arithmetic and comparisons,
+SQL expressions compile once per query — not interpreted per tuple —
+into one form: a function from a *batch* (a list of rows, each a plain
+list of values) to a *column* (a list holding one value per row).  Every
+node kind is written once, over columns.  Three-valued NULL logic
+follows SQL: NULL propagates through arithmetic and comparisons,
 ``AND``/``OR`` use Kleene logic, and WHERE treats NULL as false.
+
+``AND``, ``OR``, ``CASE`` and ``IN`` evaluate a later operand only over
+the rows the earlier ones left undecided, so an operand behind a guard
+(a division, a UDF call) sees exactly the rows a tuple-at-a-time
+evaluation would show it, whatever the batch size.
 
 UDF invocation happens here: a :class:`UDFCallSite` closes over the
 executor chosen for the query (one of the six designs) and the argument
-closures.  Byte-array arguments are materialized from LOB storage when
+functions.  Byte-array arguments are materialized from LOB storage when
 the UDF takes them *by value*; parameters declared ``handle`` instead
 register the object with the query's callback binding and pass a small
 integer — the two access strategies whose trade-off Section 5.5
@@ -16,8 +23,9 @@ measures.
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ArithmeticFault, ExecutionError, PlanError
 from ..storage.lob import LOBRef
@@ -25,44 +33,12 @@ from ..vm.values import f2i, idiv, imod, wrap_int
 from . import ast_nodes as A
 from .types import RowSchema, SQLType
 
-EvalFn = Callable[[Sequence[object]], object]
+Batch = Sequence[Sequence[object]]
+EvalFn = Callable[[Batch], List[object]]
 
 #: Aggregate function names (handled by the Aggregate operator, never
 #: compiled as scalar calls).
 AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
-
-
-def eval_batch(fn: EvalFn, rows: Sequence[Sequence[object]]) -> List[object]:
-    """Evaluate a compiled expression over a batch of rows.
-
-    Expressions that carry a vectorized entry point (``fn.eval_batch``)
-    — UDF call sites and the operators composed over them — evaluate the
-    whole batch at once, amortizing per-invocation overhead; everything
-    else falls back to one Python-level loop over the per-row closure.
-    """
-    batch_fn = getattr(fn, "eval_batch", None)
-    if batch_fn is not None:
-        return batch_fn(rows)
-    return [fn(row) for row in rows]
-
-
-def _attach_batch(fn: EvalFn, children: Sequence[EvalFn],
-                  combine: Callable) -> EvalFn:
-    """Give ``fn`` a batch entry point when any child has one.
-
-    ``combine`` maps one value per child to the node's result.  Plain
-    column/literal trees stay un-annotated so the scalar fast path is
-    untouched; only trees that actually contain a batchable node (a UDF
-    call site) grow the vectorized form.
-    """
-    if any(getattr(child, "eval_batch", None) is not None
-           for child in children):
-        def batch(rows):
-            columns = [eval_batch(child, rows) for child in children]
-            return [combine(*values) for values in zip(*columns)]
-
-        fn.eval_batch = batch
-    return fn
 
 
 class QueryRuntime:
@@ -150,10 +126,6 @@ class UDFCallSite:
             pt in ("bytes", "handle", "float") for pt in param_types
         )
 
-    def __call__(self, row: Sequence[object]) -> object:
-        """One row (sort keys, UPDATE SET, INSERT VALUES): a one-row batch."""
-        return self.eval_batch([row])[0]
-
     def _coerce_args(self, raw: Sequence[object]) -> List[object]:
         """Materialize/handle/widen one row's argument values, in order."""
         args = []
@@ -168,7 +140,7 @@ class UDFCallSite:
             args.append(value)
         return args
 
-    def eval_batch(self, rows: Sequence[Sequence[object]]) -> List[object]:
+    def __call__(self, rows: Batch) -> List[object]:
         """Evaluate the call over a batch of rows.
 
         Argument subexpressions are themselves evaluated batch-wise (so
@@ -179,7 +151,7 @@ class UDFCallSite:
         call — the per-invocation marshalling/IPC tax is paid once per
         batch instead of once per tuple.
         """
-        arg_columns = [eval_batch(fn, rows) for fn in self.arg_fns]
+        arg_columns = [fn(rows) for fn in self.arg_fns]
         results: List[object] = [None] * len(rows)
         call_slots: List[int] = []
         call_args: List[List[object]] = []
@@ -281,88 +253,49 @@ def compile_expr(
     resolver: Optional[FunctionResolver] = None,
     runtime: Optional[QueryRuntime] = None,
 ) -> EvalFn:
-    """Compile an expression into a row -> value closure."""
+    """Compile an expression into a batch -> column function."""
     resolver = resolver or FunctionResolver()
     runtime = runtime or QueryRuntime()
     return _compile(expr, schema, resolver, runtime)
 
 
 def _compile(expr, schema, resolver, runtime) -> EvalFn:
-    if isinstance(expr, A.Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, A.Slot):
-        value = runtime.params[expr.index]
-        return lambda row: value
+    if isinstance(expr, (A.Literal, A.Slot)):
+        value = (
+            expr.value if isinstance(expr, A.Literal)
+            else runtime.params[expr.index]
+        )
+        return lambda rows: [value] * len(rows)
     if isinstance(expr, A.ColumnRef):
         index = schema.resolve(expr.name, expr.table)
-        return lambda row: row[index]
+        return lambda rows: [row[index] for row in rows]
     if isinstance(expr, A.BinaryOp):
         return _compile_binary(expr, schema, resolver, runtime)
     if isinstance(expr, A.UnaryOp):
         operand = _compile(expr.operand, schema, resolver, runtime)
         if expr.op == "-":
-            return _attach_batch(
-                lambda row: None if (v := operand(row)) is None else -v,
-                [operand],
-                lambda v: None if v is None else -v,
-            )
+            return _strict(operator.neg, [operand])
         if expr.op == "not":
-            def negate(row):
-                value = operand(row)
-                return None if value is None else not value
-            return _attach_batch(
-                negate, [operand],
-                lambda v: None if v is None else not v,
-            )
+            return _strict(operator.not_, [operand])
         raise PlanError(f"unknown unary operator {expr.op!r}")
     if isinstance(expr, A.IsNull):
         operand = _compile(expr.operand, schema, resolver, runtime)
         if expr.negated:
-            return _attach_batch(
-                lambda row: operand(row) is not None,
-                [operand], lambda v: v is not None,
-            )
-        return _attach_batch(
-            lambda row: operand(row) is None,
-            [operand], lambda v: v is None,
-        )
+            return lambda rows: [v is not None for v in operand(rows)]
+        return lambda rows: [v is None for v in operand(rows)]
     if isinstance(expr, A.Between):
-        operand = _compile(expr.operand, schema, resolver, runtime)
-        low = _compile(expr.low, schema, resolver, runtime)
-        high = _compile(expr.high, schema, resolver, runtime)
         negated = expr.negated
 
-        def between_values(value, lo, hi):
-            if value is None or lo is None or hi is None:
-                return None
+        def between(value, lo, hi):
             result = lo <= value <= hi
             return (not result) if negated else result
 
-        def between(row):
-            return between_values(operand(row), low(row), high(row))
-
-        return _attach_batch(between, [operand, low, high], between_values)
+        return _strict(between, [
+            _compile(node, schema, resolver, runtime)
+            for node in (expr.operand, expr.low, expr.high)
+        ])
     if isinstance(expr, A.InList):
-        operand = _compile(expr.operand, schema, resolver, runtime)
-        items = [_compile(item, schema, resolver, runtime)
-                 for item in expr.items]
-        negated = expr.negated
-
-        def in_values(value, *item_values):
-            if value is None:
-                return None
-            found = any(item == value for item in item_values)
-            return (not found) if negated else found
-
-        def in_list(row):
-            value = operand(row)
-            if value is None:
-                return None
-            found = any(fn(row) == value for fn in items)
-            return (not found) if negated else found
-
-        return _attach_batch(in_list, [operand] + items, in_values)
+        return _compile_in(expr, schema, resolver, runtime)
     if isinstance(expr, A.FuncCall):
         return _compile_call(expr, schema, resolver, runtime)
     if isinstance(expr, A.Case):
@@ -378,6 +311,60 @@ def _compile(expr, schema, resolver, runtime) -> EvalFn:
     raise PlanError(f"cannot compile expression {expr!r}")
 
 
+def _strict(fn: Callable, children: Sequence[EvalFn]) -> EvalFn:
+    """``fn`` mapped over the children's columns; NULL wherever any
+    argument is NULL.  Every child runs over the whole batch."""
+    if len(children) == 1:
+        (child,) = children
+        return lambda rows: [
+            None if value is None else fn(value) for value in child(rows)
+        ]
+    if len(children) == 2:
+        left, right = children
+        return lambda rows: [
+            None if a is None or b is None else fn(a, b)
+            for a, b in zip(left(rows), right(rows))
+        ]
+    return lambda rows: [
+        None if any(value is None for value in args) else fn(*args)
+        for args in zip(*[child(rows) for child in children])
+    ]
+
+
+def _take(rows: Batch, indexes: List[int]) -> Batch:
+    """The rows at ``indexes`` (ascending): the batch itself when that is
+    every row."""
+    if len(indexes) == len(rows):
+        return rows
+    return [rows[index] for index in indexes]
+
+
+def _compile_in(expr: A.InList, schema, resolver, runtime) -> EvalFn:
+    """``IN`` evaluates each item only over the rows whose operand is
+    non-NULL and that no earlier item matched."""
+    operand = _compile(expr.operand, schema, resolver, runtime)
+    items = [_compile(item, schema, resolver, runtime) for item in expr.items]
+    negated = expr.negated
+
+    def in_list(rows):
+        values = operand(rows)
+        results = [None if value is None else negated for value in values]
+        pending = [i for i, value in enumerate(values) if value is not None]
+        for item in items:
+            if not pending:
+                break
+            unmatched = []
+            for i, item_value in zip(pending, item(_take(rows, pending))):
+                if item_value == values[i]:
+                    results[i] = not negated
+                else:
+                    unmatched.append(i)
+            pending = unmatched
+        return results
+
+    return in_list
+
+
 def _compile_case(expr: A.Case, schema, resolver, runtime) -> EvalFn:
     when_fns = [
         (_compile(cond, schema, resolver, runtime),
@@ -389,95 +376,63 @@ def _compile_case(expr: A.Case, schema, resolver, runtime) -> EvalFn:
         if expr.default is not None else None
     )
 
-    if len(when_fns) == 1 and default_fn is not None:
-        # The common shape — notably the NULL guard wrapped around
-        # every inlined UDF body — deserves a branch, not a loop.
+    if expr.trap_safe and len(when_fns) == 1 and default_fn is not None:
+        # Trap-free fast path (flow-certified): no branch can trap, and
+        # every scalar op / builtin is NULL-strict, so running both
+        # branches over the whole batch and selecting per row is
+        # observationally identical to partitioning — minus the
+        # per-branch row-list rebuilds.
         ((cond_fn, value_fn),) = when_fns
 
-        def case(row):
-            return value_fn(row) if cond_fn(row) is True else default_fn(row)
-    else:
-        def case(row):
-            for cond_fn, value_fn in when_fns:
-                if cond_fn(row) is True:
-                    return value_fn(row)
-            return default_fn(row) if default_fn is not None else None
+        def case_trapfree(rows):
+            conds = cond_fn(rows)
+            defaults = default_fn(rows)
+            if True not in conds:
+                # Nobody took the WHEN branch (for the inliner's NULL
+                # guard: a batch with no NULL arguments) — the defaults
+                # ARE the results, no per-row selection.
+                return defaults
+            values = value_fn(rows)
+            return [
+                v if c is True else d
+                for c, v, d in zip(conds, values, defaults)
+            ]
 
-    children = [fn for pair in when_fns for fn in pair]
-    if default_fn is not None:
-        children.append(default_fn)
-    if any(getattr(child, "eval_batch", None) is not None
-           for child in children):
-        if expr.trap_safe and len(when_fns) == 1 and default_fn is not None:
-            # Trap-free fast path (flow-certified): no branch can trap,
-            # and every scalar op / builtin is NULL-strict, so running
-            # both branches over the whole batch and selecting per row
-            # is observationally identical to partitioning — minus the
-            # per-branch row-list rebuilds.
-            ((cond_fn0, value_fn0),) = when_fns
+        return case_trapfree
 
-            def case_batch_trapfree(rows):
-                conds = eval_batch(cond_fn0, rows)
-                defaults = eval_batch(default_fn, rows)
-                if True not in conds:
-                    # Nobody took the WHEN branch (for the inliner's
-                    # NULL guard: a batch with no NULL arguments) — the
-                    # defaults ARE the results, no per-row selection.
-                    return defaults
-                values = eval_batch(value_fn0, rows)
-                return [
-                    v if c is True else d
-                    for c, v, d in zip(conds, values, defaults)
-                ]
-
-            case.eval_batch = case_batch_trapfree
-            return case
-
-        # Short-circuit batch form: each branch value is evaluated only
-        # on the rows whose condition selected it (mirroring the scalar
-        # path), so trapping expressions stay behind their guards.
-        def case_batch(rows):
-            results: List[object] = [None] * len(rows)
-            pending = list(range(len(rows)))
-            for cond_fn, value_fn in when_fns:
-                if not pending:
-                    break
-                conds = eval_batch(cond_fn, [rows[i] for i in pending])
-                taken = [i for i, c in zip(pending, conds) if c is True]
-                pending = [i for i, c in zip(pending, conds)
-                           if c is not True]
-                if taken:
-                    values = eval_batch(value_fn, [rows[i] for i in taken])
-                    for i, value in zip(taken, values):
-                        results[i] = value
-            if pending and default_fn is not None:
-                values = eval_batch(default_fn, [rows[i] for i in pending])
-                for i, value in zip(pending, values):
+    # Each branch value is evaluated only on the rows whose condition
+    # selected it, so trapping expressions stay behind their guards.
+    def case(rows):
+        results: List[object] = [None] * len(rows)
+        pending = list(range(len(rows)))
+        for cond_fn, value_fn in when_fns:
+            if not pending:
+                break
+            conds = cond_fn(_take(rows, pending))
+            taken = [i for i, c in zip(pending, conds) if c is True]
+            pending = [i for i, c in zip(pending, conds) if c is not True]
+            if taken:
+                for i, value in zip(taken, value_fn(_take(rows, taken))):
                     results[i] = value
-            return results
+        if pending and default_fn is not None:
+            for i, value in zip(pending, default_fn(_take(rows, pending))):
+                results[i] = value
+        return results
 
-        case.eval_batch = case_batch
     return case
 
 
 def _compile_inlined(expr: A.Inlined, schema, resolver, runtime) -> EvalFn:
     body = _compile(expr.body, schema, resolver, runtime)
     profile = getattr(resolver, "profile", None)
-    counter = (
-        profile.inlined(expr.name) if profile is not None else None
-    )
-    if counter is None:
+    if profile is None:
         return body  # fully transparent: the body *is* the call
+    counter = profile.inlined(expr.name)
 
-    def inlined(row):
-        counter.inc(1)
-        return body(row)
-
-    def inlined_batch(rows):
+    def inlined(rows):
         counter.inc(len(rows))
-        return eval_batch(body, rows)
+        return body(rows)
 
-    inlined.eval_batch = inlined_batch
     return inlined
 
 
@@ -485,91 +440,40 @@ def _compile_binary(expr, schema, resolver, runtime) -> EvalFn:
     op = expr.op
     left = _compile(expr.left, schema, resolver, runtime)
     right = _compile(expr.right, schema, resolver, runtime)
-
     if op == "and":
-        def kleene_and(row):
-            a = left(row)
-            if a is False:
-                return False
-            b = right(row)
-            if b is False:
-                return False
-            if a is None or b is None:
-                return None
-            return True
-        return _attach_short_circuit(
-            kleene_and, left, right, short_value=False,
-        )
+        return _kleene(left, right, short_value=False)
     if op == "or":
-        def kleene_or(row):
-            a = left(row)
-            if a is True:
-                return True
-            b = right(row)
-            if b is True:
-                return True
-            if a is None or b is None:
-                return None
-            return False
-        return _attach_short_circuit(
-            kleene_or, left, right, short_value=True,
-        )
-    if op == "like":
-        return _compile_like(left, right)
-
-    arith = _ARITH.get(op)
-    if arith is not None:
-        def arith_values(a, b):
-            if a is None or b is None:
-                return None
-            return arith(a, b)
-
-        def arithmetic(row):
-            return arith_values(left(row), right(row))
-        return _attach_batch(arithmetic, [left, right], arith_values)
-    compare = _COMPARE.get(op)
-    if compare is not None:
-        def compare_values(a, b):
-            if a is None or b is None:
-                return None
-            return compare(a, b)
-
-        def comparison(row):
-            return compare_values(left(row), right(row))
-        return _attach_batch(comparison, [left, right], compare_values)
-    raise PlanError(f"unknown binary operator {op!r}")
+        return _kleene(left, right, short_value=True)
+    fn = _BINARY.get(op)
+    if fn is None:
+        raise PlanError(f"unknown binary operator {op!r}")
+    return _strict(fn, [left, right])
 
 
-def _attach_short_circuit(fn, left, right, short_value):
-    """Batch form of Kleene AND/OR.
+def _kleene(left: EvalFn, right: EvalFn, short_value: bool) -> EvalFn:
+    """Kleene AND (``short_value`` False) or OR (True).
 
-    The right side is evaluated only on the sub-batch the left side did
-    not decide (``short_value`` is the absorbing element) — the same
-    rows a per-tuple evaluation would touch, so batching never changes
-    how often a UDF on the right-hand side runs.
+    The right side is evaluated only on the rows the left side did not
+    decide (``short_value`` is the absorbing element), so a UDF on the
+    right runs on the rows a per-tuple evaluation would show it.
     """
-    if (getattr(left, "eval_batch", None) is None
-            and getattr(right, "eval_batch", None) is None):
-        return fn
-
-    def batch(rows):
-        left_values = eval_batch(left, rows)
+    def kleene(rows):
+        left_values = left(rows)
         results = [short_value] * len(rows)
         pending = [i for i, a in enumerate(left_values)
                    if a is not short_value]
         if pending:
-            right_values = eval_batch(right, [rows[i] for i in pending])
+            right_values = right(_take(rows, pending))
             for i, b in zip(pending, right_values):
                 if b is short_value:
-                    results[i] = short_value
-                elif left_values[i] is None or b is None:
+                    continue
+                if left_values[i] is None or b is None:
                     results[i] = None
                 else:
                     results[i] = not short_value
         return results
 
-    fn.eval_batch = batch
-    return fn
+    return kleene
 
 
 def _sql_div(a, b):
@@ -586,37 +490,6 @@ def _sql_mod(a, b):
     return a % b
 
 
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": _sql_div,
-    "%": _sql_mod,
-}
-
-_COMPARE = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def _compile_like(left: EvalFn, right: EvalFn) -> EvalFn:
-    def like_values(value, pattern):
-        if value is None or pattern is None:
-            return None
-        regex = _like_regex(pattern)
-        return regex.fullmatch(value) is not None
-
-    def like(row):
-        return like_values(left(row), right(row))
-
-    return _attach_batch(like, [left, right], like_values)
-
-
 def _like_regex(pattern: str) -> "re.Pattern":
     parts = []
     for char in pattern:
@@ -627,6 +500,31 @@ def _like_regex(pattern: str) -> "re.Pattern":
         else:
             parts.append(re.escape(char))
     return re.compile("".join(parts), re.DOTALL)
+
+
+def _like(value, pattern) -> bool:
+    return _like_regex(pattern).fullmatch(value) is not None
+
+
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _sql_div,
+    "%": _sql_mod,
+}
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: Every NULL-strict binary operator.
+_BINARY = {**_ARITH, **_COMPARE, "like": _like}
 
 
 # ---------------------------------------------------------------------------
@@ -718,15 +616,7 @@ def _compile_call(expr: A.FuncCall, schema, resolver, runtime) -> EvalFn:
             _compile(arg, schema, resolver, runtime) for arg in expr.args
         ]
 
-        def call_values(*args):
-            if any(a is None for a in args):
-                return None
-            return fn(*args)
-
-        def call(row):
-            return call_values(*[f(row) for f in arg_fns])
-
-        return _attach_batch(call, arg_fns, call_values)
+        return _strict(fn, arg_fns)
     raise PlanError(f"unknown function {expr.name!r}")
 
 

@@ -1,15 +1,17 @@
 """Physical (Volcano-style) operators, batch-at-a-time.
 
-Each operator exposes ``batches()``, a generator of *batches* (lists of
-value-list rows), plus ``rows()``, the flattened per-row view.  PREDATOR
+Every operator yields *batches* (lists of value-list rows) from
+``batches()``, and every operator reads its children through theirs;
+``rows()`` is only the flattening a SELECT's result and an UPDATE's or
+DELETE's matches are read through.  Expressions are compiled to batch ->
+column functions (:mod:`repro.sql.expressions`), so a predicate, a
+projection or a sort key crosses into a UDF once per batch.  PREDATOR
 "is not a parallel OR-DBMS ... all expressions (including UDFs) are
 evaluated in a serial manner" — and so are these: batching changes how
 rows are *grouped* between operators (so fixed per-invocation UDF costs
 amortize, see ``repro.core.factory.UDFExecutor.invoke_batch``), never
 the order rows flow in or the rows produced.
 
-A concrete operator must implement at least one of ``rows``/``batches``;
-the base class derives the other (chunking or flattening respectively).
 ``batch_size`` is configurable per operator (the executor threads the
 database's setting through); size 1 degenerates to exact tuple-at-a-time
 behaviour.
@@ -28,7 +30,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..storage.btree import BPlusTree
-from .expressions import EvalFn, eval_batch
+from .expressions import EvalFn
 
 Row = List[object]
 Batch = List[Row]
@@ -52,41 +54,44 @@ def apply_predicates(
     for predicate in predicates:
         if not rows:
             break
-        values = eval_batch(predicate, rows)
+        values = predicate(rows)
         rows = [row for row, value in zip(rows, values) if value is True]
     return rows
 
 
 def eval_column(fn: EvalFn, rows: Batch, size: int) -> List[object]:
     """``fn`` over materialized ``rows`` (a sort's input, an UPDATE's
-    matches), ``size`` rows per batch when it has a batch entry."""
-    if getattr(fn, "eval_batch", None) is None:
-        return [fn(row) for row in rows]
+    matches), ``size`` rows per batch."""
     return [
         value for start in range(0, len(rows), size)
-        for value in fn.eval_batch(rows[start:start + size])
+        for value in fn(rows[start:start + size])
     ]
+
+
+def project(exprs: Sequence[EvalFn], batch: Batch) -> Batch:
+    """One output row per row of ``batch``: the value of each of
+    ``exprs``, in order."""
+    columns = [fn(batch) for fn in exprs]
+    return [
+        [column[index] for column in columns]
+        for index in range(len(batch))
+    ]
+
+
+def _flatten(op: "PhysicalOp") -> Batch:
+    return [row for batch in op.batches() for row in batch]
 
 
 class PhysicalOp:
     batch_size: int = DEFAULT_BATCH_SIZE
 
+    def batches(self) -> Iterator[Batch]:
+        raise NotImplementedError
+
     def rows(self) -> Iterator[Row]:
+        """The batches flattened (a SELECT's result, DML's matches)."""
         for batch in self.batches():
             yield from batch
-
-    def batches(self) -> Iterator[Batch]:
-        # Fallback for sources that only implement rows() (tests, ad-hoc
-        # operators): chunk the row stream at this operator's batch size.
-        batch: Batch = []
-        size = max(1, self.batch_size)
-        for row in self.rows():
-            batch.append(row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
 
 
 def instrument_operator(op: PhysicalOp, stats) -> PhysicalOp:
@@ -270,11 +275,7 @@ class Project(PhysicalOp):
     def batches(self) -> Iterator[Batch]:
         exprs = self.exprs
         for batch in self.child.batches():
-            columns = [eval_batch(fn, batch) for fn in exprs]
-            yield [
-                [column[index] for column in columns]
-                for index in range(len(batch))
-            ]
+            yield project(exprs, batch)
 
 
 class NestedLoopJoin(PhysicalOp):
@@ -299,7 +300,7 @@ class NestedLoopJoin(PhysicalOp):
         _set_batch_size(self, batch_size)
 
     def batches(self) -> Iterator[Batch]:
-        inner = [list(row) for row in self.right.rows()]
+        inner = [list(row) for row in _flatten(self.right)]
         predicates = self.predicates
         size = max(1, self.batch_size)
         pending: Batch = []
@@ -341,9 +342,9 @@ class Aggregate(PhysicalOp):
         for batch in self.child.batches():
             # Group keys and aggregate arguments evaluate batch-wise, so
             # a UDF inside SUM(udf(x)) or GROUP BY udf(x) amortizes too.
-            key_columns = [eval_batch(fn, batch) for fn in group_fns]
+            key_columns = [fn(batch) for fn in group_fns]
             arg_columns = [
-                eval_batch(arg_fn, batch) if arg_fn is not None else None
+                arg_fn(batch) if arg_fn is not None else None
                 for __, arg_fn, __ in agg_specs
             ]
             for index in range(len(batch)):
@@ -423,9 +424,9 @@ class Sort(PhysicalOp):
     """Materializing, stable multi-key sort.
 
     Keys apply right to left, each over the order the previous one
-    left.  A key column is computed batch-wise over the materialized
-    rows before its sort, so a UDF in ORDER BY crosses once per batch
-    and sees the rows in the order a per-row key function would.
+    left.  A key column is computed batch by batch over the
+    materialized rows before its sort, so a UDF in ORDER BY crosses once
+    per batch and sees the rows in input order.
     """
 
     def __init__(
@@ -441,7 +442,7 @@ class Sort(PhysicalOp):
         _set_batch_size(self, batch_size)
 
     def batches(self) -> Iterator[Batch]:
-        materialized = list(self.child.rows())
+        materialized = _flatten(self.child)
         size = max(1, self.batch_size)
         for key_fn, desc in reversed(list(zip(self.key_fns, self.descending))):
             keys = eval_column(key_fn, materialized, size)
@@ -492,8 +493,8 @@ class Exchange(PhysicalOp):
     predicates) Filter/Project work whose UDFs are certified safe to run
     concurrently — pure sandboxed UDFs have no shared state, and
     isolated UDFs live in their own worker processes.  ``stage`` maps
-    one input batch to one output batch (e.g. an ``apply_predicates``
-    closure or a Project's column evaluation).
+    one input batch to one output batch (:func:`apply_predicates` or
+    :func:`project` bound to their compiled expressions).
 
     Ordering guarantee: batches are dispatched in child order and
     results are *collected* in dispatch order — a FIFO of futures
@@ -550,21 +551,14 @@ class Limit(PhysicalOp):
         _set_batch_size(self, batch_size)
 
     def batches(self) -> Iterator[Batch]:
-        # Pull the child's lazy row stream, not whole batches: Limit must
-        # consume no more child rows than it returns (a Volcano property
-        # the tests pin down), so early exit stays row-granular.
+        # Stop pulling as soon as the limit is met: Limit consumes no
+        # child batch past the one that holds its last row.
         remaining = self.limit
         if remaining <= 0:
             return
-        size = max(1, self.batch_size)
-        batch: Batch = []
-        for row in self.child.rows():
-            batch.append(row)
-            remaining -= 1
-            if remaining == 0 or len(batch) >= size:
-                yield batch
-                batch = []
-            if remaining == 0:
+        for batch in self.child.batches():
+            if len(batch) >= remaining:
+                yield batch[:remaining]
                 return
-        if batch:
+            remaining -= len(batch)
             yield batch

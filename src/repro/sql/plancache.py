@@ -27,7 +27,7 @@ compile.  A plan that read a literal's value while it was built (folding
 a pure UDF over literals, say) is not *generic*: it is also stored under
 ``(shape, values)`` and serves only those values, so a hit always reuses
 the plan a cold parse of the same text would build.  Cached plans are
-execution-state free (expression closures, UDF executors, and physical
+execution-state free (compiled expressions, UDF executors, and physical
 operators are built per execution), so one entry may be read by any
 number of concurrent statements.  Adaptive optimization re-plans per
 query by design and bypasses this cache entirely (the caller's

@@ -88,7 +88,7 @@ def _substitute(expr, args):
 def _lifted_value(template, args):
     """Evaluate the lifted expression over literal arguments."""
     fn = compile_expr(_substitute(template.expr, list(args)), _EMPTY)
-    return fn([])
+    return fn([[]])[0]
 
 
 class TestStraightLine:

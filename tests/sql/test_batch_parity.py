@@ -21,24 +21,12 @@ from repro.sql.operators import (
     Filter,
     Limit,
     NestedLoopJoin,
-    PhysicalOp,
     Project,
     Sort,
 )
+from tests.sql.sources import Rows, column, rowwise
 
 BATCH_SIZES = (1, 2, 7, 64)
-
-
-class Rows(PhysicalOp):
-    """In-memory source implementing only ``rows()`` (seed idiom)."""
-
-    def __init__(self, rows, batch_size=None):
-        self._rows = rows
-        if batch_size is not None:
-            self.batch_size = batch_size
-
-    def rows(self):
-        return iter([list(r) for r in self._rows])
 
 
 def _dataset():
@@ -68,34 +56,35 @@ def _pipelines(batch_size):
 
     yield "filter", Filter(
         source(),
-        [lambda r: None if r[1] is None else r[1] > 2,
-         lambda r: r[2] != "gas"],
+        [rowwise(lambda r: None if r[1] is None else r[1] > 2),
+         rowwise(lambda r: r[2] != "gas")],
         batch_size=bs,
     )
     yield "project", Project(
-        source(), [lambda r: r[0] * 2, lambda r: r[2]], batch_size=bs
+        source(), [rowwise(lambda r: r[0] * 2), column(2)],
+        batch_size=bs,
     )
     yield "join", NestedLoopJoin(
         Rows(data[:4], batch_size=bs),
         Rows([[x] for x in (1, 3, 4)], batch_size=bs),
-        [lambda r: r[0] == r[3]],
+        [rowwise(lambda r: r[0] == r[3])],
         batch_size=bs,
     )
     yield "aggregate", Aggregate(
         source(),
-        [lambda r: r[2]],
-        [("count", None, False), ("sum", lambda r: r[1], False),
-         ("min", lambda r: r[1], False)],
+        [column(2)],
+        [("count", None, False), ("sum", column(1), False),
+         ("min", column(1), False)],
         batch_size=bs,
     )
     yield "sort", Sort(
         source(),
-        [lambda r: r[1], lambda r: r[0]],
+        [column(1), column(0)],
         [False, True],
         batch_size=bs,
     )
     yield "distinct", Distinct(
-        Project(source(), [lambda r: r[1]], batch_size=bs), batch_size=bs
+        Project(source(), [column(1)], batch_size=bs), batch_size=bs
     )
     yield "limit", Limit(source(), 3, batch_size=bs)
     yield "limit-zero", Limit(source(), 0, batch_size=bs)
@@ -116,7 +105,7 @@ class TestOperatorParity:
     def test_batches_flatten_to_rows(self, batch_size):
         op = Sort(
             Rows(_dataset(), batch_size=batch_size),
-            [lambda r: r[0]], [False], batch_size=batch_size,
+            [column(0)], [False], batch_size=batch_size,
         )
         flattened = [row for batch in op.batches() for row in batch]
         assert flattened == list(op.rows())

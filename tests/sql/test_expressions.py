@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.database import Database
 from repro.errors import ExecutionError, PlanError
 from repro.sql import ast_nodes as A
 from repro.sql.expressions import compile_expr, infer_type
@@ -23,7 +24,7 @@ def schema():
 def evaluate(sql_expr, row):
     stmt = parse_statement(f"SELECT {sql_expr} FROM t")
     fn = compile_expr(stmt.items[0].expr, schema())
-    return fn(row)
+    return fn([row])[0]
 
 
 ROW = [10, 2.5, "hello", True]
@@ -96,6 +97,58 @@ class TestNullSemantics:
 
     def test_not_null(self):
         assert evaluate("NOT (a = 1)", self.NULL_ROW) is None
+
+
+SEEN = []
+
+
+def seen(x):
+    """Native UDF payload: the identity, recording each invocation."""
+    SEEN.append(x)
+    return x
+
+
+class TestInIsLazy:
+    """An IN item is evaluated only over the rows whose operand is
+    non-NULL and that no earlier item matched, whether or not a UDF
+    call sits on the operand."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a INT)")
+        for value in (0, 2, 5):
+            db.execute(f"INSERT INTO t VALUES ({value})")
+        db.execute(
+            "CREATE FUNCTION same(int) RETURNS int LANGUAGE JAGUAR "
+            "DESIGN SANDBOX AS 'def same(x: int) -> int:\n    return x'"
+        )
+        db.execute(
+            "CREATE FUNCTION seen(int) RETURNS int LANGUAGE NATIVE "
+            "DESIGN INTEGRATED AS 'tests.sql.test_expressions:seen'"
+        )
+        return db
+
+    @pytest.mark.parametrize("operand", ["a", "same(a)"])
+    def test_item_after_a_match_is_not_evaluated(self, db, operand):
+        result = db.execute(f"SELECT a FROM t WHERE {operand} IN (0, 10 / a)")
+        assert result.rows == [(0,)]
+
+    @pytest.mark.parametrize("operand", ["a", "same(a)"])
+    def test_udf_item_sees_only_undecided_rows(self, db, operand):
+        SEEN.clear()
+        result = db.execute(
+            f"SELECT a FROM t WHERE {operand} IN (0, seen(a) - 3, 5)"
+        )
+        assert result.rows == [(0,), (5,)]
+        assert SEEN == [2, 5]
+
+    def test_null_operand_evaluates_no_item(self, db):
+        db.execute("INSERT INTO t VALUES (NULL)")
+        SEEN.clear()
+        result = db.execute("SELECT a FROM t WHERE same(a) IN (seen(a))")
+        assert result.rows == [(0,), (2,), (5,)]
+        assert SEEN == [0, 2, 5]
 
 
 class TestBuiltins:

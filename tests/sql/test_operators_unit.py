@@ -13,28 +13,21 @@ from repro.sql.operators import (
     Project,
     Sort,
 )
-
-
-class Rows(PhysicalOp):
-    """Test source operator."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def rows(self):
-        return iter([list(r) for r in self._rows])
+from tests.sql.sources import Rows, column, rowwise
 
 
 class TestFilterProject:
     def test_filter_requires_strict_true(self):
         # None (SQL NULL) must not pass, only True.
         source = Rows([[1], [None], [3]])
-        out = list(Filter(source, [lambda r: None if r[0] is None else r[0] > 0]).rows())
+        positive = rowwise(lambda r: None if r[0] is None else r[0] > 0)
+        out = list(Filter(source, [positive]).rows())
         assert out == [[1], [3]]
 
     def test_project_applies_in_order(self):
         source = Rows([[1, 2]])
-        out = list(Project(source, [lambda r: r[1], lambda r: r[0] + 10]).rows())
+        exprs = [column(1), rowwise(lambda r: r[0] + 10)]
+        out = list(Project(source, exprs).rows())
         assert out == [[2, 11]]
 
 
@@ -48,9 +41,8 @@ class TestJoin:
     def test_join_predicate(self):
         left = Rows([[1], [2], [3]])
         right = Rows([[2], [3], [4]])
-        out = list(
-            NestedLoopJoin(left, right, [lambda r: r[0] == r[1]]).rows()
-        )
+        equal = rowwise(lambda r: r[0] == r[1])
+        out = list(NestedLoopJoin(left, right, [equal]).rows())
         assert out == [[2, 2], [3, 3]]
 
     def test_empty_sides(self):
@@ -66,7 +58,7 @@ class TestAggregate:
         rows = [[1], [None], [3]]
         out = self.agg(
             rows, [],
-            [("count", None, False), ("count", lambda r: r[0], False)],
+            [("count", None, False), ("count", column(0), False)],
         )
         assert out == [[3, 2]]
 
@@ -74,7 +66,7 @@ class TestAggregate:
         rows = [[2.0], [None], [4.0]]
         out = self.agg(
             rows, [],
-            [("sum", lambda r: r[0], False), ("avg", lambda r: r[0], False)],
+            [("sum", column(0), False), ("avg", column(0), False)],
         )
         assert out == [[6.0, 3.0]]
 
@@ -82,29 +74,29 @@ class TestAggregate:
         rows = [[5], [1], [9]]
         out = self.agg(
             rows, [],
-            [("min", lambda r: r[0], False), ("max", lambda r: r[0], False)],
+            [("min", column(0), False), ("max", column(0), False)],
         )
         assert out == [[1, 9]]
 
     def test_distinct_aggregation(self):
         rows = [[1], [1], [2]]
-        out = self.agg(rows, [], [("sum", lambda r: r[0], True)])
+        out = self.agg(rows, [], [("sum", column(0), True)])
         assert out == [[3.0]]
 
     def test_groups_preserve_first_seen_order(self):
         rows = [["b"], ["a"], ["b"], ["c"]]
         out = self.agg(
-            rows, [lambda r: r[0]], [("count", None, False)]
+            rows, [column(0)], [("count", None, False)]
         )
         assert out == [["b", 2], ["a", 1], ["c", 1]]
 
     def test_empty_input_global_aggregate(self):
         out = self.agg([], [], [("count", None, False),
-                                ("sum", lambda r: r[0], False)])
+                                ("sum", column(0), False)])
         assert out == [[0, None]]
 
     def test_empty_input_grouped(self):
-        out = self.agg([], [lambda r: r[0]], [("count", None, False)])
+        out = self.agg([], [column(0)], [("count", None, False)])
         assert out == []
 
 
@@ -114,7 +106,7 @@ class TestSortDistinctLimit:
         out = list(
             Sort(
                 Rows(rows),
-                [lambda r: r[0], lambda r: r[1]],
+                [column(0), column(1)],
                 [False, True],
             ).rows()
         )
@@ -122,7 +114,7 @@ class TestSortDistinctLimit:
 
     def test_nulls_sort_last_ascending(self):
         rows = [[None], [2], [1]]
-        out = list(Sort(Rows(rows), [lambda r: r[0]], [False]).rows())
+        out = list(Sort(Rows(rows), [column(0)], [False]).rows())
         assert out == [[1], [2], [None]]
 
     def test_distinct_hashable(self):
@@ -150,10 +142,10 @@ class TestSortDistinctLimit:
         consumed = []
 
         class Counting(PhysicalOp):
-            def rows(self):
+            def batches(self):
                 for i in range(10):
                     consumed.append(i)
-                    yield [i]
+                    yield [[i]]
 
         list(Limit(Counting(), 2).rows())
         assert len(consumed) == 2

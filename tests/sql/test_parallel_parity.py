@@ -26,7 +26,8 @@ from repro.core.designs import Design
 from repro.core.isolated import RemoteExecutor
 from repro.database import Database
 from repro.errors import UDFCrashed
-from repro.sql.operators import Exchange, PhysicalOp
+from repro.sql.operators import Exchange
+from tests.sql.sources import Rows
 
 PARALLELISM_LEVELS = (2, 4)
 
@@ -177,18 +178,6 @@ class TestQueryParityAcrossDesigns:
 
 
 # -- Exchange operator unit tests ---------------------------------------------
-
-class Rows(PhysicalOp):
-    """In-memory source implementing only ``rows()`` (seed idiom)."""
-
-    def __init__(self, rows, batch_size=None):
-        self._rows = rows
-        if batch_size is not None:
-            self.batch_size = batch_size
-
-    def rows(self):
-        return iter([list(r) for r in self._rows])
-
 
 class TestExchangeOperator:
     def _source(self):

@@ -637,7 +637,7 @@ def _sql_outcome(template, args):
 
     expr = A.transform(template.expr, bind)
     try:
-        return ("ok", compile_expr(expr, RowSchema([]))([]))
+        return ("ok", compile_expr(expr, RowSchema([]))([[]])[0])
     except ExecutionError:
         return ("err",)
 

@@ -30,15 +30,21 @@ stays in ``bounds`` and the label transfer in ``flows``.
 * :mod:`~repro.analysis.flows` — taint, escape and trap-safety
   certificates (:class:`~repro.analysis.flows.FlowCertificate`) on the
   shared worklist engine of :mod:`~repro.analysis.dataflow`;
-* :mod:`~repro.analysis.lint` — the ``python -m repro.analysis`` CLI
-  (plus the ``bounds``, ``inline``, ``flows``, ``tier`` and ``report``
-  subcommands).
+* :mod:`~repro.analysis.pipeline` — :func:`load_time_analysis`, the
+  one place the pass order is written;
+* :mod:`~repro.analysis.lint` — findings, and the one CLI,
+  ``python -m repro.analysis [--json] [--strict] TARGET...``, which
+  runs that pipeline over each verified class.
 
-The class loader invokes :func:`analyze_class`, :func:`certify_class`,
-``analyze_flows`` and :func:`decompile_class` right after verification,
-so every loaded ``FunctionDef`` carries a ``summary``, a
-``certificate``, ``flows`` and an ``inline`` result, and every
-``ClassFile`` an ``analysis`` and a ``certificates`` rollup.  Consumers:
+Right after verification the class loader calls
+:func:`load_time_analysis`: effects (:func:`analyze_class`), then
+bounds (:func:`certify_class`, which solves each function's interval
+fixpoint once and hands its per-pc stacks to the next pass), then flows
+(``analyze_flows``, which reads its trap sites off those stacks), then
+decompilation (:func:`decompile_class`).  So every loaded
+``FunctionDef`` carries a ``summary``, a ``certificate``, ``flows`` and
+an ``inline`` result, and every ``ClassFile`` an ``analysis``, a
+``certificates`` and a ``flows`` rollup.  Consumers:
 the security manager (static pre-checks at load, including the
 minimum-consumption bounds gate), the interpreter/JIT (per-instruction
 metering elision), thread-group admission control, the optimizer
@@ -68,6 +74,7 @@ from .decompile import (
 from .effects import ClassSummary, FunctionSummary, analyze_class
 from .intervals import Bound, Interval, describe_bound
 from .lint import Finding, lint_class, report
+from .pipeline import load_time_analysis
 
 __all__ = [
     "ASSUMED_TRIP_COUNT",
@@ -94,5 +101,6 @@ __all__ = [
     "derive_cost_hints",
     "describe_bound",
     "lint_class",
+    "load_time_analysis",
     "report",
 ]

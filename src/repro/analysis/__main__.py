@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` — the UDF lint CLI."""
+"""``python -m repro.analysis`` — the load-time analysis CLI."""
 
 import sys
 

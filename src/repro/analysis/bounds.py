@@ -439,10 +439,16 @@ class ClassCertificates:
 ForeignCertificates = Callable[[str, str], Optional[ResourceCertificate]]
 
 
+#: Per reachable pc, the abstract operand stack before it and, per
+#: entry, the local slot a LOAD in the same block pushed it from.
+Replay = Dict[int, Tuple[Tuple[AbsVal, ...], Tuple[Optional[int], ...]]]
+
+
 def certify_class(
     cls: ClassFile,
     resolver: Optional[Resolver] = None,
     foreign_certificate: Optional[ForeignCertificates] = None,
+    stacks: Optional[Dict[str, Replay]] = None,
 ) -> ClassCertificates:
     """Certify every function of a *verified* class; attach certificates.
 
@@ -451,6 +457,10 @@ def certify_class(
     time in reverse topological order; calls into a not-yet-final
     certificate (recursion) or an unresolvable foreign class yield ⊤
     fuel/memory/depth — dynamic metering remains their backstop.
+
+    ``stacks``, when given, receives each function's :data:`Replay`:
+    the flow pass finds trap sites in it instead of solving the interval
+    fixpoint again.  Nothing else keeps it.
     """
     if not cls.verified:
         raise ValueError(
@@ -470,10 +480,13 @@ def certify_class(
     certificates: Dict[str, ResourceCertificate] = {}
     for component in _sccs(graph):
         for name in component:
-            certificates[name] = _FunctionCertifier(
+            certifier = _FunctionCertifier(
                 cls, cls.functions[name], resolver,
                 certificates, foreign_certificate,
-            ).certify()
+            )
+            certificates[name] = certifier.certify()
+            if stacks is not None:
+                stacks[name] = certifier.replay
     for name, func in cls.functions.items():
         func.certificate = certificates[name]
     rollup = ClassCertificates(class_name=cls.name, functions=certificates)
@@ -1032,8 +1045,7 @@ class _FunctionCertifier:
                 calls.append(self._call_at(block, ins, stack))
         return allocs, calls
 
-    def _replay(self) -> Dict[int, Tuple[Tuple[AbsVal, ...],
-                                         Tuple[Optional[int], ...]]]:
+    def _replay(self) -> Replay:
         """Per reachable pc, in order: the abstract operand stack before
         it and, per entry, the local slot a LOAD in the same block pushed
         it from (None for any other value)."""

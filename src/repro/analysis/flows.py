@@ -21,7 +21,8 @@ Three certifying passes, all running on the shared worklist engine in
   copies every byte array" tax of Figure 5) and the isolated design
   skip the worker-side copy after the shm hop.
 
-* **trap safety** — using the interval facts of the bounds certifier,
+* **trap safety** — reading the abstract stacks the bounds certifier
+  already computed (its interval fixpoint is solved once per function),
   prove that no reachable instruction can raise a VM trap (division by
   zero, array/string index out of range, negative array size, float
   NaN/overflow conversion).  Trap-free functions let the compiled CASE
@@ -57,7 +58,7 @@ from ..vm.opcodes import OPS, Instr, Op, step_stack
 from ..vm.values import VMType
 from ..vm.verifier import Resolver, self_resolver
 from . import dataflow
-from .bounds import _FunctionCertifier
+from .bounds import Replay
 from .cfg import build_cfg
 from .effects import _sccs
 
@@ -478,22 +479,13 @@ class _EscapePass(_LabelPass):
 # Pass 3: trap safety (interval-backed)
 # ---------------------------------------------------------------------------
 
-def _trap_pcs(cls: ClassFile, func: FunctionDef, resolver: Resolver,
-              known: Dict[str, FlowCertificate]) -> List[int]:
+def _trap_pcs(cls: ClassFile, func: FunctionDef, replay: Replay,
+              known: Dict[str, FlowCertificate]) -> Tuple[int, ...]:
     """pcs of reachable instructions not proven trap-free."""
-    certifier = _FunctionCertifier(cls, func, resolver, {}, None)
-    certifier._fixpoint()
-    traps: List[int] = []
-    for index, state in enumerate(certifier.in_states):
-        if state is None:
-            continue
-        locals_, stack = list(state[0]), list(state[1])
-        for pc in certifier.cfg.blocks[index].pcs:
-            ins = func.code[pc]
-            if _may_trap(cls, ins, stack, known):
-                traps.append(pc)
-            certifier._step(pc, ins, locals_, stack)
-    return sorted(set(traps))
+    return tuple(sorted(
+        pc for pc, (stack, __) in replay.items()
+        if _may_trap(cls, func.code[pc], stack, known)
+    ))
 
 
 def _nonzero(val) -> bool:
@@ -576,6 +568,7 @@ def _conservative_certificate(cls: ClassFile, func: FunctionDef,
 
 
 def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
+                      replay: Replay,
                       known: Dict[str, FlowCertificate]) -> FlowCertificate:
     taint = _TaintPass(cls, func, resolver, known)
     taint.collect(taint.solve())
@@ -623,16 +616,19 @@ def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
         readonly_params=readonly,
         escaping_allocs=escaping,
         local_allocs=local,
-        trap_pcs=tuple(_trap_pcs(cls, func, resolver, known)),
+        trap_pcs=_trap_pcs(cls, func, replay, known),
     )
 
 
-def analyze_flows(cls: ClassFile,
+def analyze_flows(cls: ClassFile, stacks: Dict[str, Replay],
                   resolver: Optional[Resolver] = None) -> ClassFlows:
     """Run the three flow passes over every function of a verified class.
 
-    Attaches a :class:`FlowCertificate` to each function as
-    ``func.flows`` and the class rollup as ``cls.flows``.
+    ``stacks`` is what :func:`~repro.analysis.bounds.certify_class` left
+    for this class: per function, the abstract stack before each
+    reachable pc, where the trap pass looks for trap sites.  Attaches a
+    :class:`FlowCertificate` to each function as ``func.flows`` and the
+    class rollup as ``cls.flows``.
     """
     if not getattr(cls, "verified", False):
         raise ValueError(
@@ -661,7 +657,8 @@ def analyze_flows(cls: ClassFile,
             if recursive:
                 cert = _conservative_certificate(cls, func, resolver)
             else:
-                cert = _certify_function(cls, func, resolver, known)
+                cert = _certify_function(cls, func, resolver,
+                                         stacks[name], known)
             known[name] = cert
             func.flows = cert
 

@@ -1,10 +1,16 @@
-"""UDF lint: surface analyzer findings before code is ever deployed.
+"""UDF lint: surface load-time facts and findings before deployment.
 
-``python -m repro.analysis <target>`` runs verification + analysis over
-one or more classes and prints findings a DBA (or CI job) can act on:
+``python -m repro.analysis [--json] [--strict] TARGET...`` verifies each
+class found at the targets and runs the class loader's own pipeline over
+it (:func:`~repro.analysis.pipeline.load_time_analysis`), so what it
+prints is what CREATE FUNCTION would know: per function the effect
+summary, resource certificate, flow certificate, tier-1 verdict and
+decompile result, then the class's findings:
 
 * **unbounded-loop** (error) — a loop with no exit edge; only the fuel
   quota will ever stop it, and it will eat its whole budget doing so;
+* **tainted-sink-flow** (error) — tuple-derived data reaches a sink
+  callback, so CREATE FUNCTION refuses the class (``static:flows``);
 * **alloc-in-loop** (warning) — an allocation-accounted opcode inside a
   loop body: the memory quota is charged per iteration, a slow-burn way
   to hit the limit mid-query;
@@ -18,9 +24,14 @@ one or more classes and prints findings a DBA (or CI job) can act on:
   quotas bound.
 
 Targets may be a binary classfile (``JAGC`` magic), a JagScript source
-file, or a Python file — for the latter, every string literal (and every
+file, a Python file — for the latter, every string literal (and every
 ``AS '...'`` payload of an embedded ``CREATE FUNCTION``) is tried as
-JagScript, so the ``examples/`` scripts lint without modification.
+JagScript, so the ``examples/`` scripts lint without modification — or
+a directory of such files.
+
+Exit codes: ``2`` when a target fails to load or verify (an
+unanalyzable input is never a clean run), else ``1`` under ``--strict``
+when any error-level finding is reported, else ``0``.
 """
 
 from __future__ import annotations
@@ -35,9 +46,13 @@ from ..errors import ClassFormatError, CompileError, LinkError, VerifyError
 from ..vm.classfile import MAGIC, ClassFile, K_CALLBACK
 from ..vm.compiler import compile_source
 from ..vm.opcodes import OPS, Op
+from ..vm.tier import kernel_eligibility
 from ..vm.verifier import self_resolver, verify_class
 from .cfg import build_cfg
-from .effects import ClassSummary, analyze_class
+from .costs import derive_cost_hints
+from .decompile import InlineTemplate
+from .intervals import describe_bound
+from .pipeline import load_time_analysis
 
 ERROR = "error"
 WARNING = "warning"
@@ -61,11 +76,20 @@ class Finding:
         return f"{self.level}: [{self.kind}] {self.where}{at}: {self.message}"
 
 
+def _analyzed(cls: ClassFile) -> ClassFile:
+    """``cls`` with the load-time facts attached (run on demand)."""
+    if getattr(cls, "flows", None) is None:
+        load_time_analysis(
+            cls, self_resolver(cls, callbacks=_standard_callbacks())
+        )
+    return cls
+
+
 def lint_class(cls: ClassFile) -> List[Finding]:
-    """Lint one verified+analyzed class (analyzes on demand)."""
-    summary: Optional[ClassSummary] = getattr(cls, "analysis", None)
-    if summary is None:
-        summary = analyze_class(cls)
+    """Lint one verified class (analyzing it on demand)."""
+    from ..core.callbacks import standard_sink_callbacks
+
+    summary = _analyzed(cls).analysis
     findings: List[Finding] = []
     referenced_callbacks: set = set()
     for name, func in cls.functions.items():
@@ -111,6 +135,13 @@ def lint_class(cls: ClassFile) -> List[Finding]:
                 NOTE, "recursive", where, None,
                 "recursion depth bounded only by run-time quotas",
             ))
+    for name, flow in cls.flows.tainted_sink_flows(standard_sink_callbacks()):
+        findings.append(Finding(
+            ERROR, "tainted-sink-flow", f"{cls.name}.{name}", flow.pc,
+            f"passes tuple-derived data ({', '.join(flow.tainted)}) to "
+            f"sink callback {flow.callback!r}: refused at load "
+            "(static:flows)",
+        ))
     for index, entry in enumerate(cls.pool):
         if entry.kind == K_CALLBACK and entry.value[0] not in referenced_callbacks:
             findings.append(Finding(
@@ -122,14 +153,36 @@ def lint_class(cls: ClassFile) -> List[Finding]:
     return findings
 
 
+def _inline_text(result) -> str:
+    if isinstance(result, InlineTemplate):
+        from ..sql.explain import render_expr
+
+        return (f"inlinable [{result.nodes} node(s)] -> "
+                f"{render_expr(result.expr)}")
+    return result.describe()
+
+
 def report(cls: ClassFile) -> List[str]:
-    """Human-readable lint report: summaries first, then findings."""
-    if getattr(cls, "analysis", None) is None:
-        analyze_class(cls)
+    """The CLI's text report for one verified class (analyzed on demand):
+    per function its load-time facts, then the class's findings."""
+    return _report(cls, lint_class(cls))
+
+
+def _report(cls: ClassFile, findings: List[Finding]) -> List[str]:
     lines = [f"class {cls.name} ({len(cls.functions)} function(s))"]
-    for name in cls.functions:
-        lines.append("  " + cls.analysis.functions[name].describe())
-    findings = lint_class(cls)
+    for func in cls.functions.values():
+        cert = func.certificate
+        refusal = kernel_eligibility(func)
+        lines.append("  " + func.summary.describe())
+        lines.append("    bounds: " + cert.describe())
+        lines.extend("      " + loop.describe() for loop in cert.loops)
+        lines.append(f"      nowrap_pcs={list(cert.nowrap_pcs)} "
+                     f"value_bound={describe_bound(cert.value_bound)} "
+                     f"in_bounds_pcs={list(cert.in_bounds_pcs)}")
+        lines.append("    flows: " + func.flows.describe())
+        lines.append("    tier: " + ("eligible" if refusal is None
+                                     else f"refused ({refusal})"))
+        lines.append("    inline: " + _inline_text(func.inline))
     if findings:
         lines.extend("  " + f.render() for f in findings)
     else:
@@ -221,34 +274,15 @@ def _expand_targets(targets: List[Path]) -> List[Path]:
 
 
 # ---------------------------------------------------------------------------
-# CLI plumbing shared by every subcommand
+# The CLI
 # ---------------------------------------------------------------------------
-#
-# Exit-code convention (uniform across ``lint``/``bounds``/``inline``/
-# ``flows``/``report``):
-#
-# * ``0`` — every target loaded, verified, and was analyzed; findings
-#   may have been reported, but none gate without ``--strict``;
-# * ``1`` — ``--strict`` and at least one error-level finding (an
-#   unbounded loop for ``lint``, a tainted sink flow for ``flows``);
-# * ``2`` — a target failed to load or verify, ``--strict`` or not: an
-#   unanalyzable input is never a clean run.
-
-
-def _exit_code(failures: int, errors: int, strict: bool) -> int:
-    if failures:
-        return 2
-    if strict and errors:
-        return 1
-    return 0
-
 
 def _gather(targets: List[Path], sink: List[dict]):
-    """Load+verify every class under ``targets``, yielding the good ones.
+    """Load, verify and analyze every class under ``targets``.
 
-    Load and verify failures are appended to ``sink`` as structured
-    records (and count toward exit code 2); callers print them in their
-    own format.
+    Yields ``(label, cls)`` for the classes that verify, each analyzed by
+    the loader's pipeline with the verifier's resolver.  Load and verify
+    failures are appended to ``sink`` as structured records.
     """
     for target in _expand_targets(targets):
         try:
@@ -261,17 +295,16 @@ def _gather(targets: List[Path], sink: List[dict]):
             sink.append({"target": str(target), "empty": True})
             continue
         for label, cls in classes:
+            resolver = self_resolver(cls, callbacks=_standard_callbacks())
             try:
-                verify_class(
-                    cls,
-                    self_resolver(cls, callbacks=_standard_callbacks()),
-                )
+                verify_class(cls, resolver)
             except (VerifyError, LinkError) as exc:
                 sink.append({
                     "target": str(target), "label": label,
                     "error": f"[verify] {exc}",
                 })
                 continue
+            load_time_analysis(cls, resolver)
             yield label, cls
 
 
@@ -286,29 +319,7 @@ def _print_failures(sink: List[dict]) -> None:
             print(f"{record['target']}: cannot load: {record['error']}")
 
 
-def _failure_count(sink: List[dict]) -> int:
-    """Empty targets are reported but are not failures."""
-    return sum(1 for record in sink if not record.get("empty"))
-
-
-def _cli_parser(prog: str, description: str, strict_help: str):
-    import argparse
-
-    parser = argparse.ArgumentParser(prog=prog, description=description)
-    parser.add_argument(
-        "targets", nargs="+", type=Path,
-        help="classfile (.jagc), JagScript source, Python file with "
-             "embedded UDF payloads, or a directory of such files",
-    )
-    parser.add_argument("--strict", action="store_true", help=strict_help)
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit one machine-readable JSON document instead of text",
-    )
-    return parser
-
-
-# -- per-certificate JSON renderings ----------------------------------------
+# -- the JSON document -------------------------------------------------------
 
 def _summary_dict(summary) -> dict:
     return {
@@ -328,8 +339,6 @@ def _summary_dict(summary) -> dict:
 
 
 def _certificate_dict(cert) -> dict:
-    from .intervals import describe_bound
-
     return {
         "function": cert.function,
         "fuel_bound": describe_bound(cert.fuel_bound),
@@ -358,7 +367,6 @@ def _certificate_dict(cert) -> dict:
 
 def _inline_dict(result) -> dict:
     from ..sql.explain import render_expr
-    from .decompile import InlineTemplate
 
     if isinstance(result, InlineTemplate):
         return {
@@ -385,350 +393,60 @@ def _finding_dict(finding: Finding) -> dict:
     }
 
 
-def bounds_main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.analysis bounds`` — resource-bound certificates.
-
-    Prints each function's :class:`ResourceCertificate` (worst-case fuel
-    and heap as symbolic functions of the inputs, call depth, proven
-    minimums), its per-loop trip bounds and counters, and the facts the
-    JIT's certified clone uses (``nowrap_pcs`` under ``value_bound``,
-    ``in_bounds_pcs``).  Unbounded functions are
-    reported, not failed — an intentionally input-dependent UDF does not
-    break CI.  A target that cannot be loaded or verified exits 2.
-    """
-    import json
-
-    from .bounds import certify_class
-    from .intervals import describe_bound
-
-    parser = _cli_parser(
-        "python -m repro.analysis bounds",
-        "Static resource-bound certification over UDF classes.",
-        "kept for interface symmetry (load/verify failures always exit 2)",
-    )
-    opts = parser.parse_args(argv)
-
-    failures: List[dict] = []
-    documents: List[dict] = []
-    for label, cls in _gather(opts.targets, failures):
-        certificates = certify_class(cls)
-        if opts.json:
-            documents.append({
-                "target": label,
-                "class": cls.name,
-                "functions": {
-                    name: _certificate_dict(certificates.functions[name])
-                    for name in sorted(certificates.functions)
-                },
-            })
-            continue
-        print(f"-- {label}")
-        for name in sorted(certificates.functions):
-            cert = certificates.functions[name]
-            print("  " + cert.describe())
-            for loop in cert.loops:
-                print("    " + loop.describe())
-            print(f"    nowrap_pcs={list(cert.nowrap_pcs)} "
-                  f"value_bound={describe_bound(cert.value_bound)} "
-                  f"in_bounds_pcs={list(cert.in_bounds_pcs)}")
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), 0, opts.strict)
+def _function_dict(func) -> dict:
+    hints = derive_cost_hints(func.summary, func.certificate)
+    refusal = kernel_eligibility(func)
+    return {
+        "effects": _summary_dict(func.summary),
+        "bounds": _certificate_dict(func.certificate),
+        "cost": {
+            "cost_per_call": hints.cost_per_call,
+            "selectivity": hints.selectivity,
+            "derived": hints.derived,
+        },
+        "inline": _inline_dict(func.inline),
+        "flows": func.flows.as_dict(),
+        "tier": {"eligible": refusal is None, "refusal": refusal},
+    }
 
 
-def inline_main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.analysis inline`` — decompilability report.
-
-    For every UDF in every target: the lifted SQL expression the
-    optimizer would substitute at call sites (``inlinable``), or the
-    structured refusal (``refused (<reason>): detail``).  A UDF that
-    genuinely needs a loop is a fact, not a CI regression; only a
-    target that cannot be loaded or verified fails the run (exit 2).
-    """
-    import json
-
-    from .decompile import InlineTemplate, decompile_class
-    from .effects import analyze_class as _analyze
-
-    parser = _cli_parser(
-        "python -m repro.analysis inline",
-        "Froid-style decompilation report over UDF classes.",
-        "kept for interface symmetry (load/verify failures always exit 2)",
-    )
-    opts = parser.parse_args(argv)
-
-    failures: List[dict] = []
-    documents: List[dict] = []
-    for label, cls in _gather(opts.targets, failures):
-        # The decompiler consults the effect summaries; the lint path
-        # loads classes without a ClassLoader, so run the analysis here
-        # the way the loader would have.
-        _analyze(cls)
-        results = decompile_class(cls)
-        if opts.json:
-            documents.append({
-                "target": label,
-                "class": cls.name,
-                "functions": {
-                    name: _inline_dict(results[name])
-                    for name in sorted(results)
-                },
-            })
-            continue
-        print(f"-- {label}")
-        for name in sorted(results):
-            result = results[name]
-            if isinstance(result, InlineTemplate):
-                from ..sql.explain import render_expr
-
-                print(
-                    f"  {name}: inlinable "
-                    f"[{result.nodes} node(s)] -> "
-                    f"{render_expr(result.expr)}"
-                )
-            else:
-                print(f"  {name}: {result.describe()}")
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), 0, opts.strict)
-
-
-def flows_main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.analysis flows`` — information-flow certificates.
-
-    For every UDF: the taint labels reaching its return value and each
-    callback argument, its read-only parameters, escape/arena summary,
-    and trap sites.  Each class then gets a load-gate verdict against
-    the standard sink policy — ``refuse (static:flows)`` when tuple-
-    derived data reaches a sink callback (what CREATE FUNCTION would
-    reject), ``accept`` otherwise.  ``--strict`` turns refusals into
-    exit 1; unloadable/unverifiable targets always exit 2.
-    """
-    import json
-
-    from ..core.callbacks import standard_sink_callbacks
-    from .flows import analyze_flows
-
-    parser = _cli_parser(
-        "python -m repro.analysis flows",
-        "Static information-flow certification over UDF classes.",
-        "exit 1 when any class would be refused at load",
-    )
-    opts = parser.parse_args(argv)
-
-    sinks = standard_sink_callbacks()
-    failures: List[dict] = []
-    documents: List[dict] = []
-    refusals = 0
-    for label, cls in _gather(opts.targets, failures):
-        flows = analyze_flows(
-            cls, resolver=self_resolver(cls, callbacks=_standard_callbacks())
-        )
-        leaks = flows.tainted_sink_flows(sinks)
-        verdict = "refuse (static:flows)" if leaks else "accept"
-        if leaks:
-            refusals += 1
-        if opts.json:
-            documents.append({
-                "target": label,
-                "class": cls.name,
-                "functions": {
-                    name: flows.functions[name].as_dict()
-                    for name in sorted(flows.functions)
-                },
-                "leaks": [
-                    {
-                        "function": name,
-                        "callback": flow.callback,
-                        "pc": flow.pc,
-                        "tainted": list(flow.tainted),
-                    }
-                    for name, flow in leaks
-                ],
-                "verdict": "refuse" if leaks else "accept",
-            })
-            continue
-        print(f"-- {label}")
-        for name in sorted(flows.functions):
-            print(f"  {name}: {flows.functions[name].describe()}")
-        for name, flow in leaks:
-            print(
-                f"  leak: {name}: {flow.callback}@{flow.pc} <- "
-                f"{{{', '.join(flow.tainted)}}}"
-            )
-        print(f"  verdict: {verdict}")
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), refusals, opts.strict)
-
-
-def tier_main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.analysis tier`` — tier-1 eligibility report.
-
-    For every UDF: whether its type-specialized whole-batch kernel is
-    built at CREATE FUNCTION (JIT designs), and when not, the structured
-    refusal reason (``callback``, ``untyped-op``,
-    ``trap-without-certificate``, ``unbounded-fuel``,
-    ``mutable-array-param``).  An ineligible UDF simply stays on tier 0
-    — it is a fact, not a CI regression — so refusals only gate with
-    ``--strict``; unloadable/unverifiable targets always exit 2.
-    """
-    import json
-
-    from ..vm.tier import kernel_eligibility
-    from .bounds import certify_class
-    from .flows import analyze_flows
-
-    parser = _cli_parser(
-        "python -m repro.analysis tier",
-        "Tier-1 batch-kernel eligibility report over UDF classes: an "
-        "eligible function of a JIT-design UDF has its kernel built at "
-        "CREATE FUNCTION.",
-        "exit 1 when any function is refused a tier-1 kernel "
-        "(kernels are built at CREATE FUNCTION)",
-    )
-    opts = parser.parse_args(argv)
-
-    failures: List[dict] = []
-    documents: List[dict] = []
-    refused = 0
-    for label, cls in _gather(opts.targets, failures):
-        # Eligibility reads the same per-function certificates the
-        # loader attaches (effects, bounds, flows); the lint path loads
-        # classes bare, so run those passes here.
-        analyze_class(cls)
-        certify_class(cls)
-        analyze_flows(
-            cls, resolver=self_resolver(cls, callbacks=_standard_callbacks())
-        )
-        verdicts = {
-            name: kernel_eligibility(cls.functions[name])
+def _class_dict(label: str, cls: ClassFile,
+                findings: List[Finding]) -> dict:
+    leaks = any(f.kind == "tainted-sink-flow" for f in findings)
+    return {
+        "target": label,
+        "class": cls.name,
+        "functions": {
+            name: _function_dict(cls.functions[name])
             for name in sorted(cls.functions)
-        }
-        refused += sum(1 for r in verdicts.values() if r is not None)
-        if opts.json:
-            documents.append({
-                "target": label,
-                "class": cls.name,
-                "functions": {
-                    name: {
-                        "eligible": refusal is None,
-                        "refusal": refusal,
-                    }
-                    for name, refusal in verdicts.items()
-                },
-            })
-            continue
-        print(f"-- {label}")
-        for name, refusal in verdicts.items():
-            if refusal is None:
-                print(f"  {name}: eligible")
-            else:
-                print(f"  {name}: refused ({refusal})")
-    if opts.json:
-        print(json.dumps(
-            {"classes": documents, "failures": failures}, indent=2
-        ))
-    else:
-        _print_failures(failures)
-    return _exit_code(_failure_count(failures), refused, opts.strict)
-
-
-def report_main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.analysis report`` — every certificate, one doc.
-
-    Runs the whole load-time pipeline (effects, resource bounds, derived
-    cost hints, decompilation, information flows) over each target and
-    emits a single JSON document per run: what CREATE FUNCTION would
-    know about the UDF, in machine-readable form.  Always JSON.
-    """
-    import json
-
-    from ..core.callbacks import standard_sink_callbacks
-    from .bounds import certify_class
-    from .costs import derive_cost_hints
-    from .decompile import decompile_class
-    from .flows import analyze_flows
-
-    parser = _cli_parser(
-        "python -m repro.analysis report",
-        "Full static-certificate report (JSON) over UDF classes.",
-        "kept for interface symmetry (load/verify failures always exit 2)",
-    )
-    opts = parser.parse_args(argv)
-
-    sinks = standard_sink_callbacks()
-    failures: List[dict] = []
-    documents: List[dict] = []
-    for label, cls in _gather(opts.targets, failures):
-        summary = analyze_class(cls)
-        certificates = certify_class(cls)
-        inline_results = decompile_class(cls)
-        flows = analyze_flows(
-            cls, resolver=self_resolver(cls, callbacks=_standard_callbacks())
-        )
-        functions = {}
-        for name in sorted(cls.functions):
-            fsum = summary.functions[name]
-            cert = certificates.functions[name]
-            hints = derive_cost_hints(fsum, cert)
-            functions[name] = {
-                "effects": _summary_dict(fsum),
-                "bounds": _certificate_dict(cert),
-                "cost": {
-                    "cost_per_call": hints.cost_per_call,
-                    "selectivity": hints.selectivity,
-                    "derived": hints.derived,
-                },
-                "inline": _inline_dict(inline_results[name]),
-                "flows": flows.functions[name].as_dict(),
-            }
-        leaks = flows.tainted_sink_flows(sinks)
-        documents.append({
-            "target": label,
-            "class": cls.name,
-            "functions": functions,
-            "findings": [_finding_dict(f) for f in lint_class(cls)],
-            "flow_verdict": "refuse" if leaks else "accept",
-        })
-    print(json.dumps({"classes": documents, "failures": failures}, indent=2))
-    return _exit_code(_failure_count(failures), 0, opts.strict)
+        },
+        "findings": [_finding_dict(f) for f in findings],
+        "flow_verdict": "refuse" if leaks else "accept",
+    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """``python -m repro.analysis``; returns the process exit code."""
+    import argparse
     import json
-    import sys
 
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "bounds":
-        return bounds_main(argv[1:])
-    if argv and argv[0] == "inline":
-        return inline_main(argv[1:])
-    if argv and argv[0] == "flows":
-        return flows_main(argv[1:])
-    if argv and argv[0] == "tier":
-        return tier_main(argv[1:])
-    if argv and argv[0] == "report":
-        return report_main(argv[1:])
-
-    parser = _cli_parser(
-        "python -m repro.analysis",
-        "Static effect/cost/loop lint over JaguarVM UDF classes.",
-        "exit nonzero when any error-level finding is reported",
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description="Run the class loader's load-time analysis over UDF "
+                    "classes and report every fact and finding.",
+    )
+    parser.add_argument(
+        "targets", nargs="+", type=Path,
+        help="classfile (.jagc), JagScript source, Python file with "
+             "embedded UDF payloads, or a directory of such files",
+    )
+    parser.add_argument(
+        "--strict", action="store_true",
+        help="exit 1 when any error-level finding is reported",
+    )
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit one machine-readable JSON document instead of text",
     )
     opts = parser.parse_args(argv)
 
@@ -736,33 +454,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures: List[dict] = []
     documents: List[dict] = []
     for label, cls in _gather(opts.targets, failures):
-        analyze_class(cls)
         findings = lint_class(cls)
         errors += sum(1 for f in findings if f.level == ERROR)
         if opts.json:
-            documents.append({
-                "target": label,
-                "class": cls.name,
-                "functions": {
-                    name: _summary_dict(cls.analysis.functions[name])
-                    for name in sorted(cls.functions)
-                },
-                "findings": [_finding_dict(f) for f in findings],
-            })
+            documents.append(_class_dict(label, cls, findings))
             continue
         print(f"-- {label}")
-        print(f"class {cls.name} ({len(cls.functions)} function(s))")
-        for name in cls.functions:
-            print("  " + cls.analysis.functions[name].describe())
-        if findings:
-            for finding in findings:
-                print("  " + finding.render())
-        else:
-            print("  clean: no findings")
+        for line in _report(cls, findings):
+            print(line)
     if opts.json:
         print(json.dumps(
             {"classes": documents, "failures": failures}, indent=2
         ))
     else:
         _print_failures(failures)
-    return _exit_code(_failure_count(failures), errors, opts.strict)
+    if any(not record.get("empty") for record in failures):
+        return 2
+    return 1 if opts.strict and errors else 0

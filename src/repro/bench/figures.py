@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.designs import Design, design_space
-from .harness import ExperimentResult, Timer, measure_udf_cost, time_query
+from .harness import ExperimentResult, Timer, measure_udf_cost
 from .workload import PAPER_DESIGNS, BenchmarkWorkload
 
 
@@ -59,12 +59,17 @@ def run_fig4(
         meta={"invocation_counts": list(invocation_counts)},
     )
     noop = workload.noop_names[Design.NATIVE_INTEGRATED]
+    counts = [min(count, workload.cardinality) for count in invocation_counts]
     for size in workload.sizes:
-        label = f"Rel{size}"
-        for count in invocation_counts:
-            count = min(count, workload.cardinality)
-            sql = workload.udf_query(size, noop, count)
-            result.add_point(label, count, time_query(workload, sql, timer))
+        # One relation's points are timed round-robin: they differ by
+        # a fraction of a millisecond, less than a busy host's drift.
+        seconds = timer.time_each([
+            lambda sql=workload.udf_query(size, noop, count):
+                workload.db.execute(sql)
+            for count in counts
+        ])
+        for count, elapsed in zip(counts, seconds):
+            result.add_point(f"Rel{size}", count, elapsed)
     return result
 
 

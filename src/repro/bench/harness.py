@@ -24,14 +24,22 @@ class Timer:
         self.warmup = warmup
 
     def time(self, fn: Callable[[], object]) -> float:
-        for __ in range(self.warmup):
-            fn()
-        best = float("inf")
+        return self.time_each([fn])[0]
+
+    def time_each(self, fns: List[Callable[[], object]]) -> List[float]:
+        """Best-of-N of each callable, timed round-robin: a slow stretch
+        of a shared host then slows every callable's runs alike instead
+        of only the one timed during it."""
+        for fn in fns:
+            for __ in range(self.warmup):
+                fn()
+        best = [float("inf")] * len(fns)
         for __ in range(self.repeat):
-            start = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
+            for index, fn in enumerate(fns):
+                start = time.perf_counter()
+                fn()
+                elapsed = time.perf_counter() - start
+                best[index] = min(best[index], elapsed)
         return best
 
 

@@ -84,8 +84,8 @@ def render_expr(expr: A.Expr) -> str:
         return "(" + " ".join(parts) + ")"
     if isinstance(expr, A.ParamRef):
         # Only visible when pretty-printing an InlineTemplate body
-        # (``repro.analysis inline``); planned expressions have every
-        # parameter substituted.
+        # (the ``inline:`` line of ``python -m repro.analysis``); planned
+        # expressions have every parameter substituted.
         return f"${expr.index + 1}"
     if isinstance(expr, A.Inlined):
         return render_expr(expr.body)

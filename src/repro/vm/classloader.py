@@ -109,40 +109,22 @@ class ClassLoader:
         return cls
 
     def _analyze(self, cls: ClassFile) -> None:
-        """Attach load-time summaries and resource certificates.
+        """Attach load-time facts with ``analysis.load_time_analysis``,
+        the one place that holds the pass order.
 
         Runs right after verification, while the class is visible to this
-        loader, so cross-class CALL effects resolve parent-first exactly
-        like the verifier's signature resolution did.  The certifier runs
-        second: its transitive fuel/memory bounds substitute callee
-        certificates at call sites, which the effect pass has just made
-        resolvable.  The decompiler runs last: it gates on the effect
-        summaries the first pass just attached.
+        loader, so cross-class CALLs resolve parent-first exactly like
+        the verifier's signature resolution did.
         """
-        from ..analysis.bounds import certify_class
-        from ..analysis.decompile import decompile_class
-        from ..analysis.effects import analyze_class
-        from ..analysis.flows import analyze_flows
+        from ..analysis.pipeline import load_time_analysis
 
-        def foreign_summary(class_name: str, func_name: str):
+        def foreign_function(class_name: str, func_name: str):
             try:
-                __, func = self.resolve_function(class_name, func_name)
+                return self.resolve_function(class_name, func_name)[1]
             except LinkError:  # pragma: no cover - verifier linked eagerly
                 return None
-            return getattr(func, "summary", None)
 
-        def foreign_certificate(class_name: str, func_name: str):
-            try:
-                __, func = self.resolve_function(class_name, func_name)
-            except LinkError:  # pragma: no cover - verifier linked eagerly
-                return None
-            return getattr(func, "certificate", None)
-
-        analyze_class(cls, foreign_summary=foreign_summary)
-        certify_class(cls, resolver=self._resolver(),
-                      foreign_certificate=foreign_certificate)
-        analyze_flows(cls, resolver=self._resolver())
-        decompile_class(cls)
+        load_time_analysis(cls, self._resolver(), foreign_function)
 
     def _resolver(self) -> Resolver:
         def function_signature(class_name: str, func_name: str) -> Signature:

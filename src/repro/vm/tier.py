@@ -10,7 +10,7 @@ single closure that runs the whole batch
 load-time certificates only, so there is nothing to learn at run time.
 
 Eligibility is static and conservative.  A function is refused tier 1
-(with a structured reason the ``repro.analysis tier`` lint surfaces)
+(with a structured reason the ``python -m repro.analysis`` lint prints)
 when:
 
 * it can reach a **callback** (transitively, via the effect summary) —

@@ -1,6 +1,6 @@
 """Resource-bound certification: the abstract interpreter, its consumers
 (load gate, metering elision, admission control, optimizer, EXPLAIN),
-and the ``python -m repro.analysis bounds`` CLI."""
+and the certificates ``python -m repro.analysis`` reports."""
 
 import dataclasses
 import json
@@ -760,59 +760,59 @@ class TestSqlIntegration:
 
 
 # ---------------------------------------------------------------------------
-# The bounds CLI
+# Certificates through ``python -m repro.analysis``
 # ---------------------------------------------------------------------------
 
 class TestBoundsCli:
     def test_prints_certificates(self, tmp_path, capsys):
         target = tmp_path / "ok.jag"
         target.write_text(DATA_LOOP)
-        assert lint_main(["bounds", str(target)]) == 0
+        assert lint_main([str(target)]) == 0
         out = capsys.readouterr().out
         assert "fuel≤" in out and "trips" in out
 
     def test_json_lists_wrap_free_pcs(self, tmp_path, capsys):
         target = tmp_path / "ok.jag"
         target.write_text(DATA_LOOP)
-        assert lint_main(["bounds", str(target), "--json"]) == 0
+        assert lint_main([str(target), "--json"]) == 0
         (doc,) = json.loads(capsys.readouterr().out)["classes"]
-        listed = doc["functions"]["f"]["wrap_free_pcs"]
+        listed = doc["functions"]["f"]["bounds"]["wrap_free_pcs"]
         assert listed == list(certified(DATA_LOOP).wrap_free_pcs) != []
 
     def test_lists_the_certified_clone_facts(self, tmp_path, capsys):
         target = tmp_path / "ok.jag"
         target.write_text(DATA_LOOP)
         cert = certified(DATA_LOOP)
-        assert lint_main(["bounds", str(target), "--json"]) == 0
+        assert lint_main([str(target), "--json"]) == 0
         (doc,) = json.loads(capsys.readouterr().out)["classes"]
-        facts = doc["functions"]["f"]
+        facts = doc["functions"]["f"]["bounds"]
         assert facts["nowrap_pcs"] == list(cert.nowrap_pcs) != []
         assert facts["value_bound"] == "255*len0"
         assert facts["in_bounds_pcs"] == list(cert.in_bounds_pcs) != []
         (loop,) = facts["loops"]
         assert (loop["counter"], loop["stop_slot"], loop["step"]) == (2, 3, 1)
-        assert lint_main(["bounds", str(target)]) == 0
+        assert lint_main([str(target)]) == 0
         out = capsys.readouterr().out
         assert "value_bound=255*len0" in out and "counter L2 to L3" in out
+        assert f"in_bounds_pcs={list(cert.in_bounds_pcs)}" in out
 
     def test_unbounded_function_reported_not_failed(self, tmp_path, capsys):
         target = tmp_path / "spin.jag"
         target.write_text(SPIN)
-        assert lint_main(["bounds", str(target), "--strict"]) == 0
+        assert lint_main([str(target)]) == 0
         assert "fuel≤⊤" in capsys.readouterr().out
 
     def test_unloadable_target_exits_two(self, tmp_path):
         target = tmp_path / "broken.jag"
         target.write_text("def f(:\n")
-        # The shared CLI convention: load/verify failures exit 2 with or
-        # without --strict.
-        assert lint_main(["bounds", str(target)]) == 2
-        assert lint_main(["bounds", str(target), "--strict"]) == 2
+        # Load/verify failures exit 2 with or without --strict.
+        assert lint_main([str(target)]) == 2
+        assert lint_main([str(target), "--strict"]) == 2
 
     def test_directory_target_expands_members(self, tmp_path, capsys):
         (tmp_path / "a.jag").write_text(STRAIGHT)
         (tmp_path / "b.jag").write_text(CONST_LOOP)
-        assert lint_main(["bounds", str(tmp_path)]) == 0
+        assert lint_main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "a.jag" in out and "b.jag" in out
 

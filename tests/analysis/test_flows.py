@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import load_time_analysis
 from repro.analysis.flows import analyze_flows
-from repro.analysis.lint import flows_main, main, report_main
+from repro.analysis.lint import main
 from repro.core.callbacks import (
     READ_ONLY_CALLBACKS,
     SINK_CALLBACKS,
@@ -42,7 +43,8 @@ def flows_of(source, name="C"):
     # The resolver matters: without callback signatures the passes
     # cannot attribute per-argument taint (the classloader always
     # supplies one).
-    return analyze_flows(cls, resolver=resolver)
+    load_time_analysis(cls, resolver)
+    return cls.flows
 
 
 def cert_of(source, func="f", name="C"):
@@ -194,7 +196,7 @@ class TestRecursionFallback:
             callbacks=CALLBACKS,
         )
         with pytest.raises(ValueError):
-            analyze_flows(cls)
+            analyze_flows(cls, {})
 
 
 class TestSinkPolicy:
@@ -274,6 +276,9 @@ class TestMachineLoadGate:
 
 
 class TestFlowsCli:
+    """Flow facts through ``python -m repro.analysis``: a tainted sink
+    flow is an error-level ``tainted-sink-flow`` finding."""
+
     def _write(self, tmp_path, name, text):
         path = tmp_path / name
         path.write_text(text)
@@ -282,63 +287,75 @@ class TestFlowsCli:
     def test_refuse_and_accept_verdicts(self, tmp_path, capsys):
         leaky = self._write(tmp_path, "leaky.jag", LEAKY)
         clean = self._write(tmp_path, "clean.jag", CLEAN_LOGGER)
-        assert flows_main([str(leaky), str(clean)]) == 0
+        assert main([str(leaky), str(clean)]) == 0
         out = capsys.readouterr().out
-        assert "verdict: refuse (static:flows)" in out
-        assert "verdict: accept" in out
+        leaky_part, clean_part = out.split("-- clean.jag")
+        assert (
+            "error: [tainted-sink-flow] Leaky.leak@7: passes tuple-derived "
+            "data (arg0) to sink callback 'cb_log'"
+        ) in leaky_part
+        assert "tainted-sink-flow" not in clean_part
+        assert "clean: no findings" in clean_part
         assert "trap" in out  # describe() lines are printed
 
     def test_strict_fails_on_refusal(self, tmp_path, capsys):
         leaky = self._write(tmp_path, "leaky.jag", LEAKY)
-        assert flows_main(["--strict", str(leaky)]) == 1
+        assert main(["--strict", str(leaky)]) == 1
         clean = self._write(tmp_path, "clean.jag", CLEAN_LOGGER)
-        assert flows_main(["--strict", str(clean)]) == 0
+        assert main(["--strict", str(clean)]) == 0
 
     def test_json_document(self, tmp_path, capsys):
         leaky = self._write(tmp_path, "leaky.jag", LEAKY)
-        assert main(["flows", "--json", str(leaky)]) == 0
+        assert main(["--json", str(leaky)]) == 0
         doc = json.loads(capsys.readouterr().out)
         (entry,) = doc["classes"]
-        assert entry["verdict"] == "refuse"
-        assert entry["leaks"]
-        cert = entry["functions"]["leak"]
+        assert entry["flow_verdict"] == "refuse"
+        (leak,) = [
+            f for f in entry["findings"] if f["kind"] == "tainted-sink-flow"
+        ]
+        assert (leak["level"], leak["where"]) == ("error", "Leaky.leak")
+        cert = entry["functions"]["leak"]["flows"]
         assert cert["callback_flows"][0]["callback"] == "cb_log"
+        assert leak["pc"] == cert["callback_flows"][0]["pc"]
         assert doc["failures"] == []
 
     def test_unloadable_target_exits_two(self, tmp_path, capsys):
         bad = self._write(tmp_path, "bad.jag", "def broken(:::\n")
-        assert flows_main([str(bad)]) == 2
-        assert flows_main(["--strict", str(bad)]) == 2
+        assert main([str(bad)]) == 2
+        assert main(["--strict", str(bad)]) == 2
 
     def test_examples_partition(self, capsys):
         examples = Path(__file__).resolve().parents[2] / "examples"
-        assert flows_main([str(examples)]) == 0
-        out = capsys.readouterr().out
+        assert main(["--json", str(examples)]) == 0
+        doc = json.loads(capsys.readouterr().out)
         # The tree holds both the exfiltrating payload and clean ones.
-        assert "verdict: refuse (static:flows)" in out
-        assert "verdict: accept" in out
+        verdicts = {entry["flow_verdict"] for entry in doc["classes"]}
+        assert verdicts == {"refuse", "accept"}
 
 
 class TestReportCli:
     def test_single_document_covers_every_certificate(self, tmp_path, capsys):
         target = tmp_path / "probe.jag"
         target.write_text("def probe(data: bytes) -> int:\n    return len(data)\n")
-        assert report_main([str(target)]) == 0
+        assert main(["--json", str(target)]) == 0
         doc = json.loads(capsys.readouterr().out)
         (entry,) = doc["classes"]
         report = entry["functions"]["probe"]
-        assert set(report) >= {"effects", "bounds", "cost", "inline", "flows"}
+        assert set(report) == {
+            "effects", "bounds", "cost", "inline", "flows", "tier",
+        }
         assert report["effects"]["pure"] is True
         assert report["bounds"]["fuel_bound"] == "3"
         assert report["cost"]["derived"] is True
         assert report["flows"]["readonly_params"] == [0]
         assert report["flows"]["trap_free"] is True
+        assert report["tier"] == {"eligible": True, "refusal": None}
         assert entry["flow_verdict"] == "accept"
 
     def test_report_flags_leak(self, tmp_path, capsys):
         target = tmp_path / "leaky.jag"
         target.write_text(LEAKY)
-        assert main(["report", str(target)]) == 0
+        assert main(["--json", str(target)]) == 0
         doc = json.loads(capsys.readouterr().out)
         (entry,) = doc["classes"]
         assert entry["flow_verdict"] == "refuse"
@@ -346,4 +363,4 @@ class TestReportCli:
     def test_unloadable_target_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jag"
         bad.write_text("def broken(:::\n")
-        assert report_main([str(bad)]) == 2
+        assert main(["--json", str(bad)]) == 2

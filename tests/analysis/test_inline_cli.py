@@ -1,8 +1,8 @@
-"""The ``python -m repro.analysis inline`` subcommand."""
+"""Decompile results through ``python -m repro.analysis``."""
 
 from pathlib import Path
 
-from repro.analysis.lint import inline_main, main
+from repro.analysis.lint import main
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -19,9 +19,9 @@ class TestInlineSubcommand:
             tmp_path, "plus1.jag",
             "def plus1(x: int) -> int:\n    return x + 1\n",
         )
-        assert main(["inline", str(target)]) == 0
+        assert main([str(target)]) == 0
         out = capsys.readouterr().out
-        assert "plus1: inlinable" in out
+        assert "inline: inlinable" in out
         assert "($1 + 1)" in out
 
     def test_branch_prints_case(self, tmp_path, capsys):
@@ -32,7 +32,7 @@ class TestInlineSubcommand:
             "        return 0\n"
             "    return x\n",
         )
-        assert inline_main([str(target)]) == 0
+        assert main([str(target)]) == 0
         out = capsys.readouterr().out
         assert "CASE WHEN ($1 < 0) THEN 0 ELSE $1 END" in out
 
@@ -47,9 +47,9 @@ class TestInlineSubcommand:
             "        i = i + 1\n"
             "    return total\n",
         )
-        assert inline_main([str(target)]) == 0
+        assert main([str(target)]) == 0
         out = capsys.readouterr().out
-        assert "s: refused (loop)" in out
+        assert "inline: refused (loop)" in out
 
     def test_callback_refusal(self, tmp_path, capsys):
         target = _write(
@@ -58,23 +58,22 @@ class TestInlineSubcommand:
             "    cb_noop()\n"
             "    return x\n",
         )
-        assert inline_main([str(target)]) == 0
+        assert main([str(target)]) == 0
         out = capsys.readouterr().out
-        assert "ping: refused (callback)" in out
+        assert "inline: refused (callback)" in out
 
     def test_directory_target_covers_examples(self, capsys):
-        assert inline_main([str(EXAMPLES)]) == 0
+        assert main([str(EXAMPLES)]) == 0
         out = capsys.readouterr().out
         # At least one real example lifts and at least one refuses.
-        assert "inlinable" in out
-        assert "refused (" in out
+        assert "inline: inlinable" in out
+        assert "inline: refused (" in out
 
     def test_load_failure_exits_two(self, tmp_path, capsys):
         bad = _write(tmp_path, "bad.jag", "def broken(:::\n")
-        # Unanalyzable input is never a clean run: exit 2, strict or not
-        # (the shared CLI exit-code convention).
-        assert inline_main([str(bad)]) == 2
-        assert inline_main(["--strict", str(bad)]) == 2
+        # Unanalyzable input is never a clean run: exit 2, strict or not.
+        assert main([str(bad)]) == 2
+        assert main(["--strict", str(bad)]) == 2
         out = capsys.readouterr().out
         assert "cannot load" in out
 
@@ -89,14 +88,14 @@ class TestInlineSubcommand:
             "        i = i + 1\n"
             "    return total\n",
         )
-        assert inline_main(["--strict", str(target)]) == 0
+        assert main(["--strict", str(target)]) == 0
 
     def test_python_file_with_embedded_payload(self, tmp_path, capsys):
         target = _write(
             tmp_path, "app.py",
             'PAYLOAD = "def dbl(x: int) -> int:\\n    return x * 2"\n',
         )
-        assert inline_main([str(target)]) == 0
+        assert main([str(target)]) == 0
         out = capsys.readouterr().out
-        assert "dbl: inlinable" in out
+        assert "inline: inlinable" in out
         assert "($1 * 2)" in out

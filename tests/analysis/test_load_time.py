@@ -1,10 +1,16 @@
 """End-to-end payoffs of load-time analysis: derived hints in EXPLAIN,
-constant folding, memoization, and rejection at CREATE FUNCTION."""
+constant folding, memoization, and rejection at CREATE FUNCTION; and
+what a load costs: one interval fixpoint per function."""
 
 import pytest
 
+from repro.analysis import dataflow
+from repro.analysis.bounds import _FunctionCertifier
+from repro.core.callbacks import standard_callback_signatures
 from repro.core.sandbox import SandboxExecutor
 from repro.errors import SecurityViolation
+from repro.vm.classloader import SystemClassLoader
+from repro.vm.compiler import compile_source
 
 TWICE = (
     "CREATE FUNCTION twice(int) RETURNS int LANGUAGE JAGUAR "
@@ -186,3 +192,44 @@ class TestStaticSecurityPreCheck:
             "DESIGN SANDBOX AS 'def snoop(x: int) -> int:\n    return x'"
         )
         assert table.registry.has("snoop")
+
+
+class TestOneFixpoint:
+    """``define_class`` solves each function's interval fixpoint once:
+    the flow pass finds trap sites in the certifier's stacks."""
+
+    ONE = "def f(x: int) -> int:\n    return 100 // x\n"
+    THREE = (
+        "def g(s: bytes) -> int:\n"
+        "    total: int = 0\n"
+        "    for i in range(len(s)):\n"
+        "        total = total + s[i]\n"
+        "    return total\n"
+        "\n"
+        "def h(x: int) -> int:\n"
+        "    return cb_noop() + x\n"
+        "\n"
+        "def k(s: bytes) -> int:\n"
+        "    return g(s) + h(len(s))\n"
+    )
+
+    @pytest.mark.parametrize("source, functions", [(ONE, 1), (THREE, 3)])
+    def test_bounds_lattice_solved_once_per_function(
+        self, monkeypatch, source, functions
+    ):
+        solve = dataflow.solve
+        interval_solves = []
+
+        def counting(cfg, problem, *args, **kwargs):
+            if problem.join is _FunctionCertifier._join_state:
+                interval_solves.append(cfg)
+            return solve(cfg, problem, *args, **kwargs)
+
+        monkeypatch.setattr(dataflow, "solve", counting)
+        callbacks = standard_callback_signatures()
+        cls = compile_source(source, "Once", callbacks=callbacks)
+        loader = SystemClassLoader(callback_signatures=callbacks)
+        loader.define_class(cls)
+        assert len(cls.functions) == functions
+        assert len(interval_solves) == functions
+        assert all(func.flows is not None for func in cls.functions.values())

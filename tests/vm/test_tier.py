@@ -11,9 +11,7 @@ the :class:`~repro.vm.machine.LoadedUDF`.
 
 import pytest
 
-from repro.analysis.bounds import certify_class, constant_bound
-from repro.analysis.effects import analyze_class
-from repro.analysis.flows import analyze_flows
+from repro.analysis import constant_bound, load_time_analysis
 from repro.core.callbacks import standard_callback_signatures
 from repro.database import Database
 from repro.errors import FuelExhausted
@@ -74,10 +72,9 @@ BRANCHY = (
 def _analyzed(source, name="Tier"):
     callbacks = dict(standard_callback_signatures())
     cls = compile_source(source, name, callbacks=callbacks)
-    verify_class(cls, self_resolver(cls, callbacks=callbacks))
-    analyze_class(cls)
-    certify_class(cls)
-    analyze_flows(cls, resolver=self_resolver(cls, callbacks=callbacks))
+    resolver = self_resolver(cls, callbacks=callbacks)
+    verify_class(cls, resolver)
+    load_time_analysis(cls, resolver)
     return cls
 
 

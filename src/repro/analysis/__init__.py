@@ -9,6 +9,9 @@ through :func:`repro.vm.opcodes.step_stack`; the interval transfer
 stays in ``bounds`` and the label transfer in ``flows``.
 
 * :mod:`~repro.analysis.cfg` — basic blocks, dominators, natural loops;
+  each function's CFG is built once, when the verifier's structure
+  check first reads ``FunctionDef.cfg``, and every pass below and the
+  JIT read that same one;
 * :mod:`~repro.analysis.effects` — purity/effect summaries (natives,
   callbacks, allocation, termination) closed over the call graph;
 * :mod:`~repro.analysis.intervals` — the abstract domains of the bounds
@@ -28,20 +31,24 @@ stays in ``bounds`` and the label transfer in ``flows``.
   (:class:`InlineRefusal`), consumed by the optimizer's inlining
   rewrite behind ``Database(inlining=True)``;
 * :mod:`~repro.analysis.flows` — taint, escape and trap-safety
-  certificates (:class:`~repro.analysis.flows.FlowCertificate`) on the
-  shared worklist engine of :mod:`~repro.analysis.dataflow`;
+  certificates (:class:`~repro.analysis.flows.FlowCertificate`): taint
+  and escape as one label fixpoint on the shared worklist engine of
+  :mod:`~repro.analysis.dataflow`, trap sites read off the certifier's
+  stacks;
 * :mod:`~repro.analysis.pipeline` — :func:`load_time_analysis`, the
-  one place the pass order is written;
+  one place the pass order is written, and the one call graph;
 * :mod:`~repro.analysis.lint` — findings, and the one CLI,
   ``python -m repro.analysis [--json] [--strict] TARGET...``, which
   runs that pipeline over each verified class.
 
 Right after verification the class loader calls
-:func:`load_time_analysis`: effects (:func:`analyze_class`), then
-bounds (:func:`certify_class`, which solves each function's interval
-fixpoint once and hands its per-pc stacks to the next pass), then flows
-(``analyze_flows``, which reads its trap sites off those stacks), then
-decompilation (:func:`decompile_class`).  So every loaded
+:func:`load_time_analysis`.  It builds the intra-class call graph once
+and walks its strongly-connected components once, callees first.  Per
+component it runs effects (``effects.summarize_component``), then
+bounds (``bounds.certify_component``, which solves each function's
+interval fixpoint once and returns its per-pc stacks), then flows
+(``flows.certify_flows``, which reads trap sites off those stacks);
+decompilation (:func:`decompile_class`) follows.  So every loaded
 ``FunctionDef`` carries a ``summary``, a ``certificate``, ``flows`` and
 an ``inline`` result, and every ``ClassFile`` an ``analysis``, a
 ``certificates`` and a ``flows`` rollup.  Consumers:
@@ -56,7 +63,6 @@ from .bounds import (
     ClassCertificates,
     LoopBound,
     ResourceCertificate,
-    certify_class,
     constant_bound,
 )
 from .cfg import CFG, BasicBlock, Loop, build_cfg
@@ -71,7 +77,7 @@ from .decompile import (
     decompile_class,
     decompile_function,
 )
-from .effects import ClassSummary, FunctionSummary, analyze_class
+from .effects import ClassSummary, FunctionSummary
 from .intervals import Bound, Interval, describe_bound
 from .lint import Finding, lint_class, report
 from .pipeline import load_time_analysis
@@ -92,9 +98,7 @@ __all__ = [
     "Loop",
     "LoopBound",
     "ResourceCertificate",
-    "analyze_class",
     "build_cfg",
-    "certify_class",
     "constant_bound",
     "decompile_class",
     "decompile_function",

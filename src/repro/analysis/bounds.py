@@ -74,21 +74,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import LinkError
-from ..vm.classfile import (
-    ClassFile,
-    FunctionDef,
-    K_CALLBACK,
-    K_FUNC,
-    K_NATIVE,
-    K_STR,
-)
+from ..vm.classfile import ClassFile, FunctionDef, K_FUNC, K_STR
 from ..vm.opcodes import OPS, Instr, Op, step_stack
 from ..vm.values import VMType
-from ..vm.verifier import Resolver, self_resolver
+from ..vm.verifier import Resolver
 from . import dataflow
-from .cfg import Loop, build_cfg
-from .effects import _sccs
+from .cfg import Loop
 from .intervals import (
     Bound,
     INF,
@@ -444,54 +435,34 @@ ForeignCertificates = Callable[[str, str], Optional[ResourceCertificate]]
 Replay = Dict[int, Tuple[Tuple[AbsVal, ...], Tuple[Optional[int], ...]]]
 
 
-def certify_class(
+def certify_component(
     cls: ClassFile,
-    resolver: Optional[Resolver] = None,
-    foreign_certificate: Optional[ForeignCertificates] = None,
-    stacks: Optional[Dict[str, Replay]] = None,
-) -> ClassCertificates:
-    """Certify every function of a *verified* class; attach certificates.
+    component: List[str],
+    resolver: Resolver,
+    certificates: Dict[str, ResourceCertificate],
+    foreign_certificate: ForeignCertificates,
+) -> Dict[str, Replay]:
+    """Certify one strongly-connected component of the intra-class call
+    graph; attach each member's ``certificate``.
 
-    Each ``FunctionDef`` gains a ``certificate`` attribute and the class
-    a ``cls.certificates`` rollup.  Functions are processed one SCC at a
-    time in reverse topological order; calls into a not-yet-final
-    certificate (recursion) or an unresolvable foreign class yield ⊤
-    fuel/memory/depth — dynamic metering remains their backstop.
+    Components arrive callees first, so ``certificates`` already holds
+    every callee outside this one.  A call into a not-yet-final
+    certificate (recursion) or an unresolvable foreign class yields ⊤
+    fuel/memory/depth; dynamic metering remains its backstop.
 
-    ``stacks``, when given, receives each function's :data:`Replay`:
-    the flow pass finds trap sites in it instead of solving the interval
-    fixpoint again.  Nothing else keeps it.
+    Returns each member's :data:`Replay`: the flow pass finds trap
+    sites in it instead of solving the interval fixpoint again.  Nothing
+    else keeps it.
     """
-    if not cls.verified:
-        raise ValueError(
-            f"class {cls.name!r} must be verified before certification"
+    stacks: Dict[str, Replay] = {}
+    for name in component:
+        func = cls.functions[name]
+        certifier = _FunctionCertifier(
+            cls, func, resolver, certificates, foreign_certificate,
         )
-    if resolver is None:
-        resolver = self_resolver(cls)
-    graph: Dict[str, List[str]] = {}
-    for name, func in cls.functions.items():
-        callees: List[str] = []
-        for ins in func.code:
-            if ins.op is Op.CALL:
-                class_name, func_name = cls.constant(ins.arg, K_FUNC)
-                if class_name == cls.name and func_name in cls.functions:
-                    callees.append(func_name)
-        graph[name] = callees
-    certificates: Dict[str, ResourceCertificate] = {}
-    for component in _sccs(graph):
-        for name in component:
-            certifier = _FunctionCertifier(
-                cls, cls.functions[name], resolver,
-                certificates, foreign_certificate,
-            )
-            certificates[name] = certifier.certify()
-            if stacks is not None:
-                stacks[name] = certifier.replay
-    for name, func in cls.functions.items():
-        func.certificate = certificates[name]
-    rollup = ClassCertificates(class_name=cls.name, functions=certificates)
-    cls.certificates = rollup
-    return rollup
+        func.certificate = certificates[name] = certifier.certify()
+        stacks[name] = certifier.replay
+    return stacks
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +520,7 @@ class _FunctionCertifier:
         self.resolver = resolver
         self.intra = intra
         self.foreign = foreign
-        self.cfg = build_cfg(func.code)
+        self.cfg = func.cfg
         self.entry_state = self._entry_state()
         self.in_states: List[Optional[_State]] = (
             [None] * len(self.cfg.blocks)
@@ -680,7 +651,7 @@ class _FunctionCertifier:
                 stack.extend(_of_type(t) for t in info.pushes)
 
     def _step_call(self, pc: int, ins: Instr, stack: List[AbsVal]) -> None:
-        signature = self._call_signature(ins)
+        signature = self.resolver.call_signature(self.cls, ins)
         if signature is None:
             # Unresolvable (should not happen for verified code):
             # recover the proven post-call depth from the verifier.
@@ -698,19 +669,6 @@ class _FunctionCertifier:
         del stack[len(stack) - len(params):]
         if ret is not VMType.VOID:
             stack.append(_of_type(ret))
-
-    def _call_signature(self, ins: Instr):
-        try:
-            if ins.op is Op.CALL:
-                class_name, func_name = self.cls.constant(ins.arg, K_FUNC)
-                return self.resolver.function_signature(class_name, func_name)
-            if ins.op is Op.NATIVE:
-                (name,) = self.cls.constant(ins.arg, K_NATIVE)
-                return self.resolver.native_signature(name)
-            (name,) = self.cls.constant(ins.arg, K_CALLBACK)
-            return self.resolver.callback_signature(name)
-        except LinkError:
-            return None
 
     # -- trip counts --------------------------------------------------------
 
@@ -1076,7 +1034,7 @@ class _FunctionCertifier:
         if pushes is not None:
             return len(pushes)
         if ins.op in (Op.CALL, Op.NATIVE, Op.CALLBACK):
-            signature = self._call_signature(ins)
+            signature = self.resolver.call_signature(self.cls, ins)
             return int(signature is not None
                        and signature[1] is not VMType.VOID)
         return int(ins.op is Op.LOAD)
@@ -1134,7 +1092,7 @@ class _FunctionCertifier:
         else:
             callee_cert = None
         substitution: Dict[str, OptBound] = {}
-        signature = self._call_signature(ins)
+        signature = self.resolver.call_signature(self.cls, ins)
         if signature is None:
             return _CallSite(block, None, substitution)
         params, _ret = signature

@@ -1,11 +1,9 @@
 """Generic worklist dataflow engine over the bytecode CFG.
 
-PRs 1-6 accumulated four ad-hoc static analyses (effects, intervals /
-bounds, costs, decompile), each re-walking the CFG with its own
-hand-rolled fixpoint loop.  This module factors the fixpoint itself out
-into one reusable engine so new analyses only supply a *lattice*:
+The fixpoint itself, factored out of the load-time analyses so each
+only supplies a *lattice*:
 
-* an entry (boundary) state,
+* an entry (boundary) state, given to block 0,
 * a per-block transfer function (usually lifted from a per-opcode small
   step via :func:`block_transfer`),
 * a join for control-flow merges,
@@ -15,13 +13,11 @@ into one reusable engine so new analyses only supply a *lattice*:
   more than ``max_visits`` times — the safety net that guarantees
   termination even for lattices of unbounded height.
 
-The engine runs **forward** (states flow entry -> exit, propagated along
-successor edges) or **backward** (states flow exit -> entry, propagated
-along predecessor edges; the boundary state seeds every exit block).  In
-both directions ``in_states[b]`` is the state *given to* block ``b``'s
-transfer and ``out_states[b]`` is what the transfer produced — i.e. for
-a backward problem ``in_states`` live at block exits and ``out_states``
-at block entries.
+States flow forward, from the entry along successor edges:
+``in_states[b]`` is the state *given to* block ``b``'s transfer and
+``out_states[b]`` is what the transfer produced.  Two lattices use it
+per function: the bounds certifier's intervals (with widening and top)
+and the flow pass's ``(taint, alias)`` labels (joins only).
 
 The worklist is LIFO and propagation is change-driven (``joined !=
 old``), which reproduces the exact iteration order of the original
@@ -32,22 +28,17 @@ by the migration-parity test in ``tests/analysis/test_dataflow.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional
 
 from .cfg import CFG
 
 __all__ = [
-    "FORWARD",
-    "BACKWARD",
     "DataflowProblem",
     "DataflowResult",
     "solve",
     "block_transfer",
 ]
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 #: Default revisit cap per block before the state is coerced to top.
 #: Matches the bounds certifier's historical ``_MAX_VISITS``.
@@ -64,11 +55,11 @@ class DataflowProblem:
 
     ``transfer(block_index, state)`` consumes the block's in-state and
     returns its out-state.  ``join`` merges two in-states at a
-    control-flow merge.  ``widen(old, joined)`` is applied at widening
-    points (natural-loop headers by default) to accelerate convergence;
+    control-flow merge.  ``widen(old, joined)`` is applied at
+    natural-loop headers to accelerate convergence;
     ``top(state)`` is forced after ``max_visits`` revisits of one block.
-    Either may be ``None`` for finite-height lattices where plain joins
-    already converge (the visit cap still bounds the iteration count).
+    Both are ``None`` for finite-height lattices, where plain joins
+    already converge.
     """
 
     entry: State
@@ -76,9 +67,6 @@ class DataflowProblem:
     join: Join
     widen: Optional[Join] = None
     top: Optional[Callable[[State], State]] = None
-    direction: str = FORWARD
-    #: Override the widening points; ``None`` = natural-loop headers.
-    widen_points: Optional[FrozenSet[int]] = None
 
 
 @dataclass
@@ -89,52 +77,20 @@ class DataflowResult:
     out_states: List[Optional[State]]
 
 
-def _predecessors(cfg: CFG) -> List[List[int]]:
-    preds: List[List[int]] = [[] for _ in cfg.blocks]
-    for index, block in enumerate(cfg.blocks):
-        for succ in block.successors:
-            preds[succ].append(index)
-    return preds
-
-
 def solve(
     cfg: CFG,
     problem: DataflowProblem,
     max_visits: int = MAX_VISITS,
 ) -> DataflowResult:
-    """Run the worklist fixpoint and return the per-block states.
-
-    Forward: the entry state seeds block 0 and out-states propagate to
-    successors.  Backward: the entry state seeds every exit block (a
-    block with no successors) and out-states propagate to predecessors.
-    """
+    """Run the worklist fixpoint and return the per-block states: the
+    entry state seeds block 0 and out-states propagate to successors."""
     count = len(cfg.blocks)
-    if problem.direction == FORWARD:
-        edges: Sequence[Sequence[int]] = [
-            block.successors for block in cfg.blocks
-        ]
-        roots = [0] if count else []
-    elif problem.direction == BACKWARD:
-        edges = _predecessors(cfg)
-        roots = [
-            index
-            for index, block in enumerate(cfg.blocks)
-            if not block.successors
-        ]
-    else:
-        raise ValueError(f"unknown dataflow direction {problem.direction!r}")
-
-    if problem.widen_points is not None:
-        widen_points = problem.widen_points
-    else:
-        widen_points = frozenset(loop.header for loop in cfg.loops)
-
+    widen_points = frozenset(loop.header for loop in cfg.loops)
     in_states: List[Optional[State]] = [None] * count
     out_states: List[Optional[State]] = [None] * count
     visits = [0] * count
-    for root in roots:
-        in_states[root] = problem.entry
-    worklist = list(roots)
+    in_states[0] = problem.entry
+    worklist = [0]
     while worklist:
         index = worklist.pop()
         state = in_states[index]
@@ -146,7 +102,7 @@ def solve(
             in_states[index] = state
         out = problem.transfer(index, state)
         out_states[index] = out
-        for succ in edges[index]:
+        for succ in cfg.blocks[index].successors:
             old = in_states[succ]
             if old is None:
                 in_states[succ] = out

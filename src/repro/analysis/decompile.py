@@ -62,7 +62,6 @@ from ..vm.opcodes import (
 )
 from ..vm.resources import unmetered_account
 from ..vm.values import VMType, default_value
-from .cfg import build_cfg
 
 #: Refusal reason codes (the full taxonomy; CLI and EXPLAIN print these).
 REASON_LOOP = "loop"
@@ -219,8 +218,7 @@ def _run_function(
         locals_.append(A.Literal(default_value(slot_type)
                                  if slot_type not in (VMType.ARR, VMType.FARR)
                                  else None))
-    cfg = build_cfg(func.code)
-    return _exec(cls, func, cfg, 0, [], locals_, budget, call_chain)
+    return _exec(cls, func, func.cfg, 0, [], locals_, budget, call_chain)
 
 
 def _exec(

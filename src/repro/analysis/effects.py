@@ -4,8 +4,9 @@ Abstract interpretation over opcodes, in the Froid/GRACEFUL spirit: the
 analyzer walks every instruction of every function once, collecting an
 *effect summary* — which natives it calls, which callbacks it invokes,
 whether it allocates, whether it may fail to terminate — and then closes
-the summaries over the intra-class call graph (Tarjan SCCs, so mutual
-recursion converges in one pass).
+the summaries over the intra-class call graph, one strongly-connected
+component at a time, callees first (so mutual recursion converges in
+one pass).
 
 JaguarVM makes purity unusually easy to decide: the VM has no globals,
 no statics, and no shared heap — the *only* way sandboxed code can
@@ -16,9 +17,10 @@ transitive effect set contains no callbacks is a pure function of its
 arguments — memoizable and foldable — which is exactly the property the
 optimizer exploits.
 
-Summaries are attached to each ``FunctionDef`` (``func.summary``) and
-rolled up per class (``cls.analysis``) by :func:`analyze_class`, which
-the class loader invokes right after verification.
+:func:`summarize_component` attaches each ``FunctionDef``'s
+``func.summary``; :func:`~repro.analysis.pipeline.load_time_analysis`,
+which walks the components and which the class loader runs right after
+verification, rolls them up per class as ``cls.analysis``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from ..vm.classfile import (
     K_FUNC,
     K_NATIVE,
 )
-from ..vm.opcodes import OPS, Instr, Op
-from .cfg import CFG, build_cfg
+from ..vm.opcodes import OPS, Op
 from .costs import RECURSION_FACTOR
 
 #: Ceiling on cost units so recursive cycles cannot overflow to silly
@@ -71,10 +72,6 @@ class FunctionSummary:
     def pure(self) -> bool:
         """A pure function of its arguments: safe to fold and memoize."""
         return not self.callbacks and not self.unknown_effects
-
-    @property
-    def reads_args_only(self) -> bool:
-        return self.pure
 
     def describe(self) -> str:
         """One-line human rendering for lint output and EXPLAIN."""
@@ -137,7 +134,7 @@ ForeignLookup = Callable[[str, str], Optional[FunctionSummary]]
 class _Direct:
     """Per-function facts before call-graph closure."""
 
-    cfg: CFG
+    func: FunctionDef
     natives: set
     callbacks: set
     allocates: bool
@@ -148,40 +145,89 @@ class _Direct:
     foreign_calls: Dict[Tuple[str, str], float]
 
 
-def analyze_class(
+def summarize_component(
     cls: ClassFile,
-    foreign_summary: Optional[ForeignLookup] = None,
-) -> ClassSummary:
-    """Analyze every function of a *verified* class; attach summaries.
+    component: List[str],
+    recursive: bool,
+    summaries: Dict[str, FunctionSummary],
+    foreign_summary: ForeignLookup,
+) -> None:
+    """Summarize one strongly-connected component of the intra-class
+    call graph; attach each member's ``summary``.
 
-    Each ``FunctionDef`` gains a ``summary`` attribute and the class a
-    ``cls.analysis`` rollup.  ``foreign_summary`` resolves CALLs into
-    other classes (the class loader passes parent-first resolution);
-    unresolvable targets poison the caller with ``unknown_effects``.
+    Components arrive callees first (:mod:`~repro.analysis.pipeline`
+    walks them), so every callee outside this one is already in
+    ``summaries``.  Inside a multi-function (or self-recursive)
+    component, effects are unioned and the combined cost is scaled by
+    :data:`~repro.analysis.costs.RECURSION_FACTOR`: depth cannot be
+    known statically, only bounded by the run-time quota.
+    ``foreign_summary`` resolves CALLs into other classes; an
+    unresolvable target poisons the caller with ``unknown_effects``.
     """
-    if not cls.verified:
-        raise ValueError(
-            f"class {cls.name!r} must be verified before analysis"
+    direct = [_direct_facts(cls, cls.functions[name]) for name in component]
+    in_scc = set(component)
+    natives: set = set()
+    callbacks: set = set()
+    allocates = False
+    may_not_terminate = recursive
+    has_unbounded_loop = False
+    unknown = False
+    cost = 0.0
+    for facts in direct:
+        natives |= facts.natives
+        callbacks |= facts.callbacks
+        allocates = allocates or facts.allocates
+        loops = facts.func.cfg.loops
+        if loops:
+            may_not_terminate = True
+        if any(loop.unbounded for loop in loops):
+            has_unbounded_loop = True
+        cost += facts.local_cost
+        callees = [
+            (summaries[callee], multiplier)
+            for callee, multiplier in facts.intra_calls.items()
+            if callee not in in_scc   # recursion: the SCC factor
+        ] + [
+            (foreign_summary(*key), multiplier)
+            for key, multiplier in facts.foreign_calls.items()
+        ]
+        for callee, multiplier in callees:
+            if callee is None:   # unresolved: assume it does anything
+                unknown = True
+                may_not_terminate = True
+                cost += _UNKNOWN_CALL_COST * multiplier
+                continue
+            natives |= callee.natives
+            callbacks |= callee.callbacks
+            allocates = allocates or callee.allocates
+            may_not_terminate = may_not_terminate or callee.may_not_terminate
+            has_unbounded_loop = (
+                has_unbounded_loop or callee.has_unbounded_loop
+            )
+            unknown = unknown or callee.unknown_effects
+            cost += callee.cost_units * multiplier
+    if recursive:
+        cost *= RECURSION_FACTOR
+    cost = min(cost, MAX_COST_UNITS)
+    for facts in direct:
+        cfg = facts.func.cfg
+        facts.func.summary = summaries[facts.func.name] = FunctionSummary(
+            name=f"{cls.name}.{facts.func.name}",
+            natives=frozenset(natives),
+            callbacks=frozenset(callbacks),
+            allocates=allocates,
+            may_not_terminate=may_not_terminate,
+            has_unbounded_loop=has_unbounded_loop,
+            recursive=recursive,
+            unknown_effects=unknown,
+            loop_count=len(cfg.loops),
+            max_loop_depth=cfg.max_loop_depth,
+            cost_units=cost,
         )
-    direct: Dict[str, _Direct] = {
-        name: _direct_facts(cls, func)
-        for name, func in cls.functions.items()
-    }
-    summaries = _close_over_calls(cls, direct, foreign_summary)
-    for name, func in cls.functions.items():
-        func.summary = summaries[name]
-    result = ClassSummary(class_name=cls.name, functions=summaries)
-    cls.analysis = result
-    return result
-
-
-def cfg_of(func: FunctionDef) -> CFG:
-    """The function's CFG (rebuilt on demand; bodies are small)."""
-    return build_cfg(func.code)
 
 
 def _direct_facts(cls: ClassFile, func: FunctionDef) -> _Direct:
-    cfg = build_cfg(func.code)
+    cfg = func.cfg
     natives: set = set()
     callbacks: set = set()
     allocates = False
@@ -209,7 +255,7 @@ def _direct_facts(cls: ClassFile, func: FunctionDef) -> _Direct:
         allocates = allocates or info.allocates
         local_cost += info.weight * multiplier
     return _Direct(
-        cfg=cfg,
+        func=func,
         natives=natives,
         callbacks=callbacks,
         allocates=allocates,
@@ -223,155 +269,3 @@ def _loop_multiplier(depth: int) -> float:
     from .costs import ASSUMED_TRIP_COUNT
 
     return float(ASSUMED_TRIP_COUNT) ** depth
-
-
-def _close_over_calls(
-    cls: ClassFile,
-    direct: Dict[str, _Direct],
-    foreign_summary: Optional[ForeignLookup],
-) -> Dict[str, FunctionSummary]:
-    """Propagate effects and costs over the intra-class call graph.
-
-    Functions are processed one strongly-connected component at a time,
-    in reverse topological order, so every callee outside the SCC is
-    final when its callers are summarized.  Inside a multi-function (or
-    self-recursive) SCC, effects are unioned and the combined cost is
-    scaled by :data:`~repro.analysis.costs.RECURSION_FACTOR` — depth
-    cannot be known statically, only bounded by the run-time quota.
-    """
-    order = _sccs({name: list(d.intra_calls) for name, d in direct.items()})
-    summaries: Dict[str, FunctionSummary] = {}
-    for component in order:
-        in_scc = set(component)
-        recursive = len(component) > 1 or any(
-            name in direct[name].intra_calls for name in component
-        )
-        natives: set = set()
-        callbacks: set = set()
-        allocates = False
-        may_not_terminate = recursive
-        has_unbounded_loop = False
-        unknown = False
-        cost = 0.0
-        loop_count = 0
-        max_depth = 0
-        for name in component:
-            facts = direct[name]
-            natives |= facts.natives
-            callbacks |= facts.callbacks
-            allocates = allocates or facts.allocates
-            loops = facts.cfg.loops
-            loop_count += len(loops)
-            max_depth = max(max_depth, facts.cfg.max_loop_depth)
-            if loops:
-                may_not_terminate = True
-            if any(loop.unbounded for loop in loops):
-                has_unbounded_loop = True
-            cost += facts.local_cost
-            for callee, multiplier in facts.intra_calls.items():
-                if callee in in_scc:
-                    continue  # recursion handled by the SCC factor
-                callee_summary = summaries[callee]
-                natives |= callee_summary.natives
-                callbacks |= callee_summary.callbacks
-                allocates = allocates or callee_summary.allocates
-                may_not_terminate = (
-                    may_not_terminate or callee_summary.may_not_terminate
-                )
-                has_unbounded_loop = (
-                    has_unbounded_loop or callee_summary.has_unbounded_loop
-                )
-                unknown = unknown or callee_summary.unknown_effects
-                cost += callee_summary.cost_units * multiplier
-            for (fclass, fname), multiplier in facts.foreign_calls.items():
-                resolved = (
-                    foreign_summary(fclass, fname)
-                    if foreign_summary is not None else None
-                )
-                if resolved is None:
-                    unknown = True
-                    may_not_terminate = True
-                    cost += _UNKNOWN_CALL_COST * multiplier
-                else:
-                    natives |= resolved.natives
-                    callbacks |= resolved.callbacks
-                    allocates = allocates or resolved.allocates
-                    may_not_terminate = (
-                        may_not_terminate or resolved.may_not_terminate
-                    )
-                    has_unbounded_loop = (
-                        has_unbounded_loop or resolved.has_unbounded_loop
-                    )
-                    unknown = unknown or resolved.unknown_effects
-                    cost += resolved.cost_units * multiplier
-        if recursive:
-            cost *= RECURSION_FACTOR
-        cost = min(cost, MAX_COST_UNITS)
-        for name in component:
-            facts = direct[name]
-            summaries[name] = FunctionSummary(
-                name=f"{cls.name}.{name}",
-                natives=frozenset(natives),
-                callbacks=frozenset(callbacks),
-                allocates=allocates,
-                may_not_terminate=may_not_terminate,
-                has_unbounded_loop=has_unbounded_loop,
-                recursive=recursive,
-                unknown_effects=unknown,
-                loop_count=len(facts.cfg.loops),
-                max_loop_depth=facts.cfg.max_loop_depth,
-                cost_units=cost,
-            )
-    return summaries
-
-
-def _sccs(graph: Dict[str, List[str]]) -> List[List[str]]:
-    """Tarjan's SCCs, emitted in reverse topological order (callees
-    before callers), ignoring edges to names outside the graph."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    counter = [0]
-    result: List[List[str]] = []
-
-    def strongconnect(node: str) -> None:
-        # Iterative Tarjan: (node, iterator position) frames.
-        work = [(node, 0)]
-        while work:
-            current, pos = work.pop()
-            if pos == 0:
-                index[current] = lowlink[current] = counter[0]
-                counter[0] += 1
-                stack.append(current)
-                on_stack[current] = True
-            recurse = False
-            edges = [e for e in graph[current] if e in graph]
-            for position in range(pos, len(edges)):
-                succ = edges[position]
-                if succ not in index:
-                    work.append((current, position + 1))
-                    work.append((succ, 0))
-                    recurse = True
-                    break
-                if on_stack.get(succ):
-                    lowlink[current] = min(lowlink[current], index[succ])
-            if recurse:
-                continue
-            if lowlink[current] == index[current]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == current:
-                        break
-                result.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[current])
-
-    for node in graph:
-        if node not in index:
-            strongconnect(node)
-    return result

@@ -1,7 +1,9 @@
 """Information-flow certification over verified JaguarVM bytecode.
 
-Three certifying passes, all running on the shared worklist engine in
-``dataflow.py`` and all executed once, at CREATE FUNCTION time:
+One label fixpoint, on the shared worklist engine in ``dataflow.py``,
+plus trap sites read off the bounds certifier's stacks, all computed
+once, at CREATE FUNCTION time.  Every local slot and operand-stack
+entry carries a ``(taint, alias)`` pair of label sets:
 
 * **taint / information flow** — which parameters (tuple data) and
   callback results (LOB reads, server state) can reach the function's
@@ -12,7 +14,7 @@ Three certifying passes, all running on the shared worklist engine in
   refuse, at load, a UDF that smuggles tuple-derived values into a
   policy-declared *sink* callback (``static:flows`` audit action).
 
-* **escape analysis** — which allocation sites produce objects that
+* **escape / read-only** — which allocation sites produce objects that
   never escape the call (not returned, never passed onward), and which
   array/string parameters are provably never written through nor
   retained.  Non-escaping allocations let the sandbox executor reclaim
@@ -21,13 +23,16 @@ Three certifying passes, all running on the shared worklist engine in
   copies every byte array" tax of Figure 5) and the isolated design
   skip the worker-side copy after the shm hop.
 
-* **trap safety** — reading the abstract stacks the bounds certifier
-  already computed (its interval fixpoint is solved once per function),
-  prove that no reachable instruction can raise a VM trap (division by
-  zero, array/string index out of range, negative array size, float
-  NaN/overflow conversion).  Trap-free functions let the compiled CASE
-  machinery in ``sql/expressions.py`` skip short-circuit partitioning
-  and EXPLAIN print ``trap-free``.
+Both halves are finite powersets joined by union, with no widening, so
+the least fixpoint of the pair is the pair of least fixpoints.
+
+**Trap safety** needs intervals, not labels: the abstract stacks the
+bounds certifier already computed (its interval fixpoint is solved once
+per function) prove that no reachable instruction can raise a VM trap
+(division by zero, array/string index out of range, negative array
+size, float NaN/overflow conversion).  Trap-free functions let the
+compiled CASE machinery in ``sql/expressions.py`` skip short-circuit
+partitioning and EXPLAIN print ``trap-free``.
 
 Taint labels are ``arg{i}`` (parameter *i* — tuple-derived by
 construction) and ``cb:{name}`` (the result of callback ``name`` —
@@ -35,10 +40,11 @@ server/LOB-derived).  Escape origins are ``param:{i}`` (may alias the
 caller's buffer for parameter *i*) and ``alloc:{pc}`` (the object born
 at allocation site ``pc``).
 
-Intra-class calls are closed over the call graph in SCC order exactly
-like ``effects.py`` / ``bounds.py``; recursive components fall back to
-a sound conservative certificate (everything flows everywhere, nothing
-is read-only, nothing is trap-free).
+Intra-class calls are closed over the call graph one strongly-connected
+component at a time, callees first (:mod:`~repro.analysis.pipeline`
+walks them); recursive components fall back to a sound conservative
+certificate (everything flows everywhere, nothing is read-only, nothing
+is trap-free).
 """
 
 from __future__ import annotations
@@ -46,27 +52,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..errors import LinkError
-from ..vm.classfile import (
-    ClassFile,
-    FunctionDef,
-    K_CALLBACK,
-    K_FUNC,
-    K_NATIVE,
-)
+from ..vm.classfile import ClassFile, FunctionDef, K_CALLBACK, K_FUNC
 from ..vm.opcodes import OPS, Instr, Op, step_stack
 from ..vm.values import VMType
-from ..vm.verifier import Resolver, self_resolver
+from ..vm.verifier import Resolver
 from . import dataflow
 from .bounds import Replay
-from .cfg import build_cfg
-from .effects import _sccs
 
 __all__ = [
     "CallbackFlow",
     "FlowCertificate",
     "ClassFlows",
-    "analyze_flows",
+    "certify_flows",
 ]
 
 #: Seq-typed VM types: values with identity/aliasing that matter to the
@@ -184,210 +181,186 @@ class ClassFlows:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-opcode label propagation
+# Taint and escape: one label fixpoint
 # ---------------------------------------------------------------------------
 
-class _LabelPass:
-    """Forward propagation of per-value label sets over the bytecode.
+#: One value's labels: ``(taint, alias)``.
+Labels = Tuple[FrozenSet[str], FrozenSet[str]]
 
-    The state is ``(locals_tuple, stack_tuple)`` of frozensets; the join
-    is elementwise union (a finite powerset lattice, so plain joins
-    converge and no widening is needed — the engine's visit cap is the
-    backstop).  Subclasses choose what labels constants, allocations,
-    and call results carry.
+_NO_LABELS: Labels = (_EMPTY, _EMPTY)
+
+_CALL_OPS = (Op.CALL, Op.NATIVE, Op.CALLBACK)
+
+
+def _union(sets) -> FrozenSet[str]:
+    merged: FrozenSet[str] = _EMPTY
+    for labels in sets:
+        merged = merged | labels
+    return merged
+
+
+def _join(a, b):
+    return (
+        tuple((x[0] | y[0], x[1] | y[1]) for x, y in zip(a[0], b[0])),
+        tuple((x[0] | y[0], x[1] | y[1]) for x, y in zip(a[1], b[1])),
+    )
+
+
+class _LabelPass:
+    """Taint and escape of one function, solved as one forward fixpoint.
+
+    Every local slot and operand-stack entry holds a :data:`Labels`
+    pair: the taint labels that may reach the value, and the escape
+    origins it may alias.  The join is pairwise union: a finite powerset
+    lattice with no widening and no top, so the least fixpoint does not
+    depend on visit order.  A second walk over the solved in-states
+    records where labels reach returns, callback arguments, array
+    stores and calls.
     """
 
     def __init__(self, cls: ClassFile, func: FunctionDef,
-                 resolver: Resolver):
+                 resolver: Resolver, known: Dict[str, FlowCertificate]):
         self.cls = cls
         self.func = func
         self.code = func.code
         self.resolver = resolver
-        self.cfg = build_cfg(func.code)
+        self.known = known
+        self.return_sources: Set[str] = set()
+        #: pc -> (callback name, per-arg label sets, joined over visits)
+        self.sites: Dict[object, Tuple[str, List[Set[str]]]] = {}
+        self.alloc_sites: Set[int] = set()
+        self.written: Set[str] = set()
+        self.escaped: Set[str] = set()
 
-    # -- hooks --------------------------------------------------------------
-
-    def entry_local(self, index: int, vm_type: VMType) -> FrozenSet[str]:
-        raise NotImplementedError
-
-    def alloc_result(self, pc: int,
-                     args: List[FrozenSet[str]]) -> FrozenSet[str]:
-        raise NotImplementedError
-
-    def call_result(self, pc: int, ins: Instr,
-                    args: List[FrozenSet[str]]) -> FrozenSet[str]:
-        raise NotImplementedError
-
-    def elementwise_result(self, pc: int, ins: Instr,
-                           args: List[FrozenSet[str]]) -> FrozenSet[str]:
-        merged: FrozenSet[str] = _EMPTY
-        for labels in args:
-            merged = merged | labels
-        return merged
-
-    def observe(self, pc: int, ins: Instr,
-                locals_: List[FrozenSet[str]],
-                stack: List[FrozenSet[str]]) -> None:
-        """Called before each instruction during the collection walk."""
-
-    # -- engine plumbing ----------------------------------------------------
-
-    def entry_state(self):
-        locals_: List[FrozenSet[str]] = []
-        for index, vm_type in enumerate(self.func.local_types):
-            if index < len(self.func.param_types):
-                locals_.append(self.entry_local(index, vm_type))
-            else:
-                locals_.append(_EMPTY)
-        return (tuple(locals_), ())
-
-    @staticmethod
-    def _join(a, b):
-        return (
-            tuple(x | y for x, y in zip(a[0], b[0])),
-            tuple(x | y for x, y in zip(a[1], b[1])),
-        )
-
-    def solve(self) -> dataflow.DataflowResult:
-        return dataflow.solve(
-            self.cfg,
+    def run(self) -> None:
+        cfg = self.func.cfg
+        result = dataflow.solve(
+            cfg,
             dataflow.DataflowProblem(
-                entry=self.entry_state(),
-                transfer=dataflow.block_transfer(
-                    self.cfg, self.code, self._step
-                ),
-                join=self._join,
+                entry=self._entry_state(),
+                transfer=dataflow.block_transfer(cfg, self.code, self._step),
+                join=_join,
             ),
         )
-
-    def collect(self, result: dataflow.DataflowResult) -> None:
-        """Re-walk every reachable block calling :meth:`observe`."""
         for index, state in enumerate(result.in_states):
             if state is None:
                 continue
             locals_, stack = list(state[0]), list(state[1])
-            for pc in self.cfg.blocks[index].pcs:
-                self.observe(pc, self.code[pc], locals_, stack)
+            for pc in cfg.blocks[index].pcs:
+                self._observe(pc, self.code[pc], stack)
                 self._step(pc, self.code[pc], locals_, stack)
 
-    # -- the small step -----------------------------------------------------
+    def _entry_state(self):
+        locals_ = [_NO_LABELS] * len(self.func.local_types)
+        for index, vm_type in enumerate(self.func.param_types):
+            alias = (frozenset({f"param:{index}"})
+                     if vm_type in _SEQ_TYPES else _EMPTY)
+            locals_[index] = (frozenset({f"arg{index}"}), alias)
+        return (tuple(locals_), ())
 
     def _arg_count(self, ins: Instr) -> Tuple[int, bool]:
         """(number of VM args, pushes a result?) for a call-like op."""
-        try:
-            if ins.op is Op.CALL:
-                class_name, func_name = self.cls.constant(ins.arg, K_FUNC)
-                sig = self.resolver.function_signature(class_name, func_name)
-            elif ins.op is Op.NATIVE:
-                (name,) = self.cls.constant(ins.arg, K_NATIVE)
-                sig = self.resolver.native_signature(name)
-            else:
-                (name,) = self.cls.constant(ins.arg, K_CALLBACK)
-                sig = self.resolver.callback_signature(name)
-        except LinkError:
+        signature = self.resolver.call_signature(self.cls, ins)
+        if signature is None:
             return (0, True)
-        params, ret = sig
+        params, ret = signature
         return (len(params), ret is not VMType.VOID)
 
+    def _callee(self, ins: Instr) -> Optional[FlowCertificate]:
+        """The certificate of an intra-class CALL's already-certified
+        target, else None (recursive, or another class)."""
+        class_name, func_name = self.cls.constant(ins.arg, K_FUNC)
+        if class_name != self.cls.name:
+            return None
+        return self.known.get(func_name)
+
+    def _alloc(self, pc: int) -> FrozenSet[str]:
+        self.alloc_sites.add(pc)
+        return frozenset({f"alloc:{pc}"})
+
     def _step(self, pc: int, ins: Instr,
-              locals_: List[FrozenSet[str]],
-              stack: List[FrozenSet[str]]) -> None:
+              locals_: List[Labels], stack: List[Labels]) -> None:
         op = ins.op
         if step_stack(ins, locals_, stack):
             return
         if op is Op.SCONST:
-            stack.append(self.alloc_result(pc, []))
-        elif op in (Op.CALL, Op.NATIVE, Op.CALLBACK):
+            stack.append((_EMPTY, self._alloc(pc)))
+        elif op in _CALL_OPS:
             argc, pushes = self._arg_count(ins)
             args = stack[len(stack) - argc:] if argc else []
             del stack[len(stack) - argc:]
             if pushes:
-                stack.append(self.call_result(pc, ins, args))
+                stack.append(self._call_result(ins, args))
         else:
             info = OPS[op]
             args = stack[len(stack) - len(info.pops):]
             del stack[len(stack) - len(info.pops):]
             if info.pushes:
-                if info.allocates:
-                    stack.append(self.alloc_result(pc, args))
-                else:
-                    stack.append(self.elementwise_result(pc, ins, args))
+                # Scalar results (loads, lengths, comparisons) alias
+                # nothing; an allocation is its own origin.
+                stack.append((
+                    _union(taint for taint, __ in args),
+                    self._alloc(pc) if info.allocates else _EMPTY,
+                ))
 
-
-# ---------------------------------------------------------------------------
-# Pass 1: taint
-# ---------------------------------------------------------------------------
-
-class _TaintPass(_LabelPass):
-    """Which params / callback results reach returns and callback args."""
-
-    def __init__(self, cls, func, resolver,
-                 known: Dict[str, FlowCertificate]):
-        super().__init__(cls, func, resolver)
-        self.known = known
-        self.return_sources: Set[str] = set()
-        #: pc -> (callback name, per-arg label sets, joined over visits)
-        self.sites: Dict[int, Tuple[str, List[Set[str]]]] = {}
-
-    def entry_local(self, index, vm_type):
-        return frozenset({f"arg{index}"})
-
-    def alloc_result(self, pc, args):
-        merged: FrozenSet[str] = _EMPTY
-        for labels in args:
-            merged = merged | labels
-        return merged
-
-    def call_result(self, pc, ins, args):
-        merged: FrozenSet[str] = _EMPTY
-        for labels in args:
-            merged = merged | labels
+    def _call_result(self, ins: Instr, args: List[Labels]) -> Labels:
         if ins.op is Op.CALLBACK:
+            # A fresh server-owned object, carrying the callback's label.
             (name,) = self.cls.constant(ins.arg, K_CALLBACK)
-            return frozenset({f"cb:{name}"})
+            return (frozenset({f"cb:{name}"}), _EMPTY)
+        taints = [taint for taint, __ in args]
+        taint = _union(taints)
         if ins.op is Op.CALL:
-            class_name, func_name = self.cls.constant(ins.arg, K_FUNC)
-            callee = (
-                self.known.get(func_name)
-                if class_name == self.cls.name else None
-            )
+            callee = self._callee(ins)
             if callee is None:
-                # Recursive / unresolved intra-class callee: assume the
-                # result may carry anything the class can observe.
-                return merged | _class_callback_labels(self.cls)
-            return merged | _substitute(callee.return_sources, args)
-        return merged
+                # Recursive / unresolved callee: assume the result may
+                # carry anything the class can observe.
+                taint = taint | _class_callback_labels(self.cls)
+            else:
+                taint = taint | _substitute(callee.return_sources, taints)
+        # A callee may return one of its arguments: the result may
+        # alias anything passed in.
+        return (taint, _union(alias for __, alias in args))
 
-    def observe(self, pc, ins, locals_, stack):
-        if ins.op is Op.RET:
-            self.return_sources.update(stack[-1])
-        elif ins.op is Op.CALLBACK:
-            (name,) = self.cls.constant(ins.arg, K_CALLBACK)
-            argc, _ = self._arg_count(ins)
+    def _observe(self, pc: int, ins: Instr, stack: List[Labels]) -> None:
+        """Record what reaches ``ins``, from the stack before it."""
+        op = ins.op
+        if op is Op.RET:
+            taint, alias = stack[-1]
+            self.return_sources.update(taint)
+            self.escaped.update(alias)
+        elif op in (Op.ASTORE, Op.FASTORE):
+            # stack: ... arr idx value
+            self.written.update(stack[-3][1])
+        elif op in _CALL_OPS:
+            argc, __ = self._arg_count(ins)
             args = stack[len(stack) - argc:] if argc else []
-            site = self.sites.setdefault(
-                pc, (name, [set() for _ in range(argc)])
-            )
-            for slot, labels in zip(site[1], args):
-                slot.update(labels)
-        elif ins.op is Op.CALL:
-            class_name, func_name = self.cls.constant(ins.arg, K_FUNC)
-            if class_name != self.cls.name:
-                return
-            callee = self.known.get(func_name)
-            if callee is None:
-                return
-            argc, _ = self._arg_count(ins)
-            args = stack[len(stack) - argc:] if argc else []
-            # Import the callee's callback flows, substituting its
-            # parameter labels with what this site actually passes.
-            for flow in callee.callback_flows:
+            # Conservative: anything passed onward may be retained or
+            # mutated by the callee.
+            for __, alias in args:
+                self.written.update(alias)
+                self.escaped.update(alias)
+            if op is Op.CALLBACK:
+                (name,) = self.cls.constant(ins.arg, K_CALLBACK)
                 site = self.sites.setdefault(
-                    (pc, flow.callback, flow.pc),
-                    (flow.callback, [set() for _ in flow.arg_sources]),
+                    pc, (name, [set() for _ in range(argc)])
                 )
-                for slot, sources in zip(site[1], flow.arg_sources):
-                    slot.update(_substitute(sources, args))
+                for slot, (taint, __) in zip(site[1], args):
+                    slot.update(taint)
+            elif op is Op.CALL:
+                callee = self._callee(ins)
+                if callee is None:
+                    return
+                taints = [taint for taint, __ in args]
+                # Import the callee's callback flows, substituting its
+                # parameter labels with what this site actually passes.
+                for flow in callee.callback_flows:
+                    site = self.sites.setdefault(
+                        (pc, flow.callback, flow.pc),
+                        (flow.callback, [set() for _ in flow.arg_sources]),
+                    )
+                    for slot, sources in zip(site[1], flow.arg_sources):
+                        slot.update(_substitute(sources, taints))
 
 
 def _class_callback_labels(cls: ClassFile) -> FrozenSet[str]:
@@ -423,60 +396,7 @@ def _substitute(sources: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: escape / read-only
-# ---------------------------------------------------------------------------
-
-class _EscapePass(_LabelPass):
-    """Which allocations stay local; which seq params stay untouched."""
-
-    def __init__(self, cls, func, resolver):
-        super().__init__(cls, func, resolver)
-        self.alloc_sites: Set[int] = set()
-        self.written: Set[str] = set()
-        self.escaped: Set[str] = set()
-
-    def entry_local(self, index, vm_type):
-        if vm_type in _SEQ_TYPES:
-            return frozenset({f"param:{index}"})
-        return _EMPTY
-
-    def alloc_result(self, pc, args):
-        self.alloc_sites.add(pc)
-        return frozenset({f"alloc:{pc}"})
-
-    def call_result(self, pc, ins, args):
-        # A callee may return one of its arguments; the result may
-        # alias anything passed in.  Callback results are fresh
-        # server-owned objects with no caller aliases.
-        if ins.op is Op.CALLBACK:
-            return _EMPTY
-        merged: FrozenSet[str] = _EMPTY
-        for labels in args:
-            merged = merged | labels
-        return merged
-
-    def elementwise_result(self, pc, ins, args):
-        # Scalar results (loads, lengths, comparisons) carry no aliases.
-        return _EMPTY
-
-    def observe(self, pc, ins, locals_, stack):
-        op = ins.op
-        if op in (Op.ASTORE, Op.FASTORE):
-            # stack: ... arr idx value
-            self.written.update(stack[-3])
-        elif op is Op.RET:
-            self.escaped.update(stack[-1])
-        elif op in (Op.CALL, Op.NATIVE, Op.CALLBACK):
-            # Conservative: anything passed onward may be retained or
-            # mutated by the callee.
-            argc, _ = self._arg_count(ins)
-            for labels in (stack[len(stack) - argc:] if argc else []):
-                self.written.update(labels)
-                self.escaped.update(labels)
-
-
-# ---------------------------------------------------------------------------
-# Pass 3: trap safety (interval-backed)
+# Trap safety, read off the certifier's stacks
 # ---------------------------------------------------------------------------
 
 def _trap_pcs(cls: ClassFile, func: FunctionDef, replay: Replay,
@@ -544,10 +464,8 @@ def _conservative_certificate(cls: ClassFile, func: FunctionDef,
     for pc, ins in enumerate(func.code):
         if ins.op is Op.CALLBACK:
             (name,) = cls.constant(ins.arg, K_CALLBACK)
-            try:
-                params, _ = resolver.callback_signature(name)
-            except LinkError:
-                params = (None,)
+            signature = resolver.call_signature(cls, ins)
+            params = (None,) if signature is None else signature[0]
             flows.append(CallbackFlow(
                 callback=name,
                 pc=pc,
@@ -570,25 +488,22 @@ def _conservative_certificate(cls: ClassFile, func: FunctionDef,
 def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
                       replay: Replay,
                       known: Dict[str, FlowCertificate]) -> FlowCertificate:
-    taint = _TaintPass(cls, func, resolver, known)
-    taint.collect(taint.solve())
-
-    escape = _EscapePass(cls, func, resolver)
-    escape.collect(escape.solve())
+    labels = _LabelPass(cls, func, resolver, known)
+    labels.run()
 
     readonly = tuple(
         index
         for index, vm_type in enumerate(func.param_types)
         if vm_type in _SEQ_TYPES
-        and f"param:{index}" not in escape.written
-        and f"param:{index}" not in escape.escaped
+        and f"param:{index}" not in labels.written
+        and f"param:{index}" not in labels.escaped
     )
     escaping = tuple(sorted(
-        pc for pc in escape.alloc_sites
-        if f"alloc:{pc}" in escape.escaped or f"alloc:{pc}" in escape.written
+        pc for pc in labels.alloc_sites
+        if f"alloc:{pc}" in labels.escaped or f"alloc:{pc}" in labels.written
     ))
     local = tuple(sorted(
-        pc for pc in escape.alloc_sites
+        pc for pc in labels.alloc_sites
         if pc not in set(escaping)
     ))
 
@@ -601,7 +516,7 @@ def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
             ),
         )
         for key, (name, slots) in sorted(
-            taint.sites.items(),
+            labels.sites.items(),
             key=lambda item: (
                 item[0] if isinstance(item[0], int) else item[0][0],
                 item[1][0],
@@ -611,7 +526,7 @@ def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
 
     return FlowCertificate(
         function=f"{cls.name}.{func.name}",
-        return_sources=tuple(sorted(taint.return_sources)),
+        return_sources=tuple(sorted(labels.return_sources)),
         callback_flows=flows,
         readonly_params=readonly,
         escaping_allocs=escaping,
@@ -620,48 +535,29 @@ def _certify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver,
     )
 
 
-def analyze_flows(cls: ClassFile, stacks: Dict[str, Replay],
-                  resolver: Optional[Resolver] = None) -> ClassFlows:
-    """Run the three flow passes over every function of a verified class.
+def certify_flows(
+    cls: ClassFile,
+    component: List[str],
+    recursive: bool,
+    stacks: Dict[str, Replay],
+    resolver: Resolver,
+    known: Dict[str, FlowCertificate],
+) -> None:
+    """Certify the flows of one strongly-connected component of the
+    intra-class call graph; attach each member's ``flows``.
 
-    ``stacks`` is what :func:`~repro.analysis.bounds.certify_class` left
-    for this class: per function, the abstract stack before each
-    reachable pc, where the trap pass looks for trap sites.  Attaches a
-    :class:`FlowCertificate` to each function as ``func.flows`` and the
-    class rollup as ``cls.flows``.
+    Components arrive callees first, so ``known`` already holds every
+    callee outside this one.  ``stacks`` is what
+    :func:`~repro.analysis.bounds.certify_component` returned for this
+    component: per function, the abstract stack before each reachable
+    pc, where the trap sites are found.  A recursive component gets the
+    conservative certificate.
     """
-    if not getattr(cls, "verified", False):
-        raise ValueError(
-            f"class {cls.name!r} must be verified before flow analysis"
-        )
-    if resolver is None:
-        resolver = self_resolver(cls)
-
-    graph: Dict[str, Set[str]] = {}
-    for name, func in cls.functions.items():
-        callees: Set[str] = set()
-        for ins in func.code:
-            if ins.op is Op.CALL:
-                class_name, func_name = cls.constant(ins.arg, K_FUNC)
-                if class_name == cls.name and func_name in cls.functions:
-                    callees.add(func_name)
-        graph[name] = callees
-
-    known: Dict[str, FlowCertificate] = {}
-    for component in _sccs(graph):
-        recursive = len(component) > 1 or any(
-            name in graph[name] for name in component
-        )
-        for name in sorted(component):
-            func = cls.functions[name]
-            if recursive:
-                cert = _conservative_certificate(cls, func, resolver)
-            else:
-                cert = _certify_function(cls, func, resolver,
-                                         stacks[name], known)
-            known[name] = cert
-            func.flows = cert
-
-    flows = ClassFlows(class_name=cls.name, functions=dict(known))
-    cls.flows = flows
-    return flows
+    for name in component:
+        func = cls.functions[name]
+        if recursive:
+            cert = _conservative_certificate(cls, func, resolver)
+        else:
+            cert = _certify_function(cls, func, resolver,
+                                     stacks[name], known)
+        func.flows = known[name] = cert

@@ -48,7 +48,6 @@ from ..vm.compiler import compile_source
 from ..vm.opcodes import OPS, Op
 from ..vm.tier import kernel_eligibility
 from ..vm.verifier import self_resolver, verify_class
-from .cfg import build_cfg
 from .costs import derive_cost_hints
 from .decompile import InlineTemplate
 from .intervals import describe_bound
@@ -78,7 +77,7 @@ class Finding:
 
 def _analyzed(cls: ClassFile) -> ClassFile:
     """``cls`` with the load-time facts attached (run on demand)."""
-    if getattr(cls, "flows", None) is None:
+    if cls.flows is None:
         load_time_analysis(
             cls, self_resolver(cls, callbacks=_standard_callbacks())
         )
@@ -94,7 +93,7 @@ def lint_class(cls: ClassFile) -> List[Finding]:
     referenced_callbacks: set = set()
     for name, func in cls.functions.items():
         where = f"{cls.name}.{name}"
-        cfg = build_cfg(func.code)
+        cfg = func.cfg
         fsum = summary.functions[name]
         for loop in cfg.loops:
             if loop.unbounded:

@@ -81,11 +81,13 @@ class FunctionDef:
     """One function: its typed signature, local-slot types, and bytecode.
 
     ``local_types`` covers *all* slots; the first ``len(param_types)`` slots
-    are the parameters.  ``max_stack`` and ``stack_in`` (operand-stack
-    depth entering each instruction) are filled in by the verifier;
-    ``summary`` (a :class:`~repro.analysis.effects.FunctionSummary`) by
-    the load-time analyzer.  None of the three is serialized — like
-    ``verified``, they are recomputed from hostile bytes on every load.
+    are the parameters.  The name, the types and ``code`` are
+    serialized; everything else is derived, and recomputed from hostile
+    bytes on every load, like ``verified``: ``max_stack`` and
+    ``stack_in`` (operand-stack depth entering each instruction) by the
+    verifier; ``summary``, ``certificate``, ``flows`` and ``inline`` by
+    the load-time analysis (:mod:`repro.analysis.pipeline`); ``cfg`` and
+    ``dispatch`` on first use.
     """
 
     name: str
@@ -95,18 +97,24 @@ class FunctionDef:
     code: Tuple[Instr, ...]
     max_stack: int = 0
     stack_in: Optional[Tuple[int, ...]] = None
+    #: FunctionSummary from the effect pass.
     summary: Optional[object] = None
-    #: ResourceCertificate from the load-time bounds certifier; like
-    #: ``summary``, never serialized — recomputed on every load.
+    #: ResourceCertificate from the bounds certifier.
     certificate: Optional[object] = None
-    #: InlineTemplate or InlineRefusal from the load-time decompiler
-    #: (:mod:`repro.analysis.decompile`); never serialized.
+    #: FlowCertificate from the flow pass.
+    flows: Optional[object] = field(default=None, compare=False)
+    #: InlineTemplate or InlineRefusal from the decompiler.
     inline: Optional[object] = field(default=None, compare=False)
     #: Interpreter dispatch cache: ``code`` decoded to ``(op, arg)``
     #: tuples, built lazily on first execution.  Pure derivation of
     #: ``code`` (which is immutable), so it never needs invalidation.
     dispatch: Optional[Tuple] = field(
         default=None, compare=False, repr=False
+    )
+    #: Backing store of :attr:`cfg`; a pure derivation of ``code``, like
+    #: ``dispatch``.
+    _cfg: Optional[object] = field(
+        default=None, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -124,6 +132,17 @@ class FunctionDef:
     @property
     def signature(self) -> Tuple[Tuple[VMType, ...], VMType]:
         return (self.param_types, self.ret_type)
+
+    @property
+    def cfg(self):
+        """The :class:`~repro.analysis.cfg.CFG` of verified ``code``,
+        built on first use: the verifier's structure check builds it,
+        and every load-time pass and the JIT read the same one."""
+        if self._cfg is None:
+            from ..analysis.cfg import build_cfg
+
+            self._cfg = build_cfg(self.code)
+        return self._cfg
 
 
 @dataclass
@@ -145,14 +164,20 @@ class ClassFile:
     #: Class-level resource rollup (analysis.bounds.ClassCertificates),
     #: set by the load-time certifier; never serialized.
     certificates: Optional[object] = None
+    #: Class-level flow rollup (analysis.flows.ClassFlows), set by the
+    #: load-time flow pass; never serialized.
+    flows: Optional[object] = None
 
     def add_function(self, func: FunctionDef) -> None:
+        """Add ``func``; the class must then be verified and analyzed
+        again, so every class-level load-time fact is dropped."""
         if func.name in self.functions:
             raise ClassFormatError(f"duplicate function {func.name!r}")
         self.functions[func.name] = func
         self.verified = False
         self.analysis = None
         self.certificates = None
+        self.flows = None
 
     def pool_index(self, entry: PoolEntry) -> int:
         """Intern ``entry``, returning its pool index."""

@@ -319,7 +319,7 @@ def lower(
         wrap_free |= nowrap
         in_bounds = frozenset(cert.in_bounds_pcs)
     plan = structure.plan(
-        func.code, f"{cls.name}.{func.name}", kernel=ret is not None,
+        func, f"{cls.name}.{func.name}", kernel=ret is not None,
         counted=counted,
     )
     metered = ret is None and nowrap is None

@@ -28,10 +28,11 @@ compiler's nesting limits.  The JagScript compiler emits neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from ..errors import VerifyError
-from .opcodes import Instr, Op
+from .classfile import FunctionDef
+from .opcodes import Op
 
 #: Label of the kernel's row end: ``continue`` of its row loop.
 EXIT = -1
@@ -69,12 +70,12 @@ class _Frame:
         self.escapes: List[int] = []   # labels whose ``__x`` leaves here
 
 
-def plan(code: Sequence[Instr], where: str = "<code>",
+def plan(func: FunctionDef, where: str = "<code>",
          kernel: bool = False,
          counted: Optional[Mapping[int, Tuple[int, int, int]]] = None,
          ) -> Plan:
-    """Structure verified ``code``; raise :class:`VerifyError` if it has
-    no structured form.
+    """Structure the verified code of ``func`` along its CFG; raise
+    :class:`VerifyError` if it has no structured form.
 
     With ``kernel`` set, RET is an edge to :data:`EXIT` inside a row loop
     (the kernel's "append the result and end the row"); otherwise it
@@ -89,9 +90,7 @@ def plan(code: Sequence[Instr], where: str = "<code>",
     the test would have left, ``max`` (``min`` counting down) of its
     start and ``stop``, before the test's exit edge.
     """
-    from ..analysis.cfg import build_cfg
-
-    return _Planner(code, build_cfg(code), where, kernel, counted).run()
+    return _Planner(func.code, func.cfg, where, kernel, counted).run()
 
 
 class _Planner:

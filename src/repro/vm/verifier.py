@@ -72,6 +72,21 @@ class Resolver:
         self.native_signature = native_signature
         self.callback_signature = callback_signature
 
+    def call_signature(self, cls: ClassFile, ins: Instr) -> Optional[Signature]:
+        """The signature the CALL, NATIVE or CALLBACK ``ins`` of ``cls``
+        links to, or None when it does not resolve."""
+        try:
+            if ins.op is Op.CALL:
+                class_name, func_name = cls.constant(ins.arg, K_FUNC)
+                return self.function_signature(class_name, func_name)
+            if ins.op is Op.NATIVE:
+                (name,) = cls.constant(ins.arg, K_NATIVE)
+                return self.native_signature(name)
+            (name,) = cls.constant(ins.arg, K_CALLBACK)
+            return self.callback_signature(name)
+        except LinkError:
+            return None
+
 
 def self_resolver(
     cls: ClassFile,
@@ -198,7 +213,7 @@ def _verify_function(cls: ClassFile, func: FunctionDef, resolver: Resolver) -> N
     # kernels can emit the function as loops and ifs.
     from .structure import plan
 
-    plan(code, where, kernel=True)
+    plan(func, where, kernel=True)
 
     func.max_stack = max_stack
     # Export the proven per-instruction entry depths for the load-time

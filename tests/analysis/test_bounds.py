@@ -8,7 +8,8 @@ import threading
 
 import pytest
 
-from repro.analysis.bounds import certify_class, constant_bound
+from repro.analysis import load_time_analysis
+from repro.analysis.bounds import constant_bound
 from repro.analysis.intervals import Bound, Interval, describe_bound
 from repro.analysis.lint import main as lint_main
 from repro.core.callbacks import standard_callback_signatures
@@ -34,8 +35,14 @@ def compiled(source, name="T"):
     return cls
 
 
+def certificates_of(cls):
+    """The certificates the loader's pipeline attaches to ``cls``."""
+    load_time_analysis(cls, self_resolver(cls))
+    return cls.certificates
+
+
 def certified(source, func="f", name="T"):
-    return certify_class(compiled(source, name)).functions[func]
+    return certificates_of(compiled(source, name)).functions[func]
 
 
 STRAIGHT = "def f(x: int) -> int:\n    return x + x\n"
@@ -220,7 +227,7 @@ class TestCertify:
         assert cert.mem_bound is None or not cert.mem_bound.is_constant
 
     def test_call_costs_are_transitive(self):
-        certs = certify_class(compiled(CALLER)).functions
+        certs = certificates_of(compiled(CALLER)).functions
         helper, caller = certs["helper"], certs["f"]
         # f pays for both helper activations on top of its own code.
         assert caller.fuel_charge([1]) > 2 * helper.fuel_charge([1])
@@ -235,7 +242,7 @@ class TestCertify:
 
     def test_certificates_attach_to_class(self):
         cls = compiled(CONST_LOOP)
-        rollup = certify_class(cls)
+        rollup = certificates_of(cls)
         assert cls.certificates is rollup
         assert cls.functions["f"].certificate is rollup.functions["f"]
 
@@ -286,7 +293,7 @@ class TestCertifiedCloneFacts:
 
     def test_generic_value_bound_nowrap_and_in_bounds(self):
         cls = compiled(GENERIC)
-        cert = certify_class(cls).functions["generic"]
+        cert = certificates_of(cls).functions["generic"]
         code = cls.functions["generic"].code
         assert cert.value_bound == (Bound.atom("pos1")
                                     + Bound.atom("len0", 255)
@@ -352,7 +359,7 @@ class TestCertifiedCloneFacts:
 
     def test_data_loop_read_is_in_bounds(self):
         cls = compiled(DATA_LOOP)
-        cert = certify_class(cls).functions["f"]
+        cert = certificates_of(cls).functions["f"]
         assert cert.in_bounds_pcs == tuple(
             _pcs(cls.functions["f"].code, Op.ALOAD))
         assert describe_bound(cert.value_bound) == "255*len0"
@@ -426,7 +433,7 @@ class TestLoadGate:
             )
 
     def test_audit_log_records_static_bounds(self):
-        rollup = certify_class(compiled(CONST_ALLOC_LOOP, "Bomb"))
+        rollup = certificates_of(compiled(CONST_ALLOC_LOOP, "Bomb"))
         security = SecurityManager(
             class_name="Bomb", permissions=Permissions.none()
         )

@@ -1,4 +1,4 @@
-"""The shared worklist dataflow engine: unit tests for both directions,
+"""The shared worklist dataflow engine: unit tests for propagation,
 widening, the visit cap — and the migration-parity pin proving the
 bounds certifier emits bit-identical ResourceCertificates now that its
 fixpoint runs on the engine."""
@@ -6,15 +6,8 @@ fixpoint runs on the engine."""
 import pytest
 
 from repro.analysis import bounds, dataflow
-from repro.analysis.bounds import certify_class
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import (
-    BACKWARD,
-    FORWARD,
-    DataflowProblem,
-    block_transfer,
-    solve,
-)
+from repro.analysis.dataflow import DataflowProblem, block_transfer, solve
 
 from tests.analysis.test_bounds import (
     ARG_ALLOC,
@@ -27,6 +20,7 @@ from tests.analysis.test_bounds import (
     RECURSIVE,
     SPIN,
     STRAIGHT,
+    certificates_of,
     compiled,
 )
 
@@ -105,7 +99,6 @@ class TestForward:
                 ),
                 join=lambda a, b: a | b,
                 top=lambda state: TOP,
-                widen_points=frozenset(),   # disable header widening
             ),
             max_visits=4,
         )
@@ -154,70 +147,6 @@ class TestForward:
             ),
         )
         assert None in result.in_states
-
-
-class TestBackward:
-    def test_exit_reachability(self):
-        # Backward "may reach an exit" analysis: every block of a
-        # straight-line function can reach the RET block.
-        fn, cfg = _cfg_for(BRANCHY)
-        result = solve(
-            cfg,
-            DataflowProblem(
-                entry=True,
-                transfer=lambda index, state: state,
-                join=lambda a, b: a or b,
-                direction=BACKWARD,
-            ),
-        )
-        assert all(state is True for state in result.in_states)
-
-    def test_spin_body_cannot_reach_exit(self):
-        fn, cfg = _cfg_for(SPIN)
-        result = solve(
-            cfg,
-            DataflowProblem(
-                entry=True,
-                transfer=lambda index, state: state,
-                join=lambda a, b: a or b,
-                direction=BACKWARD,
-            ),
-        )
-        # The infinite loop's blocks never reach an exit block, so the
-        # backward propagation leaves them at None.
-        assert None in result.in_states
-
-    def test_liveness_style_union(self):
-        # A block's backward in-state unions the facts of everything
-        # downstream of it; the entry block sees all exit facts.
-        fn, cfg = _cfg_for(BRANCHY)
-        result = solve(
-            cfg,
-            DataflowProblem(
-                entry=frozenset(),
-                transfer=lambda index, state: state | frozenset([index]),
-                join=lambda a, b: a | b,
-                direction=BACKWARD,
-            ),
-        )
-        entry_out = result.out_states[0]
-        exits = {
-            i for i, b in enumerate(cfg.blocks) if not b.successors
-        }
-        assert exits & entry_out
-
-    def test_bad_direction_rejected(self):
-        fn, cfg = _cfg_for(STRAIGHT)
-        with pytest.raises(ValueError):
-            solve(
-                cfg,
-                DataflowProblem(
-                    entry=True,
-                    transfer=lambda index, state: state,
-                    join=lambda a, b: a or b,
-                    direction="sideways",
-                ),
-            )
 
 
 class TestBlockTransfer:
@@ -273,9 +202,9 @@ class _LegacyCertifier(bounds._FunctionCertifier):
 @pytest.mark.parametrize("label", sorted(CORPUS))
 def test_certificates_bit_identical_to_legacy_fixpoint(label, monkeypatch):
     source = CORPUS[label]
-    engine_certs = certify_class(compiled(source)).functions
+    engine_certs = certificates_of(compiled(source)).functions
     monkeypatch.setattr(bounds, "_FunctionCertifier", _LegacyCertifier)
-    legacy_certs = certify_class(compiled(source)).functions
+    legacy_certs = certificates_of(compiled(source)).functions
     assert set(engine_certs) == set(legacy_certs)
     for name in engine_certs:
         got, want = engine_certs[name], legacy_certs[name]

@@ -16,9 +16,8 @@ from repro.analysis.decompile import (
     REASON_UNSUPPORTED,
     InlineRefusal,
     InlineTemplate,
-    decompile_class,
 )
-from repro.analysis.effects import analyze_class
+from repro.analysis.pipeline import load_time_analysis
 from repro.sql import ast_nodes as A
 from repro.sql.expressions import compile_expr
 from repro.sql.types import RowSchema
@@ -39,9 +38,10 @@ def _vm_invoke(cls, name, args):
 
 def _decompile(source, class_name="T"):
     cls = compile_source(source, class_name, callbacks=CALLBACKS)
-    verify_class(cls, self_resolver(cls, callbacks=CALLBACKS))
-    analyze_class(cls)
-    return cls, decompile_class(cls)
+    resolver = self_resolver(cls, callbacks=CALLBACKS)
+    verify_class(cls, resolver)
+    load_time_analysis(cls, resolver)
+    return cls, {name: func.inline for name, func in cls.functions.items()}
 
 
 def _template(source, name):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_class, derive_cost_hints
+from repro.analysis import derive_cost_hints, load_time_analysis
 from repro.analysis.lint import load_targets
 from repro.core.callbacks import standard_callback_signatures
 from repro.core.generic_udf import GENERIC_JAGSCRIPT, generic_definition
@@ -17,11 +17,17 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 CALLBACKS = dict(standard_callback_signatures())
 
 
+def analyze(cls, callbacks=CALLBACKS):
+    """The effect rollup the loader's pipeline attaches to ``cls``."""
+    load_time_analysis(cls, self_resolver(cls, callbacks=callbacks))
+    return cls.analysis
+
+
 def analyzed(source, name="C", callbacks=None):
     cbs = CALLBACKS if callbacks is None else callbacks
     cls = compile_source(source, name, callbacks=cbs)
     verify_class(cls, self_resolver(cls, callbacks=cbs))
-    return analyze_class(cls)
+    return analyze(cls, cbs)
 
 
 class TestSummaryShapes:
@@ -30,7 +36,6 @@ class TestSummaryShapes:
             "def double(x: int) -> int:\n    return x + x\n"
         ).functions["double"]
         assert summary.pure
-        assert summary.reads_args_only
         assert not summary.allocates
         assert not summary.may_not_terminate
         assert summary.cost_units >= 1.0
@@ -126,7 +131,7 @@ class TestSummaryShapes:
     def test_unverified_class_rejected(self):
         cls = compile_source("def f() -> int:\n    return 1\n", "U")
         with pytest.raises(ValueError, match="verified"):
-            analyze_class(cls)
+            analyze(cls)
 
     def test_summaries_attached_to_functions(self):
         cbs = CALLBACKS
@@ -134,7 +139,7 @@ class TestSummaryShapes:
             "def f() -> int:\n    return 1\n", "A", callbacks=cbs
         )
         verify_class(cls, self_resolver(cls, callbacks=cbs))
-        rollup = analyze_class(cls)
+        rollup = analyze(cls)
         assert cls.analysis is rollup
         assert cls.functions["f"].summary is rollup.functions["f"]
 
@@ -145,7 +150,7 @@ def example_summaries():
     for path in sorted(EXAMPLES.glob("*.py")):
         for _label, cls in load_targets(path):
             verify_class(cls, self_resolver(cls, callbacks=CALLBACKS))
-            rollup = analyze_class(cls)
+            rollup = analyze(cls)
             for name, summary in rollup.functions.items():
                 out.setdefault(name, []).append(summary)
     return out

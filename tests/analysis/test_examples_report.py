@@ -8,7 +8,13 @@ import pytest
 
 from repro.analysis.lint import main
 
-EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES = ROOT / "examples"
+#: The document at the last intended change of facts.  Regenerate it
+#: from the repository root with
+#: ``PYTHONPATH=src python -m repro.analysis --json examples/ >
+#: tests/analysis/data/examples_report.json``.
+GOLDEN = Path(__file__).resolve().parent / "data" / "examples_report.json"
 
 EFFECT_KEYS = {
     "function", "pure", "natives", "callbacks", "allocates",
@@ -111,3 +117,14 @@ def test_document_keys_are_pinned(document):
             else {"inlinable", "reason", "detail"}
         )
         assert set(facts["inline"]) == inline_keys
+
+
+def test_document_matches_golden(document):
+    # A refactor of the load-time analysis moves no fact.
+    golden = json.loads(GOLDEN.read_text())
+    failures = [
+        {**failure,
+         "target": Path(failure["target"]).relative_to(ROOT).as_posix()}
+        for failure in document["failures"]
+    ]
+    assert {**document, "failures": failures} == golden

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import load_time_analysis
-from repro.analysis.flows import analyze_flows
 from repro.analysis.lint import main
 from repro.core.callbacks import (
     READ_ONLY_CALLBACKS,
@@ -195,8 +194,8 @@ class TestRecursionFallback:
             "def f(x: int) -> int:\n    return x\n", "C",
             callbacks=CALLBACKS,
         )
-        with pytest.raises(ValueError):
-            analyze_flows(cls, {})
+        with pytest.raises(ValueError, match="verified"):
+            load_time_analysis(cls, self_resolver(cls, callbacks=CALLBACKS))
 
 
 class TestSinkPolicy:

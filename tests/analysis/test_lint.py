@@ -105,6 +105,21 @@ class TestFindings:
         assert any("pure" in line for line in lines)
         assert any("clean" in line for line in lines)
 
+    def test_lint_after_add_function_analyzes_again(self):
+        # Adding a function drops every class-level load-time fact, so
+        # the next lint analyzes the grown class instead of reading the
+        # facts of the old one.
+        cls = verified("def f(x: int) -> int:\n    return x + 1\n")
+        assert lint_class(cls) == []
+        (extra,) = compile_source(
+            "def spin() -> int:\n    while True:\n        pass\n", "M"
+        ).functions.values()
+        cls.add_function(extra)
+        assert (cls.analysis, cls.certificates, cls.flows) == (None,) * 3
+        verify_class(cls, self_resolver(cls, callbacks=CALLBACKS))
+        assert kinds(lint_class(cls)) == {"unbounded-loop"}
+        assert set(cls.flows.functions) == {"f", "spin"}
+
 
 class TestTargetLoading:
     def test_classfile_bytes(self, tmp_path):

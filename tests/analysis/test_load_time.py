@@ -1,16 +1,20 @@
 """End-to-end payoffs of load-time analysis: derived hints in EXPLAIN,
 constant folding, memoization, and rejection at CREATE FUNCTION; and
-what a load costs: one interval fixpoint per function."""
+what a load costs: one interval fixpoint per function, and one walk of
+each shared structure."""
 
 import pytest
 
-from repro.analysis import dataflow
+from repro.analysis import dataflow, pipeline
 from repro.analysis.bounds import _FunctionCertifier
+from repro.analysis.cfg import CFG
 from repro.core.callbacks import standard_callback_signatures
 from repro.core.sandbox import SandboxExecutor
 from repro.errors import SecurityViolation
 from repro.vm.classloader import SystemClassLoader
 from repro.vm.compiler import compile_source
+from repro.vm.machine import JaguarVM
+from repro.vm.security import Permissions
 
 TWICE = (
     "CREATE FUNCTION twice(int) RETURNS int LANGUAGE JAGUAR "
@@ -233,3 +237,51 @@ class TestOneFixpoint:
         assert len(cls.functions) == functions
         assert len(interval_solves) == functions
         assert all(func.flows is not None for func in cls.functions.values())
+
+
+class TestOneWalk:
+    """A load and the JIT derive each shared structure once: one CFG
+    per function, two fixpoints per function (intervals, then the
+    taint and escape labels), and one call-graph order per class."""
+
+    CASES = pytest.mark.parametrize(
+        "source, functions",
+        [(TestOneFixpoint.ONE, 1), (TestOneFixpoint.THREE, 3)],
+        ids=["one", "three"],
+    )
+
+    @staticmethod
+    def load_counting(monkeypatch, source, owner, name):
+        """Load ``source`` and JIT it; count calls of ``owner.name``."""
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        callbacks = standard_callback_signatures()
+        cls = compile_source(source, "Walk", callbacks=callbacks)
+        udf = JaguarVM(callbacks).load_udf(
+            "walk", [cls], permissions=Permissions.with_callbacks("cb_noop")
+        )
+        udf.jit_all()
+        return len(calls)
+
+    @CASES
+    def test_one_cfg_per_function(self, monkeypatch, source, functions):
+        built = self.load_counting(monkeypatch, source, CFG, "__init__")
+        assert built == functions
+
+    @CASES
+    def test_two_fixpoints_per_function(self, monkeypatch, source,
+                                        functions):
+        solves = self.load_counting(monkeypatch, source, dataflow, "solve")
+        assert solves == 2 * functions
+
+    @CASES
+    def test_one_call_graph_order_per_class(self, monkeypatch, source,
+                                            functions):
+        orders = self.load_counting(monkeypatch, source, pipeline, "_sccs")
+        assert orders == 1

@@ -450,7 +450,7 @@ def test_loop_exit_to_a_merge_goes_through_the_exit_variable():
         "    return c * 10 + n\n"
     )
     udf, func = _load(source)
-    plan = structure.plan(func.code)
+    plan = structure.plan(func)
     assert plan.uses_exit_var
     assert [item for __, item in plan.lines].count("while True:") == 2
     for args in [(1, 5, b""), (3, 5, b""), (0, 9, b""), (7, 2, b"")]:

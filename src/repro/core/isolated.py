@@ -35,14 +35,22 @@ batch, so there is no per-row message pair.
 Design 4 (the paper extrapolates it; we build it) runs the sandboxed
 program *inside* the worker, so the UDF gets both process isolation and
 the sandbox's verification/quotas.  The program is loaded once, at
-CREATE FUNCTION, and each query's worker is handed that
-:class:`~repro.vm.machine.LoadedUDF` as a ``Process`` argument (plain
-inheritance under ``fork``, its pickled form under ``spawn``): per query
-Design 4 pays Design 2's process start plus Design 3's invocations, and
-its callbacks pay the process-boundary price — the paper's
-Design 4 ≈ Design 2 + Design 3, measurable.
+CREATE FUNCTION, and each query's worker gets that
+:class:`~repro.vm.machine.LoadedUDF` as an argument of ``_worker_main``
+(inherited across ``os.fork``, pickled into a ``multiprocessing`` child
+under ``spawn``): per query Design 4 pays Design 2's process start plus
+Design 3's invocations, and its callbacks pay the process-boundary
+price — the paper's Design 4 ≈ Design 2 + Design 3, measurable.
 UDFs that declared callbacks keep a pool of one: callback dispatch is
 interactive and funnels through the query's single broker binding.
+
+Where ``fork`` exists a worker is one bare ``os.fork``: the child points
+stdin at ``/dev/null``, closes every inherited file descriptor but its
+death sentinel — the server's data file, WAL and sockets never reach UDF
+code — runs ``_worker_main`` and leaves with ``os._exit`` (no atexit
+handlers, and no flush that would write the server's unflushed output a
+second time).  The shm buffer and the semaphores are mappings, so they
+survive the purge.
 
 Marshalling uses :mod:`pickle` restricted to primitive SQL values (see
 ``_dumps``/``_loads``) — the analog of PREDATOR copying raw argument
@@ -51,11 +59,16 @@ bytes into the segment.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
+import os
 import pickle
 import queue
+import select
 import signal
 import struct
+import threading
+import traceback
 from time import perf_counter_ns
 from typing import List, Optional, Sequence, Tuple
 
@@ -76,7 +89,6 @@ MAX_BUFFER = 8 * 1024 * 1024
 #: passing an explicit ``buffer_size`` still get up to ``MAX_BUFFER``.
 RETAINED_BUFFER_CAP = 1 * 1024 * 1024
 _POLL_INTERVAL = 0.05
-_STARTUP_TIMEOUT = 30.0
 #: Minimum rows per shard before ``invoke_batch`` fans out to another
 #: worker: splitting a tiny batch buys nothing and pays extra hand-offs.
 _MIN_SHARD_ROWS = 8
@@ -230,6 +242,120 @@ class _ShmChannel:
         return self._recv(self.s2w_ready, self.s2w_ack)
 
 
+class _ForkedProcess:
+    """The parent's handle on one bare-forked worker.
+
+    The slice of ``multiprocessing.Process`` that :class:`_Worker` and
+    its callers use: ``pid``, ``sentinel`` (the read end of a pipe whose
+    only writer is the child, so it reads EOF once the child is gone),
+    ``exitcode`` (negative for a signal), ``is_alive``, ``join``,
+    ``terminate`` and ``kill``.  Reaping closes the sentinel, so a
+    reaped worker holds no fd and leaves no zombie.  A worker still
+    running at interpreter exit is killed, as ``multiprocessing`` does
+    for daemonic children.
+    """
+
+    live: "set[_ForkedProcess]" = set()
+
+    def __init__(self, args: tuple):
+        sentinel, child_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(sentinel)
+            os.close(child_end)
+            raise
+        if pid == 0:
+            _forked_child(child_end, args)  # never returns
+        os.close(child_end)
+        self.pid = pid
+        self.sentinel = sentinel
+        self.exitcode: Optional[int] = None
+        self._reaped = False
+        self._lock = threading.Lock()
+        _ForkedProcess.live.add(self)
+
+    def _reap(self, flags: int = os.WNOHANG) -> bool:
+        """``waitpid`` with ``flags``; ``True`` once the child is reaped."""
+        with self._lock:  # the sentinel must be closed exactly once
+            if self._reaped:
+                return True
+            try:
+                pid, status = os.waitpid(self.pid, flags)
+            except ChildProcessError:  # reaped elsewhere: status unknown
+                pid, status = self.pid, None
+            if pid == 0:
+                return False
+            if status is not None:
+                self.exitcode = os.waitstatus_to_exitcode(status)
+            self._reaped = True
+            os.close(self.sentinel)
+            _ForkedProcess.live.discard(self)
+            return True
+
+    def is_alive(self) -> bool:
+        return not self._reap()
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Wait up to ``timeout`` seconds for the child to exit, reap it."""
+        if self._reaped:
+            return
+        poller = select.poll()
+        poller.register(self.sentinel, select.POLLIN)
+        ready = poller.poll(None if timeout is None else timeout * 1000)
+        # EOF on the sentinel: the child closed its fds on its way out
+        # and is a moment from being a zombie, so a blocking wait is
+        # short (polling here would sleep past it).
+        self._reap(0 if ready else os.WNOHANG)
+
+    def _signal(self, signum: int) -> None:
+        if not self._reaped:
+            try:
+                os.kill(self.pid, signum)
+            except ProcessLookupError:
+                pass
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+
+@atexit.register
+def _kill_live_workers() -> None:
+    for process in list(_ForkedProcess.live):
+        process.kill()
+        process.join(timeout=1.0)
+
+
+def _forked_child(sentinel: int, args: tuple) -> None:
+    """The worker side of :class:`_ForkedProcess`; never returns.
+
+    Before any UDF code runs, stdin becomes ``/dev/null`` and every fd
+    the server had open (data file, WAL, sockets, the shm arena's file)
+    is closed; only stdin, stdout, stderr and the death sentinel stay.
+    """
+    code = 1
+    try:
+        null = os.open(os.devnull, os.O_RDONLY)
+        if null != 0:
+            os.dup2(null, 0)
+            os.close(null)
+        os.closerange(3, sentinel)
+        os.closerange(sentinel + 1, os.sysconf("SC_OPEN_MAX"))
+        _worker_main(*args)
+        code = 0
+    except BaseException:
+        # Every exception, SystemExit included, ends here: unwinding any
+        # further would run the server's own code in the child.  Straight
+        # to fd 2, since ``sys.stderr`` may wrap an fd just closed; if
+        # that write fails too, ``finally`` still exits.
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
 class _Worker:
     """One executor process plus its private shm buffer and channel."""
 
@@ -242,18 +368,20 @@ class _Worker:
             mp_ctx.Semaphore(0), mp_ctx.Semaphore(0),
             mp_ctx.Semaphore(0), mp_ctx.Semaphore(0),
         )
-        self.process = mp_ctx.Process(
-            target=_worker_main,
-            args=(
-                self.array,
-                self.channel.s2w_ready, self.channel.s2w_ack,
-                self.channel.w2s_ready, self.channel.w2s_ack,
-                worker_payload,
-            ),
-            daemon=True,
-            name=f"udf-executor-{definition.name}-{index}",
+        args = (
+            self.array,
+            self.channel.s2w_ready, self.channel.s2w_ack,
+            self.channel.w2s_ready, self.channel.w2s_ack,
+            worker_payload,
         )
-        self.process.start()
+        if mp_ctx.get_start_method() == "fork":
+            self.process = _ForkedProcess(args)
+        else:
+            self.process = mp_ctx.Process(
+                target=_worker_main, args=args, daemon=True,
+                name=f"udf-executor-{definition.name}-{index}",
+            )
+            self.process.start()
 
     def death(self) -> Optional[str]:
         """``None`` while alive, else how the process ended."""
@@ -299,8 +427,10 @@ class _Worker:
                 process.join(timeout=1.0)
         except Exception:
             pass
-        if process.is_alive():
-            process.terminate()
+        for stop in (process.terminate, process.kill):
+            if not process.is_alive():
+                return
+            stop()
             process.join(timeout=1.0)
 
 
@@ -786,8 +916,8 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
 
     if kind == "jaguar":
         __, loaded, entry, use_jit, use_flows = worker_payload
-        # ``loaded`` is the server's prepared program: inherited under
-        # ``fork``, reloaded from its pickled form under ``spawn``.  The
+        # ``loaded`` is the server's prepared program: inherited across
+        # ``os.fork``, reloaded from its pickled form under ``spawn``.  The
         # worker only binds it to this process's callback port; quotas
         # are the program's policy, the same one Design 3 enforces.
         context = loaded.make_context(callbacks={

@@ -1,7 +1,12 @@
 """Remote executor internals: chunked shm transport, callbacks, teardown."""
 
+import multiprocessing.process
+import os
+import signal
+
 import pytest
 
+import repro.core.isolated as isolated
 from repro.core.callbacks import CallbackBroker
 from repro.core.designs import Design
 from repro.core.generic_udf import (
@@ -18,7 +23,7 @@ from repro.core.isolated import (
 )
 from repro.core.udf import ServerEnvironment, UDFDefinition, UDFSignature
 from repro.database import Database
-from repro.errors import UDFInvocationError
+from repro.errors import UDFCrashed, UDFInvocationError
 from repro.vm.machine import JaguarVM
 
 BLEN = "def blen(data: bytes) -> int:\n    return len(data)\n"
@@ -139,6 +144,17 @@ class TestLifecycle:
         process.join(timeout=5.0)
         assert not process.is_alive()
 
+    def test_worker_that_raises_exits_with_code_1(self, env, monkeypatch,
+                                                  capfd):
+        def broken(*args):
+            raise RuntimeError("worker broke")
+
+        monkeypatch.setattr(isolated, "_worker_main", broken)
+        definition = generic_definition(Design.NATIVE_ISOLATED, name="broke")
+        with pytest.raises(UDFCrashed, match="exit code 1"):
+            make_executor(env, definition)
+        assert "RuntimeError: worker broke" in capfd.readouterr().err
+
     def test_invoke_after_close_raises(self, env):
         definition = generic_definition(Design.NATIVE_ISOLATED, name="dead")
         executor = make_executor(env, definition)
@@ -217,3 +233,131 @@ class TestRetainedBufferCap:
             finally:
                 executor.end_query()
                 executor.close()
+
+
+# -- native payloads for the worker-boundary tests (run in the worker) -------
+
+SERVER_FILES = ("data.pages", "wal.log")
+
+
+def _fds_naming(suffixes):
+    """This process's open fds whose target ends with one of ``suffixes``."""
+    found = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:
+            continue
+        if target.endswith(suffixes):
+            found.append(int(name))
+    return found
+
+
+def server_files_seen(x):
+    return len(_fds_naming(SERVER_FILES))
+
+
+def scribble(x):
+    """Overwrite the first 64 bytes of the server's data file, if open."""
+    written = 0
+    for fd in _fds_naming(("data.pages",)):
+        try:
+            written += os.pwrite(fd, b"\xff" * 64, 0)
+        except OSError:
+            pass
+    return written
+
+
+def die(x):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def plus_one(x):
+    return x + 1
+
+
+def _create_native(db, name, function):
+    db.execute(
+        f"CREATE FUNCTION {name}(int) RETURNS int LANGUAGE NATIVE "
+        f"DESIGN ISOLATED AS 'tests.core.test_isolated:{function}'"
+    )
+
+
+class TestWorkerHoldsNoServerFiles:
+    """The worker closes every fd it inherited before UDF code runs, so
+    an isolated UDF cannot read or write the server's files."""
+
+    def test_udf_sees_neither_file_and_cannot_write_the_data_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "db"
+        with Database(str(path)) as db:
+            db.execute("CREATE TABLE t (a INT)")
+            db.execute("INSERT INTO t VALUES (1)")
+            _create_native(db, "seen", "server_files_seen")
+            _create_native(db, "scribble", "scribble")
+            db.checkpoint()
+            # The server itself holds both files open.
+            assert server_files_seen(0) == len(SERVER_FILES)
+            before = (path / "data.pages").read_bytes()
+            assert db.query("SELECT seen(a) FROM t") == [(0,)]
+            assert db.query("SELECT scribble(a) FROM t") == [(0,)]
+            assert (path / "data.pages").read_bytes() == before
+
+
+class TestNothingLeftBehind:
+    """Every worker is one bare fork, reaped with every fd closed,
+    whether the statement succeeded, its worker died mid-batch, or the
+    worker failed before READY."""
+
+    def test_no_child_and_no_fd_outlives_a_statement(self, monkeypatch):
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def refuse(process):
+            raise AssertionError("a multiprocessing.Process was started")
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        with Database() as db:
+            db.execute("CREATE TABLE t (a INT)")
+            db.execute(
+                "INSERT INTO t VALUES "
+                + ", ".join(f"({i})" for i in range(20))
+            )
+            _create_native(db, "inc", "plus_one")
+            _create_native(db, "die", "die")
+            db.execute(
+                "CREATE FUNCTION sinc(int) RETURNS int LANGUAGE JAGUAR "
+                "DESIGN SANDBOX_ISOLATED AS "
+                "'def sinc(x: int) -> int: return x + 1'"
+            )
+            # Warm up: the shm arena's file outlives its first buffer.
+            db.query("SELECT inc(a) FROM t")
+            open_fds = len(os.listdir("/proc/self/fd"))
+            for __ in range(3):
+                assert db.query(
+                    "SELECT inc(a) FROM t WHERE sinc(a) > 10"
+                ) == [(a + 1,) for a in range(10, 20)]
+            with pytest.raises(UDFCrashed, match="SIGKILL"):
+                db.query("SELECT die(a) FROM t")
+
+            def broken(worker_payload, port):
+                raise RuntimeError("no invoker before READY")
+
+            # The fork inherits the patch, so the worker fails early.
+            monkeypatch.setattr(isolated, "_build_worker_invoker", broken)
+            with pytest.raises(Exception, match="no invoker before READY"):
+                db.query("SELECT inc(a) FROM t")
+            assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert len(forked) == 1 + 3 * 2 + 1 + 1
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)

@@ -8,6 +8,8 @@ executor class to count its ``invoke_batch`` calls sees every invocation
 any statement makes.
 """
 
+import os
+
 import pytest
 
 from repro.core import isolated
@@ -114,15 +116,25 @@ def test_every_consumer_enters_through_invoke_batch(design, batches):
 
 def test_one_worker_per_isolated_udf_per_statement(monkeypatch):
     """An isolated UDF in both WHERE and SET of one UPDATE starts one
-    worker process, as the same UDF in a SELECT's WHERE and list does."""
+    worker process, as the same UDF in a SELECT's WHERE and list does:
+    one ``_Worker`` and one ``os.fork``."""
     started = []
+    forks = []
     inner = isolated._Worker.__init__
+    fork = os.fork
 
     def counting(self, *args, **kwargs):
         started.append(self)
         inner(self, *args, **kwargs)
 
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
     monkeypatch.setattr(isolated._Worker, "__init__", counting)
+    monkeypatch.setattr(os, "fork", counting_fork)
     with Database() as db:
         db.execute("CREATE TABLE t (id INT, v INT)")
         db.execute(
@@ -135,12 +147,13 @@ def test_one_worker_per_isolated_udf_per_statement(monkeypatch):
             "'def p1(x: int) -> int: return x + 1'"
         )
         assert len(db.query("SELECT p1(v) FROM t WHERE p1(id) > 10")) == 10
-        assert len(started) == 1
+        assert len(started) == len(forks) == 1
         started.clear()
+        forks.clear()
         assert db.execute(
             "UPDATE t SET v = p1(v) WHERE p1(id) > 10"
         ).rowcount == 10
-        assert len(started) == 1
+        assert len(started) == len(forks) == 1
         assert db.query("SELECT id, v FROM t WHERE id >= 9 ORDER BY id") == [
             (i, i * 2 + (i >= 10)) for i in range(9, 20)
         ]

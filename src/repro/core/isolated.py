@@ -35,22 +35,28 @@ batch, so there is no per-row message pair.
 Design 4 (the paper extrapolates it; we build it) runs the sandboxed
 program *inside* the worker, so the UDF gets both process isolation and
 the sandbox's verification/quotas.  The program is loaded once, at
-CREATE FUNCTION, and each query's worker gets that
-:class:`~repro.vm.machine.LoadedUDF` as an argument of ``_worker_main``
-(inherited across ``os.fork``, pickled into a ``multiprocessing`` child
-under ``spawn``): per query Design 4 pays Design 2's process start plus
-Design 3's invocations, and its callbacks pay the process-boundary
-price — the paper's Design 4 ≈ Design 2 + Design 3, measurable.
-UDFs that declared callbacks keep a pool of one: callback dispatch is
-interactive and funnels through the query's single broker binding.
+CREATE FUNCTION, and each query's worker runs that
+:class:`~repro.vm.machine.LoadedUDF` (inherited across ``fork``, pickled
+into a ``multiprocessing`` child under ``spawn``): per query Design 4
+pays Design 2's process start plus Design 3's invocations, and its
+callbacks pay the process-boundary price — the paper's Design 4 ≈
+Design 2 + Design 3, measurable.  UDFs that declared callbacks keep a
+pool of one: callback dispatch is interactive and funnels through the
+query's single broker binding.
 
-Where ``fork`` exists a worker is one bare ``os.fork``: the child points
-stdin at ``/dev/null``, closes every inherited file descriptor but its
-death sentinel — the server's data file, WAL and sockets never reach UDF
-code — runs ``_worker_main`` and leaves with ``os._exit`` (no atexit
-handlers, and no flush that would write the server's unflushed output a
-second time).  The shm buffer and the semaphores are mappings, so they
-survive the purge.
+Where ``os.pidfd_open`` exists (Linux) the server does not fork workers
+itself.  It forks one :class:`Zygote` per registry epoch, at the first
+isolated statement; the zygote inherits every loaded program and
+imported native module and from then on only forks workers, still one
+per UDF per query, so the server's own pages are never write-protected
+by a per-query fork.  A worker's channel is made of file descriptors
+the zygote passes on: an anonymous shared file for the buffer and a
+pipe per semaphore (:class:`_PipeToken`).  Before UDF code runs, the
+zygote and each worker point stdin at ``/dev/null`` and close every
+inherited fd but their own (the zygote its control socket, a worker its
+channel), so the server's data file, WAL and sockets never reach UDF
+code; both leave with ``os._exit`` (no atexit handlers, and no flush
+that would write the server's unflushed output a second time).
 
 Marshalling uses :mod:`pickle` restricted to primitive SQL values (see
 ``_dumps``/``_loads``) — the analog of PREDATOR copying raw argument
@@ -60,17 +66,21 @@ bytes into the segment.
 from __future__ import annotations
 
 import atexit
+import gc
+import mmap
 import multiprocessing
 import os
 import pickle
 import queue
 import select
 import signal
+import socket
 import struct
 import threading
+import time
 import traceback
 from time import perf_counter_ns
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CallbackError, UDFCrashed, UDFInvocationError
 from .designs import Design
@@ -136,9 +146,11 @@ def _loads(data: bytes) -> object:
 class _ShmChannel:
     """Half-duplex chunked messaging over one shared-memory buffer.
 
-    Four semaphores: data-ready and chunk-ack in each direction.  The
-    protocol strictly alternates (request, then response), mirroring the
-    paper's hand-off description.
+    Four semaphores: data-ready and chunk-ack in each direction
+    (:class:`_PipeToken` pipes for a zygote's worker, ``multiprocessing``
+    semaphores under ``spawn``).  The protocol strictly alternates
+    (request, then response), mirroring the paper's hand-off
+    description.
     """
 
     def __init__(self, buffer, s2w_ready, s2w_ack, w2s_ready, w2s_ack):
@@ -147,7 +159,8 @@ class _ShmChannel:
         self.s2w_ack = s2w_ack
         self.w2s_ready = w2s_ready
         self.w2s_ack = w2s_ack
-        self.max_chunk = len(buffer) - _HEADER.size
+        self.buffer_size = len(buffer)
+        self.max_chunk = self.buffer_size - _HEADER.size
         # Local (per-process) traffic counters; each side counts what it
         # sent/received, so the server's view is the IPC tax it paid.
         self.messages_sent = 0
@@ -195,7 +208,7 @@ class _ShmChannel:
 
     def stats(self) -> dict:
         return {
-            "buffer_size": len(self.buffer),
+            "buffer_size": self.buffer_size,
             "messages_sent": self.messages_sent,
             "messages_received": self.messages_received,
             "chunks_sent": self.chunks_sent,
@@ -210,10 +223,12 @@ class _ShmChannel:
         alive, else a human-readable status — the dead worker's exit
         code or terminating signal — which the raised
         :class:`UDFCrashed` surfaces instead of a generic liveness
-        failure.
+        failure.  Without one (the worker's side), a peer that closed
+        its end raises ``EOFError``.
         """
         if death_check is None:
-            semaphore.acquire()
+            if not semaphore.acquire():
+                raise EOFError("the peer closed the channel")
             return
         while not semaphore.acquire(timeout=_POLL_INTERVAL):
             status = death_check()
@@ -241,79 +256,155 @@ class _ShmChannel:
     def worker_recv(self) -> Tuple[int, bytes]:
         return self._recv(self.s2w_ready, self.s2w_ack)
 
+    def close(self) -> None:
+        """Unmap the buffer and close the semaphores that are pipes."""
+        mapping = self.buffer.obj
+        self.buffer.release()
+        if isinstance(mapping, mmap.mmap):
+            mapping.close()
+        for token in (self.s2w_ready, self.s2w_ack, self.w2s_ready,
+                      self.w2s_ack):
+            if isinstance(token, _PipeToken):
+                token.close()
 
-class _ForkedProcess:
-    """The parent's handle on one bare-forked worker.
 
-    The slice of ``multiprocessing.Process`` that :class:`_Worker` and
-    its callers use: ``pid``, ``sentinel`` (the read end of a pipe whose
-    only writer is the child, so it reads EOF once the child is gone),
-    ``exitcode`` (negative for a signal), ``is_alive``, ``join``,
-    ``terminate`` and ``kill``.  Reaping closes the sentinel, so a
-    reaped worker holds no fd and leaves no zombie.  A worker still
-    running at interpreter exit is killed, as ``multiprocessing`` does
-    for daemonic children.
+_STATUS = struct.Struct("<i")  # a worker pid, or a raw wait status
+
+
+class _PipeToken:
+    """A semaphore whose tokens are the bytes in a pipe.
+
+    ``release`` writes one byte and ``acquire`` reads one.  Each side
+    of a channel holds only the end it uses, and pipe ends are file
+    descriptors, so the zygote can hand a worker its ends.  Once the
+    peer is gone the pipe reads EOF: ``acquire`` then waits out its
+    timeout and reports "not acquired", so the caller's death check runs
+    (a blocking ``acquire`` returns ``False`` at once).  A ``release``
+    into a pipe nobody reads any more is dropped; the next ``acquire``
+    finds the death.
     """
 
-    live: "set[_ForkedProcess]" = set()
+    __slots__ = ("rfd", "wfd", "_poller")
 
-    def __init__(self, args: tuple):
-        sentinel, child_end = os.pipe()
+    def __init__(self, rfd: int = -1, wfd: int = -1):
+        self.rfd = rfd
+        self.wfd = wfd
+        self._poller = None
+
+    def acquire(self, timeout: Optional[float] = None) -> bool:
+        if timeout is not None:
+            if self._poller is None:
+                self._poller = select.poll()
+                self._poller.register(self.rfd, select.POLLIN)
+            if not self._poller.poll(timeout * 1000):
+                return False
+        if os.read(self.rfd, 1):
+            return True
+        if timeout is not None:
+            time.sleep(timeout)
+        return False
+
+    def release(self) -> None:
         try:
-            pid = os.fork()
-        except OSError:
-            os.close(sentinel)
-            os.close(child_end)
-            raise
-        if pid == 0:
-            _forked_child(child_end, args)  # never returns
-        os.close(child_end)
+            os.write(self.wfd, b"\0")
+        except BrokenPipeError:
+            pass
+
+    def close(self) -> None:
+        for fd in (self.rfd, self.wfd):
+            if fd >= 0:
+                os.close(fd)
+        self.rfd = self.wfd = -1
+
+
+def _pipe_channel(size: int) -> Tuple[_ShmChannel, List[int]]:
+    """A channel made of file descriptors, and the worker's ends of it.
+
+    The buffer is an anonymous shared file and each of the four
+    semaphores a :class:`_PipeToken`, so the zygote can pass the worker
+    its ends with ``socket.send_fds``.  The server's mapping is marked
+    ``MADV_DONTFORK``: no process the server forks later (a zygote, and
+    so any worker of it) maps this worker's buffer.
+    """
+    fd = os.memfd_create("udf-executor-shm")
+    pipes: List[Tuple[int, int]] = []
+    try:
+        os.ftruncate(fd, size)
+        mapping = mmap.mmap(fd, size)
+        mapping.madvise(mmap.MADV_DONTFORK)
+        for __ in range(4):
+            pipes.append(os.pipe())
+    except BaseException:
+        for end in [fd, *(end for pipe in pipes for end in pipe)]:
+            os.close(end)
+        raise
+    s2w_ready, s2w_ack, w2s_ready, w2s_ack = pipes
+    channel = _ShmChannel(
+        memoryview(mapping),
+        _PipeToken(wfd=s2w_ready[1]), _PipeToken(rfd=s2w_ack[0]),
+        _PipeToken(rfd=w2s_ready[0]), _PipeToken(wfd=w2s_ack[1]),
+    )
+    return channel, [fd, s2w_ready[0], s2w_ack[1], w2s_ready[1], w2s_ack[0]]
+
+
+class _ZygoteChild:
+    """The server's handle on one worker the zygote forked.
+
+    The slice of ``multiprocessing.Process`` that :class:`_Worker` and
+    its callers use: ``pid``, ``sentinel``, ``exitcode`` (negative for a
+    signal), ``is_alive``, ``join``, ``terminate`` and ``kill``.  The
+    zygote, the worker's parent, reaps it and writes its wait status
+    into the pipe whose read end is ``sentinel``, so the sentinel turns
+    readable exactly when the worker is gone and its pid reaped.  EOF
+    with no status means the zygote died first: the worker must not
+    outlive it, so it is killed.  Reading the status closes the
+    sentinel; a joined worker holds no fd.  A worker still running at
+    interpreter exit is killed, as ``multiprocessing`` does for daemonic
+    children.
+    """
+
+    live: "set[_ZygoteChild]" = set()
+
+    def __init__(self, pid: int, sentinel: int):
         self.pid = pid
         self.sentinel = sentinel
         self.exitcode: Optional[int] = None
         self._reaped = False
         self._lock = threading.Lock()
-        _ForkedProcess.live.add(self)
+        _ZygoteChild.live.add(self)
 
-    def _reap(self, flags: int = os.WNOHANG) -> bool:
-        """``waitpid`` with ``flags``; ``True`` once the child is reaped."""
-        with self._lock:  # the sentinel must be closed exactly once
-            if self._reaped:
-                return True
-            try:
-                pid, status = os.waitpid(self.pid, flags)
-            except ChildProcessError:  # reaped elsewhere: status unknown
-                pid, status = self.pid, None
-            if pid == 0:
-                return False
-            if status is not None:
-                self.exitcode = os.waitstatus_to_exitcode(status)
-            self._reaped = True
-            os.close(self.sentinel)
-            _ForkedProcess.live.discard(self)
-            return True
-
-    def is_alive(self) -> bool:
-        return not self._reap()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait up to ``timeout`` seconds for the child to exit, reap it."""
+    def _reap(self, timeout: Optional[float]) -> bool:
+        """``True`` once the worker's end is known, waiting ``timeout``."""
         if self._reaped:
-            return
+            return True
         poller = select.poll()
         poller.register(self.sentinel, select.POLLIN)
-        ready = poller.poll(None if timeout is None else timeout * 1000)
-        # EOF on the sentinel: the child closed its fds on its way out
-        # and is a moment from being a zombie, so a blocking wait is
-        # short (polling here would sleep past it).
-        self._reap(0 if ready else os.WNOHANG)
+        if not poller.poll(None if timeout is None else timeout * 1000):
+            return False
+        with self._lock:  # the sentinel must be closed exactly once
+            if not self._reaped:
+                status = os.read(self.sentinel, _STATUS.size)
+                if len(status) == _STATUS.size:
+                    self.exitcode = os.waitstatus_to_exitcode(
+                        _STATUS.unpack(status)[0]
+                    )
+                else:
+                    self._signal(signal.SIGKILL)
+                self._reaped = True
+                os.close(self.sentinel)
+                _ZygoteChild.live.discard(self)
+        return True
+
+    def is_alive(self) -> bool:
+        return not self._reap(0)
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Wait up to ``timeout`` seconds for the worker's exit status."""
+        self._reap(timeout)
 
     def _signal(self, signum: int) -> None:
         if not self._reaped:
-            try:
-                os.kill(self.pid, signum)
-            except ProcessLookupError:
-                pass
+            _signal(self.pid, signum)
 
     def terminate(self) -> None:
         self._signal(signal.SIGTERM)
@@ -322,33 +413,232 @@ class _ForkedProcess:
         self._signal(signal.SIGKILL)
 
 
+class _ZygoteProcess:
+    """The server's handle on one zygote process.
+
+    ``programs`` maps ``id`` to each sandboxed program (``LoadedUDF``)
+    the zygote inherited; a request names its program by that ``id``.
+    ``control`` is the server's end of the socket pair the zygote reads
+    requests from.  Retiring shuts its write side: the zygote forks
+    nothing more and exits once its last worker is reaped, and the
+    control socket reads EOF once the zygote is gone.
+    """
+
+    live: "set[_ZygoteProcess]" = set()
+
+    def __init__(self, programs: dict):
+        self.programs = programs
+        control, child_end = socket.socketpair()
+        try:
+            pid = os.fork()
+        except OSError:
+            control.close()
+            child_end.close()
+            raise
+        if pid == 0:
+            # The server's objects are never collected here: a file or
+            # socket the server dropped must not be finalized in the
+            # zygote or a worker, where its fd number may now name a
+            # channel end.
+            gc.freeze()
+            _forked_child((child_end.fileno(),), _zygote_main, child_end,
+                          programs)
+        child_end.close()
+        self.pid = pid
+        self.control = control
+        _ZygoteProcess.live.add(self)
+
+    def fork_worker(self, request: bytes, fds: List[int]) -> int:
+        """Have the zygote fork one worker on ``fds``; its pid."""
+        socket.send_fds(self.control, [request], fds)
+        reply = self.control.recv(_STATUS.size)
+        if len(reply) != _STATUS.size:
+            raise EOFError("the executor zygote is gone")
+        pid = _STATUS.unpack(reply)[0]
+        if pid < 0:
+            raise OSError(-pid, os.strerror(-pid))
+        return pid
+
+    def retire(self) -> None:
+        try:
+            self.control.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # already gone
+
+    def join(self, timeout: Optional[float]) -> bool:
+        """Reap the zygote if it is gone within ``timeout`` seconds."""
+        poller = select.poll()
+        poller.register(self.control, select.POLLIN)
+        if not poller.poll(None if timeout is None else timeout * 1000):
+            return False
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:
+            pass
+        self.control.close()
+        _ZygoteProcess.live.discard(self)
+        return True
+
+    def kill(self) -> None:
+        _signal(self.pid, signal.SIGKILL)
+
+
+def _signal(pid: int, signum: int) -> None:
+    try:
+        os.kill(pid, signum)
+    except ProcessLookupError:
+        pass
+
+
+class Zygote:
+    """One server's template process for Designs 2 and 4.
+
+    The server forks the zygote lazily, the first time an isolated
+    statement runs in a registry epoch, so it inherits every loaded
+    ``LoadedUDF`` and every imported native module.  It never runs UDF
+    code and never serves a query: it only forks workers, one per UDF
+    per query as before (§4.1), and reaps them.  Forking from the
+    zygote instead of the server leaves the server's heap alone: a fork
+    write-protects every page of its parent, and the server would pay a
+    page fault on each page it next wrote.
+
+    A zygote serves only programs it inherited.  A registry change
+    (:meth:`retire`) or a request for a program it does not hold retires
+    it; a retired zygote exits once its last worker is reaped, and the
+    next request forks a fresh one.  A zygote found dead is replaced and
+    the request retried once.  A lock serializes requests from
+    connection threads.  :meth:`close` (``Database.close``) reaps every
+    zygote of this server; one still alive at interpreter exit is
+    killed.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._current: Optional[_ZygoteProcess] = None
+        self._retired: List[_ZygoteProcess] = []
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The serving zygote's pid, ``None`` before the first fork."""
+        current = self._current
+        return None if current is None else current.pid
+
+    def fork_worker(self, vm, worker_payload: tuple,
+                    channel: List[int]) -> _ZygoteChild:
+        """Fork one worker running ``worker_payload`` on ``channel``.
+
+        ``channel`` is the worker's ends (:func:`_pipe_channel`); ``vm``
+        is the server's ``JaguarVM``, whose loaded programs a new zygote
+        inherits.
+        """
+        sentinel, status_end = os.pipe()
+        try:
+            pid = self._fork(vm, worker_payload, [*channel, status_end])
+        except BaseException:
+            os.close(sentinel)
+            raise
+        finally:
+            os.close(status_end)
+        return _ZygoteChild(pid, sentinel)
+
+    def _fork(self, vm, worker_payload: tuple, fds: List[int]) -> int:
+        program = worker_payload[1] if worker_payload[0] == "jaguar" else None
+        request = worker_payload
+        if program is not None:
+            request = (worker_payload[0], id(program), *worker_payload[2:])
+        request = pickle.dumps(request)
+        with self._lock:
+            self._retired = [z for z in self._retired if not z.join(0)]
+            for attempt in range(2):
+                zygote = self._current
+                if (zygote is not None and program is not None
+                        and zygote.programs.get(id(program)) is not program):
+                    self._retire_current()
+                    zygote = None
+                if zygote is None:
+                    programs = {
+                        id(loaded): loaded
+                        for loaded in vm.loaded_udfs.values()
+                    }
+                    if program is not None:
+                        programs[id(program)] = program
+                    zygote = self._current = _ZygoteProcess(programs)
+                try:
+                    return zygote.fork_worker(request, fds)
+                except (EOFError, ConnectionError):
+                    # Found dead: reap it, then fork a fresh one.
+                    self._current = None
+                    zygote.kill()
+                    zygote.join(None)
+                    if attempt:
+                        raise UDFCrashed(
+                            "the executor zygote died twice in a row; "
+                            "the server survives"
+                        ) from None
+
+    def retire(self) -> None:
+        """The registry changed: the next request forks a fresh zygote."""
+        with self._lock:
+            self._retire_current()
+
+    def _retire_current(self) -> None:
+        zygote, self._current = self._current, None
+        if zygote is not None:
+            zygote.retire()
+            self._retired.append(zygote)
+
+    def close(self) -> None:
+        """Retire the zygote and reap every zygote of this server.
+
+        A retired zygote exits once its workers are reaped; one whose
+        workers outlive a second is killed.
+        """
+        with self._lock:
+            self._retire_current()
+            for zygote in self._retired:
+                if not zygote.join(1.0):
+                    zygote.kill()
+                    zygote.join(None)
+            self._retired = []
+
+
 @atexit.register
-def _kill_live_workers() -> None:
-    for process in list(_ForkedProcess.live):
-        process.kill()
-        process.join(timeout=1.0)
+def _kill_live_processes() -> None:
+    for worker in list(_ZygoteChild.live):
+        worker.kill()
+    for zygote in list(_ZygoteProcess.live):
+        zygote.kill()
+        zygote.join(1.0)
 
 
-def _forked_child(sentinel: int, args: tuple) -> None:
-    """The worker side of :class:`_ForkedProcess`; never returns.
+def _close_inherited(keep: Sequence[int]) -> None:
+    """Point stdin at ``/dev/null`` and close every fd >= 3 not in ``keep``."""
+    null = os.open(os.devnull, os.O_RDONLY)
+    if null != 0:
+        os.dup2(null, 0)
+        os.close(null)
+    low = 3
+    for fd in sorted(keep):
+        os.closerange(low, fd)
+        low = fd + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
-    Before any UDF code runs, stdin becomes ``/dev/null`` and every fd
-    the server had open (data file, WAL, sockets, the shm arena's file)
-    is closed; only stdin, stdout, stderr and the death sentinel stay.
+
+def _forked_child(keep: Sequence[int], main, *args) -> None:
+    """Run ``main(*args)`` in a forked child; never returns.
+
+    Before ``main`` runs, every fd the parent had open but ``keep`` is
+    closed (data file, WAL, sockets, other workers' channels): a zygote
+    keeps only its control socket, a worker only its channel.
     """
     code = 1
     try:
-        null = os.open(os.devnull, os.O_RDONLY)
-        if null != 0:
-            os.dup2(null, 0)
-            os.close(null)
-        os.closerange(3, sentinel)
-        os.closerange(sentinel + 1, os.sysconf("SC_OPEN_MAX"))
-        _worker_main(*args)
+        _close_inherited(keep)
+        main(*args)
         code = 0
     except BaseException:
         # Every exception, SystemExit included, ends here: unwinding any
-        # further would run the server's own code in the child.  Straight
+        # further would run the parent's own code in the child.  Straight
         # to fd 2, since ``sys.stderr`` may wrap an fd just closed; if
         # that write fails too, ``finally`` still exits.
         os.write(2, traceback.format_exc().encode())
@@ -356,12 +646,104 @@ def _forked_child(sentinel: int, args: tuple) -> None:
         os._exit(code)
 
 
-class _Worker:
-    """One executor process plus its private shm buffer and channel."""
+def _zygote_main(control: socket.socket, programs: dict) -> None:
+    """The zygote: fork a worker per request, reap each, report its end.
 
-    def __init__(self, mp_ctx, definition: UDFDefinition,
-                 buffer_size: int, worker_payload: tuple, index: int):
+    A request is a pickled worker payload (a program named by its ``id``
+    in ``programs``) plus six fds: the worker's five channel ends and
+    the write end of the server's status pipe for it.  The reply is the
+    worker's pid, or ``-errno`` if ``fork`` failed.  The zygote watches
+    each worker through a pidfd, which turns readable once the worker
+    has exited (nothing the worker does to its own fds can fake it),
+    then reaps it and writes its wait status to the server.  Once the
+    server shuts its side, the zygote exits after its last worker.
+    """
+    poller = select.poll()
+    poller.register(control, select.POLLIN)
+    workers: Dict[int, Tuple[int, int]] = {}  # pidfd -> (pid, status fd)
+    serving = True
+    while serving or workers:
+        for fd, __ in poller.poll():
+            if fd in workers:
+                poller.unregister(fd)
+                os.close(fd)
+                pid, status_fd = workers.pop(fd)
+                __, status = os.waitpid(pid, 0)
+                try:
+                    os.write(status_fd, _STATUS.pack(status))
+                except OSError:
+                    pass  # the server stopped listening
+                os.close(status_fd)
+                continue
+            try:
+                request, fds, __, __ = socket.recv_fds(control, 4096, 6)
+            except OSError:
+                request, fds = b"", []
+            if not request:
+                serving = False
+                poller.unregister(control)
+                continue
+            *channel, status_fd = fds
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                pid = -exc.errno
+            if pid == 0:
+                _forked_child(channel, _executor_main, programs, request,
+                              channel)
+            for end in channel:
+                os.close(end)
+            if pid > 0:
+                exited = os.pidfd_open(pid)
+                workers[exited] = (pid, status_fd)
+                poller.register(exited, select.POLLIN)
+            else:
+                os.close(status_fd)
+            control.sendall(_STATUS.pack(pid))
+
+
+def _executor_main(programs: dict, request: bytes,
+                   channel: List[int]) -> None:
+    """A worker the zygote forked: map its channel, run ``_worker_main``."""
+    kind, *rest = pickle.loads(request)
+    if kind == "jaguar":
+        rest[0] = programs[rest[0]]
+    memfd, s2w_ready, s2w_ack, w2s_ready, w2s_ack = channel
+    buffer = mmap.mmap(memfd, 0)
+    os.close(memfd)
+    _worker_main(
+        buffer,
+        _PipeToken(rfd=s2w_ready), _PipeToken(wfd=s2w_ack),
+        _PipeToken(wfd=w2s_ready), _PipeToken(rfd=w2s_ack),
+        (kind, *rest),
+    )
+
+
+class _Worker:
+    """One executor process plus its private shm buffer and channel.
+
+    Under ``fork`` the zygote forks the process onto a channel of file
+    descriptors; under ``spawn`` it is a ``multiprocessing.Process`` on
+    ``multiprocessing`` shared memory and semaphores.
+    """
+
+    def __init__(self, env: ServerEnvironment, definition: UDFDefinition,
+                 buffer_size: int, worker_payload: tuple, index: int,
+                 mp_ctx=None):
         self.index = index
+        if mp_ctx is None:
+            self.channel, ends = _pipe_channel(buffer_size)
+            try:
+                self.process = env.zygote.fork_worker(
+                    env.vm, worker_payload, ends
+                )
+            except BaseException:
+                self.channel.close()
+                raise
+            finally:
+                for end in ends:
+                    os.close(end)
+            return
         self.array = mp_ctx.Array("B", buffer_size, lock=False)
         self.channel = _ShmChannel(
             memoryview(self.array).cast("B"),
@@ -374,14 +756,11 @@ class _Worker:
             self.channel.w2s_ready, self.channel.w2s_ack,
             worker_payload,
         )
-        if mp_ctx.get_start_method() == "fork":
-            self.process = _ForkedProcess(args)
-        else:
-            self.process = mp_ctx.Process(
-                target=_worker_main, args=args, daemon=True,
-                name=f"udf-executor-{definition.name}-{index}",
-            )
-            self.process.start()
+        self.process = mp_ctx.Process(
+            target=_worker_main, args=args, daemon=True,
+            name=f"udf-executor-{definition.name}-{index}",
+        )
+        self.process.start()
 
     def death(self) -> Optional[str]:
         """``None`` while alive, else how the process ended."""
@@ -392,7 +771,7 @@ class _Worker:
             return None
         code = process.exitcode
         if code is None:
-            return "unknown exit status"
+            return "exit status lost: its zygote died"
         if code < 0:
             try:
                 return f"killed by {signal.Signals(-code).name}"
@@ -429,9 +808,10 @@ class _Worker:
             pass
         for stop in (process.terminate, process.kill):
             if not process.is_alive():
-                return
+                break
             stop()
             process.join(timeout=1.0)
+        self.channel.close()
 
 
 class WorkerPool:
@@ -454,14 +834,17 @@ class WorkerPool:
     ):
         self.definition = definition
         self.size = max(1, size)
-        mp_ctx = multiprocessing.get_context(_start_method())
+        method = _start_method()
+        mp_ctx = (
+            None if method == "fork" else multiprocessing.get_context(method)
+        )
         self._workers: List[_Worker] = []
         self._idle: "queue.LifoQueue[_Worker]" = queue.LifoQueue()
         try:
             for index in range(self.size):
                 self._workers.append(
-                    _Worker(mp_ctx, definition, buffer_size, worker_payload,
-                            index)
+                    _Worker(env, definition, buffer_size, worker_payload,
+                            index, mp_ctx)
                 )
             for worker in self._workers:
                 msg_type, payload = worker.recv()
@@ -808,8 +1191,8 @@ class RemoteExecutor(UDFExecutor):
 
 
 def _start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+    # The zygote forks workers and watches them through pidfds (Linux).
+    return "fork" if hasattr(os, "pidfd_open") else "spawn"
 
 
 def _shippable(exc: Exception) -> Exception:
@@ -882,7 +1265,10 @@ def _worker_main(array, s2w_ready, s2w_ack, w2s_ready, w2s_ack,
         return
     channel.worker_send(MSG_READY, b"")
     while True:
-        msg_type, payload = channel.worker_recv()
+        try:
+            msg_type, payload = channel.worker_recv()
+        except EOFError:  # the server is gone: nothing left to answer
+            return
         if msg_type == MSG_SHUTDOWN:
             return
         # One request type: one unmarshal, N invocations, one reply.  A

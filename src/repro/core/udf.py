@@ -16,6 +16,7 @@ once per function invocation") and torn down when the query ends.
 from __future__ import annotations
 
 import importlib
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -250,7 +251,7 @@ class UDFRegistry:
             self.environment.vm.unload_udf(key)
             raise
         self._definitions[key] = definition
-        self.epoch += 1
+        self._changed()
 
     def unregister(self, name: str) -> None:
         key = name.lower()
@@ -259,7 +260,13 @@ class UDFRegistry:
         if executor is not None:
             executor.close()
         self.environment.vm.unload_udf(key)
+        self._changed()
+
+    def _changed(self) -> None:
         self.epoch += 1
+        # The isolated designs' zygote holds the programs and modules of
+        # the epoch it was forked in.
+        self.environment.retire_zygote()
 
     def get(self, name: str) -> UDFDefinition:
         try:
@@ -327,3 +334,31 @@ class ServerEnvironment:
     #: operators at the same width.  1 (the default) reproduces exact
     #: serial semantics — one worker, no Exchange, seed-identical plans.
     parallelism: int = 1
+
+    def __post_init__(self) -> None:
+        self._zygote = None
+        self._zygote_lock = threading.Lock()
+
+    @property
+    def zygote(self):
+        """The template process that forks the isolated designs'
+        executors (:class:`repro.core.isolated.Zygote`), so the server
+        forks once per registry epoch, not once per query.  Made at the
+        first isolated statement: a server that runs none never imports
+        the isolated designs."""
+        with self._zygote_lock:
+            if self._zygote is None:
+                from .isolated import Zygote
+
+                self._zygote = Zygote()
+            return self._zygote
+
+    def retire_zygote(self) -> None:
+        """The registry changed: the zygote's programs are stale."""
+        if self._zygote is not None:
+            self._zygote.retire()
+
+    def close(self) -> None:
+        """Reap the zygote; call once no statement runs any more."""
+        if self._zygote is not None:
+            self._zygote.close()

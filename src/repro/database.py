@@ -767,6 +767,7 @@ class Database:
         nothing.  (After an injected crash the storage layer is dead;
         close skips the checkpoint and recovery owns the state.)"""
         self.registry.close()
+        self.environment.close()
         if self.disk is not None:
             if self.wal is not None:
                 clean = False

@@ -21,6 +21,7 @@ def registry():
     reg = UDFRegistry(env)
     yield reg
     reg.close()
+    env.close()
 
 
 @pytest.fixture

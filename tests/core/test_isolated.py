@@ -32,7 +32,11 @@ BLEN = "def blen(data: bytes) -> int:\n    return len(data)\n"
 @pytest.fixture
 def env():
     broker = CallbackBroker()
-    return ServerEnvironment(vm=JaguarVM(broker.signatures()), broker=broker)
+    environment = ServerEnvironment(
+        vm=JaguarVM(broker.signatures()), broker=broker
+    )
+    yield environment
+    environment.close()
 
 
 def make_executor(env, definition, **kwargs):
@@ -306,13 +310,15 @@ class TestWorkerHoldsNoServerFiles:
 
 
 class TestNothingLeftBehind:
-    """Every worker is one bare fork, reaped with every fd closed,
-    whether the statement succeeded, its worker died mid-batch, or the
-    worker failed before READY."""
+    """Every worker is forked by the zygote and reaped, with every fd
+    closed, whether the statement succeeded, its worker died mid-batch,
+    or the worker failed before READY; the server forks only zygotes."""
 
     def test_no_child_and_no_fd_outlives_a_statement(self, monkeypatch):
         forked = []
+        workers = []
         fork = os.fork
+        inner = isolated._Worker.__init__
 
         def counting_fork():
             pid = fork()
@@ -320,12 +326,23 @@ class TestNothingLeftBehind:
                 forked.append(pid)
             return pid
 
+        def counting_worker(self, *args, **kwargs):
+            inner(self, *args, **kwargs)
+            workers.append(self.process.pid)
+
         def refuse(process):
             raise AssertionError("a multiprocessing.Process was started")
 
+        def all_gone():
+            return not [
+                pid for pid in workers if os.path.exists(f"/proc/{pid}")
+            ]
+
         monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(isolated._Worker, "__init__", counting_worker)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                             refuse)
+        start_fds = len(os.listdir("/proc/self/fd"))
         with Database() as db:
             db.execute("CREATE TABLE t (a INT)")
             db.execute(
@@ -339,25 +356,34 @@ class TestNothingLeftBehind:
                 "DESIGN SANDBOX_ISOLATED AS "
                 "'def sinc(x: int) -> int: return x + 1'"
             )
-            # Warm up: the shm arena's file outlives its first buffer.
+            # Warm up: the first statement forks the zygote, whose
+            # control socket stays open while it serves.
             db.query("SELECT inc(a) FROM t")
+            assert all_gone()
             open_fds = len(os.listdir("/proc/self/fd"))
             for __ in range(3):
                 assert db.query(
                     "SELECT inc(a) FROM t WHERE sinc(a) > 10"
                 ) == [(a + 1,) for a in range(10, 20)]
+                assert all_gone()
             with pytest.raises(UDFCrashed, match="SIGKILL"):
                 db.query("SELECT die(a) FROM t")
+            assert all_gone()
+            assert len(os.listdir("/proc/self/fd")) == open_fds
 
             def broken(worker_payload, port):
                 raise RuntimeError("no invoker before READY")
 
-            # The fork inherits the patch, so the worker fails early.
+            # A registry change retires the zygote; the next one is
+            # forked after the patch and hands it to its workers.
             monkeypatch.setattr(isolated, "_build_worker_invoker", broken)
+            db.execute("DROP FUNCTION die")
             with pytest.raises(Exception, match="no invoker before READY"):
                 db.query("SELECT inc(a) FROM t")
-            assert len(os.listdir("/proc/self/fd")) == open_fds
-        assert len(forked) == 1 + 3 * 2 + 1 + 1
+            assert all_gone()
+        assert len(os.listdir("/proc/self/fd")) == start_fds
+        assert len(workers) == 1 + 3 * 2 + 1 + 1
+        assert len(forked) == 2 and not set(forked) & set(workers)
         for pid in forked:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)

@@ -30,6 +30,7 @@ def registry():
     reg = UDFRegistry(env)
     yield reg
     reg.close()
+    env.close()
 
 
 def run_udf(registry, definition, args):

@@ -182,3 +182,4 @@ class TestChannelStats:
         finally:
             executor.profile = None
             executor.close()
+            env.close()

@@ -241,7 +241,11 @@ def env():
     from repro.vm.machine import JaguarVM
 
     broker = CallbackBroker()
-    return ServerEnvironment(vm=JaguarVM(broker.signatures()), broker=broker)
+    environment = ServerEnvironment(
+        vm=JaguarVM(broker.signatures()), broker=broker
+    )
+    yield environment
+    environment.close()
 
 
 class TestWorkerPool:

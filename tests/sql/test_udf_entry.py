@@ -117,8 +117,11 @@ def test_every_consumer_enters_through_invoke_batch(design, batches):
 def test_one_worker_per_isolated_udf_per_statement(monkeypatch):
     """An isolated UDF in both WHERE and SET of one UPDATE starts one
     worker process, as the same UDF in a SELECT's WHERE and list does:
-    one ``_Worker`` and one ``os.fork``."""
+    one ``_Worker`` and one fresh worker pid per statement.  The zygote
+    forks the workers, so the server's one ``os.fork`` is the zygote's,
+    at the first statement."""
     started = []
+    pids = []
     forks = []
     inner = isolated._Worker.__init__
     fork = os.fork
@@ -126,6 +129,7 @@ def test_one_worker_per_isolated_udf_per_statement(monkeypatch):
     def counting(self, *args, **kwargs):
         started.append(self)
         inner(self, *args, **kwargs)
+        pids.append(self.process.pid)
 
     def counting_fork():
         pid = fork()
@@ -147,16 +151,20 @@ def test_one_worker_per_isolated_udf_per_statement(monkeypatch):
             "'def p1(x: int) -> int: return x + 1'"
         )
         assert len(db.query("SELECT p1(v) FROM t WHERE p1(id) > 10")) == 10
-        assert len(started) == len(forks) == 1
+        zygote = db.environment.zygote.pid
+        assert len(started) == len(pids) == 1
+        assert forks == [zygote]
         started.clear()
         forks.clear()
         assert db.execute(
             "UPDATE t SET v = p1(v) WHERE p1(id) > 10"
         ).rowcount == 10
-        assert len(started) == len(forks) == 1
+        assert len(started) == 1 and len(pids) == 2
+        assert forks == []
         assert db.query("SELECT id, v FROM t WHERE id >= 9 ORDER BY id") == [
             (i, i * 2 + (i >= 10)) for i in range(9, 20)
         ]
+        assert len(set(pids)) == 2 and zygote not in pids
 
 
 @pytest.mark.parametrize("batch_size, crossings", [(64, 2), (1, 100)])

@@ -36,27 +36,31 @@ Design 4 (the paper extrapolates it; we build it) runs the sandboxed
 program *inside* the worker, so the UDF gets both process isolation and
 the sandbox's verification/quotas.  The program is loaded once, at
 CREATE FUNCTION, and each query's worker runs that
-:class:`~repro.vm.machine.LoadedUDF` (inherited across ``fork``, pickled
-into a ``multiprocessing`` child under ``spawn``): per query Design 4
-pays Design 2's process start plus Design 3's invocations, and its
-callbacks pay the process-boundary price — the paper's Design 4 ≈
-Design 2 + Design 3, measurable.  UDFs that declared callbacks keep a
-pool of one: callback dispatch is interactive and funnels through the
-query's single broker binding.
+:class:`~repro.vm.machine.LoadedUDF`, inherited across ``fork``: per
+query Design 4 pays Design 2's process start plus Design 3's
+invocations, and its callbacks pay the process-boundary price — the
+paper's Design 4 ≈ Design 2 + Design 3, measurable.  UDFs that declared
+callbacks keep a pool of one: callback dispatch is interactive and
+funnels through the query's single broker binding.
 
-Where ``os.pidfd_open`` exists (Linux) the server does not fork workers
-itself.  It forks one :class:`Zygote` per registry epoch, at the first
-isolated statement; the zygote inherits every loaded program and
-imported native module and from then on only forks workers, still one
-per UDF per query, so the server's own pages are never write-protected
-by a per-query fork.  A worker's channel is made of file descriptors
-the zygote passes on: an anonymous shared file for the buffer and a
-pipe per semaphore (:class:`_PipeToken`).  Before UDF code runs, the
-zygote and each worker point stdin at ``/dev/null`` and close every
-inherited fd but their own (the zygote its control socket, a worker its
-channel), so the server's data file, WAL and sockets never reach UDF
-code; both leave with ``os._exit`` (no atexit handlers, and no flush
-that would write the server's unflushed output a second time).
+The server does not fork workers itself.  It forks one :class:`Zygote`
+per registry epoch, at the first isolated statement; the zygote inherits
+every loaded program and imported native module and from then on only
+forks workers, still one per UDF per query, so the server's own pages
+are never write-protected by a per-query fork.  A worker's channel is
+made of file descriptors the zygote passes on: an anonymous shared file
+for the buffer and a pipe per semaphore (:class:`_PipeToken`).  The
+zygote watches each worker through a pidfd and reports its wait status
+on a per-worker pipe, the server's death sentinel, so every server-side
+wait is one ``poll`` over a token pipe and that sentinel.  This needs
+``os.memfd_create`` and ``os.pidfd_open`` (Linux); a host without them
+gets a :class:`~repro.errors.UDFInvocationError` at its first isolated
+statement.  Before UDF code runs, the zygote and each worker point
+stdin at ``/dev/null`` and close every inherited fd but their own (the
+zygote its control socket, a worker its channel), so the server's data
+file, WAL and sockets never reach UDF code; both leave with
+``os._exit`` (no atexit handlers, and no flush that would write the
+server's unflushed output a second time).
 
 Marshalling uses :mod:`pickle` restricted to primitive SQL values (see
 ``_dumps``/``_loads``) — the analog of PREDATOR copying raw argument
@@ -68,7 +72,6 @@ from __future__ import annotations
 import atexit
 import gc
 import mmap
-import multiprocessing
 import os
 import pickle
 import queue
@@ -77,7 +80,6 @@ import signal
 import socket
 import struct
 import threading
-import time
 import traceback
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -89,16 +91,10 @@ from .sandbox import admission_claim, loaded_program, run_batch
 from .udf import ServerEnvironment, UDFDefinition, resolve_native_payload
 
 _HEADER = struct.Struct("<BII")  # msg type, total length, chunk length
-DEFAULT_BUFFER = 256 * 1024
-MAX_BUFFER = 8 * 1024 * 1024
-#: Ceiling for *hint-driven* buffer pre-sizing.  The shm buffer is
-#: allocated once per worker and retained for the whole query, so a
-#: giant batch hint (``db.batch_size = 100_000`` against a ``bytes``
-#: parameter) must not pin ``MAX_BUFFER`` per worker for the duration —
-#: oversized batches chunk through a capped buffer instead.  Callers
-#: passing an explicit ``buffer_size`` still get up to ``MAX_BUFFER``.
-RETAINED_BUFFER_CAP = 1 * 1024 * 1024
-_POLL_INTERVAL = 0.05
+#: Bytes in each worker's shared buffer.  The buffer is a sparse
+#: anonymous file, so a page costs nothing until a message writes it;
+#: a batch larger than the buffer chunks through it.
+BUFFER_SIZE = 1 * 1024 * 1024
 #: Minimum rows per shard before ``invoke_batch`` fans out to another
 #: worker: splitting a tiny batch buys nothing and pays extra hand-offs.
 _MIN_SHARD_ROWS = 8
@@ -110,29 +106,6 @@ MSG_ERROR = 6
 MSG_SHUTDOWN = 7
 MSG_INVOKE_BATCH = 8
 MSG_RESULT_BATCH = 9
-
-#: Marshalled-size guesses per SQL parameter type, used to pre-size the
-#: shared buffer so a whole batch usually crosses in one chunk.
-_PARAM_SIZE_ESTIMATE = {"bytes": 16384, "str": 256}
-_PARAM_SIZE_DEFAULT = 64
-
-
-def _estimate_buffer_size(definition: UDFDefinition, batch_hint: int) -> int:
-    """Size the shm buffer for one batched request/response.
-
-    Chunking still works as the fallback (a 100 KB byte array at batch
-    64 will always exceed any sane buffer), but the common case — a
-    batch of scalar or small-payload argument tuples — should cross in
-    a single chunk, i.e. one copy + one semaphore hand-off.
-    """
-    per_tuple = _PARAM_SIZE_DEFAULT  # pickle framing per tuple
-    for param in definition.signature.param_types:
-        per_tuple += _PARAM_SIZE_ESTIMATE.get(param, _PARAM_SIZE_DEFAULT)
-    need = per_tuple * max(1, batch_hint) + 4096
-    # Cap hint-driven growth: the buffer never shrinks once allocated,
-    # so a huge batch hint would otherwise retain MAX_BUFFER per worker
-    # for the whole query.  Chunking absorbs the overflow.
-    return max(DEFAULT_BUFFER, min(need, RETAINED_BUFFER_CAP))
 
 
 def _dumps(value: object) -> bytes:
@@ -146,9 +119,8 @@ def _loads(data: bytes) -> object:
 class _ShmChannel:
     """Half-duplex chunked messaging over one shared-memory buffer.
 
-    Four semaphores: data-ready and chunk-ack in each direction
-    (:class:`_PipeToken` pipes for a zygote's worker, ``multiprocessing``
-    semaphores under ``spawn``).  The protocol strictly alternates
+    Four semaphores (:class:`_PipeToken` pipes): data-ready and
+    chunk-ack in each direction.  The protocol strictly alternates
     (request, then response), mirroring the paper's hand-off
     description.
     """
@@ -171,7 +143,7 @@ class _ShmChannel:
     # -- direction-agnostic primitives ---------------------------------------
 
     def _send(self, ready, ack, msg_type: int, payload: bytes,
-              death_check=None) -> None:
+              peer=None) -> None:
         total = len(payload)
         offset = 0
         first = True
@@ -180,7 +152,7 @@ class _ShmChannel:
                 # Receiver consumed the previous chunk.  Watch for peer
                 # death here too: a multi-chunk send to a dead worker
                 # must raise, not block on an ack that will never come.
-                self._acquire(ack, death_check)
+                self._acquire(ack, peer)
             chunk = payload[offset:offset + self.max_chunk]
             _HEADER.pack_into(self.buffer, 0, msg_type, total, len(chunk))
             self.buffer[_HEADER.size:_HEADER.size + len(chunk)] = chunk
@@ -190,8 +162,8 @@ class _ShmChannel:
             self.chunks_sent += 1
         self.messages_sent += 1
 
-    def _recv(self, ready, ack, death_check=None) -> Tuple[int, bytes]:
-        self._acquire(ready, death_check)
+    def _recv(self, ready, ack, peer=None) -> Tuple[int, bytes]:
+        self._acquire(ready, peer)
         msg_type, total, chunk_len = _HEADER.unpack_from(self.buffer, 0)
         data = bytearray(
             self.buffer[_HEADER.size:_HEADER.size + chunk_len]
@@ -199,7 +171,7 @@ class _ShmChannel:
         self.chunks_received += 1
         while len(data) < total:
             ack.release()
-            self._acquire(ready, death_check)
+            self._acquire(ready, peer)
             __, __, chunk_len = _HEADER.unpack_from(self.buffer, 0)
             data += self.buffer[_HEADER.size:_HEADER.size + chunk_len]
             self.chunks_received += 1
@@ -216,37 +188,36 @@ class _ShmChannel:
         }
 
     @staticmethod
-    def _acquire(semaphore, death_check) -> None:
-        """Block on ``semaphore``; poll ``death_check`` while waiting.
+    def _acquire(token: "_PipeToken", peer: Optional["_ZygoteChild"]) -> None:
+        """Take one token from ``token``.
 
-        ``death_check`` (when given) returns ``None`` while the peer is
-        alive, else a human-readable status — the dead worker's exit
-        code or terminating signal — which the raised
-        :class:`UDFCrashed` surfaces instead of a generic liveness
-        failure.  Without one (the worker's side), a peer that closed
-        its end raises ``EOFError``.
+        On the server's side ``peer`` is the worker, and one untimed
+        ``poll`` waits for the token or the worker's end.  A token
+        already in the pipe is taken even if the worker has died since
+        it was sent.  EOF instead means the worker is gone: wait for its
+        exit status and raise :class:`UDFCrashed` naming it.  On the
+        worker's side (no ``peer``) EOF means the server closed its end,
+        and raises ``EOFError``.
         """
-        if death_check is None:
-            if not semaphore.acquire():
-                raise EOFError("the peer closed the channel")
+        if peer is not None:
+            peer.wait_readable(token.rfd)
+        if token.acquire():
             return
-        while not semaphore.acquire(timeout=_POLL_INTERVAL):
-            status = death_check()
-            if status is not None:
-                raise UDFCrashed(
-                    f"remote UDF executor process died ({status}); "
-                    f"the server survives"
-                )
+        if peer is None:
+            raise EOFError("the peer closed the channel")
+        peer.join()
+        raise UDFCrashed(
+            f"remote UDF executor process died ({peer.status()}); "
+            f"the server survives"
+        )
 
     # -- server side --------------------------------------------------------------
 
-    def server_send(self, msg_type: int, payload: bytes,
-                    death_check=None) -> None:
-        self._send(self.s2w_ready, self.s2w_ack, msg_type, payload,
-                   death_check)
+    def server_send(self, msg_type: int, payload: bytes, peer=None) -> None:
+        self._send(self.s2w_ready, self.s2w_ack, msg_type, payload, peer)
 
-    def server_recv(self, death_check) -> Tuple[int, bytes]:
-        return self._recv(self.w2s_ready, self.w2s_ack, death_check)
+    def server_recv(self, peer) -> Tuple[int, bytes]:
+        return self._recv(self.w2s_ready, self.w2s_ack, peer)
 
     # -- worker side ----------------------------------------------------------------
 
@@ -257,15 +228,13 @@ class _ShmChannel:
         return self._recv(self.s2w_ready, self.s2w_ack)
 
     def close(self) -> None:
-        """Unmap the buffer and close the semaphores that are pipes."""
+        """Unmap the buffer and close this side's pipe ends."""
         mapping = self.buffer.obj
         self.buffer.release()
-        if isinstance(mapping, mmap.mmap):
-            mapping.close()
+        mapping.close()
         for token in (self.s2w_ready, self.s2w_ack, self.w2s_ready,
                       self.w2s_ack):
-            if isinstance(token, _PipeToken):
-                token.close()
+            token.close()
 
 
 _STATUS = struct.Struct("<i")  # a worker pid, or a raw wait status
@@ -277,32 +246,19 @@ class _PipeToken:
     ``release`` writes one byte and ``acquire`` reads one.  Each side
     of a channel holds only the end it uses, and pipe ends are file
     descriptors, so the zygote can hand a worker its ends.  Once the
-    peer is gone the pipe reads EOF: ``acquire`` then waits out its
-    timeout and reports "not acquired", so the caller's death check runs
-    (a blocking ``acquire`` returns ``False`` at once).  A ``release``
-    into a pipe nobody reads any more is dropped; the next ``acquire``
-    finds the death.
+    peer is gone the pipe reads EOF and ``acquire`` returns ``False``.
+    A ``release`` into a pipe nobody reads any more is dropped; the next
+    ``acquire`` finds the death.
     """
 
-    __slots__ = ("rfd", "wfd", "_poller")
+    __slots__ = ("rfd", "wfd")
 
     def __init__(self, rfd: int = -1, wfd: int = -1):
         self.rfd = rfd
         self.wfd = wfd
-        self._poller = None
 
-    def acquire(self, timeout: Optional[float] = None) -> bool:
-        if timeout is not None:
-            if self._poller is None:
-                self._poller = select.poll()
-                self._poller.register(self.rfd, select.POLLIN)
-            if not self._poller.poll(timeout * 1000):
-                return False
-        if os.read(self.rfd, 1):
-            return True
-        if timeout is not None:
-            time.sleep(timeout)
-        return False
+    def acquire(self) -> bool:
+        return bool(os.read(self.rfd, 1))
 
     def release(self) -> None:
         try:
@@ -350,17 +306,15 @@ def _pipe_channel(size: int) -> Tuple[_ShmChannel, List[int]]:
 class _ZygoteChild:
     """The server's handle on one worker the zygote forked.
 
-    The slice of ``multiprocessing.Process`` that :class:`_Worker` and
-    its callers use: ``pid``, ``sentinel``, ``exitcode`` (negative for a
-    signal), ``is_alive``, ``join``, ``terminate`` and ``kill``.  The
-    zygote, the worker's parent, reaps it and writes its wait status
-    into the pipe whose read end is ``sentinel``, so the sentinel turns
-    readable exactly when the worker is gone and its pid reaped.  EOF
-    with no status means the zygote died first: the worker must not
-    outlive it, so it is killed.  Reading the status closes the
-    sentinel; a joined worker holds no fd.  A worker still running at
-    interpreter exit is killed, as ``multiprocessing`` does for daemonic
-    children.
+    ``pid``, ``sentinel``, ``exitcode`` (negative for a signal),
+    ``is_alive``, ``join``, ``terminate`` and ``kill``.  The zygote, the
+    worker's parent, reaps it and writes its wait status into the pipe
+    whose read end is ``sentinel``, so the sentinel turns readable
+    exactly when the worker is gone and its pid reaped.  EOF with no
+    status means the zygote died first: the worker must not outlive it,
+    so it is killed.  Reading the status closes the sentinel; a joined
+    worker holds no fd.  A worker still running at interpreter exit is
+    killed.
     """
 
     live: "set[_ZygoteChild]" = set()
@@ -371,6 +325,9 @@ class _ZygoteChild:
         self.exitcode: Optional[int] = None
         self._reaped = False
         self._lock = threading.Lock()
+        #: One poller per channel pipe the server waits on, each also
+        #: watching the sentinel (:meth:`wait_readable`).
+        self._pollers: Dict[int, select.poll] = {}
         _ZygoteChild.live.add(self)
 
     def _reap(self, timeout: Optional[float]) -> bool:
@@ -394,6 +351,35 @@ class _ZygoteChild:
                 os.close(self.sentinel)
                 _ZygoteChild.live.discard(self)
         return True
+
+    def wait_readable(self, fd: int) -> None:
+        """Block until ``fd`` is readable or the worker has ended.
+
+        One untimed ``poll`` over ``fd`` and the sentinel.  A worker
+        already reaped returns at once: its pipes can no longer block.
+        """
+        if self._reaped:
+            return
+        poller = self._pollers.get(fd)
+        if poller is None:
+            poller = self._pollers[fd] = select.poll()
+            poller.register(fd, select.POLLIN)
+            poller.register(self.sentinel, select.POLLIN)
+        for ready, __ in poller.poll():
+            if ready == self.sentinel:
+                self._reap(0)
+
+    def status(self) -> str:
+        """How the worker ended, once it has (see :meth:`join`)."""
+        code = self.exitcode
+        if code is None:
+            return "exit status lost: its zygote died"
+        if code < 0:
+            try:
+                return f"killed by {signal.Signals(-code).name}"
+            except ValueError:
+                return f"killed by signal {-code}"
+        return f"exit code {code}"
 
     def is_alive(self) -> bool:
         return not self._reap(0)
@@ -509,10 +495,21 @@ class Zygote:
     the request retried once.  A lock serializes requests from
     connection threads.  :meth:`close` (``Database.close``) reaps every
     zygote of this server; one still alive at interpreter exit is
-    killed.
+    killed.  A host without ``os.pidfd_open`` or ``os.memfd_create``
+    cannot run one, and gets a :class:`UDFInvocationError` naming the
+    missing call.
     """
 
     def __init__(self):
+        missing = [
+            f"os.{call}" for call in ("pidfd_open", "memfd_create")
+            if not hasattr(os, call)
+        ]
+        if missing:
+            raise UDFInvocationError(
+                f"isolated UDF designs need {' and '.join(missing)}, "
+                f"which this host lacks (Linux has both)"
+            )
         self._lock = threading.Lock()
         self._current: Optional[_ZygoteProcess] = None
         self._retired: List[_ZygoteProcess] = []
@@ -689,7 +686,7 @@ def _zygote_main(control: socket.socket, programs: dict) -> None:
             except OSError as exc:
                 pid = -exc.errno
             if pid == 0:
-                _forked_child(channel, _executor_main, programs, request,
+                _forked_child(channel, _worker_main, programs, request,
                               channel)
             for end in channel:
                 os.close(end)
@@ -702,86 +699,31 @@ def _zygote_main(control: socket.socket, programs: dict) -> None:
             control.sendall(_STATUS.pack(pid))
 
 
-def _executor_main(programs: dict, request: bytes,
-                   channel: List[int]) -> None:
-    """A worker the zygote forked: map its channel, run ``_worker_main``."""
-    kind, *rest = pickle.loads(request)
-    if kind == "jaguar":
-        rest[0] = programs[rest[0]]
-    memfd, s2w_ready, s2w_ack, w2s_ready, w2s_ack = channel
-    buffer = mmap.mmap(memfd, 0)
-    os.close(memfd)
-    _worker_main(
-        buffer,
-        _PipeToken(rfd=s2w_ready), _PipeToken(wfd=s2w_ack),
-        _PipeToken(wfd=w2s_ready), _PipeToken(rfd=w2s_ack),
-        (kind, *rest),
-    )
-
-
 class _Worker:
     """One executor process plus its private shm buffer and channel.
 
-    Under ``fork`` the zygote forks the process onto a channel of file
-    descriptors; under ``spawn`` it is a ``multiprocessing.Process`` on
-    ``multiprocessing`` shared memory and semaphores.
+    The zygote forks the process onto a channel of file descriptors
+    (:func:`_pipe_channel`); ``process`` is the server's
+    :class:`_ZygoteChild` handle on it.
     """
 
-    def __init__(self, env: ServerEnvironment, definition: UDFDefinition,
-                 buffer_size: int, worker_payload: tuple, index: int,
-                 mp_ctx=None):
+    def __init__(self, env: ServerEnvironment, buffer_size: int,
+                 worker_payload: tuple, index: int):
         self.index = index
-        if mp_ctx is None:
-            self.channel, ends = _pipe_channel(buffer_size)
-            try:
-                self.process = env.zygote.fork_worker(
-                    env.vm, worker_payload, ends
-                )
-            except BaseException:
-                self.channel.close()
-                raise
-            finally:
-                for end in ends:
-                    os.close(end)
-            return
-        self.array = mp_ctx.Array("B", buffer_size, lock=False)
-        self.channel = _ShmChannel(
-            memoryview(self.array).cast("B"),
-            mp_ctx.Semaphore(0), mp_ctx.Semaphore(0),
-            mp_ctx.Semaphore(0), mp_ctx.Semaphore(0),
-        )
-        args = (
-            self.array,
-            self.channel.s2w_ready, self.channel.s2w_ack,
-            self.channel.w2s_ready, self.channel.w2s_ack,
-            worker_payload,
-        )
-        self.process = mp_ctx.Process(
-            target=_worker_main, args=args, daemon=True,
-            name=f"udf-executor-{definition.name}-{index}",
-        )
-        self.process.start()
-
-    def death(self) -> Optional[str]:
-        """``None`` while alive, else how the process ended."""
-        process = self.process
-        if process is None:
-            return "already closed"
-        if process.is_alive():
-            return None
-        code = process.exitcode
-        if code is None:
-            return "exit status lost: its zygote died"
-        if code < 0:
-            try:
-                return f"killed by {signal.Signals(-code).name}"
-            except ValueError:
-                return f"killed by signal {-code}"
-        return f"exit code {code}"
+        zygote = env.zygote  # first, so a host without one is refused
+        self.channel, ends = _pipe_channel(buffer_size)
+        try:
+            self.process = zygote.fork_worker(env.vm, worker_payload, ends)
+        except BaseException:
+            self.channel.close()
+            raise
+        finally:
+            for end in ends:
+                os.close(end)
 
     def send(self, msg_type: int, payload: bytes) -> None:
         try:
-            self.channel.server_send(msg_type, payload, self.death)
+            self.channel.server_send(msg_type, payload, self.process)
         except UDFCrashed as exc:
             if exc.worker_index is None:
                 exc.worker_index = self.index
@@ -789,7 +731,7 @@ class _Worker:
 
     def recv(self) -> Tuple[int, bytes]:
         try:
-            return self.channel.server_recv(self.death)
+            return self.channel.server_recv(self.process)
         except UDFCrashed as exc:
             if exc.worker_index is None:
                 exc.worker_index = self.index
@@ -834,17 +776,12 @@ class WorkerPool:
     ):
         self.definition = definition
         self.size = max(1, size)
-        method = _start_method()
-        mp_ctx = (
-            None if method == "fork" else multiprocessing.get_context(method)
-        )
         self._workers: List[_Worker] = []
         self._idle: "queue.LifoQueue[_Worker]" = queue.LifoQueue()
         try:
             for index in range(self.size):
                 self._workers.append(
-                    _Worker(env, definition, buffer_size, worker_payload,
-                            index, mp_ctx)
+                    _Worker(env, buffer_size, worker_payload, index)
                 )
             for worker in self._workers:
                 msg_type, payload = worker.recv()
@@ -951,7 +888,7 @@ class RemoteExecutor(UDFExecutor):
         self,
         definition: UDFDefinition,
         env: ServerEnvironment,
-        buffer_size: Optional[int] = None,
+        buffer_size: int = BUFFER_SIZE,
         parallelism: Optional[int] = None,
     ):
         super().__init__(definition, env)
@@ -963,13 +900,6 @@ class RemoteExecutor(UDFExecutor):
             # worker so callback traffic stays strictly ordered.
             parallelism = 1
         parallelism = max(1, int(parallelism))
-        if buffer_size is None:
-            # Pre-size from the expected batch payload so a whole batch
-            # usually crosses in one chunk instead of chunking at a
-            # fixed maximum regardless of workload.
-            buffer_size = _estimate_buffer_size(
-                definition, getattr(env, "batch_size", 1)
-            )
         if definition.design.is_sandboxed:
             # The program the registration compiled, verified, analysed,
             # JIT-compiled and built its tier-1 kernel for; a forked
@@ -1190,11 +1120,6 @@ class RemoteExecutor(UDFExecutor):
         self.binding = None
 
 
-def _start_method() -> str:
-    # The zygote forks workers and watches them through pidfds (Linux).
-    return "fork" if hasattr(os, "pidfd_open") else "spawn"
-
-
 def _shippable(exc: Exception) -> Exception:
     """Ensure an exception survives pickling across the boundary."""
     try:
@@ -1252,11 +1177,26 @@ class _WorkerNativeContext:
         return self._port.invoke(name, args)
 
 
-def _worker_main(array, s2w_ready, s2w_ack, w2s_ready, w2s_ack,
-                 worker_payload: tuple) -> None:
+def _worker_main(programs: dict, request: bytes,
+                 channel_fds: List[int]) -> None:
+    """A worker the zygote forked: map its channel, answer until shutdown.
+
+    ``request`` is the pickled worker payload, its program named by its
+    ``id`` in ``programs``; ``channel_fds`` are the worker's ends of
+    :func:`_pipe_channel`.
+    """
+    kind, *rest = pickle.loads(request)
+    if kind == "jaguar":
+        rest[0] = programs[rest[0]]
+    memfd, s2w_ready, s2w_ack, w2s_ready, w2s_ack = channel_fds
+    buffer = mmap.mmap(memfd, 0)
+    os.close(memfd)
     channel = _ShmChannel(
-        memoryview(array).cast("B"), s2w_ready, s2w_ack, w2s_ready, w2s_ack
+        memoryview(buffer),
+        _PipeToken(rfd=s2w_ready), _PipeToken(wfd=s2w_ack),
+        _PipeToken(wfd=w2s_ready), _PipeToken(rfd=w2s_ack),
     )
+    worker_payload = (kind, *rest)
     port = _RemoteCallbackPort(channel)
     try:
         invoke_batch = _build_worker_invoker(worker_payload, port)
@@ -1302,10 +1242,10 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
 
     if kind == "jaguar":
         __, loaded, entry, use_jit, use_flows = worker_payload
-        # ``loaded`` is the server's prepared program: inherited across
-        # ``os.fork``, reloaded from its pickled form under ``spawn``.  The
-        # worker only binds it to this process's callback port; quotas
-        # are the program's policy, the same one Design 3 enforces.
+        # ``loaded`` is the server's prepared program, inherited across
+        # ``os.fork``.  The worker only binds it to this process's
+        # callback port; quotas are the program's policy, the same one
+        # Design 3 enforces.
         context = loaded.make_context(callbacks={
             name: _make_remote_handler(port, name)
             for name in loaded.security.permissions.callbacks
@@ -1321,8 +1261,8 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
 
         def invoke_batch(rows):
             # The in-process executor's batch routine: the kernel the
-            # inherited (or reloaded) program built at load, else the
-            # certified reset-elision loop.
+            # inherited program built at load, else the certified
+            # reset-elision loop.
             return run_batch(loaded, entry, context, invoke_one, rows,
                              use_flows)
 

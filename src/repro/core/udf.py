@@ -325,8 +325,7 @@ class ServerEnvironment:
     #: revoke a runaway UDF mid-query (Section 6.1's thread groups).
     thread_groups: Optional[object] = None
     #: Executor batch size (rows per operator batch / ``invoke_batch``
-    #: call).  Isolated executors also use it to pre-size their shared
-    #: memory buffer for one batch per round trip.
+    #: call).
     batch_size: int = 64
     #: Worker fan-out for UDF execution.  Isolated executors spawn this
     #: many worker processes per query (a :class:`WorkerPool` shards

@@ -92,25 +92,6 @@ class LoadedUDF:
                 refusal = f"{REFUSE_UNTYPED}: {exc}"
         self.kernel_refusal = refusal
 
-    def __reduce__(self):
-        """Pickled form (a ``spawn`` worker's hand-over): bytes, grant, quota.
-
-        Unpickling reloads: the receiving process verifies and analyses
-        the bytes under the same permissions and policy and, when the
-        original built its tier-1 kernel, JIT-compiles and builds it
-        again before the worker reports READY.  ``fork`` workers inherit
-        the object itself and never come through here.
-        """
-        return _reload_udf, (
-            self.name,
-            [cls.to_bytes() for cls in self.loader.defined_classes()],
-            self.main_class.name,
-            self.security.permissions,
-            self.policy,
-            self.loader.callback_signatures,
-            self.kernel_entry,
-        )
-
     # Kept as properties: a lot of code (and tests) reads the quota off
     # the loaded UDF directly.
     @property
@@ -234,17 +215,6 @@ class LoadedUDF:
                 account.exit_call()
 
         return invoke_one
-
-
-def _reload_udf(name, classfiles, main_class, permissions, policy,
-                callback_signatures, kernel_entry) -> LoadedUDF:
-    udf = JaguarVM(callback_signatures, policy=policy).load_udf(
-        name, classfiles, main_class=main_class, permissions=permissions
-    )
-    if kernel_entry is not None:
-        udf.jit_all()
-        udf.build_kernel(kernel_entry)
-    return udf
 
 
 class JaguarVM:

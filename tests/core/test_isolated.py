@@ -1,8 +1,9 @@
 """Remote executor internals: chunked shm transport, callbacks, teardown."""
 
-import multiprocessing.process
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -14,13 +15,7 @@ from repro.core.generic_udf import (
     generic_definition,
     noop_definition,
 )
-from repro.core.isolated import (
-    DEFAULT_BUFFER,
-    MAX_BUFFER,
-    RETAINED_BUFFER_CAP,
-    RemoteExecutor,
-    _estimate_buffer_size,
-)
+from repro.core.isolated import BUFFER_SIZE, RemoteExecutor
 from repro.core.udf import ServerEnvironment, UDFDefinition, UDFSignature
 from repro.database import Database
 from repro.errors import UDFCrashed, UDFInvocationError
@@ -76,9 +71,9 @@ class TestTransport:
             executor.close()
 
     def test_small_batch_crosses_in_one_chunk_each_way(self, env):
-        """The buffer is pre-sized from the batch hint (64), so a 64-row
-        1-byte no-op batch moves whole: one request out, the worker's
-        READY plus one batch result back, one chunk per message."""
+        """A 64-row 1-byte no-op batch fits the buffer, so it moves
+        whole: one request out, the worker's READY plus one batch result
+        back, one chunk per message."""
         definition = noop_definition(Design.NATIVE_ISOLATED)
         executor = make_executor(env, definition)
         try:
@@ -189,37 +184,13 @@ def echo_bytes(data):
 
 
 class TestRetainedBufferCap:
-    """Regression: batch hints must not pin huge shm buffers."""
-
-    def _definition(self, param="bytes"):
-        return UDFDefinition(
-            name="blob_udf",
-            signature=UDFSignature((param,), "int"),
-            design=Design.NATIVE_ISOLATED,
-            payload=b"mod:func",
-            entry="func",
-        )
-
-    def test_small_hint_gets_default_buffer(self):
-        assert (
-            _estimate_buffer_size(self._definition("int"), 64)
-            == DEFAULT_BUFFER
-        )
-
-    def test_giant_hint_is_capped(self):
-        size = _estimate_buffer_size(self._definition("bytes"), 100_000)
-        assert size == RETAINED_BUFFER_CAP
-        assert size < MAX_BUFFER
-
-    def test_cap_ordering(self):
-        assert DEFAULT_BUFFER <= RETAINED_BUFFER_CAP <= MAX_BUFFER
+    """Regression: a batch hint never grows the shm buffer."""
 
     def test_oversized_batches_still_flow_through_capped_buffer(self):
-        # A payload bigger than the capped buffer must chunk, not fail:
-        # end-to-end with a batch whose pickled size exceeds the hint
-        # estimate's cap.
+        # A payload bigger than the buffer must chunk, not fail, even
+        # under a giant batch hint at executor build time.
         with Database() as db:
-            db.batch_size = 100_000  # giant hint at executor build time
+            db.batch_size = 100_000
             db.execute(
                 "CREATE FUNCTION blen(bytes) RETURNS int LANGUAGE JAGUAR "
                 f"DESIGN SANDBOX_ISOLATED AS '{BLEN}'"
@@ -227,12 +198,12 @@ class TestRetainedBufferCap:
             executor = db.registry.executor_for_query("blen")
             executor.begin_query()
             try:
-                payload = bytes(2 * 1024 * 1024)  # 2 MiB > 1 MiB cap
+                payload = bytes(2 * BUFFER_SIZE)
                 assert executor.invoke_batch([(payload,)]) == [
                     len(payload)
                 ]
                 stats = executor.channel_stats()
-                assert stats["buffer_size"] <= RETAINED_BUFFER_CAP
+                assert stats["buffer_size"] == BUFFER_SIZE
                 assert stats["chunks_sent"] > stats["messages_sent"]
             finally:
                 executor.end_query()
@@ -330,9 +301,6 @@ class TestNothingLeftBehind:
             inner(self, *args, **kwargs)
             workers.append(self.process.pid)
 
-        def refuse(process):
-            raise AssertionError("a multiprocessing.Process was started")
-
         def all_gone():
             return not [
                 pid for pid in workers if os.path.exists(f"/proc/{pid}")
@@ -340,8 +308,6 @@ class TestNothingLeftBehind:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(isolated._Worker, "__init__", counting_worker)
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            refuse)
         start_fds = len(os.listdir("/proc/self/fd"))
         with Database() as db:
             db.execute("CREATE TABLE t (a INT)")
@@ -387,3 +353,99 @@ class TestNothingLeftBehind:
         for pid in forked:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+
+def _one_row_db():
+    db = Database()
+    db.execute("CREATE TABLE t (a INT)")
+    db.execute("INSERT INTO t VALUES (1)")
+    return db
+
+
+class TestCrashReportedAtOnce:
+    """The server waits on a worker's channel and its death sentinel in
+    one untimed ``poll``, so a death is reported as soon as the zygote
+    has reaped the worker, not after a polling interval."""
+
+    def test_killed_worker_is_reported_within_50_ms(self):
+        timings = []
+        with _one_row_db() as db:
+            _create_native(db, "die", "die")
+            for __ in range(3):
+                started = time.perf_counter()
+                with pytest.raises(UDFCrashed, match="killed by SIGKILL"):
+                    db.query("SELECT die(a) FROM t")
+                timings.append(time.perf_counter() - started)
+        assert min(timings) < 0.050, timings
+
+
+class TestRefusedWithoutLinuxCalls:
+    """A host without the calls the zygote needs gets a named refusal at
+    its first isolated statement, and other statements still run."""
+
+    @pytest.mark.parametrize("call", ["pidfd_open", "memfd_create"])
+    def test_isolated_statement_names_the_missing_call(
+        self, monkeypatch, call
+    ):
+        monkeypatch.delattr(os, call)
+        with _one_row_db() as db:
+            _create_native(db, "inc", "plus_one")
+            with pytest.raises(UDFInvocationError, match=f"os\\.{call}"):
+                db.query("SELECT inc(a) FROM t")
+            assert db.query("SELECT a + 1 FROM t") == [(2,)]
+
+
+def _killed_worker_status():
+    """The raw wait status of a child killed by SIGKILL, as the zygote
+    reports it."""
+    pid = os.fork()
+    if pid == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(1)
+    __, status = os.waitpid(pid, 0)
+    return pid, status
+
+
+class TestServerWait:
+    """The server's wait on a channel pipe: a token sent before the
+    worker died is taken first; EOF waits for the exit status."""
+
+    def test_token_in_the_pipe_is_taken_before_the_death(self):
+        pid, status = _killed_worker_status()
+        rfd, wfd = os.pipe()
+        sentinel, status_end = os.pipe()
+        os.write(wfd, b"\0")
+        os.close(wfd)
+        os.write(status_end, isolated._STATUS.pack(status))
+        os.close(status_end)
+        token = isolated._PipeToken(rfd=rfd)
+        peer = isolated._ZygoteChild(pid, sentinel)
+        try:
+            isolated._ShmChannel._acquire(token, peer)
+            with pytest.raises(UDFCrashed, match="killed by SIGKILL"):
+                isolated._ShmChannel._acquire(token, peer)
+        finally:
+            token.close()
+
+    def test_eof_waits_for_the_exit_status(self):
+        pid, status = _killed_worker_status()
+        rfd, wfd = os.pipe()
+        os.close(wfd)
+        sentinel, status_end = os.pipe()
+
+        def report_late():
+            time.sleep(0.1)
+            os.write(status_end, isolated._STATUS.pack(status))
+            os.close(status_end)
+
+        reporter = threading.Thread(target=report_late)
+        token = isolated._PipeToken(rfd=rfd)
+        peer = isolated._ZygoteChild(pid, sentinel)
+        reporter.start()
+        try:
+            with pytest.raises(UDFCrashed, match="killed by SIGKILL"):
+                isolated._ShmChannel._acquire(token, peer)
+        finally:
+            reporter.join(timeout=5.0)
+            token.close()
+        assert not reporter.is_alive()

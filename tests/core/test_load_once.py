@@ -3,8 +3,6 @@ verify + analyse, JIT, tier-1 kernel) happens at CREATE FUNCTION and
 never per query, for all three sandboxed designs, isolated workers
 included."""
 
-import pickle
-
 import pytest
 
 import repro.core.isolated as isolated
@@ -224,30 +222,6 @@ class TestStalenessAndContainment:
             assert loads == ["udf:helped"]
 
 
-class TestSpawn:
-    def test_spawned_worker_reloads_the_pickled_program(
-        self, db, monkeypatch
-    ):
-        """``spawn`` pickles the ``Process`` arguments: the program ships
-        as the bytes compiled at registration plus its grant and quota
-        policy, through the same ``_worker_main`` signature."""
-        db.vm.policy = QuotaPolicy(fuel=3000)
-        fill(db)
-        create(db, "calling", "SANDBOX_ISOLATED", CALLING,
-               "CALLBACKS 'cb_noop' ")
-        create(db, "spin", "SANDBOX_ISOLATED", LOOP)
-        monkeypatch.setattr(isolated, "_start_method", lambda: "spawn")
-        # The parent compiles nothing to start the worker; the child is a
-        # fresh interpreter, so these patches stay on this side.
-        forbid_load_time_work(monkeypatch)
-        assert db.query("SELECT calling(a) FROM t") == [
-            (x,) for x in range(4)
-        ]
-        # The quota policy travelled with the program.
-        with pytest.raises(FuelExhausted):
-            db.query("SELECT spin(a + 100000) FROM t")
-
-
 @pytest.fixture
 def kernel_compiles(monkeypatch):
     """Names of the functions ``compile_batch_kernel`` compiled."""
@@ -322,23 +296,3 @@ class TestKernelBuiltOnce:
                 (x * 3 + 1,) for x in range(4)
             ]
             assert kernel_compiles == ["plain"]
-
-    def test_pickled_program_rebuilds_its_kernel_on_reload(self, db):
-        create(db, "plain", "SANDBOX_ISOLATED", PLAIN)
-        create(db, "slow", "SANDBOX_INTERP", PLAIN.replace("plain", "slow"))
-        reloaded = pickle.loads(pickle.dumps(db.vm.get_udf("plain")))
-        assert reloaded.kernel is not None
-        assert pickle.loads(pickle.dumps(db.vm.get_udf("slow"))).kernel is None
-
-    def test_spawned_worker_runs_with_parent_compiles_forbidden(
-        self, db, monkeypatch
-    ):
-        fill(db)
-        create(db, "plain", "SANDBOX_ISOLATED", PLAIN)
-        monkeypatch.setattr(isolated, "_start_method", lambda: "spawn")
-        # The child rebuilds JIT and kernel from the pickled program
-        # before READY; none of it may happen on the parent side.
-        forbid_load_time_work(monkeypatch)
-        assert db.query("SELECT plain(a) FROM t") == [
-            (x * 3 + 1,) for x in range(4)
-        ]

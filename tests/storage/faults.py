@@ -223,14 +223,10 @@ def run_crash_check(
         f"op {at} ({mode}) did not crash the workload "
         f"(acked {acked}/{len(statements)})"
     )
-    # The process is dead: drop the handles without close/checkpoint.
-    # (Isolated-design UDF worker processes would die with it; reap them
-    # explicitly so crash sweeps don't leak subprocesses.)
-    try:
-        db.registry.close()
-    except Exception:
-        pass
-    del db
+    # The storage layer is dead, so close() skips the checkpoint and
+    # leaves the files as the crash did; it still reaps the executor
+    # zygote, which a real crash would take down with the process.
+    db.close()
 
     if lose_tail:
         # The un-fsynced log tail dies with the OS page cache.

@@ -54,11 +54,6 @@ _STANDARD_SIGNATURES: Dict[str, Signature] = {
 #: of these, with a ``static:flows`` audit entry.
 SINK_CALLBACKS = frozenset({"cb_log"})
 
-#: Callbacks that only *read* server state and are safe to invoke from
-#: concurrent Exchange workers.  A UDF whose effects are limited to
-#: these is parallelism-safe even though it is not pure.
-READ_ONLY_CALLBACKS = frozenset({"cb_noop", "cb_lob_length", "cb_lob_read"})
-
 
 def standard_callback_signatures() -> Dict[str, Signature]:
     """A copy of the standard signature table (safe to extend)."""

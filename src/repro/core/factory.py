@@ -93,22 +93,18 @@ def make_executor(
     from .sfi import SFIExecutor
 
     design = definition.design
-    # Isolated designs get a WorkerPool of ``env.parallelism`` executor
-    # processes; everything else runs in-process and parallelizes (when
-    # safe) across Exchange threads instead.
-    parallelism = getattr(env, "parallelism", 1)
     if design is Design.NATIVE_INTEGRATED:
         return NativeIntegratedExecutor(definition, env)
     if design is Design.NATIVE_SFI:
         return SFIExecutor(definition, env)
     if design is Design.NATIVE_ISOLATED:
-        return RemoteExecutor(definition, env, parallelism=parallelism)
+        return RemoteExecutor(definition, env)
     if design is Design.SANDBOX_JIT:
         return SandboxExecutor(definition, env, use_jit=True)
     if design is Design.SANDBOX_INTERP:
         return SandboxExecutor(definition, env, use_jit=False)
     if design is Design.SANDBOX_ISOLATED:
-        return RemoteExecutor(definition, env, parallelism=parallelism)
+        return RemoteExecutor(definition, env)
     raise UDFRegistrationError(f"no executor for design {design}")
 
 

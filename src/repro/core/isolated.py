@@ -21,9 +21,10 @@ Section 4.1, transliterated:
   and keeps serving.
 
 The executor owns a :class:`WorkerPool` of one or more worker processes
-(``env.parallelism`` wide), each with its own private shm buffer and
-channel.  ``invoke_batch`` shards a batch across the currently idle
-workers and *pipelines* the dispatch: every shard is marshalled and sent
+(``env.parallelism`` wide, :func:`pool_width`), each with its own
+private shm buffer and channel; this pool is the engine's only
+parallelism.  ``invoke_batch`` shards a batch across the pool's workers
+and *pipelines* the dispatch: every shard is marshalled and sent
 before the first result is awaited, so worker k+1 starts computing while
 the server is still feeding (or later draining) worker k.  Results are
 reassembled in shard order, which is input order, so parallelism never
@@ -74,7 +75,6 @@ import gc
 import mmap
 import os
 import pickle
-import queue
 import select
 import signal
 import socket
@@ -760,10 +760,9 @@ class WorkerPool:
     """N worker processes for one UDF, each with its own channel.
 
     All processes are forked first so their startups overlap; only then
-    does the server collect each worker's READY.  Idle workers sit
-    in a LIFO queue — the most recently used worker is the cache-warm
-    one — and ``checkout``/``checkin`` make the pool safe to drive from
-    several Exchange threads at once.
+    does the server collect each worker's READY.  One thread drives the
+    pool (the statement's), so a batch simply takes the first workers it
+    needs.
     """
 
     def __init__(
@@ -777,7 +776,6 @@ class WorkerPool:
         self.definition = definition
         self.size = max(1, size)
         self._workers: List[_Worker] = []
-        self._idle: "queue.LifoQueue[_Worker]" = queue.LifoQueue()
         try:
             for index in range(self.size):
                 self._workers.append(
@@ -795,8 +793,6 @@ class WorkerPool:
         except Exception:
             self.close()
             raise
-        for worker in self._workers:
-            self._idle.put(worker)
 
     @property
     def closed(self) -> bool:
@@ -805,26 +801,6 @@ class WorkerPool:
     @property
     def workers(self) -> List[_Worker]:
         return list(self._workers)
-
-    def checkout(self) -> _Worker:
-        """Block until a worker is idle and take it."""
-        return self._idle.get()
-
-    def checkout_nowait(self) -> Optional[_Worker]:
-        """Take an idle worker if one is free right now, else ``None``.
-
-        Extra shard workers are acquired non-blockingly on purpose: two
-        concurrent ``invoke_batch`` calls each blocking for *several*
-        workers could deadlock holding partial sets.  Each call blocks
-        for exactly one worker and only opportunistically adds more.
-        """
-        try:
-            return self._idle.get_nowait()
-        except queue.Empty:
-            return None
-
-    def checkin(self, worker: _Worker) -> None:
-        self._idle.put(worker)
 
     def stats(self) -> dict:
         """Rollup across workers, keeping the flat single-channel keys.
@@ -852,13 +828,12 @@ class WorkerPool:
     def close(self) -> None:
         """Join or terminate every worker; drop all IPC references.
 
-        Swapping out the worker list and idle queue before joining means
-        no checkout can hand back a dying worker, and the shm arrays and
-        semaphores lose their last server-side references once the
-        workers are gone — nothing leaks across queries.
+        The worker list is swapped out before joining, so the pool reads
+        closed at once, and each channel's buffer and pipes lose their
+        last server-side references once its worker is gone — nothing
+        leaks across queries.
         """
         workers, self._workers = self._workers, []
-        self._idle = queue.LifoQueue()
         for worker in workers:
             worker.close()
 
@@ -881,6 +856,19 @@ def _split_shards(tuples: tuple, count: int) -> List[tuple]:
     return shards
 
 
+def pool_width(definition: UDFDefinition, parallelism: int) -> int:
+    """Worker processes an isolated executor for ``definition`` starts.
+
+    ``parallelism`` wide, except that a UDF which declared callbacks
+    keeps one worker: callbacks are interactive round trips through the
+    query's single broker binding, so their traffic stays strictly
+    ordered.
+    """
+    if definition.callbacks:
+        return 1
+    return max(1, int(parallelism))
+
+
 class RemoteExecutor(UDFExecutor):
     """Per-query remote executor pool (Design 2 / Design 4)."""
 
@@ -893,13 +881,7 @@ class RemoteExecutor(UDFExecutor):
     ):
         super().__init__(definition, env)
         if parallelism is None:
-            parallelism = getattr(env, "parallelism", 1) or 1
-        if definition.callbacks:
-            # Callbacks are interactive round trips through the query's
-            # single broker binding; a UDF that declared any keeps one
-            # worker so callback traffic stays strictly ordered.
-            parallelism = 1
-        parallelism = max(1, int(parallelism))
+            parallelism = env.parallelism
         if definition.design.is_sandboxed:
             # The program the registration compiled, verified, analysed,
             # JIT-compiled and built its tier-1 kernel for; a forked
@@ -923,7 +905,8 @@ class RemoteExecutor(UDFExecutor):
             worker_payload = ("native", bytes(definition.payload))
         self._reservation = None
         self._pool = WorkerPool(
-            definition, env, parallelism, buffer_size, worker_payload
+            definition, env, pool_width(definition, parallelism),
+            buffer_size, worker_payload,
         )
 
     @property
@@ -1016,7 +999,7 @@ class RemoteExecutor(UDFExecutor):
                 )
 
     def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
-        """Shard one batch across idle workers, pipelined, order kept.
+        """Shard one batch across the pool's workers, pipelined, order kept.
 
         With one worker (or a batch too small to shard) the batch is one
         shard: N argument tuples cross together and N results come back
@@ -1045,12 +1028,7 @@ class RemoteExecutor(UDFExecutor):
         tuples = tuple(tuple(args) for args in args_list)
         want = min(pool.size, max(1, len(tuples) // _MIN_SHARD_ROWS))
         started = perf_counter_ns() if prof is not None else 0
-        workers = [pool.checkout()]
-        while len(workers) < want:
-            extra = pool.checkout_nowait()
-            if extra is None:
-                break
-            workers.append(extra)
+        workers = pool.workers[:want]
         shards = _split_shards(tuples, len(workers))
         # Cumulative row offsets: shard ``i`` covers the half-open input
         # range ``[offsets[i], offsets[i + 1])`` — the crash report's
@@ -1064,38 +1042,30 @@ class RemoteExecutor(UDFExecutor):
         errors: List[Tuple[int, Exception]] = []
         sent: List[_Worker] = []
         sent_at: List[int] = []
-        try:
-            for index, (shard_worker, shard) in enumerate(
-                zip(workers, shards)
-            ):
-                try:
-                    if prof is not None:
-                        sent_at.append(perf_counter_ns())
-                    shard_worker.send(MSG_INVOKE_BATCH, _dumps(shard))
-                except Exception as exc:
-                    _stamp_shard(exc, offsets[index], offsets[index + 1])
-                    errors.append((index, exc))
-                    break  # later shards were never dispatched
-                sent.append(shard_worker)
-            # Drain every worker that got a request — even after an
-            # earlier shard failed — so each channel is back at its
-            # request/response boundary before re-entering the pool.
-            for index, shard_worker in enumerate(sent):
-                try:
-                    part = self._collect(shard_worker)
-                except Exception as exc:
-                    _stamp_shard(exc, offsets[index], offsets[index + 1])
-                    errors.append((index, exc))
-                    continue
+        for index, (shard_worker, shard) in enumerate(zip(workers, shards)):
+            try:
                 if prof is not None:
-                    prof.round_trip_ns.observe(
-                        perf_counter_ns() - sent_at[index]
-                    )
-                if not errors:
-                    results.extend(part)
-        finally:
-            for shard_worker in workers:
-                pool.checkin(shard_worker)
+                    sent_at.append(perf_counter_ns())
+                shard_worker.send(MSG_INVOKE_BATCH, _dumps(shard))
+            except Exception as exc:
+                _stamp_shard(exc, offsets[index], offsets[index + 1])
+                errors.append((index, exc))
+                break  # later shards were never dispatched
+            sent.append(shard_worker)
+        # Drain every worker that got a request — even after an earlier
+        # shard failed — so each channel is back at its request/response
+        # boundary for the next batch.
+        for index, shard_worker in enumerate(sent):
+            try:
+                part = self._collect(shard_worker)
+            except Exception as exc:
+                _stamp_shard(exc, offsets[index], offsets[index + 1])
+                errors.append((index, exc))
+                continue
+            if prof is not None:
+                prof.round_trip_ns.observe(perf_counter_ns() - sent_at[index])
+            if not errors:
+                results.extend(part)
         if errors:
             # Shards are contiguous, so the lowest shard's failure is
             # the earliest input row's failure — what serial raises.

@@ -25,7 +25,6 @@ verified before the catalog accepts them.
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter_ns
 from typing import Optional, Sequence
 
@@ -256,13 +255,6 @@ class SandboxExecutor(UDFExecutor):
         self._use_jit = use_jit
         self._context = None
         self._reservation = None
-        # Exchange threads each get their own execution context (and
-        # resource account): contexts are cheap, and sharing one across
-        # threads would interleave fuel accounting mid-invocation.
-        self._owner_thread: Optional[threading.Thread] = None
-        self._tls = threading.local()
-        self._extra_contexts: list = []
-        self._extra_lock = threading.Lock()
 
     def begin_query(self, binding=None) -> None:
         super().begin_query(binding)
@@ -287,46 +279,6 @@ class SandboxExecutor(UDFExecutor):
             )
             group.reserve(fuel_claim, mem_claim)
             self._reservation = (group, fuel_claim, mem_claim)
-        self._owner_thread = threading.current_thread()
-        self._tls = threading.local()
-
-    def _thread_context(self):
-        """The calling thread's execution context.
-
-        The query's opening thread keeps the context made in
-        ``begin_query``; an Exchange worker thread lazily gets its own
-        (adopted into the same thread group, with its own labelled
-        admission claim), so concurrent batches never share an account.
-        Only certified-pure UDFs reach here concurrently — the optimizer
-        gates Exchange on purity — so per-thread contexts cannot observe
-        each other's effects.
-        """
-        if threading.current_thread() is self._owner_thread:
-            return self._context
-        context = getattr(self._tls, "context", None)
-        if context is not None:
-            return context
-        context = self._loaded.make_context(
-            callbacks=self.binding.as_handlers()
-        )
-        reservation = None
-        registry = self.env.thread_groups
-        if registry is not None:
-            group = registry.group_for(self.definition.name.lower())
-            group.adopt_account(context.account)
-            fuel_claim, mem_claim = admission_claim(
-                self._loaded, self.definition.entry
-            )
-            holder = (
-                f"{self.definition.name.lower()}/"
-                f"{threading.current_thread().name}"
-            )
-            group.reserve(fuel_claim, mem_claim, holder=holder)
-            reservation = (group, fuel_claim, mem_claim, holder)
-        with self._extra_lock:
-            self._extra_contexts.append(reservation)
-        self._tls.context = context
-        return context
 
     def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         """One VM entry per batch instead of per tuple.
@@ -343,7 +295,7 @@ class SandboxExecutor(UDFExecutor):
         """
         if self._context is None:
             self.begin_query()
-        context = self._thread_context()
+        context = self._context
         entry = self.definition.entry
         use_flows = self.definition.flows is not None
         invoke_one = self._loaded.make_invoker(
@@ -394,18 +346,10 @@ class SandboxExecutor(UDFExecutor):
     def end_query(self) -> None:
         super().end_query()
         self._context = None
-        self._owner_thread = None
-        self._tls = threading.local()
         if self._reservation is not None:
             group, fuel_claim, mem_claim = self._reservation
             self._reservation = None
             group.release(fuel_claim, mem_claim)
-        with self._extra_lock:
-            extras, self._extra_contexts = self._extra_contexts, []
-        for reservation in extras:
-            if reservation is not None:
-                group, fuel_claim, mem_claim, holder = reservation
-                group.release(fuel_claim, mem_claim, holder=holder)
 
     @property
     def resource_snapshot(self) -> Optional[dict]:

@@ -327,11 +327,11 @@ class ServerEnvironment:
     #: Executor batch size (rows per operator batch / ``invoke_batch``
     #: call).
     batch_size: int = 64
-    #: Worker fan-out for UDF execution.  Isolated executors spawn this
-    #: many worker processes per query (a :class:`WorkerPool` shards
-    #: ``invoke_batch`` across them); the planner inserts Exchange
-    #: operators at the same width.  1 (the default) reproduces exact
-    #: serial semantics — one worker, no Exchange, seed-identical plans.
+    #: Isolated worker-pool width, nothing else: an isolated executor
+    #: starts this many worker processes per query and shards
+    #: ``invoke_batch`` across them (one for a UDF with callbacks).  Plans
+    #: and in-process designs do not read it; 1 (the default) is one
+    #: worker per isolated UDF per query, as in the paper.
     parallelism: int = 1
 
     def __post_init__(self) -> None:

@@ -207,12 +207,12 @@ class Database:
 
     @property
     def parallelism(self) -> int:
-        """Worker fan-out for UDF execution; 1 is exact serial semantics.
+        """Worker processes per isolated UDF per query; nothing else.
 
-        Mutable at runtime (``db.parallelism = 4``) — the next query
-        plans Exchange operators and sizes isolated worker pools at the
-        new width.  ``parallelism=1`` reproduces the serial plans and
-        row order bit for bit.
+        Mutable at runtime (``db.parallelism = 4``): the next isolated
+        executor starts a pool of this width and shards each batch
+        across it, results in input order.  Plans, EXPLAIN's operator
+        tree and the in-process designs do not depend on it.
         """
         return self.environment.parallelism
 
@@ -258,8 +258,7 @@ class Database:
         # Everything besides the shape that decides the plan: anything
         # that changes what plan_select/optimize produce belongs here.
         fingerprint = (
-            self.catalog.epoch, self.registry.epoch,
-            self.parallelism, self.inlining,
+            self.catalog.epoch, self.registry.epoch, self.inlining,
         )
         cache = self.plan_cache
         prepared = cache.lookup(key, fingerprint)

@@ -8,8 +8,7 @@ store accumulates what execution actually observed:
 * per-UDF mean wall time per call, converted to the optimizer's
   abstract cost units via the calibration **1 cost unit = 1 microsecond
   of wall time** (a cheap built-in predicate costs ~1 unit = ~1 us of
-  interpreted Python, and the Exchange threshold of 50 units matches
-  the ~50 us thread hand-off break-even measured in PR 4);
+  interpreted Python);
 * per-predicate observed selectivity, keyed by the predicate's rendered
   SQL text, counted over the rows the predicate actually saw.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError, PlanError
@@ -33,7 +32,6 @@ from .expressions import (
 from .operators import (
     Aggregate,
     Distinct,
-    Exchange,
     Filter,
     IndexScan,
     Limit,
@@ -42,16 +40,13 @@ from .operators import (
     Project,
     SeqScan,
     Sort,
-    apply_predicates,
     eval_column,
     instrument_operator,
-    project,
 )
 from .optimizer import CostOracle, optimize
 from .planner import (
     LogicalAggregate,
     LogicalDistinct,
-    LogicalExchange,
     LogicalFilter,
     LogicalJoin,
     LogicalLimit,
@@ -201,6 +196,16 @@ class _RegistryOracle(CostOracle):
 
         return batch_tier(definition, self.registry.environment)
 
+    def udf_workers(self, name: str):
+        definition = self.udf_definition(name)
+        if definition is None or not definition.design.is_isolated:
+            return None
+        from ..core.isolated import pool_width
+
+        return pool_width(
+            definition, self.registry.environment.parallelism
+        )
+
     def observed_cost(self, name: str):
         if self.adaptive is None:
             return None
@@ -311,14 +316,12 @@ class StatementExecutor:
                     statement, self.db.catalog,
                     _QueryUDFResolver(self.db.registry, None), slots,
                 ),
-                oracle, parallelism=self.db.parallelism,
-                inlining=self.db.inlining, slots=slots,
+                oracle, inlining=self.db.inlining, slots=slots,
             )
         plan = plan_write(statement, self.db.catalog)
         if plan.scan is not None:
             plan.scan = optimize(
-                plan.scan, oracle, parallelism=self.db.parallelism,
-                inlining=self.db.inlining, slots=slots,
+                plan.scan, oracle, inlining=self.db.inlining, slots=slots,
             )
         return plan
 
@@ -478,26 +481,6 @@ class StatementExecutor:
             return NestedLoopJoin(
                 build(plan.left), build(plan.right),
                 compile_predicates(plan.predicates, plan.schema),
-                batch_size=batch_size,
-            )
-        if isinstance(plan, LogicalExchange):
-            inner = plan.child
-            if not isinstance(inner, (LogicalFilter, LogicalProject)):
-                # Unknown region shape: run it serially rather than fail.
-                return self._build_physical(
-                    inner, resolver, runtime, profile, snapshot
-                )
-            child = build(inner.child)
-            if isinstance(inner, LogicalFilter):
-                stage = partial(apply_predicates, compile_predicates(
-                    inner.predicates, inner.child.schema
-                ))
-            else:
-                stage = partial(project, compile_all(
-                    inner.exprs, inner.child.schema
-                ))
-            return Exchange(
-                child, stage, parallelism=plan.parallelism,
                 batch_size=batch_size,
             )
         if isinstance(plan, LogicalFilter):

@@ -21,7 +21,6 @@ from . import ast_nodes as A
 from .planner import (
     LogicalAggregate,
     LogicalDistinct,
-    LogicalExchange,
     LogicalFilter,
     LogicalJoin,
     LogicalLimit,
@@ -178,7 +177,8 @@ def _inline_notes(exprs: List[A.Expr], oracle: Optional[object]) -> str:
     Projection and sort-key lines never carried the cost/selectivity
     notes (those drive predicate ordering, which does not apply), but
     their call sites still need marking: inlined or opaque (inlining
-    on), and a sandboxed call's ``kernel`` / ``tier0(<refusal>)``.
+    on), a sandboxed call's ``kernel`` / ``tier0(<refusal>)``, and an
+    isolated call's ``workers=N``.
     """
     if oracle is None:
         return ""
@@ -203,6 +203,9 @@ def _inline_notes(exprs: List[A.Expr], oracle: Optional[object]) -> str:
             tier = getattr(oracle, "udf_tier", lambda n: None)(name)
             if tier is not None:
                 marks.append(tier)
+            workers = getattr(oracle, "udf_workers", lambda n: None)(name)
+            if workers is not None:
+                marks.append(f"workers={workers}")
             if marks:
                 notes.append(f"udf {name}: {', '.join(marks)}")
     if not notes:
@@ -272,6 +275,11 @@ def _annotate(expr: A.Expr, oracle: Optional[object]) -> str:
         tier = getattr(oracle, "udf_tier", lambda n: None)(name)
         if tier is not None:
             note += f", {tier}"
+        # An isolated call's batches are sharded across this many
+        # worker processes, the engine's one parallel path.
+        workers = getattr(oracle, "udf_workers", lambda n: None)(name)
+        if workers is not None:
+            note += f", workers={workers}"
         notes.append(note)
     sel_observed = getattr(oracle, "observed_selectivity", lambda k: None)(
         render_expr(expr)
@@ -321,11 +329,7 @@ def _render(
         _render(plan.left, depth + 1, lines, oracle, batch_size, analysis)
         _render(plan.right, depth + 1, lines, oracle, batch_size, analysis)
         return
-    if isinstance(plan, LogicalExchange):
-        # The parallel region marker: everything below it runs across
-        # the thread pool, order preserved.
-        lines.append(pad + f"Exchange [parallel={plan.parallelism}]" + tag)
-    elif isinstance(plan, LogicalFilter):
+    if isinstance(plan, LogicalFilter):
         lines.append(pad + "Filter" + tag)
         for position, predicate in enumerate(plan.predicates):
             lines.append(

@@ -10,7 +10,11 @@ projection or a sort key crosses into a UDF once per batch.  PREDATOR
 evaluated in a serial manner" — and so are these: batching changes how
 rows are *grouped* between operators (so fixed per-invocation UDF costs
 amortize, see ``repro.core.factory.UDFExecutor.invoke_batch``), never
-the order rows flow in or the rows produced.
+the order rows flow in or the rows produced.  Every operator runs on
+the statement's own thread.  The one parallel path is inside an
+isolated UDF's executor, which splits a batch across its worker
+processes and returns the results in input order
+(``repro.core.isolated.RemoteExecutor.invoke_batch``).
 
 ``batch_size`` is configurable per operator (the executor threads the
 database's setting through); size 1 degenerates to exact tuple-at-a-time
@@ -23,10 +27,8 @@ lazy until an expression needs them (by value or by handle).
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter_ns
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..storage.btree import BPlusTree
@@ -65,16 +67,6 @@ def eval_column(fn: EvalFn, rows: Batch, size: int) -> List[object]:
     return [
         value for start in range(0, len(rows), size)
         for value in fn(rows[start:start + size])
-    ]
-
-
-def project(exprs: Sequence[EvalFn], batch: Batch) -> Batch:
-    """One output row per row of ``batch``: the value of each of
-    ``exprs``, in order."""
-    columns = [fn(batch) for fn in exprs]
-    return [
-        [column[index] for column in columns]
-        for index in range(len(batch))
     ]
 
 
@@ -275,7 +267,11 @@ class Project(PhysicalOp):
     def batches(self) -> Iterator[Batch]:
         exprs = self.exprs
         for batch in self.child.batches():
-            yield project(exprs, batch)
+            columns = [fn(batch) for fn in exprs]
+            yield [
+                [column[index] for column in columns]
+                for index in range(len(batch))
+            ]
 
 
 class NestedLoopJoin(PhysicalOp):
@@ -484,63 +480,6 @@ class Distinct(PhysicalOp):
                     fresh.append(row)
             if fresh:
                 yield fresh
-
-
-class Exchange(PhysicalOp):
-    """Evaluate an expensive stage over child batches on a thread pool.
-
-    The optimizer inserts this above (or inside, for pushed-down scan
-    predicates) Filter/Project work whose UDFs are certified safe to run
-    concurrently — pure sandboxed UDFs have no shared state, and
-    isolated UDFs live in their own worker processes.  ``stage`` maps
-    one input batch to one output batch (:func:`apply_predicates` or
-    :func:`project` bound to their compiled expressions).
-
-    Ordering guarantee: batches are dispatched in child order and
-    results are *collected* in dispatch order — a FIFO of futures
-    absorbs out-of-order completion — so the output row order is
-    identical to serial evaluation.  At ``parallelism<=1`` the stage
-    runs inline with no pool and no queue: exact serial semantics.
-
-    At most ``parallelism + 1`` batches are in flight, so an early-exit
-    consumer (Limit) wastes bounded work and memory stays bounded.
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOp,
-        stage: Callable[[Batch], Batch],
-        parallelism: int = 1,
-        batch_size: Optional[int] = None,
-    ):
-        self.child = child
-        self.stage = stage
-        self.parallelism = max(1, parallelism)
-        _set_batch_size(self, batch_size)
-
-    def batches(self) -> Iterator[Batch]:
-        stage = self.stage
-        if self.parallelism <= 1:
-            for batch in self.child.batches():
-                out = stage(batch)
-                if out:
-                    yield out
-            return
-        in_flight_cap = self.parallelism + 1
-        with ThreadPoolExecutor(
-            max_workers=self.parallelism, thread_name_prefix="exchange"
-        ) as pool:
-            in_flight: deque = deque()
-            for batch in self.child.batches():
-                in_flight.append(pool.submit(stage, batch))
-                if len(in_flight) >= in_flight_cap:
-                    out = in_flight.popleft().result()
-                    if out:
-                        yield out
-            while in_flight:
-                out = in_flight.popleft().result()
-                if out:
-                    yield out
 
 
 class Limit(PhysicalOp):

@@ -38,7 +38,6 @@ from .planner import (
     IndexBound,
     LogicalAggregate,
     LogicalDistinct,
-    LogicalExchange,
     LogicalFilter,
     LogicalJoin,
     LogicalLimit,
@@ -58,13 +57,6 @@ _EQ_SELECTIVITY = 0.1
 _RANGE_SELECTIVITY = 0.3
 _DEFAULT_SELECTIVITY = 0.5
 _BUILTIN_COST = 1.0
-
-#: Minimum per-call cost (in the same abstract units as
-#: :class:`~repro.core.udf.CostHints`) before a UDF expression is worth
-#: an Exchange: cheap in-process calls lose more to thread hand-off than
-#: they gain.  Isolated UDFs always count as expensive — every call pays
-#: the IPC boundary regardless of declared cost.
-_PARALLEL_COST_THRESHOLD = 50.0
 
 
 class CostOracle:
@@ -110,6 +102,11 @@ class CostOracle:
         """``kernel`` or ``tier0(<refusal>)`` for a sandboxed UDF, as
         decided at CREATE FUNCTION; None for native designs (and for
         the base oracle, which knows no UDFs)."""
+        return None
+
+    def udf_workers(self, name: str) -> Optional[int]:
+        """How many worker processes an isolated UDF's executor would
+        start; None for in-process designs (and for the base oracle)."""
         return None
 
     # -- adaptive feedback ------------------------------------------------
@@ -181,8 +178,6 @@ def optimize(
 ) -> LogicalPlan:
     """Apply all rewrites; returns the (mutated) plan.
 
-    ``parallelism > 1`` enables the Exchange placement pass (rewrite 5);
-    at 1 the plan is untouched by it, reproducing serial plans exactly.
     ``inlining`` enables the Froid rewrite (rewrite 0): UDF call sites
     with an :class:`~repro.analysis.decompile.InlineTemplate` are
     replaced by the lifted expression *before* the other rewrites, so
@@ -193,6 +188,11 @@ def optimize(
     and index bounds keep it symbolic.  The rewrites that need a
     literal's value (folding, float widening of an inlined argument)
     read it from ``slots``, which makes the plan non-generic.
+
+    ``parallelism`` is accepted and ignored: no rewrite depends on it,
+    since it only sizes an isolated UDF's worker pool when the executor
+    starts one.  The keyword stays because callers written against the
+    older signature (perfbench's ``engine_api``) still pass it.
     """
     oracle = oracle or CostOracle()
     if inlining:
@@ -201,8 +201,6 @@ def optimize(
     _fold_constants(plan, oracle, slots)
     _order_predicates(plan, oracle)
     _select_indexes(plan)
-    if parallelism > 1:
-        plan = _place_exchanges(plan, oracle, parallelism)
     return plan
 
 
@@ -232,7 +230,7 @@ def _inline_udfs(
 
     Runs before every other rewrite, on the freshly planned tree, so
     the downstream passes (pushdown, folding, Hellerstein ordering,
-    Exchange placement) treat the lifted expression like native SQL —
+    index selection) treat the lifted expression like native SQL —
     which is the whole point.
     """
     if isinstance(plan, (LogicalScan, LogicalJoin)):
@@ -642,162 +640,12 @@ def _int_operand(expr: A.Expr, allow_bool: bool):
     return expr.value
 
 
-# ---------------------------------------------------------------------------
-# Rewrite 5: Exchange placement (parallel UDF evaluation)
-# ---------------------------------------------------------------------------
-
-def _read_only_effects(definition) -> bool:
-    """True when every statically inferred effect is a read-only callback.
-
-    The Exchange gate used to demand full purity.  The flow pass widens
-    it: a UDF whose only effects are read-only server callbacks
-    (``cb_lob_read`` and friends — no observable state mutated, no
-    ordering to preserve) races on nothing when its invocations
-    interleave across threads.  Requires a flow certificate: the flow
-    pass ran on the same bytecode the summary describes, so its presence
-    certifies the effect set is the analyzer's, not a declaration.
-    """
-    from ..core.callbacks import READ_ONLY_CALLBACKS
-
-    if getattr(definition, "flows", None) is None:
-        return False
-    summary = definition.analysis
-    if summary is None or getattr(summary, "unknown_effects", True):
-        return False
-    return frozenset(summary.callbacks) <= READ_ONLY_CALLBACKS
-
-
-def _parallel_profile(expr: A.Expr, oracle: CostOracle) -> Tuple[bool, bool]:
-    """(safe, expensive) for evaluating ``expr`` across Exchange threads.
-
-    *Safe* is gated on the static analyzer's certificates: a pure UDF
-    has no shared state to race on, whether it runs in-process (each
-    thread gets its own VM context) or in a worker pool; a flow-certified
-    UDF whose only effects are *read-only* callbacks is equally
-    interleaving-safe (see :func:`_read_only_effects`).  Native and
-    effectful UDFs fall back to serial — their visible effect order must
-    match tuple-at-a-time execution.  LOB-handle parameters are also
-    serial-only: handle minting mutates per-query runtime state.
-
-    *Expensive* decides whether the Exchange is worth its thread
-    hand-offs: any isolated UDF qualifies (every call pays the process
-    boundary), otherwise the registered per-call cost must clear
-    :data:`_PARALLEL_COST_THRESHOLD`.
-    """
-    safe = True
-    expensive = False
-    for call in _function_calls(expr):
-        definition = oracle.udf_definition(call.name.lower())
-        if definition is None:
-            continue  # built-in: cheap and thread-safe
-        if "handle" in definition.signature.param_types:
-            safe = False
-            continue
-        if not definition.is_pure and not _read_only_effects(definition):
-            safe = False
-            continue
-        per_call = oracle.observed_cost(call.name.lower())
-        if per_call is None:
-            per_call = definition.cost_hints.cost_per_call
-        if (
-            definition.design.is_isolated
-            or per_call >= _PARALLEL_COST_THRESHOLD
-        ):
-            expensive = True
-    return safe, expensive
-
-
-def _place_exchanges(
-    plan: LogicalPlan, oracle: CostOracle, parallelism: int
-) -> LogicalPlan:
-    """Wrap expensive, parallel-safe Filter/Project work in Exchanges.
-
-    Children first, so a pushed-down scan predicate and a residual
-    filter each get their own region.  Joins and aggregates are left
-    serial: their UDF predicates interleave with stateful build/probe
-    structures, and the paper's workloads put UDF cost in scans and
-    projections.
-    """
-    for attr in ("child", "left", "right"):
-        child = getattr(plan, attr, None)
-        if child is not None:
-            setattr(plan, attr, _place_exchanges(child, oracle, parallelism))
-    if isinstance(plan, LogicalScan):
-        return _hoist_scan_suffix(plan, oracle, parallelism)
-    if isinstance(plan, LogicalFilter):
-        return _split_filter(plan, oracle, parallelism)
-    if isinstance(plan, LogicalProject):
-        profiles = [_parallel_profile(expr, oracle) for expr in plan.exprs]
-        if profiles and all(safe for safe, __ in profiles) and any(
-            expensive for __, expensive in profiles
-        ):
-            return LogicalExchange(plan, parallelism=parallelism)
-    return plan
-
-
-def _parallel_split(
-    predicates: List[A.Expr], oracle: CostOracle
-) -> Optional[int]:
-    """Index where a rank-ordered conjunct list goes parallel, or None.
-
-    The split keeps a serial prefix (cheap and/or unsafe predicates run
-    where they always did) and hoists the longest all-safe suffix that
-    starts at an expensive predicate.  Conjuncts still apply in rank
-    order over each other's survivors, so row sets, row order, and UDF
-    invocation patterns match serial evaluation.
-    """
-    split = len(predicates)
-    while split > 0 and _parallel_profile(predicates[split - 1], oracle)[0]:
-        split -= 1
-    for index in range(split, len(predicates)):
-        if _parallel_profile(predicates[index], oracle)[1]:
-            return index
-    return None
-
-
-def _hoist_scan_suffix(
-    scan: LogicalScan, oracle: CostOracle, parallelism: int
-) -> LogicalPlan:
-    """Hoist a scan's expensive pushed-down conjuncts into an Exchange.
-
-    Pushdown (rewrite 1) moved UDF predicates into the scan; to evaluate
-    them on a thread pool they come back out — as a Filter wrapped in an
-    Exchange directly above the scan, which still sees them "at the
-    early stages of the plan".  The cheap serial prefix stays in the
-    scan, discarding most tuples before they cross a thread boundary.
-    """
-    start = _parallel_split(scan.predicates, oracle)
-    if start is None:
-        return scan
-    hoisted = scan.predicates[start:]
-    scan.predicates = scan.predicates[:start]
-    return LogicalExchange(
-        LogicalFilter(scan, predicates=hoisted), parallelism=parallelism
-    )
-
-
-def _split_filter(
-    node: LogicalFilter, oracle: CostOracle, parallelism: int
-) -> LogicalPlan:
-    start = _parallel_split(node.predicates, oracle)
-    if start is None:
-        return node
-    if start == 0:
-        return LogicalExchange(node, parallelism=parallelism)
-    hoisted = node.predicates[start:]
-    node.predicates = node.predicates[:start]
-    return LogicalExchange(
-        LogicalFilter(node, predicates=hoisted), parallelism=parallelism
-    )
-
-
-
 def _function_calls(expr: A.Expr) -> List[A.FuncCall]:
     """Every call in ``expr``, outer before inner.
 
     An :class:`~repro.sql.ast_nodes.Inlined` site is deliberately not
     reported as a call, only its body's calls: the body is pure lifted
-    SQL (built-ins only), so rank ordering and Exchange placement cost it
-    like native expressions — the inlining dividend.
+    SQL (built-ins only), so rank ordering costs it like native
+    expressions — the inlining dividend.
     """
     return [node for node in A.walk(expr) if isinstance(node, A.FuncCall)]

@@ -11,7 +11,8 @@ slot (:func:`~repro.sql.lexer.shape`).  The cache maps
 
 where the *fingerprint* is everything besides the text that decides
 what planning produces: the catalog's schema epoch, the UDF registry's
-epoch, and the plan-affecting settings (parallelism, inlining);
+epoch, and the one plan-affecting setting, inlining (``parallelism``
+only sizes isolated worker pools at run time, so it is not part of it);
 ``Database.execute`` builds it.  A lookup under another fingerprint is a
 miss, and the store that follows overwrites the entry (counted as an
 ``invalidation``).  Table/index DDL bumps the first epoch and every UDF

@@ -117,23 +117,6 @@ class LogicalAggregate(LogicalPlan):
 
 
 @dataclass
-class LogicalExchange(LogicalPlan):
-    """Parallel evaluation region (inserted by the optimizer).
-
-    The child's expensive, parallel-safe work — a Filter's hoisted UDF
-    conjuncts or a Project's UDF expressions — runs across a thread
-    pool of ``parallelism`` workers, with results collected in dispatch
-    order so row order matches serial execution exactly.
-    """
-
-    child: LogicalPlan
-    parallelism: int = 1
-
-    def __post_init__(self) -> None:
-        self.schema = self.child.schema
-
-
-@dataclass
 class LogicalDistinct(LogicalPlan):
     child: LogicalPlan
 

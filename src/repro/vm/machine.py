@@ -75,7 +75,7 @@ class LoadedUDF:
         is compiled into its whole-batch kernel; otherwise
         ``kernel_refusal`` records why not.  Like the JIT, compilation
         reads load-time state only, so a scratch context will do and the
-        kernel serves every later context, Exchange threads included.
+        kernel serves every later context, concurrent statements' included.
         """
         from . import kernels
         from .tier import REFUSE_UNTYPED, kernel_eligibility

@@ -128,9 +128,10 @@ def run_tiered_batch(loaded, kernel, context, rows, invoke_one) -> list:
             pass
         finally:
             account.exit_call()
-    # Exchange threads share ``loaded``: a lost update here only delays
-    # demotion, and a thread that already holds ``kernel`` may finish its
-    # batch with it — both paths are correct, demotion is about cost.
+    # Concurrent statements (one server thread each) share ``loaded``: a
+    # lost update here only delays demotion, and a thread that already
+    # holds ``kernel`` may finish its batch with it — both paths are
+    # correct, demotion is about cost.
     loaded.deopts += 1
     if loaded.deopts >= DEMOTION_DEOPTS:
         loaded.kernel = None

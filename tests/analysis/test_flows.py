@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import load_time_analysis
 from repro.analysis.lint import main
 from repro.core.callbacks import (
-    READ_ONLY_CALLBACKS,
     SINK_CALLBACKS,
     standard_callback_signatures,
     standard_sink_callbacks,
@@ -202,7 +201,6 @@ class TestSinkPolicy:
     def test_policy_constants(self):
         assert "cb_log" in SINK_CALLBACKS
         assert standard_sink_callbacks() == SINK_CALLBACKS
-        assert not (SINK_CALLBACKS & READ_ONLY_CALLBACKS)
 
     def test_check_flows_denial_and_audit(self):
         flows = flows_of(LEAKY, name="udf_leak")

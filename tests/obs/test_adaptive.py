@@ -1,10 +1,10 @@
 """Adaptive cost feedback: observed costs must correct wrong hints.
 
 Each test registers a UDF whose *declared* cost hint is wrong (a busy
-loop declared ``COST 1``) and checks that, after enough observed calls,
-the optimizer's decisions — Exchange placement, predicate order — flip
-to what the measured cost implies, while ``adaptive=False`` databases
-keep planning statically forever.
+loop declared cheap) and checks that, after enough observed calls, the
+optimizer's predicate order flips to what the measured cost implies,
+while ``adaptive=False`` databases, and adaptive ones below the
+evidence threshold, keep planning statically.
 """
 
 import time
@@ -37,52 +37,6 @@ def _explain(db, sql):
     return [line for (line,) in db.execute("EXPLAIN " + sql)]
 
 
-class TestExchangeFlip:
-    def test_observed_cost_flips_exchange_placement(self):
-        """A UDF lying about its cost gets parallelized once measured."""
-        sql = "SELECT slow(v) FROM t"
-        with Database(parallelism=2, adaptive=True) as db:
-            _make_table(db, 40)
-            db.execute(_SLOW_DDL)
-            # Statically COST 1 is far below the parallel threshold:
-            # the planner keeps the query serial.
-            before = _explain(db, sql)
-            assert not any("Exchange" in line for line in before)
-            db.query(sql)
-            db.query(sql)
-            feedback = db.observability.adaptive
-            observed = feedback.observed_cost("slow")
-            assert observed is not None and observed > 50.0
-            after = _explain(db, sql)
-            assert any("Exchange [parallel=2]" in line for line in after)
-
-    def test_static_database_never_flips(self):
-        sql = "SELECT slow(v) FROM t"
-        with Database(parallelism=2, adaptive=False) as db:
-            _make_table(db, 40)
-            db.execute(_SLOW_DDL)
-            db.query(sql)
-            db.query(sql)
-            after = _explain(db, sql)
-            assert not any("Exchange" in line for line in after)
-            assert db.stats()["adaptive"] is None
-
-    def test_below_call_threshold_stays_static(self):
-        """Fewer than MIN_CALLS observations leave the hint in charge."""
-        sql = "SELECT slow(v) FROM t"
-        with Database(parallelism=2, adaptive=True) as db:
-            _make_table(db, 8)  # one run = 8 calls < MIN_CALLS (32)
-            db.execute(_SLOW_DDL)
-            db.query(sql)
-            feedback = db.observability.adaptive
-            assert feedback.observed_cost("slow") is None
-            entry = db.stats()["adaptive"]["udfs"]["slow"]
-            assert entry["calls"] == 8
-            assert entry["trusted"] is False
-            after = _explain(db, sql)
-            assert not any("Exchange" in line for line in after)
-
-
 class TestPredicateReorder:
     SQL = "SELECT id FROM t WHERE slow(id) > 0 AND id <= 5"
     DDL = (
@@ -113,6 +67,32 @@ class TestPredicateReorder:
             assert "(observed)" in after[1]
             # The replanned query still returns the same rows.
             assert sorted(db.query(self.SQL)) == first
+
+    def test_static_database_never_reorders(self):
+        with Database(adaptive=False) as db:
+            _make_table(db, 40)
+            db.execute(self.DDL)
+            db.query(self.SQL)
+            db.query(self.SQL)
+            after = self._filter_order(_explain(db, self.SQL))
+            assert "slow" in after[0]
+            assert "(observed)" not in after[0]
+            assert db.stats()["adaptive"] is None
+
+    def test_below_call_threshold_keeps_static_order(self):
+        """Fewer than MIN_CALLS observations leave the hint in charge."""
+        with Database(adaptive=True) as db:
+            _make_table(db, 8)  # one run = 8 calls < MIN_CALLS (32)
+            db.execute(self.DDL)
+            db.query(self.SQL)
+            feedback = db.observability.adaptive
+            assert feedback.observed_cost("slow") is None
+            entry = db.stats()["adaptive"]["udfs"]["slow"]
+            assert entry["calls"] == 8
+            assert entry["trusted"] is False
+            after = self._filter_order(_explain(db, self.SQL))
+            assert "slow" in after[0]
+            assert "(observed)" not in after[0]
 
     def test_observed_selectivity_is_reported(self):
         with Database(adaptive=True) as db:

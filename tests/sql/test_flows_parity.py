@@ -3,11 +3,12 @@
 The flow certificates unlock three executor/optimizer fast paths —
 defensive-copy elision for read-only parameters, arena-style quota
 reclamation for non-escaping allocations, and the trap-free CASE batch
-form for inlined UDF bodies — plus a wider Exchange purity gate.  All
-of them are pure optimizations: stripping every ``definition.flows``
-(which restores the seed's defensive baseline end to end, including in
-isolated workers) must leave every query result bit-identical across
-all six designs, batch sizes 1 and 64, and parallelism 1 and 2.
+form for inlined UDF bodies.  All of them are pure optimizations:
+stripping every ``definition.flows`` (which restores the seed's
+defensive baseline end to end, including in isolated workers) must leave
+every query result bit-identical across all six designs and batch sizes
+1 and 64, and for the isolated designs across worker-pool widths 1 and
+2 (in-process designs do not read ``parallelism``).
 
 The suite also pins the load gate on the SQL surface: a CREATE
 FUNCTION whose payload leaks tuple data into the ``cb_log`` sink is
@@ -50,12 +51,11 @@ INSERT INTO stocks VALUES (9, 0, 'oil');
 INSERT INTO stocks VALUES (10, 3, 'tech');
 """
 
-#: ``t1`` is small, pure, branchy arithmetic: inlinable, trap-free, and
-#: (with COST 500) Exchange-eligible — it exercises the trap-free CASE
-#: batch form and the parallel path.  ``blen`` takes a BYTES argument it
-#: only reads: the copy-elision path.  ``mash`` allocates a buffer that
-#: never escapes: the arena path.  The native designs run host payloads
-#: (no certificates, the unchanged baseline).
+#: ``t1`` is small, pure, branchy arithmetic: inlinable and trap-free —
+#: it exercises the trap-free CASE batch form.  ``blen`` takes a BYTES
+#: argument it only reads: the copy-elision path.  ``mash`` allocates a
+#: buffer that never escapes: the arena path.  The native designs run
+#: host payloads (no certificates, the unchanged baseline).
 JAGUAR_T1 = (
     "def t1(x: int) -> int:\n"
     "    if x < 0:\n"
@@ -164,10 +164,10 @@ def _strip_flows(db):
     return stripped
 
 
-def _snapshot(db, queries):
+def _snapshot(db, queries, levels=(1,)):
     rows = {}
     for batch_size in BATCH_SIZES:
-        for level in PARALLELISM_LEVELS:
+        for level in levels:
             db.batch_size = batch_size
             db.parallelism = level
             for sql in queries:
@@ -189,11 +189,11 @@ class TestFlowParity:
     @pytest.mark.parametrize("design", ISOLATED)
     def test_isolated_designs(self, design):
         with _fresh_db(design) as db:
-            certified = _snapshot(db, ISOLATED_QUERIES)
+            certified = _snapshot(db, ISOLATED_QUERIES, PARALLELISM_LEVELS)
             stripped = _strip_flows(db)
             if design not in NATIVE:
                 assert stripped >= 3
-            baseline = _snapshot(db, ISOLATED_QUERIES)
+            baseline = _snapshot(db, ISOLATED_QUERIES, PARALLELISM_LEVELS)
             assert certified == baseline
 
     def test_native_definitions_carry_no_flows(self):

@@ -1,20 +1,20 @@
-"""Parallelism parity: parallel execution must never change results.
+"""Parallelism parity: the isolated worker pool must never change results.
 
-Two layers of guarantees, mirroring ``test_batch_parity``:
+``parallelism`` is the width of each isolated UDF's worker pool and
+nothing else.  Two layers of guarantees, mirroring ``test_batch_parity``:
 
 * pool level: a :class:`~repro.core.isolated.RemoteExecutor` with
   ``parallelism > 1`` shards each batch across worker processes but must
   reassemble results in input order, even when per-argument work is
   deliberately skewed so the shards finish out of order;
-* operator/query level: the Exchange operator dispatches batches to a
-  thread pool but collects them in dispatch order, so every query under
-  every design returns exactly what ``parallelism = 1`` returns — order
-  included wherever the serial executor guaranteed it.
+* query level: every query under every design returns exactly what
+  ``parallelism = 1`` returns, order included, an isolated query's
+  batches really run on ``parallelism`` distinct worker processes, and
+  plans (EXPLAIN, the plan cache) do not depend on the width at all.
 
-Plus the failure-surface contracts the parallel layer adds: worker
-death carries the exit status, ``close()`` reaps every worker, EXPLAIN
-shows the parallel region, and ``channel_stats`` breaks traffic down
-per worker.
+Plus the failure-surface contracts the pool adds: worker death carries
+the exit status, ``close()`` reaps every worker, and ``channel_stats``
+breaks traffic down per worker.
 """
 
 import os
@@ -26,8 +26,6 @@ from repro.core.designs import Design
 from repro.core.isolated import RemoteExecutor
 from repro.database import Database
 from repro.errors import UDFCrashed
-from repro.sql.operators import Exchange
-from tests.sql.sources import Rows
 
 PARALLELISM_LEVELS = (2, 4)
 
@@ -43,6 +41,11 @@ def slow_triple(x):
 def die42(x):
     """Hard-crash the worker with a recognizable exit status."""
     os._exit(42)
+
+
+def worker_pid(x):
+    """The pid of the process the call runs in."""
+    return os.getpid()
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -61,10 +64,8 @@ INSERT INTO stocks VALUES (9, 0, 'oil');
 INSERT INTO stocks VALUES (10, 3, 'tech');
 """
 
-#: Every design's ``t1`` declares COST 500 so the optimizer treats it
-#: as expensive: the pure sandbox variants then get an Exchange, the
-#: impure/native ones must *not* (purity gate) — both paths are under
-#: parity test.
+#: Every design's ``t1`` declares COST 500, an expensive UDF whose
+#: predicates the optimizer orders after the cheap built-in ones.
 UDF_BY_DESIGN = {
     Design.NATIVE_INTEGRATED: (
         "CREATE FUNCTION t1(int) RETURNS int LANGUAGE NATIVE "
@@ -151,73 +152,113 @@ class TestQueryParityAcrossDesigns:
                 for sql in ISOLATED_QUERIES:
                     assert db.query(sql) == reference[sql], (sql, level)
 
-    def test_explain_shows_parallel_region_for_pure_udf(self):
-        with _fresh_db(Design.SANDBOX_JIT, parallelism=3) as db:
-            lines = [row[0] for row in db.execute(
-                "EXPLAIN SELECT id FROM stocks "
-                "WHERE t1(id) > 12 AND type <> 'gas'"
+
+class TestPlansIgnoreParallelism:
+    """Plans do not read ``parallelism``; only an isolated call's
+    ``workers=N`` note names the pool width."""
+
+    @pytest.mark.parametrize("design", IN_PROCESS + ISOLATED)
+    def test_explain_identical_at_one_and_two(self, design):
+        with _fresh_db(design) as db:
+            plans = {}
+            for level in (1, 2):
+                db.parallelism = level
+                plans[level] = [
+                    line for sql in QUERIES
+                    for (line,) in db.execute("EXPLAIN " + sql)
+                ]
+        if design.is_isolated:
+            assert any("workers=1" in line for line in plans[1])
+            assert [
+                line.replace("workers=1", "workers=2") for line in plans[1]
+            ] == plans[2]
+        else:
+            assert plans[1] == plans[2]
+            assert not any("workers=" in line for line in plans[1])
+
+    @pytest.mark.parametrize("design", IN_PROCESS + ISOLATED)
+    def test_warm_statement_hits_after_width_change(self, design):
+        sql = ISOLATED_QUERIES[0]
+        with _fresh_db(design) as db:
+            expected = db.query(sql)
+            db.parallelism = 2
+            before = db.stats()["plan_cache"]
+            assert db.query(sql) == expected
+            after = db.stats()["plan_cache"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert after["invalidations"] == before["invalidations"]
+
+    def test_callback_udf_shows_one_worker(self):
+        with Database(parallelism=2) as db:
+            db.execute("CREATE TABLE t (a INT)")
+            db.execute(
+                "CREATE FUNCTION ping(int) RETURNS int LANGUAGE JAGUAR "
+                "DESIGN SANDBOX_ISOLATED CALLBACKS 'cb_noop' "
+                "AS 'def ping(x: int) -> int:\n    return x + cb_noop()'"
+            )
+            lines = [line for (line,) in db.execute(
+                "EXPLAIN SELECT ping(a) FROM t WHERE ping(a) > 0"
             )]
-            assert any("Exchange [parallel=3]" in line for line in lines)
-
-    def test_no_exchange_for_impure_native_udf(self):
-        # Native UDFs are never analyzer-proven pure: the purity gate
-        # must keep them out of Exchange regions (they still get pool
-        # sharding inside invoke_batch when isolated).
-        with _fresh_db(Design.NATIVE_INTEGRATED, parallelism=3) as db:
-            lines = [row[0] for row in db.execute(
-                "EXPLAIN SELECT id FROM stocks WHERE t1(id) > 12"
-            )]
-            assert not any("Exchange" in line for line in lines)
-
-    def test_no_exchange_at_parallelism_one(self):
-        with _fresh_db(Design.SANDBOX_JIT, parallelism=1) as db:
-            lines = [row[0] for row in db.execute(
-                "EXPLAIN SELECT id FROM stocks WHERE t1(id) > 12"
-            )]
-            assert not any("Exchange" in line for line in lines)
+        assert sum("workers=1" in line for line in lines) == 2
+        assert not any("workers=2" in line for line in lines)
 
 
-# -- Exchange operator unit tests ---------------------------------------------
+class TestQueryShardsAcrossWorkers:
+    """An isolated query's batches run on ``parallelism`` worker
+    processes, none of them the server."""
 
-class TestExchangeOperator:
-    def _source(self):
-        return Rows([[x] for x in range(20)], batch_size=2)
+    ROWS = 128
 
-    def test_preserves_batch_order_under_skew(self):
-        def stage(batch):
-            # Later batches sleep less: without ordered collection the
-            # output would arrive reversed.
-            time.sleep(max(0.0, (10 - batch[0][0]) * 0.002))
-            return [[row[0] * 2] for row in batch]
+    def _db(self, parallelism, ddl):
+        db = Database(parallelism=parallelism)
+        db.execute("CREATE TABLE t (a INT)")
+        for start in range(0, self.ROWS, 32):
+            values = ", ".join(
+                f"({x})" for x in range(start, start + 32)
+            )
+            db.execute(f"INSERT INTO t VALUES {values}")
+        db.execute(ddl)
+        return db
 
-        exchange = Exchange(self._source(), stage, parallelism=4,
-                            batch_size=2)
-        assert list(exchange.rows()) == [[x * 2] for x in range(20)]
+    @pytest.mark.parametrize("parallelism", (1, 2))
+    def test_native_rows_carry_pool_width_worker_pids(self, parallelism):
+        ddl = (
+            "CREATE FUNCTION pid(int) RETURNS int LANGUAGE NATIVE "
+            "DESIGN ISOLATED AS 'tests.sql.test_parallel_parity:worker_pid'"
+        )
+        with self._db(parallelism, ddl) as db:
+            rows = db.query("SELECT pid(a) FROM t")
+            zygote = db.environment.zygote.pid
+        pids = {pid for (pid,) in rows}
+        assert len(rows) == self.ROWS
+        assert len(pids) == parallelism
+        assert os.getpid() not in pids
+        assert zygote not in pids
 
-    def test_parallelism_one_is_serial_identity(self):
-        stage = lambda batch: [[row[0] + 1] for row in batch]  # noqa: E731
-        serial = Exchange(self._source(), stage, parallelism=1,
-                          batch_size=2)
-        threaded = Exchange(self._source(), stage, parallelism=3,
-                            batch_size=2)
-        assert list(serial.rows()) == list(threaded.rows())
+    @pytest.mark.parametrize("parallelism", (1, 2))
+    def test_sandboxed_batches_reach_pool_width_workers(
+        self, parallelism, monkeypatch
+    ):
+        # A sandboxed UDF cannot read its pid (no callback exposes one,
+        # and a UDF with callbacks keeps one worker), so count the
+        # workers whose channel carried a request instead.
+        busy = []
+        end_query = RemoteExecutor.end_query
 
-    def test_empty_stage_outputs_are_dropped(self):
-        def stage(batch):
-            return [row for row in batch if row[0] % 2 == 0]
+        def record(executor):
+            busy.append(sum(
+                1 for worker in executor.channel_stats()["per_worker"]
+                if worker["messages_sent"] > 0
+            ))
+            end_query(executor)
 
-        exchange = Exchange(self._source(), stage, parallelism=3,
-                            batch_size=2)
-        assert list(exchange.rows()) == [[x] for x in range(0, 20, 2)]
-
-    def test_stage_error_propagates(self):
-        def stage(batch):
-            raise ValueError("stage blew up")
-
-        exchange = Exchange(self._source(), stage, parallelism=3,
-                            batch_size=2)
-        with pytest.raises(ValueError, match="stage blew up"):
-            list(exchange.rows())
+        monkeypatch.setattr(RemoteExecutor, "end_query", record)
+        ddl = UDF_BY_DESIGN[Design.SANDBOX_ISOLATED]
+        with self._db(parallelism, ddl) as db:
+            rows = db.query("SELECT t1(a) FROM t")
+        assert rows == [(x * 3,) for x in range(self.ROWS)]
+        assert busy == [parallelism]
 
 
 # -- pool-level contracts -----------------------------------------------------

@@ -4,12 +4,13 @@ Tier 1 is decided at CREATE FUNCTION and is only ever an optimization.
 ``SANDBOX`` and ``SANDBOX_ISOLATED`` run an eligible UDF's whole-batch
 kernel; ``SANDBOX_INTERP`` and ``NATIVE_INTEGRATED`` never do.  Every
 query must return the same rows on all of them, at batch sizes 1 and 64
-and parallelism 1 and 2 — including errors: a UDF that traps mid-batch
-deopts and re-raises exactly what the interpreter raises, and a quota
-exhausted under a non-default ``QuotaPolicy`` fails with the same class
-and message.  A guard checks the kernel really ran (the
-``kernel_batches`` counter, shared with forked workers), and stripping
-``definition.flows`` falls back to tier 0.
+(and, for the isolated design, worker-pool widths 1 and 2; in-process
+designs do not read ``parallelism``) — including errors: a UDF that
+traps mid-batch deopts and re-raises exactly what the interpreter
+raises, and a quota exhausted under a non-default ``QuotaPolicy`` fails
+with the same class and message.  A guard checks the kernel really ran
+(the ``kernel_batches`` counter, shared with forked workers), and
+stripping ``definition.flows`` falls back to tier 0.
 """
 
 from functools import lru_cache
@@ -52,9 +53,9 @@ INSERT INTO stocks VALUES (10, 3, 'tech');
 """
 
 #: ``arith`` is the prime tier-1 target: pure, typed, constant-bound
-#: arithmetic (COST 500 makes it Exchange-eligible, so parallelism 2
-#: runs the kernel on several threads).  ``clip`` is branchy (both
-#: kernel block forms).
+#: arithmetic (at parallelism 2 a ``SANDBOX_ISOLATED`` batch runs the
+#: kernel in two worker processes).  ``clip`` is branchy (both kernel
+#: block forms).
 JAGUAR_ARITH = "def arith(x: int) -> int:\n    return x * 3 + 1\n"
 JAGUAR_CLIP = (
     "def clip(x: int) -> int:\n"
@@ -151,14 +152,23 @@ def _fresh_db(design, policy=None):
     return db
 
 
-def _snapshot(db, queries):
+def _levels(design):
+    """Pool widths worth running: only isolated designs read one."""
+    return PARALLELISM_LEVELS if design.is_isolated else (1,)
+
+
+def _snapshot(db, queries, levels=(1,)):
+    """Rows per (query, batch size); every width in ``levels`` agrees."""
     rows = {}
     for batch_size in BATCH_SIZES:
-        for level in PARALLELISM_LEVELS:
+        for level in levels:
             db.batch_size = batch_size
             db.parallelism = level
             for sql in queries:
-                rows[(sql, batch_size, level)] = db.query(sql)
+                got = db.query(sql)
+                assert rows.setdefault((sql, batch_size), got) == got, (
+                    sql, batch_size, level
+                )
     return rows
 
 
@@ -171,14 +181,14 @@ def _reference(design, isolated_subset):
 
 def _assert_matches_references(design, queries, isolated_subset=False):
     with _fresh_db(design) as db:
-        rows = _snapshot(db, queries)
+        rows = _snapshot(db, queries, _levels(design))
     for reference in REFERENCES:
         assert rows == _reference(reference, isolated_subset), reference
 
 
 def _error(design, udf, body, query, policy=None):
     """``(class, message)`` of the error ``query`` raises under every
-    batch size and parallelism (all must agree)."""
+    batch size and pool width (all must agree)."""
     outcomes = set()
     with _fresh_db(design, policy) as db:
         db.execute(
@@ -186,7 +196,7 @@ def _error(design, udf, body, query, policy=None):
             f"DESIGN {DESIGN_SQL[design]} AS '{body}'"
         )
         for batch_size in BATCH_SIZES:
-            for level in PARALLELISM_LEVELS:
+            for level in _levels(design):
                 db.batch_size = batch_size
                 db.parallelism = level
                 with pytest.raises(Exception) as exc:

@@ -197,6 +197,17 @@ def replay_fingerprint(path: str, setup, statements, n: int) -> dict:
     return fingerprint(path)
 
 
+def abandon(db: Database) -> None:
+    """Drop a live ``db`` as its process dying would: no checkpoint and
+    no header write, so reopening recovers from the log, but its
+    executors, zygote, log and data file are closed rather than left to
+    the garbage collector."""
+    db.registry.close()
+    db.environment.close()
+    db.wal.close()
+    db.disk.close(sync=False)
+
+
 def run_crash_check(
     base: str,
     setup,

@@ -29,6 +29,7 @@ from repro.server.server import DatabaseServer
 from repro.storage.wal import FaultPoint
 from tests.storage.faults import (
     CrashPoint,
+    abandon,
     apply_statements,
     build_db,
     check_free_list,
@@ -144,8 +145,7 @@ class TestCrashSweep:
         point.armed = True
         __, crashed = apply_statements(db, WORKLOAD)
         assert crashed
-        db.registry.close()
-        del db
+        db.close()  # dead storage: no checkpoint, the files stay as crashed
 
         first = Database(path)
         assert first.wal.recovered_statements > 0
@@ -249,8 +249,7 @@ class TestFailedFsync:
             db.execute(WORKLOAD[0])
         with pytest.raises((SimulatedCrash, WALError)):
             db.execute("INSERT INTO totals VALUES (30, 3000)")
-        db.registry.close()
-        del db
+        db.close()  # dead storage: no checkpoint, the files stay as crashed
         # Recovery: the un-acknowledged statement may or may not survive
         # in the log tail; either way the state equals a committed
         # prefix (the full sweep asserts bit-identity — here we pin the
@@ -337,8 +336,7 @@ class TestWalStats:
         assert stats["fsyncs"] >= len(SETUP)
         assert stats["bytes_appended"] > 0
         assert stats["recovered_statements"] == 0
-        db.registry.close()
-        del db  # crash: no checkpoint
+        abandon(db)  # crash: no checkpoint
 
         recovered = Database(path)
         stats = recovered.stats()["wal"]
@@ -397,8 +395,7 @@ class TestCommitGranularFreeList:
         # Crash before the in-flight statement ever publishes.
         release.set()
         thread.join(10)
-        db.registry.close()
-        del db
+        abandon(db)
 
         recovered = Database(path)
         free = check_free_list(recovered)
@@ -458,8 +455,7 @@ class TestCommitGranularFreeList:
         for t in threads:
             t.join(30)
         point.armed = False
-        db.registry.close()
-        del db
+        db.close()  # dead storage: no checkpoint, the files stay as crashed
 
         recovered = Database(path)
         check_free_list(recovered)

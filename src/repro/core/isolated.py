@@ -918,13 +918,12 @@ class RemoteExecutor(UDFExecutor):
 
         Flat keys aggregate every worker channel; ``per_worker`` breaks
         the same counters out per process.  When a profile is attached,
-        the pool's queue-wait and shm round-trip latency summaries ride
-        along under ``queue_wait_ns``/``round_trip_ns``.
+        the pool's shm round-trip latency summary rides along under
+        ``round_trip_ns``.
         """
         stats = self._pool.stats()
         prof = self.profile
         if prof is not None:
-            stats["queue_wait_ns"] = prof.queue_wait_ns.summary()
             stats["round_trip_ns"] = prof.round_trip_ns.summary()
         return stats
 
@@ -1036,8 +1035,6 @@ class RemoteExecutor(UDFExecutor):
         offsets = [0]
         for shard in shards:
             offsets.append(offsets[-1] + len(shard))
-        if prof is not None:
-            prof.queue_wait_ns.observe(perf_counter_ns() - started)
         results: list = []
         errors: List[Tuple[int, Exception]] = []
         sent: List[_Worker] = []

@@ -104,27 +104,29 @@ class Database:
         #: Durability is "on iff persistent": a path-backed
         #: database gets a write-ahead log (``path/wal.log``) and crash
         #: recovery on open; an in-memory one has nothing to recover.
-        use_wal = path is not None
-        self.disk = DiskManager(
-            data_path, page_size=page_size, wal_mode=use_wal, faults=faults
-        )
+        self.disk = DiskManager(data_path, page_size=page_size, faults=faults)
         self.wal: Optional[WriteAheadLog] = None
-        if use_wal:
-            self.wal = WriteAheadLog(
-                wal_path,
-                group_window=group_commit_window,
-                faults=faults if faults is not None else NO_FAULTS,
-            )
-            # Recovery must precede the buffer pool and catalog: it
-            # rewrites data pages and the catalog sidecar underneath.
-            self.wal.recover(self.disk, catalog_path)
+        if path is not None:
+            try:
+                self.wal = WriteAheadLog(
+                    wal_path,
+                    group_window=group_commit_window,
+                    faults=faults if faults is not None else NO_FAULTS,
+                )
+                # Recovery must precede the buffer pool and catalog: it
+                # rewrites data pages and the catalog sidecar underneath.
+                self.wal.recover(self.disk, catalog_path)
+            except BaseException:
+                if self.wal is not None:
+                    self.wal.close()
+                self.disk.close(sync=False)
+                raise
         self.pool = BufferPool(self.disk, capacity=buffer_capacity)
         if self.wal is not None:
             self.pool.attach_wal(self.wal)
         self.lobs = LOBManager(self.pool)
         self.catalog = Catalog(
-            catalog_path, deferred=use_wal, on_change=self._catalog_changed,
-            pool=self.pool,
+            catalog_path, on_change=self._catalog_changed, pool=self.pool
         )
         self.lob_threshold = lob_threshold
 
@@ -168,13 +170,12 @@ class Database:
         #: catalog capture happen atomically under this lock, giving
         #: commit records a global order even with per-table writers.
         self._commit_lock = threading.RLock()
-        if use_wal:
-            # Free-list pops (page allocation) must serialize with
-            # publishes: the free list and geometry only ever change at
-            # commit granularity, so a commit record's geometry never
-            # names free-list state another statement hasn't durably
-            # logged.  See DiskManager.publish_lock.
-            self.disk.publish_lock = self._commit_lock
+        # Free-list pops (page allocation) serialize with publishes: the
+        # free list and geometry only ever change at commit granularity,
+        # so a commit record's geometry never names free-list state
+        # another statement hasn't durably logged.  See
+        # DiskManager.publish_lock.
+        self.disk.publish_lock = self._commit_lock
         self._table_locks: dict = {}
         self._table_locks_guard = threading.Lock()
         #: MVCC-lite snapshot store (disabled by default — see
@@ -359,14 +360,15 @@ class Database:
         return locks
 
     def _run_write(self, locks: list, body, install):
-        """Execute one mutating operation with WAL durability.
+        """Execute one mutating operation as one commit unit.
 
         The sequence: take the statement's locks, attribute dirty pages
-        to this thread, run ``body``, then publish under the commit
-        lock (log the statement's page images + catalog blob, install
-        the MVCC snapshot), release everything, and only then wait for
-        the commit fsync (group commit happens outside all locks, so a
-        sleeping leader never blocks other tables' writers).
+        and frees to this thread, run ``body``, then publish under the
+        commit lock (thread the freed pages onto the free list, log the
+        statement's page images + catalog blob when there is a WAL,
+        install the MVCC snapshot), release everything, and only then
+        wait for the commit fsync (group commit happens outside all
+        locks, so a sleeping leader never blocks other tables' writers).
 
         A statement that fails in its write phase (a NOT NULL
         violation, an oversize record) still commits its partial page
@@ -377,7 +379,7 @@ class Database:
         """
         for lock in locks:
             lock.acquire()
-        tracker = self.pool.begin_tracking() if self.wal is not None else None
+        tracker = self.pool.begin_tracking()
         commit_lsn = None
         error = None
         result = None
@@ -390,12 +392,16 @@ class Database:
             except Exception as exc:
                 error = exc
             with self._commit_lock:
+                # The freed pages join the free list only now, as
+                # tracked page dirties, so a logged commit's geometry is
+                # backed by chain-pointer images in its own batch —
+                # never by another statement's unlogged frames.
+                self.pool.publish_frees(tracker)
                 if self.wal is not None:
                     commit_lsn = self._log_statement(tracker)
                 install()
         finally:
-            if tracker is not None:
-                self.pool.end_tracking(tracker)
+            self.pool.end_tracking(tracker)
             for lock in reversed(locks):
                 lock.release()
         if commit_lsn is not None:
@@ -406,15 +412,8 @@ class Database:
 
     def _log_statement(self, tracker) -> int:
         """Append one statement's redo batch (caller holds the commit
-        lock, so the page images + catalog + geometry are a consistent
-        cut).
-
-        Buffered frees are applied first: the freed pages join the
-        free list only now, as tracked page dirties, so the geometry
-        this commit records is backed by chain-pointer images in this
-        very batch — never by another statement's unlogged frames.
-        """
-        self.pool.publish_frees(tracker)
+        lock and has published the statement's frees, so the page
+        images + catalog + geometry are a consistent cut)."""
         images = self.pool.collect_images(tracker)
         blob = self.catalog.serialize() if tracker.catalog_dirty else None
         lsn = self.wal.log_statement(images, blob, self.disk.geometry())
@@ -422,7 +421,7 @@ class Database:
         return lsn
 
     def _catalog_changed(self) -> None:
-        """Deferred-catalog notification: the running statement changed
+        """Catalog notification: the running statement changed
         schema/UDF state, so its commit must log the catalog blob."""
         tracker = self.pool.current_tracker()
         if tracker is not None:
@@ -480,7 +479,7 @@ class Database:
             table.indexes.append(index)
             # Cached plans for this table chose their scans without it.
             self.catalog.bump_epoch()
-            self.catalog.save()
+            self.catalog.changed()
 
     def execute_script(self, sql: str) -> List[QueryResult]:
         """Run a semicolon-separated script; returns one result each."""
@@ -516,15 +515,14 @@ class Database:
     ) -> int:
         """Bulk-insert host values, bypassing the SQL parser.
 
-        On a WAL-backed database the batch is chunked into commit
-        units bounded by the buffer pool: a statement's dirty pages
-        are unevictable until its commit is logged, so one unit must
-        fit in the pool (an unchunked million-row batch would exhaust
-        the frames mid-flight).  Each chunk is one commit record and
-        one fsync; a crash keeps a committed prefix of whole chunks
-        (plus the deterministic partial chunk if a row fails
-        logically, same as the seed).  Without a WAL the whole batch
-        is a single unit, byte-identical to the seed.
+        The batch is chunked into commit units bounded by the buffer
+        pool: with a WAL a statement's dirty pages are unevictable until
+        its commit is logged, so one unit must fit in the pool (an
+        unchunked million-row batch would exhaust the frames
+        mid-flight).  Each chunk is one commit (with a WAL, one commit
+        record and one fsync); a crash keeps a committed prefix of
+        whole chunks (plus the deterministic partial chunk if a row
+        fails logically).
         """
         table = self.catalog.get_table(table_name)
         count = 0
@@ -540,7 +538,7 @@ class Database:
             for row in iterator:
                 self._write_row_locked(table, values=list(row))
                 count += 1
-                if tracker is not None and len(tracker.pages) >= budget:
+                if len(tracker.pages) >= budget:
                     return  # commit this unit; continue in the next
             exhausted = True
 
@@ -587,7 +585,7 @@ class Database:
                 tree.insert(new, new_rid)
                 if tree.root_page != info.root_page:
                     info.root_page = tree.root_page
-                    self.catalog.save()
+                    self.catalog.changed()
 
     def prepare_row(self, table: TableInfo, values: List[object]):
         """Validate, spill large byte arrays to LOBs, and serialize:
@@ -625,12 +623,11 @@ class Database:
     ) -> None:
         """Admit a UDF (validating its payload) and persist it.
 
-        Registration is a catalog mutation, so on a WAL-backed database
-        a *direct* call (not via CREATE FUNCTION, which is already
-        inside the write pipeline) runs through the pipeline itself —
-        otherwise the catalog change would never reach the log.  Either
-        way it holds the DDL lock, so concurrent sessions' registrations
-        serialize.
+        Registration is a catalog mutation, so a *direct* call (not via
+        CREATE FUNCTION, which is already inside the write pipeline)
+        runs through the pipeline itself — otherwise the catalog change
+        would never reach the log.  Either way it holds the DDL lock, so
+        concurrent sessions' registrations serialize.
         """
 
         def body():
@@ -661,11 +658,8 @@ class Database:
 
     def _registry_write(self, body, logged: bool = True) -> None:
         """Run ``body`` under the DDL lock: through the write pipeline
-        when it is ``logged`` on a WAL-backed database and not already
-        inside a statement there."""
-        if logged and self.wal is not None and (
-            self.pool.current_tracker() is None
-        ):
+        when it is ``logged`` and not already inside a statement."""
+        if logged and self.pool.current_tracker() is None:
             self._run_write([self._write_lock], body, lambda: None)
         else:
             with self._write_lock:
@@ -740,25 +734,20 @@ class Database:
         persist the catalog sidecar, and only then truncate the log.
         A crash anywhere in between recovers correctly — redo is
         idempotent over already-flushed pages.  Runs under the commit
-        lock, so no statement can publish mid-checkpoint.
+        lock, so no statement can publish mid-checkpoint.  An in-memory
+        database only writes its pool back.
         """
         if self.wal is None:
-            self.flush()
+            self.pool.flush_all()
             return
         with self._commit_lock:
             self.wal.ensure_durable(self.wal.tail_lsn())
             self.pool.flush_all()
             self.disk.settle()
-            self.catalog.save(force=True)
+            self.catalog.save()
             self.wal.truncate()
 
-    def flush(self) -> None:
-        if self.wal is not None:
-            self.checkpoint()
-            return
-        self.pool.flush_all()
-        self.disk.sync()
-        self.catalog.save()
+    flush = checkpoint
 
     def close(self) -> None:
         """Shut down cleanly: a WAL-backed database checkpoints, so the
@@ -780,8 +769,8 @@ class Database:
                 # After a crashed checkpoint, close the data file
                 # without syncing: the in-memory header may hold
                 # geometry from a crashed, uncommitted statement, and
-                # in WAL mode only checkpoint/recovery may write the
-                # header — a header flushed here would survive reopen
+                # only checkpoint/recovery may write the header — a
+                # header flushed here would survive reopen
                 # whenever the log holds no complete committed
                 # statement to restore it from.
                 self.disk.close(sync=clean)

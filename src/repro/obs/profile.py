@@ -35,7 +35,7 @@ class UDFProfile:
 
     __slots__ = ("name", "design", "calls", "batches", "total_ns",
                  "invoke_ns", "batch_rows", "fuel_used", "heap_used",
-                 "crashes", "refusals", "queue_wait_ns", "round_trip_ns",
+                 "crashes", "refusals", "round_trip_ns",
                  "_adaptive_entry")
 
     def __init__(
@@ -59,9 +59,8 @@ class UDFProfile:
         self.heap_used = registry.counter(f"{prefix}.heap_used")
         self.crashes = registry.counter(f"{prefix}.crashes")
         self.refusals = registry.counter(f"{prefix}.refusals")
-        #: Isolated design only: wait for an idle pool worker, and the
-        #: send-to-result shm round trip, per dispatch.
-        self.queue_wait_ns = registry.histogram(f"{prefix}.queue_wait_ns")
+        #: Isolated design only: the send-to-result shm round trip, per
+        #: dispatch.
         self.round_trip_ns = registry.histogram(f"{prefix}.round_trip_ns")
         self._adaptive_entry = (
             adaptive.udf_entry(name) if adaptive is not None else None
@@ -100,7 +99,6 @@ class UDFProfile:
             "heap_used": self.heap_used.value,
             "crashes": self.crashes.value,
             "refusals": self.refusals.value,
-            "queue_wait_ns": self.queue_wait_ns.summary(),
             "round_trip_ns": self.round_trip_ns.summary(),
         }
 

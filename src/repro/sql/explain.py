@@ -131,13 +131,9 @@ def udf_profile_lines(profile: Optional[object]) -> List[str]:
             line += (
                 f" fuel={udf.fuel_used.value} heap={udf.heap_used.value}"
             )
-        if udf.queue_wait_ns.count:
-            wait_us = (udf.queue_wait_ns.quantile(0.5) or 0.0) / 1000.0
+        if udf.round_trip_ns.count:
             trip_us = (udf.round_trip_ns.quantile(0.5) or 0.0) / 1000.0
-            line += (
-                f" queue_wait_p50={wait_us:.1f}us "
-                f"round_trip_p50={trip_us:.1f}us"
-            )
+            line += f" round_trip_p50={trip_us:.1f}us"
         if udf.crashes.value or udf.refusals.value:
             line += (
                 f" crashes={udf.crashes.value} "

@@ -24,29 +24,30 @@ a freed and reallocated page never repeats a stamp it carried before.
 The MVCC installer diffs against it to copy only the pages a write
 statement actually touched into the next frozen table image.
 
-**Write-ahead logging** (``attach_wal``): each frame carries the LSN of
-the last WAL record describing its contents, and the pool enforces the
-WAL rule — a dirty page may reach the data file only once its latest
-image is durable in the log:
+**Write statements.**  Every write statement runs under a per-thread
+:class:`DirtyTracker` (:meth:`begin_tracking`; write statements are
+single-threaded below the operator tree, so thread identity is statement
+identity), with or without a log:
 
-* While a write statement executes, its dirtied frames are *pending*
-  (``rec_lsn is PENDING``): not yet logged, therefore unevictable and
-  unflushable.  Dirty pages are attributed to the statement through a
-  per-thread :class:`DirtyTracker` (write statements are single-threaded
-  below the operator tree, so thread identity is statement identity).
-* Page frees are buffered in the tracker too (:meth:`free_page` only
+* Every page the statement dirties is noted in the tracker.
+* Page frees are buffered in the tracker (:meth:`free_page` only
   records them): the shared free list moves at *commit* granularity.
   At publish time :meth:`publish_frees` threads the freed pages onto
-  the list as ordinary tracked dirties, so their chain-pointer images
-  land in the same WAL batch as the commit record naming the new head.
-* At commit the database logs full images of the tracker's pages and
-  stamps the frames with the record LSN (:meth:`note_logged`); from then
-  on eviction/flush first ensures the log is durable up to that LSN
-  (one ``fsync``, shared via group commit) and only then writes the
-  page.
+  the list as ordinary tracked dirties, so a page is never reused by
+  the statement that freed it, and with a log their chain-pointer
+  images land in the same WAL batch as the commit record naming the
+  new head.
 
-Without an attached WAL every code path is byte-identical to the seed
-behaviour.
+**Write-ahead logging** (``attach_wal``) adds only the WAL rule: each
+frame carries the LSN of the last WAL record describing its contents,
+and a dirty page may reach the data file only once its latest image is
+durable in the log.  While a write statement executes, its dirtied
+frames are *pending* (``rec_lsn is PENDING``): not yet logged, therefore
+unevictable and unflushable.  At commit the database logs full images
+of the tracker's pages and stamps the frames with the record LSN
+(:meth:`note_logged`); from then on eviction/flush first ensures the log
+is durable up to that LSN (one ``fsync``, shared via group commit) and
+only then writes the page.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 import struct
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import BufferPoolError
 from .disk import DiskManager
@@ -68,26 +69,22 @@ PENDING = object()
 class DirtyTracker:
     """One write statement's dirty-page attribution.
 
-    ``pages`` collects every page the statement dirtied (in first-touch
-    order — the WAL replays images in logged order, so determinism
-    matters); ``freed`` collects the pages it returned to the free list
-    (in free order — applied to the disk manager only at publish time,
-    see :meth:`BufferPool.publish_frees`, so the shared free list never
-    reflects an uncommitted statement); ``catalog_dirty`` is set by the
-    deferred catalog when the statement changed schema or UDF
-    registrations.
+    ``pages`` collects every page the statement dirtied (an ordered set,
+    in first-touch order — the WAL replays images in logged order, so
+    determinism matters); ``freed`` collects the pages it returned to
+    the free list (in free order — applied to the disk manager only at
+    publish time, see :meth:`BufferPool.publish_frees`, so the shared
+    free list never reflects an uncommitted statement);
+    ``catalog_dirty`` is set by the catalog when the statement changed
+    schema or UDF registrations.
     """
 
     __slots__ = ("pages", "freed", "catalog_dirty")
 
     def __init__(self) -> None:
-        self.pages: List[int] = []
+        self.pages: Dict[int, None] = {}
         self.freed: List[int] = []
         self.catalog_dirty = False
-
-    def note(self, page_id: int) -> None:
-        if page_id not in self.pages:
-            self.pages.append(page_id)
 
 
 class _Frame:
@@ -132,13 +129,13 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        disk.free_list_reader = self._read_free_pointer
 
-    # -- WAL wiring --------------------------------------------------------
+    # -- statement tracking and WAL wiring -----------------------------------
 
     def attach_wal(self, wal) -> None:
         """Enforce the WAL-before-flush rule for every dirty write-back."""
         self.wal = wal
-        self.disk.free_list_reader = self._read_free_pointer
 
     def begin_tracking(self) -> DirtyTracker:
         """Start attributing this thread's dirty pages to a statement."""
@@ -158,13 +155,13 @@ class BufferPool:
             return self._trackers.get(threading.get_ident())
 
     def _note_dirty(self, frame: _Frame) -> None:
-        """WAL bookkeeping for a freshly dirtied frame (lock held)."""
-        if self.wal is None:
-            return
-        frame.rec_lsn = PENDING
+        """Attribute a freshly dirtied frame to its statement (lock
+        held); with a WAL, the frame stays unevictable until logged."""
         tracker = self._trackers.get(threading.get_ident())
         if tracker is not None:
-            tracker.note(frame.page_id)
+            tracker.pages[frame.page_id] = None
+        if self.wal is not None:
+            frame.rec_lsn = PENDING
 
     def collect_images(self, tracker: DirtyTracker) -> List[tuple]:
         """Snapshot ``(page_id, bytes)`` for the tracker's pages.
@@ -230,10 +227,10 @@ class BufferPool:
 
     def new_page(self) -> tuple:
         """Allocate a fresh page, pinned; returns (page_id, bytes)."""
-        # Allocate before taking the pool lock: in WAL mode the disk
-        # manager rendezvouses with commit publishes on its publish
-        # lock, and a publisher already holds it while touching pool
-        # state — taking it under the pool lock would deadlock.  The
+        # Allocate before taking the pool lock: the disk manager
+        # rendezvouses with commit publishes on its publish lock, and
+        # a publisher already holds it while touching pool state —
+        # taking it under the pool lock would deadlock.  The
         # returned id is exclusively ours either way (popped off the
         # free list or beyond every other statement's reach), so the
         # frame installation below needs no allocation atomicity.
@@ -241,9 +238,8 @@ class BufferPool:
         with self._lock:
             index = self._table.get(page_id)
             if index is not None:
-                # WAL mode reuses free-list pages without the legacy
-                # direct-to-disk zeroing, so the freed page's frame may
-                # still be resident — reuse it in place.
+                # A page popped off the free list was just read through
+                # the pool for its chain pointer: reuse its frame.
                 frame = self._frames[index]
             else:
                 frame = self._grab_frame()
@@ -292,30 +288,23 @@ class BufferPool:
     # -- freeing -----------------------------------------------------------
 
     def free_page(self, page_id: int) -> None:
-        """Return a page to the free list.
+        """Return a page to the free list when the statement publishes.
 
-        Legacy path: forget the frame, then the disk manager writes the
-        free-list pointer in place (seed behaviour, byte-identical).
-        WAL path: only *buffer* the free in the statement's tracker —
-        the shared free list must not reflect an uncommitted statement
-        (a concurrent committer captures ``disk.geometry()`` in its
-        commit record, and a concurrent allocator must never be handed
-        a page whose free is not yet durable).  The chain-pointer
-        writes happen at publish time (:meth:`publish_frees`), under
-        the commit lock, in the same WAL batch as the commit record.
+        Only *buffers* the free in the statement's tracker — the shared
+        free list must not reflect an unpublished statement (a
+        concurrent committer captures ``disk.geometry()`` in its commit
+        record, and a concurrent allocator must never be handed a page
+        whose free is not yet durable).  The chain-pointer writes happen
+        at publish time (:meth:`publish_frees`), under the commit lock,
+        in the same WAL batch as the commit record when there is a log.
         """
-        with self._lock:
-            if self.wal is None:
-                self.drop_page(page_id)
-                self.disk.free_page(page_id)
-                return
-            tracker = self._trackers.get(threading.get_ident())
-            if tracker is None:
-                raise BufferPoolError(
-                    f"WAL-mode free of page {page_id} outside a tracked "
-                    f"write statement (the free could never be logged)"
-                )
-            tracker.freed.append(page_id)
+        tracker = self.current_tracker()
+        if tracker is None:
+            raise BufferPoolError(
+                f"free of page {page_id} outside a tracked write "
+                f"statement (the free could never be published)"
+            )
+        tracker.freed.append(page_id)
 
     def publish_frees(self, tracker: DirtyTracker) -> None:
         """Apply a committing statement's buffered frees.
@@ -339,8 +328,8 @@ class BufferPool:
             tracker.freed.clear()
 
     def _read_free_pointer(self, page_id: int) -> int:
-        """Free-list traversal for the disk manager (WAL mode): the
-        freed page's latest bytes may be an unflushed frame."""
+        """Free-list traversal for the disk manager: the freed page's
+        latest bytes may be an unflushed frame."""
         with self.pinned(page_id) as data:
             (next_free,) = struct.unpack_from("<I", data, 0)
             return next_free
@@ -366,7 +355,7 @@ class BufferPool:
                     frame.dirty = False
 
     def drop_page(self, page_id: int) -> None:
-        """Forget a page (after it was freed on disk)."""
+        """Forget a resident page without writing it back."""
         with self._lock:
             index = self._table.pop(page_id, None)
             if index is not None:

@@ -7,6 +7,14 @@ sidecar next to the page file — the page file holds data, the catalog
 holds the directory to it.  (PREDATOR kept this in Shore root objects;
 JSON keeps the same information inspectable.)
 
+DDL never writes the sidecar itself: each change calls
+:meth:`Catalog.changed`, which notifies the owner (``on_change``) so the
+running statement is marked catalog-dirty, and that statement's commit
+logs the full serialized catalog in the WAL.  The sidecar file is
+rewritten only at checkpoints (:meth:`Catalog.save`), and crash recovery
+restores it from the last committed CATALOG record, so an in-place
+sidecar write can never expose uncommitted DDL.
+
 Each :class:`TableInfo` also owns the table's one
 :class:`~repro.storage.heapfile.HeapFile` handle, its one
 :class:`~repro.storage.record.RecordCodec` and its indexes' column
@@ -162,27 +170,17 @@ class UDFInfo:
 
 
 class Catalog:
-    """In-memory catalog with explicit save/load.
+    """In-memory catalog, loaded from and saved to its sidecar file.
 
-    With ``deferred=True`` (set by a WAL-backed database) the eager
-    ``save()`` calls sprinkled through DDL paths stop writing the
-    sidecar file directly — each becomes a notification (``on_change``)
-    so the current statement is marked catalog-dirty; the statement's
-    commit then logs the full serialized catalog in the WAL, and the
-    sidecar file itself is rewritten only at checkpoints
-    (``save(force=True)``).  Crash recovery restores it from the last
-    committed CATALOG record, so an in-place sidecar write can never
-    expose uncommitted DDL.
-
-    ``pool`` is the buffer pool the heap handles of loaded tables read
-    through.
+    Changes notify ``on_change`` (see the module docstring); only
+    :meth:`save` writes the file.  ``pool`` is the buffer pool the heap
+    handles of loaded tables read through.
     """
 
-    def __init__(self, path: Optional[str] = None, deferred: bool = False,
-                 on_change=None, pool=None):
+    def __init__(self, path: Optional[str] = None, on_change=None,
+                 pool=None):
         self.path = path
         self.pool = pool
-        self.deferred = deferred
         self.on_change = on_change
         self.tables: Dict[str, TableInfo] = {}
         self.udfs: Dict[str, UDFInfo] = {}
@@ -209,7 +207,7 @@ class Catalog:
                 raise CatalogError(f"table {table.name!r} already exists")
             self.tables[key] = table
             self.epoch += 1
-            self.save()
+            self.changed()
 
     def get_table(self, name: str) -> TableInfo:
         with self._lock:
@@ -225,7 +223,7 @@ class Catalog:
             except KeyError:
                 raise CatalogError(f"unknown table {name!r}") from None
             self.epoch += 1
-            self.save()
+            self.changed()
             return table
 
     def has_table(self, name: str) -> bool:
@@ -240,7 +238,7 @@ class Catalog:
             if key in self.udfs:
                 raise CatalogError(f"function {udf.name!r} already exists")
             self.udfs[key] = udf
-            self.save()
+            self.changed()
 
     def get_udf(self, name: str) -> UDFInfo:
         with self._lock:
@@ -253,7 +251,7 @@ class Catalog:
         with self._lock:
             if self.udfs.pop(name.lower(), None) is None:
                 raise CatalogError(f"unknown function {name!r}")
-            self.save()
+            self.changed()
 
     def has_udf(self, name: str) -> bool:
         with self._lock:
@@ -270,12 +268,15 @@ class Catalog:
             }
             return json.dumps(blob, indent=1).encode("utf-8")
 
-    def save(self, force: bool = False) -> None:
+    def changed(self) -> None:
+        """Tell the owner the catalog changed (its statement must log
+        the catalog); the sidecar is not written."""
+        if self.on_change is not None:
+            self.on_change()
+
+    def save(self) -> None:
+        """Rewrite the sidecar file atomically (a checkpoint step)."""
         if self.path is None:
-            return
-        if self.deferred and not force:
-            if self.on_change is not None:
-                self.on_change()
             return
         with self._lock:
             data = self.serialize()

@@ -2,44 +2,41 @@
 
 The bottom of the storage stack: a single file of fixed-size pages with a
 free list threaded through freed pages.  Everything above (buffer pool,
-heap files, LOBs, B+-trees) deals only in page ids.
+heap files, LOBs, B+-trees) deals only in page ids.  ``path=None`` keeps
+the pages in a list instead of a file; nothing else differs.
 
 File layout::
 
     page 0   header: magic, page size, page count, free-list head
     page 1+  data pages
 
-Freed pages store the id of the next free page in their first 8 bytes.
+Freed pages store the id of the next free page in their first 4 bytes.
 
-**WAL mode** (``wal_mode=True``, set by a :class:`~repro.database.Database`
-with a write-ahead log): the manager stops writing metadata eagerly.
-The header is kept in memory and flushed only at checkpoints (its
-durable copy lives in the WAL's commit records), page allocation no
-longer zero-extends the file (pages reach the file only through the
-buffer pool's WAL-gated flushes), and the free list is maintained by
-the buffer pool (:meth:`~repro.storage.buffer.BufferPool.free_page`)
-so that free-list writes are ordinary logged page dirties instead of
-in-place file writes that crash recovery could not undo.  Without WAL
-mode every code path is byte-identical to the seed behaviour.
+The manager writes no metadata eagerly.  The header is kept in memory
+and reaches the file only at creation, :meth:`settle`, :meth:`sync` and
+WAL recovery (between checkpoints a write-ahead log carries it in every
+commit record).  Allocation does not zero-extend the file: a new page
+exists only in the buffer pool until the pool writes it back (the WAL
+gates that write when there is a log), and :meth:`settle` sizes the file
+to the page count.
 
-Free-list mutations are **commit-granular** in WAL mode: a statement
-that frees pages only buffers them in its
-:class:`~repro.storage.buffer.DirtyTracker`; the buffer pool applies
-them (:meth:`note_freed` + the chain-pointer page dirties) at publish
-time, under the database's commit lock and in the same WAL batch as
-the commit record that captures the resulting :meth:`geometry`.  Pops
-from the free list (:meth:`allocate_page`) take the same lock
-(:attr:`publish_lock`).  The invariant this buys: whenever a commit
-record names a ``free_head``, every chain pointer reachable from it
-was logged by that or an earlier committed statement — recovery can
-never restore a free list that threads through unlogged page bytes,
-and a page freed by a still-uncommitted statement can never be handed
-back out by :meth:`allocate_page`.
+The free list is **commit-granular** and owned by the buffer pool: a
+statement that frees pages only buffers them in its
+:class:`~repro.storage.buffer.DirtyTracker`, and the pool threads them
+onto the list (:meth:`note_freed` plus the chain-pointer page dirties)
+when the statement publishes, under the database's commit lock
+(:attr:`publish_lock`).  :meth:`allocate_page` pops under the same lock
+and reads the chain pointer through the pool (:attr:`free_list_reader`),
+whose frame may hold the page's latest bytes.  So a page freed by a
+still-running statement is never handed out, and with a WAL every chain
+pointer reachable from a logged ``free_head`` was logged by that or an
+earlier committed statement: recovery never restores a free list that
+threads through unlogged page bytes.
 
 All mutating entry points are serialized by an internal lock: with
 per-table write locks above, two writers on disjoint tables may
 allocate or free pages concurrently (allocations briefly rendezvous on
-:attr:`publish_lock` in WAL mode).
+:attr:`publish_lock`).
 
 Every file write funnels through the :class:`~repro.storage.wal.FaultPoint`
 hook (site ``"disk.write"``), so the fault-injection harness can kill
@@ -75,7 +72,6 @@ class DiskManager:
         self,
         path: Optional[str] = None,
         page_size: int = PAGE_SIZE,
-        wal_mode: bool = False,
         faults=None,
     ):
         from .wal import NO_FAULTS
@@ -84,11 +80,10 @@ class DiskManager:
             raise DiskError(f"page size {page_size} is too small")
         self.path = path
         self.page_size = page_size
-        self.wal_mode = wal_mode
         self.faults = faults if faults is not None else NO_FAULTS
         self._dead = False
         self._lock = threading.RLock()
-        #: WAL mode: serializes free-list pops and commit publishes.
+        #: Serializes free-list pops and commit publishes.
         #: A :class:`~repro.database.Database` replaces this with its
         #: commit lock so allocate-from-free-list cannot interleave
         #: with another statement's publish-time frees — the free list
@@ -99,26 +94,32 @@ class DiskManager:
         self._file = None
         self._free_head = NO_PAGE
         self._npages = 1  # page 0 is the header
-        #: WAL mode only: reads a freed page's next-pointer *through the
-        #: buffer pool* (its latest bytes may be an unflushed frame).
-        #: Installed by the pool; the legacy path never needs it.
+        #: Reads a freed page's next-pointer *through the buffer pool*
+        #: (its latest bytes may be an unflushed frame).  Installed by
+        #: the pool, which owns every free.
         self.free_list_reader: Optional[Callable[[int], int]] = None
+        if path is None:
+            self._mem = [bytes(page_size)]  # placeholder header page
+            return
         # Unbuffered file: page writes must reach the OS when issued
         # (Python-level buffering would make a "kill -9" lose writes the
         # WAL already counts on, and would blur torn-write simulation).
-        if path is None:
-            self._mem = [bytes(page_size)]  # placeholder header page
-        elif os.path.exists(path) and os.path.getsize(path) > 0:
-            self._file = open(path, "r+b", buffering=0)
-            self._load_header()
-        else:
-            self._file = open(path, "w+b", buffering=0)
-            self._file.write(bytes(page_size))
-            self._flush_header(force=True)
-            # A fresh file's header must be durable before the first
-            # commit is acknowledged — recovery cannot replay into a
-            # file without a valid header.
-            os.fsync(self._file.fileno())
+        existing = os.path.exists(path) and os.path.getsize(path) > 0
+        self._file = open(path, "r+b" if existing else "w+b", buffering=0)
+        try:
+            if existing:
+                self._load_header()
+            else:
+                self._file.write(bytes(page_size))
+                self._flush_header()
+                # A fresh file's header must be durable before the first
+                # commit is acknowledged — recovery cannot replay into a
+                # file without a valid header.
+                os.fsync(self._file.fileno())
+        except BaseException:
+            self._file.close()
+            self._file = None
+            raise
 
     # -- header ------------------------------------------------------------
 
@@ -152,14 +153,10 @@ class DiskManager:
         self._npages = npages
         self._free_head = free_head
 
-    def _flush_header(self, force: bool = False) -> None:
-        """Write the header page.  In WAL mode the in-memory header is
-        authoritative between checkpoints (the WAL logs it with every
-        commit), so only forced (checkpoint/recovery) writes happen."""
-        if self._file is None:
-            return
-        if self.wal_mode and not force:
-            return
+    def _flush_header(self) -> None:
+        """Write the header page: at creation, :meth:`settle` and
+        :meth:`sync` only, since between them the in-memory header is
+        authoritative (a WAL logs it with every commit)."""
         self._write_at(
             0,
             _HEADER.pack(MAGIC, self.page_size, self._npages,
@@ -201,69 +198,28 @@ class DiskManager:
             self._free_head = free_head
 
     def allocate_page(self) -> int:
-        """Return a zeroed page id, reusing the free list when possible.
+        """Return a page id for the buffer pool to zero, popping the
+        free list when it is non-empty.
 
-        WAL mode: the free-list pop runs under :attr:`publish_lock`, so
-        it serializes with commit publishes — a page freed by a
-        statement becomes allocatable only once that statement's commit
-        (which logs the chain-pointer image and the new geometry) has
-        published.
+        The pop runs under :attr:`publish_lock`, so it serializes with
+        commit publishes: a page freed by a statement becomes
+        allocatable only once that statement has published.  A file is
+        not extended here: the page exists only in the pool until the
+        pool writes it back.
         """
-        if self.wal_mode:
-            with self.publish_lock:
-                return self._allocate_page_locked()
-        return self._allocate_page_locked()
-
-    def _allocate_page_locked(self) -> int:
-        with self._lock:
-            if self._free_head != NO_PAGE:
-                page_id = self._free_head
-                if self.wal_mode:
-                    # The freed page's latest bytes may live in the
-                    # buffer pool; read the chain pointer through it.
-                    # Zeroing happens in the pool frame, not the file.
-                    self._free_head = self.free_list_reader(page_id)
-                else:
-                    raw = self.read_page(page_id)
-                    (self._free_head,) = struct.unpack_from("<I", raw, 0)
-                    self.write_page(page_id, bytes(self.page_size))
-                    self._flush_header()
+        with self.publish_lock, self._lock:
+            page_id = self._free_head
+            if page_id != NO_PAGE:
+                self._free_head = self.free_list_reader(page_id)
                 return page_id
             page_id = self._npages
             self._npages += 1
             if self._mem is not None:
                 self._mem.append(bytes(self.page_size))
-            elif not self.wal_mode:
-                self._write_at(page_id * self.page_size,
-                               bytes(self.page_size))
-                self._flush_header()
-            # WAL mode: no eager extension — the page exists only in the
-            # pool until a WAL-gated flush writes it (extending the file
-            # then); recovery recreates it from its logged image.
             return page_id
 
-    def free_page(self, page_id: int) -> None:
-        """Return a page to the free list (legacy direct-write path).
-
-        In WAL mode the buffer pool owns freeing (the free-list pointer
-        write must be a logged page dirty, not an in-place file write) —
-        see :meth:`~repro.storage.buffer.BufferPool.free_page`, which
-        calls :meth:`note_freed` instead.
-        """
-        with self._lock:
-            if self.wal_mode:
-                raise DiskError(
-                    "free_page bypasses the WAL; use BufferPool.free_page"
-                )
-            self._check(page_id)
-            head = bytearray(self.page_size)
-            struct.pack_into("<I", head, 0, self._free_head)
-            self.write_page(page_id, bytes(head))
-            self._free_head = page_id
-            self._flush_header()
-
     def note_freed(self, page_id: int) -> int:
-        """WAL mode: record ``page_id`` as the new free-list head;
+        """Record ``page_id`` as the new free-list head;
         returns the previous head (what the page's chain pointer must
         name).  Called only at publish time
         (:meth:`~repro.storage.buffer.BufferPool.publish_frees`), with
@@ -339,7 +295,7 @@ class DiskManager:
                 return
             self._file.flush()
             self._file.truncate(self._npages * self.page_size)
-            self._flush_header(force=True)
+            self._flush_header()
             self._file.flush()
             os.fsync(self._file.fileno())
 
@@ -353,7 +309,7 @@ class DiskManager:
                 if not self.faults.fsync("disk.sync"):
                     self._dead = True
                     raise SimulatedCrash("data-file fsync failed")
-                self._flush_header(force=self.wal_mode)
+                self._flush_header()
                 self._file.flush()
                 os.fsync(self._file.fileno())
 
@@ -364,8 +320,8 @@ class DiskManager:
         in particular without writing the in-memory header.  A
         WAL-backed database closes this way after a crashed checkpoint
         (dead WAL): the header may hold geometry mutated by the crashed,
-        uncommitted statement, and in WAL mode only a checkpoint or
-        recovery may write the header to the data file.
+        uncommitted statement, and only a checkpoint or recovery may
+        write that to the data file.
         """
         with self._lock:
             if self._file is not None:

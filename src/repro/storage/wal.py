@@ -25,14 +25,19 @@ redo-only WAL specialized to this engine's statement-granular writes:
     increasing statement sequence number plus the disk header state
     (``npages``, ``free_head``) as of commit.
 
-* **Protocol.**  A mutating statement executes against the buffer pool
-  only (no data-file writes — the pool refuses to flush a page whose
-  latest image is not yet durable in the log, see
-  :class:`~repro.storage.buffer.BufferPool`).  At statement end the
-  writer appends one PAGE record per dirtied page, a CATALOG record if
-  the schema moved, then the COMMIT marker, and finally waits for an
-  ``fsync`` covering its commit LSN before acknowledging the client.
-  LSNs are byte offsets into the log file.
+* **Protocol.**  Every database, with a log or without, runs the same
+  write protocol: a mutating statement's dirty pages and frees are
+  attributed to its tracker, its frees reach the free list only when it
+  publishes, and the disk header is written only at checkpoints (see
+  :class:`~repro.storage.buffer.BufferPool` and
+  :mod:`~repro.storage.disk`).  The log adds durability on top: a
+  statement executes against the buffer pool only (no data-file writes
+  — the pool refuses to flush a page whose latest image is not yet
+  durable in the log), and at statement end the writer appends one PAGE
+  record per dirtied page, a CATALOG record if the schema moved, then
+  the COMMIT marker, and finally waits for an ``fsync`` covering its
+  commit LSN before acknowledging the client.  LSNs are logical stream
+  offsets into the log.
 
 * **Group commit.**  The fsync wait is a leader/follower gate: the
   first committer becomes the leader, optionally sleeps

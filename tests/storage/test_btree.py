@@ -12,6 +12,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heapfile import RID
 from tests.storage.faults import check_free_list
+from tests.storage.statement import statement
 
 
 def make_tree(page_size=256):
@@ -125,10 +126,12 @@ class TestWholeTree:
         for key in range(3000):
             tree.insert(key, rid_for(key))
         npages, __ = tree.pool.disk.geometry()
-        tree.drop()
-        again = BPlusTree.create(tree.pool)
-        for key in range(3000):
-            again.insert(key, rid_for(key))
+        with statement(tree.pool):
+            tree.drop()
+        with statement(tree.pool):
+            again = BPlusTree.create(tree.pool)
+            for key in range(3000):
+                again.insert(key, rid_for(key))
         assert tree.pool.disk.geometry()[0] == npages
         again.check_invariants()
 

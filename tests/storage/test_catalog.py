@@ -90,6 +90,7 @@ class TestPersistence:
         catalog = Catalog(path)
         catalog.add_table(sample_table())
         catalog.add_udf(sample_udf())
+        catalog.save()
 
         reloaded = Catalog(path)
         table = reloaded.get_table("t")
@@ -105,8 +106,27 @@ class TestPersistence:
         path = str(tmp_path / "catalog.json")
         catalog = Catalog(path)
         catalog.add_table(sample_table("a"))
+        catalog.save()
         catalog.add_table(sample_table("b"))
+        catalog.save()
         assert not os.path.exists(path + ".tmp")
+        assert Catalog(path).has_table("b")
+
+    def test_changes_notify_and_leave_the_file_alone(self, tmp_path):
+        """DDL marks the running statement catalog-dirty through
+        ``on_change``; only ``save`` (a checkpoint) writes the file."""
+        path = str(tmp_path / "catalog.json")
+        notes = []
+        catalog = Catalog(path, on_change=lambda: notes.append(1))
+        catalog.add_table(sample_table())
+        catalog.add_udf(sample_udf())
+        catalog.drop_udf("f")
+        catalog.drop_table("t")
+        assert len(notes) == 4
+        assert not os.path.exists(path)
+        catalog.save()
+        assert os.path.exists(path)
+        assert len(notes) == 4
 
     def test_memory_catalog_never_touches_disk(self):
         catalog = Catalog(None)

@@ -9,6 +9,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager, NO_PAGE
 
 from .faults import CrashPoint
+from .statement import statement
 
 
 class TestDiskManager:
@@ -34,24 +35,6 @@ class TestDiskManager:
         with pytest.raises(DiskError):
             disk.write_page(page, b"short")
 
-    def test_free_list_reuse(self):
-        disk = DiskManager(None, page_size=256)
-        first = disk.allocate_page()
-        second = disk.allocate_page()
-        disk.free_page(first)
-        assert disk.allocate_page() == first
-        assert disk.allocate_page() == disk.num_pages - 1
-        assert second == 2
-
-    def test_freed_page_zeroed_on_reuse(self):
-        disk = DiskManager(None, page_size=256)
-        page = disk.allocate_page()
-        disk.write_page(page, b"x" * 256)
-        disk.free_page(page)
-        reused = disk.allocate_page()
-        assert reused == page
-        assert disk.read_page(reused) == bytes(256)
-
     def test_persistence_roundtrip(self, tmp_path):
         path = str(tmp_path / "pages.db")
         with DiskManager(path, page_size=256) as disk:
@@ -60,21 +43,52 @@ class TestDiskManager:
         with DiskManager(path, page_size=256) as disk:
             assert disk.read_page(page) == b"p" * 256
 
-    def test_free_list_persisted(self, tmp_path):
-        path = str(tmp_path / "pages.db")
-        with DiskManager(path, page_size=256) as disk:
-            a = disk.allocate_page()
-            disk.allocate_page()
-            disk.free_page(a)
-        with DiskManager(path, page_size=256) as disk:
-            assert disk.allocate_page() == a
-
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.db")
         with open(path, "wb") as handle:
             handle.write(b"not a database at all" * 20)
         with pytest.raises(DiskError, match="magic"):
             DiskManager(path, page_size=256)
+
+    def test_refused_file_is_closed(self, tmp_path, monkeypatch):
+        """A file the header check refuses is closed before the error
+        propagates, not left to the garbage collector."""
+        opened = []
+        real_open = open
+
+        def recording_open(*args, **kwargs):
+            handle = real_open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        path = str(tmp_path / "pages.db")
+        DiskManager(path, page_size=256).close()
+        with real_open(str(tmp_path / "junk.db"), "wb") as handle:
+            handle.write(b"not a database at all" * 20)
+        opened.clear()
+        with pytest.raises(DiskError, match="magic"):
+            DiskManager(str(tmp_path / "junk.db"), page_size=256)
+        with pytest.raises(DiskError, match="page size"):
+            DiskManager(path, page_size=512)
+        assert len(opened) == 2
+        assert all(handle.closed for handle in opened)
+
+    def test_header_written_only_at_sync(self, tmp_path):
+        """The header is deferred: allocation neither extends the file
+        nor rewrites page 0; sync writes the in-memory header."""
+        path = str(tmp_path / "pages.db")
+        disk = DiskManager(path, page_size=256)
+        created = os.path.getsize(path)
+        for __ in range(3):
+            disk.allocate_page()
+        assert os.path.getsize(path) == created == 256
+        with open(path, "rb") as handle:
+            assert handle.read(16)[8:12] == (1).to_bytes(4, "little")
+        disk.sync()
+        with open(path, "rb") as handle:
+            assert handle.read(16)[8:12] == (4).to_bytes(4, "little")
+        disk.close()
 
     def test_page_size_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "pages.db")
@@ -157,6 +171,80 @@ class TestPositionalRead:
         assert buf == image
         buf[0] = 0xFF  # the caller's buffer is a copy, not the page
         assert disk.read_page(page) == image
+
+
+class TestFreeList:
+    """Frees go through a statement's tracker and reach the shared free
+    list when the statement publishes, with or without a file."""
+
+    def make(self, path=None):
+        disk = DiskManager(path, page_size=256)
+        return disk, BufferPool(disk, capacity=8)
+
+    @staticmethod
+    def new(pool, fill=0):
+        page, data = pool.new_page()
+        data[:] = bytes([fill]) * len(data)
+        pool.unpin(page, dirty=True)
+        return page
+
+    def test_freed_page_reused_after_publish(self):
+        disk, pool = self.make()
+        with statement(pool):
+            first = self.new(pool)
+            second = self.new(pool)
+        with statement(pool):
+            pool.free_page(first)
+            # Not reusable inside the statement that freed it.
+            assert self.new(pool) == 3
+            assert disk.geometry() == (4, NO_PAGE)
+        assert disk.geometry() == (4, first)
+        with statement(pool):
+            assert self.new(pool) == first
+            assert self.new(pool) == disk.num_pages - 1
+        assert second == 2
+        assert disk.geometry() == (5, NO_PAGE)
+
+    def test_reused_page_reads_as_zeros(self):
+        disk, pool = self.make()
+        with statement(pool):
+            page = self.new(pool, fill=ord("x"))
+        pool.flush_all()
+        with statement(pool):
+            pool.free_page(page)
+        with statement(pool):
+            reused, data = pool.new_page()
+            assert reused == page
+            assert bytes(data) == bytes(256)
+            pool.unpin(reused, dirty=True)
+        pool.flush_all()
+        assert disk.read_page(reused) == bytes(256)
+
+    def test_free_list_survives_checkpoint_and_reopen(self, tmp_path):
+        path = str(tmp_path / "pages.db")
+        disk, pool = self.make(path)
+        with statement(pool):
+            a = self.new(pool)
+            b = self.new(pool)
+        with statement(pool):
+            pool.free_page(b)
+            pool.free_page(a)
+        pool.flush_all()
+        disk.settle()
+        disk.close()
+        disk, pool = self.make(path)
+        assert disk.geometry() == (3, a)
+        with statement(pool):
+            assert [self.new(pool) for __ in range(3)] == [a, b, 3]
+        disk.close()
+
+    def test_free_outside_a_statement_refused(self):
+        disk, pool = self.make()
+        with statement(pool):
+            page = self.new(pool)
+        with pytest.raises(BufferPoolError, match="outside a tracked"):
+            pool.free_page(page)
+        assert disk.geometry() == (2, NO_PAGE)
 
 
 class TestBufferPool:

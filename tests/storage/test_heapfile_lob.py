@@ -10,6 +10,8 @@ from repro.storage.disk import DiskManager
 from repro.storage.heapfile import HeapFile, RID
 from repro.storage.lob import LOBManager
 
+from .statement import statement
+
 
 @pytest.fixture
 def pool():
@@ -78,10 +80,12 @@ class TestHeapFile:
         for __ in range(50):
             heap.insert(bytes(100))
         before = pool.disk.num_pages
-        heap.drop()
-        fresh = HeapFile.create(pool)
-        for __ in range(50):
-            fresh.insert(bytes(100))
+        with statement(pool):
+            heap.drop()
+        with statement(pool):
+            fresh = HeapFile.create(pool)
+            for __ in range(50):
+                fresh.insert(bytes(100))
         # Freed pages were reused: no growth beyond the original extent.
         assert pool.disk.num_pages <= before + 1
 
@@ -123,8 +127,10 @@ class TestLOB:
         lobs = LOBManager(pool)
         ref = lobs.write(bytes(3000))
         before = pool.disk.num_pages
-        lobs.free(ref)
-        ref2 = lobs.write(bytes(3000))
+        with statement(pool):
+            lobs.free(ref)
+        with statement(pool):
+            ref2 = lobs.write(bytes(3000))
         assert pool.disk.num_pages == before  # pages reused
 
     @settings(max_examples=30, deadline=None)

@@ -10,7 +10,9 @@ from repro.storage.btree import BPlusTree
 from repro.storage.disk import NO_PAGE
 from repro.storage.heapfile import HeapFile
 
-from .faults import CrashPoint, apply_statements, build_db, trace_ops
+from .faults import (
+    CrashPoint, abandon, apply_statements, build_db, trace_ops,
+)
 
 #: 512-byte pages hold four 100-byte rows, so 1024 rows are 256 pages.
 PAGE = 512
@@ -196,8 +198,7 @@ class TestTailAfterReopen:
         point.armed = True
         acked, crashed = apply_statements(db, statements)
         assert crashed
-        db.registry.close()
-        del db
+        abandon(db)
 
         db = Database(crash_dir)
         committed = 20 + db.wal.recovered_statements - len(setup)

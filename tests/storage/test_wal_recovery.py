@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 
 from repro.core.designs import Design
 from repro.database import Database
-from repro.errors import SimulatedCrash, WALError
+from repro.errors import DiskError, SimulatedCrash, WALError
 from repro.server.client import Client
 from repro.server.server import DatabaseServer
-from repro.storage.wal import FaultPoint
+from repro.storage.wal import FaultPoint, WriteAheadLog
 from tests.storage.faults import (
     CrashPoint,
     abandon,
@@ -521,6 +521,39 @@ class TestDeadWalClose:
             "INSERT INTO items VALUES (5, 'e', zerobytes(3000))"
         )
         recovered.close()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestRefusedOpenClosesFiles:
+    """A path-backed database that cannot open closes what it opened
+    before the error propagates: the files are closed while the
+    traceback, which still references the half-built objects, is alive,
+    not later by the garbage collector."""
+
+    def test_corrupt_data_file(self, tmp_path):
+        path = tmp_path / "db"
+        path.mkdir()
+        (path / "data.pages").write_bytes(b"not a database at all" * 20)
+        before = _open_fds()
+        with pytest.raises(DiskError, match="magic") as refused:
+            Database(str(path))
+        assert _open_fds() == before, refused.traceback
+
+    def test_failed_recovery(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "db")
+        build_db(path, SETUP).close()
+
+        def refuse(self, disk, catalog_path):
+            raise WALError("recovery refused")
+
+        monkeypatch.setattr(WriteAheadLog, "recover", refuse)
+        before = _open_fds()
+        with pytest.raises(WALError, match="refused") as refused:
+            Database(path)
+        assert _open_fds() == before, refused.traceback
 
 
 # -- statements larger than the buffer pool -----------------------------------

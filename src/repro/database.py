@@ -777,6 +777,7 @@ class Database:
             else:
                 self.pool.flush_all()
                 self.disk.close()
+            self.pool.close()
 
     def __enter__(self) -> "Database":
         return self

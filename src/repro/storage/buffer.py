@@ -354,22 +354,16 @@ class BufferPool:
                     self.disk.write_page(frame.page_id, bytes(frame.data))
                     frame.dirty = False
 
-    def drop_page(self, page_id: int) -> None:
-        """Forget a resident page without writing it back."""
+    def close(self) -> None:
+        """Free every frame now; a closed pool refuses to fetch or
+        allocate.  The owner has flushed or abandoned the pages first.
+        A :class:`~repro.database.Database` sits in reference cycles, so
+        without this its frames would outlive it until the next full
+        garbage collection."""
         with self._lock:
-            index = self._table.pop(page_id, None)
-            if index is not None:
-                frame = self._frames[index]
-                if frame.pin_count:
-                    raise BufferPoolError(
-                        f"cannot drop pinned page {page_id}"
-                    )
-                frame.page_id = None
-                frame.dirty = False
-                frame.referenced = False
-                frame.rec_lsn = None
-                self._free_frames.append(index)
-            self._page_versions.pop(page_id, None)
+            self._frames = []
+            self._free_frames = []
+            self._table.clear()
 
     # -- replacement --------------------------------------------------------------
 
@@ -378,6 +372,8 @@ class BufferPool:
         way the frame returned holds no page and is clean."""
         if self._free_frames:
             return self._frames[self._free_frames.pop()]
+        if not self._frames:
+            raise BufferPoolError("the buffer pool is closed")
         # Clock sweep: at most two full passes (first clears ref bits).
         for __ in range(2 * self.capacity):
             frame = self._frames[self._hand]

@@ -86,8 +86,8 @@ class FunctionDef:
     bytes on every load, like ``verified``: ``max_stack`` and
     ``stack_in`` (operand-stack depth entering each instruction) by the
     verifier; ``summary``, ``certificate``, ``flows`` and ``inline`` by
-    the load-time analysis (:mod:`repro.analysis.pipeline`); ``cfg`` and
-    ``dispatch`` on first use.
+    the load-time analysis (:mod:`repro.analysis.pipeline`); ``cfg``,
+    ``dispatch`` and ``fused`` on first use.
     """
 
     name: str
@@ -105,14 +105,20 @@ class FunctionDef:
     flows: Optional[object] = field(default=None, compare=False)
     #: InlineTemplate or InlineRefusal from the decompiler.
     inline: Optional[object] = field(default=None, compare=False)
-    #: Interpreter dispatch cache: ``code`` decoded to ``(op, arg)``
-    #: tuples, built lazily on first execution.  Pure derivation of
-    #: ``code`` (which is immutable), so it never needs invalidation.
+    #: Interpreter dispatch caches, built on first execution: ``code``
+    #: decoded to one ``(op, arg)`` tuple per instruction (what a metered
+    #: frame runs), and the same with the peephole pass's
+    #: superinstructions at the heads of their runs (what a prepaid frame
+    #: runs; :func:`repro.vm.interpreter.fuse`).  Pure derivations of
+    #: ``code`` (which is immutable), so they never need invalidation.
     dispatch: Optional[Tuple] = field(
         default=None, compare=False, repr=False
     )
+    fused: Optional[Tuple] = field(
+        default=None, compare=False, repr=False
+    )
     #: Backing store of :attr:`cfg`; a pure derivation of ``code``, like
-    #: ``dispatch``.
+    #: the dispatch caches.
     _cfg: Optional[object] = field(
         default=None, init=False, compare=False, repr=False
     )

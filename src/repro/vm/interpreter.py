@@ -1,11 +1,20 @@
 """JaguarVM bytecode interpreter.
 
-The interpreter is the "no JIT" execution mode: a classic decode-dispatch
-loop charging one fuel unit per instruction.  It only runs *verified*
-code — the constructor refuses unverified classfiles — so it performs no
-type checks, but it does enforce everything the verifier provably cannot:
-array bounds, division by zero, numeric conversion traps, call depth, and
-the fuel / memory quotas.
+The interpreter is the "no JIT" execution mode: a decode-dispatch loop
+over ``(op, arg)`` entries.  A *metered* frame runs the raw decode of its
+bytecode and charges one fuel unit per instruction.  A *prepaid* frame —
+its certificate paid its whole fuel bound up front, or its caller is
+prepaid — runs the same loop over the *fused* decode (:func:`fuse`):
+five hot stack idioms (the loop test, ``iinc`` alone or closing a loop
+body, an indexed byte load, add-and-store) become one
+**superinstruction** entry each, so one dispatch does the work of two
+to five.  The fused form is data; nothing is generated or compiled.
+
+The interpreter only runs *verified* code — the constructor refuses
+unverified classfiles — so it performs no type checks, but it does
+enforce everything the verifier provably cannot: array bounds, division
+by zero, numeric conversion traps, call depth, and the fuel / memory
+quotas.
 
 An :class:`ExecutionContext` bundles the per-invocation environment:
 function resolution (class loader), the security manager, the resource
@@ -17,6 +26,7 @@ so the two modes are interchangeable behind
 from __future__ import annotations
 
 from array import array
+from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
@@ -27,10 +37,10 @@ from ..errors import (
     VMRuntimeError,
 )
 from .classfile import ClassFile, FunctionDef, K_CALLBACK, K_FUNC, K_NATIVE, K_STR
-from .opcodes import Op
+from .opcodes import BRANCH_OPS, Op
 from .resources import ResourceAccount, unmetered_account
 from .security import SecurityManager, open_manager
-from .stdlib import NATIVE_IMPLS
+from .stdlib import NATIVE_IMPLS, NATIVE_SIGNATURES
 from .values import (
     VMType,
     VMValue,
@@ -42,6 +52,72 @@ from .values import (
     imod,
     wrap_int,
 )
+
+
+class Super(Enum):
+    """A superinstruction: one fused dispatch entry standing for the run
+    of instructions that is its value.  The entry's argument is the
+    tuple of the run's non-``None`` arguments (a lone one bare).
+
+    :func:`fuse` tries the shapes in this order at each pc.  They are
+    the hottest straight-line n-grams of a dynamic histogram over the
+    example, benchmark and generated UDFs.  None calls out of the frame,
+    allocates or charges memory, so a prepaid frame's observable state
+    (value, fault, fuel and heap left) is the unfused one's.
+    """
+
+    #: A counted loop's test.
+    LOAD_LOAD_ICMPLT_JZ = (Op.LOAD, Op.LOAD, Op.ICMPLT, Op.JZ)
+    #: ``iinc`` closing a loop body.
+    IINC_JMP = (Op.LOAD, Op.ICONST, Op.IADD, Op.STORE, Op.JMP)
+    #: The JVM's ``iinc``.
+    IINC = (Op.LOAD, Op.ICONST, Op.IADD, Op.STORE)
+    #: ``arr[i]`` of two locals.
+    LOAD_LOAD_ALOAD = (Op.LOAD, Op.LOAD, Op.ALOAD)
+    #: An accumulator update.
+    IADD_STORE = (Op.IADD, Op.STORE)
+
+
+def decode(func: FunctionDef) -> Tuple:
+    """``func.code`` as the loop's ``(op, arg)`` entries, one per
+    instruction: what a metered frame runs (cached on ``func.dispatch``)."""
+    if func.dispatch is None:
+        func.dispatch = tuple((i.op, i.arg) for i in func.code)
+    return func.dispatch
+
+
+def fuse(func: FunctionDef) -> Tuple:
+    """The peephole pass: :func:`decode` with every :class:`Super` run
+    that no jump enters after its head replaced, at its head pc, by one
+    superinstruction entry (cached on ``func.fused``).
+
+    Every other pc keeps its raw entry, so a run's tail stays a valid
+    place to be; after a superinstruction the loop resumes at the pc
+    past its run (or at its branch target).  Runs do not overlap: the
+    scan restarts after each one it fuses.
+    """
+    if func.fused is not None:
+        return func.fused
+    raw = decode(func)
+    ops = tuple(op for op, __ in raw)
+    targets = {arg for op, arg in raw if op in BRANCH_OPS}
+    fused = list(raw)
+    pc = 0
+    while pc < len(raw):
+        for sup in Super:
+            end = pc + len(sup.value)
+            if ops[pc:end] == sup.value and targets.isdisjoint(
+                range(pc + 1, end)
+            ):
+                args = tuple(arg for __, arg in raw[pc:end] if arg is not None)
+                fused[pc] = (sup, args[0] if len(args) == 1 else args)
+                pc = end
+                break
+        else:
+            pc += 1
+    func.fused = tuple(fused)
+    return func.fused
+
 
 #: Every opcode the dispatch loop handles, in the order ``_execute``
 #: unpacks them into locals.  Testing ``op is op_load`` (a LOAD_FAST)
@@ -63,6 +139,8 @@ _DISPATCH_OPS = (
     Op.JMP, Op.JZ, Op.JNZ, Op.RET, Op.RETV,
     Op.POP, Op.DUP, Op.SWAP,
     Op.CALL, Op.NATIVE, Op.CALLBACK,
+    Super.LOAD_LOAD_ICMPLT_JZ, Super.IINC_JMP, Super.IINC,
+    Super.LOAD_LOAD_ALOAD, Super.IADD_STORE,
 )
 
 
@@ -167,11 +245,14 @@ def _execute(
     When the function carries a :class:`ResourceCertificate` with a
     finite fuel bound, the whole worst case is charged up front and the
     per-instruction decrement is elided — the certificate *proves* the
-    function cannot exceed what it paid.  Unbounded functions (and
-    callees of an already-elided frame, whose cost the caller prepaid)
-    keep the dynamic meter.  Memory stays dynamically metered in both
-    modes: allocations are charged where they happen, so an over-quota
-    allocation faults at the same instruction either way.
+    function cannot exceed what it paid.  Such a *prepaid* frame (and a
+    callee of one, whose cost the caller prepaid) runs the fused decode
+    (:func:`fuse`), superinstructions first in the chain.  Unbounded
+    functions keep the dynamic meter and the raw decode, one fuel unit
+    per instruction, so fuel exhaustion and revocation land on the same
+    instruction as without fusion.  Memory stays dynamically metered in
+    both modes: allocations are charged where they happen, so an
+    over-quota allocation faults at the same instruction either way.
     """
     account = ctx.account
     if metered:
@@ -187,10 +268,7 @@ def _execute(
         for t in func.local_types[len(args):]:
             slots.append(default_value(t))
         stack: List[VMValue] = []
-        code = func.dispatch
-        if code is None:
-            code = tuple((i.op, i.arg) for i in func.code)
-            func.dispatch = code
+        code = decode(func) if metered else fuse(func)
         pool = cls.pool
         (
             op_load, op_store, op_iconst, op_fconst, op_bconst, op_sconst,
@@ -208,19 +286,58 @@ def _execute(
             op_jmp, op_jz, op_jnz, op_ret, op_retv,
             op_pop, op_dup, op_swap,
             op_call, op_native, op_callback,
+            sup_loop_test, sup_iinc_jmp, sup_iinc, sup_index, sup_add_store,
         ) = _DISPATCH_OPS
         pc = 0
         while True:
+            op, arg = code[pc]
+            pc += 1
+            # A metered frame pays one fuel unit per instruction and runs
+            # raw entries only, so it skips straight to the raw chain.  A
+            # prepaid frame tests the superinstructions first.  Each ends
+            # where its run's last instruction would, with that
+            # instruction's wrap, bounds check and error text.
             if metered:
                 account.fuel -= 1
                 if account.fuel < 0:
                     account.out_of_fuel()
-            op, arg = code[pc]
-            pc += 1
+            elif op is sup_loop_test:
+                a, b, target = arg
+                if slots[a] < slots[b]:
+                    pc += 3
+                else:
+                    pc = target
+                continue
+            elif op is sup_iinc_jmp:
+                a, k, c, pc = arg
+                slots[c] = wrap_int(slots[a] + k)
+                continue
+            elif op is sup_iinc:
+                a, k, c = arg
+                slots[c] = wrap_int(slots[a] + k)
+                pc += 3
+                continue
+            elif op is sup_index:
+                a, b = arg
+                i = slots[b]
+                arr = slots[a]
+                if not 0 <= i < len(arr):
+                    raise BoundsError(
+                        f"array index {i} out of range [0, {len(arr)})"
+                    )
+                stack.append(arr[i])
+                pc += 2
+                continue
+            elif op is sup_add_store:
+                b = stack.pop()
+                slots[arg] = wrap_int(stack.pop() + b)
+                pc += 1
+                continue
 
-            # The chain is ordered by dynamic frequency — loads, stores,
-            # constants, the add/compare/branch loop kernel first — since
-            # an instruction's position is its dispatch cost.
+            # The raw chain is ordered by dynamic frequency — loads,
+            # stores, constants, the add/compare/branch loop kernel
+            # first — since an instruction's position is its dispatch
+            # cost.
             if op is op_load:
                 stack.append(slots[arg])
             elif op is op_iconst or op is op_fconst:
@@ -439,8 +556,6 @@ def _execute(
                     stack.append(result)
             elif op is op_native:
                 (name,) = cls.constant(arg, K_NATIVE)
-                from .stdlib import NATIVE_SIGNATURES
-
                 nparams = len(NATIVE_SIGNATURES[name][0])
                 call_args = stack[len(stack) - nparams:]
                 del stack[len(stack) - nparams:]

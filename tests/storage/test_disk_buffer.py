@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro import Database
 from repro.errors import BufferPoolError, DiskError, SimulatedCrash
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager, NO_PAGE
@@ -300,25 +301,27 @@ class TestBufferPool:
         pool.flush_all()
         assert disk.read_page(page)[:2] == b"zz"
 
-    def test_dropped_frame_reused_before_eviction(self):
-        disk, pool = self.make(capacity=2)
-        first, __ = pool.new_page()
-        pool.unpin(first)
-        second, __ = pool.new_page()
-        pool.unpin(second)
-        pool.drop_page(first)
-        third, __ = pool.new_page()
-        pool.unpin(third)
-        assert pool.evictions == 0
-        assert bytes(pool.fetch(second)) == bytes(128)  # still resident
-        pool.unpin(second)
-        assert pool.misses == 0
-
-    def test_drop_pinned_page_refused(self):
+    def test_closed_pool_holds_no_frame_and_refuses_use(self):
         disk, pool = self.make()
-        page, __ = pool.new_page()
-        with pytest.raises(BufferPoolError):
-            pool.drop_page(page)
+        page, data = pool.new_page()
+        data[:2] = b"zz"
+        pool.unpin(page, dirty=True)
+        pool.flush_all()
+        pool.close()
+        assert pool._frames == []
+        with pytest.raises(BufferPoolError, match="closed"):
+            pool.fetch(page)
+        with pytest.raises(BufferPoolError, match="closed"):
+            pool.new_page()
+        assert disk.read_page(page)[:2] == b"zz"
+
+    def test_database_close_closes_its_pool(self):
+        # A Database sits in reference cycles, so only close() hands its
+        # pool's memory back before the next full collection.
+        db = Database()
+        db.execute("CREATE TABLE t (a INT)")
+        db.close()
+        assert db.pool._frames == []
 
     def test_hit_rate(self):
         disk, pool = self.make()

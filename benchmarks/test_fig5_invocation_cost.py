@@ -16,8 +16,23 @@ from conftest import CARDINALITY, once
 from repro.bench.figures import run_fig5
 from repro.bench.harness import time_query
 from repro.bench.report import render
-from repro.bench.workload import PAPER_DESIGNS
+from repro.bench.workload import PAPER_DESIGNS, BenchmarkWorkload
 from repro.core.designs import Design
+
+#: Finding 3 is the shape test's closest comparison: IC++ at Rel10000
+#: against 20x the bare scan reads ~0.27 on a quiet host, and up to
+#: ~0.73 with the host's two CPUs contended, since the hand-off needs
+#: server and worker on a CPU while the scan needs one.  Three times the
+#: rows amortize the per-query worker start and lengthen every timed
+#: run, so a slow stretch must last three times as long to reach the
+#: best of five: ~0.15-0.28 quiet and up to ~0.42 contended.
+SHAPE_CARDINALITY = 3 * CARDINALITY
+
+
+@pytest.fixture(scope="module")
+def shape_workload():
+    with BenchmarkWorkload(cardinality=SHAPE_CARDINALITY) as wl:
+        yield wl
 
 
 @pytest.mark.parametrize(
@@ -37,10 +52,13 @@ def test_invocation_cost(benchmark, workload, design, size):
         benchmark(workload.db.execute, sql)
 
 
-def test_fig5_shape(benchmark, workload, timer):
+def test_fig5_shape(benchmark, shape_workload, timer):
+    workload = shape_workload
     result = once(
         benchmark,
-        lambda: run_fig5(workload, invocations=CARDINALITY, timer=timer),
+        lambda: run_fig5(
+            workload, invocations=SHAPE_CARDINALITY, timer=timer
+        ),
     )
     print()
     print(render(result))
@@ -54,12 +72,14 @@ def test_fig5_shape(benchmark, workload, timer):
 
     # Finding 2: the JNI overhead is small in absolute terms — within a
     # small multiple of the (already tiny) native overhead budget.
-    base = time_query(workload, workload.base_query(1, CARDINALITY), timer)
+    base = time_query(
+        workload, workload.base_query(1, SHAPE_CARDINALITY), timer
+    )
     assert jni[1] < 5 * max(base, 1e-9) + 0.5
 
     # Finding 3: everything is dominated by the overall query cost at
     # the large size (where scanning 10 KB rows is the real work).
     base_big = time_query(
-        workload, workload.base_query(10000, CARDINALITY), timer
+        workload, workload.base_query(10000, SHAPE_CARDINALITY), timer
     )
     assert icpp[10000] < 20 * max(base_big, 1e-9)

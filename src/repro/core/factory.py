@@ -14,7 +14,12 @@ from typing import Optional, Sequence
 from ..errors import UDFRegistrationError
 from .callbacks import CallbackBinding
 from .designs import Design
-from .udf import ServerEnvironment, UDFDefinition, resolve_native_payload
+from .udf import (
+    ServerEnvironment,
+    UDFDefinition,
+    resolve_native_payload,
+    takes_ctx,
+)
 
 
 class UDFExecutor(abc.ABC):
@@ -30,18 +35,24 @@ class UDFExecutor(abc.ABC):
 
     ``invoke_batch`` is every design's one entry: what a call crosses
     (guard setup, VM entry, shm round trip) is written once per design,
-    there.  ``invoke`` is a one-row batch, so a one-value caller
-    (plan-time folding) runs exactly the batch routine.  ``close``
-    releases everything (shared executors are closed when the registry
-    shuts down).
+    there, and the rows run one batch routine per UDF language, in
+    process or in a worker, profiled or not: ``udf.native_batch`` or
+    ``sandbox.run_batch``.  ``invoke`` is a one-row batch, so a
+    one-value caller (plan-time folding) runs exactly the batch routine.
+    ``close`` releases everything (shared executors are closed when the
+    registry shuts down).
     """
 
     #: Per-query :class:`~repro.obs.profile.UDFProfile`, attached by the
     #: statement executor's UDF resolver when observability collects and
-    #: reset to ``None`` at query teardown.  A class attribute, so the
-    #: default (off) costs executors neither per-instance state nor any
-    #: hot-path work beyond one ``is None`` test per batch.
+    #: reset to ``None`` at query teardown; the call site
+    #: (:class:`~repro.sql.expressions.UDFCallSite`) records into it.
     profile = None
+
+    #: The in-process sandbox account the current query charges, whose
+    #: :attr:`~repro.vm.resources.ResourceAccount.charged` a profile
+    #: reports; ``None`` for native code and isolated workers.
+    account = None
 
     def __init__(self, definition: UDFDefinition, env: ServerEnvironment):
         self.definition = definition
@@ -113,14 +124,13 @@ def validate_definition(
 ) -> Optional[object]:
     """Registration-time checks: fail at CREATE FUNCTION, not mid-query.
 
-    For sandboxed designs, returns a ``(summary, certificate, inline,
-    flows)`` tuple — the entry function's static effect summary
+    For sandboxed designs, returns a ``(summary, certificate, inline)``
+    tuple: the entry function's static effect summary
     (``repro.analysis.effects.FunctionSummary``), resource certificate
-    (``repro.analysis.bounds.ResourceCertificate``), decompilation
+    (``repro.analysis.bounds.ResourceCertificate``) and decompilation
     result (``repro.analysis.decompile.InlineTemplate`` or
-    ``InlineRefusal``), and flow certificate
-    (``repro.analysis.flows.FlowCertificate``); native designs are
-    opaque host code and return ``None``.
+    ``InlineRefusal``); native designs are opaque host code and return
+    ``None``.
     """
     if definition.design.is_sandboxed:
         from .sandbox import load_sandbox_payload
@@ -136,18 +146,15 @@ def validate_definition(
             getattr(func, "summary", None),
             getattr(func, "certificate", None),
             getattr(func, "inline", None),
-            getattr(func, "flows", None),
         )
-    else:
-        func = resolve_native_payload(definition.payload)
-        nparams = len(definition.signature.param_types)
-        code = getattr(func, "__code__", None)
-        if code is not None:
-            declared = code.co_argcount
-            takes_ctx = declared > 0 and code.co_varnames[0] == "ctx"
-            expected = nparams + (1 if takes_ctx else 0)
-            if declared != expected:
-                raise UDFRegistrationError(
-                    f"native UDF {definition.name!r} declares {declared} "
-                    f"parameters, signature has {nparams}"
-                )
+    func = resolve_native_payload(definition.payload)
+    nparams = len(definition.signature.param_types)
+    code = getattr(func, "__code__", None)
+    if code is not None:
+        declared = code.co_argcount
+        if declared != nparams + takes_ctx(func):
+            raise UDFRegistrationError(
+                f"native UDF {definition.name!r} declares {declared} "
+                f"parameters, signature has {nparams}"
+            )
+    return None

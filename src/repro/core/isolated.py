@@ -81,6 +81,7 @@ import socket
 import struct
 import threading
 import traceback
+from functools import partial
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -88,7 +89,13 @@ from ..errors import CallbackError, UDFCrashed, UDFInvocationError
 from .designs import Design
 from .factory import UDFExecutor
 from .sandbox import admission_claim, loaded_program, run_batch
-from .udf import ServerEnvironment, UDFDefinition, resolve_native_payload
+from .udf import (
+    NativeUDFContext,
+    ServerEnvironment,
+    UDFDefinition,
+    native_batch,
+    resolve_native_payload,
+)
 
 _HEADER = struct.Struct("<BII")  # msg type, total length, chunk length
 #: Bytes in each worker's shared buffer.  The buffer is a sparse
@@ -892,11 +899,6 @@ class RemoteExecutor(UDFExecutor):
                 self._loaded,
                 definition.entry,
                 definition.design is not Design.SANDBOX_INTERP,
-                # Copy elision, the arena and the kernel follow the
-                # server-side gate (definition.flows), so stripping the
-                # certificate restores the defensive tier-0 baseline end
-                # to end.
-                definition.flows is not None,
             )
         else:
             # Validate importability in the server before shipping the
@@ -919,7 +921,8 @@ class RemoteExecutor(UDFExecutor):
         Flat keys aggregate every worker channel; ``per_worker`` breaks
         the same counters out per process.  When a profile is attached,
         the pool's shm round-trip latency summary rides along under
-        ``round_trip_ns``.
+        ``round_trip_ns``: the one figure only this design can measure
+        (the call site records everything else, for every design).
         """
         stats = self._pool.stats()
         prof = self.profile
@@ -1026,7 +1029,6 @@ class RemoteExecutor(UDFExecutor):
         prof = self.profile
         tuples = tuple(tuple(args) for args in args_list)
         want = min(pool.size, max(1, len(tuples) // _MIN_SHARD_ROWS))
-        started = perf_counter_ns() if prof is not None else 0
         workers = pool.workers[:want]
         shards = _split_shards(tuples, len(workers))
         # Cumulative row offsets: shard ``i`` covers the half-open input
@@ -1066,12 +1068,7 @@ class RemoteExecutor(UDFExecutor):
         if errors:
             # Shards are contiguous, so the lowest shard's failure is
             # the earliest input row's failure — what serial raises.
-            first = min(errors, key=lambda pair: pair[0])[1]
-            if prof is not None:
-                prof.record_error(first)
-            raise first
-        if prof is not None:
-            prof.record_invocations(len(tuples), perf_counter_ns() - started)
+            raise min(errors, key=lambda pair: pair[0])[1]
         return results
 
     # -- teardown ----------------------------------------------------------------
@@ -1122,7 +1119,7 @@ class _RemoteCallbackPort:
     def __init__(self, channel: _ShmChannel):
         self.channel = channel
 
-    def invoke(self, name: str, args: tuple) -> object:
+    def invoke(self, name: str, *args) -> object:
         self.channel.worker_send(MSG_CALLBACK, _dumps((name, args)))
         msg_type, payload = self.channel.worker_recv()
         if msg_type == MSG_CB_REPLY:
@@ -1130,18 +1127,6 @@ class _RemoteCallbackPort:
         if msg_type == MSG_ERROR:
             raise _reraise(payload, "<callback>")
         raise CallbackError(f"unexpected reply type {msg_type} to callback")
-
-
-class _WorkerNativeContext:
-    """The ``ctx`` argument given to native UDFs running remotely."""
-
-    __slots__ = ("_port",)
-
-    def __init__(self, port: _RemoteCallbackPort):
-        self._port = port
-
-    def callback(self, name: str, *args):
-        return self._port.invoke(name, args)
 
 
 def _worker_main(programs: dict, request: bytes,
@@ -1195,26 +1180,19 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
     their results out, in order."""
     kind = worker_payload[0]
     if kind == "native":
-        func = resolve_native_payload(worker_payload[1])
-        code = getattr(func, "__code__", None)
-        takes_ctx = bool(
-            code is not None
-            and code.co_argcount > 0
-            and code.co_varnames[0] == "ctx"
+        return native_batch(
+            resolve_native_payload(worker_payload[1]),
+            NativeUDFContext(port),
         )
-        if takes_ctx:
-            ctx = _WorkerNativeContext(port)
-            return lambda rows: [func(ctx, *args) for args in rows]
-        return lambda rows: [func(*args) for args in rows]
 
     if kind == "jaguar":
-        __, loaded, entry, use_jit, use_flows = worker_payload
+        __, loaded, entry, use_jit = worker_payload
         # ``loaded`` is the server's prepared program, inherited across
         # ``os.fork``.  The worker only binds it to this process's
         # callback port; quotas are the program's policy, the same one
         # Design 3 enforces.
         context = loaded.make_context(callbacks={
-            name: _make_remote_handler(port, name)
+            name: partial(port.invoke, name)
             for name in loaded.security.permissions.callbacks
         })
         # When the flow certificate proves parameters read-only,
@@ -1222,24 +1200,11 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
         # arriving from shared memory — they were already copied out of
         # the ring buffer by unpickling, so the sandbox can use that
         # buffer directly.
-        invoke_one = loaded.make_invoker(
-            entry, context, use_jit=use_jit, elide_copies=use_flows
-        )
-
-        def invoke_batch(rows):
-            # The in-process executor's batch routine: the kernel the
-            # inherited program built at load, else the certified
-            # reset-elision loop.
-            return run_batch(loaded, entry, context, invoke_one, rows,
-                             use_flows)
-
-        return invoke_batch
+        invoke_one = loaded.make_invoker(entry, context, use_jit=use_jit)
+        # The in-process executor's batch routine: the kernel the
+        # inherited program built at load, else the certified
+        # reset-elision loop.
+        return lambda rows: run_batch(loaded, entry, context, invoke_one,
+                                      rows)
 
     raise UDFInvocationError(f"unknown worker payload kind {kind!r}")
-
-
-def _make_remote_handler(port: _RemoteCallbackPort, name: str):
-    def handler(*args):
-        return port.invoke(name, args)
-
-    return handler

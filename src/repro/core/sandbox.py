@@ -25,8 +25,7 @@ verified before the catalog accepts them.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import UDFRegistrationError
 from ..vm.classfile import MAGIC, ClassFile
@@ -140,17 +139,14 @@ def batch_tier(definition: UDFDefinition, env: ServerEnvironment) -> str:
     """What ``definition``'s batches run on, as EXPLAIN shows it.
 
     ``kernel``, or ``tier0(<refusal>)`` with the load-time eligibility
-    refusal, ``interpreter`` for ``SANDBOX_INTERP``, ``demoted`` after a
-    deopt storm, or ``no-flows`` when the flow certificate was stripped
-    (the same gate :func:`run_batch` applies).
+    refusal, ``interpreter`` for ``SANDBOX_INTERP`` or ``demoted`` after
+    a deopt storm.
     """
     if definition.design is Design.SANDBOX_INTERP:
         return "tier0(interpreter)"
     loaded = loaded_program(definition, env)
     if loaded.kernel is None:
         return f"tier0({loaded.kernel_refusal})"
-    if definition.flows is None:
-        return "tier0(no-flows)"
     return "kernel"
 
 
@@ -181,63 +177,46 @@ def admission_claim(loaded: LoadedUDF, entry: str) -> tuple:
 
 
 def run_batch(loaded: LoadedUDF, entry: str, context, invoke_one,
-              args_list: Sequence[Sequence[object]],
-              use_flows: bool) -> list:
-    """The one batch loop of every sandboxed executor, in process or not.
+              args_list: Sequence[Sequence[object]]) -> list:
+    """The one batch routine of every sandboxed executor, in process or
+    in an isolated worker, profiled or not (a profile reads the
+    account's :attr:`~repro.vm.resources.ResourceAccount.charged`).
 
-    ``invoke_one`` is ``loaded.make_invoker(entry, context, ...)``;
-    ``use_flows`` is the ``definition.flows`` gate (stripping the flow
-    certificate restores the defensive baseline, tier 0 included).
-
+    ``invoke_one`` is ``loaded.make_invoker(entry, context, ...)``.
     With a tier-1 kernel (built at load; see
     :meth:`LoadedUDF.build_kernel`) the whole batch runs inside it,
     deopting mid-batch through :func:`~repro.vm.tier.run_tiered_batch`.
-    Otherwise each row is one ``invoke_one`` call, and when the
-    certifier proved constant per-invocation fuel/heap bounds the
-    per-call ``account.reset()`` is elided while the remaining quota
-    still covers the bound: an invocation that provably fits what is
-    left cannot fault where a fresh account would not have, so the
-    per-invocation quota semantics are preserved without touching the
-    account each tuple.  When every allocation is proven non-escaping
-    (``arena_safe``), the batch behaves like one recycled arena: each
-    call's memory charges are refunded after it returns, so an
-    argument-dependent allocator needs only the certified fuel bound to
-    elide resets.
+    Otherwise each row is one ``invoke_one`` call, and the account is
+    refilled only when what is left no longer covers the certified
+    per-invocation fuel and heap need: an invocation that provably fits
+    what is left cannot fault where a fresh account would not have, so
+    the per-invocation quota holds without a refill per tuple.  When
+    every allocation is proven non-escaping (``arena_safe``), each
+    call's heap charges are refunded after it returns and only the fuel
+    bound governs the refill.  Without a bound the need exceeds any
+    quota: every call gets a fresh one.
     """
-    kernel = loaded.kernel if use_flows else None
+    kernel = loaded.kernel
     if kernel is not None:
         return run_tiered_batch(
             loaded, kernel, context, args_list, invoke_one
         )
-    fuel_need, mem_need = _certified_call_bounds(loaded, entry)
-    func = loaded.main_class.functions.get(entry)
-    flows = getattr(func, "flows", None) if use_flows else None
-    arena = flows is not None and flows.arena_safe
     account = context.account
-    results = []
+    fuel_need, mem_need = _certified_call_bounds(loaded, entry)
+    flows = getattr(loaded.main_class.functions.get(entry), "flows", None)
+    arena = mem_need is None and flows is not None and flows.arena_safe
+    if fuel_need is None or (mem_need is None and not arena):
+        fuel_need = account.fuel_limit + 1  # the quota is per invocation
+    if mem_need is None:
+        mem_need = 0
     mem_limit = account.memory_limit
-    if fuel_need is not None and mem_need is None and arena:
-        # Per-batch arena: nothing this function allocates survives its
-        # return, so the heap charges are handed back after each call
-        # and only the fuel bound governs reset elision.  Only worth it
-        # when no static memory bound exists — with both bounds
-        # certified the branch below is cheaper (no per-call refund).
-        account.reset()
-        for args in args_list:
-            if account.fuel < fuel_need:
-                account.reset()
-            results.append(invoke_one(args))
+    results = []
+    for args in args_list:
+        if account.fuel < fuel_need or account.memory < mem_need:
+            account.reset()
+        results.append(invoke_one(args))
+        if arena:
             account.release_memory(mem_limit)
-    elif fuel_need is None or mem_need is None:
-        for args in args_list:
-            account.reset()  # the quota is per invocation
-            results.append(invoke_one(args))
-    else:
-        account.reset()
-        for args in args_list:
-            if account.fuel < fuel_need or account.memory < mem_need:
-                account.reset()
-            results.append(invoke_one(args))
     return results
 
 
@@ -285,63 +264,18 @@ class SandboxExecutor(UDFExecutor):
 
         ``make_invoker`` hoists function lookup, verification, and JIT
         lookup out of the loop, and read-only byte-array parameters skip
-        the defensive marshalling copy (gated on ``definition.flows``).
-        The batch then runs through :func:`run_batch` — the tier-1
-        kernel when the UDF has one, else the certified reset-elision
-        loop — unless a profile is attached: exact per-call fuel/heap
-        attribution needs the reset-per-call loop, and both the kernel
-        and reset elision would fold several invocations into one
-        window.
+        the defensive marshalling copy.  The batch then runs through
+        :func:`run_batch`: the tier-1 kernel when the UDF has one, else
+        the certified reset-elision loop.
         """
         if self._context is None:
             self.begin_query()
         context = self._context
         entry = self.definition.entry
-        use_flows = self.definition.flows is not None
         invoke_one = self._loaded.make_invoker(
-            entry, context, use_jit=self._use_jit, elide_copies=use_flows,
+            entry, context, use_jit=self._use_jit
         )
-        prof = self.profile
-        if prof is not None:
-            return self._invoke_batch_profiled(
-                args_list, context.account, invoke_one, prof
-            )
-        return run_batch(
-            self._loaded, entry, context, invoke_one, args_list, use_flows
-        )
-
-    def _invoke_batch_profiled(self, args_list, account, invoke_one, prof):
-        """The batch loop with per-call fuel/heap attribution.
-
-        Uses the reset-per-call baseline (eliding resets, or running the
-        tier-1 kernel, would fold several invocations' consumption into
-        one opaque window); quota semantics are identical — elision and
-        the kernel are only ever optimizations.  All accumulation is
-        local-variable arithmetic; the profile is touched once per batch.
-        """
-        fuel_limit = account.fuel_limit
-        mem_limit = account.memory_limit
-        fuel_used = 0
-        heap_used = 0
-        results = []
-        started = perf_counter_ns()
-        try:
-            for args in args_list:
-                account.reset()  # the quota is per invocation
-                results.append(invoke_one(args))
-                fuel_used += fuel_limit - account.fuel
-                heap_used += mem_limit - account.memory
-        except BaseException as exc:
-            prof.record_error(exc)
-            raise
-        finally:
-            if args_list:
-                prof.record_resources(fuel_used, heap_used)
-        if args_list:
-            prof.record_invocations(
-                len(args_list), perf_counter_ns() - started
-            )
-        return results
+        return run_batch(self._loaded, entry, context, invoke_one, args_list)
 
     def end_query(self) -> None:
         super().end_query()
@@ -352,8 +286,5 @@ class SandboxExecutor(UDFExecutor):
             group.release(fuel_claim, mem_claim)
 
     @property
-    def resource_snapshot(self) -> Optional[dict]:
-        """Usage of the current query's account (auditing aid)."""
-        if self._context is None:
-            return None
-        return self._context.account.snapshot()
+    def account(self):
+        return None if self._context is None else self._context.account

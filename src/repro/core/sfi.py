@@ -75,13 +75,12 @@ class GuardedBytes:
 class SFIExecutor(NativeIntegratedExecutor):
     """Native in-process execution with guarded byte-array arguments.
 
-    Overrides the *raw* call path so the inherited instrumentation (see
-    ``NativeIntegratedExecutor.invoke_batch``) measures the full SFI
-    span — guard wrapping included, since that per-access tax is exactly
-    the overhead the design exists to pay.
+    Wraps the arguments, then runs the inherited batch routine, so the
+    design's span includes guard wrapping: that per-access tax is
+    exactly the overhead the design exists to pay.
     """
 
-    def _raw_invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
+    def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         # Wrapping stays per-value (each call gets its own guarded
         # region), but the dispatch overhead is paid once for the batch.
         wrap = GuardedBytes
@@ -93,4 +92,4 @@ class SFIExecutor(NativeIntegratedExecutor):
             ]
             for args in args_list
         ]
-        return super()._raw_invoke_batch(guarded_list)
+        return super().invoke_batch(guarded_list)

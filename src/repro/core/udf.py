@@ -93,16 +93,12 @@ class UDFDefinition:
     designs (native code cannot be analyzed and falls back to defaults).
     ``analysis`` holds the entry function's static summary
     (:class:`~repro.analysis.effects.FunctionSummary`) once validated;
-    ``certificate`` its resource certificate
-    (:class:`~repro.analysis.bounds.ResourceCertificate`), when the
-    bounds pass could prove anything; ``inline`` its decompilation
-    result (:class:`~repro.analysis.decompile.InlineTemplate` when the
-    body lifted to a SQL expression, else an
-    :class:`~repro.analysis.decompile.InlineRefusal`); ``flows`` its
-    information-flow certificate
-    (:class:`~repro.analysis.flows.FlowCertificate`), which gates the
-    executors' copy-elision/arena fast paths and the optimizer's
-    trap-guard elision.
+    ``inline`` its decompilation result
+    (:class:`~repro.analysis.decompile.InlineTemplate` when the body
+    lifted to a SQL expression, else an
+    :class:`~repro.analysis.decompile.InlineRefusal`).  The resource and
+    flow certificates stay on the loaded entry function, their one
+    holder (the cost oracle's ``udf_entry``).
     """
 
     name: str
@@ -115,9 +111,7 @@ class UDFDefinition:
     fuel: Optional[int] = None
     memory: Optional[int] = None
     analysis: Optional[object] = field(default=None, compare=False)
-    certificate: Optional[object] = field(default=None, compare=False)
     inline: Optional[object] = field(default=None, compare=False)
-    flows: Optional[object] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
@@ -171,6 +165,43 @@ def resolve_native_payload(payload: bytes) -> Callable:
             f"{module_name}.{func_name} is not a callable"
         )
     return func
+
+
+def takes_ctx(func: Callable) -> bool:
+    """Whether a native payload's first parameter is named ``ctx``: it
+    then gets its design's callback context before the SQL arguments."""
+    code = getattr(func, "__code__", None)
+    return bool(code is not None and code.co_argcount > 0
+                and code.co_varnames[0] == "ctx")
+
+
+class NativeUDFContext:
+    """The ``ctx`` a native UDF gets: ``callback(name, *args)`` goes to
+    its design's callback channel, the query's broker binding in
+    process or the shm port in an isolated worker.
+
+    Deliberately *not* a security boundary: Designs 1 and 2 trust the
+    UDF.  It is a convenience handle for callbacks, matching how a C++
+    UDF would simply call into server functions.
+    """
+
+    __slots__ = ("_channel",)
+
+    def __init__(self, channel):
+        self._channel = channel
+
+    def callback(self, name: str, *args):
+        return self._channel.invoke(name, *args)
+
+
+def native_batch(func: Callable, ctx: object) -> Callable:
+    """The one batch routine of every native design (integrated, SFI and
+    the isolated worker): a list of argument tuples in, their results
+    out, in order.  ``ctx`` is the design's callback context, passed
+    first to a payload that :func:`takes_ctx`."""
+    if takes_ctx(func):
+        return lambda rows: [func(ctx, *args) for args in rows]
+    return lambda rows: [func(*args) for args in rows]
 
 
 def _admit_inline(definition: UDFDefinition, inline: Optional[object]):
@@ -234,13 +265,11 @@ class UDFRegistry:
 
         probe = validate_definition(definition, self.environment)
         try:
-            summary, certificate, inline, flows = (
-                probe if probe is not None else (None, None, None, None)
+            summary, certificate, inline = (
+                probe if probe is not None else (None, None, None)
             )
             definition.analysis = summary
-            definition.certificate = certificate
             definition.inline = _admit_inline(definition, inline)
-            definition.flows = flows
             if definition.cost is None and summary is not None:
                 from ..analysis.costs import derive_cost_hints
 

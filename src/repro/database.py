@@ -778,6 +778,11 @@ class Database:
                 self.pool.flush_all()
                 self.disk.close()
             self.pool.close()
+        # Break the back-references to this database, so a closed one is
+        # freed when its last user drops it, not at the next full
+        # collection.
+        self.catalog.on_change = None
+        self._executor.db = None
 
     def __enter__(self) -> "Database":
         return self

@@ -6,9 +6,14 @@ observability is collecting (``Database(metrics=True)``,
 through every layer:
 
 * each per-query UDF executor gets a pre-bound :class:`UDFProfile`
-  keyed by (function, design) — invocation wall time, batch sizes,
-  fuel/heap consumed, crash/refusal counts, and (for the isolated
-  design) pool queue-wait and shm round-trip histograms;
+  keyed by (function, design).  The UDF call site
+  (:class:`~repro.sql.expressions.UDFCallSite`), where every design's
+  batches cross, records invocation wall time, batch sizes and
+  crash/refusal counts around the executor's ``invoke_batch``, and for
+  an in-process sandbox the fuel and heap its account was charged over
+  the batch.  The executor runs the same code, profiled or not; only
+  the isolated design adds a figure of its own, the per-shard shm round
+  trip;
 * each physical operator gets an :class:`OperatorStats` recording rows
   and batches produced and cumulative (inclusive) wall time, keyed by
   the logical plan node so ``EXPLAIN ANALYZE`` can annotate the plan;
@@ -55,12 +60,17 @@ class UDFProfile:
         #: mean per call), exact at batch size 1.
         self.invoke_ns = registry.histogram(f"{prefix}.invoke_ns")
         self.batch_rows = registry.histogram(f"{prefix}.batch_rows")
+        #: What the in-process sandbox account was charged (zero for
+        #: native code and for isolated workers, whose account is
+        #: theirs): the certified bound where the path prepays it (a
+        #: kernel, a certified clone, a prepaid frame), else the metered
+        #: count; heap net of the arena's refunds.
         self.fuel_used = registry.counter(f"{prefix}.fuel_used")
         self.heap_used = registry.counter(f"{prefix}.heap_used")
         self.crashes = registry.counter(f"{prefix}.crashes")
         self.refusals = registry.counter(f"{prefix}.refusals")
-        #: Isolated design only: the send-to-result shm round trip, per
-        #: dispatch.
+        #: Isolated design only, recorded by its executor: the
+        #: send-to-result shm round trip, per shard.
         self.round_trip_ns = registry.histogram(f"{prefix}.round_trip_ns")
         self._adaptive_entry = (
             adaptive.udf_entry(name) if adaptive is not None else None

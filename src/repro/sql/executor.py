@@ -196,6 +196,15 @@ class _RegistryOracle(CostOracle):
 
         return batch_tier(definition, self.registry.environment)
 
+    def udf_entry(self, name: str):
+        definition = self.udf_definition(name)
+        if definition is None or not definition.design.is_sandboxed:
+            return None
+        from ..core.sandbox import loaded_program
+
+        loaded = loaded_program(definition, self.registry.environment)
+        return loaded.main_class.functions.get(definition.entry)
+
     def udf_workers(self, name: str):
         definition = self.udf_definition(name)
         if definition is None or not definition.design.is_isolated:

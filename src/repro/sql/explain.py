@@ -251,7 +251,8 @@ def _annotate(expr: A.Expr, oracle: Optional[object]) -> str:
             note += f", opaque({refusal})"
         elif getattr(oracle, "inline_template", lambda n: None)(name) is not None:
             note += ", opaque(call-site)"
-        cert = getattr(definition, "certificate", None)
+        entry = getattr(oracle, "udf_entry", lambda n: None)(name)
+        cert = getattr(entry, "certificate", None)
         if cert is not None and (
             cert.fuel_bound is not None or cert.mem_bound is not None
         ):
@@ -261,7 +262,7 @@ def _annotate(expr: A.Expr, oracle: Optional[object]) -> str:
                 f", bounded(fuel≤{describe_bound(cert.fuel_bound)}, "
                 f"mem≤{describe_bound(cert.mem_bound)})"
             )
-        flows = getattr(definition, "flows", None)
+        flows = getattr(entry, "flows", None)
         if flows is not None and flows.trap_free:
             # The interval pass proved no instruction can fault, so the
             # executors skip per-row trap partitioning for this UDF.

@@ -25,9 +25,16 @@ from __future__ import annotations
 
 import operator
 import re
+from array import array
+from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import ArithmeticFault, ExecutionError, PlanError
+from ..errors import (
+    ArithmeticFault,
+    ExecutionError,
+    PlanError,
+    UDFInvocationError,
+)
 from ..storage.lob import LOBRef
 from ..vm.values import f2i, idiv, imod, wrap_int
 from . import ast_nodes as A
@@ -84,8 +91,30 @@ class QueryRuntime:
         return handle
 
 
+#: The result classes a UDF declared ``RETURNS <type>`` may answer with,
+#: NULL included: what the storage layer's codec accepts for that type.
+#: A ``float`` UDF's ``int`` is widened, as its arguments are.
+_RESULT_CLASSES = {
+    "int": frozenset({int, type(None)}),
+    "handle": frozenset({int, type(None)}),
+    "float": frozenset({float, type(None)}),
+    "bool": frozenset({bool, type(None)}),
+    "str": frozenset({str, type(None)}),
+    "bytes": frozenset({bytes, bytearray, memoryview, type(None)}),
+    "farr": frozenset({array, list, tuple, type(None)}),
+}
+
+
 class UDFCallSite:
     """A compiled UDF call within an expression.
+
+    Every design's batches cross here, so this is where a batch is
+    checked and observed, the same way for all six: each result must be
+    a value of the UDF's declared type or NULL (else
+    :class:`~repro.errors.UDFInvocationError`), and when the query
+    collects a profile, the batch's wall time, calls, errors and, for
+    an in-process sandbox, the fuel and heap its account was charged are
+    recorded around the executor's unchanged ``invoke_batch``.
 
     Call sites of UDFs the load-time analyzer proved *pure* memoize
     results by argument tuple: repeated values in a column (the common
@@ -100,7 +129,8 @@ class UDFCallSite:
 
     __slots__ = (
         "name", "executor", "param_types", "arg_fns", "runtime", "_memo",
-        "_memo_probes", "_memo_hits", "_passthrough",
+        "_memo_probes", "_memo_hits", "_passthrough", "_profile",
+        "_ret_type", "_ret_classes",
     )
 
     #: Probes without a hit before an adaptive memo gives up (2 batches
@@ -125,6 +155,13 @@ class UDFCallSite:
         self._passthrough = not any(
             pt in ("bytes", "handle", "float") for pt in param_types
         )
+        # The resolver attaches the query's profile before compiling
+        # any call site of the executor.
+        self._profile = getattr(executor, "profile", None)
+        self._ret_type = (
+            definition.signature.ret_type if definition is not None else None
+        )
+        self._ret_classes = _RESULT_CLASSES.get(self._ret_type)
 
     def _coerce_args(self, raw: Sequence[object]) -> List[object]:
         """Materialize/handle/widen one row's argument values, in order."""
@@ -209,7 +246,12 @@ class UDFCallSite:
         else:
             dup_of = {}
         if call_args:
-            values = self.executor.invoke_batch(call_args)
+            if self._profile is None:
+                values = self.executor.invoke_batch(call_args)
+            else:
+                values = self._invoke_profiled(call_args)
+            if self._ret_classes is not None:
+                values = self._checked(values)
             for slot, value in zip(call_slots, values):
                 results[slot] = value
                 if memo is not None:
@@ -219,6 +261,50 @@ class UDFCallSite:
         for slot, earlier in dup_of.items():
             results[slot] = results[earlier]
         return results
+
+    def _invoke_profiled(self, call_args: List[List[object]]) -> list:
+        """``invoke_batch`` recorded into the query's profile."""
+        executor = self.executor
+        prof = self._profile
+        account = executor.account
+        if account is not None:
+            fuel, heap = account.charged
+        started = perf_counter_ns()
+        try:
+            values = executor.invoke_batch(call_args)
+        except BaseException as exc:
+            prof.record_error(exc)
+            raise
+        finally:
+            elapsed = perf_counter_ns() - started
+            if account is not None:
+                fuel_now, heap_now = account.charged
+                prof.record_resources(fuel_now - fuel, heap_now - heap)
+        prof.record_invocations(len(call_args), elapsed)
+        return values
+
+    def _checked(self, values: list) -> list:
+        """``values`` if each is of the declared type or NULL, with a
+        ``float`` UDF's ints widened; else a :class:`UDFInvocationError`."""
+        classes = self._ret_classes
+        for value in values:
+            if value.__class__ not in classes:
+                break
+        else:
+            return values
+        checked = []
+        for value in values:
+            if value.__class__ not in classes:
+                if self._ret_type == "float" and value.__class__ is int:
+                    value = float(value)
+                else:
+                    raise UDFInvocationError(
+                        f"UDF {self.name!r} returned a "
+                        f"{type(value).__name__}, not a value of its "
+                        f"declared type {self._ret_type}"
+                    )
+            checked.append(value)
+        return checked
 
 
 class FunctionResolver:

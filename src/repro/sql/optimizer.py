@@ -76,6 +76,11 @@ class CostOracle:
     def udf_definition(self, name: str):
         return None
 
+    def udf_entry(self, name: str):
+        """A sandboxed UDF's loaded entry function (its ``certificate``
+        and ``flows``); None for native designs and the base oracle."""
+        return None
+
     def fold_udf(self, name: str, args: List[object]) -> object:
         raise NotImplementedError(
             "this oracle cannot evaluate UDFs at plan time"
@@ -327,8 +332,7 @@ def _try_inline_call(
         # flow certifier proved the UDF trap-free, the guard CASE is
         # marked so batch evaluation can run the body over the whole
         # batch and select, instead of partitioning rows per branch.
-        definition = oracle.udf_definition(name)
-        flows = getattr(definition, "flows", None)
+        flows = getattr(oracle.udf_entry(name), "flows", None)
         condition = guards[0]
         for guard in guards[1:]:
             condition = A.BinaryOp("or", condition, guard)

@@ -357,13 +357,13 @@ class BufferPool:
     def close(self) -> None:
         """Free every frame now; a closed pool refuses to fetch or
         allocate.  The owner has flushed or abandoned the pages first.
-        A :class:`~repro.database.Database` sits in reference cycles, so
-        without this its frames would outlive it until the next full
-        garbage collection."""
+        The disk's reference back to the pool goes too, so the pair is
+        freed with its owner, not at the next full garbage collection."""
         with self._lock:
             self._frames = []
             self._free_frames = []
             self._table.clear()
+        self.disk.free_list_reader = None
 
     # -- replacement --------------------------------------------------------------
 

@@ -95,7 +95,8 @@ class ResourceAccount:
     """
 
     __slots__ = ("fuel", "memory", "depth", "max_depth", "revoked",
-                 "fuel_limit", "memory_limit")
+                 "fuel_limit", "memory_limit", "fuel_folded",
+                 "memory_folded")
 
     def __init__(
         self,
@@ -116,6 +117,10 @@ class ResourceAccount:
         self.depth = 0
         self.max_depth = max_depth
         self.revoked = False
+        #: What the windows closed by :meth:`reset` were charged (see
+        #: :attr:`charged`).
+        self.fuel_folded = 0
+        self.memory_folded = 0
 
     # -- CPU ---------------------------------------------------------------
 
@@ -166,9 +171,12 @@ class ResourceAccount:
 
         Executors reuse one account across a query's invocations; the
         quota is per *invocation*, so the account is refilled between
-        tuples.
+        tuples.  What the closing window was charged is folded into
+        :attr:`charged` first.
         """
         if not self.revoked:
+            self.fuel_folded += self.fuel_limit - self.fuel
+            self.memory_folded += self.memory_limit - self.memory
             self.fuel = self.fuel_limit
             self.memory = self.memory_limit
 
@@ -192,6 +200,16 @@ class ResourceAccount:
     @property
     def memory_used(self) -> int:
         return self.memory_limit - max(self.memory, 0)
+
+    @property
+    def charged(self) -> tuple:
+        """``(fuel, heap)`` charged over the account's life: every window
+        :meth:`reset` closed plus the open one.  Whatever path ran the
+        calls (per-call resets, elided resets, a batch kernel's prepay),
+        this is what they were charged; heap is net of the arena's
+        refunds."""
+        return (self.fuel_folded + self.fuel_limit - self.fuel,
+                self.memory_folded + self.memory_limit - self.memory)
 
     def snapshot(self) -> dict:
         """Usage report for auditing (the paper laments JVMs lack this)."""

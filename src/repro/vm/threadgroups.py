@@ -3,11 +3,11 @@
 "Each UDF is executed within its own thread group, preventing it from
 affecting the threads executing other UDFs."
 
-A :class:`ThreadGroup` owns the threads and resource accounts of one
-UDF's concurrent invocations.  Termination is cooperative-but-prompt:
-killing a group revokes every member account, and revocation is observed
-at the next fuel check — at most one basic block of sandboxed execution
-away.  This is how Java thread groups *should* have worked for UDFs (the
+A :class:`ThreadGroup` owns the resource accounts of one UDF's
+concurrent invocations, whichever threads run them.  Termination is
+cooperative-but-prompt: killing a group revokes every member account,
+and revocation is observed at the next fuel check — at most one basic
+block of sandboxed execution away.  This is how Java thread groups *should* have worked for UDFs (the
 paper notes ``Thread.stop``-style asynchronous kills are unsound; fuel
 revocation gives the same effect safely).
 """
@@ -15,14 +15,14 @@ revocation gives the same effect safely).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from ..errors import AdmissionRefused, SecurityViolation, VMError
+from ..errors import AdmissionRefused, SecurityViolation
 from .resources import ResourceAccount
 
 
 class ThreadGroup:
-    """The threads and accounts belonging to one UDF.
+    """The resource accounts belonging to one UDF.
 
     A group may carry *budgets* — caps on the summed worst-case fuel and
     memory of its concurrently admitted queries.  Callers reserve their
@@ -43,7 +43,6 @@ class ThreadGroup:
         self._lock = threading.Lock()
         self._admission = threading.Condition(self._lock)
         self._accounts: List[ResourceAccount] = []
-        self._threads: List[threading.Thread] = []
         self._killed = False
         self.fuel_budget = fuel_budget
         self.memory_budget = memory_budget
@@ -169,58 +168,15 @@ class ThreadGroup:
                 for holder, entry in self._holders.items()
             }
 
-    def spawn(
-        self,
-        target: Callable,
-        args: tuple = (),
-        name: Optional[str] = None,
-    ) -> threading.Thread:
-        """Run ``target`` on a new thread owned by this group.
-
-        The target is expected to execute sandboxed code charging an
-        account adopted into this group; errors are captured on the
-        thread object (``thread.udf_error``) rather than crashing the
-        server, mirroring how PREDATOR must confine UDF faults.
-        """
-        with self._lock:
-            if self._killed:
-                raise SecurityViolation(
-                    f"thread group {self.name!r} has been killed"
-                )
-
-        def runner() -> None:
-            try:
-                thread.udf_result = target(*args)
-            except VMError as exc:
-                thread.udf_error = exc
-
-        thread = threading.Thread(
-            target=runner,
-            name=name or f"udf-group-{self.name}",
-            daemon=True,
-        )
-        thread.udf_result = None
-        thread.udf_error = None
-        with self._lock:
-            self._threads.append(thread)
-        thread.start()
-        return thread
-
     def kill(self) -> None:
         """Revoke every member account; running invocations die at their
-        next fuel check, and no new threads may be spawned."""
+        next fuel check, and the group admits no new work."""
         with self._admission:
             self._killed = True
             accounts = list(self._accounts)
             self._admission.notify_all()  # unblock queued reservations
         for account in accounts:
             account.revoke()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        with self._lock:
-            threads = list(self._threads)
-        for thread in threads:
-            thread.join(timeout)
 
     @property
     def killed(self) -> bool:

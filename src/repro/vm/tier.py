@@ -65,16 +65,8 @@ REFUSE_MUTABLE_ARRAY = "mutable-array-param"
 #: :data:`DEMOTION_DEOPTS` deopts.
 REFUSE_DEMOTED = "demoted"
 
-def kernel_eligibility(
-    func: Optional[FunctionDef], use_flows: bool = True
-) -> Optional[str]:
-    """``None`` when ``func`` may run as a kernel, else the refusal reason.
-
-    ``use_flows`` mirrors the executors' ``definition.flows`` gate:
-    with flow fast paths disabled the flow certificate must not widen
-    eligibility either, so stripping certificates degrades tier 1 the
-    same way it degrades copy elision.
-    """
+def kernel_eligibility(func: Optional[FunctionDef]) -> Optional[str]:
+    """``None`` when ``func`` may run as a kernel, else the refusal reason."""
     if func is None:
         return REFUSE_UNTYPED
     summary = getattr(func, "summary", None)
@@ -92,7 +84,7 @@ def kernel_eligibility(
     if (constant_bound(cert.fuel_bound) is None
             or constant_bound(cert.local_fuel_bound) is None):
         return REFUSE_UNBOUNDED
-    flows = getattr(func, "flows", None) if use_flows else None
+    flows = getattr(func, "flows", None)
     if flows is None and any(OPS[ins.op].trap for ins in func.code):
         return REFUSE_TRAP
     readonly = frozenset(flows.readonly_params) if flows is not None else ()

@@ -748,7 +748,8 @@ class TestSqlIntegration:
             "DESIGN SANDBOX AS 'def sq(x: int) -> int:\n    return x * x'"
         )
         definition = db.registry.get("sq")
-        fuel_const = constant_bound(definition.certificate.fuel_bound)
+        cert = db.vm.get_udf("sq").main_class.functions["sq"].certificate
+        fuel_const = constant_bound(cert.fuel_bound)
         assert fuel_const is not None
         assert definition.cost.cost_per_call <= max(float(fuel_const), 1.0)
 

@@ -138,3 +138,37 @@ class TestNativePayloadGenerality:
             "LANGUAGE NATIVE DESIGN INTEGRATED AS 'math:hypot'"
         )
         assert db.execute("SELECT hyp2(x, 4) FROM one").scalar() == 5.0
+
+
+class TestClosedDatabaseIsFreed:
+    """``close()`` breaks the references back to the database, so a
+    closed one that ran UDF queries is freed when its last user drops
+    it, without waiting for the cyclic garbage collector."""
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_freed_without_the_collector(self, tmp_path, on_disk):
+        import gc
+        import weakref
+
+        from repro.database import Database
+
+        gc.collect()
+        gc.disable()
+        try:
+            db = Database(str(tmp_path / "db") if on_disk else None)
+            db.execute("CREATE TABLE t (a INT)")
+            db.execute("INSERT INTO t VALUES (1)")
+            for design in ("SANDBOX", "SANDBOX_ISOLATED"):
+                name = f"f_{design.lower()}"
+                db.execute(
+                    f"CREATE FUNCTION {name}(int) RETURNS int LANGUAGE "
+                    f"JAGUAR DESIGN {design} AS "
+                    f"'def {name}(x: int) -> int:\n    return x + 1'"
+                )
+                assert db.query(f"SELECT {name}(a) FROM t") == [(2,)]
+            db.close()
+            ref = weakref.ref(db)
+            del db
+            assert ref() is None
+        finally:
+            gc.enable()

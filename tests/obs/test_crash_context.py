@@ -97,16 +97,22 @@ class TestCrashContext:
             executor.close()
 
     def test_crash_context_with_profile_attached(self, env):
-        """Metrics on: same attributes, plus a crash count recorded."""
+        """Metrics on: same attributes, plus a crash count recorded by
+        the call site, where every design's batches are observed."""
         from repro.obs import MetricsRegistry, QueryProfile
+        from repro.sql.expressions import QueryRuntime, UDFCallSite
 
         executor = RemoteExecutor(_definition(), env, parallelism=2)
         try:
             profile = QueryProfile(MetricsRegistry())
             executor.profile = profile.udf("dies", "native_isolated")
             executor.begin_query(env.broker.bind())
+            site = UDFCallSite(
+                "dies", executor, ("int",),
+                [lambda rows: [row[0] for row in rows]], QueryRuntime(),
+            )
             with pytest.raises(UDFCrashed) as excinfo:
-                executor.invoke_batch([(x,) for x in range(16)])
+                site([(x,) for x in range(16)])
             assert excinfo.value.shard == (0, 8)
             assert executor.profile.crashes.value == 1
         finally:

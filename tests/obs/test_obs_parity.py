@@ -111,3 +111,40 @@ class TestExplainAnalyzeParity:
             ]
             # The root operator's actual row count is the result size.
             assert f"actual rows={len(rows)}" in lines[0]
+
+
+class TestProfileObservesTheExecutedPath:
+    """A profile observes the path an unprofiled query runs: a
+    kernel-eligible ``DESIGN SANDBOX`` UDF runs its tier-1 kernel under
+    every way of collecting one."""
+
+    QUERY = "SELECT t1(id) FROM stocks"
+
+    def _setup(self, db):
+        for statement in SETUP.strip().split(";"):
+            if statement.strip():
+                db.execute(statement)
+        db.execute(UDF_BY_DESIGN[Design.SANDBOX_JIT])
+        assert db.vm.get_udf("t1").kernel is not None
+
+    def test_explain_analyze_runs_the_kernel(self, kernel_batches):
+        with Database() as db:
+            self._setup(db)
+            lines = [
+                line for (line,) in db.execute("EXPLAIN ANALYZE " + self.QUERY)
+            ]
+        assert kernel_batches.value > 0
+        assert "-- udf t1: kernel" in lines[0]
+        profile_line = next(l for l in lines if l.startswith("udf t1 ["))
+        assert "calls=10" in profile_line
+        fuel = int(profile_line.split("fuel=")[1].split()[0])
+        assert fuel > 0
+
+    @pytest.mark.parametrize("option", ["metrics", "adaptive"])
+    def test_collecting_database_runs_the_kernel(self, option,
+                                                 kernel_batches):
+        with Database(**{option: True}) as db:
+            self._setup(db)
+            rows = db.query(self.QUERY)
+        assert sorted(rows) == sorted((3 * i,) for i in range(1, 11))
+        assert kernel_batches.value > 0

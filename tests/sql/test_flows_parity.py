@@ -4,8 +4,9 @@ The flow certificates unlock three executor/optimizer fast paths —
 defensive-copy elision for read-only parameters, arena-style quota
 reclamation for non-escaping allocations, and the trap-free CASE batch
 form for inlined UDF bodies.  All of them are pure optimizations:
-stripping every ``definition.flows`` (which restores the seed's
-defensive baseline end to end, including in isolated workers) must leave
+stripping every loaded function's flow certificate and dropping each
+tier-1 kernel (the defensive baseline, built here end to end, including
+in isolated workers; the engine keeps no switch for it) must leave
 every query result bit-identical across all six designs and batch sizes
 1 and 64, and for the isolated designs across worker-pool widths 1 and
 2 (in-process designs do not read ``parallelism``).
@@ -155,12 +156,23 @@ def _fresh_db(design):
 
 
 def _strip_flows(db):
-    """Disable every flow fast path: back to the defensive baseline."""
+    """Disable every flow fast path: back to the defensive baseline.
+
+    Each loaded UDF's functions lose their flow certificates and its
+    kernel is dropped; the zygote is retired, so the next worker is
+    forked from a process that sees the stripped programs.  Returns how
+    many UDFs had an entry certificate to strip.
+    """
     stripped = 0
-    for definition in db.registry._definitions.values():
-        if definition.flows is not None:
-            definition.flows = None
-            stripped += 1
+    for name, loaded in db.vm.loaded_udfs.items():
+        entry = db.registry.get(name).entry
+        functions = loaded.main_class.functions
+        stripped += functions[entry].flows is not None
+        for func in functions.values():
+            func.flows = None
+        loaded.kernel = None
+        loaded.kernel_refusal = "stripped"
+    db.environment.retire_zygote()
     return stripped
 
 

@@ -9,8 +9,9 @@ designs do not read ``parallelism``) — including errors: a UDF that
 traps mid-batch deopts and re-raises exactly what the interpreter
 raises, and a quota exhausted under a non-default ``QuotaPolicy`` fails
 with the same class and message.  A guard checks the kernel really ran
-(the ``kernel_batches`` counter, shared with forked workers), and
-stripping ``definition.flows`` falls back to tier 0.
+(the ``kernel_batches`` counter, shared with forked workers), and the
+defensive baseline the flow parity suite builds (every loaded
+function's flow facts stripped, the kernel dropped) runs tier 0.
 """
 
 from functools import lru_cache
@@ -21,6 +22,8 @@ from repro.core.designs import Design
 from repro.database import Database
 from repro.errors import ArithmeticFault, FuelExhausted
 from repro.vm.resources import QuotaPolicy
+
+from tests.sql.test_flows_parity import _strip_flows
 
 BATCH_SIZES = (1, 64)
 PARALLELISM_LEVELS = (1, 2)
@@ -269,14 +272,13 @@ class TestTierParity:
             QUERIES if design is Design.SANDBOX_JIT else ISOLATED_QUERIES
         )
         with _fresh_db(design) as db:
-            for definition in db.registry._definitions.values():
-                definition.flows = None
+            _strip_flows(db)
             rows = _snapshot(db, queries)
             plan = [
                 line for (line,) in db.query(f"EXPLAIN {queries[0]}")
             ]
         assert kernel_batches.value == 0
-        assert any("tier0(no-flows)" in line for line in plan)
+        assert any("tier0(stripped)" in line for line in plan)
         assert rows == _reference(
             Design.SANDBOX_INTERP, design is Design.SANDBOX_ISOLATED
         )

@@ -1,10 +1,15 @@
-"""Thread groups: killing one UDF's group leaves others untouched."""
+"""Thread groups: killing one UDF's group leaves others untouched.
 
+A group owns accounts, not threads; each test runs sandboxed code on a
+thread of its own charging an account the group adopted.
+"""
+
+import threading
 import time
 
 import pytest
 
-from repro.errors import FuelExhausted, SecurityViolation
+from repro.errors import FuelExhausted, SecurityViolation, VMError
 from repro.vm import compile_source, run_function, single_class_context, verify_class
 from repro.vm.resources import ResourceAccount
 from repro.vm.threadgroups import ThreadGroup, ThreadGroupRegistry
@@ -15,39 +20,48 @@ SPIN = (
     "        pass\n"
 )
 
-QUICK = "def quick(n: int) -> int:\n    return n * 2"
+
+class SpinThread(threading.Thread):
+    """Runs ``spin()`` against ``account``, keeping the VM error it ends
+    with."""
+
+    def __init__(self, account):
+        super().__init__(daemon=True)
+        self.account = account
+        self.error = None
+
+    def run(self):
+        cls = compile_source(SPIN, "TG")
+        verify_class(cls)
+        ctx = single_class_context(cls, account=self.account)
+        try:
+            run_function(cls, cls.functions["spin"], [], ctx)
+        except VMError as exc:
+            self.error = exc
 
 
-def make_runner(source, func, args, account):
-    cls = compile_source(source, "TG")
-    verify_class(cls)
-
-    def runner():
-        ctx = single_class_context(cls, account=account)
-        return run_function(cls, cls.functions[func], args, ctx)
-
-    return runner
+def _spinning(group):
+    thread = SpinThread(group.adopt_account(ResourceAccount(fuel=2 ** 50)))
+    thread.start()
+    return thread
 
 
 class TestGroups:
     def test_kill_revokes_running_udf(self):
         group = ThreadGroup("spinner")
-        account = group.adopt_account(ResourceAccount(fuel=2 ** 50))
-        thread = group.spawn(make_runner(SPIN, "spin", [], account))
+        thread = _spinning(group)
         time.sleep(0.05)
         assert thread.is_alive()
         group.kill()
         thread.join(timeout=5.0)
         assert not thread.is_alive()
-        assert isinstance(thread.udf_error, FuelExhausted)
+        assert isinstance(thread.error, FuelExhausted)
 
     def test_kill_does_not_affect_other_group(self):
         group_a = ThreadGroup("a")
         group_b = ThreadGroup("b")
-        account_a = group_a.adopt_account(ResourceAccount(fuel=2 ** 50))
-        account_b = group_b.adopt_account(ResourceAccount(fuel=2 ** 50))
-        thread_a = group_a.spawn(make_runner(SPIN, "spin", [], account_a))
-        thread_b = group_b.spawn(make_runner(SPIN, "spin", [], account_b))
+        thread_a = _spinning(group_a)
+        thread_b = _spinning(group_b)
         time.sleep(0.05)
         group_a.kill()
         thread_a.join(timeout=5.0)
@@ -55,12 +69,13 @@ class TestGroups:
         assert thread_b.is_alive()  # B keeps running
         group_b.kill()
         thread_b.join(timeout=5.0)
+        assert not thread_b.is_alive()
 
-    def test_killed_group_rejects_new_threads(self):
+    def test_killed_group_refuses_new_work(self):
         group = ThreadGroup("dead")
         group.kill()
         with pytest.raises(SecurityViolation):
-            group.spawn(lambda: None)
+            group.reserve(1, 1)
 
     def test_account_adopted_after_kill_is_born_revoked(self):
         group = ThreadGroup("dead")
@@ -68,14 +83,6 @@ class TestGroups:
         account = group.adopt_account(ResourceAccount(fuel=100))
         with pytest.raises(FuelExhausted):
             account.charge_fuel(1)
-
-    def test_successful_result_captured(self):
-        group = ThreadGroup("ok")
-        account = group.adopt_account(ResourceAccount())
-        thread = group.spawn(make_runner(QUICK, "quick", [21], account))
-        thread.join(timeout=5.0)
-        assert thread.udf_error is None
-        assert thread.udf_result == 42
 
 
 class TestRegistry:

@@ -103,14 +103,13 @@ class TestEligibility:
     def test_traps_need_a_flow_certificate(self):
         func = _func(DIVIDER)
         assert kernel_eligibility(func) is None
-        assert kernel_eligibility(func, use_flows=False) == REFUSE_TRAP
+        func.flows = None
+        assert kernel_eligibility(func) == REFUSE_TRAP
 
     def test_stripping_flows_degrades_array_params_too(self):
         func = _func(BLEN)
-        assert (
-            kernel_eligibility(func, use_flows=False)
-            == REFUSE_MUTABLE_ARRAY
-        )
+        func.flows = None
+        assert kernel_eligibility(func) == REFUSE_MUTABLE_ARRAY
 
     def test_missing_function_refused(self):
         assert kernel_eligibility(None) is not None

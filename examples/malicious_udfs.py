@@ -19,6 +19,7 @@ from repro.errors import (
     MemoryQuotaExceeded,
     SecurityViolation,
     UDFCrashed,
+    UDFInvocationError,
     VerifyError,
 )
 
@@ -178,14 +179,38 @@ def main() -> None:
     )
     print("  (constant-argument cb_log UDF accepted: the sink gate is flow-based)")
 
+    attack("code smuggled out of the executor (Design 2's boundary)")
+    # The worker returns an object whose pickle would run a call when
+    # unpickled.  Every message from the executor is adtstream data,
+    # which can express SQL values and nothing else, so the result
+    # cannot even be encoded: the statement fails with an error naming
+    # the UDF, and nothing runs in the server.
+    db.execute(
+        "CREATE FUNCTION smuggler(int) RETURNS int LANGUAGE NATIVE "
+        "DESIGN ISOLATED AS 'examples.malicious_udfs:smuggle'"
+    )
+    try:
+        db.execute("SELECT smuggler(id) FROM victims")
+    except UDFInvocationError as exc:
+        print(f"  stopped: {exc}")
+
     db.close()
-    print("\nAll seven attacks neutralized.")
+    print("\nAll eight attacks neutralized.")
 
 
 def hard_crash(x):
     import os
 
     os._exit(77)
+
+
+class _Smuggled:
+    def __reduce__(self):
+        return (print, ("  HARMED: smuggled code ran in the server",))
+
+
+def smuggle(x):
+    return _Smuggled()
 
 
 if __name__ == "__main__":

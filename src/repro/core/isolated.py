@@ -61,20 +61,25 @@ stdin at ``/dev/null`` and close every inherited fd but their own (the
 zygote its control socket, a worker its channel), so the server's data
 file, WAL and sockets never reach UDF code; both leave with
 ``os._exit`` (no atexit handlers, and no flush that would write the
-server's unflushed output a second time).
+server's unflushed output a second time).  No zygote or worker outlives
+its server: EOF on the zygote's control socket means the server is
+gone, and the zygote kills and reaps its workers and exits.
 
-Marshalling uses :mod:`pickle` restricted to primitive SQL values (see
-``_dumps``/``_loads``) — the analog of PREDATOR copying raw argument
-bytes into the segment.
+Every message here, and every zygote request, is :mod:`repro.adtstream`
+data, the wire's codec, so only SQL values cross (the analog of PREDATOR
+copying raw argument bytes into the segment).  An error crosses as its
+class name and message and is rebuilt only from :data:`_ERROR_CLASSES`.
+A worker message the server cannot read fails the statement with a
+:class:`~repro.errors.UDFInvocationError` naming the UDF, and the worker
+is killed as if it had crashed.
 """
 
 from __future__ import annotations
 
-import atexit
+import builtins
 import gc
 import mmap
 import os
-import pickle
 import select
 import signal
 import socket
@@ -85,7 +90,15 @@ from functools import partial
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import CallbackError, UDFCrashed, UDFInvocationError
+from .. import adtstream, errors
+from ..errors import (
+    CallbackError,
+    ProtocolError,
+    ServerError,
+    StorageError,
+    UDFCrashed,
+    UDFInvocationError,
+)
 from .designs import Design
 from .factory import UDFExecutor
 from .sandbox import admission_claim, loaded_program, run_batch
@@ -110,17 +123,8 @@ MSG_READY = 1
 MSG_CALLBACK = 4
 MSG_CB_REPLY = 5
 MSG_ERROR = 6
-MSG_SHUTDOWN = 7
 MSG_INVOKE_BATCH = 8
 MSG_RESULT_BATCH = 9
-
-
-def _dumps(value: object) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _loads(data: bytes) -> object:
-    return pickle.loads(data)
 
 
 class _ShmChannel:
@@ -314,17 +318,14 @@ class _ZygoteChild:
     """The server's handle on one worker the zygote forked.
 
     ``pid``, ``sentinel``, ``exitcode`` (negative for a signal),
-    ``is_alive``, ``join``, ``terminate`` and ``kill``.  The zygote, the
+    ``is_alive``, ``join`` and ``kill``.  The zygote, the
     worker's parent, reaps it and writes its wait status into the pipe
     whose read end is ``sentinel``, so the sentinel turns readable
     exactly when the worker is gone and its pid reaped.  EOF with no
     status means the zygote died first: the worker must not outlive it,
     so it is killed.  Reading the status closes the sentinel; a joined
-    worker holds no fd.  A worker still running at interpreter exit is
-    killed.
+    worker holds no fd.
     """
-
-    live: "set[_ZygoteChild]" = set()
 
     def __init__(self, pid: int, sentinel: int):
         self.pid = pid
@@ -335,7 +336,6 @@ class _ZygoteChild:
         #: One poller per channel pipe the server waits on, each also
         #: watching the sentinel (:meth:`wait_readable`).
         self._pollers: Dict[int, select.poll] = {}
-        _ZygoteChild.live.add(self)
 
     def _reap(self, timeout: Optional[float]) -> bool:
         """``True`` once the worker's end is known, waiting ``timeout``."""
@@ -356,7 +356,6 @@ class _ZygoteChild:
                     self._signal(signal.SIGKILL)
                 self._reaped = True
                 os.close(self.sentinel)
-                _ZygoteChild.live.discard(self)
         return True
 
     def wait_readable(self, fd: int) -> None:
@@ -399,9 +398,6 @@ class _ZygoteChild:
         if not self._reaped:
             _signal(self.pid, signum)
 
-    def terminate(self) -> None:
-        self._signal(signal.SIGTERM)
-
     def kill(self) -> None:
         self._signal(signal.SIGKILL)
 
@@ -412,7 +408,7 @@ class _ZygoteProcess:
     ``programs`` maps ``id`` to each sandboxed program (``LoadedUDF``)
     the zygote inherited; a request names its program by that ``id``.
     ``control`` is the server's end of the socket pair the zygote reads
-    requests from.  Retiring shuts its write side: the zygote forks
+    requests from.  Retiring sends :data:`_RETIRE`: the zygote forks
     nothing more and exits once its last worker is reaped, and the
     control socket reads EOF once the zygote is gone.
     """
@@ -454,7 +450,7 @@ class _ZygoteProcess:
 
     def retire(self) -> None:
         try:
-            self.control.shutdown(socket.SHUT_WR)
+            self.control.sendall(adtstream.dumps(_RETIRE))
         except OSError:
             pass  # already gone
 
@@ -474,6 +470,14 @@ class _ZygoteProcess:
 
     def kill(self) -> None:
         _signal(self.pid, signal.SIGKILL)
+
+    def close(self) -> None:
+        """Send the zygote EOF, so it kills its workers and exits; reap it."""
+        try:
+            self.control.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # already gone
+        self.join(None)
 
 
 def _signal(pid: int, signum: int) -> None:
@@ -500,9 +504,9 @@ class Zygote:
     it; a retired zygote exits once its last worker is reaped, and the
     next request forks a fresh one.  A zygote found dead is replaced and
     the request retried once.  A lock serializes requests from
-    connection threads.  :meth:`close` (``Database.close``) reaps every
-    zygote of this server; one still alive at interpreter exit is
-    killed.  A host without ``os.pidfd_open`` or ``os.memfd_create``
+    connection threads.  :meth:`close` (``Database.close``) ends every
+    zygote of this server and its workers, as the server's exit does.
+    A host without ``os.pidfd_open`` or ``os.memfd_create``
     cannot run one, and gets a :class:`UDFInvocationError` naming the
     missing call.
     """
@@ -550,7 +554,7 @@ class Zygote:
         request = worker_payload
         if program is not None:
             request = (worker_payload[0], id(program), *worker_payload[2:])
-        request = pickle.dumps(request)
+        request = adtstream.dumps(request)
         with self._lock:
             self._retired = [z for z in self._retired if not z.join(0)]
             for attempt in range(2):
@@ -592,27 +596,12 @@ class Zygote:
             self._retired.append(zygote)
 
     def close(self) -> None:
-        """Retire the zygote and reap every zygote of this server.
-
-        A retired zygote exits once its workers are reaped; one whose
-        workers outlive a second is killed.
-        """
+        """End and reap every zygote of this server, and their workers."""
         with self._lock:
             self._retire_current()
             for zygote in self._retired:
-                if not zygote.join(1.0):
-                    zygote.kill()
-                    zygote.join(None)
+                zygote.close()
             self._retired = []
-
-
-@atexit.register
-def _kill_live_processes() -> None:
-    for worker in list(_ZygoteChild.live):
-        worker.kill()
-    for zygote in list(_ZygoteProcess.live):
-        zygote.kill()
-        zygote.join(1.0)
 
 
 def _close_inherited(keep: Sequence[int]) -> None:
@@ -650,17 +639,22 @@ def _forked_child(keep: Sequence[int], main, *args) -> None:
         os._exit(code)
 
 
+#: The zygote request that retires it.
+_RETIRE = ("retire",)
+
+
 def _zygote_main(control: socket.socket, programs: dict) -> None:
     """The zygote: fork a worker per request, reap each, report its end.
 
-    A request is a pickled worker payload (a program named by its ``id``
-    in ``programs``) plus six fds: the worker's five channel ends and
-    the write end of the server's status pipe for it.  The reply is the
-    worker's pid, or ``-errno`` if ``fork`` failed.  The zygote watches
-    each worker through a pidfd, which turns readable once the worker
-    has exited (nothing the worker does to its own fds can fake it),
-    then reaps it and writes its wait status to the server.  Once the
-    server shuts its side, the zygote exits after its last worker.
+    A request is an adtstream worker payload (a program named by its
+    ``id`` in ``programs``) plus six fds: the worker's five channel ends
+    and the write end of the server's status pipe for it.  The reply is
+    the worker's pid, or ``-errno`` if ``fork`` failed.  The zygote
+    watches each worker through a pidfd, which turns readable once the
+    worker has exited (nothing the worker does to its own fds can fake
+    it), then reaps it and writes its wait status to the server.  After
+    :data:`_RETIRE` it exits after its last worker; on EOF, the server's
+    death, it kills its workers first.
     """
     poller = select.poll()
     poller.register(control, select.POLLIN)
@@ -670,22 +664,21 @@ def _zygote_main(control: socket.socket, programs: dict) -> None:
         for fd, __ in poller.poll():
             if fd in workers:
                 poller.unregister(fd)
-                os.close(fd)
-                pid, status_fd = workers.pop(fd)
-                __, status = os.waitpid(pid, 0)
-                try:
-                    os.write(status_fd, _STATUS.pack(status))
-                except OSError:
-                    pass  # the server stopped listening
-                os.close(status_fd)
+                _report_exit(fd, *workers.pop(fd))
                 continue
             try:
                 request, fds, __, __ = socket.recv_fds(control, 4096, 6)
             except OSError:
                 request, fds = b"", []
             if not request:
+                for pid, __ in workers.values():
+                    _signal(pid, signal.SIGKILL)
+                for pidfd, (pid, status_fd) in workers.items():
+                    _report_exit(pidfd, pid, status_fd)
+                return
+            request = adtstream.loads(request)
+            if request == _RETIRE:
                 serving = False
-                poller.unregister(control)
                 continue
             *channel, status_fd = fds
             try:
@@ -704,6 +697,17 @@ def _zygote_main(control: socket.socket, programs: dict) -> None:
             else:
                 os.close(status_fd)
             control.sendall(_STATUS.pack(pid))
+
+
+def _report_exit(pidfd: int, pid: int, status_fd: int) -> None:
+    """Reap an exited (or killed) worker and send the server its status."""
+    os.close(pidfd)
+    __, status = os.waitpid(pid, 0)
+    try:
+        os.write(status_fd, _STATUS.pack(status))
+    except OSError:
+        pass  # the server stopped listening
+    os.close(status_fd)
 
 
 class _Worker:
@@ -729,38 +733,34 @@ class _Worker:
                 os.close(end)
 
     def send(self, msg_type: int, payload: bytes) -> None:
-        try:
-            self.channel.server_send(msg_type, payload, self.process)
-        except UDFCrashed as exc:
-            if exc.worker_index is None:
-                exc.worker_index = self.index
-            raise
+        self.channel.server_send(msg_type, payload, self.process)
 
     def recv(self) -> Tuple[int, bytes]:
-        try:
-            return self.channel.server_recv(self.process)
-        except UDFCrashed as exc:
-            if exc.worker_index is None:
-                exc.worker_index = self.index
-            raise
+        return self.channel.server_recv(self.process)
+
+    def unreadable(self, udf_name: str,
+                   exc: ProtocolError) -> UDFInvocationError:
+        """The worker sent what the server cannot read: kill it, as if
+        it had crashed, and name the UDF in the statement's error."""
+        self.process.kill()
+        self.process.join()
+        return UDFInvocationError(
+            f"UDF {udf_name!r} sent a message the server cannot read "
+            f"({exc}); its executor process was killed"
+        )
 
     def close(self) -> None:
+        """Close the channel: an idle worker reads EOF and exits, and one
+        still busy a second later is killed."""
         process = self.process
         if process is None:
             return
         self.process = None
-        try:
-            if process.is_alive():
-                self.channel.server_send(MSG_SHUTDOWN, b"")
-                process.join(timeout=1.0)
-        except Exception:
-            pass
-        for stop in (process.terminate, process.kill):
-            if not process.is_alive():
-                break
-            stop()
-            process.join(timeout=1.0)
         self.channel.close()
+        process.join(timeout=1.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
 
 
 class WorkerPool:
@@ -790,13 +790,13 @@ class WorkerPool:
                 )
             for worker in self._workers:
                 msg_type, payload = worker.recv()
-                if msg_type == MSG_ERROR:
-                    raise _reraise(payload, definition.name)
-                if msg_type != MSG_READY:
-                    raise UDFInvocationError(
-                        f"remote executor for {definition.name!r} failed "
-                        f"to start"
-                    )
+                try:
+                    if msg_type == MSG_ERROR:
+                        raise _remote_error(payload, definition.name)
+                    if msg_type != MSG_READY:
+                        raise ProtocolError(f"message type {msg_type}")
+                except ProtocolError as exc:
+                    raise worker.unreadable(definition.name, exc) from None
         except Exception:
             self.close()
             raise
@@ -845,20 +845,23 @@ class WorkerPool:
             worker.close()
 
 
-def _stamp_shard(exc: BaseException, start: int, stop: int) -> None:
-    """Attach the in-flight row range to a worker-crash exception."""
+def _stamp_shard(exc: BaseException, index: int, start: int,
+                 stop: int) -> None:
+    """Attach the worker (shard ``index`` goes to pool worker ``index``)
+    and the in-flight row range to a worker-crash exception."""
     if isinstance(exc, UDFCrashed) and exc.shard is None:
+        exc.worker_index = index
         exc.shard = (start, stop)
 
 
-def _split_shards(tuples: tuple, count: int) -> List[tuple]:
+def _split_shards(rows: Sequence, count: int) -> List[Sequence]:
     """Contiguous near-even shards; concatenation restores input order."""
-    base, extra = divmod(len(tuples), count)
+    base, extra = divmod(len(rows), count)
     shards = []
     offset = 0
     for index in range(count):
         size = base + (1 if index < extra else 0)
-        shards.append(tuples[offset:offset + size])
+        shards.append(rows[offset:offset + size])
         offset += size
     return shards
 
@@ -975,30 +978,45 @@ class RemoteExecutor(UDFExecutor):
 
     # -- invocation ------------------------------------------------------------
 
-    def _collect(self, worker: _Worker) -> list:
-        """Drive one worker's channel until its results (or error) land.
+    def _collect(self, worker: _Worker, rows: int) -> list:
+        """Drive one worker's channel until its ``rows`` results (or its
+        error) land.
 
         Callback requests are serviced inline — each one is a shared
         memory round trip through the query's broker binding, the per
         callback cost Figure 8 measures.
         """
-        while True:
-            msg_type, payload = worker.recv()
-            if msg_type == MSG_RESULT_BATCH:
-                return list(_loads(payload))
-            if msg_type == MSG_CALLBACK:
-                name, cb_args = _loads(payload)
-                try:
-                    reply = self.binding.invoke(name, *cb_args)
-                    worker.send(MSG_CB_REPLY, _dumps(reply))
-                except Exception as exc:  # callback failed: tell the UDF
-                    worker.send(MSG_ERROR, _dumps(_shippable(exc)))
-            elif msg_type == MSG_ERROR:
-                raise _reraise(payload, self.definition.name)
-            else:
-                raise UDFInvocationError(
-                    f"unexpected message type {msg_type} from executor"
-                )
+        name = self.definition.name
+        try:
+            while True:
+                msg_type, payload = worker.recv()
+                if msg_type == MSG_RESULT_BATCH:
+                    results = adtstream.loads(payload)
+                    if not isinstance(results, tuple) or len(results) != rows:
+                        raise ProtocolError(f"not a row of {rows} results")
+                    return list(results)
+                if msg_type == MSG_CALLBACK:
+                    self._callback(worker, adtstream.loads(payload))
+                elif msg_type == MSG_ERROR:
+                    raise _remote_error(payload, name)
+                else:
+                    raise ProtocolError(f"message type {msg_type}")
+        except ProtocolError as exc:
+            raise worker.unreadable(name, exc) from None
+
+    def _callback(self, worker: _Worker, request: object) -> None:
+        """Run one ``(name, args)`` callback and send its reply or error."""
+        if not (isinstance(request, tuple) and len(request) == 2
+                and isinstance(request[0], str)
+                and isinstance(request[1], tuple)):
+            raise ProtocolError("a callback is a name and an argument row")
+        name, args = request
+        try:
+            reply = adtstream.dumps(self.binding.invoke(name, *args))
+        except Exception as exc:  # callback failed: tell the UDF
+            worker.send(MSG_ERROR, adtstream.dump_error(exc))
+        else:
+            worker.send(MSG_CB_REPLY, reply)
 
     def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         """Shard one batch across the pool's workers, pipelined, order kept.
@@ -1027,10 +1045,9 @@ class RemoteExecutor(UDFExecutor):
             self.begin_query()
         pool = self._pool
         prof = self.profile
-        tuples = tuple(tuple(args) for args in args_list)
-        want = min(pool.size, max(1, len(tuples) // _MIN_SHARD_ROWS))
+        want = min(pool.size, max(1, len(args_list) // _MIN_SHARD_ROWS))
         workers = pool.workers[:want]
-        shards = _split_shards(tuples, len(workers))
+        shards = _split_shards(args_list, len(workers))
         # Cumulative row offsets: shard ``i`` covers the half-open input
         # range ``[offsets[i], offsets[i + 1])`` — the crash report's
         # shard slice.
@@ -1045,9 +1062,9 @@ class RemoteExecutor(UDFExecutor):
             try:
                 if prof is not None:
                     sent_at.append(perf_counter_ns())
-                shard_worker.send(MSG_INVOKE_BATCH, _dumps(shard))
+                shard_worker.send(MSG_INVOKE_BATCH, self._encode(shard))
             except Exception as exc:
-                _stamp_shard(exc, offsets[index], offsets[index + 1])
+                _stamp_shard(exc, index, offsets[index], offsets[index + 1])
                 errors.append((index, exc))
                 break  # later shards were never dispatched
             sent.append(shard_worker)
@@ -1056,9 +1073,9 @@ class RemoteExecutor(UDFExecutor):
         # boundary for the next batch.
         for index, shard_worker in enumerate(sent):
             try:
-                part = self._collect(shard_worker)
+                part = self._collect(shard_worker, len(shards[index]))
             except Exception as exc:
-                _stamp_shard(exc, offsets[index], offsets[index + 1])
+                _stamp_shard(exc, index, offsets[index], offsets[index + 1])
                 errors.append((index, exc))
                 continue
             if prof is not None:
@@ -1070,6 +1087,15 @@ class RemoteExecutor(UDFExecutor):
             # the earliest input row's failure — what serial raises.
             raise min(errors, key=lambda pair: pair[0])[1]
         return results
+
+    def _encode(self, shard: Sequence) -> bytes:
+        try:
+            return adtstream.dumps(shard)
+        except ProtocolError as exc:
+            raise UDFInvocationError(
+                f"UDF {self.definition.name!r} got an argument that cannot "
+                f"leave the server: {exc}"
+            ) from None
 
     # -- teardown ----------------------------------------------------------------
 
@@ -1084,25 +1110,34 @@ class RemoteExecutor(UDFExecutor):
         self.binding = None
 
 
-def _shippable(exc: Exception) -> Exception:
-    """Ensure an exception survives pickling across the boundary."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return UDFInvocationError(f"{type(exc).__name__}: {exc}")
+#: The error classes a channel message may name, each rebuilt from its
+#: message alone.  Not storage or server errors (a worker holds no storage
+#: and is not the server; a ``WALError`` publishes nothing), nor
+#: ``StopIteration``, which would end an iteration instead of failing.
+_ERROR_CLASSES = {
+    cls.__name__: cls
+    for module in (errors, builtins)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and issubclass(cls, Exception)
+    and not issubclass(cls, (StorageError, ServerError, StopIteration,
+                             StopAsyncIteration))
+}
 
 
-def _reraise(payload: bytes, udf_name: str) -> Exception:
-    try:
-        exc = _loads(payload)
-    except Exception:
-        return UDFInvocationError(
-            f"UDF {udf_name!r} failed remotely (unreadable error)"
-        )
-    if isinstance(exc, Exception):
-        return exc
-    return UDFInvocationError(f"UDF {udf_name!r} failed remotely: {exc}")
+def _remote_error(payload: bytes, udf_name: str) -> Exception:
+    """The error the other end reported; a class outside
+    :data:`_ERROR_CLASSES`, or one needing more than a message, becomes a
+    :class:`UDFInvocationError` naming the UDF."""
+    name, message = adtstream.load_error(payload)
+    cls = _ERROR_CLASSES.get(name)
+    if cls is not None:
+        try:
+            return cls(message)
+        except TypeError:
+            pass
+    return UDFInvocationError(
+        f"UDF {udf_name!r} failed remotely: {name}: {message}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1120,24 +1155,24 @@ class _RemoteCallbackPort:
         self.channel = channel
 
     def invoke(self, name: str, *args) -> object:
-        self.channel.worker_send(MSG_CALLBACK, _dumps((name, args)))
+        self.channel.worker_send(MSG_CALLBACK, adtstream.dumps((name, args)))
         msg_type, payload = self.channel.worker_recv()
         if msg_type == MSG_CB_REPLY:
-            return _loads(payload)
+            return adtstream.loads(payload)
         if msg_type == MSG_ERROR:
-            raise _reraise(payload, "<callback>")
+            raise _remote_error(payload, "<callback>")
         raise CallbackError(f"unexpected reply type {msg_type} to callback")
 
 
-def _worker_main(programs: dict, request: bytes,
+def _worker_main(programs: dict, request: tuple,
                  channel_fds: List[int]) -> None:
     """A worker the zygote forked: map its channel, answer until shutdown.
 
-    ``request`` is the pickled worker payload, its program named by its
+    ``request`` is the decoded worker payload, its program named by its
     ``id`` in ``programs``; ``channel_fds`` are the worker's ends of
     :func:`_pipe_channel`.
     """
-    kind, *rest = pickle.loads(request)
+    kind, *rest = request
     if kind == "jaguar":
         rest[0] = programs[rest[0]]
     memfd, s2w_ready, s2w_ack, w2s_ready, w2s_ack = channel_fds
@@ -1153,26 +1188,25 @@ def _worker_main(programs: dict, request: bytes,
     try:
         invoke_batch = _build_worker_invoker(worker_payload, port)
     except Exception as exc:
-        channel.worker_send(MSG_ERROR, _dumps(_shippable(exc)))
+        channel.worker_send(MSG_ERROR, adtstream.dump_error(exc))
         return
     channel.worker_send(MSG_READY, b"")
     while True:
         try:
             msg_type, payload = channel.worker_recv()
-        except EOFError:  # the server is gone: nothing left to answer
+        except EOFError:  # the server closed the channel or is gone
             return
-        if msg_type == MSG_SHUTDOWN:
-            return
-        # One request type: one unmarshal, N invocations, one reply.  A
-        # failure anywhere aborts the batch with that row's exception.
+        # One request type: one decode, N invocations, one reply.  A
+        # failure anywhere, encoding the results included, aborts the
+        # batch with that exception.
         try:
             if msg_type != MSG_INVOKE_BATCH:
                 raise UDFInvocationError(f"unexpected message {msg_type}")
-            results = invoke_batch(_loads(payload))
+            reply = adtstream.dumps(invoke_batch(adtstream.loads(payload)))
         except Exception as exc:
-            channel.worker_send(MSG_ERROR, _dumps(_shippable(exc)))
+            channel.worker_send(MSG_ERROR, adtstream.dump_error(exc))
             continue
-        channel.worker_send(MSG_RESULT_BATCH, _dumps(results))
+        channel.worker_send(MSG_RESULT_BATCH, reply)
 
 
 def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
@@ -1198,7 +1232,7 @@ def _build_worker_invoker(worker_payload: tuple, port: _RemoteCallbackPort):
         # When the flow certificate proves parameters read-only,
         # ``make_invoker`` skips the defensive copy of byte arrays
         # arriving from shared memory — they were already copied out of
-        # the ring buffer by unpickling, so the sandbox can use that
+        # the ring buffer by decoding, so the sandbox can use that
         # buffer directly.
         invoke_one = loaded.make_invoker(entry, context, use_jit=use_jit)
         # The in-process executor's batch routine: the kernel the

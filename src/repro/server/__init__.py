@@ -1,8 +1,8 @@
 """Client/server deployment: wire protocol, the server, client library,
 and the portable UDF development workflow (Section 6.4)."""
 
+from .. import adtstream  # the wire's codec, shared with every boundary
 from .admission import AdmissionController
-from .adtstream import read_value, write_value
 from .client import Client, LocalUDFHarness
 from .server import DatabaseServer
 
@@ -11,6 +11,5 @@ __all__ = [
     "Client",
     "DatabaseServer",
     "LocalUDFHarness",
-    "read_value",
-    "write_value",
+    "adtstream",
 ]

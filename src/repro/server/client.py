@@ -18,6 +18,7 @@ import socket
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import adtstream
 from ..core.callbacks import standard_callback_signatures
 from ..errors import ClientError
 from ..vm.classfile import ClassFile
@@ -105,9 +106,7 @@ class Client:
                 chunks.append(payload)
                 continue
             if opcode == protocol.OP_ERROR:
-                raise ServerReportedError(
-                    *protocol.decode_values(payload, 2)
-                )
+                raise ServerReportedError(*adtstream.load_error(payload))
             if opcode != protocol.OP_RESULT:
                 raise ClientError(f"unexpected reply opcode {opcode}")
             chunks.append(payload)
@@ -143,7 +142,7 @@ class Client:
         self._send(protocol.OP_REGISTER_UDF, payload)
         opcode, reply = self._recv()
         if opcode == protocol.OP_ERROR:
-            raise ServerReportedError(*protocol.decode_values(reply, 2))
+            raise ServerReportedError(*adtstream.load_error(reply))
         if opcode != protocol.OP_OK:
             raise ClientError(f"unexpected reply opcode {opcode}")
 

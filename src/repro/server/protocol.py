@@ -4,20 +4,19 @@ Frame layout::
 
     [u32 length][u8 opcode][payload ...]
 
-Payload contents are ADT-stream values (:mod:`repro.server.adtstream`),
+Payload contents are ADT-stream values (:mod:`repro.adtstream`),
 never pickle — the server must assume clients are hostile (they are
 "unknown or untrusted", Section 1).
 """
 
 from __future__ import annotations
 
-import io
 import socket
 import struct
 from typing import Tuple
 
+from .. import adtstream
 from ..errors import ProtocolError
-from . import adtstream
 
 _FRAME = struct.Struct("<IB")
 HEADER_SIZE = _FRAME.size
@@ -89,19 +88,8 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 # -- payload builders ---------------------------------------------------------
 
-def encode_values(*values: object) -> bytes:
-    buffer = io.BytesIO()
-    for value in values:
-        adtstream.write_value(buffer, value)
-    return buffer.getvalue()
-
-
-def decode_values(payload: bytes, count: int) -> tuple:
-    stream = io.BytesIO(payload)
-    values = tuple(adtstream.read_value(stream) for __ in range(count))
-    if stream.read(1):
-        raise ProtocolError("trailing bytes in payload")
-    return values
+encode_values = adtstream.dump_values
+decode_values = adtstream.load_values
 
 
 def encode_result(columns, rows, rowcount: int) -> bytes:
@@ -133,10 +121,9 @@ def result_frames(columns, rows, rowcount: int):
 
 
 def decode_result(payload: bytes):
-    stream = io.BytesIO(payload)
-    columns = adtstream.read_value(stream)
-    rowcount = adtstream.read_value(stream)
-    rows = adtstream.load_rows(stream.read())
+    columns, pos = adtstream.read_value(payload, 0)
+    rowcount, pos = adtstream.read_value(payload, pos)
+    rows = adtstream.load_rows(payload, pos)
     if not isinstance(columns, tuple) or not isinstance(rowcount, int):
         raise ProtocolError("malformed result payload")
     return list(columns), rowcount, rows

@@ -42,6 +42,7 @@ import socket
 import threading
 from typing import Dict, Optional
 
+from .. import adtstream
 from ..core.designs import Design
 from ..core.udf import UDFDefinition, UDFSignature
 from ..database import Database
@@ -286,8 +287,7 @@ class DatabaseServer:
             return b"".join(protocol.pack_frame(*frame) for frame in frames)
         except Exception as exc:  # every failure becomes an ERROR frame
             return protocol.pack_frame(
-                protocol.OP_ERROR,
-                protocol.encode_values(type(exc).__name__, str(exc)),
+                protocol.OP_ERROR, adtstream.dump_error(exc)
             )
 
     # -- statement execution (connection threads, under admission) ---------

@@ -8,6 +8,8 @@ Design 2/4 worker, one per UDF per statement.
 import os
 import resource
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -53,6 +55,15 @@ def gated(path):
     while not os.path.exists(path + ".go"):
         time.sleep(0.01)
     return 1
+
+
+def spin(path):
+    """Leave this worker's pid and its zygote's in ``path``, then spin."""
+    with open(path + ".tmp", "w") as out:
+        out.write(f"{os.getpid()} {os.getppid()}")
+    os.rename(path + ".tmp", path)
+    while True:
+        pass
 
 
 def _native(db, name, function, param="int"):
@@ -246,6 +257,61 @@ class TestLifecycle:
         _wait_for(lambda: _state(retired) in (None, "Z"))
         assert db.query("SELECT g(a) FROM t") == [(1,), (2,), (3,), (4,)]
         assert db.environment.zygote.pid != retired
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)
+)))
+
+#: A server that dies by ``os._exit`` while an isolated UDF spins.
+DYING_SERVER = """
+import os, sys, threading, time
+from repro.database import Database
+path = sys.argv[1]
+db = Database()
+db.execute("CREATE TABLE one (p TEXT)")
+db.execute(f"INSERT INTO one VALUES ('{path}')")
+db.execute("CREATE FUNCTION spin(text) RETURNS int LANGUAGE NATIVE "
+           "DESIGN ISOLATED AS 'tests.core.test_zygote:spin'")
+threading.Thread(target=db.query, args=("SELECT spin(p) FROM one",),
+                 daemon=True).start()
+while not os.path.exists(path):
+    time.sleep(0.01)
+os._exit(0)
+"""
+
+
+class TestNothingOutlivesItsServer:
+    """EOF on the zygote's control socket means its server is gone: the
+    zygote kills and reaps its workers and exits.  The children's output
+    goes nowhere the test reads, since they inherit the server's."""
+
+    def test_zygote_and_spinning_worker_die_with_the_server(self, tmp_path):
+        path = str(tmp_path / "pids")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(ROOT, "src"), ROOT]
+        ))
+        server = subprocess.Popen(
+            [sys.executable, "-c", DYING_SERVER, path], cwd=ROOT, env=env,
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        pids = []
+        try:
+            assert server.wait(timeout=60) == 0
+            with open(path) as out:
+                pids = [int(pid) for pid in out.read().split()]
+            _wait_for(
+                lambda: all(_state(pid) in (None, "Z") for pid in pids),
+                timeout=5.0,
+            )
+        finally:
+            for pid in pids:
+                if _state(pid) not in (None, "Z"):
+                    os.kill(pid, signal.SIGKILL)
+            if server.poll() is None:
+                server.kill()
+                server.wait()
 
 
 class TestServerPaysNoCopyOnWrite:

@@ -4,7 +4,7 @@ import io
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
@@ -120,3 +120,82 @@ _scalars = st.one_of(
 @given(st.lists(_scalars, max_size=6).map(tuple))
 def test_row_roundtrip_property(row):
     assert roundtrip(row) == row
+
+
+# -- the codec guards every process boundary: nothing escapes it but data ----
+
+
+def _is_sql_value(value, depth=0):
+    if isinstance(value, tuple):
+        return depth < adtstream.MAX_ROW_DEPTH and all(
+            _is_sql_value(item, depth + 1) for item in value
+        )
+    if isinstance(value, array):
+        return value.typecode == "d"
+    return value is None or isinstance(value, (bool, int, float, str, bytes))
+
+
+def _nest(depth):
+    value = 1
+    for __ in range(depth):
+        value = (value,)
+    return value
+
+
+#: Row headers (tag 7, one item) nested ``depth`` deep, then any bytes.
+_nested_rows = st.builds(
+    lambda depth, tail: bytes([7, 1, 0, 0, 0]) * depth + tail,
+    st.integers(min_value=0, max_value=5000),
+    st.binary(max_size=20),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=200), _nested_rows))
+@example(bytes([7, 1, 0, 0, 0]) * 200000)
+def test_any_bytes_decode_to_a_sql_value_or_raise_protocol_error(data):
+    try:
+        value = adtstream.loads(data)
+    except ProtocolError:
+        return
+    assert _is_sql_value(value)
+
+
+_sql_scalars = st.one_of(
+    _scalars,
+    st.lists(st.floats(allow_nan=False), max_size=5).map(
+        lambda items: array("d", items)
+    ),
+)
+
+
+def _sql_values(depth):
+    if depth == 0:
+        return _sql_scalars
+    return st.one_of(
+        _sql_scalars,
+        st.lists(_sql_values(depth - 1), max_size=4).map(tuple),
+    )
+
+
+@settings(max_examples=300)
+@given(_sql_values(adtstream.MAX_ROW_DEPTH))
+def test_generated_sql_values_round_trip(value):
+    assert roundtrip(value) == value
+
+
+@settings(max_examples=100)
+@given(st.one_of(
+    st.integers(min_value=2 ** 63),
+    st.integers(max_value=-(2 ** 63) - 1),
+    st.integers(min_value=2 ** 63).map(lambda big: ("row", (big,))),
+    st.integers(
+        min_value=adtstream.MAX_ROW_DEPTH + 1, max_value=2000
+    ).map(_nest),
+    st.just("\ud800"),
+    st.just(object()),
+))
+@example(2 ** 70)
+def test_values_it_cannot_represent_raise_protocol_error(value):
+    with pytest.raises(ProtocolError):
+        adtstream.dumps(value)

@@ -39,7 +39,8 @@ def test_malicious_example_reports_all_attacks_stopped():
         text=True,
         timeout=180,
     )
-    assert "All seven attacks neutralized." in completed.stdout
+    assert "All eight attacks neutralized." in completed.stdout
+    assert "HARMED" not in completed.stdout
     assert "stopped" in completed.stdout
     assert "contained" in completed.stdout
     # The provable allocation bomb must be refused at registration by

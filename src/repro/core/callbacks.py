@@ -21,7 +21,8 @@ Lookup() style of partial object access is ``cb_lob_read`` /
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import CallbackError
 from ..vm.values import VMType
@@ -104,8 +105,12 @@ class CallbackBroker:
 class CallbackBinding:
     """Per-query callback state: a broker plus a handle table.
 
-    ``as_handlers`` adapts the binding to the plain ``name -> callable``
-    dict the VM execution context consumes.
+    The binding is also the query's handler table: :meth:`as_handlers`
+    binds each callback name once per query to an entry that counts the
+    crossing in :attr:`invocations` and calls the broker's handler
+    directly.  Sandboxed contexts get the entries of their grant;
+    :meth:`invoke` (a native UDF's context, an isolated worker's
+    callback request) goes through the same entries.
     """
 
     def __init__(self, broker: CallbackBroker, handles: Dict[int, object]):
@@ -114,6 +119,7 @@ class CallbackBinding:
         #: Counts per callback name; lets experiments confirm how often
         #: the boundary was crossed.
         self.invocations: Dict[str, int] = {}
+        self._entries: Dict[str, Callable] = {}
 
     def add_handle(self, handle: int, target: object) -> None:
         self.handles[handle] = target
@@ -124,19 +130,44 @@ class CallbackBinding:
         except KeyError:
             raise CallbackError(f"unknown object handle {handle}") from None
 
-    def invoke(self, name: str, *args):
+    def _bind(self, name: str) -> Callable:
+        """``name``'s entry: count the crossing, call the handler.  It
+        takes the binding first, like the handler, so the binding can
+        hold its entries without a reference cycle."""
         handler = self.broker.handler(name)
-        self.invocations[name] = self.invocations.get(name, 0) + 1
-        return handler(self, *args)
+        invocations = self.invocations
 
-    def as_handlers(self) -> Dict[str, Callable]:
-        def make(name: str) -> Callable:
-            def call(*args):
-                return self.invoke(name, *args)
+        def entry(binding, *args):
+            try:
+                invocations[name] += 1
+            except KeyError:
+                invocations[name] = 1
+            return handler(binding, *args)
 
-            return call
+        self._entries[name] = entry
+        return entry
 
-        return {name: make(name) for name in self.broker.signatures()}
+    def invoke(self, name: str, *args):
+        try:
+            entry = self._entries[name]
+        except KeyError:
+            entry = self._bind(name)
+        return entry(self, *args)
+
+    def as_handlers(
+        self, names: Optional[Iterable[str]] = None
+    ) -> Dict[str, Callable]:
+        """The ``name -> callable`` table a VM execution context
+        consumes: the entries of ``names`` the broker serves, or of
+        every callback it serves, each bound to this binding."""
+        served = self.broker.signatures()
+        if names is None:
+            names = served
+        entries = self._entries
+        return {
+            name: partial(entries.get(name) or self._bind(name), self)
+            for name in names if name in served
+        }
 
 
 # ---------------------------------------------------------------------------

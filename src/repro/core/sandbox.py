@@ -15,8 +15,9 @@ The paper's Section 4.2 implementation, transliterated:
   boundary, the impedance-mismatch cost Figure 5 measures at large
   payloads;
 * "callbacks from the Java UDF to the server occur through the 'native
-  method' feature" — CALLBACK instructions dispatch through the security
-  manager to the broker.
+  method' feature" — a CALLBACK instruction calls the query binding's
+  handler entry for its name, which the security manager allowed at the
+  name's first crossing in the query.
 
 The UDF payload may be JagScript source (compiled here) or classfile
 bytes (a client-compiled, migrated UDF); either way the bytes are
@@ -239,17 +240,17 @@ class SandboxExecutor(UDFExecutor):
         super().begin_query(binding)
         # One context (and one resource account) per query: quota limits
         # then bound the query's total sandbox work, and per-invocation
-        # setup stays off the per-tuple path, as in the paper.
+        # setup stays off the per-tuple path, as in the paper.  Its
+        # callbacks are the binding's entries for the grant: a CALLBACK
+        # calls its handler directly once the context checked it.
         self._context = self._loaded.make_context(
-            callbacks=self.binding.as_handlers()
+            callbacks=self.binding.as_handlers(
+                self._loaded.security.permissions.callbacks
+            )
         )
         registry = self.env.thread_groups
         if registry is not None:
-            # Join the UDF's thread group: if the DBA kills the group,
-            # this query's account is revoked and the UDF dies at its
-            # next fuel check.
             group = registry.group_for(self.definition.name.lower())
-            group.adopt_account(self._context.account)
             # Admission control: reserve the worst case this query's
             # invocations can consume; a claim that cannot fit the
             # group's remaining budget is refused before any tuple runs.
@@ -258,6 +259,10 @@ class SandboxExecutor(UDFExecutor):
             )
             group.reserve(fuel_claim, mem_claim)
             self._reservation = (group, fuel_claim, mem_claim)
+            # Join the UDF's thread group until end_query: if the DBA
+            # kills the group, this query's account is revoked and the
+            # UDF dies at its next fuel check.
+            group.adopt_account(self._context.account)
 
     def invoke_batch(self, args_list: Sequence[Sequence[object]]) -> list:
         """One VM entry per batch instead of per tuple.
@@ -279,11 +284,12 @@ class SandboxExecutor(UDFExecutor):
 
     def end_query(self) -> None:
         super().end_query()
-        self._context = None
+        context, self._context = self._context, None
         if self._reservation is not None:
             group, fuel_claim, mem_claim = self._reservation
             self._reservation = None
             group.release(fuel_claim, mem_claim)
+            group.release_account(context.account)
 
     @property
     def account(self):

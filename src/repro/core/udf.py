@@ -185,13 +185,12 @@ class NativeUDFContext:
     UDF would simply call into server functions.
     """
 
-    __slots__ = ("_channel",)
+    __slots__ = ("callback",)
 
     def __init__(self, channel):
-        self._channel = channel
-
-    def callback(self, name: str, *args):
-        return self._channel.invoke(name, *args)
+        #: ``callback(name, *args)``: the channel's own ``invoke``,
+        #: called with no frame of this context's in between.
+        self.callback = channel.invoke
 
 
 def native_batch(func: Callable, ctx: object) -> Callable:

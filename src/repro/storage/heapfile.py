@@ -132,7 +132,7 @@ class HeapFile:
         pool = self.pool
         data = pool.fetch(page_id)
         try:
-            rows = decode_slots(data, slots, decode)
+            rows = decode_slots(data, slots, decode, page_id)
         finally:
             pool.unpin(page_id)
         if with_rids:
@@ -181,7 +181,9 @@ class HeapFile:
         while page_id != NO_PAGE:
             data = pool.fetch(page_id)
             try:
-                next_page, offsets, rows = decode_records(data, decode)
+                next_page, offsets, rows = decode_records(
+                    data, decode, page_id
+                )
             finally:
                 pool.unpin(page_id)
             yield page_id, offsets, rows

@@ -56,8 +56,19 @@ def _directory(nslots: int) -> struct.Struct:
     return struct.Struct(f"<{2 * nslots}H")
 
 
+def _damaged(page_id: Optional[int], nslots: int, free_end: int,
+             size: int) -> PageError:
+    """The error for a header whose slot directory or free space does
+    not fit its page, naming the page."""
+    where = "page" if page_id is None else f"page {page_id}"
+    return PageError(
+        f"{where} has a damaged header: {nslots} slots and free space "
+        f"ending at {free_end} do not fit its {size} bytes"
+    )
+
+
 def decode_records(
-    data: bytearray, decode: Decoder
+    data: bytearray, decode: Decoder, page_id: Optional[int] = None
 ) -> Tuple[int, Tuple[int, ...], List[object]]:
     """Decode every live record of a page, in slot order, in place.
 
@@ -66,9 +77,11 @@ def decode_records(
     nothing is copied unless ``decode`` copies.  Returns ``(next_page,
     offsets, rows)``: ``offsets`` is the directory's offset per slot
     (0 marks a tombstone), so ``rows`` lines up with its nonzero
-    entries.
+    entries.  ``page_id`` names the page in a damaged header's error.
     """
-    next_page, nslots, __ = _HEADER.unpack_from(data, 0)
+    next_page, nslots, free_end = _HEADER.unpack_from(data, 0)
+    if HEADER_SIZE + SLOT_SIZE * nslots > free_end or free_end > len(data):
+        raise _damaged(page_id, nslots, free_end, len(data))
     directory = _directory(nslots).unpack_from(data, HEADER_SIZE)
     offsets = directory[0::2]
     rows = [
@@ -80,11 +93,15 @@ def decode_records(
 
 
 def decode_slots(
-    data: bytearray, slots: List[int], decode: Decoder
+    data: bytearray, slots: List[int], decode: Decoder,
+    page_id: Optional[int] = None,
 ) -> List[object]:
     """Decode the records in ``slots`` of one page, in the order given,
-    in place, from one unpack of the slot directory."""
-    __, nslots, __ = _HEADER.unpack_from(data, 0)
+    in place, from one unpack of the slot directory.  ``page_id`` names
+    the page in a damaged header's error."""
+    __, nslots, free_end = _HEADER.unpack_from(data, 0)
+    if HEADER_SIZE + SLOT_SIZE * nslots > free_end or free_end > len(data):
+        raise _damaged(page_id, nslots, free_end, len(data))
     directory = _directory(nslots).unpack_from(data, HEADER_SIZE)
     rows = []
     for slot in slots:

@@ -18,9 +18,9 @@ quotas.
 
 An :class:`ExecutionContext` bundles the per-invocation environment:
 function resolution (class loader), the security manager, the resource
-account, and the callback broker.  The same context type drives the JIT,
-so the two modes are interchangeable behind
-:func:`~repro.vm.machine.JaguarVM.invoke`.
+account, and the callback handlers, each checked at its first crossing.
+The same context type drives the JIT, so the two modes are
+interchangeable behind :func:`~repro.vm.machine.JaguarVM.invoke`.
 """
 
 from __future__ import annotations
@@ -144,8 +144,41 @@ _DISPATCH_OPS = (
 )
 
 
+class CallbackTable(dict):
+    """A context's callbacks, ``name -> handler``, each name checked once.
+
+    A name enters the table at its first crossing, once the security
+    manager allowed it and the provided handlers bind it; every later
+    crossing of it is one dict hit and a direct call of its handler.  A
+    denied name never enters, so each of its crossings is checked,
+    logged and refused again.
+    """
+
+    __slots__ = ("_security", "_provided")
+
+    def __init__(self, security: SecurityManager,
+                 provided: Dict[str, Callable]):
+        super().__init__()
+        self._security = security
+        self._provided = provided
+
+    def __missing__(self, name: str) -> Callable:
+        self._security.check_callback(name)
+        try:
+            handler = self._provided[name]
+        except KeyError:
+            raise LinkError(f"callback {name!r} is not provided") from None
+        self[name] = handler
+        return handler
+
+
 class ExecutionContext:
-    """Everything one sandboxed invocation needs from its environment."""
+    """Everything one sandboxed invocation needs from its environment.
+
+    ``callbacks`` maps callback names to the handlers this context may
+    call (for a query, the binding's entries for the UDF's grant);
+    CALLBACK instructions call them through :class:`CallbackTable`.
+    """
 
     __slots__ = ("resolve_function", "callbacks", "security", "account",
                  "natives", "callback_signatures")
@@ -159,8 +192,8 @@ class ExecutionContext:
         callback_signatures: Optional[Dict[str, Tuple]] = None,
     ):
         self.resolve_function = resolve_function
-        self.callbacks = callbacks or {}
         self.security = security if security is not None else open_manager()
+        self.callbacks = CallbackTable(self.security, callbacks or {})
         self.account = account if account is not None else unmetered_account()
         self.natives = NATIVE_IMPLS
         if callback_signatures is None:
@@ -168,15 +201,6 @@ class ExecutionContext:
 
             callback_signatures = standard_callback_signatures()
         self.callback_signatures = callback_signatures
-
-    def invoke_callback(self, name: str, args: Sequence[VMValue]) -> VMValue:
-        """Security-checked callback dispatch (the JNI 'native method')."""
-        self.security.check_callback(name)
-        try:
-            handler = self.callbacks[name]
-        except KeyError:
-            raise LinkError(f"callback {name!r} is not provided") from None
-        return handler(*args)
 
     def invoke_native(self, name: str, args: Sequence[VMValue]) -> VMValue:
         self.security.check_native(name)
@@ -571,7 +595,7 @@ def _execute(
                 nparams = len(sig[0])
                 call_args = stack[len(stack) - nparams:]
                 del stack[len(stack) - nparams:]
-                result = ctx.invoke_callback(name, call_args)
+                result = ctx.callbacks[name](*call_args)
                 if sig[1] is not VMType.VOID:
                     stack.append(coerce_argument(result, sig[1]))
             else:  # pragma: no cover - verifier admits only known opcodes

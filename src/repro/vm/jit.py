@@ -30,8 +30,9 @@ keeps every safety property the interpreter enforces:
   ``nowrap_pcs``, which the entry guard on ``value_bound`` keeps in
   range;
 * **security manager** — native permissions are checked once at compile
-  time (the permission set of a loaded UDF is immutable); callbacks are
-  checked on every invocation, as in the interpreter.
+  time (the permission set of a loaded UDF is immutable); a callback is
+  checked at its first crossing in each context, as in the interpreter,
+  and then called directly (:class:`~repro.vm.interpreter.CallbackTable`).
 
 Because the input is *verified* bytecode, translation is straightforward:
 every instruction has a known stack depth and operand types, so the
@@ -482,9 +483,10 @@ def _emit_block(
             args = [w.pop() for _ in range(len(params))]
             args.reverse()
             w.flush_below(0)
-            arg_list = ", ".join(args)
-            trailing = "," if len(args) == 1 else ""
-            call = f"__ctx.invoke_callback({name!r}, ({arg_list}{trailing}))"
+            # Arguments first, as the interpreter pops them, then the
+            # table lookup (the check at a context's first crossing).
+            arg_list = ", ".join(w.atom(a) for a in args)
+            call = f"__ctx.callbacks[{name!r}]({arg_list})"
             if ret is VMType.VOID:
                 w.emit(call)
             else:

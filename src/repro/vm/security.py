@@ -9,15 +9,20 @@ gets exactly the callbacks its registration granted and nothing else.
 
 Unlike the 1998 JVM, the manager also keeps an **audit log**: the paper
 complains that "if the security restrictions are violated, there is no
-mechanism to trace the responsible UDF classes", so every check — allowed
-or denied — is recorded with the responsible class name.
+mechanism to trace the responsible UDF classes", so every denial and every
+load-time (``static:*``) verdict is recorded with the responsible class
+name.  An allowed run-time callback is recorded once per callback name:
+the log shows which granted callbacks the class has used, and stays
+bounded by the grant plus the denials however many queries run.  How
+often each callback was crossed is counted per query, by the query's
+:class:`~repro.core.callbacks.CallbackBinding` (``invocations``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import SecurityViolation
 from .values import VMType
@@ -70,14 +75,21 @@ class SecurityManager:
     """Checks every sensitive action of one sandboxed principal.
 
     A manager is created per UDF registration and shared by all of that
-    UDF's invocations; the audit log therefore accumulates the UDF's
-    whole history, giving the traceability the paper found missing.
+    UDF's invocations.  Its audit log holds every denial and load-time
+    verdict of the UDF's whole history, giving the traceability the
+    paper found missing, plus the first allowed crossing of each
+    callback name; later allowed crossings are counted per query by the
+    callback binding instead of logged.
     """
 
     class_name: str
     permissions: Permissions = field(default_factory=Permissions.none)
     audit_log: List[AuditRecord] = field(default_factory=list)
     allow_all: bool = False
+    #: Callback names whose first allowed crossing is already logged.
+    _crossed: Set[str] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
     def _record(self, action: str, target: str, allowed: bool) -> None:
         self.audit_log.append(
@@ -85,14 +97,21 @@ class SecurityManager:
         )
 
     def check_callback(self, name: str) -> None:
-        """Gate a CALLBACK instruction; raises on denial."""
-        allowed = self.allow_all or name in self.permissions.callbacks
-        self._record("callback", name, allowed)
-        if not allowed:
-            raise SecurityViolation(
-                f"UDF class {self.class_name!r} is not permitted to invoke "
-                f"callback {name!r}"
-            )
+        """Gate a CALLBACK instruction; raises on denial.
+
+        Every denial is logged; an allowed crossing only the first time
+        this manager allows ``name``.
+        """
+        if self.allow_all or name in self.permissions.callbacks:
+            if name not in self._crossed:
+                self._crossed.add(name)
+                self._record("callback", name, True)
+            return
+        self._record("callback", name, False)
+        raise SecurityViolation(
+            f"UDF class {self.class_name!r} is not permitted to invoke "
+            f"callback {name!r}"
+        )
 
     def check_native(self, name: str) -> None:
         """Gate a NATIVE instruction; raises on denial."""

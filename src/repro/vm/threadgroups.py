@@ -61,6 +61,12 @@ class ThreadGroup:
             self._accounts.append(account)
         return account
 
+    def release_account(self, account: ResourceAccount) -> None:
+        """Drop a finished query's account: the group holds only the
+        accounts a kill can still stop."""
+        with self._lock:
+            self._accounts.remove(account)
+
     # -- admission control -------------------------------------------------
 
     def _fits(self, fuel: int, memory: int) -> bool:

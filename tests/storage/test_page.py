@@ -1,9 +1,12 @@
 """Slotted pages: operations, compaction, and a model-based property test."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.database import Database
 from repro.errors import PageError
 from repro.storage.page import (
     HEADER_SIZE,
@@ -11,6 +14,7 @@ from repro.storage.page import (
     SlottedPage,
     copy_record,
     decode_records,
+    decode_slots,
 )
 
 
@@ -157,3 +161,55 @@ def test_model_equivalence(operations):
     __, offsets, records = decode_records(page.data, copy_record)
     live = [slot for slot, offset in enumerate(offsets) if offset]
     assert dict(zip(live, records)) == model
+
+
+class TestDamagedHeader:
+    """A header whose slot directory or free space does not fit the page
+    is a PageError naming the page, never a raw struct error."""
+
+    def damaged(self, nslots=None, free_end=None):
+        page = fresh()
+        for i in range(3):
+            page.insert(f"rec{i}".encode())
+        if nslots is not None:
+            page._set_num_slots(nslots)
+        if free_end is not None:
+            page._set_free_end(free_end)
+        return page.data
+
+    @pytest.mark.parametrize("damage", [
+        {"nslots": 0xFFFF},               # directory runs off the page
+        {"free_end": 600},                # free space ends past the page
+        {"free_end": HEADER_SIZE + SLOT_SIZE},  # directory overlaps records
+    ])
+    def test_decoders_name_the_page(self, damage):
+        data = self.damaged(**damage)
+        with pytest.raises(PageError, match="page 7 has a damaged header"):
+            decode_records(data, copy_record, 7)
+        with pytest.raises(PageError, match="page 7 has a damaged header"):
+            decode_slots(data, [0], copy_record, 7)
+
+    def test_intact_header_decodes(self):
+        __, __, records = decode_records(self.damaged(), copy_record, 7)
+        assert records == [b"rec0", b"rec1", b"rec2"]
+
+    def test_scan_of_a_reopened_database(self, db_path):
+        """Scribble one heap page's header in the file of a closed,
+        checkpointed database: the reopened scan names that page."""
+        db = Database(db_path, page_size=512)
+        db.execute("CREATE TABLE t (id INT, pad BYTEARRAY)")
+        db.insert_rows("t", [(i, bytes(100)) for i in range(40)])
+        db.checkpoint()
+        page_id = db.catalog.get_table("t").first_page
+        db.close()
+        with open(os.path.join(db_path, "data.pages"), "r+b") as f:
+            f.seek(page_id * 512 + 4)  # nslots, then free_end
+            f.write(b"\xff\xff\xff\xff")
+        db = Database(db_path, page_size=512)
+        try:
+            with pytest.raises(
+                PageError, match=f"page {page_id} has a damaged header"
+            ):
+                db.query("SELECT COUNT(*) FROM t")
+        finally:
+            db.close()

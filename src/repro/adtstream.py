@@ -18,15 +18,36 @@ represent raises :class:`~repro.errors.ProtocolError` on either side:
 an int outside 64 bits, rows nested deeper than :data:`MAX_ROW_DEPTH`,
 and any byte string that is not exactly one encoding.  An error crosses
 as its class name and message (:func:`dump_error`).
+
+A single value (a statement's text, a callback and its reply, an error,
+a zygote request) is tagged: a tag byte, then its body.  A batch of rows
+(:func:`dump_rows`) crosses column by column, each column one typed
+stream::
+
+    [u32 rows][u32 columns][u8 kind per column][column ...]
+
+A column's kind comes from the classes it holds, never from an option:
+a column of ``int`` alone is one packed little-endian int64 array, of
+``float`` alone a float64 array; of ``str`` or ``bytes`` alone a u32
+lengths array, then one blob of the values back to back; any other
+column (NULLs, bools, float arrays, mixed classes) is its tagged
+values.  A wire result set (``OP_RESULT``) is this form, and so are the
+denial records an isolated worker's error carries; an isolated shard of
+argument rows and a worker's results are single tagged values.
+The reader checks every count against the bytes left before it builds
+anything, and refuses a batch with rows but no columns.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import ProtocolError
+from .storage.lob import LOBRef
 
 _TAG_NULL = 0
 _TAG_INT = 1
@@ -47,6 +68,18 @@ _I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
 #: Bytes per item of each counted value (str and bytes count bytes).
 _WIDTHS = {_TAG_STR: 1, _TAG_BYTES: 1, _TAG_FARR: 8}
 
+#: A batch's head: its row count and column count.
+_BATCH_HEAD = struct.Struct("<II")
+#: The kind byte of a column of tagged values.
+_KIND_TAGGED = 0
+#: Column kinds named by the tag of the one class they hold: int and
+#: float columns are packed arrays, text and bytes columns a lengths
+#: array and a blob.  Any other column is tagged.
+_KINDS = {int: _TAG_INT, float: _TAG_FLOAT, str: _TAG_STR, bytes: _TAG_BYTES}
+_PACKED = {_TAG_INT: "q", _TAG_FLOAT: "d"}
+#: Packed arrays are little-endian on every host.
+_BIG_ENDIAN = sys.byteorder == "big"
+
 #: Size cap: no single value may claim more than this many bytes.
 MAX_VALUE_BYTES = 256 * 1024 * 1024
 #: Rows nest at most this deep.  The deepest message the engine sends is
@@ -65,11 +98,6 @@ def dump_values(*values: object) -> bytes:
     for value in values:
         _write(out, value, 0)
     return bytes(out)
-
-
-def dump_rows(rows: Sequence[Sequence[object]]) -> bytes:
-    """A row count, then each row."""
-    return _U32.pack(len(rows)) + dump_values(*map(tuple, rows))
 
 
 def dump_error(exc: BaseException) -> bytes:
@@ -95,20 +123,138 @@ def load_values(data: bytes, count: int, pos: int = 0) -> tuple:
     return tuple(values)
 
 
-def load_rows(data: bytes, pos: int = 0) -> List[tuple]:
-    """The rows :func:`dump_rows` wrote, from offset ``pos``."""
-    rows = load_values(data, _count(data, pos, 1), pos + 4)
-    if not all(isinstance(row, tuple) for row in rows):
-        raise ProtocolError("row payload did not contain a row")
-    return list(rows)
-
-
-def load_error(data: bytes) -> Tuple[str, str]:
-    """The ``(class name, message)`` pair :func:`dump_error` wrote."""
-    name, message = load_values(data, 2)
+def load_error(data: bytes, pos: int = 0) -> Tuple[str, str]:
+    """The ``(class name, message)`` pair :func:`dump_error` wrote, from
+    offset ``pos`` to the end of ``data``."""
+    name, message = load_values(data, 2, pos)
     if not isinstance(name, str) or not isinstance(message, str):
         raise ProtocolError("an error is a class name and a message")
     return name, message
+
+
+# -- row batches ---------------------------------------------------------------
+
+
+def dump_rows(rows: Sequence[Sequence[object]],
+              read_lob: Optional[Callable[[LOBRef], bytes]] = None) -> bytes:
+    """A batch of equally wide rows, column by column.
+
+    ``read_lob`` ships a large object by value: only a column that
+    holds a :class:`~repro.storage.lob.LOBRef` is read through it.
+    """
+    width = len(rows[0]) if rows else 0
+    if rows and not width:
+        raise ProtocolError("a batch with rows has at least one column")
+    if len(set(map(len, rows))) > 1:
+        raise ProtocolError("rows of a batch differ in width")
+    kinds = bytearray()
+    body = bytearray()
+    for column in zip(*rows):
+        classes = set(map(type, column))
+        if read_lob is not None and LOBRef in classes:
+            column = [
+                read_lob(value) if type(value) is LOBRef else value
+                for value in column
+            ]
+            classes = set(map(type, column))
+        kind = _KINDS.get(classes.pop()) if len(classes) == 1 else None
+        if kind is None:
+            kinds.append(_KIND_TAGGED)
+            for value in column:
+                _write(body, value, 1)
+            continue
+        kinds.append(kind)
+        if kind in _PACKED:
+            try:
+                body += _array(_PACKED[kind], column)
+            except OverflowError:
+                raise ProtocolError("integer outside the 64-bit range") from None
+            continue
+        if kind == _TAG_STR:
+            try:
+                column = [value.encode("utf-8") for value in column]
+            except UnicodeEncodeError as exc:
+                raise ProtocolError(f"string is not valid text: {exc}") from None
+        sizes = list(map(len, column))
+        if max(sizes) > MAX_VALUE_BYTES:
+            raise ProtocolError(f"value exceeds {MAX_VALUE_BYTES} bytes")
+        body += _array("I", sizes)
+        body += b"".join(column)
+    return _BATCH_HEAD.pack(len(rows), width) + kinds + body
+
+
+def load_rows(data: bytes, pos: int = 0) -> List[tuple]:
+    """The rows :func:`dump_rows` wrote, from offset ``pos`` to the end
+    of ``data``."""
+    rows, pos = read_rows(data, pos)
+    if pos != len(data):
+        raise ProtocolError("trailing bytes after the batch")
+    return rows
+
+
+def read_rows(data: bytes, pos: int) -> Tuple[List[tuple], int]:
+    """``(rows, offset after them)`` for the batch at offset ``pos``.
+
+    Every column spends at least one byte per row, so the header's
+    counts are checked against the bytes left before any column is
+    built."""
+    if pos + _BATCH_HEAD.size > len(data):
+        raise ProtocolError("truncated batch header")
+    count, width = _BATCH_HEAD.unpack_from(data, pos)
+    pos += _BATCH_HEAD.size
+    if count and not width:
+        raise ProtocolError("a batch with rows has no columns")
+    if width + count * width > len(data) - pos:
+        raise ProtocolError("batch counts exceed its bytes")
+    kinds = data[pos:pos + width]
+    pos += width
+    columns = []
+    for kind in kinds:
+        if kind == _KIND_TAGGED:
+            column = []
+            for __ in range(count):
+                value, pos = read_value(data, pos, 1)
+                column.append(value)
+        elif kind in _PACKED:
+            end = pos + 8 * count
+            if end > len(data):
+                raise ProtocolError("truncated column")
+            column = _array(_PACKED[kind], data[pos:end]).tolist()
+            pos = end
+        elif kind == _TAG_STR or kind == _TAG_BYTES:
+            column, pos = _read_sized(data, pos, count, kind == _TAG_STR)
+        else:
+            raise ProtocolError(f"unknown column kind {kind}")
+        columns.append(column)
+    return list(zip(*columns)), pos
+
+
+def _read_sized(data: bytes, pos: int, count: int,
+                text: bool) -> Tuple[list, int]:
+    """A lengths array, then one blob holding the values back to back."""
+    start = pos + 4 * count
+    if start > len(data):
+        raise ProtocolError("truncated column")
+    sizes = _array("I", data[pos:start])
+    if start + sum(sizes) > len(data):
+        raise ProtocolError("column lengths exceed its blob")
+    bounds = list(accumulate(sizes, initial=start))
+    spans = zip(bounds, bounds[1:])
+    if not text:
+        return [data[a:b] for a, b in spans], bounds[-1]
+    try:
+        return [data[a:b].decode("utf-8") for a, b in spans], bounds[-1]
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"invalid utf-8 string: {exc}") from None
+
+
+def _array(typecode: str, source) -> array:
+    """An array of ``source``'s items, or of the little-endian items the
+    bytes ``source`` packs; its own bytes are little-endian too."""
+    items = array(typecode, source)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items
 
 
 def _write(out: bytearray, value: object, depth: int) -> None:

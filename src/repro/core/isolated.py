@@ -68,7 +68,9 @@ gone, and the zygote kills and reaps its workers and exits.
 Every message here, and every zygote request, is :mod:`repro.adtstream`
 data, the wire's codec, so only SQL values cross (the analog of PREDATOR
 copying raw argument bytes into the segment).  An error crosses as its
-class name and message and is rebuilt only from :data:`_ERROR_CLASSES`.
+class name and message and is rebuilt only from :data:`_ERROR_CLASSES`;
+a Design 4 worker's error carries the run-time denials its batch logged,
+which join the server's audit log.
 A worker message the server cannot read fails the statement with a
 :class:`~repro.errors.UDFInvocationError` naming the UDF, and the worker
 is killed as if it had crashed.
@@ -99,6 +101,7 @@ from ..errors import (
     UDFCrashed,
     UDFInvocationError,
 )
+from ..vm.security import AuditRecord, SecurityManager
 from .designs import Design
 from .factory import UDFExecutor
 from .sandbox import admission_claim, loaded_program, run_batch
@@ -897,6 +900,7 @@ class RemoteExecutor(UDFExecutor):
             # JIT-compiled and built its tier-1 kernel for; a forked
             # worker inherits it as is.
             self._loaded = loaded_program(definition, env)
+            self._security = self._loaded.security
             worker_payload = (
                 "jaguar",
                 self._loaded,
@@ -907,6 +911,7 @@ class RemoteExecutor(UDFExecutor):
             # Validate importability in the server before shipping the
             # module path to the worker.
             resolve_native_payload(definition.payload)
+            self._security = None
             worker_payload = ("native", bytes(definition.payload))
         self._reservation = None
         self._pool = WorkerPool(
@@ -998,7 +1003,7 @@ class RemoteExecutor(UDFExecutor):
                 if msg_type == MSG_CALLBACK:
                     self._callback(worker, adtstream.loads(payload))
                 elif msg_type == MSG_ERROR:
-                    raise _remote_error(payload, name)
+                    raise _remote_error(payload, name, self._security)
                 else:
                     raise ProtocolError(f"message type {msg_type}")
         except ProtocolError as exc:
@@ -1014,7 +1019,7 @@ class RemoteExecutor(UDFExecutor):
         try:
             reply = adtstream.dumps(self.binding.invoke(name, *args))
         except Exception as exc:  # callback failed: tell the UDF
-            worker.send(MSG_ERROR, adtstream.dump_error(exc))
+            worker.send(MSG_ERROR, _error_message(exc))
         else:
             worker.send(MSG_CB_REPLY, reply)
 
@@ -1124,11 +1129,32 @@ _ERROR_CLASSES = {
 }
 
 
-def _remote_error(payload: bytes, udf_name: str) -> Exception:
+#: The classes of a denial record's ``(timestamp, action, target)``.
+_DENIAL = (float, str, str)
+
+
+def _error_message(exc: BaseException, denials: Sequence = ()) -> bytes:
+    """An ``MSG_ERROR`` payload: the sender's new ``(timestamp, action,
+    target)`` denial records as a row batch, then the error."""
+    return adtstream.dump_rows(denials) + adtstream.dump_error(exc)
+
+
+def _remote_error(payload: bytes, udf_name: str,
+                  security: Optional[SecurityManager] = None) -> Exception:
     """The error the other end reported; a class outside
     :data:`_ERROR_CLASSES`, or one needing more than a message, becomes a
-    :class:`UDFInvocationError` naming the UDF."""
-    name, message = adtstream.load_error(payload)
+    :class:`UDFInvocationError` naming the UDF.  The denials a Design 4
+    worker logged on the way join ``security``'s audit log, attributed
+    to its class, so they outlive the worker."""
+    denials, pos = adtstream.read_rows(payload, 0)
+    name, message = adtstream.load_error(payload, pos)
+    if any(tuple(map(type, denial)) != _DENIAL for denial in denials):
+        raise ProtocolError("a denial is a time, an action and a target")
+    if security is not None:
+        security.audit_log.extend(
+            AuditRecord(stamp, security.class_name, action, target, False)
+            for stamp, action, target in denials
+        )
     cls = _ERROR_CLASSES.get(name)
     if cls is not None:
         try:
@@ -1188,8 +1214,11 @@ def _worker_main(programs: dict, request: tuple,
     try:
         invoke_batch = _build_worker_invoker(worker_payload, port)
     except Exception as exc:
-        channel.worker_send(MSG_ERROR, adtstream.dump_error(exc))
+        channel.worker_send(MSG_ERROR, _error_message(exc))
         return
+    # A sandboxed program's run-time denials ship back with the batch's
+    # error: this copy of its audit log dies with the worker.
+    audit_log = rest[0].security.audit_log if kind == "jaguar" else []
     channel.worker_send(MSG_READY, b"")
     while True:
         try:
@@ -1199,12 +1228,17 @@ def _worker_main(programs: dict, request: tuple,
         # One request type: one decode, N invocations, one reply.  A
         # failure anywhere, encoding the results included, aborts the
         # batch with that exception.
+        logged = len(audit_log)
         try:
             if msg_type != MSG_INVOKE_BATCH:
                 raise UDFInvocationError(f"unexpected message {msg_type}")
             reply = adtstream.dumps(invoke_batch(adtstream.loads(payload)))
         except Exception as exc:
-            channel.worker_send(MSG_ERROR, adtstream.dump_error(exc))
+            denials = [
+                (record.timestamp, record.action, record.target)
+                for record in audit_log[logged:] if not record.allowed
+            ]
+            channel.worker_send(MSG_ERROR, _error_message(exc, denials))
             continue
         channel.worker_send(MSG_RESULT_BATCH, reply)
 

@@ -32,7 +32,10 @@ OP_PING = 5
 
 # Server -> client
 OP_WELCOME = 16
-OP_RESULT = 17        # payload: (columns row, rowcount, rows bytes)
+OP_RESULT = 17        # payload: columns row, rowcount, then the rows as
+                      #          one adtstream row batch (a column-major
+                      #          body: packed int/float arrays, text and
+                      #          bytes as lengths plus a blob)
 OP_OK = 18
 OP_ERROR = 19         # payload: (error class name, message)
 OP_PONG = 20
@@ -92,13 +95,15 @@ encode_values = adtstream.dump_values
 decode_values = adtstream.load_values
 
 
-def encode_result(columns, rows, rowcount: int) -> bytes:
+def encode_result(columns, rows, rowcount: int, read_lob=None) -> bytes:
     """``rowcount`` is the statement's own count (rows affected, for
-    DML), not necessarily the number of rows shipped."""
-    return encode_values(tuple(columns), rowcount) + adtstream.dump_rows(rows)
+    DML), not necessarily the number of rows shipped; ``read_lob`` ships
+    large objects by value (:func:`repro.adtstream.dump_rows`)."""
+    return (encode_values(tuple(columns), rowcount)
+            + adtstream.dump_rows(rows, read_lob))
 
 
-def result_frames(columns, rows, rowcount: int):
+def result_frames(columns, rows, rowcount: int, read_lob=None):
     """``(opcode, payload)`` frames for one result, chunked if large.
 
     A result whose encoding fits :data:`RESULT_CHUNK_CAP` ships as the
@@ -109,7 +114,7 @@ def result_frames(columns, rows, rowcount: int):
     ``decode_result(b"".join(payloads))`` sees exactly the one-frame
     encoding.
     """
-    payload = encode_result(columns, rows, rowcount)
+    payload = encode_result(columns, rows, rowcount, read_lob)
     if len(payload) <= RESULT_CHUNK_CAP:
         yield OP_RESULT, payload
         return

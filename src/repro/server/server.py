@@ -57,28 +57,6 @@ from .admission import (
 from .session import Session
 
 
-def materialize_rows(database: Database, rows):
-    """Resolve LOB references into bytes before rows leave the server.
-
-    Embedded callers can keep references and stream ranges; a remote
-    client has no access to the server's pages, so projected large
-    objects ship by value (this is what makes the data-shipping
-    strategy of Section 3.1 expensive — measurably so).
-    """
-    from ..storage.lob import LOBRef
-
-    materialized = []
-    for row in rows:
-        if any(isinstance(value, LOBRef) for value in row):
-            row = tuple(
-                database.lobs.read(value)
-                if isinstance(value, LOBRef) else value
-                for value in row
-            )
-        materialized.append(row)
-    return materialized
-
-
 def build_udf_definition(session: Session, payload: bytes) -> UDFDefinition:
     """Decode an ``OP_REGISTER_UDF`` payload, enforcing session policy."""
     name, params, ret, design_name, entry, callbacks, udf_payload = (
@@ -295,10 +273,14 @@ class DatabaseServer:
     def _execute_sql(self, sql: str):
         """Execute one statement and encode its reply frames."""
         result = self.database.execute(sql)
-        rows = materialize_rows(self.database, result.rows)
-        return list(
-            protocol.result_frames(result.columns, rows, result.rowcount)
-        )
+        # A remote client has no access to the server's pages, so a
+        # projected large object ships by value (what makes the
+        # data-shipping strategy of Section 3.1 expensive, measurably);
+        # only a column that holds a LOBRef is read.
+        return list(protocol.result_frames(
+            result.columns, result.rows, result.rowcount,
+            self.database.lobs.read,
+        ))
 
     def _register_udf(self, session: Session, payload: bytes) -> None:
         definition = build_udf_definition(session, payload)

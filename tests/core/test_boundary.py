@@ -63,6 +63,11 @@ def _own_channel():
     return frame.f_locals["channel"]
 
 
+def _error(*values):
+    """An ``MSG_ERROR`` payload: no denials, then ``values``."""
+    return adtstream.dump_rows([]) + adtstream.dump_values(*values)
+
+
 #: ``case`` -> (message type, payload) a forging worker writes into its
 #: own channel in place of its results.
 FORGED = {
@@ -75,11 +80,28 @@ FORGED = {
     "too_many_results": lambda path: (
         isolated.MSG_RESULT_BATCH, adtstream.dumps((1, 2))
     ),
+    "too_few_results": lambda path: (
+        isolated.MSG_RESULT_BATCH, adtstream.dumps(())
+    ),
+    # An error's denial records are a row batch: forge its columns.
+    "truncated_int_column": lambda path: (
+        isolated.MSG_ERROR, adtstream.dump_rows([(5,)])[:-3]
+    ),
+    "unknown_column_kind": lambda path: (
+        isolated.MSG_ERROR,
+        adtstream._BATCH_HEAD.pack(1, 1) + bytes([99]) + bytes(8)
+        + adtstream.dump_error(RuntimeError("denied")),
+    ),
     "not_a_row": lambda path: (
         isolated.MSG_RESULT_BATCH, adtstream.dumps(1)
     ),
     "malformed_error": lambda path: (
-        isolated.MSG_ERROR, adtstream.dumps(("RuntimeError",))
+        isolated.MSG_ERROR, _error("RuntimeError")
+    ),
+    "malformed_denials": lambda path: (
+        isolated.MSG_ERROR,
+        adtstream.dump_rows([("not a time", "callback", "cb_noop")])
+        + adtstream.dump_error(RuntimeError("denied")),
     ),
     "malformed_callback": lambda path: (
         isolated.MSG_CALLBACK, adtstream.dumps(("cb_noop", 1))

@@ -48,14 +48,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import ProtocolError
 from .storage.lob import LOBRef
+from .types import TYPES, Counted, SQLType
 
-_TAG_NULL = 0
-_TAG_INT = 1
-_TAG_FLOAT = 2
-_TAG_BOOL = 3
-_TAG_STR = 4
-_TAG_BYTES = 5
-_TAG_FARR = 6
+_TAG_NULL, _TAG_INT, _TAG_FLOAT, _TAG_BOOL, _TAG_STR, _TAG_BYTES, _TAG_FARR = (
+    TYPES[t].tag for t in (SQLType.NULL, SQLType.INT, SQLType.FLOAT,
+                           SQLType.BOOL, SQLType.STRING, SQLType.BYTES,
+                           SQLType.FLOATARR)
+)
+#: A row is a wire value but no SQL type.
 _TAG_ROW = 7
 
 _I64 = struct.Struct("<q")
@@ -64,19 +64,32 @@ _U32 = struct.Struct("<I")
 _TAGGED_I64 = struct.Struct("<Bq")
 _TAGGED_F64 = struct.Struct("<Bd")
 _TAGGED_U32 = struct.Struct("<BI")
-_I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
-#: Bytes per item of each counted value (str and bytes count bytes).
-_WIDTHS = {_TAG_STR: 1, _TAG_BYTES: 1, _TAG_FARR: 8}
+_INT_MIN, _INT_MAX = TYPES[SQLType.INT].domain
+#: Counted values by tag (text, bytes, float arrays): a u32 item count,
+#: then items of their type's record format.
+_COUNTED = {
+    row.tag: row.record
+    for row in TYPES.values() if isinstance(row.record, Counted)
+}
 
 #: A batch's head: its row count and column count.
 _BATCH_HEAD = struct.Struct("<II")
 #: The kind byte of a column of tagged values.
 _KIND_TAGGED = 0
-#: Column kinds named by the tag of the one class they hold: int and
-#: float columns are packed arrays, text and bytes columns a lengths
-#: array and a blob.  Any other column is tagged.
-_KINDS = {int: _TAG_INT, float: _TAG_FLOAT, str: _TAG_STR, bytes: _TAG_BYTES}
-_PACKED = {_TAG_INT: "q", _TAG_FLOAT: "d"}
+#: Packed column kinds, by tag: the types whose record format is one
+#: 8-byte struct code (int64, float64) pack as one array of it.
+_PACKED = {
+    row.tag: row.record for row in TYPES.values()
+    if isinstance(row.record, str) and struct.calcsize(row.record) == 8
+}
+#: A column of the one canonical class of a packed type, or of a type
+#: counted in bytes (text, bytes: a lengths array and a blob), has that
+#: type's tag as its kind; any other column is tagged.
+_KIND_OF_CLASS = {
+    row.canonical: row.tag for row in TYPES.values()
+    if row.tag in _PACKED
+    or row.tag in _COUNTED and _COUNTED[row.tag].width == 1
+}
 #: Packed arrays are little-endian on every host.
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -157,7 +170,8 @@ def dump_rows(rows: Sequence[Sequence[object]],
                 for value in column
             ]
             classes = set(map(type, column))
-        kind = _KINDS.get(classes.pop()) if len(classes) == 1 else None
+        kind = (_KIND_OF_CLASS.get(classes.pop()) if len(classes) == 1
+                else None)
         if kind is None:
             kinds.append(_KIND_TAGGED)
             for value in column:
@@ -222,7 +236,7 @@ def read_rows(data: bytes, pos: int) -> Tuple[List[tuple], int]:
             column = _array(_PACKED[kind], data[pos:end]).tolist()
             pos = end
         elif kind == _TAG_STR or kind == _TAG_BYTES:
-            column, pos = _read_sized(data, pos, count, kind == _TAG_STR)
+            column, pos = _read_sized(data, pos, count, _COUNTED[kind])
         else:
             raise ProtocolError(f"unknown column kind {kind}")
         columns.append(column)
@@ -230,7 +244,7 @@ def read_rows(data: bytes, pos: int) -> Tuple[List[tuple], int]:
 
 
 def _read_sized(data: bytes, pos: int, count: int,
-                text: bool) -> Tuple[list, int]:
+                counted: Counted) -> Tuple[list, int]:
     """A lengths array, then one blob holding the values back to back."""
     start = pos + 4 * count
     if start > len(data):
@@ -240,10 +254,9 @@ def _read_sized(data: bytes, pos: int, count: int,
         raise ProtocolError("column lengths exceed its blob")
     bounds = list(accumulate(sizes, initial=start))
     spans = zip(bounds, bounds[1:])
-    if not text:
-        return [data[a:b] for a, b in spans], bounds[-1]
+    from_bytes = counted.from_bytes
     try:
-        return [data[a:b].decode("utf-8") for a, b in spans], bounds[-1]
+        return [from_bytes(data[a:b]) for a, b in spans], bounds[-1]
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"invalid utf-8 string: {exc}") from None
 
@@ -263,7 +276,7 @@ def _write(out: bytearray, value: object, depth: int) -> None:
     elif value is True or value is False:
         out += bytes((_TAG_BOOL, value))
     elif isinstance(value, int):
-        if not _I64_MIN <= value <= _I64_MAX:
+        if not _INT_MIN <= value <= _INT_MAX:
             raise ProtocolError("integer outside the 64-bit range")
         out += _TAGGED_I64.pack(_TAG_INT, value)
     elif isinstance(value, (bytes, bytearray, memoryview)):
@@ -330,17 +343,13 @@ def read_value(data: bytes, pos: int, depth: int = 0):
             item, pos = read_value(data, pos, depth + 1)
             items.append(item)
         return tuple(items), pos
-    width = _WIDTHS.get(tag)
-    if width is None:
+    counted = _COUNTED.get(tag)
+    if counted is None:
         raise ProtocolError(f"unknown value tag {tag}")
     start = pos + 5
-    end = start + _count(data, pos + 1, width) * width
-    if tag == _TAG_BYTES:
-        return bytes(data[start:end]), end
-    if tag == _TAG_FARR:
-        return array("d", data[start:end]), end
+    end = start + _count(data, pos + 1, counted.width) * counted.width
     try:
-        return str(data[start:end], "utf-8"), end
+        return counted.from_bytes(data[start:end]), end
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"invalid utf-8 string: {exc}") from None
 

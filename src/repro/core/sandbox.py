@@ -113,12 +113,12 @@ def _check_entry(definition: UDFDefinition, loaded: LoadedUDF) -> None:
     want_params = definition.signature.vm_param_types()
     want_ret = definition.signature.vm_ret_type()
     if func.param_types != want_params or func.ret_type is not want_ret:
+        params, ret = definition.signature.names
         raise UDFRegistrationError(
             f"UDF {definition.name!r}: entry signature "
             f"{[t.value for t in func.param_types]} -> "
             f"{func.ret_type.value} does not match declaration "
-            f"{list(definition.signature.param_types)} -> "
-            f"{definition.signature.ret_type}"
+            f"{params} -> {ret}"
         )
 
 

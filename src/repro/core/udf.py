@@ -21,45 +21,49 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import UDFRegistrationError
+from ..types import SQLType
 from ..vm.values import VMType
 from .designs import Design
 
-#: SQL-facing type names for UDF parameters/results.  ``handle`` is an
-#: integer token for a server-side large object, enabling the callback
-#: access pattern (Section 5.5) instead of by-value argument shipping.
-PARAM_TYPE_NAMES = ("int", "float", "bool", "str", "bytes", "farr", "handle")
-
-_VM_TYPES = {
-    "int": VMType.INT,
-    "float": VMType.FLOAT,
-    "bool": VMType.BOOL,
-    "str": VMType.STR,
-    "bytes": VMType.ARR,
-    "farr": VMType.FARR,
-    "handle": VMType.INT,
-    "void": VMType.VOID,
-}
-
-
 @dataclass(frozen=True)
 class UDFSignature:
-    """Typed signature in SQL-facing terms."""
+    """Typed signature: the parameter and result :class:`SQLType` of a
+    UDF.  Each may be given as any spelling of a type with a UDF name
+    (the catalog, the client and the wire give its UDF name, ``"str"``);
+    ``handle`` is an integer token for a server-side large object,
+    enabling the callback access pattern (Section 5.5) instead of
+    by-value argument shipping."""
 
-    param_types: Tuple[str, ...]
-    ret_type: str
+    param_types: Tuple[SQLType, ...]
+    ret_type: SQLType
 
     def __post_init__(self) -> None:
-        for name in self.param_types:
-            if name not in PARAM_TYPE_NAMES:
-                raise UDFRegistrationError(f"unknown parameter type {name!r}")
-        if self.ret_type not in PARAM_TYPE_NAMES:
-            raise UDFRegistrationError(f"unknown return type {self.ret_type!r}")
+        params = tuple(_udf_type(t, "parameter") for t in self.param_types)
+        object.__setattr__(self, "param_types", params)
+        object.__setattr__(self, "ret_type",
+                           _udf_type(self.ret_type, "return"))
+
+    @property
+    def names(self) -> Tuple[List[str], str]:
+        """``(parameter names, result name)`` as the catalog persists them."""
+        return ([t.row.udf_name for t in self.param_types],
+                self.ret_type.row.udf_name)
 
     def vm_param_types(self) -> Tuple[VMType, ...]:
-        return tuple(_VM_TYPES[name] for name in self.param_types)
+        return tuple(t.row.vm_type for t in self.param_types)
 
     def vm_ret_type(self) -> VMType:
-        return _VM_TYPES[self.ret_type]
+        return self.ret_type.row.vm_type
+
+
+def _udf_type(name, role: str) -> SQLType:
+    try:
+        sql_type = SQLType(name)
+    except ValueError:
+        sql_type = None
+    if sql_type is None or sql_type.row.udf_name is None:
+        raise UDFRegistrationError(f"unknown {role} type {name!r}")
+    return sql_type
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ def _admit_inline(definition: UDFDefinition, inline: Optional[object]):
             definition.name, REASON_IMPURE, "opaque native host code"
         )
     if (isinstance(inline, InlineTemplate)
-            and "handle" in definition.signature.param_types):
+            and SQLType.HANDLE in definition.signature.param_types):
         return InlineRefusal(
             definition.name, REASON_UNSUPPORTED,
             "handle parameter (handle minting is a call-path effect)",

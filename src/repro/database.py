@@ -56,8 +56,8 @@ from .storage.catalog import Catalog, TableInfo, UDFInfo
 from .storage.disk import DiskManager
 from .storage.lob import LOBManager, LOBRef
 from .storage.wal import NO_FAULTS, WriteAheadLog
+from .types import SQLType
 from .sql.operators import DEFAULT_BATCH_SIZE
-from .storage.record import ColumnType, serialize_record
 from .vm.machine import JaguarVM
 
 #: Byte-array values larger than this are spilled to LOB pages; smaller
@@ -587,31 +587,29 @@ class Database:
                     info.root_page = tree.root_page
                     self.catalog.changed()
 
-    def prepare_row(self, table: TableInfo, values: List[object]):
-        """Validate, spill large byte arrays to LOBs, and serialize:
-        ``(record, prepared values)``."""
-        if len(values) != len(table.columns):
-            raise RecordError(
-                f"{len(values)} values for {len(table.columns)} columns"
-            )
-        prepared: List[object] = []
+    @staticmethod
+    def check_row(table: TableInfo, values: Sequence[object]) -> List[object]:
+        """``values`` as a row of ``table``, each in its column type's
+        canonical class; a wrong arity, a NULL in a NOT NULL column or a
+        value outside its column's type raises :class:`RecordError`.
+        Writes nothing, so a statement checks every row before its
+        first write."""
+        values = table.codec.conform(values)
         for value, column in zip(values, table.columns):
-            if value is None:
-                if not column.nullable:
-                    raise RecordError(
-                        f"column {column.name!r} is NOT NULL"
-                    )
-                prepared.append(None)
-                continue
-            if column.col_type is ColumnType.FLOAT and isinstance(value, int):
-                value = float(value)
-            if column.col_type is ColumnType.BYTES and isinstance(
-                value, (bytes, bytearray, memoryview)
-            ):
-                if len(value) > self.lob_threshold:
-                    value = self.lobs.write(bytes(value))
-            prepared.append(value)
-        return serialize_record(prepared, table.column_types()), prepared
+            if value is None and not column.nullable:
+                raise RecordError(f"column {column.name!r} is NOT NULL")
+        return values
+
+    def prepare_row(self, table: TableInfo, values: List[object]):
+        """Check, spill large byte arrays to LOBs, and serialize:
+        ``(record, prepared values)``."""
+        prepared = self.check_row(table, values)
+        for index, column in enumerate(table.columns):
+            value = prepared[index]
+            if (column.col_type is SQLType.BYTES and value.__class__ is bytes
+                    and len(value) > self.lob_threshold):
+                prepared[index] = self.lobs.write(value)
+        return table.codec.encode(prepared), prepared
 
     def read_lob(self, ref: LOBRef) -> bytes:
         return self.lobs.read(ref)
@@ -633,6 +631,7 @@ class Database:
         def body():
             self.registry.register(definition)
             if persist:
+                param_names, ret_name = definition.signature.names
                 self.catalog.add_udf(
                     UDFInfo(
                         name=definition.name,
@@ -640,8 +639,8 @@ class Database:
                         design=definition.design.value,
                         entry=definition.entry,
                         payload=definition.payload,
-                        param_types=list(definition.signature.param_types),
-                        ret_type=definition.signature.ret_type,
+                        param_types=param_names,
+                        ret_type=ret_name,
                         callbacks=list(definition.callbacks),
                     )
                 )

@@ -22,7 +22,7 @@ from ..storage.catalog import Column as CatColumn
 from ..storage.catalog import IndexInfo, TableInfo
 from ..storage.heapfile import HeapFile
 from ..storage.lob import LOBRef
-from ..storage.record import ColumnType
+from ..types import SQLType
 from . import ast_nodes as A
 from .expressions import (
     FunctionResolver,
@@ -133,7 +133,7 @@ class _QueryUDFResolver(FunctionResolver):
             self.executors[key] = executor
         return executor, executor.definition.signature.param_types
 
-    def udf_ret_type(self, name: str) -> Optional[str]:
+    def udf_ret_type(self, name: str) -> Optional[SQLType]:
         """Answer result-type questions from the catalog alone.
 
         Planning must not spin up executors (with inlining on, a call
@@ -237,20 +237,17 @@ class _RegistryOracle(CostOracle):
     def fold_udf(self, name: str, args):
         """Evaluate a (pure) UDF once at plan time.
 
-        Argument coercion mirrors the per-tuple call path: ints widen to
-        floats for FLOAT parameters.  Isolated-design executors are per
-        query and torn down right away; in-process executors are shared
-        with the upcoming execution.
+        Arguments are conformed to their parameter types, as on the
+        per-tuple call path (an int widens for a FLOAT parameter); one
+        outside its type raises, which keeps the call site.
+        Isolated-design executors are per query and torn down right
+        away; in-process executors are shared with the upcoming
+        execution.
         """
         definition = self.registry.get(name)
         coerced = [
-            float(value)
-            if declared == "float" and isinstance(value, int)
-            and not isinstance(value, bool)
-            else value
-            for declared, value in zip(
-                definition.signature.param_types, args
-            )
+            param.row.conform(value)
+            for param, value in zip(definition.signature.param_types, args)
         ]
         executor = self.registry.executor_for_query(
             name, private=self.private
@@ -538,7 +535,7 @@ class StatementExecutor:
         table = TableInfo(
             name=statement.name,
             columns=[
-                CatColumn(c.name, c.sql_type.storage_type, c.nullable)
+                CatColumn(c.name, c.sql_type, c.nullable)
                 for c in statement.columns
             ],
             first_page=heap.first_page,
@@ -563,7 +560,7 @@ class StatementExecutor:
     def _create_index(self, statement: A.CreateIndex) -> QueryResult:
         table = self.db.catalog.get_table(statement.table)
         position = table.column_index(statement.column)
-        if table.columns[position].col_type is not ColumnType.INT:
+        if table.columns[position].col_type is not SQLType.INT:
             raise PlanError("indexes are supported on INT columns only")
         if any(i.name.lower() == statement.name.lower() for i in table.indexes):
             raise PlanError(f"index {statement.name!r} already exists")
@@ -631,11 +628,13 @@ class StatementExecutor:
     ) -> QueryResult:
         """Run an INSERT, UPDATE or DELETE under its table's write lock.
 
-        Every value is computed before the first write, so a failing
-        expression writes nothing: the scan (of live pages, snapshots or
-        not) finds every match first, which is Halloween protection too,
-        then SET runs over them ``db.batch_size`` rows at a time; an
-        INSERT evaluates every VALUES row.  One UDF resolver serves all.
+        Every value is computed and checked against its column before
+        the first write, so a failing expression, or a value outside its
+        column's type or NULL in a NOT NULL column, writes nothing: the
+        scan (of live pages, snapshots or not) finds every match first,
+        which is Halloween protection too, then SET runs over them
+        ``db.batch_size`` rows at a time; an INSERT evaluates every
+        VALUES row.  One UDF resolver serves all.
         """
         table = self.db.catalog.get_table(statement.table)
         if plan is None or plan.table_info is not table:
@@ -643,10 +642,12 @@ class StatementExecutor:
             # or the cached plan's table was dropped and re-created.
             plan = self.plan(statement, SlotValues(params),
                              private=self.db.snapshots.enabled)
+        check_row = self.db.check_row
         with self._udfs(params) as (resolver, runtime):
             if isinstance(statement, A.Insert):
                 rows = [
-                    self._values(plan, exprs, resolver, runtime)
+                    check_row(table, self._values(plan, exprs, resolver,
+                                                  runtime))
                     for exprs in statement.rows
                 ]
                 for values in rows:
@@ -660,15 +661,21 @@ class StatementExecutor:
                 ))
                 for position, expr in plan.assignments
             ]
+        writes = []
         for index, row in enumerate(matches):
             rid = row.pop()
             values = None
             if isinstance(statement, A.Update):
                 values = list(row)
                 for position, column in columns:
-                    if isinstance(values[position], LOBRef):
-                        self.db.lobs.free(values[position])
                     values[position] = column[index]
+                values = check_row(table, values)
+            writes.append((rid, row, values))
+        for rid, row, values in writes:
+            if values is not None:
+                for position, __ in columns:
+                    if isinstance(row[position], LOBRef):
+                        self.db.lobs.free(row[position])
             self.db._write_row_locked(table, rid, row, values)
         return QueryResult(rowcount=len(matches))
 

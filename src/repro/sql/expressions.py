@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import re
-from array import array
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -38,6 +37,7 @@ from ..errors import (
 from ..storage.lob import LOBRef
 from ..vm.values import f2i, idiv, imod, wrap_int
 from . import ast_nodes as A
+from ..types import TYPES
 from .types import RowSchema, SQLType
 
 Batch = Sequence[Sequence[object]]
@@ -91,17 +91,21 @@ class QueryRuntime:
         return handle
 
 
-#: The result classes a UDF declared ``RETURNS <type>`` may answer with,
-#: NULL included: what the storage layer's codec accepts for that type.
-#: A ``float`` UDF's ``int`` is widened, as its arguments are.
-_RESULT_CLASSES = {
-    "int": frozenset({int, type(None)}),
-    "handle": frozenset({int, type(None)}),
-    "float": frozenset({float, type(None)}),
-    "bool": frozenset({bool, type(None)}),
-    "str": frozenset({str, type(None)}),
-    "bytes": frozenset({bytes, bytearray, memoryview, type(None)}),
-    "farr": frozenset({array, list, tuple, type(None)}),
+def _sql_type(name) -> SQLType:
+    """A declared UDF type, given as a member or as any spelling."""
+    return name if isinstance(name, SQLType) else SQLType(name)
+
+
+#: Per type, for call sites: the classes an argument is widened from
+#: (an INT for a FLOAT), and the classes a result may have as it is,
+#: NULL included (any other goes through the row's ``conform``).
+_ARG_WIDENS = {
+    t: tuple(c for c in row.accepts if c is not row.canonical)
+    for t, row in TYPES.items()
+}
+_RESULT_PLAIN = {
+    t: frozenset({type(None)} | ({row.canonical} - set(row.accepts)))
+    for t, row in TYPES.items()
 }
 
 
@@ -111,7 +115,10 @@ class UDFCallSite:
     Every design's batches cross here, so this is where a batch is
     checked and observed, the same way for all six: each result must be
     a value of the UDF's declared type or NULL (else
-    :class:`~repro.errors.UDFInvocationError`), and when the query
+    :class:`~repro.errors.UDFInvocationError`), and leaves in that
+    type's canonical class (:meth:`~repro.types.TypeRow.conform`: a
+    sandbox's ``bytearray`` is ``bytes``, a float list an
+    ``array('d')``, whichever design ran it), and when the query
     collects a profile, the batch's wall time, calls, errors and, for
     an in-process sandbox, the fuel and heap its account was charged are
     recorded around the executor's unchanged ``invoke_batch``.
@@ -129,8 +136,8 @@ class UDFCallSite:
 
     __slots__ = (
         "name", "executor", "param_types", "arg_fns", "runtime", "_memo",
-        "_memo_probes", "_memo_hits", "_passthrough", "_profile",
-        "_ret_type", "_ret_classes",
+        "_memo_probes", "_memo_hits", "_coercers", "_profile",
+        "_ret_row", "_ret_plain", "_ret_domain",
     )
 
     #: Probes without a hit before an adaptive memo gives up (2 batches
@@ -149,32 +156,40 @@ class UDFCallSite:
         self._memo: Optional[dict] = {} if pure else None
         self._memo_probes = 0
         self._memo_hits = 0
-        # No bytes/handle/float parameter anywhere: a row's raw values
-        # are already in argument form, so batch assembly can skip the
-        # per-row _coerce_args call entirely.
-        self._passthrough = not any(
-            pt in ("bytes", "handle", "float") for pt in param_types
-        )
+        # Per parameter: LOB materialization (by-value BYTES), handle
+        # minting (HANDLE), or widening (an INT value for a FLOAT
+        # parameter); None when a row's raw values are already in
+        # argument form, which skips the per-row _coerce_args call.
+        coercers = [self._coercer(_sql_type(t)) for t in param_types]
+        self._coercers = coercers if any(coercers) else None
         # The resolver attaches the query's profile before compiling
         # any call site of the executor.
         self._profile = getattr(executor, "profile", None)
-        self._ret_type = (
-            definition.signature.ret_type if definition is not None else None
+        self._ret_row = None
+        if definition is not None:
+            ret = _sql_type(definition.signature.ret_type)
+            self._ret_row = TYPES[ret]
+            self._ret_plain = _RESULT_PLAIN[ret]
+            self._ret_domain = self._ret_row.domain
+
+    def _coercer(self, param: SQLType):
+        if param is SQLType.BYTES:
+            return self.runtime.materialize
+        if param is SQLType.HANDLE:
+            return self.runtime.make_handle
+        widens = _ARG_WIDENS[param]
+        if not widens:
+            return None
+        normalise = TYPES[param].normalise
+        return lambda value: (
+            normalise(value) if value.__class__ in widens else value
         )
-        self._ret_classes = _RESULT_CLASSES.get(self._ret_type)
 
     def _coerce_args(self, raw: Sequence[object]) -> List[object]:
         """Materialize/handle/widen one row's argument values, in order."""
         args = []
-        runtime = self.runtime
-        for value, param_type in zip(raw, self.param_types):
-            if param_type == "bytes":
-                value = runtime.materialize(value)
-            elif param_type == "handle":
-                value = runtime.make_handle(value)
-            elif param_type == "float" and isinstance(value, int):
-                value = float(value)
-            args.append(value)
+        for value, coerce in zip(raw, self._coercers):
+            args.append(value if coerce is None else coerce(value))
         return args
 
     def __call__(self, rows: Batch) -> List[object]:
@@ -192,7 +207,7 @@ class UDFCallSite:
         results: List[object] = [None] * len(rows)
         call_slots: List[int] = []
         call_args: List[List[object]] = []
-        passthrough = self._passthrough
+        passthrough = self._coercers is None
         if len(arg_columns) == 1:
             # Single-argument fast path: no per-row row assembly.
             for index, value in enumerate(arg_columns[0]):
@@ -250,7 +265,7 @@ class UDFCallSite:
                 values = self.executor.invoke_batch(call_args)
             else:
                 values = self._invoke_profiled(call_args)
-            if self._ret_classes is not None:
+            if self._ret_row is not None:
                 values = self._checked(values)
             for slot, value in zip(call_slots, values):
                 results[slot] = value
@@ -284,25 +299,36 @@ class UDFCallSite:
         return values
 
     def _checked(self, values: list) -> list:
-        """``values`` if each is of the declared type or NULL, with a
-        ``float`` UDF's ints widened; else a :class:`UDFInvocationError`."""
-        classes = self._ret_classes
-        for value in values:
-            if value.__class__ not in classes:
-                break
+        """``values`` if each is NULL or its type's canonical value as it
+        is; else each conformed to the declared type, or a
+        :class:`UDFInvocationError` for the first that is not one."""
+        plain, domain = self._ret_plain, self._ret_domain
+        if domain is None:
+            for value in values:
+                if value.__class__ not in plain:
+                    break
+            else:
+                return values
         else:
-            return values
+            low, high = domain
+            for value in values:
+                if value.__class__ not in plain or (
+                    value is not None and not low <= value <= high
+                ):
+                    break
+            else:
+                return values
+        row = self._ret_row
         checked = []
         for value in values:
-            if value.__class__ not in classes:
-                if self._ret_type == "float" and value.__class__ is int:
-                    value = float(value)
-                else:
+            if value is not None:
+                try:
+                    value = row.conform(value)
+                except ValueError as exc:
                     raise UDFInvocationError(
-                        f"UDF {self.name!r} returned a "
-                        f"{type(value).__name__}, not a value of its "
-                        f"declared type {self._ret_type}"
-                    )
+                        f"UDF {self.name!r} returned a value outside its "
+                        f"declared type {row.name}: {exc}"
+                    ) from None
             checked.append(value)
         return checked
 
@@ -318,8 +344,8 @@ class FunctionResolver:
         """Return (executor, param_type_names) or None."""
         return None
 
-    def udf_ret_type(self, name: str) -> Optional[str]:
-        """SQL-facing return type name of a registered UDF, or None.
+    def udf_ret_type(self, name: str):
+        """Declared return type of a registered UDF, or None.
 
         Used by type inference at planning time.  The default derives it
         from :meth:`resolve_udf`; resolvers backed by a registry override
@@ -710,21 +736,18 @@ def _compile_call(expr: A.FuncCall, schema, resolver, runtime) -> EvalFn:
 # Light type inference (for output schemas)
 # ---------------------------------------------------------------------------
 
+#: The type of a literal: the storable type of its canonical class.
+_LITERAL_TYPES = {
+    row.canonical: t for t, row in TYPES.items() if row.storable
+}
+
+
 def infer_type(
     expr: A.Expr, schema: RowSchema, resolver: Optional[FunctionResolver] = None
 ) -> SQLType:
     """Best-effort static type; falls back to NULL for unknowns."""
     if isinstance(expr, A.Literal):
-        value = expr.value
-        if isinstance(value, bool):
-            return SQLType.BOOL
-        if isinstance(value, int):
-            return SQLType.INT
-        if isinstance(value, float):
-            return SQLType.FLOAT
-        if isinstance(value, str):
-            return SQLType.STRING
-        return SQLType.NULL
+        return _LITERAL_TYPES.get(expr.value.__class__, SQLType.NULL)
     if isinstance(expr, A.Slot):
         return expr.sql_type
     if isinstance(expr, A.ColumnRef):
@@ -761,16 +784,6 @@ def infer_type(
     return SQLType.NULL
 
 
-_UDF_RESULT_TYPES = {
-    "int": SQLType.INT,
-    "float": SQLType.FLOAT,
-    "bool": SQLType.BOOL,
-    "str": SQLType.STRING,
-    "bytes": SQLType.BYTES,
-    "farr": SQLType.FLOATARR,
-    "handle": SQLType.INT,
-}
-
 _BUILTIN_RESULT_TYPES = {
     "abs": SQLType.FLOAT,
     "length": SQLType.INT,
@@ -799,5 +812,5 @@ def _infer_call_type(expr: A.FuncCall, resolver) -> SQLType:
     if resolver is not None:
         ret = resolver.udf_ret_type(name)
         if ret is not None:
-            return _UDF_RESULT_TYPES.get(ret, SQLType.NULL)
+            return SQLType(ret).row.value_type
     return _BUILTIN_RESULT_TYPES.get(name, SQLType.NULL)

@@ -213,19 +213,13 @@ def optimize(
 # Rewrite 0: Froid-style UDF inlining
 # ---------------------------------------------------------------------------
 
-#: SQL types acceptable per VM parameter kind.  An argument whose
-#: inferred type falls outside the set keeps its opaque call site: the
-#: call path would reject the marshalling at run time, and inlining must
-#: not silently compute where the call would have errored.  NULL
-#: (statically unknown) is always acceptable.
-_PARAM_ACCEPTS = {
-    "int": frozenset({SQLType.INT}),
-    "float": frozenset({SQLType.INT, SQLType.FLOAT}),
-    "bool": frozenset({SQLType.BOOL}),
-    "str": frozenset({SQLType.STRING}),
-    "arr": frozenset({SQLType.BYTES}),
-    "farr": frozenset({SQLType.FLOATARR}),
-}
+def _takes(param: SQLType, arg: SQLType) -> bool:
+    """Whether a value of SQL type ``arg`` is a value of ``param`` once
+    normalised: the same canonical class, or one ``param`` widens (an
+    INT for a FLOAT parameter).  NULL (statically unknown) always is."""
+    cls = arg.row.canonical
+    return (arg is SQLType.NULL or cls is param.row.canonical
+            or cls in param.row.accepts)
 
 
 def _inline_udfs(
@@ -288,7 +282,8 @@ def _try_inline_call(
     template = oracle.inline_template(name)
     if template is None:
         return call
-    if len(call.args) != len(template.param_kinds):
+    params = oracle.udf_definition(name).signature.param_types
+    if len(call.args) != len(params):
         return call
     if all(isinstance(arg, _LITERALS) for arg in call.args):
         # All-literal call sites are better served by rewrite 2: one
@@ -297,7 +292,7 @@ def _try_inline_call(
         return call
     substituted: List[A.Expr] = []
     guards: List[A.Expr] = []
-    for arg, kind in zip(call.args, template.param_kinds):
+    for arg, param in zip(call.args, params):
         if _contains_udf_call(arg, oracle):
             # Substitution duplicates the argument expression once per
             # ParamRef occurrence plus the NULL guard; a UDF inside it
@@ -306,12 +301,14 @@ def _try_inline_call(
         if isinstance(arg, A.Literal) and arg.value is None:
             # Strict NULL semantics: the whole call is NULL, always.
             return A.Inlined(name, A.Literal(None))
+        # An argument whose inferred type is not a value of the
+        # parameter's keeps its opaque call site: the call path would
+        # reject the marshalling at run time, and inlining must not
+        # silently compute where the call would have errored.
         inferred = infer_type(arg, schema, None)
-        accepts = _PARAM_ACCEPTS.get(kind)
-        if (accepts is not None and inferred is not SQLType.NULL
-                and inferred not in accepts):
+        if not _takes(param, inferred):
             return call  # ill-typed call: let the call path report it
-        if kind == "float" and inferred is not SQLType.FLOAT:
+        if param is SQLType.FLOAT and inferred is not SQLType.FLOAT:
             # The call path widens int arguments at marshalling; the
             # lifted float arithmetic needs the same widening.
             if isinstance(arg, A.Slot):
@@ -457,7 +454,9 @@ def _plan_labels(plan: LogicalPlan) -> Set[str]:
 
 #: SQL-facing types whose values survive as plan-time literals.  LOB
 #: handles and byte/float arrays are query-runtime objects and stay out.
-_FOLDABLE_TYPES = frozenset({"int", "float", "bool", "str"})
+_FOLDABLE_TYPES = frozenset(
+    {SQLType.INT, SQLType.FLOAT, SQLType.BOOL, SQLType.STRING}
+)
 
 
 def _fold_constants(

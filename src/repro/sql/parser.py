@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ParseError
+from ..errors import ParseError, PlanError
 from . import ast_nodes as A
 from .lexer import Token, TokenType, tokenize
 from .types import ColumnDef, SQLType, sql_type_from_name
@@ -43,19 +43,6 @@ DESIGN_NAMES = {
     "sandbox_interp": "sandbox_interp",
     "sandbox_isolated": "sandbox_isolated",
 }
-
-#: UDF parameter type spellings -> repro.core.udf names.
-UDF_TYPE_NAMES = {
-    "int": "int", "integer": "int", "bigint": "int",
-    "float": "float", "double": "float", "real": "float",
-    "bool": "bool", "boolean": "bool",
-    "str": "str", "string": "str", "varchar": "str", "text": "str",
-    "bytes": "bytes", "bytearray": "bytes", "bytea": "bytes",
-    "blob": "bytes",
-    "farr": "farr", "floatarray": "farr", "timeseries": "farr",
-    "handle": "handle",
-}
-
 
 def parse_statement(text: str) -> A.Statement:
     """Parse exactly one statement."""
@@ -295,6 +282,8 @@ class _Parser:
         name = self.expect_ident()
         type_name = self.expect_ident()
         sql_type = sql_type_from_name(type_name)
+        if not sql_type.row.storable:
+            raise PlanError(f"type {type_name!r} is not storable")
         nullable = True
         if self.accept_kw("not"):
             self.expect_kw("null")
@@ -419,8 +408,12 @@ class _Parser:
         )
 
     def udf_type(self) -> str:
+        """A UDF parameter or result type: its persisted UDF name."""
         word = self.expect_ident().lower()
-        resolved = UDF_TYPE_NAMES.get(word)
+        try:
+            resolved = SQLType(word).row.udf_name
+        except ValueError:
+            resolved = None
         if resolved is None:
             raise self.error(f"unknown UDF type {word!r}")
         return resolved

@@ -1,81 +1,29 @@
-"""SQL-level types and schemas.
+"""SQL-level schemas over the type table.
 
-The SQL layer's types are a thin veneer over the storage layer's
-:class:`~repro.storage.record.ColumnType`, with the extra ADT flavour the
-paper's OR-DBMS setting needs: BYTEARRAY (images, generic blobs) and
-FLOATARRAY (time series like ``Stocks.history``) are first-class column
-types whose values can be passed to UDFs, sliced via callbacks, and
-spilled to LOB storage when large.
+The types themselves are :class:`repro.types.SQLType`, one enum for
+storage, SQL, the UDF boundary and the wire, whose facts live in
+:data:`repro.types.TYPES`.  The paper's OR-DBMS setting gives them an
+ADT flavour: BYTES (images, generic blobs) and FLOATARR (time series
+like ``Stocks.history``) are first-class column types whose values can
+be passed to UDFs, sliced via callbacks, and spilled to LOB storage when
+large.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import PlanError
-from ..storage.record import ColumnType
-
-
-class SQLType(enum.Enum):
-    INT = "int"
-    FLOAT = "float"
-    BOOL = "bool"
-    STRING = "string"
-    BYTES = "bytes"
-    FLOATARR = "floatarr"
-    NULL = "null"  # the type of a bare NULL literal
-
-    @property
-    def storage_type(self) -> ColumnType:
-        try:
-            return _STORAGE[self]
-        except KeyError:
-            raise PlanError(f"type {self.value} is not storable") from None
-
-
-_STORAGE = {
-    SQLType.INT: ColumnType.INT,
-    SQLType.FLOAT: ColumnType.FLOAT,
-    SQLType.BOOL: ColumnType.BOOL,
-    SQLType.STRING: ColumnType.STRING,
-    SQLType.BYTES: ColumnType.BYTES,
-    SQLType.FLOATARR: ColumnType.FLOATARR,
-}
-
-_FROM_STORAGE = {v: k for k, v in _STORAGE.items()}
-
-#: Type names accepted by the SQL parser (case-insensitive).
-TYPE_NAMES = {
-    "int": SQLType.INT,
-    "integer": SQLType.INT,
-    "bigint": SQLType.INT,
-    "float": SQLType.FLOAT,
-    "double": SQLType.FLOAT,
-    "real": SQLType.FLOAT,
-    "bool": SQLType.BOOL,
-    "boolean": SQLType.BOOL,
-    "string": SQLType.STRING,
-    "varchar": SQLType.STRING,
-    "text": SQLType.STRING,
-    "bytearray": SQLType.BYTES,
-    "bytea": SQLType.BYTES,
-    "blob": SQLType.BYTES,
-    "floatarray": SQLType.FLOATARR,
-    "timeseries": SQLType.FLOATARR,
-}
+from ..types import SQLType
 
 
 def sql_type_from_name(name: str) -> SQLType:
+    """The type a SQL spelling names, in any case."""
     try:
-        return TYPE_NAMES[name.lower()]
-    except KeyError:
+        return SQLType(name)
+    except ValueError:
         raise PlanError(f"unknown SQL type {name!r}") from None
-
-
-def sql_type_from_storage(col_type: ColumnType) -> SQLType:
-    return _FROM_STORAGE[col_type]
 
 
 @dataclass(frozen=True)
@@ -141,7 +89,7 @@ def schema_for_table(table_info, alias: Optional[str] = None) -> RowSchema:
             SchemaColumn(
                 table=label,
                 name=column.name,
-                sql_type=sql_type_from_storage(column.col_type),
+                sql_type=column.col_type,
             )
             for column in table_info.columns
         ]

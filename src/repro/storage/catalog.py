@@ -34,14 +34,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import CatalogError
+from ..types import SQLType
 from .heapfile import HeapFile
-from .record import ColumnType, RecordCodec
+from .record import RecordCodec
 
 
 @dataclass
 class Column:
     name: str
-    col_type: ColumnType
+    col_type: SQLType
     nullable: bool = True
 
     def to_json(self) -> dict:
@@ -55,7 +56,7 @@ class Column:
     def from_json(data: dict) -> "Column":
         return Column(
             name=data["name"],
-            col_type=ColumnType(data["type"]),
+            col_type=SQLType(data["type"]),
             nullable=data.get("nullable", True),
         )
 
@@ -103,7 +104,7 @@ class TableInfo:
                 return index
         raise CatalogError(f"table {self.name!r} has no column {name!r}")
 
-    def column_types(self) -> List[ColumnType]:
+    def column_types(self) -> List[SQLType]:
         return [column.col_type for column in self.columns]
 
     def to_json(self) -> dict:

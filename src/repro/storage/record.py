@@ -12,96 +12,73 @@ pages.  The format is self-delimiting per field:
   either representation;
 * FLOATARR is a u32 element count plus packed doubles.
 
-Decoding goes through a :class:`RecordCodec`, which depends only on the
-column types and so is prepared once per schema (each
-:class:`~repro.storage.catalog.TableInfo` owns its table's codec).
+Each type's format is its row of :data:`repro.types.TYPES` (a fixed
+:mod:`struct` code or a :class:`~repro.types.Counted` kind), and so is
+what a field may hold (:meth:`~repro.types.TypeRow.conform`): encoding
+refuses anything else with a :class:`~repro.errors.RecordError`, never a
+raw ``struct``, encoding or overflow error.  Both directions go through
+a :class:`RecordCodec`, which depends only on the column types and so is
+prepared once per schema (each :class:`~repro.storage.catalog.TableInfo`
+owns its table's codec).
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import struct
 from array import array
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import RecordError
+from ..types import Counted, SQLType
 from .lob import LOBRef
 
 _LOB_SENTINEL = 0xFFFFFFFF
 _U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 _LOBREF = struct.Struct("<IQ")
-
-
-class ColumnType(enum.Enum):
-    """Storage-level column types."""
-
-    INT = "int"
-    FLOAT = "float"
-    BOOL = "bool"
-    STRING = "string"
-    BYTES = "bytes"
-    FLOATARR = "floatarr"
-
+#: The one type whose values may live out of line, in a LOB.
+_SPILLS = SQLType.BYTES
 
 FieldValue = Union[None, int, float, bool, str, bytes, LOBRef, array, list]
 
 
 def serialize_record(
-    values: Sequence[FieldValue], types: Sequence[ColumnType]
+    values: Sequence[FieldValue], types: Sequence[SQLType]
 ) -> bytes:
     """Encode one tuple."""
-    if len(values) != len(types):
-        raise RecordError(
-            f"{len(values)} values for {len(types)} columns"
-        )
-    ncols = len(types)
-    bitmap = bytearray((ncols + 7) // 8)
-    out = bytearray()
-    for index, (value, col_type) in enumerate(zip(values, types)):
-        if value is None:
-            bitmap[index // 8] |= 1 << (index % 8)
-            continue
-        out += _encode_field(value, col_type, index)
-    return bytes(bitmap) + bytes(out)
+    codec = _codec_for(tuple(types))
+    return codec.encode(codec.conform(values))
 
 
-_FIXED_FORMATS = {
-    ColumnType.INT: "q", ColumnType.FLOAT: "d", ColumnType.BOOL: "?",
-}
-_STRING, _BYTES, _FLOATARR = _VARIABLE = (
-    ColumnType.STRING, ColumnType.BYTES, ColumnType.FLOATARR,
-)
-
-#: One decoding step: ``(run, null_bit, variable)``.  One unpack of
-#: ``run`` reads fixed-width values; when ``variable`` is set, the run
-#: ends with that column's u32 length prefix and its payload follows.
-_Step = Tuple[struct.Struct, int, Optional[ColumnType]]
+#: One decoding step: ``(run, null_bit, width, from_bytes, spills)``.
+#: One unpack of ``run`` reads fixed-width values; when ``from_bytes``
+#: is set, the run ends with a counted column's u32 count and its
+#: ``width * count`` bytes follow (or, when ``spills``, maybe a LOB
+#: reference).
+_Step = Tuple[struct.Struct, int, int, Optional[object], bool]
 
 
-def _layout(types: Sequence[ColumnType], grouped: bool) -> Tuple[_Step, ...]:
+def _layout(types: Sequence[SQLType], grouped: bool) -> Tuple[_Step, ...]:
     """Grouped, a step spans every fixed-width column up to and including
-    the next variable column's prefix (for records without NULLs, whose
+    the next counted column's prefix (for records without NULLs, whose
     body offsets are the same every time).  Ungrouped, a step is one
     column, skipped when its ``null_bit`` is set in the record's bitmap."""
     steps: List[_Step] = []
     fmt = "<"
     for index, col_type in enumerate(types):
         bit = 0 if grouped else 1 << index
-        if col_type in _FIXED_FORMATS:
-            fmt += _FIXED_FORMATS[col_type]
+        record = col_type.row.record
+        if isinstance(record, Counted):
+            steps.append((struct.Struct(fmt + "I"), bit, record.width,
+                          record.from_bytes, col_type is _SPILLS))
+        else:
+            fmt += record
             if grouped:
                 continue
-            steps.append((struct.Struct(fmt), bit, None))
-        elif col_type in _VARIABLE:
-            steps.append((struct.Struct(fmt + "I"), bit, col_type))
-        else:
-            raise RecordError(f"unknown column type {col_type}")
+            steps.append((struct.Struct(fmt), bit, 0, None, False))
         fmt = "<"
     if fmt != "<":
-        steps.append((struct.Struct(fmt), 0, None))
+        steps.append((struct.Struct(fmt), 0, 0, None, False))
     return tuple(steps)
 
 
@@ -115,12 +92,65 @@ class RecordCodec:
     by the records decoded.
     """
 
-    __slots__ = ("_bitmap_size", "_runs", "_columns")
+    __slots__ = ("_bitmap_size", "_runs", "_columns", "_rows", "_fields")
 
-    def __init__(self, types: Sequence[ColumnType]):
+    def __init__(self, types: Sequence[SQLType]):
+        for col_type in types:
+            if not col_type.row.storable:
+                raise RecordError(f"type {col_type.row.name} is not storable")
         self._bitmap_size = (len(types) + 7) // 8
         self._runs = _layout(types, grouped=True)
         self._columns = _layout(types, grouped=False)
+        self._rows = tuple(col_type.row for col_type in types)
+        self._fields = tuple(
+            (struct.Struct("<" + row.record), None)
+            if isinstance(row.record, str) else (None, row.record)
+            for row in self._rows
+        )
+
+    def conform(self, values: Sequence[FieldValue]) -> List[FieldValue]:
+        """``values`` with each field in its column type's canonical class
+        (a FLOAT column's int widened, a BYTES column's bytearray copied);
+        NULLs and a BYTES column's LOB references stay as they are.  A
+        wrong arity or a field outside its column's type raises
+        :class:`RecordError`."""
+        rows = self._rows
+        if len(values) != len(rows):
+            raise RecordError(f"{len(values)} values for {len(rows)} columns")
+        conformed = []
+        for index, (value, row) in enumerate(zip(values, rows)):
+            if value is not None and not (
+                value.__class__ is LOBRef and row.sql_type is _SPILLS
+            ):
+                try:
+                    value = row.conform(value)
+                except ValueError as exc:
+                    raise RecordError(f"column {index}: {exc}") from None
+            conformed.append(value)
+        return conformed
+
+    def encode(self, values: Sequence[FieldValue]) -> bytes:
+        """One record of ``values`` as :meth:`conform` returns them."""
+        bitmap = bytearray(self._bitmap_size)
+        out = bytearray()
+        for index, (value, (fixed, counted)) in enumerate(
+            zip(values, self._fields)
+        ):
+            if value is None:
+                bitmap[index // 8] |= 1 << (index % 8)
+            elif fixed is not None:
+                out += fixed.pack(value)
+            elif value.__class__ is LOBRef:
+                out += _U32.pack(_LOB_SENTINEL)
+                out += _LOBREF.pack(value.first_page, value.length)
+            else:
+                raw = counted.to_bytes(value)
+                count = len(raw) // counted.width
+                if count >= _LOB_SENTINEL:
+                    raise RecordError(f"column {index}: value too large")
+                out += _U32.pack(count)
+                out += raw
+        return bytes(bitmap) + bytes(out)
 
     def decode(self, buf, start: int, end: int) -> List[FieldValue]:
         """Decode the record at ``buf[start:end]`` without copying it.
@@ -141,7 +171,9 @@ class RecordCodec:
             nulls = int.from_bytes(buf[start:pos], "little")
         values: List[FieldValue] = []
         try:
-            for run, bit, variable in self._columns if nulls else self._runs:
+            for run, bit, width, from_bytes, spills in (
+                self._columns if nulls else self._runs
+            ):
                 if nulls & bit:
                     values.append(None)
                     continue
@@ -150,26 +182,21 @@ class RecordCodec:
                     raise RecordError("truncated record body")
                 fields = run.unpack_from(buf, pos)
                 pos = stop
-                if variable is None:
+                if from_bytes is None:
                     values += fields
                     continue
                 values += fields[:-1]
                 n = fields[-1]
-                if variable is _BYTES and n == _LOB_SENTINEL:
+                if spills and n == _LOB_SENTINEL:
                     stop = pos + _LOBREF.size
                     if stop > end:
                         raise RecordError("truncated LOB reference")
                     values.append(LOBRef(*_LOBREF.unpack_from(buf, pos)))
                 else:
-                    stop = pos + (8 * n if variable is _FLOATARR else n)
+                    stop = pos + width * n
                     if stop > end:
                         raise RecordError("truncated record body")
-                    if variable is _STRING:
-                        values.append(buf[pos:stop].decode("utf-8"))
-                    elif variable is _BYTES:
-                        values.append(bytes(buf[pos:stop]))
-                    else:
-                        values.append(array("d", buf[pos:stop]))
+                    values.append(from_bytes(buf[pos:stop]))
                 pos = stop
         except UnicodeDecodeError as exc:
             raise RecordError(f"STRING is not valid UTF-8: {exc}") from None
@@ -179,54 +206,12 @@ class RecordCodec:
 
 
 def deserialize_record(
-    data: bytes, types: Sequence[ColumnType]
+    data: bytes, types: Sequence[SQLType]
 ) -> List[FieldValue]:
     """Decode one tuple held in a buffer of its own."""
     return _codec_for(tuple(types)).decode(data, 0, len(data))
 
 
 @functools.lru_cache(maxsize=64)
-def _codec_for(types: Tuple[ColumnType, ...]) -> RecordCodec:
+def _codec_for(types: Tuple[SQLType, ...]) -> RecordCodec:
     return RecordCodec(types)
-
-
-def _encode_field(value: FieldValue, col_type: ColumnType, index: int) -> bytes:
-    if col_type is ColumnType.INT:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise RecordError(f"column {index}: expected int, got {value!r}")
-        return _I64.pack(value)
-    if col_type is ColumnType.FLOAT:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RecordError(f"column {index}: expected float, got {value!r}")
-        return _F64.pack(float(value))
-    if col_type is ColumnType.BOOL:
-        if not isinstance(value, bool):
-            raise RecordError(f"column {index}: expected bool, got {value!r}")
-        return b"\x01" if value else b"\x00"
-    if col_type is ColumnType.STRING:
-        if not isinstance(value, str):
-            raise RecordError(f"column {index}: expected str, got {value!r}")
-        raw = value.encode("utf-8")
-        return _U32.pack(len(raw)) + raw
-    if col_type is ColumnType.BYTES:
-        if isinstance(value, LOBRef):
-            return _U32.pack(_LOB_SENTINEL) + _LOBREF.pack(
-                value.first_page, value.length
-            )
-        if isinstance(value, (bytes, bytearray, memoryview)):
-            raw = bytes(value)
-            if len(raw) >= _LOB_SENTINEL:
-                raise RecordError("inline bytes value too large")
-            return _U32.pack(len(raw)) + raw
-        raise RecordError(f"column {index}: expected bytes, got {value!r}")
-    if col_type is ColumnType.FLOATARR:
-        if isinstance(value, array) and value.typecode == "d":
-            raw = value.tobytes()
-        elif isinstance(value, (list, tuple)):
-            raw = array("d", [float(x) for x in value]).tobytes()
-        else:
-            raise RecordError(
-                f"column {index}: expected float array, got {value!r}"
-            )
-        return _U32.pack(len(raw) // 8) + raw
-    raise RecordError(f"unknown column type {col_type}")

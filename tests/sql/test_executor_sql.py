@@ -223,6 +223,41 @@ class TestDML:
             db.close()
 
 
+    @pytest.mark.parametrize("storage", ["memory", "reopen"])
+    @pytest.mark.parametrize("sql", [
+        "INSERT INTO t VALUES (6, 1), (7, 99999999999999999999)",
+        "UPDATE t SET v = v * 4611686018427387904",
+        "INSERT INTO t VALUES (6, 1), (7, 'seven')",
+        "INSERT INTO t VALUES (6, 1), (NULL, 1)",
+        "UPDATE t SET id = NULL WHERE id > 3",
+    ])
+    def test_value_outside_its_column_writes_nothing(self, db_path, storage,
+                                                     sql):
+        """Every row is checked against its columns' types and NOT NULL
+        before the first write: an out-of-range int (the first UPDATE
+        row fits, the second does not), a wrong class or a NULL id
+        raises RecordError and leaves the table as it was."""
+        from repro.database import Database
+
+        path = None if storage == "memory" else db_path
+        db = Database(path)
+        try:
+            db.execute("CREATE TABLE t (id INT NOT NULL, v INT)")
+            db.execute(
+                "INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)"
+            )
+            with pytest.raises(RecordError):
+                db.execute(sql)
+            if storage == "reopen":
+                db.close()
+                db = Database(path)
+            assert db.query("SELECT id, v FROM t ORDER BY id") == [
+                (i, i) for i in range(1, 6)
+            ]
+        finally:
+            db.close()
+
+
 class TestDDL:
     def test_drop_table(self, people):
         people.execute("DROP TABLE people")

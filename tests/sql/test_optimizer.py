@@ -17,7 +17,7 @@ from repro.sql.planner import (
     split_conjuncts,
 )
 from repro.storage.catalog import Catalog, Column, IndexInfo, TableInfo
-from repro.storage.record import ColumnType
+from repro.types import SQLType
 
 
 def make_catalog():
@@ -26,9 +26,9 @@ def make_catalog():
         TableInfo(
             name="t",
             columns=[
-                Column("id", ColumnType.INT),
-                Column("v", ColumnType.INT),
-                Column("arr", ColumnType.BYTES),
+                Column("id", SQLType.INT),
+                Column("v", SQLType.INT),
+                Column("arr", SQLType.BYTES),
             ],
             first_page=2,
         )
@@ -36,15 +36,15 @@ def make_catalog():
     catalog.add_table(
         TableInfo(
             name="u",
-            columns=[Column("id", ColumnType.INT),
-                     Column("w", ColumnType.INT)],
+            columns=[Column("id", SQLType.INT),
+                     Column("w", SQLType.INT)],
             first_page=3,
         )
     )
     catalog.add_table(
         TableInfo(
             name="indexed",
-            columns=[Column("k", ColumnType.INT)],
+            columns=[Column("k", SQLType.INT)],
             first_page=4,
             indexes=[IndexInfo("idx_k", "k", 9)],
         )

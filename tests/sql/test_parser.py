@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import ParseError, PlanError
 from repro.sql import ast_nodes as A
 from repro.sql.parser import parse_script, parse_statement
 from repro.sql.types import SQLType
+from repro.types import TYPES
+
+#: Every SQL spelling of a storable type, from the type table.
+COLUMN_SPELLINGS = [
+    (spelling, row.sql_type)
+    for row in TYPES.values() if row.storable
+    for spelling in row.spellings
+]
 
 
 class TestSelect:
@@ -109,6 +117,34 @@ class TestDDL:
         assert not stmt.columns[0].nullable
         assert stmt.columns[2].sql_type is SQLType.BYTES
         assert stmt.columns[3].sql_type is SQLType.FLOATARR
+
+    @pytest.mark.parametrize("spelling, sql_type", COLUMN_SPELLINGS)
+    def test_one_set_of_spellings_everywhere(self, spelling, sql_type):
+        """A spelling names the same type in a column and in a UDF
+        signature, where it becomes the type's persisted UDF name."""
+        table = parse_statement(f"CREATE TABLE s (a {spelling.upper()})")
+        assert table.columns[0].sql_type is sql_type
+        function = parse_statement(
+            f"CREATE FUNCTION f({spelling}) RETURNS {spelling} "
+            "LANGUAGE JAGUAR DESIGN SANDBOX AS 'x'"
+        )
+        assert function.param_types == (sql_type.row.udf_name,)
+        assert function.ret_type == sql_type.row.udf_name
+
+    def test_udf_spellings_name_columns(self):
+        stmt = parse_statement("CREATE TABLE s (a str, b farr, c bytes)")
+        assert [c.sql_type for c in stmt.columns] == [
+            SQLType.STRING, SQLType.FLOATARR, SQLType.BYTES,
+        ]
+        stmt = parse_statement(
+            "CREATE FUNCTION f(string, bytea) RETURNS integer "
+            "LANGUAGE JAGUAR DESIGN SANDBOX AS 'x'"
+        )
+        assert (stmt.param_types, stmt.ret_type) == (("str", "bytes"), "int")
+
+    def test_handle_is_not_storable(self):
+        with pytest.raises(PlanError, match="not storable"):
+            parse_statement("CREATE TABLE s (h HANDLE)")
 
     def test_create_index(self):
         stmt = parse_statement("CREATE INDEX i ON t(id)")

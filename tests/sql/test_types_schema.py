@@ -9,10 +9,8 @@ from repro.sql.types import (
     SQLType,
     schema_for_table,
     sql_type_from_name,
-    sql_type_from_storage,
 )
 from repro.storage.catalog import Column, TableInfo
-from repro.storage.record import ColumnType
 
 
 class TestTypeNames:
@@ -39,17 +37,6 @@ class TestTypeNames:
     def test_unknown_rejected(self):
         with pytest.raises(PlanError):
             sql_type_from_name("quaternion")
-
-    def test_storage_roundtrip(self):
-        for sql_type in (
-            SQLType.INT, SQLType.FLOAT, SQLType.BOOL,
-            SQLType.STRING, SQLType.BYTES, SQLType.FLOATARR,
-        ):
-            assert sql_type_from_storage(sql_type.storage_type) is sql_type
-
-    def test_null_type_not_storable(self):
-        with pytest.raises(PlanError):
-            SQLType.NULL.storage_type
 
 
 class TestRowSchema:
@@ -98,8 +85,8 @@ class TestSchemaForTable:
     def test_alias_labels_columns(self):
         table = TableInfo(
             name="stocks",
-            columns=[Column("id", ColumnType.INT),
-                     Column("hist", ColumnType.FLOATARR)],
+            columns=[Column("id", SQLType.INT),
+                     Column("hist", SQLType.FLOATARR)],
             first_page=2,
         )
         schema = schema_for_table(table, alias="s")

@@ -4,8 +4,13 @@ The call site checks each batch's results against ``RETURNS``: a native
 UDF declared ``RETURNS int`` that answers a string raises the engine's
 :class:`~repro.errors.UDFInvocationError`, naming the UDF and the type,
 whether the value is selected or computed on; an int from a ``RETURNS
-float`` UDF is widened, as arguments are.
+float`` UDF is widened, as arguments are.  A result leaves the call site
+in its type's canonical class whichever design ran it: ``bytes`` for
+BYTES (a sandbox's ``bytearray`` included), ``array('d')`` for FLOATARR
+(a native list or an isolated worker's tuple included).
 """
+
+from array import array
 
 import pytest
 
@@ -13,6 +18,7 @@ from repro.database import Database
 from repro.errors import UDFInvocationError
 
 NATIVE_DESIGNS = ("INTEGRATED", "SFI", "ISOLATED")
+SANDBOX_DESIGNS = ("SANDBOX_JIT", "SANDBOX_INTERP", "SANDBOX_ISOLATED")
 
 
 def not_an_int(x):
@@ -25,6 +31,26 @@ def maybe_none(x):
 
 def halve(x):
     return x // 2
+
+
+def mutable_copy(data):
+    return bytearray(data)
+
+
+def float_list(x):
+    return [float(x), 2.0]
+
+
+def text_list(x):
+    return ["a"]
+
+
+def int_array(x):
+    return array("i", [x])
+
+
+def too_big(x):
+    return 2 ** 70
 
 
 def _db(design, payload, returns="int"):
@@ -64,3 +90,54 @@ def test_int_result_of_a_float_udf_is_widened(design):
         rows = db.query("SELECT w(a) FROM t ORDER BY a")
     assert rows == [(0.0,), (1.0,), (1.0,)]
     assert all(type(value) is float for (value,) in rows)
+
+
+@pytest.mark.parametrize("design", NATIVE_DESIGNS + SANDBOX_DESIGNS)
+def test_bytes_result_is_bytes_in_every_design(design):
+    """A ``RETURNS bytes`` UDF answers ``bytes``, the column's class:
+    a native UDF's ``bytearray`` and a sandbox's byte array alike."""
+    if design in NATIVE_DESIGNS:
+        body = (f"LANGUAGE NATIVE DESIGN {design} "
+                "AS 'tests.sql.test_udf_results:mutable_copy'")
+    else:
+        body = (f"LANGUAGE JAGUAR DESIGN {design} AS "
+                "'def same(b: bytes) -> bytes:\n    return b\n'")
+    with Database() as db:
+        db.execute("CREATE TABLE t (b BYTEARRAY)")
+        db.execute("INSERT INTO t VALUES (patbytes(3, 7))")
+        db.execute(f"CREATE FUNCTION same(bytes) RETURNS bytes {body}")
+        [(result, column)] = db.query("SELECT same(b), b FROM t")
+    assert result == column
+    assert type(result) is bytes and type(column) is bytes
+
+
+@pytest.mark.parametrize("design", NATIVE_DESIGNS)
+def test_float_list_is_a_float_array(design):
+    with _db(design, "float_list", returns="farr") as db:
+        rows = db.query("SELECT w(a) FROM t ORDER BY a")
+        db.execute("CREATE TABLE s (v FLOATARRAY)")
+        db.execute("INSERT INTO s VALUES (w(1))")
+        [(stored,)] = db.query("SELECT v FROM s")
+    assert rows == [(array("d", [x, 2.0]),) for x in (1.0, 2.0, 3.0)]
+    assert all(type(value) is array for (value,) in rows)
+    assert stored == array("d", [1.0, 2.0])
+
+
+@pytest.mark.parametrize("design", NATIVE_DESIGNS)
+@pytest.mark.parametrize("payload, returns", [
+    ("text_list", "farr"),
+    ("int_array", "farr"),
+    ("too_big", "int"),
+])
+def test_value_outside_the_type_is_an_engine_error(design, payload, returns):
+    """Selected or written, a result outside its declared type raises
+    UDFInvocationError naming the UDF; nothing reaches a column."""
+    with _db(design, payload, returns=returns) as db:
+        db.execute("CREATE TABLE s (a INT, v FLOATARRAY, i INT)")
+        db.execute("INSERT INTO s VALUES (1, NULL, NULL)")
+        column = "v" if returns == "farr" else "i"
+        for sql in ("SELECT w(a) FROM t",
+                    f"UPDATE s SET {column} = w(a)"):
+            with pytest.raises(UDFInvocationError, match="'w'"):
+                db.query(sql)
+        assert db.query("SELECT v, i FROM s") == [(None, None)]

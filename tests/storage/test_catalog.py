@@ -12,15 +12,15 @@ from repro.storage.catalog import (
     TableInfo,
     UDFInfo,
 )
-from repro.storage.record import ColumnType
+from repro.types import SQLType
 
 
 def sample_table(name="t"):
     return TableInfo(
         name=name,
         columns=[
-            Column("id", ColumnType.INT, nullable=False),
-            Column("data", ColumnType.BYTES),
+            Column("id", SQLType.INT, nullable=False),
+            Column("data", SQLType.BYTES),
         ],
         first_page=3,
         indexes=[IndexInfo("t_id", "id", 9)],
@@ -95,7 +95,7 @@ class TestPersistence:
         reloaded = Catalog(path)
         table = reloaded.get_table("t")
         assert [c.name for c in table.columns] == ["id", "data"]
-        assert table.columns[0].col_type is ColumnType.INT
+        assert table.columns[0].col_type is SQLType.INT
         assert not table.columns[0].nullable
         assert table.indexes[0].root_page == 9
         udf = reloaded.get_udf("f")

@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 
 from repro.errors import RecordError
 from repro.storage.lob import LOBRef
+from repro.types import SQLType
 from repro.storage.record import (
-    ColumnType,
     deserialize_record,
     serialize_record,
 )
 
 ALL_TYPES = [
-    ColumnType.INT,
-    ColumnType.FLOAT,
-    ColumnType.BOOL,
-    ColumnType.STRING,
-    ColumnType.BYTES,
-    ColumnType.FLOATARR,
+    SQLType.INT,
+    SQLType.FLOAT,
+    SQLType.BOOL,
+    SQLType.STRING,
+    SQLType.BYTES,
+    SQLType.FLOATARR,
 ]
 
 
@@ -44,20 +44,20 @@ class TestRoundTrips:
 
     def test_lob_reference(self):
         row = [LOBRef(first_page=7, length=123456)]
-        assert roundtrip(row, [ColumnType.BYTES]) == row
+        assert roundtrip(row, [SQLType.BYTES]) == row
 
     def test_int_extremes(self):
         for value in (-(2 ** 63), 2 ** 63 - 1, 0):
-            assert roundtrip([value], [ColumnType.INT]) == [value]
+            assert roundtrip([value], [SQLType.INT]) == [value]
 
     def test_float_promotion_of_int(self):
-        assert roundtrip([3], [ColumnType.FLOAT]) == [3.0]
+        assert roundtrip([3], [SQLType.FLOAT]) == [3.0]
 
     def test_empty_string_and_bytes(self):
-        assert roundtrip(["", b""], [ColumnType.STRING, ColumnType.BYTES]) == ["", b""]
+        assert roundtrip(["", b""], [SQLType.STRING, SQLType.BYTES]) == ["", b""]
 
     def test_wide_row(self):
-        types = [ColumnType.INT] * 40
+        types = [SQLType.INT] * 40
         row = list(range(40))
         assert roundtrip(row, types) == row
 
@@ -65,38 +65,42 @@ class TestRoundTrips:
 class TestErrors:
     def test_arity_mismatch(self):
         with pytest.raises(RecordError):
-            serialize_record([1, 2], [ColumnType.INT])
+            serialize_record([1, 2], [SQLType.INT])
 
     def test_type_mismatches(self):
         cases = [
-            ("x", ColumnType.INT),
-            (True, ColumnType.INT),
-            (b"x", ColumnType.STRING),
-            ("x", ColumnType.BYTES),
-            (1, ColumnType.BOOL),
-            ("x", ColumnType.FLOATARR),
+            ("x", SQLType.INT),
+            (True, SQLType.INT),
+            (b"x", SQLType.STRING),
+            ("x", SQLType.BYTES),
+            (1, SQLType.BOOL),
+            ("x", SQLType.FLOATARR),
+            (2 ** 70, SQLType.INT),
+            (["a"], SQLType.FLOATARR),
+            (10 ** 400, SQLType.FLOAT),
+            ("\ud800", SQLType.STRING),
         ]
         for value, col_type in cases:
             with pytest.raises(RecordError):
                 serialize_record([value], [col_type])
 
     def test_truncated_record(self):
-        data = serialize_record([12345], [ColumnType.INT])
+        data = serialize_record([12345], [SQLType.INT])
         with pytest.raises(RecordError):
-            deserialize_record(data[:-2], [ColumnType.INT])
+            deserialize_record(data[:-2], [SQLType.INT])
 
     def test_trailing_garbage(self):
-        data = serialize_record([1], [ColumnType.INT])
+        data = serialize_record([1], [SQLType.INT])
         with pytest.raises(RecordError):
-            deserialize_record(data + b"!", [ColumnType.INT])
+            deserialize_record(data + b"!", [SQLType.INT])
 
     def test_empty_input(self):
         with pytest.raises(RecordError):
-            deserialize_record(b"", [ColumnType.INT])
+            deserialize_record(b"", [SQLType.INT])
 
     def test_truncated_inside_a_bool(self):
         # Used to escape as a bare IndexError from ``data[pos]``.
-        types = [ColumnType.INT, ColumnType.BOOL]
+        types = [SQLType.INT, SQLType.BOOL]
         data = serialize_record([1, True], types)
         with pytest.raises(RecordError):
             deserialize_record(data[:-1], types)
@@ -105,26 +109,26 @@ class TestErrors:
         # Used to escape as UnicodeDecodeError.
         data = b"\x00" + struct.pack("<I", 2) + b"\xff\xfe"
         with pytest.raises(RecordError, match="UTF-8"):
-            deserialize_record(data, [ColumnType.STRING])
+            deserialize_record(data, [SQLType.STRING])
 
     def test_truncated_lob_reference(self):
-        data = serialize_record([LOBRef(3, 10)], [ColumnType.BYTES])
+        data = serialize_record([LOBRef(3, 10)], [SQLType.BYTES])
         with pytest.raises(RecordError):
-            deserialize_record(data[:-1], [ColumnType.BYTES])
+            deserialize_record(data[:-1], [SQLType.BYTES])
 
     def test_floatarr_count_past_the_end(self):
         data = b"\x00" + struct.pack("<I", 3) + bytes(16)
         with pytest.raises(RecordError):
-            deserialize_record(data, [ColumnType.FLOATARR])
+            deserialize_record(data, [SQLType.FLOATARR])
 
 
 _value_strategies = {
-    ColumnType.INT: st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
-    ColumnType.FLOAT: st.floats(allow_nan=False),
-    ColumnType.BOOL: st.booleans(),
-    ColumnType.STRING: st.text(max_size=50),
-    ColumnType.BYTES: st.binary(max_size=100),
-    ColumnType.FLOATARR: st.lists(
+    SQLType.INT: st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+    SQLType.FLOAT: st.floats(allow_nan=False),
+    SQLType.BOOL: st.booleans(),
+    SQLType.STRING: st.text(max_size=50),
+    SQLType.BYTES: st.binary(max_size=100),
+    SQLType.FLOATARR: st.lists(
         st.floats(allow_nan=False, allow_infinity=False), max_size=10
     ).map(lambda xs: array("d", xs)),
 }

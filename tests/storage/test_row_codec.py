@@ -20,14 +20,14 @@ import repro.storage.record as record
 from repro.database import Database
 from repro.errors import RecordError
 from repro.storage.lob import LOBRef
+from repro.types import SQLType
 from repro.storage.record import (
-    ColumnType,
     RecordCodec,
     deserialize_record,
     serialize_record,
 )
 
-ALL_TYPES = list(ColumnType)
+ALL_TYPES = [t for t in SQLType if t.row.storable]
 
 # -- the reference decoder ---------------------------------------------------
 
@@ -49,13 +49,13 @@ def reference_decode(data, types):
         if data[index // 8] & (1 << (index % 8)):
             values.append(None)
             continue
-        if col_type in (ColumnType.INT, ColumnType.FLOAT):
+        if col_type in (SQLType.INT, SQLType.FLOAT):
             _need(data, pos, 8)
-            fmt = "<q" if col_type is ColumnType.INT else "<d"
+            fmt = "<q" if col_type is SQLType.INT else "<d"
             values.append(struct.unpack_from(fmt, data, pos)[0])
             pos += 8
             continue
-        if col_type is ColumnType.BOOL:
+        if col_type is SQLType.BOOL:
             _need(data, pos, 1)
             values.append(data[pos] != 0)
             pos += 1
@@ -63,18 +63,18 @@ def reference_decode(data, types):
         _need(data, pos, 4)
         (n,) = struct.unpack_from("<I", data, pos)
         pos += 4
-        if col_type is ColumnType.BYTES and n == 0xFFFFFFFF:
+        if col_type is SQLType.BYTES and n == 0xFFFFFFFF:
             _need(data, pos, 12)
             values.append(LOBRef(*struct.unpack_from("<IQ", data, pos)))
             pos += 12
             continue
-        size = 8 * n if col_type is ColumnType.FLOATARR else n
+        size = 8 * n if col_type is SQLType.FLOATARR else n
         _need(data, pos, size)
         raw = bytes(data[pos:pos + size])
         pos += size
-        if col_type is ColumnType.STRING:
+        if col_type is SQLType.STRING:
             values.append(raw.decode("utf-8"))
-        elif col_type is ColumnType.BYTES:
+        elif col_type is SQLType.BYTES:
             values.append(raw)
         else:
             values.append(array("d", raw))
@@ -89,16 +89,16 @@ STRINGS = ["", "a", "héllo", "日本語", "🙂 ok", "x" * 40]
 
 
 def random_value(rng, col_type):
-    if col_type is ColumnType.INT:
+    if col_type is SQLType.INT:
         return rng.choice([0, -(2 ** 63), 2 ** 63 - 1,
                            rng.randrange(-(2 ** 63), 2 ** 63)])
-    if col_type is ColumnType.FLOAT:
+    if col_type is SQLType.FLOAT:
         return rng.choice([0.0, -0.0, float("inf"), rng.uniform(-1e9, 1e9)])
-    if col_type is ColumnType.BOOL:
+    if col_type is SQLType.BOOL:
         return rng.random() < 0.5
-    if col_type is ColumnType.STRING:
+    if col_type is SQLType.STRING:
         return rng.choice(STRINGS)
-    if col_type is ColumnType.BYTES:
+    if col_type is SQLType.BYTES:
         choice = rng.randrange(4)
         if choice == 0:
             return b""
@@ -148,7 +148,7 @@ def test_every_truncation_and_a_trailing_byte_raise(seed):
 
 
 def test_record_past_its_buffer_raises():
-    types = [ColumnType.INT]
+    types = [SQLType.INT]
     data = serialize_record([7], types)
     with pytest.raises(RecordError):
         RecordCodec(types).decode(bytearray(data), 0, len(data) + 1)

@@ -182,9 +182,10 @@ def main() -> None:
     attack("code smuggled out of the executor (Design 2's boundary)")
     # The worker returns an object whose pickle would run a call when
     # unpickled.  Every message from the executor is adtstream data,
-    # which can express SQL values and nothing else, so the result
-    # cannot even be encoded: the statement fails with an error naming
-    # the UDF, and nothing runs in the server.
+    # which can express SQL values and nothing else, and the worker
+    # conforms each result to its RETURNS type before encoding it, so
+    # the object is refused in the worker: the statement fails with an
+    # error naming the UDF, and nothing runs in the server.
     db.execute(
         "CREATE FUNCTION smuggler(int) RETURNS int LANGUAGE NATIVE "
         "DESIGN ISOLATED AS 'examples.malicious_udfs:smuggle'"

@@ -349,9 +349,6 @@ class ResourceCertificate:
     def local_fuel_charge(self, args: Sequence[object]) -> Optional[int]:
         return _charge(self.local_fuel_bound, args)
 
-    def mem_charge(self, args: Sequence[object]) -> Optional[int]:
-        return _charge(self.mem_bound, args)
-
     def describe(self) -> str:
         depth = "⊤" if self.depth_bound is None else str(self.depth_bound)
         return (
@@ -398,12 +395,7 @@ def _charge(bound: OptBound, args: Sequence[object]) -> Optional[int]:
 
 @dataclass
 class ClassCertificates:
-    """Per-function certificates plus class-level minimum rollups.
-
-    The minimums are over the *entry points* individually — the security
-    gate checks each function against the quota, since any of them may
-    be the UDF entry point.
-    """
+    """Per-function certificates of one class."""
 
     class_name: str
     functions: Dict[str, ResourceCertificate]
@@ -411,18 +403,6 @@ class ClassCertificates:
     @property
     def fully_bounded(self) -> bool:
         return all(c.fully_bounded for c in self.functions.values())
-
-    @property
-    def max_min_fuel(self) -> int:
-        return max(
-            (c.min_fuel for c in self.functions.values()), default=0
-        )
-
-    @property
-    def max_min_memory(self) -> int:
-        return max(
-            (c.min_memory for c in self.functions.values()), default=0
-        )
 
 
 #: Resolves a foreign (class, function) reference to its certificate,

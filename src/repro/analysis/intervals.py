@@ -68,10 +68,6 @@ class Interval:
     def const(value: int) -> "Interval":
         return Interval(value, value)
 
-    @staticmethod
-    def at_least(lo: int) -> "Interval":
-        return Interval(lo, INF)
-
     # -- predicates ---------------------------------------------------------
 
     @property
@@ -293,12 +289,6 @@ def bmul(a: OptBound, b: OptBound) -> OptBound:
     if a is None or b is None:
         return None
     return a * b
-
-
-def bjoin(a: OptBound, b: OptBound) -> OptBound:
-    if a is None or b is None:
-        return None
-    return a.join(b)
 
 
 def describe_bound(bound: OptBound) -> str:

@@ -101,6 +101,7 @@ from ..errors import (
     UDFCrashed,
     UDFInvocationError,
 )
+from ..types import SQLType
 from ..vm.security import AuditRecord, SecurityManager
 from .designs import Design
 from .factory import UDFExecutor
@@ -109,6 +110,7 @@ from .udf import (
     NativeUDFContext,
     ServerEnvironment,
     UDFDefinition,
+    conform_results,
     native_batch,
     resolve_native_payload,
 )
@@ -895,6 +897,9 @@ class RemoteExecutor(UDFExecutor):
         super().__init__(definition, env)
         if parallelism is None:
             parallelism = env.parallelism
+        # Every payload ends with the UDF's name and RETURNS type: the
+        # worker conforms its results before it encodes them.
+        declared = (definition.name, definition.signature.ret_type.value)
         if definition.design.is_sandboxed:
             # The program the registration compiled, verified, analysed,
             # JIT-compiled and built its tier-1 kernel for; a forked
@@ -906,13 +911,14 @@ class RemoteExecutor(UDFExecutor):
                 self._loaded,
                 definition.entry,
                 definition.design is not Design.SANDBOX_INTERP,
+                *declared,
             )
         else:
             # Validate importability in the server before shipping the
             # module path to the worker.
             resolve_native_payload(definition.payload)
             self._security = None
-            worker_payload = ("native", bytes(definition.payload))
+            worker_payload = ("native", bytes(definition.payload), *declared)
         self._reservation = None
         self._pool = WorkerPool(
             definition, env, pool_width(definition, parallelism),
@@ -1195,7 +1201,9 @@ def _worker_main(programs: dict, request: tuple,
     """A worker the zygote forked: map its channel, answer until shutdown.
 
     ``request`` is the decoded worker payload, its program named by its
-    ``id`` in ``programs``; ``channel_fds`` are the worker's ends of
+    ``id`` in ``programs`` and its last two items the UDF's name and
+    ``RETURNS`` type, to which every result is conformed before it is
+    encoded; ``channel_fds`` are the worker's ends of
     :func:`_pipe_channel`.
     """
     kind, *rest = request
@@ -1209,7 +1217,8 @@ def _worker_main(programs: dict, request: tuple,
         _PipeToken(rfd=s2w_ready), _PipeToken(wfd=s2w_ack),
         _PipeToken(wfd=w2s_ready), _PipeToken(rfd=w2s_ack),
     )
-    worker_payload = (kind, *rest)
+    *worker_payload, name, ret = (kind, *rest)
+    ret = SQLType(ret)
     port = _RemoteCallbackPort(channel)
     try:
         invoke_batch = _build_worker_invoker(worker_payload, port)
@@ -1232,7 +1241,8 @@ def _worker_main(programs: dict, request: tuple,
         try:
             if msg_type != MSG_INVOKE_BATCH:
                 raise UDFInvocationError(f"unexpected message {msg_type}")
-            reply = adtstream.dumps(invoke_batch(adtstream.loads(payload)))
+            results = invoke_batch(adtstream.loads(payload))
+            reply = adtstream.dumps(conform_results(name, ret, results))
         except Exception as exc:
             denials = [
                 (record.timestamp, record.action, record.target)

@@ -20,8 +20,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import UDFRegistrationError
-from ..types import SQLType
+from ..errors import UDFInvocationError, UDFRegistrationError
+from ..types import TYPES, SQLType
 from ..vm.values import VMType
 from .designs import Design
 
@@ -205,6 +205,28 @@ def native_batch(func: Callable, ctx: object) -> Callable:
     if takes_ctx(func):
         return lambda rows: [func(ctx, *args) for args in rows]
     return lambda rows: [func(*args) for args in rows]
+
+
+def conform_results(name: str, ret: SQLType, values: Sequence) -> list:
+    """``values``, a batch of UDF ``name``'s results, each conformed to
+    its ``RETURNS`` type ``ret`` (:meth:`~repro.types.TypeRow.conform`),
+    NULLs kept; the first that is no value of it raises
+    :class:`~repro.errors.UDFInvocationError` naming the UDF.  The call
+    site and the isolated worker both check results through it, so every
+    design refuses a result with the same message."""
+    row = TYPES[ret]
+    checked = []
+    for value in values:
+        if value is not None:
+            try:
+                value = row.conform(value)
+            except ValueError as exc:
+                raise UDFInvocationError(
+                    f"UDF {name!r} returned a value outside its declared "
+                    f"type {row.name}: {exc}"
+                ) from None
+        checked.append(value)
+    return checked
 
 
 def _admit_inline(definition: UDFDefinition, inline: Optional[object]):

@@ -495,11 +495,18 @@ class Database:
         ``metrics`` is the cumulative registry snapshot (None unless
         ``Database(metrics=True)``); ``adaptive`` is the feedback
         store's state (None unless ``Database(adaptive=True)``);
-        ``plan_cache`` is :meth:`PlanCache.stats`.  A WAL-backed database
-        adds ``wal`` and a running server ``server``.
+        ``plan_cache`` is :meth:`PlanCache.stats`; ``storage`` is the
+        buffer pool's :meth:`~repro.storage.buffer.BufferPool.stats`
+        (``capacity``; ``hits``, ``misses`` and ``evictions`` of every
+        fetch; ``pages_decoded``, whole heap pages decoded;
+        ``decoded_hits``, reads served by a frame's kept rows, also
+        counted in ``hits``; ``bulk_released``, frames a scan larger than
+        a quarter of the pool handed straight back).  A WAL-backed
+        database adds ``wal`` and a running server ``server``.
         """
         data = self.observability.stats()
         data["plan_cache"] = self.plan_cache.stats()
+        data["storage"] = self.pool.stats()
         for name, source in self._stats_sources.items():
             data[name] = source()
         return data

@@ -28,12 +28,8 @@ import re
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import (
-    ArithmeticFault,
-    ExecutionError,
-    PlanError,
-    UDFInvocationError,
-)
+from ..core.udf import conform_results
+from ..errors import ArithmeticFault, ExecutionError, PlanError
 from ..storage.lob import LOBRef
 from ..vm.values import f2i, idiv, imod, wrap_int
 from . import ast_nodes as A
@@ -301,7 +297,8 @@ class UDFCallSite:
     def _checked(self, values: list) -> list:
         """``values`` if each is NULL or its type's canonical value as it
         is; else each conformed to the declared type, or a
-        :class:`UDFInvocationError` for the first that is not one."""
+        :class:`~repro.errors.UDFInvocationError` for the first that is
+        not one (:func:`~repro.core.udf.conform_results`)."""
         plain, domain = self._ret_plain, self._ret_domain
         if domain is None:
             for value in values:
@@ -318,19 +315,7 @@ class UDFCallSite:
                     break
             else:
                 return values
-        row = self._ret_row
-        checked = []
-        for value in values:
-            if value is not None:
-                try:
-                    value = row.conform(value)
-                except ValueError as exc:
-                    raise UDFInvocationError(
-                        f"UDF {self.name!r} returned a value outside its "
-                        f"declared type {row.name}: {exc}"
-                    ) from None
-            checked.append(value)
-        return checked
+        return conform_results(self.name, self._ret_row.sql_type, values)
 
 
 class FunctionResolver:
@@ -386,7 +371,7 @@ def _compile(expr, schema, resolver, runtime) -> EvalFn:
     if isinstance(expr, A.UnaryOp):
         operand = _compile(expr.operand, schema, resolver, runtime)
         if expr.op == "-":
-            return _strict(operator.neg, [operand])
+            return _int_result("-", _strict(operator.neg, [operand]))
         if expr.op == "not":
             return _strict(operator.not_, [operand])
         raise PlanError(f"unknown unary operator {expr.op!r}")
@@ -559,7 +544,32 @@ def _compile_binary(expr, schema, resolver, runtime) -> EvalFn:
     fn = _BINARY.get(op)
     if fn is None:
         raise PlanError(f"unknown binary operator {op!r}")
-    return _strict(fn, [left, right])
+    column = _strict(fn, [left, right])
+    return _int_result(op, column) if op in _OVERFLOWS else column
+
+
+#: The operators whose INT result can leave the INT type's domain.
+_OVERFLOWS = ("+", "-", "*")
+_INT_LO, _INT_HI = TYPES[SQLType.INT].domain
+
+
+def _int_result(op: str, column: EvalFn) -> EvalFn:
+    """``column`` refusing an int outside the INT domain with a named
+    :class:`ExecutionError`, embedded and over the wire alike.  The
+    unchecked column stays on ``.wrapping`` for ``wrap64(...)``, the
+    VM's wrapping arithmetic, which inlined UDF bodies are built from."""
+    def checked(rows):
+        values = column(rows)
+        for value in values:
+            if value.__class__ is int and not _INT_LO <= value <= _INT_HI:
+                raise ExecutionError(
+                    f"integer overflow: '{op}' gives {value}, outside "
+                    f"the 64-bit INT range"
+                )
+        return values
+
+    checked.wrapping = column
+    return checked
 
 
 def _kleene(left: EvalFn, right: EvalFn, short_value: bool) -> EvalFn:
@@ -727,7 +737,8 @@ def _compile_call(expr: A.FuncCall, schema, resolver, runtime) -> EvalFn:
         arg_fns = [
             _compile(arg, schema, resolver, runtime) for arg in expr.args
         ]
-
+        if name == "wrap64":
+            arg_fns = [getattr(arg, "wrapping", arg) for arg in arg_fns]
         return _strict(fn, arg_fns)
     raise PlanError(f"unknown function {expr.name!r}")
 

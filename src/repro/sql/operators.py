@@ -159,14 +159,17 @@ def _pinned_image(snapshot, table_info):
 class SeqScan(PhysicalOp):
     """Full scan of a heap file with optional residual predicates.
 
-    Each page is decoded in place by the table's codec under one pin,
-    and its rows are handed on together; no RID is built unless
-    ``with_rids`` ends each row with its own (UPDATE, DELETE).  Under a
-    pinned :class:`~repro.storage.mvcc.Snapshot` the scan reads the
-    heap handle over the table's frozen image instead of the live one —
-    same records, same storage order, but never touching the buffer
-    pool, so snapshot readers cannot block on (or observe) the
-    serialized writer.
+    Each page's rows come from one pool read, decoded by the table's
+    codec: a resident page's kept rows (copied, so nothing the scan or
+    its consumers do can reach the frame), else a decode in place under
+    one pin.  They are handed on together; no RID is built unless
+    ``with_rids`` ends each row with its own (UPDATE, DELETE).  A scan
+    longer than a quarter of the pool hands the frames it missed
+    straight back, so it does not evict the hot pages.  Under a pinned
+    :class:`~repro.storage.mvcc.Snapshot` the scan reads the heap handle
+    over the table's frozen image instead of the live one — same
+    records, same storage order, but never touching the buffer pool, so
+    snapshot readers cannot block on (or observe) the serialized writer.
     """
 
     def __init__(self, table_info, predicates: Sequence[EvalFn] = (),

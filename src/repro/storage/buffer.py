@@ -5,9 +5,32 @@ page table, pin counts, dirty tracking, and write-back on eviction.  The
 pool hands out the frame's ``bytearray`` directly (zero-copy for readers
 and writers); callers pin while using it and unpin with a dirty flag.
 
+**Decoded pages.**  Heap reads go through :meth:`BufferPool.read_decoded`
+(a whole page) and :meth:`BufferPool.read_slots` (some of its records),
+which take a record decoder and return decoded rows, not bytes.  A
+resident frame keeps the rows of its last whole-page decode, keyed on
+the decoder and stored only if the page's mutation stamp did not move
+while it was decoded; they are dropped wherever the frame's bytes change
+or leave it (a miss load, :meth:`new_page`, a dirty :meth:`unpin`, an
+eviction, :meth:`close`).  A decoded hit takes no pin but counts as one
+fetch and one hit, so fetch counts mean the same with or without it.
+Kept rows are never handed out: every caller gets its own copies of the
+rows (and of any mutable value in them, such as a FLOATARR ``array``),
+so a caller that appends a RID or a UDF that writes into its argument
+cannot change what the next reader sees.
+
+**Scan resistance.**  A heap scan passes the number of pages it has
+read so far.  Past ``capacity // BULK_READ_SHARE`` of them, each page
+the scan *missed* goes back to the free-frame list right after its
+decode, so the next miss reuses that frame: a table larger than the pool
+cycles one frame (a ring of one, as PostgreSQL's bulk-read strategy)
+instead of evicting every hot page.  Pages the scan found resident stay
+where they are.
+
 ``hits`` / ``misses`` / ``evictions`` counters feed the benchmark
 harness — the paper's calibration experiment (Figure 4) is dominated by
-exactly these table-access costs.
+exactly these table-access costs; :meth:`BufferPool.stats` adds the
+decode and ring counters (``db.stats()["storage"]``).
 
 Concurrency: every public method takes the pool's reentrant lock, so
 frame bookkeeping (page table, pin counts, clock hand) stays consistent
@@ -55,12 +78,17 @@ from __future__ import annotations
 import struct
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..errors import BufferPoolError
+from ..errors import BufferPoolError, PageError
 from .disk import DiskManager
+from .page import Decoder, decode_records, decode_slots
 
 DEFAULT_CAPACITY = 256
+
+#: A scan that has read more than ``capacity // BULK_READ_SHARE`` pages
+#: hands each page it missed straight back (see the module docstring).
+BULK_READ_SHARE = 4
 
 #: Sentinel LSN for "dirtied by an in-flight statement, not yet logged".
 PENDING = object()
@@ -87,9 +115,55 @@ class DirtyTracker:
         self.catalog_dirty = False
 
 
+def _copy_rows(rows: List[object]) -> List[object]:
+    return [row[:] for row in rows]
+
+
+def row_copier(decode: Decoder) -> Callable[[List[object]], List[object]]:
+    """How to copy rows ``decode`` made so that a caller owns them: the
+    ``copy_rows`` of the object a bound decoder belongs to (a
+    :class:`~repro.storage.record.RecordCodec` copies its FLOATARR
+    arrays too), else one shallow copy per row."""
+    return getattr(getattr(decode, "__self__", None), "copy_rows",
+                   _copy_rows)
+
+
+class _Decoded:
+    """A frame's kept whole-page decode: ``(next_page, offsets, rows)``
+    as :func:`~repro.storage.page.decode_records` returns it, the
+    decoder that made it, and that decoder's row copier."""
+
+    __slots__ = ("decode", "copy", "next_page", "offsets", "rows")
+
+    def __init__(self, decode: Decoder, copy, page: tuple):
+        self.decode = decode
+        self.copy = copy
+        self.next_page, self.offsets, self.rows = page
+
+    def hand_out(self) -> Tuple[int, Tuple[int, ...], List[object]]:
+        return self.next_page, self.offsets, self.copy(self.rows)
+
+    def pick(self, slots: List[int]) -> List[object]:
+        """Copies of the rows in ``slots``, refused as
+        :func:`~repro.storage.page.decode_slots` refuses them."""
+        offsets, rows = self.offsets, self.rows
+        nslots = len(offsets)
+        if len(rows) != nslots:  # tombstones: map slots to row indices
+            live = [slot for slot, offset in enumerate(offsets) if offset]
+            rows = dict(zip(live, rows))
+        picked = []
+        for slot in slots:
+            if not 0 <= slot < nslots:
+                raise PageError(f"slot {slot} out of range [0, {nslots})")
+            if offsets[slot] == 0:
+                raise PageError(f"slot {slot} is deleted")
+            picked.append(rows[slot])
+        return self.copy(picked)
+
+
 class _Frame:
     __slots__ = ("index", "page_id", "data", "pin_count", "dirty",
-                 "referenced", "rec_lsn")
+                 "referenced", "rec_lsn", "decoded")
 
     def __init__(self, index: int, page_size: int):
         self.index = index
@@ -101,6 +175,8 @@ class _Frame:
         #: None (clean / no WAL), PENDING (in-flight statement), or the
         #: LSN of the WAL record holding this frame's latest image.
         self.rec_lsn = None
+        #: The rows of the frame's bytes as last decoded whole, or None.
+        self.decoded: Optional[_Decoded] = None
 
 
 class BufferPool:
@@ -129,6 +205,13 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Whole-page decodes run, and reads served by a kept decode.
+        self.pages_decoded = 0
+        self.decoded_hits = 0
+        #: Frames a bulk scan handed back to the free list.
+        self.bulk_released = 0
+        #: Pages one scan reads before its misses are handed back.
+        self.bulk_after = capacity // BULK_READ_SHARE
         disk.free_list_reader = self._read_free_pointer
 
     # -- statement tracking and WAL wiring -----------------------------------
@@ -212,6 +295,7 @@ class BufferPool:
             else:
                 self.misses += 1
                 frame = self._grab_frame()
+                frame.decoded = None
                 try:
                     self.disk.read_into(page_id, frame.data)
                 except BaseException:
@@ -246,6 +330,7 @@ class BufferPool:
                 frame.page_id = page_id
                 self._table[page_id] = frame.index
             frame.data[:] = bytes(self.disk.page_size)
+            frame.decoded = None
             frame.dirty = True
             frame.pin_count += 1
             frame.referenced = True
@@ -263,6 +348,7 @@ class BufferPool:
                 raise BufferPoolError(f"page {page_id} is not pinned")
             frame.pin_count -= 1
             if dirty:
+                frame.decoded = None
                 frame.dirty = True
                 self._bump_version(page_id)
                 self._note_dirty(frame)
@@ -275,6 +361,87 @@ class BufferPool:
         """Mutation stamp for a page (0 = never dirtied via this pool)."""
         with self._lock:
             return self._page_versions.get(page_id, 0)
+
+    # -- decoded reads -------------------------------------------------------
+
+    def _kept(self, page_id: int, decode: Decoder) -> Optional[_Decoded]:
+        """The page's kept decode by ``decode``, counted as a fetch and a
+        hit, or None (lock held)."""
+        index = self._table.get(page_id)
+        if index is None:
+            return None
+        frame = self._frames[index]
+        kept = frame.decoded
+        if kept is None or kept.decode != decode:
+            return None
+        self.hits += 1
+        self.decoded_hits += 1
+        frame.referenced = True
+        return kept
+
+    def read_decoded(
+        self, page_id: int, decode: Decoder, scanned: int = 0
+    ) -> Tuple[int, Tuple[int, ...], List[object]]:
+        """``(next_page, offsets, rows)`` of one heap page, as
+        :func:`~repro.storage.page.decode_records` gives them, with rows
+        the caller owns.  ``scanned`` is how many pages the calling scan
+        has read before this one: past :attr:`bulk_after`, a page it
+        missed goes back to the free list instead of keeping its rows."""
+        with self._lock:
+            kept = self._kept(page_id, decode)
+            if kept is not None:
+                return kept.hand_out()
+            missed = page_id not in self._table
+            data = self.fetch(page_id)
+            frame = self._frames[self._table[page_id]]
+            version = self._page_versions.get(page_id, 0)
+        try:
+            page = decode_records(data, decode, page_id)
+        except BaseException:
+            self.unpin(page_id)
+            raise
+        with self._lock:
+            self.unpin(page_id)
+            self.pages_decoded += 1
+            if missed and scanned >= self.bulk_after:
+                if not (frame.pin_count or frame.dirty):
+                    self._release(frame)
+                    self.bulk_released += 1
+                return page
+            if self._page_versions.get(page_id, 0) != version:
+                return page  # written while decoding: keep nothing
+            kept = frame.decoded = _Decoded(decode, row_copier(decode), page)
+        return kept.hand_out()
+
+    def read_slots(
+        self, page_id: int, slots: List[int], decode: Decoder
+    ) -> List[object]:
+        """The rows of ``slots`` on one heap page, in the order given, as
+        :func:`~repro.storage.page.decode_slots` gives them: copied from
+        a kept decode when there is one, else decoded from the frame
+        (only those records, and nothing is kept)."""
+        with self._lock:
+            kept = self._kept(page_id, decode)
+            if kept is not None:
+                return kept.pick(slots)
+            data = self.fetch(page_id)
+        try:
+            return decode_slots(data, slots, decode, page_id)
+        finally:
+            self.unpin(page_id)
+
+    def stats(self) -> Dict[str, int]:
+        """The pool's counters (``db.stats()["storage"]``)."""
+        with self._lock:
+            return {
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "pages_decoded": self.pages_decoded,
+                "decoded_hits": self.decoded_hits,
+                "bulk_released": self.bulk_released,
+            }
 
     @contextmanager
     def pinned(self, page_id: int, dirty: bool = False) -> Iterator[bytearray]:
@@ -336,16 +503,6 @@ class BufferPool:
 
     # -- write-back -------------------------------------------------------------
 
-    def flush_page(self, page_id: int) -> None:
-        with self._lock:
-            index = self._table.get(page_id)
-            if index is None:
-                return
-            frame = self._frames[index]
-            if frame.dirty and self._writable(frame):
-                self.disk.write_page(page_id, bytes(frame.data))
-                frame.dirty = False
-
     def flush_all(self) -> None:
         with self._lock:
             for frame in self._frames:
@@ -360,6 +517,8 @@ class BufferPool:
         The disk's reference back to the pool goes too, so the pair is
         freed with its owner, not at the next full garbage collection."""
         with self._lock:
+            for frame in self._frames:
+                frame.decoded = None
             self._frames = []
             self._free_frames = []
             self._table.clear()
@@ -394,6 +553,7 @@ class BufferPool:
             frame.page_id = None
             frame.dirty = False
             frame.rec_lsn = None
+            frame.decoded = None
             return frame
         pending = sum(
             1 for frame in self._frames if frame.rec_lsn is PENDING
@@ -409,6 +569,15 @@ class BufferPool:
         raise BufferPoolError(
             "all buffer frames are pinned; cannot evict"
         )
+
+    def _release(self, frame: _Frame) -> None:
+        """Hand an unpinned, clean frame back to the free list (lock
+        held)."""
+        del self._table[frame.page_id]
+        frame.page_id = None
+        frame.referenced = False
+        frame.decoded = None
+        self._free_frames.append(frame.index)
 
     @property
     def hit_rate(self) -> float:

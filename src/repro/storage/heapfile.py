@@ -14,17 +14,22 @@ the cached tail current.  The tail is read and written only by
 ``insert``, which callers run under the table's write lock.
 
 Reads take a ``decode(page_bytes, start, end)`` callable (a table's
-:meth:`~repro.storage.record.RecordCodec.decode`) and run it on each
-record in place, under the page's pin: :meth:`HeapFile.scan_rows` hands
+:meth:`~repro.storage.record.RecordCodec.decode`) and get rows back
+from the page source, never bytes: :meth:`HeapFile.scan_rows` hands
 back a page's rows at a time and builds no :class:`RID` unless asked to
 end each row with one (``with_rids``, for UPDATE and DELETE);
 :meth:`HeapFile.scan` pairs each row with its RID;
-:meth:`HeapFile.read_runs` decodes the records of RIDs in key order,
-one pin per run of RIDs on the same page (an index range).  Reads touch the pool only through ``pool.fetch`` and
-``pool.unpin``, called in ``try``/``finally`` and never holding a pin
-across a ``yield``, so a snapshot's frozen
-:class:`~repro.storage.mvcc.TableImage` serves as the pool of a
-read-only handle (``TableImage.heap``).
+:meth:`HeapFile.read_runs` reads the records of RIDs in key order, one
+pool read per run of RIDs on the same page (an index range).  The one
+read path is the source's ``read_decoded`` (a whole page, for scans) and
+``read_slots`` (some records of a page): the buffer pool keeps each
+resident page's decoded rows and hands out copies, and keeps a scan
+bigger than a quarter of the pool from evicting its hot pages (see
+:mod:`repro.storage.buffer`).  Every row a read returns belongs to its
+caller.  No read holds a pin across a ``yield``, so a snapshot's frozen
+:class:`~repro.storage.mvcc.TableImage`, which decodes its frozen bytes
+on every read, serves as the source of a read-only handle
+(``TableImage.heap``).
 """
 
 from __future__ import annotations
@@ -41,8 +46,6 @@ from .page import (
     Decoder,
     SlottedPage,
     copy_record,
-    decode_records,
-    decode_slots,
     next_page_of,
 )
 
@@ -129,12 +132,7 @@ class HeapFile:
         self, page_id: int, slots: List[int], decode: Decoder,
         with_rids: bool = False,
     ) -> List[object]:
-        pool = self.pool
-        data = pool.fetch(page_id)
-        try:
-            rows = decode_slots(data, slots, decode, page_id)
-        finally:
-            pool.unpin(page_id)
+        rows = self.pool.read_slots(page_id, slots, decode)
         if with_rids:
             for row, slot in zip(rows, slots):
                 row.append(RID(page_id, slot))
@@ -176,25 +174,20 @@ class HeapFile:
     def _decoded_pages(
         self, decode: Decoder
     ) -> Iterator[Tuple[int, Tuple[int, ...], List[object]]]:
-        pool = self.pool
-        page_id = self.first_page
+        read_decoded = self.pool.read_decoded
+        page_id, scanned = self.first_page, 0
         while page_id != NO_PAGE:
-            data = pool.fetch(page_id)
-            try:
-                next_page, offsets, rows = decode_records(
-                    data, decode, page_id
-                )
-            finally:
-                pool.unpin(page_id)
+            next_page, offsets, rows = read_decoded(page_id, decode, scanned)
+            scanned += 1
             yield page_id, offsets, rows
             page_id = next_page
 
     def scan_rows(
         self, decode: Decoder, with_rids: bool = False
     ) -> Iterator[List[object]]:
-        """Every live record, decoded in place, one page's rows at a
-        time in storage order (one pin per page); ``with_rids`` ends
-        each row (a list) with its RID, else no RID is built."""
+        """Every live record, decoded, one page's rows at a time in
+        storage order (one pool read per page); ``with_rids`` ends each
+        row (a list) with its RID, else no RID is built."""
         for page_id, offsets, rows in self._decoded_pages(decode):
             if with_rids:
                 live = (slot for slot, offset in enumerate(offsets) if offset)
@@ -206,7 +199,7 @@ class HeapFile:
         self, decode: Decoder = copy_record
     ) -> Iterator[Tuple[RID, object]]:
         """Yield ``(rid, decoded record)`` for every live record in
-        storage order (one pin per page)."""
+        storage order (one pool read per page)."""
         for page_id, offsets, rows in self._decoded_pages(decode):
             live = [slot for slot, offset in enumerate(offsets) if offset]
             for slot, row in zip(live, rows):
@@ -216,11 +209,12 @@ class HeapFile:
         self, rids: Iterable[RID], decode: Decoder = copy_record,
         with_rids: bool = False,
     ) -> Iterator[List[object]]:
-        """Decode the records of ``rids`` in the order given, one list of
-        rows per run of consecutive RIDs on the same page: each run is
-        one pin and one slot-directory unpack.  A page that recurs later
-        in ``rids`` starts a new run, so the order is kept.
-        ``with_rids`` is as for :meth:`scan_rows`."""
+        """The records of ``rids`` in the order given, one list of rows
+        per run of consecutive RIDs on the same page: each run is one
+        pool read (the page's kept rows, or one slot-directory unpack and
+        a decode of the run's records).  A page that recurs later in
+        ``rids`` starts a new run, so the order is kept.  ``with_rids``
+        is as for :meth:`scan_rows`."""
         run_page, slots = NO_PAGE, []
         for rid in rids:
             if rid.page_id != run_page:

@@ -18,8 +18,9 @@ small multi-version store over the existing heap files and B+-trees:
 * A read statement **pins a snapshot**: an immutable map of table →
   (version, frozen image) taken atomically under the manager lock.  An
   image is a read-only page source with the buffer pool's
-  ``fetch(page_id)`` / ``unpin(page_id, dirty=False)`` protocol, so the
-  unchanged :class:`~repro.storage.heapfile.HeapFile` and
+  ``fetch(page_id)`` / ``unpin(page_id, dirty=False)`` protocol and its
+  decoded reads (``read_decoded``/``read_slots``, which decode the
+  frozen bytes each time and keep nothing), so the unchanged :class:`~repro.storage.heapfile.HeapFile` and
   :class:`~repro.storage.btree.BPlusTree` read code walks it directly:
   a snapshot ``IndexScan`` descends the frozen tree and reads only the
   records it returns, one fetch per run of them on a heap page.  Scans
@@ -51,6 +52,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..errors import StorageError
 from .btree import BPlusTree
 from .heapfile import HeapFile
+from .page import decode_records, decode_slots
 
 #: ``page_id -> (mutation stamp, frozen page bytes)``.
 Pages = Dict[int, Tuple[int, bytes]]
@@ -97,6 +99,17 @@ class TableImage:
             raise StorageError(
                 f"page {page_id} of a snapshot image is read-only"
             )
+
+    def read_decoded(self, page_id: int, decode, scanned: int = 0):
+        """:meth:`~repro.storage.buffer.BufferPool.read_decoded` over the
+        frozen page: decoded afresh on every read, so the rows are the
+        caller's."""
+        return decode_records(self.fetch(page_id), decode, page_id)
+
+    def read_slots(self, page_id: int, slots, decode):
+        """:meth:`~repro.storage.buffer.BufferPool.read_slots` over the
+        frozen page."""
+        return decode_slots(self.fetch(page_id), slots, decode, page_id)
 
     def root_of(self, index) -> int:
         """The frozen root of ``index`` (an ``IndexInfo``)."""

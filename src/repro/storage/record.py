@@ -92,7 +92,8 @@ class RecordCodec:
     by the records decoded.
     """
 
-    __slots__ = ("_bitmap_size", "_runs", "_columns", "_rows", "_fields")
+    __slots__ = ("_bitmap_size", "_runs", "_columns", "_rows", "_fields",
+                 "_mutable")
 
     def __init__(self, types: Sequence[SQLType]):
         for col_type in types:
@@ -107,6 +108,26 @@ class RecordCodec:
             if isinstance(row.record, str) else (None, row.record)
             for row in self._rows
         )
+        #: Columns whose decoded values can be changed in place (arrays).
+        self._mutable = tuple(
+            index for index, row in enumerate(self._rows)
+            if row.canonical is array
+        )
+
+    def copy_rows(self, rows: List[List[FieldValue]]) -> List[List[FieldValue]]:
+        """Copies of decoded ``rows`` that share nothing mutable with
+        them: each row list, and each FLOATARR array in it."""
+        if not self._mutable:
+            return [row[:] for row in rows]
+        mutable = self._mutable
+        copies = []
+        for row in rows:
+            row = row[:]
+            for index in mutable:
+                if row[index] is not None:
+                    row[index] = row[index][:]
+            copies.append(row)
+        return copies
 
     def conform(self, values: Sequence[FieldValue]) -> List[FieldValue]:
         """``values`` with each field in its column type's canonical class

@@ -305,10 +305,6 @@ class WriteAheadLog:
         """Synchronous no-window variant (buffer-pool flush gate)."""
         self.commit_wait(lsn, window=0.0)
 
-    def flushed_lsn(self) -> int:
-        with self._gate:
-            return self._durable
-
     def _sync(self) -> None:
         """One fsync covering everything appended so far."""
         with self._lock:

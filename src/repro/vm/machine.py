@@ -241,10 +241,6 @@ class JaguarVM:
         self.system_loader = SystemClassLoader(callback_signatures)
         self._udfs: Dict[str, LoadedUDF] = {}
 
-    def define_system_class(self, source: Union[bytes, ClassFile]) -> ClassFile:
-        """Admit a trusted shared class (e.g. ADT helpers) for all UDFs."""
-        return self.system_loader.define_class(source)
-
     def load_udf(
         self,
         name: str,

@@ -145,11 +145,6 @@ class Instr:
         return f"{self.op.name} {self.arg!r}"
 
 
-def instr(op: Op, arg: object = None) -> Instr:
-    """Convenience constructor used by the compiler and tests."""
-    return Instr(op, arg)
-
-
 # ---------------------------------------------------------------------------
 # The opcode table
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ class TestDatabaseIntegration:
         db.execute(self.SQL)
         db.execute(self.SQL)
         stats = db.stats()
-        assert set(stats) == {"metrics", "adaptive", "plan_cache"}
+        assert set(stats) == {"metrics", "adaptive", "plan_cache", "storage"}
         section = stats["plan_cache"]
         assert set(section) == {
             "entries", "capacity", "hits", "misses", "hit_rate",

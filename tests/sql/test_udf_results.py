@@ -141,3 +141,24 @@ def test_value_outside_the_type_is_an_engine_error(design, payload, returns):
             with pytest.raises(UDFInvocationError, match="'w'"):
                 db.query(sql)
         assert db.query("SELECT v, i FROM s") == [(None, None)]
+
+
+@pytest.mark.parametrize("design", NATIVE_DESIGNS)
+@pytest.mark.parametrize("payload, returns, detail", [
+    ("text_list", "farr", "'a'"),
+    ("int_array", "farr", "typecode"),
+    ("too_big", "int", "1180591620717411303424"),
+])
+def test_every_native_design_refuses_with_one_message(
+        design, payload, returns, detail):
+    """An isolated worker conforms its results to RETURNS before it
+    encodes them, so Design 2 refuses a value outside the type with the
+    in-process designs' message, not an encoder's."""
+    with _db(design, payload, returns=returns) as db:
+        with pytest.raises(UDFInvocationError) as excinfo:
+            db.query("SELECT w(a) FROM t")
+    message = str(excinfo.value)
+    assert message.startswith(
+        f"UDF 'w' returned a value outside its declared type {returns}: "
+    ), message
+    assert detail in message and "remotely" not in message

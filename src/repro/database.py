@@ -500,8 +500,9 @@ class Database:
         (``capacity``; ``hits``, ``misses`` and ``evictions`` of every
         fetch; ``pages_decoded``, whole heap pages decoded;
         ``decoded_hits``, reads served by a frame's kept rows, also
-        counted in ``hits``; ``bulk_released``, frames a scan larger than
-        a quarter of the pool handed straight back).  A WAL-backed
+        counted in ``hits``; ``bulk_released``, pages a scan past a
+        quarter of the pool missed and read into its own buffer, taking
+        no frame).  A WAL-backed
         database adds ``wal`` and a running server ``server``.
         """
         data = self.observability.stats()

@@ -71,7 +71,8 @@ class SQLError(ReproError):
 
 
 class LexError(SQLError):
-    """The tokenizer found an invalid character or unterminated literal."""
+    """The tokenizer found an invalid character, an unterminated literal
+    or an integer literal outside the 64-bit INT range."""
 
     def __init__(self, message: str, position: int = -1):
         super().__init__(message)

@@ -548,9 +548,18 @@ def _compile_binary(expr, schema, resolver, runtime) -> EvalFn:
     return _int_result(op, column) if op in _OVERFLOWS else column
 
 
-#: The operators whose INT result can leave the INT type's domain.
-_OVERFLOWS = ("+", "-", "*")
-_INT_LO, _INT_HI = TYPES[SQLType.INT].domain
+#: The operators whose INT result can leave the INT type's domain
+#: (``/`` only as ``-9223372036854775808 / -1``).
+_OVERFLOWS = ("+", "-", "*", "/")
+INT_LO, INT_HI = TYPES[SQLType.INT].domain
+
+
+def int_overflow(op: str, value: int) -> ExecutionError:
+    """The error for an INT result of ``op`` outside the INT domain."""
+    return ExecutionError(
+        f"integer overflow: '{op}' gives {value}, outside the 64-bit INT "
+        f"range"
+    )
 
 
 def _int_result(op: str, column: EvalFn) -> EvalFn:
@@ -561,11 +570,8 @@ def _int_result(op: str, column: EvalFn) -> EvalFn:
     def checked(rows):
         values = column(rows)
         for value in values:
-            if value.__class__ is int and not _INT_LO <= value <= _INT_HI:
-                raise ExecutionError(
-                    f"integer overflow: '{op}' gives {value}, outside "
-                    f"the 64-bit INT range"
-                )
+            if value.__class__ is int and not INT_LO <= value <= INT_HI:
+                raise int_overflow(op, value)
         return values
 
     checked.wrapping = column
@@ -781,7 +787,7 @@ def infer_type(
     if isinstance(expr, (A.IsNull, A.Between, A.InList)):
         return SQLType.BOOL
     if isinstance(expr, A.FuncCall):
-        return _infer_call_type(expr, resolver)
+        return _infer_call_type(expr, schema, resolver)
     if isinstance(expr, A.Case):
         for __, value in expr.whens:
             inferred = infer_type(value, schema, resolver)
@@ -814,12 +820,27 @@ _BUILTIN_RESULT_TYPES = {
 }
 
 
-def _infer_call_type(expr: A.FuncCall, resolver) -> SQLType:
-    name = expr.name.lower()
+def aggregate_type(name: str, arg_type: SQLType) -> SQLType:
+    """The result type of aggregate ``name`` over an argument of
+    ``arg_type``: COUNT is INT and AVG FLOAT; SUM is INT over INT and
+    FLOAT otherwise; MIN and MAX take their argument's type."""
     if name == "count":
         return SQLType.INT
-    if name in ("sum", "avg", "min", "max"):
+    if name == "sum":
+        return SQLType.INT if arg_type is SQLType.INT else SQLType.FLOAT
+    if name == "avg":
         return SQLType.FLOAT
+    return arg_type
+
+
+def _infer_call_type(expr: A.FuncCall, schema, resolver) -> SQLType:
+    name = expr.name.lower()
+    if name in AGGREGATE_NAMES:
+        arg_type = (
+            SQLType.NULL if expr.star or not expr.args
+            else infer_type(expr.args[0], schema, resolver)
+        )
+        return aggregate_type(name, arg_type)
     if resolver is not None:
         ret = resolver.udf_ret_type(name)
         if ret is not None:

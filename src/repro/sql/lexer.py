@@ -9,7 +9,9 @@ The same scan yields a statement's *shape*, the plan cache's key: its
 token sequence with every INT/FLOAT/STRING literal replaced by a typed
 slot (``LIMIT``'s count stays in the shape), plus the literal values in
 slot order.  Texts with one shape parse to one template and differ only
-in the values bound at execution.
+in the values bound at execution.  An INT literal past the INT type's
+range is refused here, with a :class:`~repro.errors.LexError`, so no
+plan ever holds one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import LexError
+from ..types import TYPES, SQLType
 
 
 class TokenType(enum.Enum):
@@ -63,6 +66,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+
+#: An INT literal is a digit string, so at most the INT type's largest
+#: value: ``-9223372036854775808`` is the negation of a literal one past
+#: it, and is written ``-9223372036854775807 - 1``.
+_INT_MAX = TYPES[SQLType.INT].domain[1]
+_INT_DIGITS = len(str(_INT_MAX))
 
 #: A slot's mark in a shape key: ``?`` starts no token, so a mark never
 #: collides with a keyword, identifier or operator.
@@ -136,6 +145,8 @@ def shape(
                 token_type, slotted = TokenType.FLOAT, True
                 values.append(float(number))
             else:
+                if len(number) >= _INT_DIGITS and int(number) > _INT_MAX:
+                    _raise_int_range(text)
                 # LIMIT's count is part of the plan, so of the shape.
                 token_type, slotted = TokenType.INT, not after_limit
                 if slotted:
@@ -159,6 +170,18 @@ def shape(
     if tokens is not None:
         tokens.append(Token(TokenType.EOF, "", len(text)))
     return " ".join(parts), tuple(values), slots
+
+
+def _raise_int_range(text: str) -> None:
+    """Raise the LexError for the first INT literal in ``text`` past the
+    INT type's range."""
+    for match in _TOKEN_RE.finditer(text):
+        number = match.group(3)
+        if number and number.isdigit() and int(number) > _INT_MAX:
+            raise LexError(
+                f"integer literal {number} is outside the 64-bit INT range",
+                match.start(3),
+            )
 
 
 def _raise_stray(text: str) -> None:

@@ -27,12 +27,14 @@ lazy until an expression needs them (by value or by handle).
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
 from time import perf_counter_ns
 from typing import Iterator, List, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..storage.btree import BPlusTree
-from .expressions import EvalFn
+from .expressions import INT_HI, INT_LO, EvalFn, int_overflow
 
 Row = List[object]
 Batch = List[Row]
@@ -163,9 +165,10 @@ class SeqScan(PhysicalOp):
     codec: a resident page's kept rows (copied, so nothing the scan or
     its consumers do can reach the frame), else a decode in place under
     one pin.  They are handed on together; no RID is built unless
-    ``with_rids`` ends each row with its own (UPDATE, DELETE).  A scan
-    longer than a quarter of the pool hands the frames it missed
-    straight back, so it does not evict the hot pages.  Under a pinned
+    ``with_rids`` ends each row with its own (UPDATE, DELETE).  Past a
+    quarter of the pool, a page the scan misses is read into the scan's
+    own page buffer and takes no frame, so it does not evict the hot
+    pages.  Under a pinned
     :class:`~repro.storage.mvcc.Snapshot` the scan reads the heap handle
     over the table's frozen image instead of the live one — same
     records, same storage order, but never touching the buffer pool, so
@@ -319,7 +322,15 @@ class NestedLoopJoin(PhysicalOp):
 
 
 class Aggregate(PhysicalOp):
-    """Hash aggregation over group keys."""
+    """Hash aggregation over group keys.
+
+    Each batch's group keys are zipped once, into one tuple per row;
+    each aggregate then folds its whole argument column into the groups
+    with the accumulator its function picked when the operator was
+    built.  Without GROUP BY there is one group, and a fold is one call
+    over the column (``sum``, ``min``, ``max``, ``len``).  The group
+    dict keeps first-seen order, which is the output order.
+    """
 
     def __init__(
         self,
@@ -330,93 +341,191 @@ class Aggregate(PhysicalOp):
     ):
         self.child = child
         self.group_fns = list(group_fns)
-        self.agg_specs = list(agg_specs)
+        self.arg_fns = [arg_fn for __, arg_fn, __ in agg_specs]
+        self.accumulators = [
+            _CountRows if arg_fn is None
+            else partial(_Distinct, _FOLDS[func]) if distinct
+            else _FOLDS[func]
+            for func, arg_fn, distinct in agg_specs
+        ]
         _set_batch_size(self, batch_size)
 
     def batches(self) -> Iterator[Batch]:
-        groups = {}
-        order: List[tuple] = []
         group_fns = self.group_fns
-        agg_specs = self.agg_specs
+        # Without GROUP BY the one group exists even over no rows.
+        groups = {} if group_fns else {_ONE: None}
+        keys = None
+        accumulators = [make() for make in self.accumulators]
+        work = list(zip(self.arg_fns, accumulators))
         for batch in self.child.batches():
             # Group keys and aggregate arguments evaluate batch-wise, so
             # a UDF inside SUM(udf(x)) or GROUP BY udf(x) amortizes too.
-            key_columns = [fn(batch) for fn in group_fns]
-            arg_columns = [
-                arg_fn(batch) if arg_fn is not None else None
-                for __, arg_fn, __ in agg_specs
-            ]
-            for index in range(len(batch)):
-                key = tuple(column[index] for column in key_columns)
-                state = groups.get(key)
-                if state is None:
-                    state = [_AggState(func, distinct)
-                             for func, __, distinct in agg_specs]
-                    groups[key] = state
-                    order.append(key)
-                for agg_state, column in zip(state, arg_columns):
-                    value = (
-                        column[index] if column is not None else _COUNT_STAR
-                    )
-                    agg_state.update(value)
-        if not order and not self.group_fns:
-            # Aggregate over an empty input still yields one row.
-            state = [_AggState(func, distinct)
-                     for func, __, distinct in self.agg_specs]
-            yield [[s.result() for s in state]]
-            return
+            if group_fns:
+                keys = list(zip(*[fn(batch) for fn in group_fns]))
+                groups.update(dict.fromkeys(keys))
+            for arg_fn, accumulator in work:
+                accumulator.fold(
+                    keys, batch if arg_fn is None else arg_fn(batch)
+                )
+        columns = [accumulator.results(groups) for accumulator in accumulators]
+        rows = [[*key, *values] for key, *values in zip(groups, *columns)]
         size = max(1, self.batch_size)
-        pending: Batch = []
-        for key in order:
-            pending.append(list(key) + [s.result() for s in groups[key]])
-            if len(pending) >= size:
-                yield pending
-                pending = []
-        if pending:
-            yield pending
+        for start in range(0, len(rows), size):
+            yield rows[start:start + size]
 
 
-_COUNT_STAR = object()
+#: The group key of an aggregate without GROUP BY.
+_ONE = ()
 
 
-class _AggState:
-    __slots__ = ("func", "distinct", "count", "total", "extreme", "seen")
+class _Count:
+    """COUNT: the non-NULL values per group."""
 
-    def __init__(self, func: str, distinct: bool):
-        self.func = func
-        self.distinct = distinct
-        self.count = 0
-        self.total = 0.0
-        self.extreme = None
-        self.seen = set() if distinct else None
+    __slots__ = ("counts",)
 
-    def update(self, value) -> None:
-        if value is _COUNT_STAR:
-            self.count += 1
+    def __init__(self):
+        self.counts = Counter()
+
+    def fold(self, keys, column) -> None:
+        if keys is None:
+            self.counts[_ONE] += len(column) - column.count(None)
+        else:
+            self.counts.update(
+                [key for key, value in zip(keys, column) if value is not None]
+            )
+
+    def results(self, keys) -> list:
+        counts = self.counts
+        return [counts[key] for key in keys]
+
+
+class _CountRows(_Count):
+    """COUNT(*): the rows per group (its column is the batch itself)."""
+
+    __slots__ = ()
+
+    def fold(self, keys, column) -> None:
+        if keys is None:
+            self.counts[_ONE] += len(column)
+        else:
+            self.counts.update(keys)
+
+
+class _Sum:
+    """SUM: a running total per group, an int over INT values so that it
+    stays exact, refused once it leaves the INT domain."""
+
+    __slots__ = ("totals",)
+
+    def __init__(self):
+        self.totals = {}
+
+    def fold(self, keys, column) -> None:
+        totals = self.totals
+        if keys is None:
+            values = [value for value in column if value is not None]
+            if values:
+                totals[_ONE] = sum(values, totals.get(_ONE, 0))
             return
-        if value is None:
-            return  # SQL aggregates skip NULLs
-        if self.seen is not None:
-            key = value
-            if key in self.seen:
-                return
-            self.seen.add(key)
-        self.count += 1
-        if self.func in ("sum", "avg"):
-            self.total += value
-        elif self.func == "min":
-            self.extreme = value if self.extreme is None else min(self.extreme, value)
-        elif self.func == "max":
-            self.extreme = value if self.extreme is None else max(self.extreme, value)
+        get = totals.get
+        for key, value in zip(keys, column):
+            if value is not None:
+                totals[key] = get(key, 0) + value
 
-    def result(self):
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total if self.count else None
-        if self.func == "avg":
-            return (self.total / self.count) if self.count else None
-        return self.extreme
+    def results(self, keys) -> list:
+        totals = [self.totals.get(key) for key in keys]
+        for total in totals:
+            if total.__class__ is int and not INT_LO <= total <= INT_HI:
+                raise int_overflow("sum", total)
+        return totals
+
+
+class _Avg(_Sum):
+    """AVG: SUM's exact total over a count of the values."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self):
+        super().__init__()
+        self.counts = _Count()
+
+    def fold(self, keys, column) -> None:
+        super().fold(keys, column)
+        self.counts.fold(keys, column)
+
+    def results(self, keys) -> list:
+        totals, counts = self.totals, self.counts.counts
+        return [
+            totals[key] / counts[key] if key in totals else None
+            for key in keys
+        ]
+
+
+class _Extreme:
+    """MIN and MAX: the least or greatest value per group."""
+
+    __slots__ = ("pick", "best")
+
+    def __init__(self, pick):
+        self.pick = pick
+        self.best = {}
+
+    def fold(self, keys, column) -> None:
+        best, pick = self.best, self.pick
+        if keys is None:
+            values = [value for value in column if value is not None]
+            if values:
+                value = pick(values)
+                current = best.get(_ONE)
+                best[_ONE] = value if current is None else pick(current, value)
+            return
+        for key, value in zip(keys, column):
+            if value is not None:
+                current = best.get(key)
+                best[key] = value if current is None else pick(current, value)
+
+    def results(self, keys) -> list:
+        return list(map(self.best.get, keys))
+
+
+class _Distinct:
+    """An aggregate over DISTINCT values: each group keeps its set, and
+    its function folds the set once, at the result."""
+
+    __slots__ = ("make", "seen")
+
+    def __init__(self, make):
+        self.make = make
+        self.seen = {}
+
+    def fold(self, keys, column) -> None:
+        seen = self.seen
+        if keys is None:
+            seen.setdefault(_ONE, set()).update(column)
+            return
+        for key, value in zip(keys, column):
+            values = seen.get(key)
+            if values is None:
+                seen[key] = values = set()
+            values.add(value)
+
+    def results(self, keys) -> list:
+        results = []
+        for key in keys:
+            accumulator = self.make()
+            accumulator.fold(None, list(self.seen.get(key, ())))
+            results += accumulator.results([_ONE])
+        return results
+
+
+#: Each aggregate function's accumulator, built once per execution.
+_FOLDS = {
+    "count": _Count,
+    "sum": _Sum,
+    "avg": _Avg,
+    "min": partial(_Extreme, min),
+    "max": partial(_Extreme, max),
+}
 
 
 class Sort(PhysicalOp):

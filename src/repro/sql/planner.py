@@ -93,6 +93,7 @@ class AggregateSpec:
     arg: Optional[A.Expr]     # None for COUNT(*)
     distinct: bool
     name: str
+    sql_type: SQLType         # the result's, see aggregate_type
 
 
 @dataclass
@@ -109,10 +110,9 @@ class LogicalAggregate(LogicalPlan):
             for name, sql_type in zip(self.group_names, self.group_types)
         ]
         for spec in self.aggregates:
-            sql_type = SQLType.INT if spec.func == "count" else SQLType.FLOAT
-            columns.append(
-                SchemaColumn(table=None, name=spec.name, sql_type=sql_type)
-            )
+            columns.append(SchemaColumn(
+                table=None, name=spec.name, sql_type=spec.sql_type
+            ))
         self.schema = RowSchema(columns)
 
 
@@ -483,19 +483,19 @@ def _plan_aggregate(
             # Internal names are positional so duplicate aggregates
             # (e.g. two COUNTs) never collide at resolution time.
             spec_name = f"__agg{index}"
+            sql_type = infer_type(expr, child.schema, resolver)
             aggregates.append(
                 AggregateSpec(
                     func=expr.name.lower(),
                     arg=None if expr.star else (expr.args[0] if expr.args else None),
                     distinct=expr.distinct,
                     name=spec_name,
+                    sql_type=sql_type,
                 )
             )
             out_exprs.append(A.ColumnRef(spec_name))
             out_names.append(name)
-            out_types.append(
-                SQLType.INT if expr.name.lower() == "count" else SQLType.FLOAT
-            )
+            out_types.append(sql_type)
             continue
         position = _group_position(expr, group_exprs, slots)
         if position is None:

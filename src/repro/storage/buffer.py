@@ -20,12 +20,14 @@ so a caller that appends a RID or a UDF that writes into its argument
 cannot change what the next reader sees.
 
 **Scan resistance.**  A heap scan passes the number of pages it has
-read so far.  Past ``capacity // BULK_READ_SHARE`` of them, each page
-the scan *missed* goes back to the free-frame list right after its
-decode, so the next miss reuses that frame: a table larger than the pool
-cycles one frame (a ring of one, as PostgreSQL's bulk-read strategy)
-instead of evicting every hot page.  Pages the scan found resident stay
-where they are.
+read so far and a page buffer of its own.  Past ``capacity //
+BULK_READ_SHARE`` of them, a page the scan *misses* takes no frame: it
+is read under the pool lock into the scan's buffer and decoded there,
+outside the lock, so a table larger than the pool evicts nothing past
+its first pages (a ring of none, where PostgreSQL's bulk-read strategy
+keeps a small ring of frames).  It still counts as one miss, one decode
+and one ``bulk_released``.  Pages the scan finds resident stay where
+they are and are read as any other.
 
 ``hits`` / ``misses`` / ``evictions`` counters feed the benchmark
 harness — the paper's calibration experiment (Figure 4) is dominated by
@@ -87,7 +89,7 @@ from .page import Decoder, decode_records, decode_slots
 DEFAULT_CAPACITY = 256
 
 #: A scan that has read more than ``capacity // BULK_READ_SHARE`` pages
-#: hands each page it missed straight back (see the module docstring).
+#: reads each page it misses around the pool (see the module docstring).
 BULK_READ_SHARE = 4
 
 #: Sentinel LSN for "dirtied by an in-flight statement, not yet logged".
@@ -208,9 +210,9 @@ class BufferPool:
         #: Whole-page decodes run, and reads served by a kept decode.
         self.pages_decoded = 0
         self.decoded_hits = 0
-        #: Frames a bulk scan handed back to the free list.
+        #: Pages a bulk scan read around the pool, into its own buffer.
         self.bulk_released = 0
-        #: Pages one scan reads before its misses are handed back.
+        #: Pages one scan reads before its misses take no frame.
         self.bulk_after = capacity // BULK_READ_SHARE
         disk.free_list_reader = self._read_free_pointer
 
@@ -380,21 +382,32 @@ class BufferPool:
         return kept
 
     def read_decoded(
-        self, page_id: int, decode: Decoder, scanned: int = 0
+        self, page_id: int, decode: Decoder, scanned: int,
+        buffer: bytearray,
     ) -> Tuple[int, Tuple[int, ...], List[object]]:
         """``(next_page, offsets, rows)`` of one heap page, as
         :func:`~repro.storage.page.decode_records` gives them, with rows
         the caller owns.  ``scanned`` is how many pages the calling scan
-        has read before this one: past :attr:`bulk_after`, a page it
-        missed goes back to the free list instead of keeping its rows."""
+        has read before this one and ``buffer`` its own page buffer:
+        past :attr:`bulk_after`, a page it misses is read into
+        ``buffer`` and decoded there, taking no frame and keeping no
+        rows."""
         with self._lock:
             kept = self._kept(page_id, decode)
             if kept is not None:
                 return kept.hand_out()
-            missed = page_id not in self._table
-            data = self.fetch(page_id)
-            frame = self._frames[self._table[page_id]]
-            version = self._page_versions.get(page_id, 0)
+            bulk = scanned >= self.bulk_after and page_id not in self._table
+            if bulk:
+                self.disk.read_into(page_id, buffer)
+                self.misses += 1
+                self.pages_decoded += 1
+                self.bulk_released += 1
+            else:
+                data = self.fetch(page_id)
+                frame = self._frames[self._table[page_id]]
+                version = self._page_versions.get(page_id, 0)
+        if bulk:
+            return decode_records(buffer, decode, page_id)
         try:
             page = decode_records(data, decode, page_id)
         except BaseException:
@@ -403,11 +416,6 @@ class BufferPool:
         with self._lock:
             self.unpin(page_id)
             self.pages_decoded += 1
-            if missed and scanned >= self.bulk_after:
-                if not (frame.pin_count or frame.dirty):
-                    self._release(frame)
-                    self.bulk_released += 1
-                return page
             if self._page_versions.get(page_id, 0) != version:
                 return page  # written while decoding: keep nothing
             kept = frame.decoded = _Decoded(decode, row_copier(decode), page)
@@ -569,15 +577,6 @@ class BufferPool:
         raise BufferPoolError(
             "all buffer frames are pinned; cannot evict"
         )
-
-    def _release(self, frame: _Frame) -> None:
-        """Hand an unpinned, clean frame back to the free list (lock
-        held)."""
-        del self._table[frame.page_id]
-        frame.page_id = None
-        frame.referenced = False
-        frame.decoded = None
-        self._free_frames.append(frame.index)
 
     @property
     def hit_rate(self) -> float:

@@ -23,8 +23,9 @@ end each row with one (``with_rids``, for UPDATE and DELETE);
 pool read per run of RIDs on the same page (an index range).  The one
 read path is the source's ``read_decoded`` (a whole page, for scans) and
 ``read_slots`` (some records of a page): the buffer pool keeps each
-resident page's decoded rows and hands out copies, and keeps a scan
-bigger than a quarter of the pool from evicting its hot pages (see
+resident page's decoded rows and hands out copies, and a scan past a
+quarter of the pool reads the pages it misses into a page buffer of its
+own, taking no frame, so it does not evict the hot pages (see
 :mod:`repro.storage.buffer`).  Every row a read returns belongs to its
 caller.  No read holds a pin across a ``yield``, so a snapshot's frozen
 :class:`~repro.storage.mvcc.TableImage`, which decodes its frozen bytes
@@ -176,8 +177,10 @@ class HeapFile:
     ) -> Iterator[Tuple[int, Tuple[int, ...], List[object]]]:
         read_decoded = self.pool.read_decoded
         page_id, scanned = self.first_page, 0
+        buffer = bytearray(self.pool.page_size)  # this scan's own page
         while page_id != NO_PAGE:
-            next_page, offsets, rows = read_decoded(page_id, decode, scanned)
+            next_page, offsets, rows = read_decoded(
+                page_id, decode, scanned, buffer)
             scanned += 1
             yield page_id, offsets, rows
             page_id = next_page

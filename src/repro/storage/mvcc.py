@@ -100,10 +100,11 @@ class TableImage:
                 f"page {page_id} of a snapshot image is read-only"
             )
 
-    def read_decoded(self, page_id: int, decode, scanned: int = 0):
+    def read_decoded(self, page_id: int, decode, scanned: int, buffer):
         """:meth:`~repro.storage.buffer.BufferPool.read_decoded` over the
         frozen page: decoded afresh on every read, so the rows are the
-        caller's."""
+        caller's (an image has no frames, so ``scanned`` and ``buffer``
+        change nothing)."""
         return decode_records(self.fetch(page_id), decode, page_id)
 
     def read_slots(self, page_id: int, slots, decode):

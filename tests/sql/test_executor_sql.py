@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import CatalogError, ExecutionError, PlanError, RecordError
+from repro.errors import (
+    CatalogError, ExecutionError, LexError, PlanError, RecordError,
+)
 
 
 @pytest.fixture
@@ -223,15 +225,23 @@ class TestDML:
             db.close()
 
 
-    #: An INT product past 64 bits fails as it is computed, before any
-    #: row is checked (``tests/sql/test_int_overflow.py``).
-    OVERFLOWS = {"UPDATE t SET v = v * 4611686018427387904": ExecutionError}
+    #: An INT result past 64 bits fails as it is computed, before any
+    #: row is checked, and an INT literal past them as the text is read
+    #: (``tests/sql/test_int_overflow.py``).
+    OVERFLOWS = {
+        "INSERT INTO t VALUES (6, 1), (7, 99999999999999999999)": LexError,
+        "UPDATE t SET v = v * 4611686018427387904": ExecutionError,
+        "UPDATE t SET v = 41505174165846879000 / (6 - id)": LexError,
+        "UPDATE t SET v = (-9223372036854775807 - 1 + (5 - id)) / -1":
+            ExecutionError,
+    }
 
     @pytest.mark.parametrize("storage", ["memory", "reopen"])
     @pytest.mark.parametrize("sql", [
         "INSERT INTO t VALUES (6, 1), (7, 99999999999999999999)",
         "UPDATE t SET v = v * 4611686018427387904",
         "UPDATE t SET v = 41505174165846879000 / (6 - id)",
+        "UPDATE t SET v = (-9223372036854775807 - 1 + (5 - id)) / -1",
         "INSERT INTO t VALUES (6, 1), (7, 'seven')",
         "INSERT INTO t VALUES (6, 1), (NULL, 1)",
         "UPDATE t SET id = NULL WHERE id > 3",
@@ -239,10 +249,11 @@ class TestDML:
     def test_value_outside_its_column_writes_nothing(self, db_path, storage,
                                                      sql):
         """Every row is checked against its columns' types and NOT NULL
-        before the first write: an out-of-range int (the first UPDATE
-        row fits, the second does not), a wrong class or a NULL id
-        raises RecordError, and an overflowing product ExecutionError;
-        either leaves the table as it was."""
+        before the first write: a wrong class or a NULL id raises
+        RecordError, an overflowing product or quotient ExecutionError
+        (the division's first rows fit, its last does not) and an INT
+        literal past 64 bits LexError; each leaves the table as it
+        was."""
         from repro.database import Database
 
         path = None if storage == "memory" else db_path

@@ -6,9 +6,10 @@ The counted gate asserts exact buffer-pool counts (``db.stats()
 through a 16-frame pool, alternating with a one-page hot table.  The
 hot table is decoded once; every later read of it, and of the big
 table's first ``capacity // 4`` pages, is a decoded hit; every other
-big page goes back to the free list as soon as it is decoded, so
-nothing is ever evicted.  The other tests check the kept rows against
-every write or reuse of their page, and that no caller can change them.
+big page is read into the scan's own buffer and takes no frame, so
+nothing is ever evicted, and a cold scan of a full pool evicts only for
+the pages it keeps.  The other tests check the kept rows against every
+write or reuse of their page, and that no caller can change them.
 """
 
 from array import array
@@ -120,6 +121,33 @@ class TestCountedGate:
         # The heap page is a decoded hit; nothing is decoded whole.
         assert change["decoded_hits"] == 1
         assert change["pages_decoded"] == 0
+
+
+class TestBulkReadTakesNoFrame:
+    def test_a_cold_scan_of_a_full_pool_evicts_only_its_kept_pages(
+            self, gate_db):
+        """With every frame holding a page, the big table's first
+        ``RING_AFTER`` pages each evict one; the other pages are read
+        around the pool and evict nothing."""
+        gate_db.execute("CREATE TABLE fill (id INT, pad BYTEARRAY)")
+        gate_db.insert_rows("fill", [(i, bytes(300))
+                                     for i in range(CAPACITY)])
+        fill = gate_db.catalog.get_table("fill").heap
+        assert len(list(fill.pages())) == CAPACITY
+        pool = gate_db.pool
+        assert len(pool._table) == CAPACITY and not pool._free_frames
+        before = storage(gate_db)
+        assert gate_db.query("SELECT count(*) FROM big WHERE id >= 0") == [
+            (BIG_PAGES,)
+        ]
+        change = delta(storage(gate_db), before)
+        assert change == {
+            "hits": 0, "misses": BIG_PAGES, "evictions": RING_AFTER,
+            "pages_decoded": BIG_PAGES, "decoded_hits": 0,
+            "bulk_released": BIG_PAGES - RING_AFTER,
+        }
+        # Only the kept pages took frames; the fill table lost no more.
+        assert len(pool._table) == CAPACITY
 
 
 def small_db(**options):
